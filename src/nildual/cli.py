@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,17 +36,29 @@ from .verify import DEFAULT_TOLS, VerificationReport, analyze_sheet, verify_pipe
 DEFAULT_OUT_ENV = "NILDUAL_OUT"
 
 
+# exp:<angle> accepts a float or [-][<a>*]pi[/<b>] with floats a and b
+_PI_ANGLE = re.compile(r"(-?)(?:([\d.eE+-]+)\*)?pi(?:/([\d.eE+-]+))?")
+
+
 def parse_lambda(token):
     """Unit-modulus parameter: complex literal ('1', '1j', '0.6+0.8j') or
-    'exp:<angle>' with the angle in radians, allowing 'pi' arithmetic like
-    exp:pi/3."""
+    'exp:<angle>' with the angle in radians, either a float or a multiple
+    of pi like exp:pi/3, exp:-pi/2, exp:2*pi/3."""
     token = token.strip()
     if token.startswith("exp:"):
-        expr = token[4:].replace("pi", repr(math.pi))
+        text = token[4:].strip()
+        m = _PI_ANGLE.fullmatch(text)
         try:
-            angle = float(eval(expr, {"__builtins__": {}}, {}))
-        except Exception as exc:
+            if m is None:
+                angle = float(text)
+            else:
+                sign, a, b = m.groups()
+                angle = (float(a) * math.pi if a else math.pi) / float(b or 1)
+                angle = -angle if sign else angle
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad angle {token!r}: {exc}") from None
+        if not math.isfinite(angle):
+            raise ConfigError(f"bad angle {token!r}: not finite")
         return complex(math.cos(angle), math.sin(angle))
     try:
         lam = complex(token)
@@ -118,6 +131,7 @@ class RunArtifacts:
     result: object = None          # PipelineResult for potential pipelines
     syms: list = None              # SymOutput per lambda
     spinor_input: object = None    # SpinorField when driven from CSVs
+    frames: list = None            # FrameField per lambda (spinor pipeline)
 
 
 def run_pipeline(config, for_verify=False):
@@ -147,12 +161,12 @@ def run_pipeline(config, for_verify=False):
         s = SpinorField(psi1, psi2, g1,
                         mask=None if np.all(m1 & m2) else (m1 & m2))
         d = dirac_data(s)
-        syms = []
-        base_frame = frame_from_spinors(s)
-        for lam in config.lams:
-            fr = integrate_frame(d, lam, base_value=base_frame[0, 0])
-            syms.append(sym_maps(fr, source=f"spinors:{arg}"))
-        return RunArtifacts(config=config, syms=syms, spinor_input=s)
+        base = frame_from_spinors(s)[0, 0]
+        frames = [integrate_frame(d, lam, base_value=base)
+                  for lam in config.lams]
+        syms = [sym_maps(fr, source=f"spinors:{arg}") for fr in frames]
+        return RunArtifacts(config=config, syms=syms, spinor_input=s,
+                            frames=frames)
     raise ConfigError(f"unknown pipeline {config.pipeline!r}")
 
 
@@ -209,13 +223,10 @@ def cmd_generate(config):
 
 
 def _frame_of(arts, k):
-    lam = arts.config.lams[k]
-    if arts.result is not None:
-        return frame_field_from_loop(arts.result.frame_loop, lam,
-                                     arts.result.grid)
-    d = dirac_data(arts.spinor_input)
-    base = frame_from_spinors(arts.spinor_input)[0, 0]
-    return integrate_frame(d, lam, base_value=base)
+    if arts.result is None:
+        return arts.frames[k]
+    return frame_field_from_loop(arts.result.frame_loop, arts.config.lams[k],
+                                 arts.result.grid)
 
 
 def cmd_dual(config):

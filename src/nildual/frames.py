@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonMinimalError, VerticalPointError
 from .loops import SIGMA3, SQRT_I, su11_residual
-from .nil3 import dz_field, dzbar_field, sample_between
+from .nil3 import dz_field, dzbar_field, node_stages, rk4_march
 from .spinors import SpinorField, minimality_defect, uh_from_spinors
 
 
@@ -105,7 +105,7 @@ def integrate_frame(d, lam, base_value=None, substeps=1, minimal_tol=1e-4,
     The parameter enters the connection only through 1/lam and lam, so the
     exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2  close
     the coupled system at fixed lam.  Classical 4th-order stages run along
-    the first column and then along rows (or transposed when
+    the first column and then along all rows at once (or transposed when
     `column_first` is false); F(base) = base_value, derivatives start at 0.
     """
     if minimality_defect(d) > minimal_tol:
@@ -114,18 +114,19 @@ def integrate_frame(d, lam, base_value=None, substeps=1, minimal_tol=1e-4,
     grid = d.grid
     U0, Um, V0, Vp = _connection_parts(d)
 
-    # stacked state Y = (F, F_lam, F_lam2), shape (3, 2, 2)
+    # stacked state Y = (F, F_lam, F_lam2), shape (lines, 3, 2, 2)
     def rhs(Y, A):
         A0, A1, A2 = A  # alpha and its first two lam-derivatives along dt
-        F, F1, F2 = Y
+        F, F1, F2 = Y[:, 0], Y[:, 1], Y[:, 2]
         return np.stack([
             F @ A0,
             F1 @ A0 + F @ A1,
             F2 @ A0 + 2.0 * F1 @ A1 + F @ A2,
-        ])
+        ], axis=1)
 
-    def pack(u0, um, v0, vp, direction):
+    def pack(vals, direction):
         # direction "x": d/dx = U + V; "y": d/dy = i(U - V)
+        u0, um, v0, vp = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
         U = u0 + um / lam
         V = v0 + lam * vp
         U1 = -um / lam**2
@@ -136,51 +137,29 @@ def integrate_frame(d, lam, base_value=None, substeps=1, minimal_tol=1e-4,
             return np.stack([U + V, U1 + V1, U2 + V2])
         return np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)])
 
-    fields = np.stack([U0, Um, V0, Vp], axis=0)  # (4, ny, nx, 2, 2)
+    fields = np.stack([U0, Um, V0, Vp], axis=2)  # (ny, nx, 4, 2, 2)
+
+    def sweep(y0, lines, ts, direction, out):
+        node = node_stages(lines, substeps)
+        stages = lambda k, s: [pack(v, direction) for v in node(k, s)]
+        rk4_march(y0, np.diff(ts) / substeps, substeps, stages, rhs, out=out)
 
     if base_value is None:
         base_value = np.eye(2, dtype=complex)
-    Y0 = np.stack([np.asarray(base_value, dtype=complex),
-                   np.zeros((2, 2), complex), np.zeros((2, 2), complex)])
+    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
+    out[0, 0] = 0.0
+    out[0, 0, 0] = base_value
+    # (lines, nodes, ...) views: the first column (row), then every row
+    # (column) at once from it
+    cols, out_cols = fields.swapaxes(0, 1), out.swapaxes(0, 1)
+    if column_first:
+        sweep(out[None, 0, 0], cols[0:1], grid.ys, "y", out_cols[0:1])
+        sweep(out[:, 0], fields, grid.xs, "x", out)
+    else:
+        sweep(out[None, 0, 0], fields[0:1], grid.xs, "x", out[0:1])
+        sweep(out[0], cols, grid.ys, "y", out_cols)
 
     reproj = 0
-    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
-
-    def march(Y_start, line_fields, ts, direction):
-        def coeff(k, t):
-            if t == 0:
-                vals = line_fields[:, k]
-            elif t == 1:
-                vals = line_fields[:, k + 1]
-            else:
-                vals = sample_between(line_fields, 1, k, t)
-            return pack(vals[0], vals[1], vals[2], vals[3], direction)
-        ys = [Y_start]
-        Y = Y_start
-        for k in range(len(ts) - 1):
-            h = (ts[k + 1] - ts[k]) / substeps
-            for s in range(substeps):
-                t0, tm, t1 = s / substeps, (s + 0.5) / substeps, (s + 1) / substeps
-                a0, am, a1 = coeff(k, t0), coeff(k, tm), coeff(k, t1)
-                k1 = rhs(Y, a0)
-                k2 = rhs(Y + 0.5 * h * k1, am)
-                k3 = rhs(Y + 0.5 * h * k2, am)
-                k4 = rhs(Y + h * k3, a1)
-                Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ys.append(Y)
-        return ys
-
-    if column_first:
-        col = march(Y0, fields[:, :, 0], grid.ys, "y")
-        for i in range(grid.ny):
-            row = march(col[i], fields[:, i, :], grid.xs, "x")
-            out[i] = np.stack(row, axis=0)
-    else:
-        row0 = march(Y0, fields[:, 0, :], grid.xs, "x")
-        for j in range(grid.nx):
-            colj = march(row0[j], fields[:, :, j], grid.ys, "y")
-            out[:, j] = np.stack(colj, axis=0)
-
     F = out[..., 0, :, :]
     drift = su11_residual(F)
     if np.max(drift) > drift_tol:

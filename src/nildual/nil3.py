@@ -318,45 +318,63 @@ def _lagrange_weights(offsets, t):
     return w
 
 
-def sample_between(f, axis, j, t):
-    """Value of the node field f between nodes j and j+1 at fraction t.
+def sample_between(f, j, t):
+    """Values of the node fields f between nodes j and j+1 at fraction t.
 
-    Cubic Lagrange through 4 nodes; window shifts at the boundary.
+    f has shape (lines, nodes, ...); the result has shape (lines, ...).
+    Cubic Lagrange through 4 nodes; window shifts at the boundary.  Each
+    line gets a weights-times-nodes product of its own, so a batch gives
+    the bits of one line at a time (one product over all lines can take
+    another summation path in BLAS).
     """
-    f = np.asarray(f)
-    g = np.moveaxis(f, axis, 0)
-    n = g.shape[0]
+    n = f.shape[1]
     lo = min(max(j - 1, 0), n - 4)
     offsets = np.arange(lo - j, lo - j + 4)
     w = _lagrange_weights(offsets, t)
-    out = np.tensordot(w, g[lo:lo + 4], axes=(0, 0))
-    return out
+    g = f[:, lo:lo + 4].reshape(f.shape[0], 4, -1)
+    return np.matmul(w, g).reshape(f.shape[:1] + f.shape[2:])
 
 
-def _rk4_linear(y0, coeff_fn, t_nodes, substeps, rhs):
-    """March y along t_nodes: dy/dt = rhs(y, A(t)) with A from coeff_fn.
+def rk4_march(y0, steps, substeps, stages, rhs, out=None):
+    """Classical 4th-order Runge-Kutta along a batch of grid lines.
 
-    coeff_fn(k, t) returns the coefficient data between node k and k+1 at
-    fraction t (or at a node for t in {0, 1}).  Returns y at every node.
+    y0 holds one start state per line on its leading axis.  steps[k] is
+    the substep size between nodes k and k+1; stages(k, s) returns the
+    coefficient data at the start, middle and end of substep s for every
+    line, and rhs(y, a) the derivative.  The state at node k+1 goes to
+    out[:, k + 1] when `out` is given; the final state is returned.
     """
-    ys = [y0]
     y = y0
-    for k in range(len(t_nodes) - 1):
-        h = (t_nodes[k + 1] - t_nodes[k]) / substeps
+    for k, h in enumerate(steps):
         for s in range(substeps):
-            t0 = s / substeps
-            tm = (s + 0.5) / substeps
-            t1 = (s + 1) / substeps
-            a0 = coeff_fn(k, t0)
-            am = coeff_fn(k, tm)
-            a1 = coeff_fn(k, t1)
+            a0, am, a1 = stages(k, s)
             k1 = rhs(y, a0)
             k2 = rhs(y + 0.5 * h * k1, am)
             k3 = rhs(y + 0.5 * h * k2, am)
             k4 = rhs(y + h * k3, a1)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys.append(y)
-    return ys
+        if out is not None:
+            out[:, k + 1] = y
+    return y
+
+
+def node_stages(f, substeps):
+    """rk4_march stages for node fields f of shape (lines, nodes, ...).
+
+    Stage points on a node take the node value; between nodes they are
+    sampled by cubic Lagrange interpolation (`sample_between`).
+    """
+    def at(k, t):
+        if t == 0:
+            return f[:, k]
+        if t == 1:
+            return f[:, k + 1]
+        return sample_between(f, k, t)
+
+    def stages(k, s):
+        return (at(k, s / substeps), at(k, (s + 0.5) / substeps),
+                at(k, (s + 1) / substeps))
+    return stages
 
 
 def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), base_index=(0, 0),
@@ -365,7 +383,7 @@ def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), base_index=(0, 0),
 
     Integrates dx1 = 2 Re(phi1 dz), dx2 = 2 Re(phi2 dz),
     dx3 = 2 Re(phi3 dz) - (x2 dx1 - x1 dx2)/2 along the first column and
-    then along rows, with classical one-step 4th-order stages.
+    then along all rows at once, with classical one-step 4th-order stages.
     """
     grid = phi.grid
     p = phi.phi
@@ -387,19 +405,13 @@ def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), base_index=(0, 0),
         d3 = -2.0 * a[..., 2].imag - 0.5 * (y[..., 1] * d1 - y[..., 0] * d2)
         return np.stack([d1, d2, d3], axis=-1)
 
-    col = p[:, 0, :]
-    col_fn = lambda k, t: col[k] if t == 0 else (
-        col[k + 1] if t == 1 else sample_between(col, 0, k, t))
-    y_nodes = _rk4_linear(np.asarray(base_point, dtype=float), col_fn,
-                          grid.ys, substeps, rhs_y)
-
     coords = np.empty((grid.ny, grid.nx, 3))
-    for i in range(grid.ny):
-        row = p[i]
-        row_fn = lambda k, t, row=row: row[k] if t == 0 else (
-            row[k + 1] if t == 1 else sample_between(row, 0, k, t))
-        xs = _rk4_linear(y_nodes[i], row_fn, grid.xs, substeps, rhs_x)
-        coords[i] = np.stack(xs, axis=0)
+    coords[0, 0] = base_point
+    rk4_march(coords[None, 0, 0], np.diff(grid.ys) / substeps, substeps,
+              node_stages(p.swapaxes(0, 1)[0:1], substeps), rhs_y,
+              out=coords.swapaxes(0, 1)[0:1])
+    rk4_march(coords[:, 0], np.diff(grid.xs) / substeps, substeps,
+              node_stages(p, substeps), rhs_x, out=coords)
     return SurfaceGrid(coords, grid, lam=lam, base_index=base_index, source=source)
 
 

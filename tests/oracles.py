@@ -3,10 +3,19 @@
 The hyperbolic-paraboloid family admits explicit formulas for the surface,
 its frame, spinors, and invariants; everything here was derived by hand
 from those formulas and is frozen for comparison against the numerics.
+
+The path integrators at the end march one grid line at a time, one node's
+matrices per step.  They are the reference the batched integrators in
+nildual must reproduce bit for bit: same stage points, same products, same
+summation order.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from nildual.frames import _connection_parts, _reproject_su11
+from nildual.loops import MatrixLoop, su11_residual
+from nildual.nil3 import _lagrange_weights
 
 SQRT_I = np.exp(1j * np.pi / 4)
 
@@ -63,3 +72,256 @@ def paraboloid_dual_surface(grid, lam=1.0 + 0.0j):
     """Displayed dual family member: second and third coordinates flip sign."""
     f = paraboloid_surface(grid, lam)
     return np.stack([f[..., 0], -f[..., 1], -f[..., 2]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# One-line-at-a-time reference integrators
+
+
+def sample_between(f, axis, j, t):
+    """Cubic Lagrange value of one line's node field between nodes j, j+1."""
+    g = np.moveaxis(np.asarray(f), axis, 0)
+    n = g.shape[0]
+    lo = min(max(j - 1, 0), n - 4)
+    w = _lagrange_weights(np.arange(lo - j, lo - j + 4), t)
+    return np.tensordot(w, g[lo:lo + 4], axes=(0, 0))
+
+
+def _potential_at(xi, z):
+    """Coefficient matrices of the potential at the point z, by power."""
+    out = {}
+    for j, c in xi.terms.items():
+        acc = np.zeros((2, 2), dtype=complex)
+        for k in range(c.shape[0] - 1, -1, -1):
+            acc = acc * z + c[k]
+        out[j] = acc
+    return out
+
+
+def _mul_into_window(phi, xi_at_z, N):
+    P = phi.shape[0]
+    out = np.zeros_like(phi)
+    dropped = 0.0
+    for s, X in xi_at_z.items():
+        prod = phi @ X
+        if s == 0:
+            out += prod
+        elif s > 0:
+            out[s:] += prod[:P - s]
+            tail = np.max(np.abs(prod[P - s:]), initial=0.0)
+            dropped = max(dropped, float(tail))
+        else:
+            out[:s] += prod[-s:]
+            tail = np.max(np.abs(prod[:-s]), initial=0.0)
+            dropped = max(dropped, float(tail))
+    return out, dropped
+
+
+def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
+    out = [phi0]
+    phi = phi0
+    drop = 0.0
+    h = 1.0 / substeps
+    for k in range(steps):
+        zk = z_start + k * dz
+        for s in range(substeps):
+            z0 = zk + dz * (s * h)
+            zm = zk + dz * ((s + 0.5) * h)
+            z1 = zk + dz * ((s + 1) * h)
+            x0, xm, x1 = _potential_at(xi, z0), _potential_at(xi, zm), \
+                _potential_at(xi, z1)
+            k1, d1 = _mul_into_window(phi, x0, N)
+            k2, d2 = _mul_into_window(phi + 0.5 * h * dz * k1, xm, N)
+            k3, d3 = _mul_into_window(phi + 0.5 * h * dz * k2, xm, N)
+            k4, d4 = _mul_into_window(phi + h * dz * k3, x1, N)
+            phi = phi + (h * dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            drop = max(drop, d1, d2, d3, d4)
+        out.append(phi)
+    return out, drop
+
+
+def reference_integrate_potential(xi, grid, z0=0j, init=None, order=12,
+                                  substeps=8, column_first=True):
+    """integrate_potential marching one row (or column) at a time."""
+    N = order
+    P = 2 * N + 1
+    phi0 = np.zeros((P, 2, 2), dtype=complex)
+    if init is None:
+        phi0[N] = np.eye(2)
+    else:
+        lo = max(init.low, -N)
+        hi = min(init.high, N)
+        phi0[lo + N:hi + N + 1] = init.coeffs[lo - init.low:hi - init.low + 1]
+
+    corner = grid.node_z(0, 0)
+    drop = 0.0
+    if abs(corner - z0) > 0:
+        steps = max(grid.nx, grid.ny)
+        seg, d = _march_potential(phi0, xi, z0, (corner - z0) / steps,
+                                  steps, substeps, N)
+        phi0 = seg[-1]
+        drop = max(drop, d)
+
+    out = np.empty(grid.shape + (P, 2, 2), dtype=complex)
+    if column_first:
+        col, d = _march_potential(phi0, xi, corner, 1j * grid.hy,
+                                  grid.ny - 1, substeps, N)
+        drop = max(drop, d)
+        for i in range(grid.ny):
+            row, d = _march_potential(col[i], xi, grid.node_z(i, 0), grid.hx,
+                                      grid.nx - 1, substeps, N)
+            drop = max(drop, d)
+            out[i] = np.stack(row, axis=0)
+    else:
+        row0, d = _march_potential(phi0, xi, corner, grid.hx,
+                                   grid.nx - 1, substeps, N)
+        drop = max(drop, d)
+        for j in range(grid.nx):
+            colj, d = _march_potential(row0[j], xi, grid.node_z(0, j),
+                                       1j * grid.hy, grid.ny - 1, substeps, N)
+            drop = max(drop, d)
+            out[:, j] = np.stack(colj, axis=0)
+
+    loop = MatrixLoop(out, -N)
+    if xi.twisted:
+        loop = loop.with_parity("twisted", tol=np.inf)
+    loop.tail = drop
+    return loop
+
+
+def reference_integrate_frame(d, lam, base_value=None, substeps=1,
+                              column_first=True, drift_tol=1e-6):
+    """integrate_frame marching one row (or column) at a time.
+
+    Returns (F, F_lam, F_lam2, reprojections).
+    """
+    lam = complex(lam)
+    grid = d.grid
+    U0, Um, V0, Vp = _connection_parts(d)
+
+    def rhs(Y, A):
+        A0, A1, A2 = A
+        F, F1, F2 = Y
+        return np.stack([
+            F @ A0,
+            F1 @ A0 + F @ A1,
+            F2 @ A0 + 2.0 * F1 @ A1 + F @ A2,
+        ])
+
+    def pack(u0, um, v0, vp, direction):
+        U = u0 + um / lam
+        V = v0 + lam * vp
+        U1 = -um / lam**2
+        V1 = vp
+        U2 = 2.0 * um / lam**3
+        V2 = np.zeros_like(vp)
+        if direction == "x":
+            return np.stack([U + V, U1 + V1, U2 + V2])
+        return np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)])
+
+    fields = np.stack([U0, Um, V0, Vp], axis=0)
+    if base_value is None:
+        base_value = np.eye(2, dtype=complex)
+    Y0 = np.stack([np.asarray(base_value, dtype=complex),
+                   np.zeros((2, 2), complex), np.zeros((2, 2), complex)])
+    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
+
+    def march(Y_start, line_fields, ts, direction):
+        def coeff(k, t):
+            if t == 0:
+                vals = line_fields[:, k]
+            elif t == 1:
+                vals = line_fields[:, k + 1]
+            else:
+                vals = sample_between(line_fields, 1, k, t)
+            return pack(vals[0], vals[1], vals[2], vals[3], direction)
+        ys = [Y_start]
+        Y = Y_start
+        for k in range(len(ts) - 1):
+            h = (ts[k + 1] - ts[k]) / substeps
+            for s in range(substeps):
+                t0, tm, t1 = s / substeps, (s + 0.5) / substeps, (s + 1) / substeps
+                a0, am, a1 = coeff(k, t0), coeff(k, tm), coeff(k, t1)
+                k1 = rhs(Y, a0)
+                k2 = rhs(Y + 0.5 * h * k1, am)
+                k3 = rhs(Y + 0.5 * h * k2, am)
+                k4 = rhs(Y + h * k3, a1)
+                Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ys.append(Y)
+        return ys
+
+    if column_first:
+        col = march(Y0, fields[:, :, 0], grid.ys, "y")
+        for i in range(grid.ny):
+            row = march(col[i], fields[:, i, :], grid.xs, "x")
+            out[i] = np.stack(row, axis=0)
+    else:
+        row0 = march(Y0, fields[:, 0, :], grid.xs, "x")
+        for j in range(grid.nx):
+            colj = march(row0[j], fields[:, :, j], grid.ys, "y")
+            out[:, j] = np.stack(colj, axis=0)
+
+    F = out[..., 0, :, :]
+    drift = su11_residual(F)
+    reproj = 0
+    if np.max(drift) > drift_tol:
+        bad = drift > drift_tol
+        reproj = int(np.sum(bad))
+        for i, j in np.argwhere(bad):
+            F[i, j] = _reproject_su11(F[i, j])
+    return F, out[..., 1, :, :], out[..., 2, :, :], reproj
+
+
+def _rk4_linear(y0, coeff_fn, t_nodes, substeps, rhs):
+    ys = [y0]
+    y = y0
+    for k in range(len(t_nodes) - 1):
+        h = (t_nodes[k + 1] - t_nodes[k]) / substeps
+        for s in range(substeps):
+            t0 = s / substeps
+            tm = (s + 0.5) / substeps
+            t1 = (s + 1) / substeps
+            a0 = coeff_fn(k, t0)
+            am = coeff_fn(k, tm)
+            a1 = coeff_fn(k, t1)
+            k1 = rhs(y, a0)
+            k2 = rhs(y + 0.5 * h * k1, am)
+            k3 = rhs(y + 0.5 * h * k2, am)
+            k4 = rhs(y + h * k3, a1)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return ys
+
+
+def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
+                                       substeps=1):
+    """integrate_phi_to_surface marching one row at a time; coords only."""
+    grid = phi.grid
+    p = phi.phi
+
+    def rhs_x(y, a):
+        d1 = 2.0 * a[..., 0].real
+        d2 = 2.0 * a[..., 1].real
+        d3 = 2.0 * a[..., 2].real - 0.5 * (y[..., 1] * d1 - y[..., 0] * d2)
+        return np.stack([d1, d2, d3], axis=-1)
+
+    def rhs_y(y, a):
+        d1 = -2.0 * a[..., 0].imag
+        d2 = -2.0 * a[..., 1].imag
+        d3 = -2.0 * a[..., 2].imag - 0.5 * (y[..., 1] * d1 - y[..., 0] * d2)
+        return np.stack([d1, d2, d3], axis=-1)
+
+    col = p[:, 0, :]
+    col_fn = lambda k, t: col[k] if t == 0 else (
+        col[k + 1] if t == 1 else sample_between(col, 0, k, t))
+    y_nodes = _rk4_linear(np.asarray(base_point, dtype=float), col_fn,
+                          grid.ys, substeps, rhs_y)
+
+    coords = np.empty((grid.ny, grid.nx, 3))
+    for i in range(grid.ny):
+        row = p[i]
+        row_fn = lambda k, t, row=row: row[k] if t == 0 else (
+            row[k + 1] if t == 1 else sample_between(row, 0, k, t))
+        xs = _rk4_linear(y_nodes[i], row_fn, grid.xs, substeps, rhs_x)
+        coords[i] = np.stack(xs, axis=0)
+    return coords

@@ -1,13 +1,17 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nildual.cli
 from nildual.cli import main, parse_lambda, parse_lambda_list
 from nildual.errors import ConfigError
-from nildual.io_formats import read_field_csv, write_field_csv
+from nildual.frames import frame_from_spinors, integrate_frame
+from nildual.io_formats import read_field_csv, read_frame_cache, write_field_csv
 from nildual.nil3 import DomainGrid
+from nildual.spinors import SpinorField, dirac_data
 
 SMALL = ["--grid=-1,1,-1,1,21,21"]
 
@@ -24,6 +28,21 @@ def test_parse_lambda():
         parse_lambda("0.5")
     with pytest.raises(ConfigError):
         parse_lambda_list("")
+
+
+@pytest.mark.parametrize("text, angle", [
+    ("pi/3", math.pi / 3), ("-pi/2", -math.pi / 2),
+    ("2*pi/3", 2 * math.pi / 3), ("pi", math.pi), ("0.5", 0.5)])
+def test_parse_lambda_angles(text, angle):
+    assert parse_lambda("exp:" + text) == complex(math.cos(angle),
+                                                  math.sin(angle))
+
+
+@pytest.mark.parametrize("text", [
+    "().__class__", "__import__('os')", "pi**2", "", "pi/0", "nan"])
+def test_parse_lambda_rejects_expressions(text):
+    with pytest.raises(ConfigError):
+        parse_lambda("exp:" + text)
 
 
 def test_generate_outputs(tmp_path):
@@ -163,6 +182,38 @@ def test_spinor_csv_pipeline(tmp_path):
     rc = run(["verify", "--spinors", str(tmp_path / "in"),
               "--lambda", "1", "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
+    from .oracles import paraboloid_spinors
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
+    psi1, psi2 = paraboloid_spinors(grid)
+    write_field_csv(tmp_path / "in_psi1.csv", psi1, grid)
+    write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_frame(*args, **kwargs)
+
+    monkeypatch.setattr(nildual.cli, "integrate_frame", counted)
+    rc = run(["generate", "--spinors", str(tmp_path / "in"),
+              "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 2
+    (run_dir,) = (tmp_path / "o").iterdir()
+    frames = read_frame_cache(run_dir / "frames.json")[0]
+    g, p1, _ = read_field_csv(tmp_path / "in_psi1.csv")
+    _, p2, _ = read_field_csv(tmp_path / "in_psi2.csv")
+    s = SpinorField(p1, p2, g)
+    d = dirac_data(s)
+    base = frame_from_spinors(s)[0, 0]
+    for fr, lam in zip(frames, parse_lambda_list("1,exp:pi/3")):
+        direct = integrate_frame(d, lam, base_value=base)
+        assert fr.lam == lam
+        assert np.array_equal(fr.F, direct.F)
+        assert np.array_equal(fr.F_lam, direct.F_lam)
+        assert np.array_equal(fr.F_lam2, direct.F_lam2)
 
 
 def test_field_csv_roundtrip(tmp_path):

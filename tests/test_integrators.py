@@ -1,0 +1,92 @@
+"""The batched path integrators against their one-line-at-a-time
+references in tests/oracles.py: equal bits, equal truncation spill, and
+the 4th-order convergence the stage scheme promises."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nildual.frames import integrate_frame
+from nildual.nil3 import DomainGrid, PhiField, integrate_phi_to_surface
+from nildual.potentials import (
+    helicoid_potential,
+    integrate_potential,
+    paraboloid_potential,
+)
+from nildual.spinors import SpinorField, dirac_data
+
+from . import oracles
+
+GRID = DomainGrid(-0.6, 0.4, -0.5, 0.5, 13, 11)
+
+
+@pytest.mark.parametrize("column_first", [True, False])
+@pytest.mark.parametrize("make_xi", [paraboloid_potential, helicoid_potential])
+@pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+def test_integrate_potential_matches_line_reference(make_xi, column_first, z0):
+    xi = make_xi()
+    kw = dict(z0=z0, order=6, substeps=3, column_first=column_first)
+    got = integrate_potential(xi, GRID, **kw)
+    ref = oracles.reference_integrate_potential(xi, GRID, **kw)
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.tail == ref.tail and got.tail > 0.0
+
+
+@pytest.mark.parametrize("column_first", [True, False])
+def test_integrate_potential_init_matches_line_reference(column_first):
+    xi = paraboloid_potential()
+    # an initial loop wider than the window is clipped to it
+    init = integrate_potential(xi, GRID, order=8).at_node((4, 7))
+    kw = dict(z0=0.1 + 0.1j, init=init, order=5, column_first=column_first)
+    got = integrate_potential(xi, GRID, **kw)
+    ref = oracles.reference_integrate_potential(xi, GRID, **kw)
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.tail == ref.tail
+
+
+@pytest.mark.parametrize("column_first", [True, False])
+def test_integrate_frame_matches_line_reference(column_first):
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 17, 15)
+    psi1, psi2 = oracles.paraboloid_spinors(grid)
+    d = dirac_data(SpinorField(psi1, psi2, grid))
+    base = oracles.paraboloid_frame(grid.node_z(0, 0))
+    for lam, substeps in ((1.0, 1), (np.exp(1j * np.pi / 3), 2)):
+        fr = integrate_frame(d, lam, base_value=base, substeps=substeps,
+                             column_first=column_first)
+        F, F_lam, F_lam2, reproj = oracles.reference_integrate_frame(
+            d, lam, base_value=base, substeps=substeps,
+            column_first=column_first)
+        assert np.array_equal(fr.F, F)
+        assert np.array_equal(fr.F_lam, F_lam)
+        assert np.array_equal(fr.F_lam2, F_lam2)
+        assert fr.reprojections == reproj
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_integrate_phi_to_surface_matches_line_reference(substeps):
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 19)
+    phi = PhiField(oracles.paraboloid_phi(grid), grid)
+    base = oracles.paraboloid_surface(grid)[0, 0]
+    got = integrate_phi_to_surface(phi, base_point=base, substeps=substeps)
+    ref = oracles.reference_integrate_phi_to_surface(phi, base_point=base,
+                                                     substeps=substeps)
+    assert np.array_equal(got.coords, ref)
+
+
+def _convergence_study():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paraboloid_convergence_order():
+    # residuals over the fixed window |x|, |y| <= 0.6 at lam = e^{i pi/3};
+    # 4th-order stencils and stages shrink them ~16x per halving of h
+    measure = _convergence_study().measure
+    coarse, fine = measure(21), measure(41)
+    for name in ("conformality", "re_dirac", "flatness"):
+        order = np.log(coarse[name] / fine[name]) / np.log(40 / 20)
+        assert order >= 3.5, (name, order)
