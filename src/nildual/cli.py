@@ -27,7 +27,6 @@ from .potentials import (
     HoloPotential,
     builtin_example,
     dpw_pipeline,
-    frame_field_from_loop,
 )
 from .spinors import SpinorField, dirac_data, phi_from_spinors
 from .sym import mc_equivalent, sym_maps
@@ -131,7 +130,7 @@ class RunArtifacts:
     result: object = None          # PipelineResult for potential pipelines
     syms: list = None              # SymOutput per lambda
     spinor_input: object = None    # SpinorField when driven from CSVs
-    frames: list = None            # FrameField per lambda (spinor pipeline)
+    frames: list = None            # FrameField per lambda
 
 
 def run_pipeline(config, for_verify=False):
@@ -145,14 +144,14 @@ def run_pipeline(config, for_verify=False):
         res = dpw_pipeline(spec.potential(), grid, z0=spec.z0,
                            lam_samples=config.lams, order=config.order,
                            exclude_disk=exclude, name=arg)
-        return RunArtifacts(config=config, result=res, syms=res.sym)
+        return RunArtifacts(config, res, res.sym, frames=res.frames)
     if kind == "potential":
         xi = HoloPotential.from_json(iof.read_json(arg))
         res = dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
                            order=config.order,
                            exclude_disk=config.exclude_disk,
                            name=Path(arg).stem)
-        return RunArtifacts(config=config, result=res, syms=res.sym)
+        return RunArtifacts(config, res, res.sym, frames=res.frames)
     if kind == "spinors":
         g1, psi1, m1 = iof.read_field_csv(arg + "_psi1.csv")
         g2, psi2, m2 = iof.read_field_csv(arg + "_psi2.csv")
@@ -213,20 +212,13 @@ def cmd_generate(config):
     if "json" in config.formats:
         iof.write_frame_cache(
             run_dir / "frames.json",
-            [_frame_of(arts, k) for k in range(len(config.lams))],
+            arts.frames,
             arts.syms[0].grid,
             mask=arts.syms[0].f_minus.mask,
             ok_mask=None if arts.result is None else arts.result.ok_mask,
             meta={"pipeline": config.pipeline})
     print(f"wrote {run_dir}")
     return 0
-
-
-def _frame_of(arts, k):
-    if arts.result is None:
-        return arts.frames[k]
-    return frame_field_from_loop(arts.result.frame_loop, arts.config.lams[k],
-                                 arts.result.grid)
 
 
 def cmd_dual(config):

@@ -9,7 +9,7 @@ array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,31 +130,27 @@ class MatrixLoop:
         return MatrixLoop(c, self.low - 1, _PARITY_FLIP[self.parity])
 
     def mul(self, other):
-        """Cauchy product; window widens to the sum of the windows."""
-        a, b = self.coeffs, other.coeffs
-        Pa, Pb = a.shape[-3], b.shape[-3]
+        """Cauchy product; window widens to the sum of the windows.
+
+        A direct sum per power, not an FFT, so every coefficient is rounded
+        relative to its own terms and forbidden-parity entries stay exactly
+        zero.  Loops over self's window, which is never the longer one
+        in the pipeline's products.
+        """
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        out = np.zeros(batch + (Pa + Pb - 1, 2, 2), dtype=complex)
+        a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
+        Pa, Pb = a.shape[2], b.shape[2]
+        out = np.zeros((2, 2, Pa + Pb - 1) + batch, dtype=complex)
+        term = np.empty((2, 2, Pb) + batch, dtype=complex)
         for k in range(Pa):
-            out[..., k:k + Pb, :, :] += np.einsum(
-                "...ab,...jbc->...jac", a[..., k, :, :], b)
+            for s in range(2):
+                np.multiply(a[:, s, k, None, None], b[None, s], out=term)
+                out[:, :, k:k + Pb] += term
         parity = None
         if self.parity is not None and other.parity is not None:
             parity = "twisted" if self.parity == other.parity else "anti"
-        return MatrixLoop(out, self.low + other.low, parity)
-
-    def add(self, other):
-        low = min(self.low, other.low)
-        high = max(self.high, other.high)
-        batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        out = np.zeros(batch + (high - low + 1, 2, 2), dtype=complex)
-        out[..., self.low - low:self.high - low + 1, :, :] += self.coeffs
-        out[..., other.low - low:other.high - low + 1, :, :] += other.coeffs
-        parity = self.parity if self.parity == other.parity else None
-        return MatrixLoop(out, low, parity)
-
-    def scaled(self, factor):
-        return replace(self, coeffs=self.coeffs * factor)
+        return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
+                          self.low + other.low, parity)
 
     def truncated(self, order):
         """Clip the window to [-order, order]; returns (loop, tail mass)."""
@@ -231,33 +227,33 @@ class MatrixLoop:
         return cls(c, low, parity)
 
 
-def loop_eval(L, lam, allow_off_circle=False):
-    return L.eval(lam, allow_off_circle=allow_off_circle)
-
-
-def loop_dlambda(L):
-    return L.dlambda()
-
-
-def loop_mul(L1, L2):
-    return L1.mul(L2)
+def _planes(coeffs, batch):
+    """(..., P, 2, 2) coefficients as contiguous entry planes (2, 2, P, *batch);
+    powers before nodes, so each multiply-add in `mul` is one block."""
+    c = np.broadcast_to(coeffs, batch + coeffs.shape[-3:])
+    return np.ascontiguousarray(np.moveaxis(c, (-2, -1, -3), (0, 1, 2)))
 
 
 def plus_loop_inverse(L, order):
     """Power-series inverse of a plus-loop, truncated at `order`.
 
-    Requires low == 0 and an invertible constant term.
+    Requires low == 0 and an invertible constant term.  Power k is
+    -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in order of m by
+    multiply-adds on entry planes, as in `MatrixLoop.mul`.
     """
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
-    b0_inv = np.linalg.inv(L.coeffs[..., 0, :, :])
+    batch = L.batch_shape
     P = min(L.coeffs.shape[-3], order + 1)
-    out = np.zeros(L.batch_shape + (order + 1, 2, 2), dtype=complex)
-    out[..., 0, :, :] = b0_inv
+    b = _planes(L.coeffs[..., :P, :, :], batch)
+    b0_inv = np.moveaxis(np.linalg.inv(L.coeffs[..., 0, :, :]), (-2, -1), (0, 1))
+    out = np.zeros((2, 2, order + 1) + batch, dtype=complex)
+    out[:, :, 0] = b0_inv
     for k in range(1, order + 1):
-        acc = np.zeros(L.batch_shape + (2, 2), dtype=complex)
+        acc = np.zeros((2, 2) + batch, dtype=complex)
         for m in range(1, min(k, P - 1) + 1):
-            acc += np.einsum("...ab,...bc->...ac",
-                             L.coeffs[..., m, :, :], out[..., k - m, :, :])
-        out[..., k, :, :] = -np.einsum("...ab,...bc->...ac", b0_inv, acc)
-    return MatrixLoop(out, 0, None)
+            for s in range(2):
+                acc += b[:, s, m, None] * out[None, s, :, k - m]
+        out[:, :, k] = -(b0_inv[:, 0, None] * acc[None, 0]
+                         + b0_inv[:, 1, None] * acc[None, 1])
+    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, None)

@@ -305,55 +305,56 @@ def iwasawa(phi):
 
     F satisfies F(lam)^dag sigma3 F(lam) = sigma3 on the circle; B+ has
     only nonnegative powers and B+(0) is upper-triangular with positive
-    real diagonal.  Failures (conditioning, loss of positivity) mark nodes
-    in the report instead of raising.
+    real diagonal.  Failures (non-finite input, conditioning, loss of
+    positivity) mark nodes in the report instead of raising; failed nodes
+    get B+ = I, and the report's tail covers the other nodes only.
     """
     N = phi.order
     M = 2 * N
     batch = phi.batch_shape
 
-    s3 = MatrixLoop.constant(SIGMA3, parity="twisted")
-    Z = s3.mul(phi.adjoint_on_circle()).mul(s3).mul(phi)
+    # sigma3 Phi^dag sigma3: the adjoint with its off-diagonal signs flipped
+    left = phi.adjoint_on_circle()
+    left.coeffs *= [[1.0, -1.0], [-1.0, 1.0]]
+    Z = left.mul(phi)
+    # sigma3 Z on the powers -M..M (zero beyond Z's own window)
+    s3Z = np.zeros(batch + (2 * M + 1, 2, 2), dtype=complex)
+    s3Z[..., Z.low + M:Z.high + M + 1, :, :] = Z.coeffs * [[1.0], [-1.0]]
 
-    def zc(j):
-        return Z.coeff(j)
+    # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
+    # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
+    # Hermitian because sigma3 Z is on the circle; R[(e,c), r] = -Z_{-e}[r, c]
+    flat = s3Z.reshape(batch + (-1,))   # index (power + M) * 4 + 2 * row + col
+    m, r, e, c = np.ix_(range(1, M + 1), range(2), range(1, M + 1), range(2))
+    H = flat[..., ((m - e + M) * 4 + 2 * r + c).reshape(2 * M, 2 * M)]
+    R = -flat[..., ((M - m) * 4 + r + 2 * c).reshape(2 * M, 2)] * [1.0, -1.0]
 
-    # block-Toeplitz system: sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M
-    T = np.zeros(batch + (2 * M, 2 * M), dtype=complex)
-    R = np.zeros(batch + (2 * M, 2), dtype=complex)
-    for m in range(1, M + 1):
-        for e in range(1, M + 1):
-            T[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = zc(m - e)
-    for e in range(1, M + 1):
-        R[..., 2 * (e - 1):2 * e, :] = \
-            -np.swapaxes(zc(-e), -1, -2)
-
-    sing = np.linalg.svd(T, compute_uv=False)
+    nonfinite = ~np.isfinite(flat).all(axis=-1)
+    H[nonfinite] = np.eye(2 * M)   # kept out of the eigen step, cond = inf
+    eig = np.abs(np.linalg.eigvalsh(H))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sing[..., 0] / sing[..., -1]
+        cond = np.where(nonfinite, np.inf, eig.max(axis=-1) / eig.min(axis=-1))
     failed = ~np.isfinite(cond) | (cond > COND_CAP)
-    T_safe = np.where(failed[..., None, None], np.eye(2 * M, dtype=complex), T)
-    # W Z rows: solve T^T W^T = -R^T, i.e. transpose of W T = -R
-    sol = np.linalg.solve(np.swapaxes(T_safe, -1, -2), R)
-    W_blocks = np.swapaxes(sol, -1, -2).reshape(batch + (2, M, 2))
-    W_coeffs = np.zeros(batch + (M + 1, 2, 2), dtype=complex)
-    W_coeffs[..., M, :, :] = np.eye(2)
-    for m in range(1, M + 1):
-        W_coeffs[..., M - m, :, :] = W_blocks[..., :, m - 1, :]
-    W = MatrixLoop(W_coeffs, -M)
+    H[failed] = np.eye(2 * M)
+    # W T = -R with T = sigma3 H: T^T W^T = H^T (sigma3 W^T), so row block
+    # m of the solution is sigma3 W_{-m}^T; W_0 = I
+    sol = np.linalg.solve(np.swapaxes(H, -1, -2), R).reshape(batch + (M, 2, 2))
+    W = MatrixLoop(np.concatenate(
+        [np.swapaxes(sol[..., ::-1, :, :], -1, -2) * [1.0, -1.0],
+         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M)
 
     Zp_full = W.mul(Z)
     # powers below -M are not constrained by the solve; their mass measures
     # the truncation of the true minus-factor expansion
-    lo = Zp_full.low
-    neg_mass = float(np.max(np.abs(Zp_full.coeffs[..., :-lo, :, :]),
-                            initial=0.0)) if lo < 0 else 0.0
-    keep = Zp_full.coeffs[..., -lo:, :, :] if lo < 0 else Zp_full.coeffs
-    Zp = MatrixLoop(keep[..., :2 * N + 1, :, :].copy(), 0)
+    cut = -Zp_full.low
+    neg = Zp_full.coeffs[..., :cut, :, :]
+    Zp = MatrixLoop(Zp_full.coeffs[..., cut:cut + 2 * N + 1, :, :].copy(), 0)
 
-    Z0 = Zp.coeff(0)
+    # failed nodes get B+ = I below; keep them out of the positivity test
+    Z0 = np.where(failed[..., None, None], np.eye(2), Zp.coeff(0))
     r1_sq = Z0[..., 0, 0]
-    bad_r1 = (r1_sq.real <= 0) | (np.abs(r1_sq.imag) > 1e-6 * np.abs(r1_sq.real) + 1e-12)
+    bad_r1 = (r1_sq.real <= 0) | (
+        np.abs(r1_sq.imag) > 1e-6 * np.abs(r1_sq.real) + 1e-12)
     r1 = np.sqrt(np.where(bad_r1, 1.0, r1_sq.real))
     b = Z0[..., 0, 1] / r1
     r2_sq = Z0[..., 1, 1].real + np.abs(b) ** 2
@@ -365,17 +366,22 @@ def iwasawa(phi):
     Cinv[..., 0, 0] = 1.0 / r1
     Cinv[..., 1, 0] = np.conj(b) / (r1 * r2)
     Cinv[..., 1, 1] = 1.0 / r2
-    Bp = MatrixLoop(np.einsum("...ab,...jbc->...jac", Cinv, Zp.coeffs), 0)
+    bp = np.einsum("...ab,...jbc->...jac", Cinv, Zp.coeffs)
+    bp[failed] = 0.0
+    bp[failed, 0] = np.eye(2)
+    Bp = MatrixLoop(bp, 0)
 
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
-    F, tail = F_wide.truncated(N)
+    F, _ = F_wide.truncated(N)
+    spill = F_wide.coeffs[..., N - F_wide.low + 1:, :, :]   # powers above N
     if phi.parity == "twisted":
         F = F.with_parity("twisted", tol=np.inf)
         Bp = Bp.with_parity("twisted", tol=np.inf)
 
-    report = BigCellReport(cond=cond, failed=failed,
-                           tail=max(tail, neg_mass))
+    tail = max(float(np.max(np.abs(x[~failed]), initial=0.0))
+               for x in (spill, neg))
+    report = BigCellReport(cond=cond, failed=failed, tail=tail)
     return F, Bp, report
 
 
@@ -410,6 +416,7 @@ class PipelineResult:
     bp: MatrixLoop
     report: BigCellReport
     sym: list                  # SymOutput per lam sample
+    frames: list               # FrameField per lam sample, behind `sym`
     recon_residual: float
     reality_residual: float
     mask: np.ndarray           # export mask: big-cell failures + exclusions
@@ -484,11 +491,11 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
             gauged = gauged.with_parity("twisted", tol=np.inf)
         floop = gauged
 
+    frames = [frame_field_from_loop(floop, lam, grid) for lam in lam_samples]
     syms = []
     fill = None if np.all(ok_mask) else ok_mask
     export_mask = None if np.all(mask) else mask
-    for lam in lam_samples:
-        fr = frame_field_from_loop(floop, lam, grid)
+    for fr in frames:
         sym = sym_maps(fr, mask=fill, source=name)
         if export_mask is not None:
             sym.f_minus.mask = export_mask
@@ -496,6 +503,7 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
         syms.append(sym)
     return PipelineResult(grid=grid, lam_samples=lam_samples, phi=phi,
                           frame_loop=floop, bp=Bp, report=report, sym=syms,
+                          frames=frames,
                           recon_residual=recon, reality_residual=reality,
                           mask=mask, ok_mask=ok_mask, potential=xi, name=name)
 

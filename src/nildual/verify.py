@@ -212,9 +212,9 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
     analyses = []
     ew2_ref = None
     ok_mask = result.ok_mask if result.ok_mask is not None else mask
-    for sym, lam in zip(result.sym, result.lam_samples):
+    for sym, lam, fr in zip(result.sym, result.lam_samples, result.frames):
         a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=ok_mask)
-        analyses.append((sym, lam, a_minus))
+        analyses.append((sym, lam, a_minus, fr))
         live1 = _interior(grid, W1, sym.f_minus.valid(), check_radius)
         live4 = _interior(grid, W4, sym.f_minus.valid(), check_radius)
 
@@ -240,7 +240,7 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
                 tols["flatness"],
                 _interior(grid, W6, sym.f_minus.valid(), check_radius))
 
-        Fv = result.frame_loop.eval(lam)
+        Fv = fr.F
         if perturb_frame:
             Fv = Fv + perturb_frame * (
                 rng.normal(size=Fv.shape) + 1j * rng.normal(size=Fv.shape))
@@ -261,19 +261,13 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
         if "duality" not in skip:
             _duality_checks(rep, tols, grid, sym, lam, a_minus)
 
-    base_entry = next(((sym, lam, a) for sym, lam, a in analyses
-                       if abs(lam - 1.0) < 1e-12), None)
+    base_entry = next((entry for entry in analyses
+                       if abs(entry[1] - 1.0) < 1e-12), None)
     if base_entry is not None:
-        _sym1, _lam1, a1 = base_entry
-        from .frames import FrameField
-        dloop = result.frame_loop.dlambda()
-        for sym, lam, a in analyses:
+        a1 = base_entry[2]
+        for sym, lam, a, fr in analyses:
             if perturb_frame:
                 continue
-            fr = FrameField(F=result.frame_loop.eval(lam),
-                            F_lam=dloop.eval(lam),
-                            F_lam2=dloop.dlambda().eval(lam),
-                            lam=lam, grid=grid)
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
             rep.add(f"frame_compat[{_lam_tag(lam)}]",
@@ -294,11 +288,11 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
                     tols["cross_pipeline"], live)
 
     if self_dual and "self_duality" not in skip:
-        for sym, lam, a in analyses:
+        for sym, lam, _a, _fr in analyses:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
             rep.add_scalar(f"self_duality_mc[{_lam_tag(lam)}]", fit.residual,
                            tols["self_duality_mc"], note=fit.kind)
-        sym, lam, a = analyses[0]
+        sym, lam, a, _fr = analyses[0]
         lhs = 16.0 * np.abs(a.dirac.B)
         live = _interior(grid, W4, sym.f_minus.valid())
         h_rev = a.h[::-1, ::-1]

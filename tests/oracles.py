@@ -325,3 +325,46 @@ def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
         xs = _rk4_linear(y_nodes[i], row_fn, grid.xs, substeps, rhs_x)
         coords[i] = np.stack(xs, axis=0)
     return coords
+
+
+# ---------------------------------------------------------------------------
+# Loop-group references: the einsum Cauchy product and the SVD guard
+
+
+def cauchy_loop(a, b):
+    """Cauchy product of (..., P, 2, 2) coefficient stacks, one einsum per
+    power of `a`; works on real magnitudes too, which gives |A| * |B|."""
+    Pa, Pb = a.shape[-3], b.shape[-3]
+    batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(batch + (Pa + Pb - 1, 2, 2),
+                   dtype=np.result_type(a, b))
+    for k in range(Pa):
+        out[..., k:k + Pb, :, :] += np.einsum(
+            "...ab,...jbc->...jac", a[..., k, :, :], b)
+    return out
+
+
+def svd_cond(phi):
+    """2-norm condition number of the block-Toeplitz factorization system
+    of `phi`, assembled block by block and taken from a full SVD."""
+    N = phi.order
+    M = 2 * N
+    s3 = np.diag([1.0, -1.0]).astype(complex)[None]
+    adj = phi.adjoint_on_circle()
+    Z = MatrixLoop(cauchy_loop(cauchy_loop(cauchy_loop(s3, adj.coeffs), s3),
+                               phi.coeffs), adj.low + phi.low)
+    T = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
+    for m in range(1, M + 1):
+        for e in range(1, M + 1):
+            T[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = Z.coeff(m - e)
+    sing = np.linalg.svd(T, compute_uv=False)
+    return sing[..., 0] / sing[..., -1]
+
+
+def within_cauchy_bound(got, a, b, ulps=16):
+    """True when every coefficient of the product `got` of the stacks a, b
+    lies within ulps * eps * (|A| * |B|) of the einsum product: each
+    coefficient rounded relative to its own terms."""
+    err = np.abs(got - cauchy_loop(a, b))
+    scale = cauchy_loop(np.abs(a), np.abs(b))
+    return bool(np.all(err <= ulps * np.finfo(float).eps * scale))

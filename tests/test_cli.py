@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 import nildual.cli
+import nildual.potentials
 from nildual.cli import main, parse_lambda, parse_lambda_list
 from nildual.errors import ConfigError
 from nildual.frames import frame_from_spinors, integrate_frame
-from nildual.io_formats import read_field_csv, read_frame_cache, write_field_csv
+from nildual.io_formats import (
+    read_field_csv,
+    read_frame_cache,
+    write_field_csv,
+    write_frame_cache,
+)
 from nildual.nil3 import DomainGrid
 from nildual.spinors import SpinorField, dirac_data
 
@@ -214,6 +220,33 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
         assert np.array_equal(fr.F, direct.F)
         assert np.array_equal(fr.F_lam, direct.F_lam)
         assert np.array_equal(fr.F_lam2, direct.F_lam2)
+
+
+def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
+    frame_field_from_loop = nildual.potentials.frame_field_from_loop
+    calls = []
+
+    def counted(floop, lam, grid):
+        calls.append(lam)
+        return frame_field_from_loop(floop, lam, grid)
+
+    monkeypatch.setattr(nildual.potentials, "frame_field_from_loop", counted)
+    argv = ["generate", "--example", "paraboloid", *SMALL,
+            "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    assert len(calls) == 2
+    # frames.json holds what evaluating the frame loop anew would write
+    config = nildual.cli.config_from_args(nildual.cli.build_parser().parse_args(argv))
+    res = nildual.cli.run_pipeline(config).result
+    direct = tmp_path / "direct.json"
+    write_frame_cache(direct,
+                      [frame_field_from_loop(res.frame_loop, lam, res.grid)
+                       for lam in config.lams],
+                      res.grid, mask=res.sym[0].f_minus.mask,
+                      ok_mask=res.ok_mask,
+                      meta={"pipeline": "example:paraboloid"})
+    (run_dir,) = (tmp_path / "o").iterdir()
+    assert (run_dir / "frames.json").read_bytes() == direct.read_bytes()
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -8,6 +8,7 @@ from nildual.nil3 import DomainGrid, left_maurer_cartan
 from nildual.potentials import (
     SPINOR_GAUGE,
     HoloPotential,
+    _dirac_gauge,
     builtin_example,
     dpw_pipeline,
     helicoid_potential,
@@ -21,6 +22,7 @@ from nildual.potentials import (
 from nildual.spinors import dirac_data, spinors_from_phi, uh_from_spinors
 from nildual.sym import mc_equivalent
 
+from . import oracles
 from .oracles import paraboloid_dual_surface, paraboloid_frame, paraboloid_surface
 
 
@@ -130,6 +132,54 @@ def test_iwasawa_of_plus_loop_is_identity(rng):
     lam = np.exp(1.1j)
     assert np.max(np.abs(F.eval(lam) - np.eye(2))) < 1e-8
     assert np.max(np.abs(Bp.eval(lam) - Bp_true.eval(lam))) < 1e-8
+
+
+def test_iwasawa_products_are_coefficientwise(pb_phi, monkeypatch):
+    seen = []
+    mul = MatrixLoop.mul
+
+    def recorded(self, other):
+        out = mul(self, other)
+        seen.append((self.coeffs, other.coeffs, out.coeffs))
+        return out
+
+    monkeypatch.setattr(MatrixLoop, "mul", recorded)
+    iwasawa(pb_phi)
+    assert len(seen) == 3   # sigma3 Phi* sigma3 . Phi, W . Z, Phi . B+^-1
+    for a, b, got in seen:
+        assert oracles.within_cauchy_bound(got, a, b)
+
+
+@pytest.mark.parametrize("name", ["paraboloid", "helicoid", "smyth-2"])
+def test_iwasawa_cond_matches_svd(name):
+    g = builtin_example(name).grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
+    phi = integrate_potential(builtin_example(name).potential(), grid)
+    _, _, report = iwasawa(phi)
+    ref = oracles.svd_cond(phi)
+    assert np.max(np.abs(report.cond - ref) / ref) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_iwasawa_masks_degenerate_nodes(bad):
+    xi = paraboloid_potential()
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    phi = integrate_potential(xi, grid, order=6)
+    F0, Bp0, _ = iwasawa(phi)
+    broken = MatrixLoop(phi.coeffs.copy(), phi.low, phi.parity)
+    broken.coeffs[1, 3] = bad
+    F, Bp, report = iwasawa(broken)
+    expected = np.zeros(grid.shape, dtype=bool)
+    expected[1, 3] = True
+    assert np.array_equal(report.failed, expected)
+    assert not np.isfinite(report.cond[1, 3])
+    assert np.isfinite(report.tail)
+    identity = np.zeros_like(Bp.coeffs[1, 3])
+    identity[0] = np.eye(2)
+    assert np.array_equal(Bp.coeffs[1, 3], identity)
+    assert np.array_equal(F.coeffs[~expected], F0.coeffs[~expected])
+    assert np.array_equal(Bp.coeffs[~expected], Bp0.coeffs[~expected])
+    _dirac_gauge(xi, grid, F, Bp, report.ok())
 
 
 def test_pipeline_paraboloid_matches_closed_surfaces(grid21):
