@@ -29,7 +29,7 @@ from .potentials import (
     dpw_pipeline,
 )
 from .spinors import SpinorField, dirac_data, phi_from_spinors
-from .sym import mc_equivalent, sym_maps
+from .sym import mc_equivalent, sym_sheets
 from .verify import DEFAULT_TOLS, VerificationReport, analyze_sheet, verify_pipeline
 
 DEFAULT_OUT_ENV = "NILDUAL_OUT"
@@ -132,6 +132,11 @@ class RunArtifacts:
     spinor_input: object = None    # SpinorField when driven from CSVs
     frames: list = None            # FrameField per lambda
 
+    @property
+    def ok_mask(self):
+        """Nodes whose frames are trustworthy; None when all of them are."""
+        return None if self.result is None else self.result.ok_mask
+
 
 def run_pipeline(config, for_verify=False):
     """Execute the configured pipeline and return its artifacts."""
@@ -143,18 +148,25 @@ def run_pipeline(config, for_verify=False):
                    else spec.exclude_disk)
         res = dpw_pipeline(spec.potential(), grid, z0=spec.z0,
                            lam_samples=config.lams, order=config.order,
-                           exclude_disk=exclude, name=arg)
+                           exclude_disk=exclude, self_dual=spec.self_dual)
         return RunArtifacts(config, res, res.sym, frames=res.frames)
     if kind == "potential":
-        xi = HoloPotential.from_json(iof.read_json(arg))
+        try:
+            xi = HoloPotential.from_json(iof.read_json(arg))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad potential file {arg!r}: "
+                              f"{type(exc).__name__}: {exc}") from None
         res = dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
                            order=config.order,
-                           exclude_disk=config.exclude_disk,
-                           name=Path(arg).stem)
+                           exclude_disk=config.exclude_disk)
         return RunArtifacts(config, res, res.sym, frames=res.frames)
     if kind == "spinors":
-        g1, psi1, m1 = iof.read_field_csv(arg + "_psi1.csv")
-        g2, psi2, m2 = iof.read_field_csv(arg + "_psi2.csv")
+        try:
+            g1, psi1, m1 = iof.read_field_csv(arg + "_psi1.csv")
+            g2, psi2, m2 = iof.read_field_csv(arg + "_psi2.csv")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad spinor files {arg!r}: "
+                              f"{type(exc).__name__}: {exc}") from None
         if g1 != g2:
             raise ConfigError("spinor component grids disagree")
         s = SpinorField(psi1, psi2, g1,
@@ -163,9 +175,8 @@ def run_pipeline(config, for_verify=False):
         base = frame_from_spinors(s)[0, 0]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
-        syms = [sym_maps(fr, source=f"spinors:{arg}") for fr in frames]
-        return RunArtifacts(config=config, syms=syms, spinor_input=s,
-                            frames=frames)
+        return RunArtifacts(config=config, syms=sym_sheets(frames),
+                            spinor_input=s, frames=frames)
     raise ConfigError(f"unknown pipeline {config.pipeline!r}")
 
 
@@ -207,15 +218,14 @@ def cmd_generate(config):
     for k, sym in enumerate(arts.syms):
         _write_surface_outputs(run_dir, config, sym, k, which=("minus",))
         _write_field_outputs(run_dir, config, sym, k,
-                             extract_mask=None if arts.result is None
-                             else arts.result.ok_mask)
+                             extract_mask=arts.ok_mask)
     if "json" in config.formats:
         iof.write_frame_cache(
             run_dir / "frames.json",
             arts.frames,
             arts.syms[0].grid,
             mask=arts.syms[0].f_minus.mask,
-            ok_mask=None if arts.result is None else arts.result.ok_mask,
+            ok_mask=arts.ok_mask,
             meta={"pipeline": config.pipeline})
     print(f"wrote {run_dir}")
     return 0
@@ -229,23 +239,13 @@ def cmd_dual(config):
     """
     run_dir = config.run_dir()
     cache = run_dir / "frames.json"
-    syms = None
-    ok_mask = None
     if cache.exists():
-        frames, grid, mask, ok_mask, _meta = iof.read_frame_cache(cache)
-        fill = None if ok_mask is None or np.all(ok_mask) else ok_mask
-        syms = []
-        for fr in frames:
-            sym = sym_maps(fr, mask=fill)
-            if mask is not None:
-                sym.f_minus.mask = mask
-                sym.f_plus.mask = mask
-            syms.append(sym)
-        arts = RunArtifacts(config=config, syms=syms)
+        frames, _grid, mask, ok_mask, _meta = iof.read_frame_cache(cache)
+        syms = sym_sheets(frames, ok_mask, mask)
     else:
         arts = run_pipeline(config)
         syms = arts.syms
-        ok_mask = None if arts.result is None else arts.result.ok_mask
+        ok_mask = arts.ok_mask
         run_dir.mkdir(parents=True, exist_ok=True)
     iof.write_json(run_dir / "config.json", config.to_dict())
     for k, sym in enumerate(syms):
@@ -337,9 +337,7 @@ def cmd_sweep(config):
     for k, sym in enumerate(arts.syms):
         _write_surface_outputs(run_dir, config, sym, k,
                                which=("minus", "plus"))
-        a = analyze_sheet(sym.f_minus, sym.lam,
-                          extract_mask=None if arts.result is None
-                          else arts.result.ok_mask)
+        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=arts.ok_mask)
         core = np.s_[4:-4, 4:-4]
         if ew2_ref is None:
             ew2_ref = a.dirac.ew2
@@ -363,16 +361,11 @@ def cmd_export(args_run, formats):
     if not cache.exists():
         raise ConfigError(f"no frame cache under {run_dir}")
     frames, grid, mask, ok_mask, _ = iof.read_frame_cache(cache)
-    fill = None if ok_mask is None or np.all(ok_mask) else ok_mask
     cfg_hash = "unknown"
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
         cfg_hash = iof.config_hash(iof.read_json(cfg_path))
-    for k, fr in enumerate(frames):
-        sym = sym_maps(fr, mask=fill)
-        if mask is not None:
-            sym.f_minus.mask = mask
-            sym.f_plus.mask = mask
+    for k, sym in enumerate(sym_sheets(frames, ok_mask, mask)):
         for side in ("minus", "plus"):
             surf = sym.f_minus if side == "minus" else sym.f_plus
             stem = run_dir / f"export_{_lam_slug(k)}_f_{side}"
@@ -442,9 +435,12 @@ def config_from_args(args):
     tols = {}
     for item in args.tol:
         name, _, val = item.partition("=")
-        if not val:
-            raise ConfigError(f"bad --tol {item!r}")
-        tols[name] = float(val)
+        if name not in DEFAULT_TOLS:
+            raise ConfigError(f"unknown tolerance {name!r} in --tol {item!r}")
+        try:
+            tols[name] = float(val)
+        except ValueError:
+            raise ConfigError(f"bad --tol {item!r}") from None
     out = args.out or os.environ.get(DEFAULT_OUT_ENV, "out")
     return RunConfig(
         pipeline=pipeline,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMinimalError, VerticalPointError
-from .loops import SIGMA3, SQRT_I, su11_residual
+from .loops import SQRT_I, su11_residual
 from .nil3 import dz_field, dzbar_field, node_stages, rk4_march
-from .spinors import SpinorField, minimality_defect, uh_from_spinors
+from .spinors import SpinorField, minimality_defect
 
 
 def _connection_parts(d):
@@ -81,7 +81,6 @@ class FrameField:
     F_lam2: np.ndarray
     lam: complex
     grid: object
-    base_index: tuple = (0, 0)
     reprojections: int = 0
 
     def su11_residual(self):

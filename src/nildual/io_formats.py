@@ -107,18 +107,12 @@ def write_frame_cache(path, frames, grid, mask=None, ok_mask=None, meta=None):
 
     `mask` marks exportable nodes (exclusion disks included); `ok_mask`
     marks nodes whose frames are trustworthy (factorization succeeded) and
-    bounds the extraction domain when the caches are reused."""
+    bounds the extraction domain when the caches are reused.  A matrix
+    grid is stored as [ny][nx][4 entries, row-major][re, im]."""
 
     def pack(M):
-        out = []
-        for i in range(grid.ny):
-            row = []
-            for j in range(grid.nx):
-                row.append([[float(M[i, j, r, c].real),
-                             float(M[i, j, r, c].imag)]
-                            for r in range(2) for c in range(2)])
-            out.append(row)
-        return out
+        return np.stack([M.real, M.imag], axis=-1).reshape(
+            grid.shape + (4, 2)).tolist()
 
     entries = []
     for fr in frames:
@@ -131,10 +125,8 @@ def write_frame_cache(path, frames, grid, mask=None, ok_mask=None, meta=None):
     data = {
         "schema": SCHEMA,
         "grid": grid.to_dict(),
-        "mask": None if mask is None else
-                [[int(v) for v in row] for row in mask],
-        "ok_mask": None if ok_mask is None else
-                   [[int(v) for v in row] for row in ok_mask],
+        "mask": None if mask is None else mask.astype(int).tolist(),
+        "ok_mask": None if ok_mask is None else ok_mask.astype(int).tolist(),
         "entries": entries,
     }
     if meta:
@@ -155,13 +147,10 @@ def read_frame_cache(path):
         ok_mask = np.array(ok_mask, dtype=bool)
 
     def unpack(M):
-        out = np.empty((grid.ny, grid.nx, 2, 2), dtype=complex)
-        for i in range(grid.ny):
-            for j in range(grid.nx):
-                flat = M[i][j]
-                for k, (re, im) in enumerate(flat):
-                    out[i, j, k // 2, k % 2] = re + 1j * im
-        return out
+        # (re, im) pairs are the memory layout of complex128: a view keeps
+        # every bit, the sign of zero included
+        pairs = np.asarray(M, dtype=float).reshape(grid.shape + (4, 2))
+        return pairs.view(complex).reshape(grid.shape + (2, 2))
 
     frames = []
     for e in data["entries"]:

@@ -195,37 +195,6 @@ class MatrixLoop:
         """Single-node loop out of a batched one."""
         return MatrixLoop(self.coeffs[index], self.low, self.parity)
 
-    def to_json(self):
-        if self.batch_shape:
-            raise ValueError("only unbatched loops serialize to JSON")
-        coeffs = []
-        for k in range(self.coeffs.shape[0]):
-            j = self.low + k
-            entries = []
-            for r in range(2):
-                for c in range(2):
-                    v = self.coeffs[k, r, c]
-                    entries.append([float(v.real), float(v.imag)])
-            coeffs.append([j, entries])
-        return {
-            "schema": 1,
-            "order": self.order,
-            "twisted": self.parity == "twisted",
-            "coefficients": coeffs,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        powers = [int(item[0]) for item in data["coefficients"]]
-        low, high = min(powers), max(powers)
-        c = np.zeros((high - low + 1, 2, 2), dtype=complex)
-        for item in data["coefficients"]:
-            j, entries = int(item[0]), item[1]
-            for idx, (re, im) in enumerate(entries):
-                c[j - low, idx // 2, idx % 2] = re + 1j * im
-        parity = "twisted" if data.get("twisted") else None
-        return cls(c, low, parity)
-
 
 def _planes(coeffs, batch):
     """(..., P, 2, 2) coefficients as contiguous entry planes (2, 2, P, *batch);

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooSmallError, NonImmersionError
+from .errors import ConfigError, GridTooSmallError
 
 # Coordinate extraction from su(1,1):  v = x1*E1 + x2*E2 + x3*E3  has
 # entries v11 = -i*x3/2, v12 = (i*x1 - x2)/2, v21 = (-i*x1 - x2)/2.
@@ -35,10 +35,6 @@ def nil3_mul(a, b):
 def nil3_inv(p):
     """Group inverse (-x1, -x2, -x3)."""
     return -np.asarray(p, dtype=float)
-
-
-def nil3_identity():
-    return np.zeros(3)
 
 
 def metric_eval(p, v, u):
@@ -118,10 +114,14 @@ class DomainGrid:
     @classmethod
     def from_string(cls, text):
         parts = text.split(",")
-        if len(parts) != 6:
-            raise ValueError("grid spec must be x0,x1,y0,y1,nx,ny")
-        x0, x1, y0, y1 = (float(p) for p in parts[:4])
-        nx, ny = int(parts[4]), int(parts[5])
+        try:
+            if len(parts) != 6:
+                raise ValueError(f"{len(parts)} fields")
+            x0, x1, y0, y1 = (float(p) for p in parts[:4])
+            nx, ny = int(parts[4]), int(parts[5])
+        except ValueError as exc:
+            raise ConfigError(f"grid spec must be x0,x1,y0,y1,nx,ny, "
+                              f"got {text!r} ({exc})") from None
         return cls(x0, x1, y0, y1, nx, ny)
 
     def to_dict(self):
@@ -219,13 +219,12 @@ class PhiField:
 
 @dataclass
 class SurfaceGrid:
-    """Sampled immersion into the group, with provenance metadata."""
+    """Sampled immersion into the group."""
 
     coords: np.ndarray  # (ny, nx, 3) real
     grid: DomainGrid
     lam: complex = 1.0 + 0.0j
     base_index: tuple = (0, 0)
-    source: str = ""
     mask: np.ndarray | None = None  # True = valid node
 
     def valid(self):
@@ -242,12 +241,7 @@ class SurfaceGrid:
         shift = nil3_inv(self.base_point())
         coords = nil3_mul(shift[None, None, :], self.coords)
         return SurfaceGrid(coords, self.grid, self.lam, self.base_index,
-                           self.source, self.mask)
-
-    def left_translated(self, g):
-        coords = nil3_mul(np.asarray(g, dtype=float)[None, None, :], self.coords)
-        return SurfaceGrid(coords, self.grid, self.lam, self.base_index,
-                           self.source, self.mask)
+                           self.mask)
 
 
 def left_maurer_cartan(surface):
@@ -377,19 +371,16 @@ def node_stages(f, substeps):
     return stages
 
 
-def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), base_index=(0, 0),
-                             substeps=1, lam=1.0 + 0.0j, source=""):
+def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), substeps=1):
     """Reconstruct the immersion from its Maurer-Cartan components.
 
     Integrates dx1 = 2 Re(phi1 dz), dx2 = 2 Re(phi2 dz),
     dx3 = 2 Re(phi3 dz) - (x2 dx1 - x1 dx2)/2 along the first column and
-    then along all rows at once, with classical one-step 4th-order stages.
+    then along all rows at once, with classical one-step 4th-order stages;
+    node (0, 0) holds `base_point`.
     """
     grid = phi.grid
     p = phi.phi
-    ib, jb = base_index
-    if (ib, jb) != (0, 0):
-        raise ValueError("base_index other than (0, 0) not supported")
 
     def rhs_x(y, a):
         # a = (phi1, phi2, phi3) at the stage point; d/dx = phi + conj(phi)
@@ -412,7 +403,7 @@ def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), base_index=(0, 0),
               out=coords.swapaxes(0, 1)[0:1])
     rk4_march(coords[:, 0], np.diff(grid.xs) / substeps, substeps,
               node_stages(p, substeps), rhs_x, out=coords)
-    return SurfaceGrid(coords, grid, lam=lam, base_index=base_index, source=source)
+    return SurfaceGrid(coords, grid)
 
 
 def dilate_mask(invalid, radius):

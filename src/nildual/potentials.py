@@ -13,6 +13,7 @@ failures and are masked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import ConfigError
 from .frames import FrameField
 from .loops import SIGMA3, SQRT_I, MatrixLoop, plus_loop_inverse
 from .nil3 import DomainGrid, rk4_march
-from .sym import sym_maps
+from .sym import sym_sheets
 
 # left gauge applied to pipeline frames: a fixed rotation about e3 that
 # aligns the factorized frame with the spinor normal form
@@ -134,29 +135,24 @@ def smyth_potential(k):
 @dataclass(frozen=True)
 class ExampleSpec:
     name: str
+    potential: object  # () -> HoloPotential
     grid: DomainGrid
     z0: complex
     self_dual: bool
     exclude_disk: float | None
     verify_grid: DomainGrid = None  # residual-suite grid when it differs
 
-    def potential(self):
-        if self.name == "paraboloid":
-            return paraboloid_potential()
-        if self.name == "helicoid":
-            return helicoid_potential()
-        if self.name.startswith("smyth-"):
-            return smyth_potential(int(self.name.split("-", 1)[1]))
-        raise ConfigError(f"unknown example {self.name!r}")
-
 
 def builtin_example(name):
+    """The registry of built-in examples: the only parser of their names."""
     if name == "paraboloid":
-        return ExampleSpec(name, DomainGrid(-1, 1, -1, 1, 41, 41), 0j, True, None)
+        return ExampleSpec(name, paraboloid_potential,
+                           DomainGrid(-1, 1, -1, 1, 41, 41), 0j, True, None)
     if name == "helicoid":
         # the fields grow like cosh(2|z|): a tighter domain and finer grid
         # keep the extraction floors at the paraboloid's level
-        return ExampleSpec(name, DomainGrid(-0.5, 0.5, -0.5, 0.5, 81, 81),
+        return ExampleSpec(name, helicoid_potential,
+                           DomainGrid(-0.5, 0.5, -0.5, 0.5, 81, 81),
                            0j, True, None)
     if name.startswith("smyth-"):
         try:
@@ -168,7 +164,8 @@ def builtin_example(name):
         # export/figure grid reaches the annulus radius 0.5; the residual
         # suite runs on a tighter, finer grid where desk-scale stencil
         # floors fit the tolerances (the corner fields grow steeply)
-        return ExampleSpec(name, DomainGrid(-0.5, 0.5, -0.5, 0.5, 41, 41),
+        return ExampleSpec(name, partial(smyth_potential, k),
+                           DomainGrid(-0.5, 0.5, -0.5, 0.5, 41, 41),
                            0j, False, 0.05,
                            DomainGrid(-0.3, 0.3, -0.3, 0.3, 101, 101))
     raise ConfigError(f"unknown example {name!r}")
@@ -181,12 +178,10 @@ def _mul_into_window(phi, xi_at_z, N):
     """(phi * xi)(lam) truncated to the window [-N, N], per line.
 
     phi has shape (lines, P, 2, 2) for powers -N..N; xi_at_z maps
-    power -> (lines, 2, 2).  Returns (result, dropped) with the max
-    magnitude that fell outside.
+    power -> (lines, 2, 2).
     """
     P = phi.shape[1]
     out = np.zeros_like(phi)
-    dropped = 0.0
     for s, X in xi_at_z.items():
         # the 2x2 product as two broadcast terms: the same bits as matmul
         # on stacks of 2x2 blocks, several times faster
@@ -196,23 +191,18 @@ def _mul_into_window(phi, xi_at_z, N):
             out += prod
         elif s > 0:
             out[:, s:] += prod[:, :P - s]
-            tail = np.max(np.abs(prod[:, P - s:]), initial=0.0)
-            dropped = max(dropped, float(tail))
         else:
             out[:, :s] += prod[:, -s:]
-            tail = np.max(np.abs(prod[:, :-s]), initial=0.0)
-            dropped = max(dropped, float(tail))
-    return out, dropped
+    return out
 
 
 def _sweep(xi, phi0, z_start, dz, steps, substeps, N, out=None):
     """RK4 along the segments z_start + k*dz, one line per start point.
 
-    Returns (final states, max truncation spill); node k of each line goes
-    to out[:, k] when `out` is given.
+    Returns the final states; node k of each line goes to out[:, k] when
+    `out` is given.
     """
     h = 1.0 / substeps
-    drop = 0.0
 
     def stages(k, s):
         zk = z_start + k * dz
@@ -221,13 +211,9 @@ def _sweep(xi, phi0, z_start, dz, steps, substeps, N, out=None):
         return [{j: xi.eval_grid(z, j) for j in xi.terms} for z in zs]
 
     def rhs(phi, xi_at_z):
-        nonlocal drop
-        k, d = _mul_into_window(phi, xi_at_z, N)
-        drop = max(drop, d)
-        return k
+        return _mul_into_window(phi, xi_at_z, N)
 
-    end = rk4_march(phi0, [h * dz] * steps, substeps, stages, rhs, out=out)
-    return end, drop
+    return rk4_march(phi0, [h * dz] * steps, substeps, stages, rhs, out=out)
 
 
 def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
@@ -238,8 +224,7 @@ def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
     independent; `column_first` selects the sweep used, and the two-path
     agreement is a separate check.  The first column (row) is marched from
     the corner, then every row (column) at once.  Returns a batched
-    MatrixLoop over the grid nodes; truncation spill is recorded on the
-    `.tail` attribute.
+    MatrixLoop over the grid nodes.
     """
     N = order
     P = 2 * N + 1
@@ -253,12 +238,10 @@ def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
         phi0[lo + N:hi + N + 1] = init.coeffs[lo - init.low:hi - init.low + 1]
 
     corner = grid.node_z(0, 0)
-    drop = 0.0
     if abs(corner - z0) > 0:
         steps = max(grid.nx, grid.ny)
-        end, drop = _sweep(xi, phi0[None], np.array([z0]),
-                           (corner - z0) / steps, steps, substeps, N)
-        phi0 = end[0]
+        phi0 = _sweep(xi, phi0[None], np.array([z0]),
+                      (corner - z0) / steps, steps, substeps, N)[0]
 
     out = np.empty(grid.shape + (P, 2, 2), dtype=complex)
     out[0, 0] = phi0
@@ -272,14 +255,12 @@ def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
         sweeps = ((out[0:1], np.array([corner]), grid.hx),
                   (cols, grid.zz[0], 1j * grid.hy))
     for dst, z_start, dz in sweeps:
-        _, d = _sweep(xi, dst[:, 0], z_start, dz, dst.shape[1] - 1,
-                      substeps, N, out=dst)
-        drop = max(drop, d)
+        _sweep(xi, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps, N,
+               out=dst)
 
     loop = MatrixLoop(out, -N)
     if xi.twisted:
         loop = loop.with_parity("twisted", tol=np.inf)
-    loop.tail = drop
     return loop
 
 
@@ -289,7 +270,6 @@ class BigCellReport:
 
     cond: np.ndarray
     failed: np.ndarray     # True = factorization failed at the node
-    tail: float = 0.0      # truncation spill from the loop products
 
     def ok(self):
         return ~self.failed
@@ -307,7 +287,7 @@ def iwasawa(phi):
     only nonnegative powers and B+(0) is upper-triangular with positive
     real diagonal.  Failures (non-finite input, conditioning, loss of
     positivity) mark nodes in the report instead of raising; failed nodes
-    get B+ = I, and the report's tail covers the other nodes only.
+    get B+ = I.
     """
     N = phi.order
     M = 2 * N
@@ -344,10 +324,8 @@ def iwasawa(phi):
          np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M)
 
     Zp_full = W.mul(Z)
-    # powers below -M are not constrained by the solve; their mass measures
-    # the truncation of the true minus-factor expansion
+    # keep powers 0..2N; the solve does not constrain the negative ones
     cut = -Zp_full.low
-    neg = Zp_full.coeffs[..., :cut, :, :]
     Zp = MatrixLoop(Zp_full.coeffs[..., cut:cut + 2 * N + 1, :, :].copy(), 0)
 
     # failed nodes get B+ = I below; keep them out of the positivity test
@@ -374,22 +352,16 @@ def iwasawa(phi):
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
     F, _ = F_wide.truncated(N)
-    spill = F_wide.coeffs[..., N - F_wide.low + 1:, :, :]   # powers above N
     if phi.parity == "twisted":
         F = F.with_parity("twisted", tol=np.inf)
         Bp = Bp.with_parity("twisted", tol=np.inf)
-
-    tail = max(float(np.max(np.abs(x[~failed]), initial=0.0))
-               for x in (spill, neg))
-    report = BigCellReport(cond=cond, failed=failed, tail=tail)
-    return F, Bp, report
+    return F, Bp, BigCellReport(cond=cond, failed=failed)
 
 
 def iwasawa_residuals(phi, F, Bp, n_check=8, mask=None):
     """(reconstruction, reality) max residuals over circle samples."""
     recon = 0.0
     reality = 0.0
-    live = None if mask is None else mask
     for lam in _circle_samples(n_check):
         pv = phi.eval(lam)
         fv = F.eval(lam)
@@ -397,9 +369,9 @@ def iwasawa_residuals(phi, F, Bp, n_check=8, mask=None):
         r1 = np.max(np.abs(pv - fv @ bv), axis=(-2, -1))
         herm = np.swapaxes(fv.conj(), -1, -2) @ SIGMA3 @ fv - SIGMA3
         r2 = np.max(np.abs(herm), axis=(-2, -1))
-        if live is not None:
-            r1 = r1[live]
-            r2 = r2[live]
+        if mask is not None:
+            r1 = r1[mask]
+            r2 = r2[mask]
         recon = max(recon, float(np.max(r1, initial=0.0)))
         reality = max(reality, float(np.max(r2, initial=0.0)))
     return recon, reality
@@ -411,24 +383,15 @@ class PipelineResult:
 
     grid: DomainGrid
     lam_samples: list
-    phi: MatrixLoop
     frame_loop: MatrixLoop     # gauged frame used for the surfaces
-    bp: MatrixLoop
     report: BigCellReport
     sym: list                  # SymOutput per lam sample
     frames: list               # FrameField per lam sample, behind `sym`
     recon_residual: float
     reality_residual: float
     mask: np.ndarray           # export mask: big-cell failures + exclusions
-    ok_mask: np.ndarray = None  # big-cell failures only (extraction domain)
-    potential: HoloPotential = None
-    name: str = ""
-
-    def sym_at(self, lam):
-        for s in self.sym:
-            if abs(s.lam - lam) < 1e-12:
-                return s
-        raise KeyError(f"lam {lam} not sampled")
+    ok_mask: np.ndarray        # big-cell failures only (extraction domain)
+    self_dual: bool            # run the self-duality checks in verify
 
 
 def frame_field_from_loop(floop, lam, grid):
@@ -468,7 +431,7 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
 
 def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                  order=DEFAULT_ORDER, init=None, exclude_disk=None,
-                 substeps=8, gauge=True, name=""):
+                 substeps=8, self_dual=False):
     """Potential -> loops -> factorization -> both surfaces per parameter."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:
@@ -484,28 +447,17 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
         mask = mask & (np.abs(grid.zz) >= exclude_disk)
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
-    floop = F
-    if gauge:
-        gauged = MatrixLoop.constant(SPINOR_GAUGE).mul(F)
-        if F.parity == "twisted":
-            gauged = gauged.with_parity("twisted", tol=np.inf)
-        floop = gauged
+    floop = MatrixLoop.constant(SPINOR_GAUGE).mul(F)
+    if F.parity == "twisted":
+        floop = floop.with_parity("twisted", tol=np.inf)
 
     frames = [frame_field_from_loop(floop, lam, grid) for lam in lam_samples]
-    syms = []
-    fill = None if np.all(ok_mask) else ok_mask
-    export_mask = None if np.all(mask) else mask
-    for fr in frames:
-        sym = sym_maps(fr, mask=fill, source=name)
-        if export_mask is not None:
-            sym.f_minus.mask = export_mask
-            sym.f_plus.mask = export_mask
-        syms.append(sym)
-    return PipelineResult(grid=grid, lam_samples=lam_samples, phi=phi,
-                          frame_loop=floop, bp=Bp, report=report, sym=syms,
+    return PipelineResult(grid=grid, lam_samples=lam_samples,
+                          frame_loop=floop, report=report,
+                          sym=sym_sheets(frames, ok_mask, mask),
                           frames=frames,
                           recon_residual=recon, reality_residual=reality,
-                          mask=mask, ok_mask=ok_mask, potential=xi, name=name)
+                          mask=mask, ok_mask=ok_mask, self_dual=self_dual)
 
 
 def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),
@@ -515,4 +467,4 @@ def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),
     return dpw_pipeline(spec.potential(), g, z0=spec.z0,
                         lam_samples=lam_samples, order=order,
                         exclude_disk=spec.exclude_disk, substeps=substeps,
-                        name=name)
+                        self_dual=spec.self_dual)

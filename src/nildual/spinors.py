@@ -43,22 +43,11 @@ class SpinorField:
             return np.ones(self.grid.shape, dtype=bool)
         return self.mask
 
-    def orientation(self):
-        """+1 if |psi1| > |psi2| everywhere valid, -1 if <, else 0."""
-        v = self.valid()
-        d = np.abs(self.psi1[v]) - np.abs(self.psi2[v])
-        if np.all(d > 0):
-            return 1
-        if np.all(d < 0):
-            return -1
-        return 0
-
 
 @dataclass
 class DiracData:
     """Dirac potential, quadratic-differential coefficient, mean curvature."""
 
-    w: np.ndarray            # continuous log of the squared potential
     B: np.ndarray
     H: np.ndarray
     ew2: np.ndarray          # e^{w/2} itself, the primary field
@@ -117,20 +106,6 @@ def gauss_map(s, tol=1e-12):
     normal = np.stack([2.0 * g.real, 2.0 * g.imag, 1.0 - np.abs(g) ** 2],
                       axis=-1) / denom[..., None]
     return g, normal
-
-
-def _continuous_log(field, grid, valid):
-    """log with the branch continued along the serpentine sweep."""
-    out = np.log(np.where(valid, field, 1.0))
-    prev = None
-    for i, j in grid.serpentine():
-        if not valid[i, j]:
-            continue
-        if prev is not None:
-            k = np.round((out[i, j].imag - prev.imag) / (2.0 * np.pi))
-            out[i, j] -= 2j * np.pi * k
-        prev = out[i, j]
-    return out
 
 
 def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
@@ -211,8 +186,7 @@ def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
     B_from_u = (d_psi1_z - 0.5 * w_z * s.psi1) * ew2 / np.where(ok2, s.psi2, 1.0)
     B = np.where(prefer_u, B_from_v, B_from_u)
 
-    w = 2.0 * _continuous_log(ew2, grid, np.isfinite(ew2) & (np.abs(ew2) > 0))
-    return DiracData(w=w, B=B, H=H, ew2=ew2, consistency=consistency,
+    return DiracData(B=B, H=H, ew2=ew2, consistency=consistency,
                      grid=grid, mask=s.mask, w_z=w_z, w_zb=w_zb)
 
 

@@ -35,11 +35,8 @@ class SymOutput:
     grid: object
     reality_residual: float    # worst su(1,1)-reality defect of the output
 
-    def valid(self):
-        return self.f_minus.valid() & self.f_plus.valid()
 
-
-def sym_maps(frame, mask=None, reality_tol=1e-6, source=""):
+def sym_maps(frame, mask=None, reality_tol=1e-6):
     """Evaluate both surfaces from a FrameField carrying (F, F_lam, F_lam2).
 
     Raises if the assembled matrices leave the real span of the su(1,1)
@@ -79,12 +76,29 @@ def sym_maps(frame, mask=None, reality_tol=1e-6, source=""):
         raise ValueError(
             f"surface matrices leave su(1,1) by {worst:.3e} (frame defect)")
 
-    f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask,
-                          source=source or "sym:minus")
-    f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask,
-                         source=source or "sym:plus")
+    f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
+    f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask)
     return SymOutput(f_minus=f_minus, f_plus=f_plus, n_m=N, lam=lam,
                      grid=grid, reality_residual=worst)
+
+
+def sym_sheets(frames, ok_mask=None, export_mask=None):
+    """Both surfaces of every frame, as the pipeline fills and exports them.
+
+    Nodes outside `ok_mask` (untrusted frames) get the identity frame
+    before the formulas run; both sheets then carry `export_mask`, the
+    nodes written out.  An all-True mask counts as no mask.
+    """
+    fill = None if ok_mask is None or np.all(ok_mask) else ok_mask
+    export = None if export_mask is None or np.all(export_mask) else export_mask
+    syms = []
+    for fr in frames:
+        sym = sym_maps(fr, mask=fill)
+        if export is not None:
+            sym.f_minus.mask = export
+            sym.f_plus.mask = export
+        syms.append(sym)
+    return syms
 
 
 def _diag(M):
@@ -164,7 +178,7 @@ def _reversed_phi(p):
     return -p[::-1, ::-1]
 
 
-def mc_equivalent(f, g, allow_reflection=False, tol=1e-6, base_index=None):
+def mc_equivalent(f, g, allow_reflection=False, tol=1e-6):
     """Decide whether g = (left translation) . (rotation about e3) . f,
     optionally composed with a reflection, and - for centred grids - with
     the orientation-preserving reversal z -> -z of the parametrization
@@ -202,10 +216,7 @@ def mc_equivalent(f, g, allow_reflection=False, tol=1e-6, base_index=None):
             pr = _REFLECTIONS[kind](base)
             wf = pr[..., 0] + 1j * pr[..., 1]
             anchors = np.abs(wf) * live
-            if base_index is not None and anchors[base_index] > tol * scale:
-                ai, aj = base_index
-            else:
-                ai, aj = np.unravel_index(np.argmax(anchors), anchors.shape)
+            ai, aj = np.unravel_index(np.argmax(anchors), anchors.shape)
             if anchors[ai, aj] <= tol * scale:
                 continue
             phase = wg[ai, aj] / wf[ai, aj]

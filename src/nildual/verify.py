@@ -19,8 +19,14 @@ from .frames import (
     integrate_frame,
 )
 from .loops import su11_residual
-from .nil3 import conformality_residual, left_maurer_cartan
+from .nil3 import (
+    DomainGrid,
+    conformality_residual,
+    left_maurer_cartan,
+    stencil_valid,
+)
 from .spinors import (
+    DiracData,
     dirac_data,
     gauss_map,
     harmonic_residual,
@@ -129,26 +135,20 @@ class VerificationReport:
 
 def interior_dirac(d, width=4):
     """Dirac data restricted to the centred-stencil interior subgrid."""
-    from .nil3 import DomainGrid
-    from .spinors import DiracData
     g = d.grid
     sub = DomainGrid(g.xs[width], g.xs[-width - 1],
                      g.ys[width], g.ys[-width - 1],
                      g.nx - 2 * width, g.ny - 2 * width)
     cut = np.s_[width:-width, width:-width]
-    return DiracData(w=d.w[cut], B=d.B[cut], H=d.H[cut], ew2=d.ew2[cut],
+    return DiracData(B=d.B[cut], H=d.H[cut], ew2=d.ew2[cut],
                      consistency=d.consistency[cut], grid=sub,
                      w_z=d.w_z[cut], w_zb=d.w_zb[cut]), cut
 
 
-def _interior(grid, width, base=None, radius=None):
+def _interior(grid, width, base):
     m = np.zeros(grid.shape, dtype=bool)
     m[width:-width, width:-width] = True
-    if base is not None:
-        m &= base
-    if radius is not None:
-        m &= np.abs(grid.zz) <= radius
-    return m
+    return m & base
 
 
 @dataclass
@@ -166,7 +166,6 @@ def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
     whose coordinates are garbage (factorization failures), never cosmetic
     exclusions, so the branch continuation never sees artificial holes."""
     phi = left_maurer_cartan(surface)
-    from .nil3 import stencil_valid
     mask = extract_mask
     if mask is not None and np.all(mask):
         mask = None
@@ -178,31 +177,19 @@ def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
     return SheetAnalysis(spinors=s, dirac=d, e_u=e_u, h=h)
 
 
-def verify_pipeline(result, tols=None, self_dual=None, report=None,
-                    skip=(), perturb_frame=0.0, check_radius=None):
+def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
     """Run the full residual battery on a pipeline result.
 
-    `self_dual` toggles the self-duality checks (defaults to the built-in
-    registry flag when the result carries an example name).  `perturb_frame`
+    The self-duality checks run when the result is flagged self-dual (the
+    built-in examples carry the flag of their spec).  `perturb_frame`
     adds uniform noise to the frame before the frame-level checks: the
     negative control that must trip exactly the SU(1,1) and compatibility
-    checks.  `check_radius` restricts the stencil-identity checks to
-    |z| <= radius: surfaces with steep corner growth (the monomial-potential
-    family) exceed desk-scale stencil floors outside it purely through
-    derivative constants; algebraic checks always run on the full region.
+    checks.
     """
     tols = {**DEFAULT_TOLS, **(tols or {})}
-    rep = report if report is not None else VerificationReport()
+    rep = VerificationReport()
     grid = result.grid
-    mask = result.mask
     rng = np.random.default_rng(7)
-
-    if self_dual is None:
-        from .potentials import builtin_example
-        try:
-            self_dual = builtin_example(result.name).self_dual
-        except Exception:
-            self_dual = False
 
     rep.add_scalar("iwasawa_recon", result.recon_residual,
                    tols["iwasawa_recon"])
@@ -211,12 +198,11 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
 
     analyses = []
     ew2_ref = None
-    ok_mask = result.ok_mask if result.ok_mask is not None else mask
     for sym, lam, fr in zip(result.sym, result.lam_samples, result.frames):
-        a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=ok_mask)
+        a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=result.ok_mask)
         analyses.append((sym, lam, a_minus, fr))
-        live1 = _interior(grid, W1, sym.f_minus.valid(), check_radius)
-        live4 = _interior(grid, W4, sym.f_minus.valid(), check_radius)
+        live1 = _interior(grid, W1, sym.f_minus.valid())
+        live4 = _interior(grid, W4, sym.f_minus.valid())
 
         res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
         rep.add(f"conformality[{_lam_tag(lam)}]", res / e_u,
@@ -235,10 +221,10 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
                     live4)
         rep.add(f"holomorphy_B[{_lam_tag(lam)}]",
                 holomorphy_residual(d.B, grid), tols["holomorphy_B"],
-                _interior(grid, W6, sym.f_minus.valid(), check_radius))
+                _interior(grid, W6, sym.f_minus.valid()))
         rep.add(f"flatness[{_lam_tag(lam)}]", flatness_residual(d, [lam]),
                 tols["flatness"],
-                _interior(grid, W6, sym.f_minus.valid(), check_radius))
+                _interior(grid, W6, sym.f_minus.valid()))
 
         Fv = fr.F
         if perturb_frame:
@@ -273,7 +259,7 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
             rep.add(f"frame_compat[{_lam_tag(lam)}]",
                     frame_compatibility_residual(fr, a1.dirac),
                     tols["frame_compat"],
-                    _interior(grid, W6, sym.f_minus.valid(), check_radius))
+                    _interior(grid, W6, sym.f_minus.valid()))
         if "cross_pipeline" not in skip:
             lam0 = 1.0 + 0.0j
             d_sub, cut = interior_dirac(a1.dirac, W4)
@@ -282,12 +268,10 @@ def verify_pipeline(result, tols=None, self_dual=None, report=None,
             diff = np.max(np.abs(integ.F
                                  - result.frame_loop.eval(lam0)[cut]),
                           axis=(-2, -1))
-            live = _interior(d_sub.grid, 0, None, check_radius) \
-                if check_radius else None
             rep.add(f"cross_pipeline[{_lam_tag(lam0)}]", diff,
-                    tols["cross_pipeline"], live)
+                    tols["cross_pipeline"])
 
-    if self_dual and "self_duality" not in skip:
+    if result.self_dual and "self_duality" not in skip:
         for sym, lam, _a, _fr in analyses:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
             rep.add_scalar(f"self_duality_mc[{_lam_tag(lam)}]", fit.residual,

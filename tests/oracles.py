@@ -101,26 +101,20 @@ def _potential_at(xi, z):
 def _mul_into_window(phi, xi_at_z, N):
     P = phi.shape[0]
     out = np.zeros_like(phi)
-    dropped = 0.0
     for s, X in xi_at_z.items():
         prod = phi @ X
         if s == 0:
             out += prod
         elif s > 0:
             out[s:] += prod[:P - s]
-            tail = np.max(np.abs(prod[P - s:]), initial=0.0)
-            dropped = max(dropped, float(tail))
         else:
             out[:s] += prod[-s:]
-            tail = np.max(np.abs(prod[:-s]), initial=0.0)
-            dropped = max(dropped, float(tail))
-    return out, dropped
+    return out
 
 
 def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
     out = [phi0]
     phi = phi0
-    drop = 0.0
     h = 1.0 / substeps
     for k in range(steps):
         zk = z_start + k * dz
@@ -130,14 +124,13 @@ def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
             z1 = zk + dz * ((s + 1) * h)
             x0, xm, x1 = _potential_at(xi, z0), _potential_at(xi, zm), \
                 _potential_at(xi, z1)
-            k1, d1 = _mul_into_window(phi, x0, N)
-            k2, d2 = _mul_into_window(phi + 0.5 * h * dz * k1, xm, N)
-            k3, d3 = _mul_into_window(phi + 0.5 * h * dz * k2, xm, N)
-            k4, d4 = _mul_into_window(phi + h * dz * k3, x1, N)
+            k1 = _mul_into_window(phi, x0, N)
+            k2 = _mul_into_window(phi + 0.5 * h * dz * k1, xm, N)
+            k3 = _mul_into_window(phi + 0.5 * h * dz * k2, xm, N)
+            k4 = _mul_into_window(phi + h * dz * k3, x1, N)
             phi = phi + (h * dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            drop = max(drop, d1, d2, d3, d4)
         out.append(phi)
-    return out, drop
+    return out
 
 
 def reference_integrate_potential(xi, grid, z0=0j, init=None, order=12,
@@ -154,38 +147,30 @@ def reference_integrate_potential(xi, grid, z0=0j, init=None, order=12,
         phi0[lo + N:hi + N + 1] = init.coeffs[lo - init.low:hi - init.low + 1]
 
     corner = grid.node_z(0, 0)
-    drop = 0.0
     if abs(corner - z0) > 0:
         steps = max(grid.nx, grid.ny)
-        seg, d = _march_potential(phi0, xi, z0, (corner - z0) / steps,
-                                  steps, substeps, N)
-        phi0 = seg[-1]
-        drop = max(drop, d)
+        phi0 = _march_potential(phi0, xi, z0, (corner - z0) / steps,
+                                steps, substeps, N)[-1]
 
     out = np.empty(grid.shape + (P, 2, 2), dtype=complex)
     if column_first:
-        col, d = _march_potential(phi0, xi, corner, 1j * grid.hy,
-                                  grid.ny - 1, substeps, N)
-        drop = max(drop, d)
+        col = _march_potential(phi0, xi, corner, 1j * grid.hy,
+                               grid.ny - 1, substeps, N)
         for i in range(grid.ny):
-            row, d = _march_potential(col[i], xi, grid.node_z(i, 0), grid.hx,
-                                      grid.nx - 1, substeps, N)
-            drop = max(drop, d)
+            row = _march_potential(col[i], xi, grid.node_z(i, 0), grid.hx,
+                                   grid.nx - 1, substeps, N)
             out[i] = np.stack(row, axis=0)
     else:
-        row0, d = _march_potential(phi0, xi, corner, grid.hx,
-                                   grid.nx - 1, substeps, N)
-        drop = max(drop, d)
+        row0 = _march_potential(phi0, xi, corner, grid.hx,
+                                grid.nx - 1, substeps, N)
         for j in range(grid.nx):
-            colj, d = _march_potential(row0[j], xi, grid.node_z(0, j),
-                                       1j * grid.hy, grid.ny - 1, substeps, N)
-            drop = max(drop, d)
+            colj = _march_potential(row0[j], xi, grid.node_z(0, j),
+                                    1j * grid.hy, grid.ny - 1, substeps, N)
             out[:, j] = np.stack(colj, axis=0)
 
     loop = MatrixLoop(out, -N)
     if xi.twisted:
         loop = loop.with_parity("twisted", tol=np.inf)
-    loop.tail = drop
     return loop
 
 

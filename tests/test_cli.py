@@ -249,6 +249,81 @@ def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
     assert (run_dir / "frames.json").read_bytes() == direct.read_bytes()
 
 
+def test_verify_potential_file_named_like_example(tmp_path):
+    # a --potential file is never a built-in example, whatever its name:
+    # the self-duality rows belong to the example pipelines only
+    from nildual.io_formats import write_json
+    from nildual.potentials import smyth_potential
+    pot = tmp_path / "paraboloid.json"
+    write_json(pot, smyth_potential(1).to_json())
+    run(["verify", "--potential", str(pot), "--grid=-0.3,0.3,-0.3,0.3,21,21",
+         "--lambda", "1", "--out", str(tmp_path / "o")])
+    (run_dir,) = (tmp_path / "o").iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert names and not any(n.startswith("self_duality") for n in names)
+
+
+def _write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: ["--example", "paraboloid", "--grid", "1,2,3"],
+    lambda tmp: ["--example", "paraboloid", "--grid=0,1,0,1,5,x"],
+    lambda tmp: ["--example", "paraboloid", "--tol", "conformality=abc"],
+    lambda tmp: ["--example", "paraboloid", "--tol", "conformalty=1e-3"],
+    lambda tmp: ["--potential", str(tmp / "missing.json")],
+    lambda tmp: ["--potential", str(_write_text(tmp / "bad.json", "{"))],
+    lambda tmp: ["--potential",
+                 str(_write_text(tmp / "empty.json", '{"schema": 1}'))],
+    lambda tmp: ["--spinors", str(tmp / "nothing")],
+], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
+        "potential-not-json", "potential-no-terms", "spinors-missing"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv):
+    argv = ["generate", *make_argv(tmp_path), "--lambda", "1",
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_frame_cache_roundtrip(tmp_path):
+    from nildual.frames import FrameField
+    grid = DomainGrid(-1.0, 1.0, -0.5, 0.5, 7, 5)
+    rng = np.random.default_rng(5)
+    shape = grid.shape + (2, 2)
+
+    def field():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    frames = [FrameField(F=field(), F_lam=field(), F_lam2=field(), lam=lam,
+                         grid=grid) for lam in (1.0 + 0.0j, 1j)]
+    F = frames[0].F
+    F[0, 0, 0, 0] = complex(-0.0, 1.5)
+    F[0, 1, 1, 0] = complex(2.0, -0.0)
+    F[1, 1, 0, 1] = complex(-0.0, -0.0)
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[2, 3] = False
+    ok_mask = np.ones(grid.shape, dtype=bool)
+    ok_mask[4, 6] = False
+    path = tmp_path / "frames.json"
+    write_frame_cache(path, frames, grid, mask=mask, ok_mask=ok_mask,
+                      meta={"pipeline": "example:paraboloid"})
+    back, grid2, mask2, ok2, meta = read_frame_cache(path)
+    assert grid2 == grid
+    assert np.array_equal(mask2, mask) and np.array_equal(ok2, ok_mask)
+    assert meta == {"pipeline": "example:paraboloid"}
+    assert [fr.lam for fr in back] == [fr.lam for fr in frames]
+    for got, want in zip(back, frames):
+        for name in ("F", "F_lam", "F_lam2"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
 def test_field_csv_roundtrip(tmp_path):
     grid = DomainGrid(-1.0, 1.0, -0.5, 0.5, 7, 5)
     rng = np.random.default_rng(3)

@@ -28,7 +28,6 @@ def _analytic_pb_dirac(grid):
     """Stencil-free paraboloid data: e^{w/2} = i/4, B = 1/16, w_z = 0."""
     shape = grid.shape
     return DiracData(
-        w=np.full(shape, 2.0 * np.log(0.25) + 1j * np.pi, dtype=complex),
         B=np.full(shape, 1.0 / 16.0, dtype=complex),
         H=np.zeros(shape),
         ew2=np.full(shape, 0.25j, dtype=complex),
@@ -77,7 +76,6 @@ def test_flatness_detects_nonintegrable(grid41):
     # while dzV = dzbarU = 0, so the residual equals |1 - |z|^2| exactly
     shape = grid41.shape
     d = DiracData(
-        w=np.zeros(shape, dtype=complex),
         B=grid41.zz.astype(complex),
         H=np.zeros(shape),
         ew2=np.ones(shape, dtype=complex),

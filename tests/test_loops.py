@@ -231,12 +231,3 @@ def test_plus_loop_inverse_batched(rng):
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
 
-
-def test_json_roundtrip(rng):
-    c = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    # make it twisted-compatible: zero forbidden entries
-    L = MatrixLoop(c, -1).with_parity("twisted", tol=np.inf)
-    data = L.to_json()
-    back = MatrixLoop.from_json(data)
-    assert back.low == L.low and back.parity == "twisted"
-    assert np.allclose(back.coeffs, L.coeffs)
