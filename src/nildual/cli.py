@@ -21,16 +21,22 @@ from . import io_formats as iof
 from .dualize import dual_invariants, dual_spinors
 from .errors import ConfigError, NilDualError
 from .frames import frame_from_spinors, integrate_frame
-from .nil3 import DomainGrid, left_maurer_cartan
+from .nil3 import DomainGrid, centred_interior, left_maurer_cartan
 from .potentials import (
     BUILTIN_NAMES,
     HoloPotential,
     builtin_example,
     dpw_pipeline,
 )
-from .spinors import SpinorField, dirac_data, phi_from_spinors
+from .spinors import SpinorField, dirac_data
 from .sym import mc_equivalent, sym_sheets
-from .verify import DEFAULT_TOLS, VerificationReport, analyze_sheet, verify_pipeline
+from .verify import (
+    DEFAULT_TOLS,
+    W4,
+    analyze_sheet,
+    verify_pipeline,
+    verify_spinors,
+)
 
 DEFAULT_OUT_ENV = "NILDUAL_OUT"
 
@@ -127,15 +133,11 @@ class RunArtifacts:
     """In-memory products of a generate run, reused by dual/sweep/verify."""
 
     config: RunConfig
+    syms: list                     # SymOutput per lambda
+    frames: list                   # FrameField per lambda
+    ok_mask: np.ndarray            # nodes whose frames are trustworthy
     result: object = None          # PipelineResult for potential pipelines
-    syms: list = None              # SymOutput per lambda
     spinor_input: object = None    # SpinorField when driven from CSVs
-    frames: list = None            # FrameField per lambda
-
-    @property
-    def ok_mask(self):
-        """Nodes whose frames are trustworthy; None when all of them are."""
-        return None if self.result is None else self.result.ok_mask
 
 
 def run_pipeline(config, for_verify=False):
@@ -149,7 +151,8 @@ def run_pipeline(config, for_verify=False):
         res = dpw_pipeline(spec.potential(), grid, z0=spec.z0,
                            lam_samples=config.lams, order=config.order,
                            exclude_disk=exclude, self_dual=spec.self_dual)
-        return RunArtifacts(config, res, res.sym, frames=res.frames)
+        return RunArtifacts(config, res.sym, res.frames, res.ok_mask,
+                            result=res)
     if kind == "potential":
         try:
             xi = HoloPotential.from_json(iof.read_json(arg))
@@ -159,7 +162,8 @@ def run_pipeline(config, for_verify=False):
         res = dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
                            order=config.order,
                            exclude_disk=config.exclude_disk)
-        return RunArtifacts(config, res, res.sym, frames=res.frames)
+        return RunArtifacts(config, res.sym, res.frames, res.ok_mask,
+                            result=res)
     if kind == "spinors":
         try:
             g1, psi1, m1 = iof.read_field_csv(arg + "_psi1.csv")
@@ -169,14 +173,13 @@ def run_pipeline(config, for_verify=False):
                               f"{type(exc).__name__}: {exc}") from None
         if g1 != g2:
             raise ConfigError("spinor component grids disagree")
-        s = SpinorField(psi1, psi2, g1,
-                        mask=None if np.all(m1 & m2) else (m1 & m2))
+        s = SpinorField(psi1, psi2, g1, mask=m1 & m2)
         d = dirac_data(s)
         base = frame_from_spinors(s)[0, 0]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
-        return RunArtifacts(config=config, syms=sym_sheets(frames),
-                            spinor_input=s, frames=frames)
+        return RunArtifacts(config, sym_sheets(frames, s.mask, s.mask),
+                            frames, s.mask, spinor_input=s)
     raise ConfigError(f"unknown pipeline {config.pipeline!r}")
 
 
@@ -191,7 +194,7 @@ def _write_surface_outputs(run_dir, config, sym, k, which=("minus",)):
                           surf.mask, res_summary)
 
 
-def _write_field_outputs(run_dir, config, sym, k, extract_mask=None):
+def _write_field_outputs(run_dir, config, sym, k, extract_mask):
     if "csv" not in config.formats:
         return
     try:
@@ -217,8 +220,7 @@ def cmd_generate(config):
     iof.write_json(run_dir / "config.json", config.to_dict())
     for k, sym in enumerate(arts.syms):
         _write_surface_outputs(run_dir, config, sym, k, which=("minus",))
-        _write_field_outputs(run_dir, config, sym, k,
-                             extract_mask=arts.ok_mask)
+        _write_field_outputs(run_dir, config, sym, k, arts.ok_mask)
     if "json" in config.formats:
         iof.write_frame_cache(
             run_dir / "frames.json",
@@ -264,8 +266,8 @@ def cmd_dual(config):
         tag = _lam_slug(k)
         # exports honour both the duality degeneracies and the run's
         # exclusion mask (singular points of the dual stay unfilled)
-        out_mask = pair.mask & sym.f_plus.valid()
-        inv_mask = dmask & sym.f_plus.valid()
+        out_mask = pair.mask & sym.f_plus.mask
+        inv_mask = dmask & sym.f_plus.mask
         if "csv" in config.formats:
             iof.write_field_csv(run_dir / f"{tag}_dual_psi1.csv",
                                 pair.dual.psi1, grid, mask=out_mask)
@@ -278,7 +280,7 @@ def cmd_dual(config):
             iof.write_field_csv(run_dir / f"{tag}_B_star.csv", B_star, grid,
                                 mask=inv_mask)
         iof.write_json(run_dir / f"{tag}_branch_log.json",
-                       pair.branch_log(export_mask=sym.f_plus.valid()))
+                       pair.branch_log(export_mask=sym.f_plus.mask))
         fit = mc_equivalent(sym.f_minus, sym.f_plus,
                             allow_reflection=config.allow_reflection)
         iof.write_json(run_dir / f"{tag}_dual_fit.json", {
@@ -298,31 +300,12 @@ def cmd_verify(config, perturb_frame=0.0):
         rep = verify_pipeline(arts.result, tols=config.tols,
                               perturb_frame=perturb_frame)
     else:
-        rep = _verify_spinor_run(arts, config)
+        rep = verify_spinors(arts.spinor_input, tols=config.tols,
+                             conjugate_sign=config.conjugate_sign)
     iof.write_json(run_dir / "report.json", rep.to_json())
     (run_dir / "report.txt").write_text(rep.table() + "\n")
     print(rep.table())
     return 0 if rep.passed else 1
-
-
-def _verify_spinor_run(arts, config):
-    """Reduced battery for the spinor-CSV pipeline (no loop factorization)."""
-    from .nil3 import conformality_residual
-    rep = VerificationReport()
-    tols = {**DEFAULT_TOLS, **config.tols}
-    s = arts.spinor_input
-    res, e_u = conformality_residual(phi_from_spinors(s))
-    rep.add("conformality", res / e_u, tols["conformality"])
-    d = dirac_data(s)
-    rep.add("dirac_consistency", d.consistency, tols["dirac_consistency"])
-    rep.add("minimality", np.abs(d.ew2.real), tols["minimality"])
-    from .dualize import double_dual
-    again, mask = double_dual(s, d, conjugate_sign=config.conjugate_sign)
-    rep.add("involution_phi",
-            np.max(np.abs(phi_from_spinors(again).phi
-                          - phi_from_spinors(s).phi), axis=-1),
-            tols["involution_phi"], mask)
-    return rep
 
 
 def cmd_sweep(config):
@@ -338,7 +321,8 @@ def cmd_sweep(config):
         _write_surface_outputs(run_dir, config, sym, k,
                                which=("minus", "plus"))
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=arts.ok_mask)
-        core = np.s_[4:-4, 4:-4]
+        # every node of the W4 interior, the export mask aside
+        core = centred_interior(np.ones(sym.grid.shape, dtype=bool), W4)
         if ew2_ref is None:
             ew2_ref = a.dirac.ew2
             drift = 0.0

@@ -18,11 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizontalUmbrellaError, NonMinimalError
-from .spinors import SpinorField, continued_sqrt, minimality_defect, uh_from_spinors
+from .errors import HorizontalUmbrellaError
+from .spinors import (
+    SpinorField,
+    continued_sqrt,
+    minimality_gate,
+    uh_from_spinors,
+)
 
 B_MASK_REL = 1e-8   # |B| < rel * max|B| is treated as a zero of B
 H_MASK_ABS = 1e-8   # |h| below this is a vertical point
+_MINIMAL_ONLY = "duality is defined for minimal data only"
 
 
 @dataclass
@@ -41,8 +47,10 @@ class DualPair:
     def has_branch_cut(self):
         return len(self.cut_edges) > 0
 
-    def branch_log(self, export_mask=None):
-        mask = self.mask if export_mask is None else self.mask & export_mask
+    def branch_log(self, export_mask=True):
+        """Branch bookkeeping; `masked` counts nodes outside the dual or
+        outside `export_mask` (default: every node)."""
+        mask = self.mask & export_mask
         return {
             "schema": 1,
             "sign": self.branch_sign.tolist(),
@@ -62,55 +70,52 @@ def _degeneracy_mask(B, h, valid, b_rel=B_MASK_REL, h_abs=H_MASK_ABS):
     return mask
 
 
-def dual_spinors(s, d, conjugate_sign=+1, support=None, minimal_tol=1e-4):
-    """Construct the dual spinor pair from a minimal field and its data.
-
-    `support` overrides the support function of the input (needed when the
-    input is itself a dual, whose support is the role-swapped expression).
-    """
-    if minimality_defect(d) > minimal_tol:
-        raise NonMinimalError("duality is defined for minimal data only")
-    if conjugate_sign not in (+1, -1):
+def _dual_pair(s, B, h, valid, sign):
+    """The dual pair of `s` with coefficient B and support h on `valid`."""
+    if sign not in (+1, -1):
         raise ValueError("conjugate_sign must be +1 or -1")
-    B = d.B
-    if support is None:
-        _, h = uh_from_spinors(s)
-    else:
-        h = support
-    valid = s.valid() & d.valid()
     mask = _degeneracy_mask(B, h, valid)
-
-    r, sign, cuts = continued_sqrt(-B, s.grid, mask)
-    s2 = conjugate_sign * np.conj(r)
+    r, branch_sign, cuts = continued_sqrt(-B, s.grid, mask)
+    s2 = sign * np.conj(r)
     h_safe = np.where(mask, h, 1.0)
     psi1_star = np.where(mask, 4.0 * r / h_safe * s.psi2, 0.0)
     psi2_star = np.where(mask, 4.0 * s2 / h_safe * s.psi1, 0.0)
     dual = SpinorField(psi1_star, psi2_star, s.grid, lam=s.lam, mask=mask)
-    return DualPair(source=s, dual=dual, B=B, h=h, branch_sign=sign,
+    return DualPair(source=s, dual=dual, B=B, h=h, branch_sign=branch_sign,
                     cut_edges=cuts, mask=mask)
 
 
-def dual_invariants(s, d, support=None, minimal_tol=1e-4):
-    """Geometric data of the dual: (e^{u*}, h*, B*, g*, e^{w*/2}).
+def _invariants(s, B, h, valid):
+    """Dual invariants of `s` with coefficient B and support h on `valid`."""
+    e_u, _ = uh_from_spinors(s)
+    mask = _degeneracy_mask(B, h, valid)
+    absB = np.abs(B)
+    h_safe = np.where(mask, h, 1.0)
+    e_u_star = np.where(mask, 256.0 * absB**2 * e_u / h_safe**4, 0.0)
+    h_star = np.where(mask, 16.0 * absB / h_safe, 0.0)
+    B_star = B.copy()
+    g_star = s.psi2 / np.conj(s.psi1)
+    ew2_star = np.where(mask, 4.0j * absB / h_safe, 0.0)
+    return e_u_star, h_star, B_star, g_star, ew2_star, mask
+
+
+def dual_spinors(s, d, conjugate_sign=+1):
+    """Construct the dual spinor pair from a minimal field and its data."""
+    minimality_gate(d, _MINIMAL_ONLY)
+    _, h = uh_from_spinors(s)
+    return _dual_pair(s, d.B, h, s.mask & d.mask, conjugate_sign)
+
+
+def dual_invariants(s, d):
+    """Geometric data of the dual: (e^{u*}, h*, B*, g*, e^{w*/2}, mask).
 
     e^{u*} = 4^4 |B|^2 e^u / h^4,  h* = 4^2 |B| / h,  B* = B,  g* = g,
     e^{w*/2} = 4 i |B| / h.  Masked nodes propagate as NaN-free zeros via
     the accompanying mask.
     """
-    if minimality_defect(d) > minimal_tol:
-        raise NonMinimalError("duality is defined for minimal data only")
-    e_u, h_own = uh_from_spinors(s)
-    h = h_own if support is None else support
-    valid = s.valid() & d.valid()
-    mask = _degeneracy_mask(d.B, h, valid)
-    absB = np.abs(d.B)
-    h_safe = np.where(mask, h, 1.0)
-    e_u_star = np.where(mask, 256.0 * absB**2 * e_u / h_safe**4, 0.0)
-    h_star = np.where(mask, 16.0 * absB / h_safe, 0.0)
-    B_star = d.B.copy()
-    g_star = s.psi2 / np.conj(s.psi1)
-    ew2_star = np.where(mask, 4.0j * absB / h_safe, 0.0)
-    return e_u_star, h_star, B_star, g_star, ew2_star, mask
+    minimality_gate(d, _MINIMAL_ONLY)
+    _, h = uh_from_spinors(s)
+    return _invariants(s, d.B, h, s.mask & d.mask)
 
 
 def dual_local_check(pair):
@@ -123,9 +128,7 @@ def dual_local_check(pair):
     an upward field because the dual's normal flips).
     """
     s, dual, mask = pair.source, pair.dual, pair.mask
-    d_like = _DualDiracStub(np.zeros_like(pair.h), pair.B, s.grid, s.mask)
-    e_u_star, h_star, _, g, _, mask2 = dual_invariants(
-        s, d_like, support=pair.h)
+    e_u_star, h_star, _, g, _, mask2 = _invariants(s, pair.B, pair.h, s.mask)
     m = mask & mask2
     a = np.abs(dual.psi1) ** 2
     b = np.abs(dual.psi2) ** 2
@@ -150,21 +153,6 @@ def dual_local_check(pair):
     }
 
 
-@dataclass
-class _DualDiracStub:
-    """Minimal DiracData look-alike carrying only what dualize reads."""
-
-    H: np.ndarray
-    B: np.ndarray
-    grid: object
-    mask: np.ndarray | None = None
-
-    def valid(self):
-        if self.mask is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.mask
-
-
 def double_dual(s, d, conjugate_sign=+1):
     """Apply the duality twice; the spinor pair returns to itself.
 
@@ -173,10 +161,11 @@ def double_dual(s, d, conjugate_sign=+1):
     the product of the two branch factors is unimodular and the frame
     components are restored exactly.
     """
-    first = dual_spinors(s, d, conjugate_sign=conjugate_sign)
-    e_u_star, h_star, B_star, _, ew2_star, mask = dual_invariants(s, d)
-    stub = _DualDiracStub(np.zeros_like(h_star), B_star, s.grid,
-                          first.mask & mask)
-    second = dual_spinors(first.dual, stub, conjugate_sign=conjugate_sign,
-                          support=h_star)
+    minimality_gate(d, _MINIMAL_ONLY)
+    _, h = uh_from_spinors(s)
+    valid = s.mask & d.mask
+    first = _dual_pair(s, d.B, h, valid, conjugate_sign)
+    _, h_star, B_star, _, _, mask = _invariants(s, d.B, h, valid)
+    second = _dual_pair(first.dual, B_star, h_star, first.mask & mask,
+                        conjugate_sign)
     return second.dual, first.mask & second.mask

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMinimalError, VerticalPointError
+from .errors import VerticalPointError
 from .loops import SQRT_I, su11_residual
 from .nil3 import dz_field, dzbar_field, node_stages, rk4_march
-from .spinors import SpinorField, minimality_defect
+from .spinors import SpinorField, minimality_gate
 
 
 def _connection_parts(d):
@@ -49,21 +49,25 @@ def _connection_parts(d):
     return U0, Um, V0, Vp
 
 
-def connection_coeffs(d, lam, minimal_tol=1e-4):
-    """(U, V) matrix fields of the flat connection at the given lam."""
-    if minimality_defect(d) > minimal_tol:
-        raise NonMinimalError("connection assembled for minimal data only")
+def _connection(d, lam):
     lam = complex(lam)
     U0, Um, V0, Vp = _connection_parts(d)
     return U0 + Um / lam, V0 + lam * Vp
 
 
-def flatness_residual(d, lams, minimal_tol=None):
-    """max over lam of  |dz V - dzbar U + [U, V]|  per node."""
+def connection_coeffs(d, lam):
+    """(U, V) matrix fields of the flat connection at the given lam."""
+    minimality_gate(d, "connection assembled for minimal data only")
+    return _connection(d, lam)
+
+
+def flatness_residual(d, lams):
+    """max over lam of  |dz V - dzbar U + [U, V]|  per node.
+
+    Minimal or not: the residual is how far the data are from flat."""
     out = np.zeros(d.grid.shape)
     for lam in np.atleast_1d(lams):
-        U, V = connection_coeffs(d, lam, minimal_tol=np.inf
-                                 if minimal_tol is None else minimal_tol)
+        U, V = _connection(d, lam)
         dV = dz_field(V, d.grid)
         dU = dzbar_field(U, d.grid)
         comm = U @ V - V @ U
@@ -97,8 +101,8 @@ def _reproject_su11(F):
     return np.array([[a, b], [np.conj(b), np.conj(a)]])
 
 
-def integrate_frame(d, lam, base_value=None, substeps=1, minimal_tol=1e-4,
-                    column_first=True, drift_tol=1e-6):
+def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
+                    drift_tol=1e-6):
     """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
 
     The parameter enters the connection only through 1/lam and lam, so the
@@ -107,8 +111,7 @@ def integrate_frame(d, lam, base_value=None, substeps=1, minimal_tol=1e-4,
     the first column and then along all rows at once (or transposed when
     `column_first` is false); F(base) = base_value, derivatives start at 0.
     """
-    if minimality_defect(d) > minimal_tol:
-        raise NonMinimalError("frame integration needs minimal data")
+    minimality_gate(d, "frame integration needs minimal data")
     lam = complex(lam)
     grid = d.grid
     U0, Um, V0, Vp = _connection_parts(d)

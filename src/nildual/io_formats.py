@@ -36,17 +36,16 @@ def config_hash(config_dict):
 
 
 def write_field_csv(path, field, grid, mask=None):
-    """One row per node: i, j, x, y, Re, Im (row-major over y then x)."""
+    """One row per node of `mask` (default: every node): i, j, x, y, Re, Im
+    (row-major over y then x)."""
     field = np.asarray(field)
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
     lines = ["# schema=1", "i,j,x,y,re,im"]
-    for i in range(grid.ny):
-        for j in range(grid.nx):
-            if mask is not None and not mask[i, j]:
-                continue
-            v = complex(field[i, j])
-            lines.append(
-                f"{i},{j},{fmt(grid.xs[j])},{fmt(grid.ys[i])},"
-                f"{fmt(v.real)},{fmt(v.imag)}")
+    for i, j in np.argwhere(mask).tolist():
+        v = complex(field[i, j])
+        lines.append(f"{i},{j},{fmt(grid.xs[j])},{fmt(grid.ys[i])},"
+                     f"{fmt(v.real)},{fmt(v.imag)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -69,7 +68,7 @@ def read_field_csv(path):
     field = np.zeros((ny, nx), dtype=complex)
     mask = np.zeros((ny, nx), dtype=bool)
     for i, j, _x, _y, re, im in rows:
-        field[i, j] = re + 1j * im
+        field[i, j] = complex(re, im)  # keeps the sign of a zero part
         mask[i, j] = True
     return grid, field, mask
 
@@ -79,7 +78,7 @@ def write_obj(path, surface):
     plain R^3 triples; grid quads split into two triangles; quads touching
     masked nodes are dropped."""
     coords = surface.coords
-    valid = surface.valid()
+    valid = surface.mask
     grid = surface.grid
     index = np.zeros(grid.shape, dtype=int)
     lines = ["# schema=1"]
@@ -102,13 +101,14 @@ def write_obj(path, surface):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_frame_cache(path, frames, grid, mask=None, ok_mask=None, meta=None):
+def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
     """JSON-wrapped matrix grids per sampled parameter value.
 
     `mask` marks exportable nodes (exclusion disks included); `ok_mask`
     marks nodes whose frames are trustworthy (factorization succeeded) and
-    bounds the extraction domain when the caches are reused.  A matrix
-    grid is stored as [ny][nx][4 entries, row-major][re, im]."""
+    bounds the extraction domain when the caches are reused.  Either is
+    stored as null when every node is True.  A matrix grid is stored as
+    [ny][nx][4 entries, row-major][re, im]."""
 
     def pack(M):
         return np.stack([M.real, M.imag], axis=-1).reshape(
@@ -125,8 +125,8 @@ def write_frame_cache(path, frames, grid, mask=None, ok_mask=None, meta=None):
     data = {
         "schema": SCHEMA,
         "grid": grid.to_dict(),
-        "mask": None if mask is None else mask.astype(int).tolist(),
-        "ok_mask": None if ok_mask is None else ok_mask.astype(int).tolist(),
+        "mask": _pack_mask(mask),
+        "ok_mask": _pack_mask(ok_mask),
         "entries": entries,
     }
     if meta:
@@ -134,17 +134,20 @@ def write_frame_cache(path, frames, grid, mask=None, ok_mask=None, meta=None):
     write_json(path, data)
 
 
+def _pack_mask(mask):
+    return None if np.all(mask) else mask.astype(int).tolist()
+
+
 def read_frame_cache(path):
+    """(frames, grid, mask, ok_mask, meta) of a frame cache; a null mask
+    reads back as every node True.  A file not in this format raises
+    ConfigError."""
     from .frames import FrameField
 
-    data = read_json(path)
-    grid = DomainGrid.from_dict(data["grid"])
-    mask = data.get("mask")
-    if mask is not None:
-        mask = np.array(mask, dtype=bool)
-    ok_mask = data.get("ok_mask")
-    if ok_mask is not None:
-        ok_mask = np.array(ok_mask, dtype=bool)
+    def unpack_mask(m):
+        if m is None:
+            return np.ones(grid.shape, dtype=bool)
+        return np.array(m, dtype=bool).reshape(grid.shape)
 
     def unpack(M):
         # (re, im) pairs are the memory layout of complex128: a view keeps
@@ -152,19 +155,24 @@ def read_frame_cache(path):
         pairs = np.asarray(M, dtype=float).reshape(grid.shape + (4, 2))
         return pairs.view(complex).reshape(grid.shape + (2, 2))
 
-    frames = []
-    for e in data["entries"]:
-        lam = complex(e["lambda"][0], e["lambda"][1])
-        frames.append(FrameField(
-            F=unpack(e["F"]), F_lam=unpack(e["F_lam"]),
-            F_lam2=unpack(e["F_lam2"]), lam=lam, grid=grid))
-    return frames, grid, mask, ok_mask, data.get("meta")
+    try:
+        data = read_json(path)
+        grid = DomainGrid.from_dict(data["grid"])
+        frames = []
+        for e in data["entries"]:
+            lam = complex(e["lambda"][0], e["lambda"][1])
+            frames.append(FrameField(
+                F=unpack(e["F"]), F_lam=unpack(e["F_lam"]),
+                F_lam2=unpack(e["F_lam2"]), lam=lam, grid=grid))
+        return (frames, grid, unpack_mask(data.get("mask")),
+                unpack_mask(data.get("ok_mask")), data.get("meta"))
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(f"bad frame cache {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def write_sidecar(path, cfg_hash, mask, residuals):
-    masked_nodes = []
-    if mask is not None:
-        masked_nodes = [[int(i), int(j)] for i, j in np.argwhere(~mask)]
+    masked_nodes = [[int(i), int(j)] for i, j in np.argwhere(~mask)]
     write_json(path, {
         "schema": SCHEMA,
         "config_hash": cfg_hash,

@@ -153,20 +153,13 @@ class MatrixLoop:
                           self.low + other.low, parity)
 
     def truncated(self, order):
-        """Clip the window to [-order, order]; returns (loop, tail mass)."""
+        """The loop with its window clipped to [-order, order]."""
         lo = max(self.low, -order)
         hi = min(self.high, order)
         if lo > hi:
             raise ValueError("window collapsed to nothing")
         keep = self.coeffs[..., lo - self.low:hi - self.low + 1, :, :]
-        tail = 0.0
-        if lo > self.low:
-            tail = max(tail, float(np.max(np.abs(
-                self.coeffs[..., :lo - self.low, :, :]), initial=0.0)))
-        if hi < self.high:
-            tail = max(tail, float(np.max(np.abs(
-                self.coeffs[..., hi - self.low + 1:, :, :]), initial=0.0)))
-        return MatrixLoop(keep.copy(), lo, self.parity), tail
+        return MatrixLoop(keep.copy(), lo, self.parity)
 
     def adjoint_on_circle(self):
         """Loop whose circle values are the conjugate transposes of self's."""

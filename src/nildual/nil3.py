@@ -225,12 +225,11 @@ class SurfaceGrid:
     grid: DomainGrid
     lam: complex = 1.0 + 0.0j
     base_index: tuple = (0, 0)
-    mask: np.ndarray | None = None  # True = valid node
+    mask: np.ndarray = None  # True = valid node; None means every node
 
-    def valid(self):
+    def __post_init__(self):
         if self.mask is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.mask
+            self.mask = np.ones(self.grid.shape, dtype=bool)
 
     def base_point(self):
         i, j = self.base_index
@@ -424,14 +423,21 @@ def stencil_valid(valid):
     return ~dilate_mask(~valid, 2)
 
 
-def interior_max(field, width=2, valid=None):
-    """Max over nodes at least `width` from every edge (centred stencils).
+def centred_interior(valid, width):
+    """The nodes of `valid` at least `width` from every edge.
 
-    Stencil-based identity checks are asserted here; the one-sided boundary
-    bands carry larger error constants and are reported separately.
+    Every stencil there is centred; the one-sided boundary bands carry
+    larger error constants, so stencil-based identities are asserted on
+    this set and algebraic ones on all of `valid`.
     """
+    out = np.zeros(valid.shape, dtype=bool)
+    out[width:-width, width:-width] = valid[width:-width, width:-width]
+    return out
+
+
+def interior_max(field, width=2, valid=None):
+    """Max of `field` over the centred interior of `valid` (default: all)."""
     f = np.asarray(field)
-    core = f[width:-width, width:-width]
-    if valid is not None:
-        core = core[valid[width:-width, width:-width]]
-    return float(np.max(core, initial=0.0))
+    if valid is None:
+        valid = np.ones(f.shape[:2], dtype=bool)
+    return float(np.max(f[centred_interior(valid, width)], initial=0.0))

@@ -94,7 +94,7 @@ class HoloPotential:
             c = np.zeros((deg, 2, 2), dtype=complex)
             for idx, coeffs in enumerate(entries):
                 for k, (re, im) in enumerate(coeffs):
-                    c[k, idx // 2, idx % 2] = re + 1j * im
+                    c[k, idx // 2, idx % 2] = complex(re, im)
             terms[j] = c
         return cls(terms, twisted=bool(data.get("twisted", False)))
 
@@ -351,29 +351,29 @@ def iwasawa(phi):
 
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
-    F, _ = F_wide.truncated(N)
+    F = F_wide.truncated(N)
     if phi.parity == "twisted":
         F = F.with_parity("twisted", tol=np.inf)
         Bp = Bp.with_parity("twisted", tol=np.inf)
     return F, Bp, BigCellReport(cond=cond, failed=failed)
 
 
-def iwasawa_residuals(phi, F, Bp, n_check=8, mask=None):
-    """(reconstruction, reality) max residuals over circle samples."""
+def iwasawa_residuals(phi, F, Bp, mask=None):
+    """(reconstruction, reality) max residuals over eight circle samples,
+    on the nodes of `mask` (default: every node)."""
+    if mask is None:
+        mask = np.ones(phi.batch_shape, dtype=bool)
     recon = 0.0
     reality = 0.0
-    for lam in _circle_samples(n_check):
+    for lam in _circle_samples(8):
         pv = phi.eval(lam)
         fv = F.eval(lam)
         bv = Bp.eval(lam)
         r1 = np.max(np.abs(pv - fv @ bv), axis=(-2, -1))
         herm = np.swapaxes(fv.conj(), -1, -2) @ SIGMA3 @ fv - SIGMA3
         r2 = np.max(np.abs(herm), axis=(-2, -1))
-        if mask is not None:
-            r1 = r1[mask]
-            r2 = r2[mask]
-        recon = max(recon, float(np.max(r1, initial=0.0)))
-        reality = max(reality, float(np.max(r2, initial=0.0)))
+        recon = max(recon, float(np.max(r1[mask], initial=0.0)))
+        reality = max(reality, float(np.max(r2[mask], initial=0.0)))
     return recon, reality
 
 

@@ -25,7 +25,14 @@ from .errors import (
     NonMinimalError,
     VerticalPointError,
 )
-from .nil3 import DomainGrid, PhiField, dz_field, dzbar_field, dzdzbar_field
+from .nil3 import (
+    DomainGrid,
+    PhiField,
+    dz_field,
+    dzbar_field,
+    dzdzbar_field,
+    interior_max,
+)
 
 
 @dataclass
@@ -36,12 +43,11 @@ class SpinorField:
     psi2: np.ndarray
     grid: DomainGrid
     lam: complex = 1.0 + 0.0j
-    mask: np.ndarray | None = None  # True = valid node
+    mask: np.ndarray = None  # True = valid node; None means every node
 
-    def valid(self):
+    def __post_init__(self):
         if self.mask is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.mask
+            self.mask = np.ones(self.grid.shape, dtype=bool)
 
 
 @dataclass
@@ -53,26 +59,30 @@ class DiracData:
     ew2: np.ndarray          # e^{w/2} itself, the primary field
     consistency: np.ndarray  # |U - V| where both ratios are defined
     grid: DomainGrid
-    mask: np.ndarray | None = None
+    mask: np.ndarray = None  # True = valid node; None means every node
     w_z: np.ndarray | None = None   # logarithmic derivative, if available
     w_zb: np.ndarray | None = None
 
-    def valid(self):
+    def __post_init__(self):
         if self.mask is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.mask
+            self.mask = np.ones(self.grid.shape, dtype=bool)
 
 
-def _interior_abs_max(field, valid, width=2):
-    """Max |field| over valid nodes with centred stencils (gate regions)."""
-    core = np.abs(field[width:-width, width:-width])
-    v = valid[width:-width, width:-width]
-    return float(np.max(core[v], initial=0.0))
+# interior max |H| above which data count as non-minimal: B extraction,
+# the flat connection, frame integration and the duality need H = 0
+MINIMAL_TOL = 1e-4
 
 
 def minimality_defect(d):
-    """Interior max |H|: the gate value used by the duality operations."""
-    return _interior_abs_max(d.H, d.valid())
+    """Interior max |H|: the value the minimality gate compares."""
+    return interior_max(np.abs(d.H), valid=d.mask)
+
+
+def minimality_gate(d, message):
+    """Raise NonMinimalError(message) unless `d` is minimal data."""
+    defect = minimality_defect(d)
+    if defect > MINIMAL_TOL:
+        raise NonMinimalError(f"{message}; max |H| = {defect:.3e}")
 
 
 def phi_from_spinors(s):
@@ -98,8 +108,8 @@ def gauss_map(s, tol=1e-12):
     """
     scale = np.max(np.abs(s.psi1)) + np.max(np.abs(s.psi2))
     bad = np.abs(s.psi1) <= tol * scale
-    if np.any(bad & s.valid()):
-        i, j = np.argwhere(bad & s.valid())[0]
+    if np.any(bad & s.mask):
+        i, j = np.argwhere(bad & s.mask)[0]
         raise VerticalPointError(f"psi1 vanishes at node ({i}, {j})")
     g = s.psi2 / np.conj(s.psi1)
     denom = 1.0 + np.abs(g) ** 2
@@ -108,7 +118,7 @@ def gauss_map(s, tol=1e-12):
     return g, normal
 
 
-def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
+def dirac_data(s, degenerate_tol=1e-10, require_minimal=True):
     """Extract the Dirac potential, mean curvature, and the coefficient B.
 
     The two defining ratios are U = -dz(psi2)/psi1 and V = dzbar(psi1)/psi2;
@@ -121,7 +131,7 @@ def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
         B = (dz(psi1) - w_z/2 psi1) e^{w/2} / psi2                (otherwise)
 
     Only the minimal case H = 0 supports B extraction; `require_minimal`
-    raises if |H| exceeds `minimal_tol`.
+    puts the result through the minimality gate.
     """
     grid = s.grid
     scale = max(float(np.max(np.abs(s.psi1))), float(np.max(np.abs(s.psi2))))
@@ -152,32 +162,14 @@ def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
         np.abs(d_psi2_z + ew2 * s.psi1),
         np.abs(d_psi1_zb - ew2 * s.psi2)) / scale
 
-    e_u, _h = uh_from_spinors(s)
+    e_u, h_supp = uh_from_spinors(s)
     if np.any(e_u <= 0):
         raise NonImmersionError("metric factor vanishes")
     H = -2.0 * ew2.real / np.sqrt(e_u)
-    if require_minimal:
-        defect = _interior_abs_max(H, s.valid())
-        if defect > minimal_tol:
-            raise NonMinimalError(
-                f"B extraction implemented for the minimal case only; "
-                f"max |H| = {defect:.3e}"
-            )
-        # the potential must also close against the support: for genuine
-        # surface data Im e^{w/2} = |h|/4 (pairs like (1, 0) solve the two
-        # ratio equations trivially without being surface spinors)
-        h_abs = np.abs(2.0 * (np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2))
-        closure = _interior_abs_max(ew2.imag - 0.25 * h_abs, s.valid())
-        if closure > 1e-3 * max(float(np.max(h_abs)) * 0.25, 1e-30):
-            raise NonImmersionError(
-                f"Dirac potential inconsistent with the support "
-                f"(defect {closure:.3e}); input is not a surface-spinor pair"
-            )
 
     # In the minimal regime e^{w/2} = (i/4)|h|-type data, so the logarithmic
     # derivative reduces to w_z = 2 h_z / h with h algebraic in the spinors:
     # one stencil generation on smooth data keeps the O(h^4) floor clean.
-    h_supp = 2.0 * (np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2)
     h_safe = np.where(np.abs(h_supp) > 1e-30, h_supp, 1.0)
     w_z = 2.0 * dz_field(h_supp, grid) / h_safe
     w_zb = np.conj(w_z)
@@ -185,9 +177,22 @@ def dirac_data(s, minimal_tol=1e-4, degenerate_tol=1e-10, require_minimal=True):
                        / np.where(ok1, s.psi1, 1.0))
     B_from_u = (d_psi1_z - 0.5 * w_z * s.psi1) * ew2 / np.where(ok2, s.psi2, 1.0)
     B = np.where(prefer_u, B_from_v, B_from_u)
+    d = DiracData(B=B, H=H, ew2=ew2, consistency=consistency,
+                  grid=grid, mask=s.mask, w_z=w_z, w_zb=w_zb)
 
-    return DiracData(B=B, H=H, ew2=ew2, consistency=consistency,
-                     grid=grid, mask=s.mask, w_z=w_z, w_zb=w_zb)
+    if require_minimal:
+        minimality_gate(d, "B extraction implemented for the minimal case only")
+        # the potential must also close against the support: for genuine
+        # surface data Im e^{w/2} = |h|/4 (pairs like (1, 0) solve the two
+        # ratio equations trivially without being surface spinors)
+        h_abs = np.abs(h_supp)
+        closure = interior_max(np.abs(ew2.imag - 0.25 * h_abs), valid=s.mask)
+        if closure > 1e-3 * max(float(np.max(h_abs)) * 0.25, 1e-30):
+            raise NonImmersionError(
+                f"Dirac potential inconsistent with the support "
+                f"(defect {closure:.3e}); input is not a surface-spinor pair"
+            )
+    return d
 
 
 def holomorphy_residual(B, grid):
@@ -207,7 +212,7 @@ def harmonic_residual(g, grid):
     return np.abs(gzzb + 2.0 * np.conj(g) * gz * gzb / denom)
 
 
-def continued_sqrt(field, grid, valid=None):
+def continued_sqrt(field, grid, valid):
     """Square root continued along the serpentine sweep from the base node.
 
     Starts from the principal branch at the first valid node; at every
@@ -217,8 +222,6 @@ def continued_sqrt(field, grid, valid=None):
     continued values still disagree in sign (a genuine branch cut, e.g.
     when the sweep encircles an odd-order zero).
     """
-    if valid is None:
-        valid = np.ones(grid.shape, dtype=bool)
     root = np.sqrt(np.asarray(field, dtype=complex))
     sign = np.ones(grid.shape, dtype=int)
     prev = None
@@ -288,5 +291,4 @@ def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
     else:
         psi2 = np.conj(root)
         psi1 = p[..., 2] / (2.0 * root)
-    return SpinorField(psi1, psi2, grid, lam=lam,
-                       mask=None if mask is None else valid)
+    return SpinorField(psi1, psi2, grid, lam=lam, mask=valid)

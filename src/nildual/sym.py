@@ -39,17 +39,19 @@ class SymOutput:
 def sym_maps(frame, mask=None, reality_tol=1e-6):
     """Evaluate both surfaces from a FrameField carrying (F, F_lam, F_lam2).
 
-    Raises if the assembled matrices leave the real span of the su(1,1)
-    basis beyond `reality_tol` (a frame defect); the residual is reported
-    on the output either way.
+    Nodes outside `mask` (default: every node counts) take the identity
+    frame and both surfaces carry `mask`.  Raises if the assembled
+    matrices leave the real span of the su(1,1) basis beyond `reality_tol`
+    (a frame defect); the residual is reported on the output either way.
     """
-    F, F1, F2 = frame.F, frame.F_lam, frame.F_lam2
     lam = complex(frame.lam)
     grid = frame.grid
-    if mask is not None and not np.all(mask):
-        F = np.where(mask[..., None, None], F, np.eye(2, dtype=complex))
-        F1 = np.where(mask[..., None, None], F1, 0.0)
-        F2 = np.where(mask[..., None, None], F2, 0.0)
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    live = mask[..., None, None]
+    F = np.where(live, frame.F, np.eye(2, dtype=complex))
+    F1 = np.where(live, frame.F_lam, 0.0)
+    F2 = np.where(live, frame.F_lam2, 0.0)
     Finv = np.linalg.inv(F)
 
     A = F1 @ Finv                      # (d_lam F) F^{-1}
@@ -62,7 +64,6 @@ def sym_maps(frame, mask=None, reality_tol=1e-6):
     dbase = -1j * A - 1j * lam * dA
 
     out = {}
-    live = np.ones(grid.shape, dtype=bool) if mask is None else mask
     for sgn in (+1, -1):
         m = base + sgn * N
         dm = dbase + sgn * dN
@@ -70,8 +71,8 @@ def sym_maps(frame, mask=None, reality_tol=1e-6):
         coords, residual = xi_nil_with_residual(hat)
         out[sgn] = (coords, residual)
 
-    worst = max(float(np.max(out[+1][1][live], initial=0.0)),
-                float(np.max(out[-1][1][live], initial=0.0)))
+    worst = max(float(np.max(out[+1][1][mask], initial=0.0)),
+                float(np.max(out[-1][1][mask], initial=0.0)))
     if worst > reality_tol:
         raise ValueError(
             f"surface matrices leave su(1,1) by {worst:.3e} (frame defect)")
@@ -82,21 +83,18 @@ def sym_maps(frame, mask=None, reality_tol=1e-6):
                      grid=grid, reality_residual=worst)
 
 
-def sym_sheets(frames, ok_mask=None, export_mask=None):
+def sym_sheets(frames, ok_mask, export_mask):
     """Both surfaces of every frame, as the pipeline fills and exports them.
 
     Nodes outside `ok_mask` (untrusted frames) get the identity frame
     before the formulas run; both sheets then carry `export_mask`, the
-    nodes written out.  An all-True mask counts as no mask.
+    nodes written out.
     """
-    fill = None if ok_mask is None or np.all(ok_mask) else ok_mask
-    export = None if export_mask is None or np.all(export_mask) else export_mask
     syms = []
     for fr in frames:
-        sym = sym_maps(fr, mask=fill)
-        if export is not None:
-            sym.f_minus.mask = export
-            sym.f_plus.mask = export
+        sym = sym_maps(fr, mask=ok_mask)
+        sym.f_minus.mask = export_mask
+        sym.f_plus.mask = export_mask
         syms.append(sym)
     return syms
 
@@ -125,10 +123,8 @@ def extract_dual_spinors(sym, on_branch_cut="raise"):
     f_plus = sym.f_plus
     phi = left_maurer_cartan(f_plus)
     rescaled = PhiField(phi.phi * complex(sym.lam), phi.grid)
-    mask = None
-    if f_plus.mask is not None:
-        mask = stencil_valid(f_plus.mask)
-    return spinors_from_phi(rescaled, lam=sym.lam, mask=mask,
+    return spinors_from_phi(rescaled, lam=sym.lam,
+                            mask=stencil_valid(f_plus.mask),
                             on_branch_cut=on_branch_cut)
 
 
@@ -191,8 +187,7 @@ def mc_equivalent(f, g, allow_reflection=False, tol=1e-6):
     if f.grid != g.grid:
         raise ValueError("surfaces must share a grid")
     grid = f.grid
-    valid = f.valid() & g.valid()
-    sv = stencil_valid(valid)
+    sv = stencil_valid(f.mask & g.mask)
     pf = _phi_pack(f)
     pg = _phi_pack(g)
     kinds = ["rotation"]

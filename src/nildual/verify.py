@@ -21,6 +21,7 @@ from .frames import (
 from .loops import su11_residual
 from .nil3 import (
     DomainGrid,
+    centred_interior,
     conformality_residual,
     left_maurer_cartan,
     stencil_valid,
@@ -145,12 +146,6 @@ def interior_dirac(d, width=4):
                      w_z=d.w_z[cut], w_zb=d.w_zb[cut]), cut
 
 
-def _interior(grid, width, base):
-    m = np.zeros(grid.shape, dtype=bool)
-    m[width:-width, width:-width] = True
-    return m & base
-
-
 @dataclass
 class SheetAnalysis:
     """Extracted spinor-level data of one surface sheet at one parameter."""
@@ -162,15 +157,15 @@ class SheetAnalysis:
 
 
 def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
-    """Spinor-level extraction; `extract_mask` should exclude only nodes
-    whose coordinates are garbage (factorization failures), never cosmetic
-    exclusions, so the branch continuation never sees artificial holes."""
+    """Spinor-level extraction; `extract_mask` (default: every node) should
+    exclude only nodes whose coordinates are garbage (factorization
+    failures), never cosmetic exclusions, so the branch continuation never
+    sees artificial holes."""
+    if extract_mask is None:
+        extract_mask = np.ones(surface.grid.shape, dtype=bool)
     phi = left_maurer_cartan(surface)
-    mask = extract_mask
-    if mask is not None and np.all(mask):
-        mask = None
     s = spinors_from_phi(phi, lam=lam, conformal_tol=conformal_tol,
-                         mask=None if mask is None else stencil_valid(mask),
+                         mask=stencil_valid(extract_mask),
                          on_branch_cut="record")
     d = dirac_data(s)
     e_u, h = uh_from_spinors(s)
@@ -201,8 +196,10 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
     for sym, lam, fr in zip(result.sym, result.lam_samples, result.frames):
         a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=result.ok_mask)
         analyses.append((sym, lam, a_minus, fr))
-        live1 = _interior(grid, W1, sym.f_minus.valid())
-        live4 = _interior(grid, W4, sym.f_minus.valid())
+        valid = sym.f_minus.mask
+        live1 = centred_interior(valid, W1)
+        live4 = centred_interior(valid, W4)
+        live6 = centred_interior(valid, W6)
 
         res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
         rep.add(f"conformality[{_lam_tag(lam)}]", res / e_u,
@@ -220,18 +217,16 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
                     np.abs(d.ew2 - ew2_ref), tols["lambda_independence"],
                     live4)
         rep.add(f"holomorphy_B[{_lam_tag(lam)}]",
-                holomorphy_residual(d.B, grid), tols["holomorphy_B"],
-                _interior(grid, W6, sym.f_minus.valid()))
+                holomorphy_residual(d.B, grid), tols["holomorphy_B"], live6)
         rep.add(f"flatness[{_lam_tag(lam)}]", flatness_residual(d, [lam]),
-                tols["flatness"],
-                _interior(grid, W6, sym.f_minus.valid()))
+                tols["flatness"], live6)
 
         Fv = fr.F
         if perturb_frame:
             Fv = Fv + perturb_frame * (
                 rng.normal(size=Fv.shape) + 1j * rng.normal(size=Fv.shape))
         rep.add(f"frame_su11[{_lam_tag(lam)}]", su11_residual(Fv),
-                tols["frame_su11"], sym.f_minus.valid())
+                tols["frame_su11"], valid)
 
         g_spin, _ = gauss_map(a_minus.spinors)
         rep.add(f"normal_agreement[{_lam_tag(lam)}]",
@@ -242,10 +237,10 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
         det = np.abs(np.linalg.det(sym.n_m) - 0.25)
         tr = np.abs(np.trace(sym.n_m, axis1=-2, axis2=-1))
         rep.add(f"n_m_structure[{_lam_tag(lam)}]", np.maximum(det, tr),
-                tols["n_m_structure"], sym.f_minus.valid())
+                tols["n_m_structure"], valid)
 
         if "duality" not in skip:
-            _duality_checks(rep, tols, grid, sym, lam, a_minus)
+            _duality_checks(rep, tols, sym, lam, a_minus)
 
     base_entry = next((entry for entry in analyses
                        if abs(entry[1] - 1.0) < 1e-12), None)
@@ -259,7 +254,7 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
             rep.add(f"frame_compat[{_lam_tag(lam)}]",
                     frame_compatibility_residual(fr, a1.dirac),
                     tols["frame_compat"],
-                    _interior(grid, W6, sym.f_minus.valid()))
+                    centred_interior(sym.f_minus.mask, W6))
         if "cross_pipeline" not in skip:
             lam0 = 1.0 + 0.0j
             d_sub, cut = interior_dirac(a1.dirac, W4)
@@ -278,7 +273,7 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
                            tols["self_duality_mc"], note=fit.kind)
         sym, lam, a, _fr = analyses[0]
         lhs = 16.0 * np.abs(a.dirac.B)
-        live = _interior(grid, W4, sym.f_minus.valid())
+        live = centred_interior(sym.f_minus.mask, W4)
         h_rev = a.h[::-1, ::-1]
         # h even in z <=> the same-parametrization identity 16|B| = h^2;
         # otherwise the sheets trade places across z -> -z and the identity
@@ -297,12 +292,36 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
     return rep
 
 
+def verify_spinors(s, tols=None, conjugate_sign=+1):
+    """Reduced battery for a spinor-field input (no loop factorization).
+
+    The stencil rows (dirac_consistency, minimality) are asserted on the
+    W4 interior of the input's nodes, as in verify_pipeline; conformality
+    on every input node, the involution where the double dual is defined.
+    """
+    tols = {**DEFAULT_TOLS, **(tols or {})}
+    rep = VerificationReport()
+    live4 = centred_interior(s.mask, W4)
+    phi0 = phi_from_spinors(s).phi
+    res, e_u = conformality_residual(phi0)
+    rep.add("conformality", res / e_u, tols["conformality"], s.mask)
+    d = dirac_data(s)
+    rep.add("dirac_consistency", d.consistency, tols["dirac_consistency"],
+            live4)
+    rep.add("minimality", np.abs(d.ew2.real), tols["minimality"], live4)
+    again, mask = double_dual(s, d, conjugate_sign=conjugate_sign)
+    rep.add("involution_phi",
+            np.max(np.abs(phi_from_spinors(again).phi - phi0), axis=-1),
+            tols["involution_phi"], mask)
+    return rep
+
+
 def _lam_tag(lam):
     ang = np.angle(complex(lam))
     return f"lam{ang / np.pi:+.3f}pi"
 
 
-def _duality_checks(rep, tols, grid, sym, lam, a_minus):
+def _duality_checks(rep, tols, sym, lam, a_minus):
     s, d = a_minus.spinors, a_minus.dirac
     try:
         pair = dual_spinors(s, d)
@@ -310,18 +329,17 @@ def _duality_checks(rep, tols, grid, sym, lam, a_minus):
         rep.add_scalar(f"dual_spinors[{_lam_tag(lam)}]", np.inf, 0.0,
                        note=str(exc))
         return
-    live_alg = pair.mask & s.valid()
 
     again, invmask = double_dual(s, d)
     phi0 = phi_from_spinors(s).phi
     phi2 = phi_from_spinors(again).phi
     rep.add(f"involution_phi[{_lam_tag(lam)}]",
             np.max(np.abs(phi2 - phi0), axis=-1),
-            tols["involution_phi"], invmask & live_alg)
+            tols["involution_phi"], invmask)
     e_u2, h2 = uh_from_spinors(again)
     rep.add(f"involution_metric[{_lam_tag(lam)}]",
             np.maximum(np.abs(e_u2 - a_minus.e_u), np.abs(h2 - a_minus.h)),
-            tols["involution_metric"], invmask & live_alg)
+            tols["involution_metric"], invmask)
 
     local = dual_local_check(pair)
     rep.add_scalar(f"dual_local[{_lam_tag(lam)}]",
@@ -332,7 +350,7 @@ def _duality_checks(rep, tols, grid, sym, lam, a_minus):
     # independently recomputed Dirac potential of the dual: purely imaginary
     if not pair.has_branch_cut:
         d_star = dirac_data(pair.dual, require_minimal=False)
-        live = _interior(grid, W4, pair.mask)
+        live = centred_interior(pair.mask, W4)
         rep.add(f"dual_minimality[{_lam_tag(lam)}]", np.abs(d_star.ew2.real),
                 tols["dual_minimality"], live)
 
@@ -345,8 +363,7 @@ def _duality_checks(rep, tols, grid, sym, lam, a_minus):
         worst = 0.0
         for got, want in ((extracted.psi1, pair.dual.psi1),
                           (extracted.psi2, pair.dual.psi2)):
-            ok = _interior(grid, W4, pair.mask)
-            ok &= np.abs(want) > 1e-3 * np.max(np.abs(want))
+            ok = live & (np.abs(want) > 1e-3 * np.max(np.abs(want)))
             ratio = got[ok] / want[ok]
             worst = max(worst, float(np.std(ratio)),
                         abs(abs(np.mean(ratio)) - 1.0))

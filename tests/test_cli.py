@@ -190,6 +190,17 @@ def test_spinor_csv_pipeline(tmp_path):
     assert rc == 0
 
 
+def test_verify_spinors_from_generated_fields(tmp_path):
+    # the spinor battery asserts its stencil rows on the centred interior,
+    # as the pipeline battery does: the one-sided boundary bands of the
+    # written fields fail dirac_consistency's tolerance
+    assert run(["generate", "--example", "paraboloid", "--lambda", "1",
+                "--out", str(tmp_path / "o")]) == 0
+    (run_dir,) = (tmp_path / "o").iterdir()
+    assert run(["verify", "--spinors", str(run_dir / "lam0"), "--lambda", "1",
+                "--out", str(tmp_path / "v")]) == 0
+
+
 def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     from .oracles import paraboloid_spinors
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
@@ -269,21 +280,37 @@ def _write_text(path, text):
     return path
 
 
+def _generate(tmp, *args):
+    return ["generate", *args, "--lambda", "1", "--out", str(tmp / "o")]
+
+
+def _export_cache(tmp, text):
+    (tmp / "run").mkdir()
+    _write_text(tmp / "run" / "frames.json", text)
+    return ["export", "--run", str(tmp / "run")]
+
+
 @pytest.mark.parametrize("make_argv", [
-    lambda tmp: ["--example", "paraboloid", "--grid", "1,2,3"],
-    lambda tmp: ["--example", "paraboloid", "--grid=0,1,0,1,5,x"],
-    lambda tmp: ["--example", "paraboloid", "--tol", "conformality=abc"],
-    lambda tmp: ["--example", "paraboloid", "--tol", "conformalty=1e-3"],
-    lambda tmp: ["--potential", str(tmp / "missing.json")],
-    lambda tmp: ["--potential", str(_write_text(tmp / "bad.json", "{"))],
-    lambda tmp: ["--potential",
-                 str(_write_text(tmp / "empty.json", '{"schema": 1}'))],
-    lambda tmp: ["--spinors", str(tmp / "nothing")],
+    lambda tmp: _generate(tmp, "--example", "paraboloid", "--grid", "1,2,3"),
+    lambda tmp: _generate(tmp, "--example", "paraboloid",
+                          "--grid=0,1,0,1,5,x"),
+    lambda tmp: _generate(tmp, "--example", "paraboloid",
+                          "--tol", "conformality=abc"),
+    lambda tmp: _generate(tmp, "--example", "paraboloid",
+                          "--tol", "conformalty=1e-3"),
+    lambda tmp: _generate(tmp, "--potential", str(tmp / "missing.json")),
+    lambda tmp: _generate(tmp, "--potential",
+                          str(_write_text(tmp / "bad.json", "{"))),
+    lambda tmp: _generate(tmp, "--potential", str(
+        _write_text(tmp / "empty.json", '{"schema": 1}'))),
+    lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")),
+    lambda tmp: _export_cache(tmp, "{"),
+    lambda tmp: _export_cache(tmp, '{"schema": 1}'),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
-        "potential-not-json", "potential-no-terms", "spinors-missing"])
+        "potential-not-json", "potential-no-terms", "spinors-missing",
+        "cache-not-json", "cache-no-grid"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv):
-    argv = ["generate", *make_argv(tmp_path), "--lambda", "1",
-            "--out", str(tmp_path / "o")]
+    argv = make_argv(tmp_path)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
@@ -315,6 +342,12 @@ def test_frame_cache_roundtrip(tmp_path):
     assert grid2 == grid
     assert np.array_equal(mask2, mask) and np.array_equal(ok2, ok_mask)
     assert meta == {"pipeline": "example:paraboloid"}
+    # an all-True mask is stored as null and reads back as all-True
+    write_frame_cache(path, frames, grid, mask=mask,
+                      ok_mask=np.ones(grid.shape, dtype=bool))
+    assert json.loads(path.read_text())["ok_mask"] is None
+    ok_all = read_frame_cache(path)[3]
+    assert ok_all.shape == grid.shape and ok_all.dtype == bool and ok_all.all()
     assert [fr.lam for fr in back] == [fr.lam for fr in frames]
     for got, want in zip(back, frames):
         for name in ("F", "F_lam", "F_lam2"):
@@ -328,10 +361,15 @@ def test_field_csv_roundtrip(tmp_path):
     grid = DomainGrid(-1.0, 1.0, -0.5, 0.5, 7, 5)
     rng = np.random.default_rng(3)
     f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    f[0, 0] = complex(-0.0, 1.5)
+    f[1, 2] = complex(2.0, -0.0)
+    f[3, 4] = complex(-0.0, -0.0)
     write_field_csv(tmp_path / "f.csv", f, grid)
     g2, f2, m2 = read_field_csv(tmp_path / "f.csv")
     assert g2 == grid
-    assert np.allclose(f2, f)
+    assert np.array_equal(f2, f)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(f2)), np.signbit(part(f)))
     assert m2.all()
 
 

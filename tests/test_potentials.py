@@ -38,11 +38,16 @@ def pb_phi(grid21):
 
 def test_potential_json_roundtrip():
     xi = smyth_potential(2)
+    xi.terms[-1][0, 0, 1] = complex(1.0, -0.0)
+    xi.terms[-1][2, 1, 0] = complex(-0.0, 1.0)
     back = HoloPotential.from_json(xi.to_json())
     assert back.twisted
     assert set(back.terms) == set(xi.terms)
     for j in xi.terms:
-        assert np.allclose(back.terms[j], xi.terms[j])
+        assert np.array_equal(back.terms[j], xi.terms[j])
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(back.terms[j])),
+                                  np.signbit(part(xi.terms[j])))
 
 
 def test_potential_validation():
