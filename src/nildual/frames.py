@@ -28,21 +28,15 @@ def _connection_parts(d):
     """
     shape = d.grid.shape
     ew2 = d.ew2
-    if d.w_z is not None:
-        w_z, w_zb = d.w_z, d.w_zb
-    else:
-        # fall back to the logarithmic derivative of the potential field
-        w_z = 2.0 * dz_field(ew2, d.grid) / ew2
-        w_zb = 2.0 * dzbar_field(ew2, d.grid) / ew2
     U0 = np.zeros(shape + (2, 2), dtype=complex)
-    U0[..., 0, 0] = 0.25 * w_z
-    U0[..., 1, 1] = -0.25 * w_z
+    U0[..., 0, 0] = 0.25 * d.w_z
+    U0[..., 1, 1] = -0.25 * d.w_z
     Um = np.zeros_like(U0)
     Um[..., 0, 1] = -ew2
     Um[..., 1, 0] = d.B / ew2
     V0 = np.zeros_like(U0)
-    V0[..., 0, 0] = -0.25 * w_zb
-    V0[..., 1, 1] = 0.25 * w_zb
+    V0[..., 0, 0] = -0.25 * d.w_zb
+    V0[..., 1, 1] = 0.25 * d.w_zb
     Vp = np.zeros_like(U0)
     Vp[..., 0, 1] = -np.conj(d.B) / ew2
     Vp[..., 1, 0] = ew2

@@ -1,10 +1,13 @@
 """Serialization: CSV fields, OBJ meshes, JSON schemas, config hashing.
 
-All floating output is fixed to 17 significant digits so identical
-configurations produce bit-identical files.
+Text output (field CSVs, OBJ vertices, sidecar residuals) prints every
+float with 17 significant digits, so identical configurations produce
+bit-identical files.  The frame cache stores its matrix grids as exact
+binary instead: base64 of their little-endian complex128 bytes.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from pathlib import Path
@@ -15,6 +18,9 @@ from .errors import ConfigError
 from .nil3 import DomainGrid
 
 SCHEMA = 1
+# the frame cache's own layout version; SCHEMA enters the config hash and so
+# every run-directory name, this one only the cache file
+FRAME_CACHE_SCHEMA = 2
 
 
 def fmt(x):
@@ -41,12 +47,13 @@ def write_field_csv(path, field, grid, mask=None):
     field = np.asarray(field)
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
-    lines = ["# schema=1", "i,j,x,y,re,im"]
-    for i, j in np.argwhere(mask).tolist():
-        v = complex(field[i, j])
-        lines.append(f"{i},{j},{fmt(grid.xs[j])},{fmt(grid.ys[i])},"
-                     f"{fmt(v.real)},{fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    i, j = np.nonzero(mask)
+    v = field[i, j]
+    # "%d" prints the integral node indices, "%.17g" equals format(x, ".17g")
+    rows = np.stack([i, j, grid.xs[j], grid.ys[i], v.real, v.imag], axis=-1)
+    body = "%d,%d,%.17g,%.17g,%.17g,%.17g\n" * len(i) % tuple(
+        rows.ravel().tolist())
+    Path(path).write_text("# schema=1\ni,j,x,y,re,im\n" + body)
 
 
 def read_field_csv(path):
@@ -77,28 +84,20 @@ def write_obj(path, surface):
     """Wavefront mesh: Nil coordinates are global, so vertices export as
     plain R^3 triples; grid quads split into two triangles; quads touching
     masked nodes are dropped."""
-    coords = surface.coords
     valid = surface.mask
-    grid = surface.grid
-    index = np.zeros(grid.shape, dtype=int)
-    lines = ["# schema=1"]
-    n = 0
-    for i in range(grid.ny):
-        for j in range(grid.nx):
-            if valid[i, j]:
-                n += 1
-                index[i, j] = n
-                x, y, z = coords[i, j]
-                lines.append(f"v {fmt(x)} {fmt(y)} {fmt(z)}")
-    for i in range(grid.ny - 1):
-        for j in range(grid.nx - 1):
-            if (valid[i, j] and valid[i, j + 1]
-                    and valid[i + 1, j] and valid[i + 1, j + 1]):
-                a, b = index[i, j], index[i, j + 1]
-                c, d = index[i + 1, j + 1], index[i + 1, j]
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    verts = surface.coords[valid]
+    # 1-based vertex number of every valid node, in row-major order
+    index = np.cumsum(valid.ravel()).reshape(valid.shape)
+    quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+    a, b = index[:-1, :-1][quad], index[:-1, 1:][quad]
+    c, d = index[1:, 1:][quad], index[1:, :-1][quad]
+    faces = np.stack([a, b, c, a, c, d], axis=-1)
+    text = ("# schema=1\n"
+            + "v %.17g %.17g %.17g\n" * len(verts) % tuple(
+                verts.ravel().tolist())
+            + "f %d %d %d\nf %d %d %d\n" * len(faces) % tuple(
+                faces.ravel().tolist()))
+    Path(path).write_text(text)
 
 
 def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
@@ -108,11 +107,13 @@ def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
     marks nodes whose frames are trustworthy (factorization succeeded) and
     bounds the extraction domain when the caches are reused.  Either is
     stored as null when every node is True.  A matrix grid is stored as
-    [ny][nx][4 entries, row-major][re, im]."""
+    one base64 string of its C-order little-endian complex128 bytes, shape
+    (ny, nx, 2, 2): every bit survives, signed zeros and NaNs included."""
 
     def pack(M):
-        return np.stack([M.real, M.imag], axis=-1).reshape(
-            grid.shape + (4, 2)).tolist()
+        raw = np.ascontiguousarray(M, dtype="<c16").reshape(
+            grid.shape + (2, 2)).tobytes()
+        return base64.b64encode(raw).decode("ascii")
 
     entries = []
     for fr in frames:
@@ -123,7 +124,7 @@ def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
             "F_lam2": pack(fr.F_lam2),
         })
     data = {
-        "schema": SCHEMA,
+        "schema": FRAME_CACHE_SCHEMA,
         "grid": grid.to_dict(),
         "mask": _pack_mask(mask),
         "ok_mask": _pack_mask(ok_mask),
@@ -140,8 +141,8 @@ def _pack_mask(mask):
 
 def read_frame_cache(path):
     """(frames, grid, mask, ok_mask, meta) of a frame cache; a null mask
-    reads back as every node True.  A file not in this format raises
-    ConfigError."""
+    reads back as every node True.  A file not in this format, a cache of
+    another schema included, raises ConfigError."""
     from .frames import FrameField
 
     def unpack_mask(m):
@@ -149,14 +150,19 @@ def read_frame_cache(path):
             return np.ones(grid.shape, dtype=bool)
         return np.array(m, dtype=bool).reshape(grid.shape)
 
-    def unpack(M):
-        # (re, im) pairs are the memory layout of complex128: a view keeps
-        # every bit, the sign of zero included
-        pairs = np.asarray(M, dtype=float).reshape(grid.shape + (4, 2))
-        return pairs.view(complex).reshape(grid.shape + (2, 2))
+    def unpack(text):
+        # b64decode raises TypeError on anything but a string (JSON holds no
+        # bytes), ValueError on text that is not base64
+        raw = base64.b64decode(text, validate=True)
+        return np.frombuffer(raw, dtype="<c16").reshape(grid.shape + (2, 2))
 
     try:
         data = read_json(path)
+        schema = data.get("schema")
+        if schema != FRAME_CACHE_SCHEMA:
+            raise ConfigError(
+                f"frame cache {path} has schema {schema!r}, not "
+                f"{FRAME_CACHE_SCHEMA}: regenerate it with `nildual generate`")
         grid = DomainGrid.from_dict(data["grid"])
         frames = []
         for e in data["entries"]:
@@ -166,7 +172,8 @@ def read_frame_cache(path):
                 F_lam2=unpack(e["F_lam2"]), lam=lam, grid=grid))
         return (frames, grid, unpack_mask(data.get("mask")),
                 unpack_mask(data.get("ok_mask")), data.get("meta"))
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError,
+            AttributeError) as exc:
         raise ConfigError(f"bad frame cache {path}: "
                           f"{type(exc).__name__}: {exc}") from None
 

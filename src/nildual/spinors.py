@@ -59,9 +59,9 @@ class DiracData:
     ew2: np.ndarray          # e^{w/2} itself, the primary field
     consistency: np.ndarray  # |U - V| where both ratios are defined
     grid: DomainGrid
+    w_z: np.ndarray          # dw/dz and dw/dzbar
+    w_zb: np.ndarray
     mask: np.ndarray = None  # True = valid node; None means every node
-    w_z: np.ndarray | None = None   # logarithmic derivative, if available
-    w_zb: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mask is None:

@@ -7,9 +7,12 @@ from those formulas and is frozen for comparison against the numerics.
 The path integrators at the end march one grid line at a time, one node's
 matrices per step.  They are the reference the batched integrators in
 nildual must reproduce bit for bit: same stage points, same products, same
-summation order.
+summation order.  The file writers write one row at a time; the vectorised
+writers in nildual must reproduce their bytes.
 """
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -353,3 +356,50 @@ def within_cauchy_bound(got, a, b, ulps=16):
     err = np.abs(got - cauchy_loop(a, b))
     scale = cauchy_loop(np.abs(a), np.abs(b))
     return bool(np.all(err <= ulps * np.finfo(float).eps * scale))
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time file writers
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_write_field_csv(path, field, grid, mask=None):
+    """write_field_csv formatting one node per row with format()."""
+    field = np.asarray(field)
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    lines = ["# schema=1", "i,j,x,y,re,im"]
+    for i, j in np.argwhere(mask).tolist():
+        v = complex(field[i, j])
+        lines.append(f"{i},{j},{_fmt(grid.xs[j])},{_fmt(grid.ys[i])},"
+                     f"{_fmt(v.real)},{_fmt(v.imag)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_obj(path, surface):
+    """write_obj walking the grid node by node and quad by quad."""
+    coords = surface.coords
+    valid = surface.mask
+    grid = surface.grid
+    index = np.zeros(grid.shape, dtype=int)
+    lines = ["# schema=1"]
+    n = 0
+    for i in range(grid.ny):
+        for j in range(grid.nx):
+            if valid[i, j]:
+                n += 1
+                index[i, j] = n
+                x, y, z = coords[i, j]
+                lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+    for i in range(grid.ny - 1):
+        for j in range(grid.nx - 1):
+            if (valid[i, j] and valid[i, j + 1]
+                    and valid[i + 1, j] and valid[i + 1, j + 1]):
+                a, b = index[i, j], index[i, j + 1]
+                c, d = index[i + 1, j + 1], index[i + 1, j]
+                lines.append(f"f {a} {b} {c}")
+                lines.append(f"f {a} {c} {d}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from pathlib import Path
@@ -290,29 +291,61 @@ def _export_cache(tmp, text):
     return ["export", "--run", str(tmp / "run")]
 
 
-@pytest.mark.parametrize("make_argv", [
-    lambda tmp: _generate(tmp, "--example", "paraboloid", "--grid", "1,2,3"),
-    lambda tmp: _generate(tmp, "--example", "paraboloid",
-                          "--grid=0,1,0,1,5,x"),
-    lambda tmp: _generate(tmp, "--example", "paraboloid",
-                          "--tol", "conformality=abc"),
-    lambda tmp: _generate(tmp, "--example", "paraboloid",
-                          "--tol", "conformalty=1e-3"),
-    lambda tmp: _generate(tmp, "--potential", str(tmp / "missing.json")),
-    lambda tmp: _generate(tmp, "--potential",
-                          str(_write_text(tmp / "bad.json", "{"))),
-    lambda tmp: _generate(tmp, "--potential", str(
-        _write_text(tmp / "empty.json", '{"schema": 1}'))),
-    lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")),
-    lambda tmp: _export_cache(tmp, "{"),
-    lambda tmp: _export_cache(tmp, '{"schema": 1}'),
+def _export_edited_cache(tmp, schema=2, **entry):
+    """export from a valid 5x5 frame cache with `schema` and the first
+    entry's keys replaced."""
+    from nildual.frames import FrameField
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), grid.shape + (2, 2))
+    frame = FrameField(F=eye, F_lam=0 * eye, F_lam2=0 * eye, lam=1 + 0j,
+                       grid=grid)
+    every = np.ones(grid.shape, dtype=bool)
+    write_frame_cache(tmp / "good.json", [frame], grid, mask=every,
+                      ok_mask=every)
+    data = json.loads((tmp / "good.json").read_text())
+    data["schema"] = schema
+    data["entries"][0].update(entry)
+    return _export_cache(tmp, json.dumps(data))
+
+
+def _b64(n_bytes):
+    return base64.b64encode(bytes(n_bytes)).decode("ascii")
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: _generate(tmp, "--example", "paraboloid", "--grid", "1,2,3"),
+     ""),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--grid=0,1,0,1,5,x"), ""),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--tol", "conformality=abc"), ""),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--tol", "conformalty=1e-3"), ""),
+    (lambda tmp: _generate(tmp, "--potential", str(tmp / "missing.json")), ""),
+    (lambda tmp: _generate(tmp, "--potential",
+                           str(_write_text(tmp / "bad.json", "{"))), ""),
+    (lambda tmp: _generate(tmp, "--potential", str(
+        _write_text(tmp / "empty.json", '{"schema": 1}'))), ""),
+    (lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")), ""),
+    (lambda tmp: _export_cache(tmp, "{"), ""),
+    (lambda tmp: _export_cache(tmp, '{"schema": 2}'), "KeyError"),
+    (lambda tmp: _export_cache(tmp, "[]"), "bad frame cache"),
+    (lambda tmp: _export_edited_cache(tmp, schema=1), "regenerate"),
+    (lambda tmp: _export_edited_cache(tmp, F="not base64!"), "base64"),
+    # one 2x2 complex128 matrix short of the 5x5 grid
+    (lambda tmp: _export_edited_cache(tmp, F=_b64(16 * 4 * 24)), "reshape"),
+    (lambda tmp: _export_edited_cache(tmp, F_lam=[[1.0, 0.0]]), "TypeError"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
         "potential-not-json", "potential-no-terms", "spinors-missing",
-        "cache-not-json", "cache-no-grid"])
-def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv):
+        "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
+        "cache-not-base64", "cache-short-payload", "cache-list-payload"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
+                                           message):
     argv = make_argv(tmp_path)
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
     assert not (tmp_path / "o").exists()
 
 
@@ -331,6 +364,10 @@ def test_frame_cache_roundtrip(tmp_path):
     F[0, 0, 0, 0] = complex(-0.0, 1.5)
     F[0, 1, 1, 0] = complex(2.0, -0.0)
     F[1, 1, 0, 1] = complex(-0.0, -0.0)
+    # a NaN with a payload in its mantissa, and a negative one
+    nan_bits = np.array([0x7FF8_0000_0000_1234, 0xFFF0_0000_0000_0001],
+                        dtype=np.uint64).view(float)
+    F[3, 2, 1, 1] = complex(nan_bits[0], nan_bits[1])
     mask = np.ones(grid.shape, dtype=bool)
     mask[2, 3] = False
     ok_mask = np.ones(grid.shape, dtype=bool)
@@ -338,6 +375,7 @@ def test_frame_cache_roundtrip(tmp_path):
     path = tmp_path / "frames.json"
     write_frame_cache(path, frames, grid, mask=mask, ok_mask=ok_mask,
                       meta={"pipeline": "example:paraboloid"})
+    assert json.loads(path.read_text())["schema"] == 2
     back, grid2, mask2, ok2, meta = read_frame_cache(path)
     assert grid2 == grid
     assert np.array_equal(mask2, mask) and np.array_equal(ok2, ok_mask)
@@ -352,7 +390,8 @@ def test_frame_cache_roundtrip(tmp_path):
     for got, want in zip(back, frames):
         for name in ("F", "F_lam", "F_lam2"):
             a, b = getattr(got, name), getattr(want, name)
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
 

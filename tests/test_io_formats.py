@@ -1,0 +1,97 @@
+"""The one-call field-CSV and OBJ writers print the bytes of the
+row-at-a-time reference writers, special floats included."""
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from nildual.io_formats import write_field_csv, write_obj
+from nildual.nil3 import DomainGrid, SurfaceGrid
+
+from .oracles import reference_write_field_csv, reference_write_obj
+
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+           2.2250738585072009e-308, 1e308, -1e-308, 1.0, -1.0]
+
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+
+shapes = st.tuples(st.integers(5, 8), st.integers(5, 8))
+
+FAST = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _grid(shape, x0=-1.0, y0=-0.5):
+    ny, nx = shape
+    return DomainGrid(x0, x0 + 2.0, y0, y0 + 1.0, nx, ny)
+
+
+def _complex(re, im):
+    # assembled part by part: re + 1j * im would turn a -0.0 into +0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@st.composite
+def field_and_mask(draw):
+    shape = draw(shapes)
+    parts = [draw(hnp.arrays(float, shape, elements=floats))
+             for _ in range(2)]
+    field = parts[0] if draw(st.booleans()) else _complex(*parts)
+    mask = draw(st.one_of(st.none(), hnp.arrays(bool, shape)))
+    x0 = draw(st.floats(-1e3, 1e3))
+    y0 = draw(st.floats(-1e3, 1e3))
+    return _grid(shape, x0, y0), field, mask
+
+
+@st.composite
+def surfaces(draw):
+    shape = draw(shapes)
+    coords = draw(hnp.arrays(float, shape + (3,), elements=floats))
+    mask = draw(hnp.arrays(bool, shape))
+    return SurfaceGrid(coords, _grid(shape), mask=mask)
+
+
+def _same_csv(tmp_path, grid, field, mask):
+    write_field_csv(tmp_path / "new.csv", field, grid, mask)
+    reference_write_field_csv(tmp_path / "ref.csv", field, grid, mask)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == want
+
+
+def _same_obj(tmp_path, surface):
+    write_obj(tmp_path / "new.obj", surface)
+    reference_write_obj(tmp_path / "ref.obj", surface)
+    want = (tmp_path / "ref.obj").read_bytes()
+    assert (tmp_path / "new.obj").read_bytes() == want
+
+
+@given(field_and_mask())
+@FAST
+def test_field_csv_matches_reference(tmp_path, case):
+    _same_csv(tmp_path, *case)
+
+
+@given(surfaces())
+@FAST
+def test_obj_matches_reference(tmp_path, surface):
+    _same_obj(tmp_path, surface)
+
+
+def test_writers_on_empty_and_holed_masks(tmp_path):
+    grid = _grid((6, 7))
+    rng = np.random.default_rng(11)
+    field = _complex(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    coords = rng.normal(size=grid.shape + (3,))
+    holed = np.ones(grid.shape, dtype=bool)
+    holed[2, 3] = holed[4, 0] = holed[0, 6] = False
+    none = np.zeros(grid.shape, dtype=bool)
+    for mask in (none, holed):
+        _same_csv(tmp_path, grid, field, mask)
+        _same_obj(tmp_path, SurfaceGrid(coords, grid, mask=mask))
+    assert (tmp_path / "new.csv").read_text().count("\n") == 2 + holed.sum()
+    write_field_csv(tmp_path / "empty.csv", field, grid, none)
+    assert (tmp_path / "empty.csv").read_text() == "# schema=1\ni,j,x,y,re,im\n"
+    write_obj(tmp_path / "empty.obj", SurfaceGrid(coords, grid, mask=none))
+    assert (tmp_path / "empty.obj").read_text() == "# schema=1\n"
