@@ -88,7 +88,6 @@ class RunConfig:
     order: int = 12
     tols: dict = field(default_factory=dict)
     out_dir: Path = None
-    formats: tuple = ("obj", "csv", "json")
     allow_reflection: bool = False
     exclude_disk: float | None = None
     conjugate_sign: int = +1
@@ -132,12 +131,24 @@ def _lam_slug(k):
 class RunArtifacts:
     """In-memory products of a generate run, reused by dual/sweep/verify."""
 
-    config: RunConfig
     syms: list                     # SymOutput per lambda
     frames: list                   # FrameField per lambda
     ok_mask: np.ndarray            # nodes whose frames are trustworthy
     result: object = None          # PipelineResult for potential pipelines
-    spinor_input: object = None    # SpinorField when driven from CSVs
+
+
+def _read_spinors(prefix):
+    """The SpinorField of the CSV pair <prefix>_psi1.csv, <prefix>_psi2.csv;
+    a node missing from either file is masked."""
+    try:
+        g1, psi1, m1 = iof.read_field_csv(prefix + "_psi1.csv")
+        g2, psi2, m2 = iof.read_field_csv(prefix + "_psi2.csv")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad spinor files {prefix!r}: "
+                          f"{type(exc).__name__}: {exc}") from None
+    if g1 != g2:
+        raise ConfigError("spinor component grids disagree")
+    return SpinorField(psi1, psi2, g1, mask=m1 & m2)
 
 
 def run_pipeline(config, for_verify=False):
@@ -151,8 +162,7 @@ def run_pipeline(config, for_verify=False):
         res = dpw_pipeline(spec.potential(), grid, z0=spec.z0,
                            lam_samples=config.lams, order=config.order,
                            exclude_disk=exclude, self_dual=spec.self_dual)
-        return RunArtifacts(config, res.sym, res.frames, res.ok_mask,
-                            result=res)
+        return RunArtifacts(res.sym, res.frames, res.ok_mask, result=res)
     if kind == "potential":
         try:
             xi = HoloPotential.from_json(iof.read_json(arg))
@@ -162,24 +172,14 @@ def run_pipeline(config, for_verify=False):
         res = dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
                            order=config.order,
                            exclude_disk=config.exclude_disk)
-        return RunArtifacts(config, res.sym, res.frames, res.ok_mask,
-                            result=res)
+        return RunArtifacts(res.sym, res.frames, res.ok_mask, result=res)
     if kind == "spinors":
-        try:
-            g1, psi1, m1 = iof.read_field_csv(arg + "_psi1.csv")
-            g2, psi2, m2 = iof.read_field_csv(arg + "_psi2.csv")
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad spinor files {arg!r}: "
-                              f"{type(exc).__name__}: {exc}") from None
-        if g1 != g2:
-            raise ConfigError("spinor component grids disagree")
-        s = SpinorField(psi1, psi2, g1, mask=m1 & m2)
+        s = _read_spinors(arg)
         d = dirac_data(s)
         base = frame_from_spinors(s)[0, 0]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
-        return RunArtifacts(config, sym_sheets(frames, s.mask, s.mask),
-                            frames, s.mask, spinor_input=s)
+        return RunArtifacts(sym_sheets(frames, s.mask, s.mask), frames, s.mask)
     raise ConfigError(f"unknown pipeline {config.pipeline!r}")
 
 
@@ -188,15 +188,12 @@ def _write_surface_outputs(run_dir, config, sym, k, which=("minus",)):
     for side in which:
         surf = sym.f_minus if side == "minus" else sym.f_plus
         stem = run_dir / f"{_lam_slug(k)}_f_{side}"
-        if "obj" in config.formats:
-            iof.write_obj(f"{stem}.obj", surf)
+        iof.write_obj(f"{stem}.obj", surf)
         iof.write_sidecar(f"{stem}.sidecar.json", config.hash(),
                           surf.mask, res_summary)
 
 
-def _write_field_outputs(run_dir, config, sym, k, extract_mask):
-    if "csv" not in config.formats:
-        return
+def _write_field_outputs(run_dir, sym, k, extract_mask):
     try:
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=extract_mask)
     except NilDualError as exc:
@@ -220,15 +217,14 @@ def cmd_generate(config):
     iof.write_json(run_dir / "config.json", config.to_dict())
     for k, sym in enumerate(arts.syms):
         _write_surface_outputs(run_dir, config, sym, k, which=("minus",))
-        _write_field_outputs(run_dir, config, sym, k, arts.ok_mask)
-    if "json" in config.formats:
-        iof.write_frame_cache(
-            run_dir / "frames.json",
-            arts.frames,
-            arts.syms[0].grid,
-            mask=arts.syms[0].f_minus.mask,
-            ok_mask=arts.ok_mask,
-            meta={"pipeline": config.pipeline})
+        _write_field_outputs(run_dir, sym, k, arts.ok_mask)
+    iof.write_frame_cache(
+        run_dir / "frames.json",
+        arts.frames,
+        arts.syms[0].grid,
+        mask=arts.syms[0].f_minus.mask,
+        ok_mask=arts.ok_mask,
+        meta={"pipeline": config.pipeline})
     print(f"wrote {run_dir}")
     return 0
 
@@ -268,17 +264,16 @@ def cmd_dual(config):
         # exclusion mask (singular points of the dual stay unfilled)
         out_mask = pair.mask & sym.f_plus.mask
         inv_mask = dmask & sym.f_plus.mask
-        if "csv" in config.formats:
-            iof.write_field_csv(run_dir / f"{tag}_dual_psi1.csv",
-                                pair.dual.psi1, grid, mask=out_mask)
-            iof.write_field_csv(run_dir / f"{tag}_dual_psi2.csv",
-                                pair.dual.psi2, grid, mask=out_mask)
-            iof.write_field_csv(run_dir / f"{tag}_e_u_star.csv",
-                                e_u_star.astype(complex), grid, mask=inv_mask)
-            iof.write_field_csv(run_dir / f"{tag}_h_star.csv",
-                                h_star.astype(complex), grid, mask=inv_mask)
-            iof.write_field_csv(run_dir / f"{tag}_B_star.csv", B_star, grid,
-                                mask=inv_mask)
+        iof.write_field_csv(run_dir / f"{tag}_dual_psi1.csv",
+                            pair.dual.psi1, grid, mask=out_mask)
+        iof.write_field_csv(run_dir / f"{tag}_dual_psi2.csv",
+                            pair.dual.psi2, grid, mask=out_mask)
+        iof.write_field_csv(run_dir / f"{tag}_e_u_star.csv",
+                            e_u_star.astype(complex), grid, mask=inv_mask)
+        iof.write_field_csv(run_dir / f"{tag}_h_star.csv",
+                            h_star.astype(complex), grid, mask=inv_mask)
+        iof.write_field_csv(run_dir / f"{tag}_B_star.csv", B_star, grid,
+                            mask=inv_mask)
         iof.write_json(run_dir / f"{tag}_branch_log.json",
                        pair.branch_log(export_mask=sym.f_plus.mask))
         fit = mc_equivalent(sym.f_minus, sym.f_plus,
@@ -293,15 +288,16 @@ def cmd_dual(config):
 
 
 def cmd_verify(config, perturb_frame=0.0):
-    arts = run_pipeline(config, for_verify=True)
+    kind, _, arg = config.pipeline.partition(":")
+    if kind == "spinors":
+        # the spinor battery reads the input fields only
+        rep = verify_spinors(_read_spinors(arg), tols=config.tols,
+                             conjugate_sign=config.conjugate_sign)
+    else:
+        rep = verify_pipeline(run_pipeline(config, for_verify=True).result,
+                              tols=config.tols, perturb_frame=perturb_frame)
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    if arts.result is not None:
-        rep = verify_pipeline(arts.result, tols=config.tols,
-                              perturb_frame=perturb_frame)
-    else:
-        rep = verify_spinors(arts.spinor_input, tols=config.tols,
-                             conjugate_sign=config.conjugate_sign)
     iof.write_json(run_dir / "report.json", rep.to_json())
     (run_dir / "report.txt").write_text(rep.table() + "\n")
     print(rep.table())
@@ -340,6 +336,10 @@ def cmd_sweep(config):
 
 
 def cmd_export(args_run, formats):
+    unknown = sorted(set(formats) - {"obj", "csv"})
+    if unknown:
+        raise ConfigError(f"unknown export format(s) {', '.join(unknown)}; "
+                          f"choose from obj, csv")
     run_dir = Path(args_run)
     cache = run_dir / "frames.json"
     if not cache.exists():

@@ -153,19 +153,16 @@ def dual_local_check(pair):
     }
 
 
-def double_dual(s, d, conjugate_sign=+1):
-    """Apply the duality twice; the spinor pair returns to itself.
+def double_dual(pair, conjugate_sign=+1):
+    """Apply the duality to the dual of `pair`; the spinors return to
+    pair.source.
 
     The second application uses the dual invariants (B* = B and the
     role-swapped support h* = 16|B|/h), so with either branch convention
     the product of the two branch factors is unimodular and the frame
     components are restored exactly.
     """
-    minimality_gate(d, _MINIMAL_ONLY)
-    _, h = uh_from_spinors(s)
-    valid = s.mask & d.mask
-    first = _dual_pair(s, d.B, h, valid, conjugate_sign)
-    _, h_star, B_star, _, _, mask = _invariants(s, d.B, h, valid)
-    second = _dual_pair(first.dual, B_star, h_star, first.mask & mask,
-                        conjugate_sign)
-    return second.dual, first.mask & second.mask
+    h_safe = np.where(pair.mask, pair.h, 1.0)
+    h_star = np.where(pair.mask, 16.0 * np.abs(pair.B) / h_safe, 0.0)
+    second = _dual_pair(pair.dual, pair.B, h_star, pair.mask, conjugate_sign)
+    return second.dual, pair.mask & second.mask

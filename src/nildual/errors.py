@@ -32,10 +32,6 @@ class HorizontalUmbrellaError(NilDualError):
 class BranchContinuationError(NilDualError):
     """Square-root branch continuation failed at a located node."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class ConfigError(NilDualError):
     """Invalid run configuration."""

@@ -18,7 +18,10 @@ import numpy as np
 from .errors import VerticalPointError
 from .loops import SQRT_I, su11_residual
 from .nil3 import dz_field, dzbar_field, node_stages, rk4_march
-from .spinors import SpinorField, minimality_gate
+from .spinors import minimality_gate
+
+DRIFT_TOL = 1e-6    # SU(1,1) drift above which a frame node is reprojected
+UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
 
 
 def _connection_parts(d):
@@ -81,9 +84,6 @@ class FrameField:
     grid: object
     reprojections: int = 0
 
-    def su11_residual(self):
-        return su11_residual(self.F)
-
 
 def _reproject_su11(F):
     """Nearest matrix of the form [[a, b], [conj(b), conj(a)]] with
@@ -95,8 +95,7 @@ def _reproject_su11(F):
     return np.array([[a, b], [np.conj(b), np.conj(a)]])
 
 
-def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
-                    drift_tol=1e-6):
+def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
     """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
 
     The parameter enters the connection only through 1/lam and lam, so the
@@ -158,8 +157,8 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
     reproj = 0
     F = out[..., 0, :, :]
     drift = su11_residual(F)
-    if np.max(drift) > drift_tol:
-        bad = drift > drift_tol
+    if np.max(drift) > DRIFT_TOL:
+        bad = drift > DRIFT_TOL
         reproj = int(np.sum(bad))
         idx = np.argwhere(bad)
         for i, j in idx:
@@ -168,12 +167,12 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
                       lam=lam, grid=grid, reprojections=reproj)
 
 
-def frame_from_spinors(s, tol=1e-12):
+def frame_from_spinors(s):
     """Pointwise frame  (|psi1|^2-|psi2|^2)^{-1/2} [[psi1/sqrt(i), psi2/sqrt(i)],
     [sqrt(i) conj(psi2), sqrt(i) conj(psi1)]];  exactly in SU(1,1)."""
     norm2 = np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2
-    if np.any(norm2 <= tol):
-        i, j = np.argwhere(norm2 <= tol)[0]
+    if np.any(norm2 <= UPWARD_TOL):
+        i, j = np.argwhere(norm2 <= UPWARD_TOL)[0]
         raise VerticalPointError(
             f"|psi1| <= |psi2| at node ({i}, {j}); no upward frame")
     nv = 1.0 / np.sqrt(norm2)
@@ -183,18 +182,6 @@ def frame_from_spinors(s, tol=1e-12):
     F[..., 1, 0] = nv * np.conj(s.psi2) * SQRT_I
     F[..., 1, 1] = nv * np.conj(s.psi1) * SQRT_I
     return F
-
-
-def spinors_from_frame(F, h, grid, lam=1.0 + 0.0j):
-    """Invert the frame normal form; the scale sqrt(h/2) restores
-    |psi1|^2 - |psi2|^2 = h/2."""
-    h = np.asarray(h)
-    if np.any(h <= 0):
-        raise VerticalPointError("support must be positive to fix the scale")
-    scale = np.sqrt(h / 2.0)
-    psi1 = scale * SQRT_I * F[..., 0, 0]
-    psi2 = scale * SQRT_I * F[..., 0, 1]
-    return SpinorField(psi1, psi2, grid, lam=lam)
 
 
 def frame_compatibility_residual(frame, d):

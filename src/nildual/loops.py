@@ -110,10 +110,10 @@ class MatrixLoop:
             return self.coeffs[..., j - self.low, :, :]
         return np.zeros(self.batch_shape + (2, 2), dtype=complex)
 
-    def eval(self, lam, allow_off_circle=False):
-        """Horner evaluation at lam; on-circle unless explicitly allowed."""
+    def eval(self, lam):
+        """Horner evaluation at lam on the unit circle."""
         lam = complex(lam)
-        if not allow_off_circle and abs(abs(lam) - 1.0) > 1e-12:
+        if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
         out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
         for k in range(self.coeffs.shape[-3] - 1, -1, -1):

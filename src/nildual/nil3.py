@@ -1,4 +1,4 @@
-"""Heisenberg group arithmetic, grids, and Maurer-Cartan extraction.
+"""Heisenberg group coordinates, grids, and Maurer-Cartan extraction.
 
 Points live in global coordinates (x1, x2, x3) which double as exponential
 coordinates of the left-invariant frame {e1, e2, e3}.  Complex grids use
@@ -7,47 +7,12 @@ sits at z = x0 + j*hx + 1j*(y0 + i*hy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, GridTooSmallError
-
-# Coordinate extraction from su(1,1):  v = x1*E1 + x2*E2 + x3*E3  has
-# entries v11 = -i*x3/2, v12 = (i*x1 - x2)/2, v21 = (-i*x1 - x2)/2.
-_XI_TOL = 1e-8
-
-
-def nil3_mul(a, b):
-    """Group product; broadcasts over leading axes of (..., 3) arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
-    out[..., 0] = a[..., 0] + b[..., 0]
-    out[..., 1] = a[..., 1] + b[..., 1]
-    out[..., 2] = a[..., 2] + b[..., 2] + 0.5 * (
-        a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
-    )
-    return out
-
-
-def nil3_inv(p):
-    """Group inverse (-x1, -x2, -x3)."""
-    return -np.asarray(p, dtype=float)
-
-
-def metric_eval(p, v, u):
-    """Left-invariant metric on coordinate vectors at the point p.
-
-    ds^2 = dx1^2 + dx2^2 + (dx3 + (x2 dx1 - x1 dx2)/2)^2.
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    cv = v[..., 2] + 0.5 * (p[..., 1] * v[..., 0] - p[..., 0] * v[..., 1])
-    cu = u[..., 2] + 0.5 * (p[..., 1] * u[..., 0] - p[..., 0] * u[..., 1])
-    return v[..., 0] * u[..., 0] + v[..., 1] * u[..., 1] + cv * cu
 
 
 @dataclass(frozen=True)
@@ -96,13 +61,6 @@ class DomainGrid:
 
     def node_z(self, i, j):
         return complex(self.xs[j], self.ys[i])
-
-    def refined(self, factor=2):
-        """Same ranges with spacing divided by `factor`."""
-        return DomainGrid(
-            self.x0, self.x1, self.y0, self.y1,
-            (self.nx - 1) * factor + 1, (self.ny - 1) * factor + 1,
-        )
 
     def serpentine(self):
         """Deterministic sweep visiting all nodes with adjacent steps."""
@@ -224,23 +182,11 @@ class SurfaceGrid:
     coords: np.ndarray  # (ny, nx, 3) real
     grid: DomainGrid
     lam: complex = 1.0 + 0.0j
-    base_index: tuple = (0, 0)
     mask: np.ndarray = None  # True = valid node; None means every node
 
     def __post_init__(self):
         if self.mask is None:
             self.mask = np.ones(self.grid.shape, dtype=bool)
-
-    def base_point(self):
-        i, j = self.base_index
-        return self.coords[i, j].copy()
-
-    def translated_to_origin(self):
-        """Left-translate so the base node lands at the identity."""
-        shift = nil3_inv(self.base_point())
-        coords = nil3_mul(shift[None, None, :], self.coords)
-        return SurfaceGrid(coords, self.grid, self.lam, self.base_index,
-                           self.mask)
 
 
 def left_maurer_cartan(surface):
@@ -267,24 +213,15 @@ def conformality_residual(phi):
     return np.abs(quad), e_u
 
 
-def xi_nil(v, tol=_XI_TOL):
-    """Coordinates of v in the basis {E1, E2, E3} of su(1,1), as a point.
-
-    Exponential coordinates coincide with model coordinates, so the
-    returned triple is the group point exp(x1 e1 + x2 e2 + x3 e3).
-    Raises if v leaves the real span beyond `tol` (None disables).
-    """
-    coords, residual = xi_nil_with_residual(v)
-    if tol is not None and np.max(residual) > tol:
-        raise ValueError(
-            f"matrix not in the real span of the su(1,1) basis: "
-            f"residual {np.max(residual):.3e} > {tol:.1e}"
-        )
-    return coords
-
-
 def xi_nil_with_residual(v):
-    """Like xi_nil but returns (coords, per-entry residual) without raising."""
+    """Coordinates of v in the basis {E1, E2, E3} of su(1,1), as a point,
+    and the per-entry residual of v off their real span.
+
+    v = x1 E1 + x2 E2 + x3 E3 has entries v11 = -i x3/2,
+    v12 = (i x1 - x2)/2, v21 = (-i x1 - x2)/2.  Exponential coordinates
+    coincide with model coordinates, so the triple is the group point
+    exp(x1 e1 + x2 e2 + x3 e3).
+    """
     v = np.asarray(v, dtype=complex)
     x1 = -1j * (v[..., 0, 1] - v[..., 1, 0])
     x2 = -(v[..., 0, 1] + v[..., 1, 0])

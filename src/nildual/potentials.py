@@ -216,8 +216,8 @@ def _sweep(xi, phi0, z_start, dz, steps, substeps, N, out=None):
     return rk4_march(phi0, [h * dz] * steps, substeps, stages, rhs, out=out)
 
 
-def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
-                        substeps=8, column_first=True):
+def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
+                        column_first=True):
     """Solve dPhi = Phi xi dz from z0 over the grid.
 
     The connection is holomorphic (dz only), so the result is path
@@ -228,14 +228,8 @@ def integrate_potential(xi, grid, z0=0j, init=None, order=DEFAULT_ORDER,
     """
     N = order
     P = 2 * N + 1
-    if init is None:
-        phi0 = np.zeros((P, 2, 2), dtype=complex)
-        phi0[N] = np.eye(2)
-    else:
-        phi0 = np.zeros((P, 2, 2), dtype=complex)
-        lo = max(init.low, -N)
-        hi = min(init.high, N)
-        phi0[lo + N:hi + N + 1] = init.coeffs[lo - init.low:hi - init.low + 1]
+    phi0 = np.zeros((P, 2, 2), dtype=complex)
+    phi0[N] = np.eye(2)
 
     corner = grid.node_z(0, 0)
     if abs(corner - z0) > 0:
@@ -430,15 +424,18 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
 
 
 def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
-                 order=DEFAULT_ORDER, init=None, exclude_disk=None,
-                 substeps=8, self_dual=False):
+                 order=DEFAULT_ORDER, exclude_disk=None, self_dual=False):
     """Potential -> loops -> factorization -> both surfaces per parameter."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ConfigError(f"lam sample {lam} is not unit-modulus")
-    phi = integrate_potential(xi, grid, z0=z0, init=init, order=order,
-                              substeps=substeps)
+    if order < 1:
+        raise ConfigError(f"truncation order must be at least 1, got {order}")
+    if exclude_disk is not None and not np.isfinite(exclude_disk):
+        raise ConfigError(f"exclusion radius must be finite, "
+                          f"got {exclude_disk}")
+    phi = integrate_potential(xi, grid, z0=z0, order=order)
     F, Bp, report = iwasawa(phi)
     ok_mask = report.ok()
     F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
@@ -461,10 +458,10 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
 
 
 def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),
-                order=DEFAULT_ORDER, substeps=8):
+                order=DEFAULT_ORDER):
     spec = builtin_example(name)
     g = grid if grid is not None else spec.grid
     return dpw_pipeline(spec.potential(), g, z0=spec.z0,
                         lam_samples=lam_samples, order=order,
-                        exclude_disk=spec.exclude_disk, substeps=substeps,
+                        exclude_disk=spec.exclude_disk,
                         self_dual=spec.self_dual)

@@ -71,6 +71,8 @@ class DiracData:
 # interior max |H| above which data count as non-minimal: B extraction,
 # the flat connection, frame integration and the duality need H = 0
 MINIMAL_TOL = 1e-4
+VERTICAL_REL = 1e-12    # |psi1| <= rel * scale: a vertical normal
+DEGENERATE_REL = 1e-10  # |psi| <= rel * sup|psi|: not a ratio denominator
 
 
 def minimality_defect(d):
@@ -100,14 +102,14 @@ def uh_from_spinors(s):
     return 4.0 * (a + b) ** 2, 2.0 * (a - b)
 
 
-def gauss_map(s, tol=1e-12):
+def gauss_map(s):
     """Normal Gauss map g = psi2 / conj(psi1) and the unit normal.
 
     The normal in the left-invariant frame is
     (2 Re g, 2 Im g, 1 - |g|^2) / (1 + |g|^2); |g| < 1 iff h > 0.
     """
     scale = np.max(np.abs(s.psi1)) + np.max(np.abs(s.psi2))
-    bad = np.abs(s.psi1) <= tol * scale
+    bad = np.abs(s.psi1) <= VERTICAL_REL * scale
     if np.any(bad & s.mask):
         i, j = np.argwhere(bad & s.mask)[0]
         raise VerticalPointError(f"psi1 vanishes at node ({i}, {j})")
@@ -118,7 +120,7 @@ def gauss_map(s, tol=1e-12):
     return g, normal
 
 
-def dirac_data(s, degenerate_tol=1e-10, require_minimal=True):
+def dirac_data(s, require_minimal=True):
     """Extract the Dirac potential, mean curvature, and the coefficient B.
 
     The two defining ratios are U = -dz(psi2)/psi1 and V = dzbar(psi1)/psi2;
@@ -135,8 +137,8 @@ def dirac_data(s, degenerate_tol=1e-10, require_minimal=True):
     """
     grid = s.grid
     scale = max(float(np.max(np.abs(s.psi1))), float(np.max(np.abs(s.psi2))))
-    ok1 = np.abs(s.psi1) > degenerate_tol * scale
-    ok2 = np.abs(s.psi2) > degenerate_tol * scale
+    ok1 = np.abs(s.psi1) > DEGENERATE_REL * scale
+    ok2 = np.abs(s.psi2) > DEGENERATE_REL * scale
     if not np.any(ok1 | ok2):
         raise NonImmersionError("spinor pair vanishes identically")
 
@@ -280,11 +282,11 @@ def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
     if np.any((np.abs(base) <= floor) & valid):
         i, j = np.argwhere((np.abs(base) <= floor) & valid)[0]
         raise BranchContinuationError(
-            f"dominant spinor square vanishes at node ({i}, {j})", node=(i, j))
+            f"dominant spinor square vanishes at node ({i}, {j})")
     root, _, cuts = continued_sqrt(base, grid, valid)
     if cuts and on_branch_cut == "raise":
         raise BranchContinuationError(
-            f"branch continuation inconsistent at {cuts[0]}", node=cuts[0])
+            f"branch continuation inconsistent at {cuts[0]}")
     if side == "a":
         psi1 = root
         psi2 = np.conj(p[..., 2] / (2.0 * psi1))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NilDualError
 from .loops import SIGMA3
 from .nil3 import (
     PhiField,
@@ -22,6 +23,9 @@ from .nil3 import (
     xi_nil_with_residual,
 )
 from .spinors import spinors_from_phi
+
+REALITY_TOL = 1e-6  # su(1,1)-reality defect that marks a frame defect
+MOTION_TOL = 1e-6   # relative residual of two congruent immersions
 
 
 @dataclass
@@ -36,12 +40,12 @@ class SymOutput:
     reality_residual: float    # worst su(1,1)-reality defect of the output
 
 
-def sym_maps(frame, mask=None, reality_tol=1e-6):
+def sym_maps(frame, mask=None):
     """Evaluate both surfaces from a FrameField carrying (F, F_lam, F_lam2).
 
     Nodes outside `mask` (default: every node counts) take the identity
     frame and both surfaces carry `mask`.  Raises if the assembled
-    matrices leave the real span of the su(1,1) basis beyond `reality_tol`
+    matrices leave the real span of the su(1,1) basis beyond REALITY_TOL
     (a frame defect); the residual is reported on the output either way.
     """
     lam = complex(frame.lam)
@@ -73,8 +77,8 @@ def sym_maps(frame, mask=None, reality_tol=1e-6):
 
     worst = max(float(np.max(out[+1][1][mask], initial=0.0)),
                 float(np.max(out[-1][1][mask], initial=0.0)))
-    if worst > reality_tol:
-        raise ValueError(
+    if worst > REALITY_TOL:
+        raise NilDualError(
             f"surface matrices leave su(1,1) by {worst:.3e} (frame defect)")
 
     f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
@@ -174,7 +178,7 @@ def _reversed_phi(p):
     return -p[::-1, ::-1]
 
 
-def mc_equivalent(f, g, allow_reflection=False, tol=1e-6):
+def mc_equivalent(f, g, allow_reflection=False):
     """Decide whether g = (left translation) . (rotation about e3) . f,
     optionally composed with a reflection, and - for centred grids - with
     the orientation-preserving reversal z -> -z of the parametrization
@@ -212,7 +216,7 @@ def mc_equivalent(f, g, allow_reflection=False, tol=1e-6):
             wf = pr[..., 0] + 1j * pr[..., 1]
             anchors = np.abs(wf) * live
             ai, aj = np.unravel_index(np.argmax(anchors), anchors.shape)
-            if anchors[ai, aj] <= tol * scale:
+            if anchors[ai, aj] <= MOTION_TOL * scale:
                 continue
             phase = wg[ai, aj] / wf[ai, aj]
             phase /= abs(phase)
@@ -220,6 +224,6 @@ def mc_equivalent(f, g, allow_reflection=False, tol=1e-6):
                              np.abs(pg[..., 2] - pr[..., 2]))
             r = float(np.max(res[live], initial=0.0)) / scale
             if r < best.residual:
-                best = MotionFit(r <= tol, kind + vname,
+                best = MotionFit(r <= MOTION_TOL, kind + vname,
                                  float(np.angle(phase)), r)
     return best

@@ -67,6 +67,8 @@ W1 = 2
 W4 = 4
 W6 = 6
 
+SHEET_CONFORMAL_TOL = 1e-2  # conformality defect analyze_sheet accepts
+
 
 @dataclass
 class CheckResult:
@@ -156,7 +158,7 @@ class SheetAnalysis:
     h: np.ndarray
 
 
-def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
+def analyze_sheet(surface, lam, extract_mask=None):
     """Spinor-level extraction; `extract_mask` (default: every node) should
     exclude only nodes whose coordinates are garbage (factorization
     failures), never cosmetic exclusions, so the branch continuation never
@@ -164,7 +166,7 @@ def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
     if extract_mask is None:
         extract_mask = np.ones(surface.grid.shape, dtype=bool)
     phi = left_maurer_cartan(surface)
-    s = spinors_from_phi(phi, lam=lam, conformal_tol=conformal_tol,
+    s = spinors_from_phi(phi, lam=lam, conformal_tol=SHEET_CONFORMAL_TOL,
                          mask=stencil_valid(extract_mask),
                          on_branch_cut="record")
     d = dirac_data(s)
@@ -172,7 +174,7 @@ def analyze_sheet(surface, lam, conformal_tol=1e-2, extract_mask=None):
     return SheetAnalysis(spinors=s, dirac=d, e_u=e_u, h=h)
 
 
-def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
+def verify_pipeline(result, tols=None, perturb_frame=0.0):
     """Run the full residual battery on a pipeline result.
 
     The self-duality checks run when the result is flagged self-dual (the
@@ -239,8 +241,7 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
         rep.add(f"n_m_structure[{_lam_tag(lam)}]", np.maximum(det, tr),
                 tols["n_m_structure"], valid)
 
-        if "duality" not in skip:
-            _duality_checks(rep, tols, sym, lam, a_minus)
+        _duality_checks(rep, tols, sym, lam, a_minus)
 
     base_entry = next((entry for entry in analyses
                        if abs(entry[1] - 1.0) < 1e-12), None)
@@ -255,18 +256,16 @@ def verify_pipeline(result, tols=None, skip=(), perturb_frame=0.0):
                     frame_compatibility_residual(fr, a1.dirac),
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
-        if "cross_pipeline" not in skip:
-            lam0 = 1.0 + 0.0j
-            d_sub, cut = interior_dirac(a1.dirac, W4)
-            base = result.frame_loop.at_node((W4, W4)).eval(lam0)
-            integ = integrate_frame(d_sub, lam0, base_value=base)
-            diff = np.max(np.abs(integ.F
-                                 - result.frame_loop.eval(lam0)[cut]),
-                          axis=(-2, -1))
-            rep.add(f"cross_pipeline[{_lam_tag(lam0)}]", diff,
-                    tols["cross_pipeline"])
+        lam0 = 1.0 + 0.0j
+        d_sub, cut = interior_dirac(a1.dirac, W4)
+        base = result.frame_loop.at_node((W4, W4)).eval(lam0)
+        integ = integrate_frame(d_sub, lam0, base_value=base)
+        diff = np.max(np.abs(integ.F - result.frame_loop.eval(lam0)[cut]),
+                      axis=(-2, -1))
+        rep.add(f"cross_pipeline[{_lam_tag(lam0)}]", diff,
+                tols["cross_pipeline"])
 
-    if result.self_dual and "self_duality" not in skip:
+    if result.self_dual:
         for sym, lam, _a, _fr in analyses:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
             rep.add_scalar(f"self_duality_mc[{_lam_tag(lam)}]", fit.residual,
@@ -309,7 +308,8 @@ def verify_spinors(s, tols=None, conjugate_sign=+1):
     rep.add("dirac_consistency", d.consistency, tols["dirac_consistency"],
             live4)
     rep.add("minimality", np.abs(d.ew2.real), tols["minimality"], live4)
-    again, mask = double_dual(s, d, conjugate_sign=conjugate_sign)
+    pair = dual_spinors(s, d, conjugate_sign=conjugate_sign)
+    again, mask = double_dual(pair, conjugate_sign=conjugate_sign)
     rep.add("involution_phi",
             np.max(np.abs(phi_from_spinors(again).phi - phi0), axis=-1),
             tols["involution_phi"], mask)
@@ -330,7 +330,7 @@ def _duality_checks(rep, tols, sym, lam, a_minus):
                        note=str(exc))
         return
 
-    again, invmask = double_dual(s, d)
+    again, invmask = double_dual(pair)
     phi0 = phi_from_spinors(s).phi
     phi2 = phi_from_spinors(again).phi
     rep.add(f"involution_phi[{_lam_tag(lam)}]",

@@ -3,6 +3,8 @@
 The hyperbolic-paraboloid family admits explicit formulas for the surface,
 its frame, spinors, and invariants; everything here was derived by hand
 from those formulas and is frozen for comparison against the numerics.
+`nil3_mul` and `nil3_inv` are the reference group law of Nil3, which the
+tests use to move surfaces by left translations.
 
 The path integrators at the end march one grid line at a time, one node's
 matrices per step.  They are the reference the batched integrators in
@@ -16,11 +18,29 @@ from pathlib import Path
 
 import numpy as np
 
-from nildual.frames import _connection_parts, _reproject_su11
+from nildual.frames import DRIFT_TOL, _connection_parts, _reproject_su11
 from nildual.loops import MatrixLoop, su11_residual
 from nildual.nil3 import _lagrange_weights
 
 SQRT_I = np.exp(1j * np.pi / 4)
+
+
+def nil3_mul(a, b):
+    """Group product; broadcasts over leading axes of (..., 3) arrays."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
+    out[..., 0] = a[..., 0] + b[..., 0]
+    out[..., 1] = a[..., 1] + b[..., 1]
+    out[..., 2] = a[..., 2] + b[..., 2] + 0.5 * (
+        a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
+    )
+    return out
+
+
+def nil3_inv(p):
+    """Group inverse (-x1, -x2, -x3)."""
+    return -np.asarray(p, dtype=float)
 
 
 def paraboloid_surface(grid, lam=1.0 + 0.0j):
@@ -136,18 +156,13 @@ def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
     return out
 
 
-def reference_integrate_potential(xi, grid, z0=0j, init=None, order=12,
-                                  substeps=8, column_first=True):
+def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
+                                  column_first=True):
     """integrate_potential marching one row (or column) at a time."""
     N = order
     P = 2 * N + 1
     phi0 = np.zeros((P, 2, 2), dtype=complex)
-    if init is None:
-        phi0[N] = np.eye(2)
-    else:
-        lo = max(init.low, -N)
-        hi = min(init.high, N)
-        phi0[lo + N:hi + N + 1] = init.coeffs[lo - init.low:hi - init.low + 1]
+    phi0[N] = np.eye(2)
 
     corner = grid.node_z(0, 0)
     if abs(corner - z0) > 0:
@@ -178,7 +193,7 @@ def reference_integrate_potential(xi, grid, z0=0j, init=None, order=12,
 
 
 def reference_integrate_frame(d, lam, base_value=None, substeps=1,
-                              column_first=True, drift_tol=1e-6):
+                              column_first=True):
     """integrate_frame marching one row (or column) at a time.
 
     Returns (F, F_lam, F_lam2, reprojections).
@@ -252,8 +267,8 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
     F = out[..., 0, :, :]
     drift = su11_residual(F)
     reproj = 0
-    if np.max(drift) > drift_tol:
-        bad = drift > drift_tol
+    if np.max(drift) > DRIFT_TOL:
+        bad = drift > DRIFT_TOL
         reproj = int(np.sum(bad))
         for i, j in np.argwhere(bad):
             F[i, j] = _reproject_su11(F[i, j])

@@ -8,6 +8,7 @@ import pytest
 
 import nildual.cli
 import nildual.potentials
+import nildual.verify
 from nildual.cli import main, parse_lambda, parse_lambda_list
 from nildual.errors import ConfigError
 from nildual.frames import frame_from_spinors, integrate_frame
@@ -175,12 +176,32 @@ def test_potential_file_pipeline(tmp_path):
     assert rc == 0
 
 
-def test_spinor_csv_pipeline(tmp_path):
-    from .oracles import paraboloid_spinors, paraboloid_surface
+def _write_paraboloid_spinors(tmp_path):
+    """The paraboloid's spinor pair on a 21x21 grid as the CSV pair
+    <tmp_path>/in_psi1.csv, in_psi2.csv."""
+    from .oracles import paraboloid_spinors
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
     psi1, psi2 = paraboloid_spinors(grid)
     write_field_csv(tmp_path / "in_psi1.csv", psi1, grid)
     write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
+
+
+def _counting_integrate_frame(monkeypatch, modules):
+    """Rebind integrate_frame in `modules` to a wrapper; the list it
+    returns collects the lam of every call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_frame(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "integrate_frame", counted)
+    return calls
+
+
+def test_spinor_csv_pipeline(tmp_path):
+    _write_paraboloid_spinors(tmp_path)
     rc = run(["generate", "--spinors", str(tmp_path / "in"),
               "--lambda", "1", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -203,18 +224,8 @@ def test_verify_spinors_from_generated_fields(tmp_path):
 
 
 def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
-    from .oracles import paraboloid_spinors
-    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
-    psi1, psi2 = paraboloid_spinors(grid)
-    write_field_csv(tmp_path / "in_psi1.csv", psi1, grid)
-    write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return integrate_frame(*args, **kwargs)
-
-    monkeypatch.setattr(nildual.cli, "integrate_frame", counted)
+    _write_paraboloid_spinors(tmp_path)
+    calls = _counting_integrate_frame(monkeypatch, [nildual.cli])
     rc = run(["generate", "--spinors", str(tmp_path / "in"),
               "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -232,6 +243,26 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
         assert np.array_equal(fr.F, direct.F)
         assert np.array_equal(fr.F_lam, direct.F_lam)
         assert np.array_equal(fr.F_lam2, direct.F_lam2)
+
+
+def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
+    # the spinor battery runs on the input pair: no frame is integrated
+    from nildual.io_formats import write_json
+    from nildual.verify import verify_spinors
+    _write_paraboloid_spinors(tmp_path)
+    calls = _counting_integrate_frame(monkeypatch,
+                                      [nildual.cli, nildual.verify])
+    rc = run(["verify", "--spinors", str(tmp_path / "in"),
+              "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert calls == []
+    (run_dir,) = (tmp_path / "o").iterdir()
+    g, p1, m1 = read_field_csv(tmp_path / "in_psi1.csv")
+    _, p2, m2 = read_field_csv(tmp_path / "in_psi2.csv")
+    direct = tmp_path / "direct.json"
+    write_json(direct, verify_spinors(SpinorField(p1, p2, g, mask=m1 & m2))
+               .to_json())
+    assert (run_dir / "report.json").read_bytes() == direct.read_bytes()
 
 
 def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
@@ -335,10 +366,24 @@ def _b64(n_bytes):
     # one 2x2 complex128 matrix short of the 5x5 grid
     (lambda tmp: _export_edited_cache(tmp, F=_b64(16 * 4 * 24)), "reshape"),
     (lambda tmp: _export_edited_cache(tmp, F_lam=[[1.0, 0.0]]), "TypeError"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "0"),
+     "order"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "-2"),
+     "order"),
+    # truncations too short for the frame: the Sym matrices leave su(1,1)
+    (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "1"),
+     "su(1,1)"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "2"),
+     "su(1,1)"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--exclude-disk", "nan"), "exclusion radius"),
+    (lambda tmp: [*_export_edited_cache(tmp), "--formats", "objj"], "objj"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
         "potential-not-json", "potential-no-terms", "spinors-missing",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
-        "cache-not-base64", "cache-short-payload", "cache-list-payload"])
+        "cache-not-base64", "cache-short-payload", "cache-list-payload",
+        "order-0", "order-negative", "order-1", "order-2", "exclude-disk-nan",
+        "export-format"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

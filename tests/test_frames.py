@@ -8,7 +8,6 @@ from nildual.frames import (
     frame_compatibility_residual,
     frame_from_spinors,
     integrate_frame,
-    spinors_from_frame,
 )
 from nildual.loops import SIGMA3, SQRT_I, su11_residual
 from nildual.nil3 import DomainGrid, interior_max
@@ -99,7 +98,7 @@ def test_integrate_frame_matches_closed_form(grid41):
         fr = integrate_frame(d, lam, base_value=base)
         expected = paraboloid_frame(grid41.zz, lam)
         assert np.max(np.abs(fr.F - expected)) < 1e-8
-        assert np.max(fr.su11_residual()) < 1e-8
+        assert np.max(su11_residual(fr.F)) < 1e-8
 
 
 def test_integrate_frame_lambda_derivatives(grid41):
@@ -162,22 +161,25 @@ def test_frame_from_spinors_random_su11(grid_small, rng):
     assert np.max(su11_residual(F)) < 1e-13
 
 
-def test_spinors_from_frame_roundtrip(pb, grid41):
+def test_spinors_from_frame_roundtrip(pb):
+    # the frame's first row is the spinor pair over sqrt(i), normalized to
+    # |psi1|^2 - |psi2|^2 = h/2: sqrt(h/2) sqrt(i) F[0] gives it back
     s, _ = pb
     F = frame_from_spinors(s)
     _, h = uh_from_spinors(s)
-    back = spinors_from_frame(F, h, grid41)
-    assert np.max(np.abs(back.psi1 - s.psi1)) < 1e-12
-    assert np.max(np.abs(back.psi2 - s.psi2)) < 1e-12
+    scale = np.sqrt(h / 2.0) * SQRT_I
+    assert np.max(np.abs(scale * F[..., 0, 0] - s.psi1)) < 1e-12
+    assert np.max(np.abs(scale * F[..., 0, 1] - s.psi2)) < 1e-12
 
 
-def test_spinor_scale_detects_wrong_support(pb, grid41):
+def test_spinor_scale_detects_wrong_support(pb):
     # a wrong support scale s^2 h scales the spinors by s (phi by s^2)
     s, _ = pb
     F = frame_from_spinors(s)
     _, h = uh_from_spinors(s)
-    scaled = spinors_from_frame(F, 4.0 * h, grid41)
-    assert np.max(np.abs(scaled.psi1 - 2.0 * s.psi1)) < 1e-12
+    scale = np.sqrt(4.0 * h / 2.0) * SQRT_I
+    assert np.max(np.abs(scale * F[..., 0, 0] - 2.0 * s.psi1)) < 1e-12
+    assert np.max(np.abs(scale * F[..., 0, 1] - 2.0 * s.psi2)) < 1e-12
 
 
 def test_twisted_parity_of_frames(grid41):

@@ -33,17 +33,6 @@ def test_integrate_potential_matches_line_reference(make_xi, column_first, z0):
 
 
 @pytest.mark.parametrize("column_first", [True, False])
-def test_integrate_potential_init_matches_line_reference(column_first):
-    xi = paraboloid_potential()
-    # an initial loop wider than the window is clipped to it
-    init = integrate_potential(xi, GRID, order=8).at_node((4, 7))
-    kw = dict(z0=0.1 + 0.1j, init=init, order=5, column_first=column_first)
-    got = integrate_potential(xi, GRID, **kw)
-    ref = oracles.reference_integrate_potential(xi, GRID, **kw)
-    assert np.array_equal(got.coeffs, ref.coeffs)
-
-
-@pytest.mark.parametrize("column_first", [True, False])
 def test_integrate_frame_matches_line_reference(column_first):
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 17, 15)
     psi1, psi2 = oracles.paraboloid_spinors(grid)

@@ -3,7 +3,7 @@ import pytest
 
 from nildual.dualize import dual_spinors
 from nildual.frames import FrameField, integrate_frame
-from nildual.nil3 import SurfaceGrid, nil3_mul
+from nildual.nil3 import SurfaceGrid
 from nildual.spinors import SpinorField, dirac_data, gauss_map
 from nildual.sym import (
     extract_dual_spinors,
@@ -13,6 +13,7 @@ from nildual.sym import (
 )
 
 from .oracles import (
+    nil3_mul,
     paraboloid_dual_surface,
     paraboloid_frame,
     paraboloid_spinors,

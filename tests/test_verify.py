@@ -35,8 +35,7 @@ def test_battery_flags_perturbed_frame(pb_run):
 
 
 def test_report_rendering(pb_run):
-    rep = verify_pipeline(pb_run, skip=("duality", "self_duality",
-                                        "cross_pipeline"))
+    rep = verify_pipeline(pb_run)
     table = rep.table()
     assert "overall" in table
     data = rep.to_json()
@@ -45,8 +44,7 @@ def test_report_rendering(pb_run):
 
 
 def test_tolerance_overrides(pb_run):
-    rep = verify_pipeline(pb_run, tols={"conformality": 1e-30},
-                          skip=("duality", "self_duality", "cross_pipeline"))
+    rep = verify_pipeline(pb_run, tols={"conformality": 1e-30})
     assert not rep.passed
     bad = [c for c in rep.checks if not c.passed]
     assert all(c.name.startswith("conformality") for c in bad)
