@@ -4,6 +4,8 @@ main stencil-based residuals on the paraboloid pipeline.
 
 The derivative stencils are 4th order, so every residual should shrink
 by ~16x when the spacing halves (measured over a fixed geometric region).
+Exits 1 when an order observed between the last two sizes is below
+MIN_ORDER.
 
 Usage: python scripts/convergence_study.py [n ...]   (grid sizes, odd)
 """
@@ -20,6 +22,7 @@ from nildual.potentials import run_example
 from nildual.verify import analyze_sheet
 
 LAM = np.exp(1j * np.pi / 3)
+MIN_ORDER = 3.5
 
 
 def measure(n):
@@ -44,6 +47,7 @@ def main(sizes):
     header = "n      " + "".join(f"{k:>16}" for k in names)
     print(header)
     prev = None
+    orders = []
     for n, vals in rows:
         line = f"{n:<7d}" + "".join(f"{vals[k]:16.3e}" for k in names)
         if prev is not None:
@@ -52,6 +56,11 @@ def main(sizes):
             line += "   order " + ", ".join(f"{o:.2f}" for o in orders)
         print(line)
         prev = (n, vals)
+    low = [k for k, o in zip(names, orders) if not o >= MIN_ORDER]
+    if low:
+        print(f"observed order below {MIN_ORDER}: {', '.join(low)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

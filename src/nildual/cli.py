@@ -290,6 +290,9 @@ def cmd_dual(config):
 def cmd_verify(config, perturb_frame=0.0):
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
+        if perturb_frame:
+            raise ConfigError("--perturb-frame needs a frame; the spinor "
+                              "battery has no frame rows")
         # the spinor battery reads the input fields only
         rep = verify_spinors(_read_spinors(arg), tols=config.tols,
                              conjugate_sign=config.conjugate_sign)

@@ -4,6 +4,7 @@ matrix-valued Laurent polynomials in the spectral parameter.
 Loops carry an optional parity tag: "twisted" means diagonal entries are
 supported on even powers and off-diagonal entries on odd powers;
 "anti" is the opposite.  Differentiation in the parameter flips the tag.
+A tag is exact: the constructor refuses any forbidden-parity mass.
 All loop values broadcast over leading batch axes of the coefficient
 array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
@@ -23,6 +24,7 @@ E2 = 0.5 * np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 E3 = 0.5 * np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 
 _PARITY_FLIP = {"twisted": "anti", "anti": "twisted", None: None}
+_BIT = {"twisted": 0, "anti": 1}
 
 
 def su11_residual(M):
@@ -135,19 +137,32 @@ class MatrixLoop:
         A direct sum per power, not an FFT, so every coefficient is rounded
         relative to its own terms and forbidden-parity entries stay exactly
         zero.  Loops over self's window, which is never the longer one
-        in the pipeline's products.
+        in the pipeline's products.  When both factors are tagged, only
+        their allowed entries are multiplied, a quarter of the dense terms,
+        in the same order: the result is bit-equal to the dense sum.
         """
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
         a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
         Pa, Pb = a.shape[2], b.shape[2]
         out = np.zeros((2, 2, Pa + Pb - 1) + batch, dtype=complex)
-        term = np.empty((2, 2, Pb) + batch, dtype=complex)
+        tagged = self.parity is not None and other.parity is not None
+        step = 2 if tagged else 1
+        blocks = [(slice(0, 2), slice(0, 2), 0)]
         for k in range(Pa):
             for s in range(2):
-                np.multiply(a[:, s, k, None, None], b[None, s], out=term)
-                out[:, :, k:k + Pb] += term
+                if tagged:
+                    # entry (r, c) of power j is allowed when r + c + j has
+                    # the tag's bit: a[:, s, k] lives in row r alone, b[s, c]
+                    # on the powers j, j + 2, ... of its window
+                    r = (_BIT[self.parity] + s + self.low + k) % 2
+                    blocks = [(slice(r, r + 1), slice(c, c + 1),
+                               (_BIT[other.parity] + s + c + other.low) % 2)
+                              for c in range(2)]
+                for rows, cols, j in blocks:
+                    out[rows, cols, k + j:k + Pb:step] += (
+                        a[rows, s, k, None, None] * b[None, s, cols, j::step])
         parity = None
-        if self.parity is not None and other.parity is not None:
+        if tagged:
             parity = "twisted" if self.parity == other.parity else "anti"
         return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
                           self.low + other.low, parity)
@@ -166,24 +181,6 @@ class MatrixLoop:
         c = np.swapaxes(self.coeffs.conj(), -1, -2)[..., ::-1, :, :]
         return MatrixLoop(c.copy(), -self.high, self.parity)
 
-    def with_parity(self, parity, tol=1e-10):
-        """Claim a parity, zeroing forbidden mass below tol (else raise)."""
-        bad = _parity_violation(self.coeffs, self.low, parity)
-        if bad > tol:
-            raise ValueError(f"forbidden-parity mass {bad:.3e} exceeds {tol:.1e}")
-        c = self.coeffs.copy()
-        for k in range(c.shape[-3]):
-            j = self.low + k
-            even = (j % 2 == 0)
-            diag_allowed = even if parity == "twisted" else not even
-            if diag_allowed:
-                c[..., k, 0, 1] = 0.0
-                c[..., k, 1, 0] = 0.0
-            else:
-                c[..., k, 0, 0] = 0.0
-                c[..., k, 1, 1] = 0.0
-        return MatrixLoop(c, self.low, parity)
-
     def at_node(self, index):
         """Single-node loop out of a batched one."""
         return MatrixLoop(self.coeffs[index], self.low, self.parity)
@@ -201,7 +198,8 @@ def plus_loop_inverse(L, order):
 
     Requires low == 0 and an invertible constant term.  Power k is
     -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in order of m by
-    multiply-adds on entry planes, as in `MatrixLoop.mul`.
+    multiply-adds on entry planes, as in `MatrixLoop.mul`.  The inverse
+    keeps L's parity tag.
     """
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
@@ -218,4 +216,4 @@ def plus_loop_inverse(L, order):
                 acc += b[:, s, m, None] * out[None, s, :, k - m]
         out[:, :, k] = -(b0_inv[:, 0, None] * acc[None, 0]
                          + b0_inv[:, 1, None] * acc[None, 1])
-    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, None)
+    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, L.parity)

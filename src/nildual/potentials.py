@@ -8,7 +8,9 @@ linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
 the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
 fixed by requiring B+(0) upper-triangular with positive real diagonal.
 Finally F = Phi B+^{-1}.  Nodes where the system degenerates are big-cell
-failures and are masked.
+failures and are masked.  For a twisted Phi the system splits into two
+parity classes of half the size, solved separately, and W, B+ and F come
+out exactly twisted.
 """
 from __future__ import annotations
 
@@ -252,10 +254,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         _sweep(xi, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps, N,
                out=dst)
 
-    loop = MatrixLoop(out, -N)
-    if xi.twisted:
-        loop = loop.with_parity("twisted", tol=np.inf)
-    return loop
+    return MatrixLoop(out, -N, "twisted" if xi.twisted else None)
 
 
 @dataclass
@@ -297,30 +296,48 @@ def iwasawa(phi):
 
     # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
     # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
-    # Hermitian because sigma3 Z is on the circle; R[(e,c), r] = -Z_{-e}[r, c]
+    # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r]
     flat = s3Z.reshape(batch + (-1,))   # index (power + M) * 4 + 2 * row + col
     m, r, e, c = np.ix_(range(1, M + 1), range(2), range(1, M + 1), range(2))
-    H = flat[..., ((m - e + M) * 4 + 2 * r + c).reshape(2 * M, 2 * M)]
-    R = -flat[..., ((M - m) * 4 + r + 2 * c).reshape(2 * M, 2)] * [1.0, -1.0]
+    h_at = ((m - e + M) * 4 + 2 * r + c).reshape(2 * M, 2 * M)
+    r_at = ((M - m) * 4 + r + 2 * c).reshape(2 * M, 2)
+    # a twisted Z couples (m,r) and (e,c) only when m + r = e + c mod 2, and
+    # the right-hand side of parity class p is its column p alone: two
+    # half-size systems, one column each; an untagged Z is one class
+    if Z.parity == "twisted":
+        cls = (m + r).reshape(2 * M) % 2
+        classes = [(np.flatnonzero(cls == p), [p]) for p in (0, 1)]
+    else:
+        classes = [(np.arange(2 * M), [0, 1])]
+    H = [flat[..., h_at[np.ix_(rows, rows)]] for rows, _ in classes]
 
     nonfinite = ~np.isfinite(flat).all(axis=-1)
-    H[nonfinite] = np.eye(2 * M)   # kept out of the eigen step, cond = inf
-    eig = np.abs(np.linalg.eigvalsh(H))
+    for Hp in H:   # non-finite nodes stay out of the eigen step, cond = inf
+        Hp[nonfinite] = np.eye(Hp.shape[-1])
+    # cond over the union of the classes' spectra: the cond of the whole H
+    eig = np.abs(np.concatenate([np.linalg.eigvalsh(Hp) for Hp in H], -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(nonfinite, np.inf, eig.max(axis=-1) / eig.min(axis=-1))
     failed = ~np.isfinite(cond) | (cond > COND_CAP)
-    H[failed] = np.eye(2 * M)
     # W T = -R with T = sigma3 H: T^T W^T = H^T (sigma3 W^T), so row block
     # m of the solution is sigma3 W_{-m}^T; W_0 = I
-    sol = np.linalg.solve(np.swapaxes(H, -1, -2), R).reshape(batch + (M, 2, 2))
+    sol = np.zeros(batch + (2 * M, 2), dtype=complex)
+    for (rows, cols), Hp in zip(classes, H):
+        Hp[failed] = np.eye(Hp.shape[-1])
+        R = -flat[..., r_at[np.ix_(rows, cols)]] * np.array([1.0, -1.0])[cols]
+        sol[..., rows[:, None], cols] = np.linalg.solve(
+            np.swapaxes(Hp, -1, -2), R)
+    sol = sol.reshape(batch + (M, 2, 2))
     W = MatrixLoop(np.concatenate(
         [np.swapaxes(sol[..., ::-1, :, :], -1, -2) * [1.0, -1.0],
-         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M)
+         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M,
+        Z.parity)
 
     Zp_full = W.mul(Z)
     # keep powers 0..2N; the solve does not constrain the negative ones
     cut = -Zp_full.low
-    Zp = MatrixLoop(Zp_full.coeffs[..., cut:cut + 2 * N + 1, :, :].copy(), 0)
+    Zp = MatrixLoop(Zp_full.coeffs[..., cut:cut + 2 * N + 1, :, :].copy(), 0,
+                    Zp_full.parity)
 
     # failed nodes get B+ = I below; keep them out of the positivity test
     Z0 = np.where(failed[..., None, None], np.eye(2), Zp.coeff(0))
@@ -341,14 +358,11 @@ def iwasawa(phi):
     bp = np.einsum("...ab,...jbc->...jac", Cinv, Zp.coeffs)
     bp[failed] = 0.0
     bp[failed, 0] = np.eye(2)
-    Bp = MatrixLoop(bp, 0)
+    Bp = MatrixLoop(bp, 0, Zp.parity)
 
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
     F = F_wide.truncated(N)
-    if phi.parity == "twisted":
-        F = F.with_parity("twisted", tol=np.inf)
-        Bp = Bp.with_parity("twisted", tol=np.inf)
     return F, Bp, BigCellReport(cond=cond, failed=failed)
 
 
@@ -442,11 +456,12 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     mask = ok_mask
     if exclude_disk is not None:
         mask = mask & (np.abs(grid.zz) >= exclude_disk)
+        if not mask.any():
+            raise ConfigError(f"exclusion radius {exclude_disk} leaves no "
+                              f"node to export")
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
-    floop = MatrixLoop.constant(SPINOR_GAUGE).mul(F)
-    if F.parity == "twisted":
-        floop = floop.with_parity("twisted", tol=np.inf)
+    floop = MatrixLoop.constant(SPINOR_GAUGE, F.parity).mul(F)
 
     frames = [frame_field_from_loop(floop, lam, grid) for lam in lam_samples]
     return PipelineResult(grid=grid, lam_samples=lam_samples,

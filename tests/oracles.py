@@ -186,10 +186,7 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
                                     1j * grid.hy, grid.ny - 1, substeps, N)
             out[:, j] = np.stack(colj, axis=0)
 
-    loop = MatrixLoop(out, -N)
-    if xi.twisted:
-        loop = loop.with_parity("twisted", tol=np.inf)
-    return loop
+    return MatrixLoop(out, -N, "twisted" if xi.twisted else None)
 
 
 def reference_integrate_frame(d, lam, base_value=None, substeps=1,

@@ -316,6 +316,12 @@ def _generate(tmp, *args):
     return ["generate", *args, "--lambda", "1", "--out", str(tmp / "o")]
 
 
+def _verify_spinors(tmp):
+    _write_paraboloid_spinors(tmp)
+    return ["verify", "--spinors", str(tmp / "in"), "--lambda", "1",
+            "--out", str(tmp / "o")]
+
+
 def _export_cache(tmp, text):
     (tmp / "run").mkdir()
     _write_text(tmp / "run" / "frames.json", text)
@@ -377,13 +383,19 @@ def _b64(n_bytes):
      "su(1,1)"),
     (lambda tmp: _generate(tmp, "--example", "paraboloid",
                            "--exclude-disk", "nan"), "exclusion radius"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--grid=-1,1,-1,1,21,21", "--exclude-disk", "10"),
+     "exclusion radius 10.0"),
+    # the spinor battery has no frame rows for the negative control to trip
+    (lambda tmp: [*_verify_spinors(tmp), "--perturb-frame", "1e-3"],
+     "--perturb-frame"),
     (lambda tmp: [*_export_edited_cache(tmp), "--formats", "objj"], "objj"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
         "potential-not-json", "potential-no-terms", "spinors-missing",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "exclude-disk-nan",
-        "export-format"])
+        "exclude-disk-everything", "spinors-perturb-frame", "export-format"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

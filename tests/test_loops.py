@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nildual.loops import (
     E1,
@@ -129,6 +130,50 @@ def test_mul_is_pointwise_product(L1, L2):
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def _forbidden(P, low, parity):
+    """(P, 2, 2) mask of the entries a parity tag holds at zero: entry
+    (r, c) of power j is allowed when r + c + j is even ("twisted") or
+    odd ("anti")."""
+    j = low + np.arange(P)[:, None, None]
+    rc = np.arange(2)[:, None] + np.arange(2)
+    return (j + rc) % 2 != (parity == "anti")
+
+
+@st.composite
+def tagged_loops(draw, parity, batch):
+    low = draw(st.integers(-3, 3))
+    P = draw(st.integers(1, 6))
+    c = draw(hnp.arrays(complex, batch + (P, 2, 2),
+                        elements=st.complex_numbers(max_magnitude=2.0)))
+    c[..., _forbidden(P, low, parity)] = 0.0
+    return MatrixLoop(c, low, parity)
+
+
+@pytest.mark.parametrize("pa, pb", [("twisted", "twisted"),
+                                    ("twisted", "anti"), ("anti", "anti")])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tagged_mul_is_the_dense_sum(pa, pb, data):
+    # odd and even lows, unequal windows, and a constant broadcast against
+    # a batch on either side
+    ba, bb = data.draw(st.sampled_from([((2, 3), (2, 3)), ((2, 3), ()),
+                                        ((), (2, 3))]))
+    x = data.draw(tagged_loops(pa, ba))
+    y = data.draw(tagged_loops(pb, bb))
+    got = x.mul(y)
+    dense = MatrixLoop(x.coeffs, x.low).mul(MatrixLoop(y.coeffs, y.low))
+    assert got.parity == ("twisted" if pa == pb else "anti")
+    assert dense.parity is None and got.low == dense.low
+    assert np.array_equal(got.coeffs, dense.coeffs)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got.coeffs)),
+                              np.signbit(part(dense.coeffs)))
+    zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low,
+                                      got.parity)]
+    assert np.all(zero == 0.0)
+    assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
+
+
 def _graded(rng, batch, P, span=30.0):
     """Random coefficients falling from 10^0 to 10^-span across the powers."""
     shape = batch + (P, 2, 2)
@@ -163,8 +208,9 @@ def test_fft_product_breaks_the_coefficient_bound(rng):
 
 
 def test_mul_keeps_parity_slots_exactly_zero(rng):
-    L = MatrixLoop(_graded(rng, (2, 3), 7), -3).with_parity("twisted",
-                                                           tol=np.inf)
+    c = _graded(rng, (2, 3), 7)
+    c[..., _forbidden(7, -3, "twisted")] = 0.0
+    L = MatrixLoop(c, -3, "twisted")
     dL = L.dlambda()
     for x, y, parity in ((L, L, "twisted"), (L, dL, "anti"),
                          (dL, L, "anti"), (dL, dL, "twisted"),
@@ -186,11 +232,9 @@ def test_parity_validation():
     c[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         MatrixLoop(c, 1, "twisted")  # diagonal mass on an odd power
-    noisy = c.copy()
-    noisy[0, 0, 1] = 1.0
-    noisy[0, 0, 0] = 1e-14
-    cleaned = MatrixLoop(noisy, 1).with_parity("twisted", tol=1e-12)
-    assert cleaned.coeffs[0, 0, 0] == 0.0
+    c[0, 0, 0] = 1e-300
+    with pytest.raises(ValueError):
+        MatrixLoop(c, 1, "twisted")  # no forbidden mass is too small
 
 
 def test_adjoint_on_circle(rng):

@@ -6,6 +6,7 @@ from nildual.errors import ConfigError
 from nildual.loops import SIGMA3, MatrixLoop, su11_residual
 from nildual.nil3 import DomainGrid, left_maurer_cartan
 from nildual.potentials import (
+    BUILTIN_NAMES,
     SPINOR_GAUGE,
     HoloPotential,
     _dirac_gauge,
@@ -163,6 +164,22 @@ def test_iwasawa_cond_matches_svd(name):
     _, _, report = iwasawa(phi)
     ref = oracles.svd_cond(phi)
     assert np.max(np.abs(report.cond - ref) / ref) < 1e-10
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_iwasawa_parity_classes_match_the_dense_system(name):
+    # an untagged copy is one parity class: the whole 2M x 2M system
+    g = builtin_example(name).grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
+    phi = integrate_potential(builtin_example(name).potential(), grid)
+    F, Bp, report = iwasawa(phi)
+    Fd, Bpd, dense = iwasawa(MatrixLoop(phi.coeffs, phi.low))
+    assert F.parity == Bp.parity == "twisted"
+    assert Fd.parity is None and Bpd.parity is None
+    assert np.array_equal(report.failed, dense.failed)
+    assert np.max(np.abs(report.cond - dense.cond) / dense.cond) < 1e-12
+    assert np.max(np.abs(F.coeffs - Fd.coeffs)) < 1e-13
+    assert np.max(np.abs(Bp.coeffs - Bpd.coeffs)) < 1e-13
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])
