@@ -5,9 +5,12 @@ The command set: `generate`, `dual`, `sweep` and `export --formats obj,csv`
 for the paraboloid, smyth-2 and helicoid at
 `--lambda 1,exp:pi/3 --allow-reflection`; `verify` for the paraboloid
 (`1,exp:pi/3`) and smyth-2 (`1`); and `generate` and `verify` driven by
-`--spinors` from the paraboloid's lam0 CSVs. The CSVs are copied to the
-fixed relative prefix `spinors/lam0`, because the input path enters the run
-hash and so the run directory's name.
+`--spinors` from the paraboloid's lam0 CSVs; and `generate --potential` of
+the helicoid's potential marked untwisted, on a 41x41 grid, the one command
+that marches a potential without the twisted parity pattern. The CSVs are
+copied to the fixed relative prefix `spinors/lam0`, and the potential is
+written to `potentials/helicoid_untwisted.json`, because the input path
+enters the run hash and so the run directory's name.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>`, and exits 1 if any command exited non-zero.
@@ -31,6 +34,10 @@ from pathlib import Path
 
 EXAMPLES = ("paraboloid", "smyth-2", "helicoid")
 FLAGS = ("--lambda", "1,exp:pi/3", "--allow-reflection", "--out", "runs")
+UNTWISTED_HELICOID = (
+    "import json; from nildual.potentials import helicoid_potential; "
+    "d = helicoid_potential().to_json(); d['twisted'] = False; "
+    "print(json.dumps(d))")
 
 
 def run_commands(out, env):
@@ -61,6 +68,13 @@ def run_commands(out, env):
                         out / "spinors" / f"lam0_{part}.csv")
     nildual("generate", "--spinors", "spinors/lam0", *FLAGS)
     nildual("verify", "--spinors", "spinors/lam0", *FLAGS)
+
+    (out / "potentials").mkdir()
+    (out / "potentials" / "helicoid_untwisted.json").write_text(subprocess.run(
+        [sys.executable, "-c", UNTWISTED_HELICOID], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    nildual("generate", "--potential", "potentials/helicoid_untwisted.json",
+            "--grid=-0.5,0.5,-0.5,0.5,41,41", *FLAGS)
     return codes
 
 

@@ -62,13 +62,6 @@ class DomainGrid:
     def node_z(self, i, j):
         return complex(self.xs[j], self.ys[i])
 
-    def serpentine(self):
-        """Deterministic sweep visiting all nodes with adjacent steps."""
-        for i in range(self.ny):
-            cols = range(self.nx) if i % 2 == 0 else range(self.nx - 1, -1, -1)
-            for j in cols:
-                yield i, j
-
     @classmethod
     def from_string(cls, text):
         parts = text.split(",")

@@ -2,6 +2,11 @@
 algebra, split Phi = F B+ pointwise in the SU(1,1) loop group, and hand
 the frame (with exact parameter derivatives) to the surface formulas.
 
+The integration marches only the entries of Phi that its parity classes
+allow (one per power and column for a twisted potential, on the powers up
+to 0 when xi has no positive power) and expands them into the dense loop
+at the end; every skipped entry is exactly zero.
+
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
 linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
@@ -10,7 +15,8 @@ fixed by requiring B+(0) upper-triangular with positive real diagonal.
 Finally F = Phi B+^{-1}.  Nodes where the system degenerates are big-cell
 failures and are masked.  For a twisted Phi the system splits into two
 parity classes of half the size, solved separately, and W, B+ and F come
-out exactly twisted.
+out exactly twisted.  The nodes are factorized BLOCK at a time, which
+bounds the memory the systems take and changes no bit.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ SPINOR_GAUGE = np.array([[1.0 / SQRT_I, 0.0], [0.0, SQRT_I]], dtype=complex)
 
 DEFAULT_ORDER = 12
 COND_CAP = 1e12
+BLOCK = 1024   # nodes factorized at a time by iwasawa
 
 
 @dataclass
@@ -68,11 +75,7 @@ class HoloPotential:
 
     def eval_grid(self, zz, power):
         """One coefficient matrix evaluated on a complex grid."""
-        c = self.terms[power]
-        acc = np.zeros(zz.shape + (2, 2), dtype=complex)
-        for k in range(c.shape[0] - 1, -1, -1):
-            acc = acc * zz[..., None, None] + c[k]
-        return acc
+        return _horner(self.terms[power], zz)
 
     def to_json(self):
         terms = []
@@ -99,6 +102,14 @@ class HoloPotential:
                     c[k, idx // 2, idx % 2] = complex(re, im)
             terms[j] = c
         return cls(terms, twisted=bool(data.get("twisted", False)))
+
+
+def _horner(c, zz):
+    """sum_k c[k] z^k on a complex grid; c[k] may hold any entry layout."""
+    acc = np.zeros(zz.shape + c.shape[1:], dtype=complex)
+    for k in range(c.shape[0] - 1, -1, -1):
+        acc = acc * zz[(...,) + (None,) * (c.ndim - 1)] + c[k]
+    return acc
 
 
 def _const_term(M):
@@ -176,31 +187,45 @@ def builtin_example(name):
 BUILTIN_NAMES = ("paraboloid", "helicoid", "smyth-1", "smyth-2")
 
 
-def _mul_into_window(phi, xi_at_z, N):
-    """(phi * xi)(lam) truncated to the window [-N, N], per line.
+def _class_rows(classes, powers):
+    """Row of the entry that parity class c holds in column t of power j:
+    (t + j + c) % 2, shape (classes, len(powers), 2).  A twisted loop lives
+    in class 0 alone; an untagged one needs both classes."""
+    return (np.arange(classes)[:, None, None]
+            + np.asarray(powers)[:, None] + np.arange(2)) % 2
 
-    phi has shape (lines, P, 2, 2) for powers -N..N; xi_at_z maps
-    power -> (lines, 2, 2).
+
+def _mul_into_window(v, x_at_z):
+    """(Phi xi)(lam) truncated to the state's window, per line.
+
+    v holds Phi's entries by parity class, shape (lines, C, P, 2);
+    x_at_z maps power s -> xi_s's entries, shape (lines, C, 2).  Class b of
+    xi_s meets class c - b of Phi, whose column (t + s + b) % 2 it takes in
+    column t: one multiply per entry and class, the two classes' terms
+    summed before they are accumulated.
     """
-    P = phi.shape[1]
-    out = np.zeros_like(phi)
-    for s, X in xi_at_z.items():
-        # the 2x2 product as two broadcast terms: the same bits as matmul
-        # on stacks of 2x2 blocks, several times faster
-        X = X[:, None]
-        prod = phi[..., 0:1] * X[..., 0:1, :] + phi[..., 1:2] * X[..., 1:2, :]
+    P = v.shape[2]
+    out = np.zeros_like(v)
+    for s, x in x_at_z.items():
+        for b in range(v.shape[1]):
+            src = v if b == 0 else v[:, ::-1]
+            if (s + b) % 2:
+                src = src[..., ::-1]
+            term = src * x[:, b, None, None, :]
+            prod = term if b == 0 else prod + term
         if s == 0:
             out += prod
         elif s > 0:
-            out[:, s:] += prod[:, :P - s]
+            out[:, :, s:] += prod[:, :, :P - s]
         else:
-            out[:, :s] += prod[:, -s:]
+            out[:, :, :s] += prod[:, :, -s:]
     return out
 
 
-def _sweep(xi, phi0, z_start, dz, steps, substeps, N, out=None):
+def _sweep(terms, v0, z_start, dz, steps, substeps, out=None):
     """RK4 along the segments z_start + k*dz, one line per start point.
 
+    `terms` maps power -> xi's coefficients in the state's class layout.
     Returns the final states; node k of each line goes to out[:, k] when
     `out` is given.
     """
@@ -210,12 +235,10 @@ def _sweep(xi, phi0, z_start, dz, steps, substeps, N, out=None):
         zk = z_start + k * dz
         zs = (zk + dz * (s * h), zk + dz * ((s + 0.5) * h),
               zk + dz * ((s + 1) * h))
-        return [{j: xi.eval_grid(z, j) for j in xi.terms} for z in zs]
+        return [{j: _horner(c, z) for j, c in terms.items()} for z in zs]
 
-    def rhs(phi, xi_at_z):
-        return _mul_into_window(phi, xi_at_z, N)
-
-    return rk4_march(phi0, [h * dz] * steps, substeps, stages, rhs, out=out)
+    return rk4_march(v0, [h * dz] * steps, substeps, stages, _mul_into_window,
+                     out=out)
 
 
 def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
@@ -225,22 +248,25 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     The connection is holomorphic (dz only), so the result is path
     independent; `column_first` selects the sweep used, and the two-path
     agreement is a separate check.  The first column (row) is marched from
-    the corner, then every row (column) at once.  Returns a batched
-    MatrixLoop over the grid nodes.
+    the corner, then every row (column) at once, on Phi's allowed entries
+    (module docstring).  Returns a batched MatrixLoop over the grid nodes.
     """
     N = order
-    P = 2 * N + 1
-    phi0 = np.zeros((P, 2, 2), dtype=complex)
-    phi0[N] = np.eye(2)
+    C = 1 if xi.twisted else 2
+    powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
+    terms = {j: c[:, _class_rows(C, [j])[:, 0], [0, 1]]
+             for j, c in xi.terms.items()}
+    v0 = np.zeros((1, C, len(powers), 2), dtype=complex)
+    v0[:, 0, N] = 1.0   # the identity: power 0's diagonal is class 0
 
     corner = grid.node_z(0, 0)
     if abs(corner - z0) > 0:
         steps = max(grid.nx, grid.ny)
-        phi0 = _sweep(xi, phi0[None], np.array([z0]),
-                      (corner - z0) / steps, steps, substeps, N)[0]
+        v0 = _sweep(terms, v0, np.array([z0]), (corner - z0) / steps, steps,
+                    substeps)
 
-    out = np.empty(grid.shape + (P, 2, 2), dtype=complex)
-    out[0, 0] = phi0
+    out = np.empty(grid.shape + v0.shape[1:], dtype=complex)
+    out[0, 0] = v0[0]
     # (lines, nodes, ...) views: the first column (row), then every row
     # (column) at once from it
     cols = out.swapaxes(0, 1)
@@ -251,10 +277,13 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         sweeps = ((out[0:1], np.array([corner]), grid.hx),
                   (cols, grid.zz[0], 1j * grid.hy))
     for dst, z_start, dz in sweeps:
-        _sweep(xi, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps, N,
+        _sweep(terms, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps,
                out=dst)
 
-    return MatrixLoop(out, -N, "twisted" if xi.twisted else None)
+    dense = np.zeros(grid.shape + (2 * N + 1, 2, 2), dtype=complex)
+    dense[..., np.arange(len(powers))[:, None], _class_rows(C, powers),
+          [0, 1]] = out
+    return MatrixLoop(dense, -N, "twisted" if xi.twisted else None)
 
 
 @dataclass
@@ -280,8 +309,29 @@ def iwasawa(phi):
     only nonnegative powers and B+(0) is upper-triangular with positive
     real diagonal.  Failures (non-finite input, conditioning, loss of
     positivity) mark nodes in the report instead of raising; failed nodes
-    get B+ = I.
+    get B+ = I.  The nodes are factorized BLOCK at a time: every step is
+    per node, so the blocks bound the working set without changing a bit.
     """
+    batch = phi.batch_shape
+    flat = phi.coeffs.reshape((-1,) + phi.coeffs.shape[-3:])
+    n = flat.shape[0]
+    outs = None
+    for start in range(0, n, BLOCK):
+        part = MatrixLoop(flat[start:start + BLOCK], phi.low)
+        part.parity = phi.parity   # phi's constructor checked the tag
+        F, Bp, cond, failed = _factorize(part)
+        if outs is None:
+            outs = [np.empty((n,) + a.shape[1:], a.dtype)
+                    for a in (F.coeffs, Bp.coeffs, cond, failed)]
+        for o, a in zip(outs, (F.coeffs, Bp.coeffs, cond, failed)):
+            o[start:start + BLOCK] = a
+    f, bp, cond, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
+    return (MatrixLoop(f, F.low, F.parity), MatrixLoop(bp, 0, Bp.parity),
+            BigCellReport(cond=cond, failed=failed))
+
+
+def _factorize(phi):
+    """iwasawa on one block of nodes: (F, B+, cond, failed)."""
     N = phi.order
     M = 2 * N
     batch = phi.batch_shape
@@ -362,8 +412,7 @@ def iwasawa(phi):
 
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
-    F = F_wide.truncated(N)
-    return F, Bp, BigCellReport(cond=cond, failed=failed)
+    return F_wide.truncated(N), Bp, cond, failed
 
 
 def iwasawa_residuals(phi, F, Bp, mask=None):

@@ -217,33 +217,38 @@ def harmonic_residual(g, grid):
 def continued_sqrt(field, grid, valid):
     """Square root continued along the serpentine sweep from the base node.
 
-    Starts from the principal branch at the first valid node; at every
-    subsequent node the root closer to the previous valid value is chosen.
-    Returns (root, sign, cut_edges): `sign` is +-1 relative to the principal
-    branch and `cut_edges` lists vertically adjacent valid pairs whose
-    continued values still disagree in sign (a genuine branch cut, e.g.
-    when the sweep encircles an odd-order zero).
+    The sweep visits the rows in turn, even rows left to right and odd rows
+    right to left.  Starts from the principal branch at the first valid
+    node; at every subsequent valid node the root closer to the previous
+    valid value is chosen.  Returns (root, sign, cut_edges): `sign` is +-1
+    relative to the principal branch and `cut_edges` lists vertically
+    adjacent valid pairs whose continued values still disagree in sign (a
+    genuine branch cut, e.g. when the sweep encircles an odd-order zero).
     """
     root = np.sqrt(np.asarray(field, dtype=complex))
-    sign = np.ones(grid.shape, dtype=int)
-    prev = None
-    for i, j in grid.serpentine():
-        if not valid[i, j]:
-            continue
-        v = root[i, j]
-        if prev is not None and abs(v - prev) > abs(v + prev):
-            v = -v
-            sign[i, j] = -1
-        root[i, j] = v
-        prev = v
-    cut_edges = []
-    for i in range(1, grid.ny):
-        for j in range(grid.nx):
-            if valid[i, j] and valid[i - 1, j]:
-                a, b = root[i, j], root[i - 1, j]
-                if abs(a - b) > abs(a + b) and min(abs(a), abs(b)) > 0:
-                    cut_edges.append((i, j))
-    return root, sign, cut_edges
+    order = np.arange(root.size).reshape(grid.shape)
+    order[1::2] = order[1::2, ::-1]
+    order = order.ravel()[valid.ravel()[order.ravel()]]
+    # against the previous principal root, the sign toggles where the
+    # difference is longer than the sum, stays where the sum is longer, and
+    # restarts at +1 on a tie (a zero or non-finite root): a run-wise parity
+    r = root.ravel()[order]
+    toggle, stay = np.zeros((2, r.size), dtype=bool)
+    d, e = np.abs(r[1:] - r[:-1]), np.abs(r[1:] + r[:-1])
+    toggle[1:], stay[1:] = d > e, e > d
+    count = np.cumsum(toggle)
+    start = np.maximum.accumulate(
+        np.where(toggle | stay, 0, np.arange(r.size)))
+    flip = order[(count - count[start]) % 2 == 1]
+    flat = root.reshape(-1)
+    flat[flip] = -flat[flip]
+    sign = np.ones(root.size, dtype=int)
+    sign[flip] = -1
+    a, b = root[1:], root[:-1]
+    # a zero root cannot count: its difference and sum have equal lengths
+    cut = valid[1:] & valid[:-1] & (np.abs(a - b) > np.abs(a + b))
+    cut_edges = [(int(i) + 1, int(j)) for i, j in np.argwhere(cut)]
+    return root, sign.reshape(grid.shape), cut_edges
 
 
 def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,

@@ -9,8 +9,10 @@ tests use to move surfaces by left translations.
 The path integrators at the end march one grid line at a time, one node's
 matrices per step.  They are the reference the batched integrators in
 nildual must reproduce bit for bit: same stage points, same products, same
-summation order.  The file writers write one row at a time; the vectorised
-writers in nildual must reproduce their bytes.
+summation order.  The branch continuation chooses one square root at a
+time along the sweep, the reference of the vectorised one in nildual.  The
+file writers write one row at a time; the vectorised writers in nildual
+must reproduce their bytes.
 """
 from __future__ import annotations
 
@@ -325,6 +327,32 @@ def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
         xs = _rk4_linear(y_nodes[i], row_fn, grid.xs, substeps, rhs_x)
         coords[i] = np.stack(xs, axis=0)
     return coords
+
+
+def reference_continued_sqrt(field, grid, valid):
+    """continued_sqrt choosing each root node by node along the sweep."""
+    root = np.sqrt(np.asarray(field, dtype=complex))
+    sign = np.ones(grid.shape, dtype=int)
+    prev = None
+    for i in range(grid.ny):
+        cols = range(grid.nx) if i % 2 == 0 else range(grid.nx - 1, -1, -1)
+        for j in cols:
+            if not valid[i, j]:
+                continue
+            v = root[i, j]
+            if prev is not None and abs(v - prev) > abs(v + prev):
+                v = -v
+                sign[i, j] = -1
+            root[i, j] = v
+            prev = v
+    cut_edges = []
+    for i in range(1, grid.ny):
+        for j in range(grid.nx):
+            if valid[i, j] and valid[i - 1, j]:
+                a, b = root[i, j], root[i - 1, j]
+                if abs(a - b) > abs(a + b) and min(abs(a), abs(b)) > 0:
+                    cut_edges.append((i, j))
+    return root, sign, cut_edges
 
 
 # ---------------------------------------------------------------------------

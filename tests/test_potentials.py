@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from nildual.errors import ConfigError
 from nildual.loops import SIGMA3, MatrixLoop, su11_residual
 from nildual.nil3 import DomainGrid, left_maurer_cartan
 from nildual.potentials import (
+    BLOCK,
     BUILTIN_NAMES,
     SPINOR_GAUGE,
     HoloPotential,
@@ -201,6 +205,71 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     assert np.array_equal(F.coeffs[~expected], F0.coeffs[~expected])
     assert np.array_equal(Bp.coeffs[~expected], Bp0.coeffs[~expected])
     _dirac_gauge(xi, grid, F, Bp, report.ok())
+
+
+@pytest.fixture(scope="module")
+def three_blocks():
+    # smyth-2 on a square grid of more than three blocks of nodes
+    side = math.isqrt(3 * BLOCK) + 1
+    g = builtin_example("smyth-2").verify_grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, side, side)
+    phi = integrate_potential(smyth_potential(2), grid)
+    return phi, iwasawa(phi)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_iwasawa_blocks_match_single_nodes(three_blocks):
+    phi, (F, Bp, report) = three_blocks
+    n = math.prod(phi.batch_shape)
+    assert n > 3 * BLOCK
+    for k in (BLOCK - 1, BLOCK, n - 1):
+        idx = np.unravel_index(k, phi.batch_shape)
+        F1, Bp1, rep1 = iwasawa(phi.at_node(idx))
+        assert (F1.low, F1.parity, Bp1.parity) == (F.low, F.parity, Bp.parity)
+        assert _same_bits(F.coeffs[idx], F1.coeffs)
+        assert _same_bits(Bp.coeffs[idx], Bp1.coeffs)
+        assert _same_bits(report.cond[idx], rep1.cond)
+        assert _same_bits(report.failed[idx], rep1.failed)
+
+
+def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
+    phi, (F, Bp, report) = three_blocks
+    bad = np.zeros(phi.batch_shape, dtype=bool)
+    bad[np.unravel_index(BLOCK + 5, phi.batch_shape)] = True
+    broken = MatrixLoop(phi.coeffs.copy(), phi.low, phi.parity)
+    broken.coeffs[bad] = np.nan
+    F2, Bp2, rep2 = iwasawa(broken)
+    assert not report.failed[bad].any()
+    assert np.array_equal(rep2.failed, report.failed | bad)
+    assert _same_bits(rep2.cond[~bad], report.cond[~bad])
+    assert _same_bits(F2.coeffs[~bad], F.coeffs[~bad])
+    assert _same_bits(Bp2.coeffs[~bad], Bp.coeffs[~bad])
+
+
+def test_iwasawa_memory_is_bounded_by_the_block():
+    # the working set is one block's; only the outputs grow with the nodes
+    side = math.isqrt(BLOCK)
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, side, side)
+    one = integrate_potential(paraboloid_potential(), grid)
+    one = MatrixLoop(one.coeffs.reshape((-1,) + one.coeffs.shape[-3:]),
+                     one.low, one.parity)
+    three = MatrixLoop(np.concatenate([one.coeffs] * 3), one.low, one.parity)
+
+    def peak(phi):
+        tracemalloc.start()
+        try:
+            iwasawa(phi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 1 < math.prod(one.batch_shape) <= BLOCK
+    assert peak(three) < 1.5 * peak(one)
 
 
 def test_pipeline_paraboloid_matches_closed_surfaces(grid21):

@@ -11,6 +11,7 @@ from nildual.nil3 import (
 )
 from nildual.spinors import (
     SpinorField,
+    continued_sqrt,
     dirac_data,
     gauss_map,
     harmonic_residual,
@@ -20,6 +21,7 @@ from nildual.spinors import (
     uh_from_spinors,
 )
 
+from . import oracles
 from .oracles import paraboloid_phi, paraboloid_spinors, paraboloid_surface
 
 
@@ -232,3 +234,31 @@ def test_phi_spinor_roundtrip_is_algebraic(pairs):
     back = spinors_from_phi(phi, conformal_tol=1e-8)
     phi2 = phi_from_spinors(back)
     assert np.max(np.abs(phi2.phi - phi.phi)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_continued_sqrt_matches_node_by_node_reference(seed):
+    # 10 % holes, exact zeros (ties that restart the sign), a winding field
+    # whose sweep crosses branch cuts, and roots with signed zero parts
+    rng = np.random.default_rng(seed)
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 101, 101)
+    field = ((grid.zz - 0.1 - 0.2j) ** 3
+             * (1.0 + 0.3 * rng.normal(size=grid.shape)))
+    field[rng.random(grid.shape) < 0.02] = 0.0
+    field[5, 7] = complex(-0.0, 0.0)
+    # real rows: principal roots with a zero real or imaginary part; on the
+    # negative axis the imaginary zero's sign alternates, so the root flips
+    # at every step and its real part must come out -0.0
+    field[40:43] = np.sign(field[40:43].real) * (1.0 + grid.xs ** 2)
+    field[43:46] = -(1.0 + grid.xs ** 2) + 0j
+    field[43:46, 1::2] = np.conj(field[43:46, 1::2])
+    valid = rng.random(grid.shape) >= 0.1
+    got = continued_sqrt(field, grid, valid)
+    ref = oracles.reference_continued_sqrt(field, grid, valid)
+    for a, b in zip(got[:2], ref[:2]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(np.real(a)), np.signbit(np.real(b)))
+        assert np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    assert got[2] == ref[2]
+    assert got[2] and np.any(got[1] == -1)
