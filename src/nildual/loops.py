@@ -1,10 +1,10 @@
 """2x2 complex matrices, the SU(1,1) structure check, and truncated
 matrix-valued Laurent polynomials in the spectral parameter.
 
-Loops carry an optional parity tag: "twisted" means diagonal entries are
-supported on even powers and off-diagonal entries on odd powers;
-"anti" is the opposite.  Differentiation in the parameter flips the tag.
-A tag is exact: the constructor refuses any forbidden-parity mass.
+A loop's tag is "twisted" or None.  The twisted grading is stated here
+alone (`class_rows`): entry (r, c) of lam^j is allowed only when r + c + j
+is even.  A tag is exact: the constructor refuses any nonzero forbidden
+entry, NaN and inf included (`forbidden_mass`).  A derivative is untagged.
 All loop values broadcast over leading batch axes of the coefficient
 array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
@@ -23,9 +23,6 @@ E1 = 0.5 * np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 E2 = 0.5 * np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 E3 = 0.5 * np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 
-_PARITY_FLIP = {"twisted": "anti", "anti": "twisted", None: None}
-_BIT = {"twisted": 0, "anti": 1}
-
 
 def su11_residual(M):
     """Deviation of M from SU(1,1), max over three defining relations.
@@ -43,20 +40,23 @@ def su11_residual(M):
     return np.maximum(np.maximum(r1, r2), r3)
 
 
-def _parity_violation(coeffs, low, parity):
-    """Max magnitude sitting on forbidden-parity entries."""
-    if parity is None:
+def class_rows(classes, powers):
+    """The twisted grading: parity class c holds row (t + j + c) % 2 of
+    column t at power j, shape (classes, len(powers), 2).  Class 0 is what
+    a twisted loop allows, class 1 what it forbids."""
+    return (np.arange(classes)[:, None, None]
+            + np.asarray(powers)[:, None] + np.arange(2)) % 2
+
+
+def forbidden_mass(coeffs, low):
+    """Largest forbidden |entry| of coefficients (..., P, 2, 2) of powers
+    low, low + 1, ...: exactly 0.0 when they are twisted, nan when a
+    forbidden entry is NaN.  One strided view per power parity and column."""
+    views = [coeffs[..., q::2, row, t] for q in (0, 1)
+             for t, row in enumerate(class_rows(2, [low + q])[1, 0])]
+    if not any(v.any() for v in views):
         return 0.0
-    worst = 0.0
-    for k in range(coeffs.shape[-3]):
-        j = low + k
-        even = (j % 2 == 0)
-        diag_allowed = even if parity == "twisted" else not even
-        c = coeffs[..., k, :, :]
-        diag = max(np.max(np.abs(c[..., 0, 0])), np.max(np.abs(c[..., 1, 1])))
-        off = max(np.max(np.abs(c[..., 0, 1])), np.max(np.abs(c[..., 1, 0])))
-        worst = max(worst, off if diag_allowed else diag)
-    return worst
+    return float(np.max([np.max(np.abs(v), initial=0.0) for v in views]))
 
 
 @dataclass
@@ -74,14 +74,13 @@ class MatrixLoop:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape[-2:] != (2, 2):
             raise ValueError("coefficients must be (..., P, 2, 2)")
-        if self.parity not in ("twisted", "anti", None):
+        if self.parity not in ("twisted", None):
             raise ValueError(f"unknown parity {self.parity!r}")
         if self.parity is not None:
-            bad = _parity_violation(self.coeffs, self.low, self.parity)
+            bad = forbidden_mass(self.coeffs, self.low)
             if bad != 0.0:
                 raise ValueError(
-                    f"{self.parity} loop has forbidden-parity mass {bad:.3e}"
-                )
+                    f"twisted loop has forbidden-parity mass {bad:.3e}")
 
     @property
     def high(self):
@@ -125,11 +124,12 @@ class MatrixLoop:
         return out
 
     def dlambda(self):
-        """Exact derivative in the parameter: j A_j shifted to power j-1."""
+        """Exact derivative in the parameter: j A_j shifted to power j-1,
+        untagged."""
         P = self.coeffs.shape[-3]
         powers = np.arange(self.low, self.low + P)
         c = self.coeffs * powers[:, None, None]
-        return MatrixLoop(c, self.low - 1, _PARITY_FLIP[self.parity])
+        return MatrixLoop(c, self.low - 1)
 
     def mul(self, other):
         """Cauchy product; window widens to the sum of the windows.
@@ -148,24 +148,22 @@ class MatrixLoop:
         tagged = self.parity is not None and other.parity is not None
         step = 2 if tagged else 1
         blocks = [(slice(0, 2), slice(0, 2), 0)]
+        if tagged:   # the allowed rows of a's powers and of b's first one
+            rows_a = class_rows(1, self.low + np.arange(Pa))[0]
+            rows_b = class_rows(1, [other.low])[0, 0]
         for k in range(Pa):
             for s in range(2):
                 if tagged:
-                    # entry (r, c) of power j is allowed when r + c + j has
-                    # the tag's bit: a[:, s, k] lives in row r alone, b[s, c]
-                    # on the powers j, j + 2, ... of its window
-                    r = (_BIT[self.parity] + s + self.low + k) % 2
+                    # a[:, s, k] lives in one row, b[s, c] on every other
+                    # power, from the first whose allowed row is s
+                    r = rows_a[k, s]
                     blocks = [(slice(r, r + 1), slice(c, c + 1),
-                               (_BIT[other.parity] + s + c + other.low) % 2)
-                              for c in range(2)]
+                               int(rows_b[c] != s)) for c in range(2)]
                 for rows, cols, j in blocks:
                     out[rows, cols, k + j:k + Pb:step] += (
                         a[rows, s, k, None, None] * b[None, s, cols, j::step])
-        parity = None
-        if tagged:
-            parity = "twisted" if self.parity == other.parity else "anti"
         return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
-                          self.low + other.low, parity)
+                          self.low + other.low, "twisted" if tagged else None)
 
     def truncated(self, order):
         """The loop with its window clipped to [-order, order]."""

@@ -300,41 +300,6 @@ def node_stages(f, substeps):
     return stages
 
 
-def integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0), substeps=1):
-    """Reconstruct the immersion from its Maurer-Cartan components.
-
-    Integrates dx1 = 2 Re(phi1 dz), dx2 = 2 Re(phi2 dz),
-    dx3 = 2 Re(phi3 dz) - (x2 dx1 - x1 dx2)/2 along the first column and
-    then along all rows at once, with classical one-step 4th-order stages;
-    node (0, 0) holds `base_point`.
-    """
-    grid = phi.grid
-    p = phi.phi
-
-    def rhs_x(y, a):
-        # a = (phi1, phi2, phi3) at the stage point; d/dx = phi + conj(phi)
-        d1 = 2.0 * a[..., 0].real
-        d2 = 2.0 * a[..., 1].real
-        d3 = 2.0 * a[..., 2].real - 0.5 * (y[..., 1] * d1 - y[..., 0] * d2)
-        return np.stack([d1, d2, d3], axis=-1)
-
-    def rhs_y(y, a):
-        # d/dy = i(phi - conj(phi)) = -2 Im(phi)
-        d1 = -2.0 * a[..., 0].imag
-        d2 = -2.0 * a[..., 1].imag
-        d3 = -2.0 * a[..., 2].imag - 0.5 * (y[..., 1] * d1 - y[..., 0] * d2)
-        return np.stack([d1, d2, d3], axis=-1)
-
-    coords = np.empty((grid.ny, grid.nx, 3))
-    coords[0, 0] = base_point
-    rk4_march(coords[None, 0, 0], np.diff(grid.ys) / substeps, substeps,
-              node_stages(p.swapaxes(0, 1)[0:1], substeps), rhs_y,
-              out=coords.swapaxes(0, 1)[0:1])
-    rk4_march(coords[:, 0], np.diff(grid.xs) / substeps, substeps,
-              node_stages(p, substeps), rhs_x, out=coords)
-    return SurfaceGrid(coords, grid)
-
-
 def dilate_mask(invalid, radius):
     """Grow an invalid-node mask by `radius` in each grid direction."""
     out = invalid.copy()

@@ -2,10 +2,12 @@
 algebra, split Phi = F B+ pointwise in the SU(1,1) loop group, and hand
 the frame (with exact parameter derivatives) to the surface formulas.
 
-The integration marches only the entries of Phi that its parity classes
-allow (one per power and column for a twisted potential, on the powers up
-to 0 when xi has no positive power) and expands them into the dense loop
-at the end; every skipped entry is exactly zero.
+The twisted grading, its parity classes and the exact check of a tag are
+stated in `loops`; this module only applies them.  A potential must be
+finite.  The integration marches only the entries of Phi that its parity
+classes allow (one per power and column for a twisted potential, on the
+powers up to 0 when xi has no positive power) and expands them into the
+dense loop at the end; every skipped entry is exactly zero.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
@@ -27,7 +29,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .frames import FrameField
-from .loops import SIGMA3, SQRT_I, MatrixLoop, plus_loop_inverse
+from .loops import (
+    SIGMA3,
+    SQRT_I,
+    MatrixLoop,
+    class_rows,
+    forbidden_mass,
+    plus_loop_inverse,
+)
 from .nil3 import DomainGrid, rk4_march
 from .sym import sym_sheets
 
@@ -45,6 +54,8 @@ class HoloPotential:
     """xi = sum_j xi_j(z) lam^j dz with polynomial entries, j >= -1.
 
     terms[j] is an array (deg+1, 2, 2): coefficient of z^k at index k.
+    Every coefficient is finite, and a twisted potential's terms obey the
+    twisted grading of `loops` exactly.
     """
 
     terms: dict
@@ -60,14 +71,16 @@ class HoloPotential:
         for j, c in self.terms.items():
             if c.ndim != 3 or c.shape[1:] != (2, 2):
                 raise ConfigError("term entries must be (deg+1, 2, 2)")
-        if self.twisted:
-            for j, c in self.terms.items():
-                diag = max(np.max(np.abs(c[:, 0, 0])), np.max(np.abs(c[:, 1, 1])))
-                off = max(np.max(np.abs(c[:, 0, 1])), np.max(np.abs(c[:, 1, 0])))
-                bad = off if j % 2 == 0 else diag
-                if bad != 0.0:
-                    raise ConfigError(
-                        f"twisted potential has forbidden mass at power {j}")
+        # the terms as one stack from power -1, term i at position 2i or
+        # 2i + 1, whichever has its power's parity (the grading sees j % 2)
+        stack = np.zeros((max(map(len, self.terms.values())),
+                          2 * len(self.terms), 2, 2), dtype=complex)
+        for i, (j, c) in enumerate(self.terms.items()):
+            stack[:len(c), 2 * i + (j + 1) % 2] = c
+        if not np.isfinite(stack).all():
+            raise ConfigError("potential has a non-finite coefficient")
+        if self.twisted and forbidden_mass(stack, -1) != 0.0:
+            raise ConfigError("twisted potential has forbidden-parity mass")
 
     @property
     def powers(self):
@@ -187,14 +200,6 @@ def builtin_example(name):
 BUILTIN_NAMES = ("paraboloid", "helicoid", "smyth-1", "smyth-2")
 
 
-def _class_rows(classes, powers):
-    """Row of the entry that parity class c holds in column t of power j:
-    (t + j + c) % 2, shape (classes, len(powers), 2).  A twisted loop lives
-    in class 0 alone; an untagged one needs both classes."""
-    return (np.arange(classes)[:, None, None]
-            + np.asarray(powers)[:, None] + np.arange(2)) % 2
-
-
 def _mul_into_window(v, x_at_z):
     """(Phi xi)(lam) truncated to the state's window, per line.
 
@@ -254,7 +259,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     N = order
     C = 1 if xi.twisted else 2
     powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
-    terms = {j: c[:, _class_rows(C, [j])[:, 0], [0, 1]]
+    terms = {j: c[:, class_rows(C, [j])[:, 0], [0, 1]]
              for j, c in xi.terms.items()}
     v0 = np.zeros((1, C, len(powers), 2), dtype=complex)
     v0[:, 0, N] = 1.0   # the identity: power 0's diagonal is class 0
@@ -281,7 +286,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
                out=dst)
 
     dense = np.zeros(grid.shape + (2 * N + 1, 2, 2), dtype=complex)
-    dense[..., np.arange(len(powers))[:, None], _class_rows(C, powers),
+    dense[..., np.arange(len(powers))[:, None], class_rows(C, powers),
           [0, 1]] = out
     return MatrixLoop(dense, -N, "twisted" if xi.twisted else None)
 
@@ -351,11 +356,11 @@ def _factorize(phi):
     m, r, e, c = np.ix_(range(1, M + 1), range(2), range(1, M + 1), range(2))
     h_at = ((m - e + M) * 4 + 2 * r + c).reshape(2 * M, 2 * M)
     r_at = ((M - m) * 4 + r + 2 * c).reshape(2 * M, 2)
-    # a twisted Z couples (m,r) and (e,c) only when m + r = e + c mod 2, and
-    # the right-hand side of parity class p is its column p alone: two
-    # half-size systems, one column each; an untagged Z is one class
+    # unknown (m,r) is column r of a twisted W_{-m}, nonzero in the one row
+    # the grading allows, which is its right-hand column: two half-size
+    # systems, one column each; an untagged Z is one class
     if Z.parity == "twisted":
-        cls = (m + r).reshape(2 * M) % 2
+        cls = class_rows(1, -np.arange(1, M + 1))[0].reshape(2 * M)
         classes = [(np.flatnonzero(cls == p), [p]) for p in (0, 1)]
     else:
         classes = [(np.arange(2 * M), [0, 1])]
@@ -475,13 +480,12 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
     phase = np.exp(1j * theta)
-    k = np.zeros(grid.shape + (2, 2), dtype=complex)
-    k[..., 0, 0] = phase
-    k[..., 1, 1] = np.conj(phase)
-    k_inv = np.swapaxes(k, -1, -2).conj()
-    F2 = MatrixLoop(np.einsum("...jab,...bc->...jac", F.coeffs, k), F.low,
+    # the diagonal of k; entrywise products keep a NaN node's forbidden
+    # entries exactly zero
+    k = np.stack([phase, np.conj(phase)], axis=-1)
+    F2 = MatrixLoop(np.einsum("...jac,...c->...jac", F.coeffs, k), F.low,
                     F.parity)
-    Bp2 = MatrixLoop(np.einsum("...ab,...jbc->...jac", k_inv, Bp.coeffs),
+    Bp2 = MatrixLoop(np.einsum("...a,...jac->...jac", np.conj(k), Bp.coeffs),
                      Bp.low, Bp.parity)
     return F2, Bp2, mask & ~degenerate
 
@@ -498,10 +502,15 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     if exclude_disk is not None and not np.isfinite(exclude_disk):
         raise ConfigError(f"exclusion radius must be finite, "
                           f"got {exclude_disk}")
-    phi = integrate_potential(xi, grid, z0=z0, order=order)
-    F, Bp, report = iwasawa(phi)
+    # an overflowing node is reported as failed (cond = inf), not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = integrate_potential(xi, grid, z0=z0, order=order)
+        F, Bp, report = iwasawa(phi)
     ok_mask = report.ok()
     F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
+    if not ok_mask.any():
+        raise ConfigError("the factorization fails at every node (a "
+                          "non-finite or ill-conditioned Phi)")
     mask = ok_mask
     if exclude_disk is not None:
         mask = mask & (np.abs(grid.zz) >= exclude_disk)

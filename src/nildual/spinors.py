@@ -264,6 +264,8 @@ def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
     grid = phi.grid
     p = phi.phi
     valid = np.ones(grid.shape, dtype=bool) if mask is None else mask.copy()
+    if not valid.any():
+        raise NonImmersionError("the mask keeps no node")
 
     quad = p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2
     norm2 = (np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2

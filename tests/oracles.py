@@ -297,7 +297,10 @@ def _rk4_linear(y0, coeff_fn, t_nodes, substeps, rhs):
 
 def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
                                        substeps=1):
-    """integrate_phi_to_surface marching one row at a time; coords only."""
+    """Reconstruct the immersion's coordinates from its Maurer-Cartan
+    components, one row at a time: dx1 = 2 Re(phi1 dz), dx2 = 2 Re(phi2 dz),
+    dx3 = 2 Re(phi3 dz) - (x2 dx1 - x1 dx2)/2 along the first column, then
+    along each row; node (0, 0) holds `base_point`."""
     grid = phi.grid
     p = phi.phi
 

@@ -316,6 +316,16 @@ def _generate(tmp, *args):
     return ["generate", *args, "--lambda", "1", "--out", str(tmp / "o")]
 
 
+def _paraboloid_potential(tmp, entries):
+    """generate --potential on a 21x21 grid from the paraboloid's potential
+    with `entries` ({2 * row + col: [re, im]} of power -1) replaced."""
+    data = nildual.potentials.paraboloid_potential().to_json()
+    for index, value in entries.items():
+        data["terms"][0]["entries"][index] = [value]
+    path = _write_text(tmp / "xi.json", json.dumps(data))
+    return _generate(tmp, "--potential", str(path), "--grid=-1,1,-1,1,21,21")
+
+
 def _verify_spinors(tmp):
     _write_paraboloid_spinors(tmp)
     return ["verify", "--spinors", str(tmp / "in"), "--lambda", "1",
@@ -390,12 +400,23 @@ def _b64(n_bytes):
     (lambda tmp: [*_verify_spinors(tmp), "--perturb-frame", "1e-3"],
      "--perturb-frame"),
     (lambda tmp: [*_export_edited_cache(tmp), "--formats", "objj"], "objj"),
+    # NaN on an entry the twisted grading forbids, and on an allowed one
+    (lambda tmp: _paraboloid_potential(tmp, {3: [math.nan, 0.0]}),
+     "non-finite"),
+    (lambda tmp: _paraboloid_potential(tmp, {1: [math.nan, 0.0]}),
+     "non-finite"),
+    # finite, but Phi overflows at every node
+    (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, -1e300],
+                                             2: [0.0, -1e300]}),
+     "every node"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
         "potential-not-json", "potential-no-terms", "spinors-missing",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "exclude-disk-nan",
-        "exclude-disk-everything", "spinors-perturb-frame", "export-format"])
+        "exclude-disk-everything", "spinors-perturb-frame", "export-format",
+        "potential-nan-forbidden", "potential-nan-allowed",
+        "potential-overflow"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

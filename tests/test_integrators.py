@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nildual.frames import integrate_frame
-from nildual.nil3 import DomainGrid, PhiField, integrate_phi_to_surface
+from nildual.nil3 import DomainGrid
 from nildual.potentials import (
     HoloPotential,
     helicoid_potential,
@@ -65,17 +65,6 @@ def test_integrate_frame_matches_line_reference(column_first):
         assert np.array_equal(fr.F_lam, F_lam)
         assert np.array_equal(fr.F_lam2, F_lam2)
         assert fr.reprojections == reproj
-
-
-@pytest.mark.parametrize("substeps", [1, 3])
-def test_integrate_phi_to_surface_matches_line_reference(substeps):
-    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 19)
-    phi = PhiField(oracles.paraboloid_phi(grid), grid)
-    base = oracles.paraboloid_surface(grid)[0, 0]
-    got = integrate_phi_to_surface(phi, base_point=base, substeps=substeps)
-    ref = oracles.reference_integrate_phi_to_surface(phi, base_point=base,
-                                                     substeps=substeps)
-    assert np.array_equal(got.coords, ref)
 
 
 def _convergence_study():

@@ -11,6 +11,7 @@ from nildual.loops import (
     SIGMA3,
     SQRT_I,
     MatrixLoop,
+    class_rows,
     plus_loop_inverse,
     su11_residual,
 )
@@ -113,7 +114,7 @@ def twisted_loops(draw, order=2):
 def test_twisted_product_parity(L1, L2):
     prod = L1.mul(L2)
     assert prod.parity == "twisted"
-    assert prod.dlambda().parity == "anti"
+    assert prod.dlambda().parity is None
     # the twisting relation on circle values: M(-lam) = sigma3 M(lam) sigma3
     lam = np.exp(0.37j)
     lhs = prod.eval(-lam)
@@ -130,13 +131,12 @@ def test_mul_is_pointwise_product(L1, L2):
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def _forbidden(P, low, parity):
-    """(P, 2, 2) mask of the entries a parity tag holds at zero: entry
-    (r, c) of power j is allowed when r + c + j is even ("twisted") or
-    odd ("anti")."""
+def _forbidden(P, low):
+    """(P, 2, 2) mask of the entries a twisted loop holds at zero: entry
+    (r, c) of power j is allowed when r + c + j is even."""
     j = low + np.arange(P)[:, None, None]
     rc = np.arange(2)[:, None] + np.arange(2)
-    return (j + rc) % 2 != (parity == "anti")
+    return (j + rc) % 2 != 0
 
 
 @st.composite
@@ -145,12 +145,41 @@ def tagged_loops(draw, parity, batch):
     P = draw(st.integers(1, 6))
     c = draw(hnp.arrays(complex, batch + (P, 2, 2),
                         elements=st.complex_numbers(max_magnitude=2.0)))
-    c[..., _forbidden(P, low, parity)] = 0.0
+    c[..., _forbidden(P, low)] = 0.0
     return MatrixLoop(c, low, parity)
 
 
-@pytest.mark.parametrize("pa, pb", [("twisted", "twisted"),
-                                    ("twisted", "anti"), ("anti", "anti")])
+@given(low=st.integers(-7, 7), P=st.integers(1, 6))
+def test_class_rows_is_the_twisted_rule(low, P):
+    rows = class_rows(2, low + np.arange(P))
+    for cls in (0, 1):
+        mask = np.zeros((P, 2, 2), dtype=bool)
+        mask[np.arange(P)[:, None], rows[cls], [0, 1]] = True
+        assert np.array_equal(mask, _forbidden(P, low) == bool(cls))
+
+
+@given(low=st.integers(-4, 4), P=st.integers(1, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_twisted_tag_refuses_every_forbidden_entry(low, P, data):
+    c = data.draw(hnp.arrays(complex, (2, P, 2, 2),
+                             elements=st.complex_numbers(max_magnitude=2.0)))
+    forbidden = _forbidden(P, low)
+    c[:, forbidden] = 0.0
+    MatrixLoop(c, low, "twisted")
+    k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(forbidden)))))
+    node = data.draw(st.integers(0, 1))
+    for bad in (np.nan, np.inf, 1e-300, complex(0.0, np.nan)):
+        broken = c.copy()
+        broken[node, k, r, col] = bad
+        with pytest.raises(ValueError, match="forbidden-parity"):
+            MatrixLoop(broken, low, "twisted")
+    # a NaN on an allowed entry is data, not a broken tag
+    k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(~forbidden)))))
+    c[node, k, r, col] = np.nan
+    MatrixLoop(c, low, "twisted")
+
+
+@pytest.mark.parametrize("pa, pb", [("twisted", "twisted")])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_tagged_mul_is_the_dense_sum(pa, pb, data):
@@ -162,14 +191,13 @@ def test_tagged_mul_is_the_dense_sum(pa, pb, data):
     y = data.draw(tagged_loops(pb, bb))
     got = x.mul(y)
     dense = MatrixLoop(x.coeffs, x.low).mul(MatrixLoop(y.coeffs, y.low))
-    assert got.parity == ("twisted" if pa == pb else "anti")
+    assert got.parity == "twisted"
     assert dense.parity is None and got.low == dense.low
     assert np.array_equal(got.coeffs, dense.coeffs)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(got.coeffs)),
                               np.signbit(part(dense.coeffs)))
-    zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low,
-                                      got.parity)]
+    zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low)]
     assert np.all(zero == 0.0)
     assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
 
@@ -209,14 +237,11 @@ def test_fft_product_breaks_the_coefficient_bound(rng):
 
 def test_mul_keeps_parity_slots_exactly_zero(rng):
     c = _graded(rng, (2, 3), 7)
-    c[..., _forbidden(7, -3, "twisted")] = 0.0
+    c[..., _forbidden(7, -3)] = 0.0
     L = MatrixLoop(c, -3, "twisted")
-    dL = L.dlambda()
-    for x, y, parity in ((L, L, "twisted"), (L, dL, "anti"),
-                         (dL, L, "anti"), (dL, dL, "twisted"),
-                         (L, L.truncated(1), "twisted")):
+    for x, y in ((L, L), (L, L.truncated(1))):
         prod = x.mul(y)   # the parity check raises on any nonzero slot
-        assert prod.parity == parity
+        assert prod.parity == "twisted"
 
 
 def test_truncation_tail(rng):

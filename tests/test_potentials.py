@@ -63,6 +63,29 @@ def test_potential_validation():
         HoloPotential({-1: np.eye(2, dtype=complex)[None]})
 
 
+def test_potential_checks_every_term():
+    # sparse powers of both parities and unequal degrees
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    D = np.diag([1.0, -1.0]).astype(complex)
+    terms = {-1: np.stack([X, 2 * X]), 2: D[None], 5: np.stack([X] * 3)}
+
+    def edited(j, k, r, c, value):
+        out = {p: t.copy() for p, t in terms.items()}
+        out[j][k, r, c] = value
+        return out
+
+    HoloPotential(terms)
+    for where in ((2, 0, 0, 1), (5, 2, 1, 1), (-1, 1, 0, 0)):
+        with pytest.raises(ConfigError, match="forbidden"):
+            HoloPotential(edited(*where, 1e-300))
+        HoloPotential(edited(*where, 1e-300), twisted=False)
+        for bad in (np.nan, np.inf):   # forbidden and allowed entries alike
+            for at in (where, (where[0], 0, 0, where[0] % 2)):
+                for twisted in (True, False):
+                    with pytest.raises(ConfigError, match="non-finite"):
+                        HoloPotential(edited(*at, bad), twisted=twisted)
+
+
 def test_integrate_potential_closed_form(grid21, pb_phi):
     # Phi(z) = exp(-(i/4) z X / lam): entries cosh/sinh of p = -(i/4) z/lam
     for lam in (1.0, np.exp(0.9j)):
@@ -186,15 +209,22 @@ def test_iwasawa_parity_classes_match_the_dense_system(name):
     assert np.max(np.abs(Bp.coeffs - Bpd.coeffs)) < 1e-13
 
 
+def _allowed(loop):
+    """(P, 2, 2) mask of the entries a twisted loop may hold: entry (r, c)
+    of power j when r + c + j is even."""
+    j = loop.low + np.arange(loop.coeffs.shape[-3])[:, None, None]
+    return (j + np.arange(2)[:, None] + np.arange(2)) % 2 == 0
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_iwasawa_masks_degenerate_nodes(bad):
     xi = paraboloid_potential()
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
     phi = integrate_potential(xi, grid, order=6)
     F0, Bp0, _ = iwasawa(phi)
-    broken = MatrixLoop(phi.coeffs.copy(), phi.low, phi.parity)
-    broken.coeffs[1, 3] = bad
-    F, Bp, report = iwasawa(broken)
+    c = phi.coeffs.copy()
+    c[1, 3][_allowed(phi)] = bad
+    F, Bp, report = iwasawa(MatrixLoop(c, phi.low, phi.parity))
     expected = np.zeros(grid.shape, dtype=bool)
     expected[1, 3] = True
     assert np.array_equal(report.failed, expected)
@@ -240,10 +270,11 @@ def test_iwasawa_blocks_match_single_nodes(three_blocks):
 def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
     phi, (F, Bp, report) = three_blocks
     bad = np.zeros(phi.batch_shape, dtype=bool)
-    bad[np.unravel_index(BLOCK + 5, phi.batch_shape)] = True
-    broken = MatrixLoop(phi.coeffs.copy(), phi.low, phi.parity)
-    broken.coeffs[bad] = np.nan
-    F2, Bp2, rep2 = iwasawa(broken)
+    node = np.unravel_index(BLOCK + 5, phi.batch_shape)
+    bad[node] = True
+    c = phi.coeffs.copy()
+    c[node][_allowed(phi)] = np.nan
+    F2, Bp2, rep2 = iwasawa(MatrixLoop(c, phi.low, phi.parity))
     assert not report.failed[bad].any()
     assert np.array_equal(rep2.failed, report.failed | bad)
     assert _same_bits(rep2.cond[~bad], report.cond[~bad])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from nildual.errors import NonConformalError, NonMinimalError, VerticalPointError
+from nildual.errors import (
+    NonConformalError,
+    NonImmersionError,
+    NonMinimalError,
+    VerticalPointError,
+)
 from nildual.nil3 import (
     DomainGrid,
     PhiField,
@@ -122,6 +127,15 @@ def test_spinors_from_phi_rejects_nonconformal(grid_small):
     phi[..., 0] = 1.0
     with pytest.raises(NonConformalError):
         spinors_from_phi(PhiField(phi, grid_small))
+
+
+def test_spinors_from_phi_rejects_an_empty_mask(grid_small):
+    phi = np.zeros(grid_small.shape + (3,), dtype=complex)
+    phi[..., 0] = -0.5
+    phi[..., 1] = 0.5j
+    with pytest.raises(NonImmersionError, match="no node"):
+        spinors_from_phi(PhiField(phi, grid_small),
+                         mask=np.zeros(grid_small.shape, dtype=bool))
 
 
 def test_dirac_data_paraboloid(pb_spinors):
