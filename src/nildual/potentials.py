@@ -14,10 +14,14 @@ The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
 the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
 fixed by requiring B+(0) upper-triangular with positive real diagonal.
-Finally F = Phi B+^{-1}.  Nodes where the system degenerates are big-cell
-failures and are masked.  For a twisted Phi the system splits into two
+Finally F = Phi B+^{-1}.  For a twisted Phi the system splits into two
 parity classes of half the size, solved separately, and W, B+ and F come
-out exactly twisted.  The nodes are factorized BLOCK at a time, which
+out exactly twisted.  Each class system (an untagged Phi's whole system)
+is Hermitian block-Toeplitz with 2x2 blocks, solved by a block-Levinson
+recursion with no eigen step and no dense matrix.  Its guard, the pivot,
+is the smallest reciprocal condition of the Schur complements of the
+system's leading sections; nodes with a pivot below PIVOT_MIN are big-cell
+failures and are masked.  The nodes are factorized BLOCK at a time, which
 bounds the memory the systems take and changes no bit.
 """
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .sym import sym_sheets
 SPINOR_GAUGE = np.array([[1.0 / SQRT_I, 0.0], [0.0, SQRT_I]], dtype=complex)
 
 DEFAULT_ORDER = 12
-COND_CAP = 1e12
+PIVOT_MIN = 1e-12  # smallest reciprocal condition of a Schur complement
 BLOCK = 1024   # nodes factorized at a time by iwasawa
 
 
@@ -295,7 +299,8 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
 class BigCellReport:
     """Per-node conditioning of the factorization system."""
 
-    cond: np.ndarray
+    pivot: np.ndarray      # smallest reciprocal condition of a Schur
+                           # complement; nan where the input is not finite
     failed: np.ndarray     # True = factorization failed at the node
 
     def ok(self):
@@ -312,9 +317,9 @@ def iwasawa(phi):
 
     F satisfies F(lam)^dag sigma3 F(lam) = sigma3 on the circle; B+ has
     only nonnegative powers and B+(0) is upper-triangular with positive
-    real diagonal.  Failures (non-finite input, conditioning, loss of
-    positivity) mark nodes in the report instead of raising; failed nodes
-    get B+ = I.  The nodes are factorized BLOCK at a time: every step is
+    real diagonal.  Failures (non-finite input, a pivot below PIVOT_MIN,
+    loss of positivity) mark nodes in the report instead of raising; failed
+    nodes get B+ = I.  The nodes are factorized BLOCK at a time: every step is
     per node, so the blocks bound the working set without changing a bit.
     """
     batch = phi.batch_shape
@@ -324,19 +329,19 @@ def iwasawa(phi):
     for start in range(0, n, BLOCK):
         part = MatrixLoop(flat[start:start + BLOCK], phi.low)
         part.parity = phi.parity   # phi's constructor checked the tag
-        F, Bp, cond, failed = _factorize(part)
+        F, Bp, pivot, failed = _factorize(part)
         if outs is None:
             outs = [np.empty((n,) + a.shape[1:], a.dtype)
-                    for a in (F.coeffs, Bp.coeffs, cond, failed)]
-        for o, a in zip(outs, (F.coeffs, Bp.coeffs, cond, failed)):
+                    for a in (F.coeffs, Bp.coeffs, pivot, failed)]
+        for o, a in zip(outs, (F.coeffs, Bp.coeffs, pivot, failed)):
             o[start:start + BLOCK] = a
-    f, bp, cond, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
+    f, bp, pivot, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
     return (MatrixLoop(f, F.low, F.parity), MatrixLoop(bp, 0, Bp.parity),
-            BigCellReport(cond=cond, failed=failed))
+            BigCellReport(pivot=pivot, failed=failed))
 
 
 def _factorize(phi):
-    """iwasawa on one block of nodes: (F, B+, cond, failed)."""
+    """iwasawa on one block of nodes: (F, B+, pivot, failed)."""
     N = phi.order
     M = 2 * N
     batch = phi.batch_shape
@@ -351,38 +356,42 @@ def _factorize(phi):
 
     # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
     # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
-    # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r]
+    # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r].
+    # It is solved as H^T (sigma3 W^T) = R, so row block m of the solution
+    # is sigma3 W_{-m}^T
     flat = s3Z.reshape(batch + (-1,))   # index (power + M) * 4 + 2 * row + col
-    m, r, e, c = np.ix_(range(1, M + 1), range(2), range(1, M + 1), range(2))
-    h_at = ((m - e + M) * 4 + 2 * r + c).reshape(2 * M, 2 * M)
-    r_at = ((M - m) * 4 + r + 2 * c).reshape(2 * M, 2)
-    # unknown (m,r) is column r of a twisted W_{-m}, nonzero in the one row
-    # the grading allows, which is its right-hand column: two half-size
-    # systems, one column each; an untagged Z is one class
+    nonfinite = ~np.isfinite(flat).all(axis=-1)
+    planes = np.ascontiguousarray(flat.T)   # node axis last
+    # unknown (m,r) of a twisted W_{-m} is nonzero in the one row the grading
+    # allows, which is its right-hand column: two half-size systems, one
+    # column each; an untagged Z is one class
     if Z.parity == "twisted":
         cls = class_rows(1, -np.arange(1, M + 1))[0].reshape(2 * M)
         classes = [(np.flatnonzero(cls == p), [p]) for p in (0, 1)]
     else:
         classes = [(np.arange(2 * M), [0, 1])]
-    H = [flat[..., h_at[np.ix_(rows, rows)]] for rows, _ in classes]
-
-    nonfinite = ~np.isfinite(flat).all(axis=-1)
-    for Hp in H:   # non-finite nodes stay out of the eigen step, cond = inf
-        Hp[nonfinite] = np.eye(Hp.shape[-1])
-    # cond over the union of the classes' spectra: the cond of the whole H
-    eig = np.abs(np.concatenate([np.linalg.eigvalsh(Hp) for Hp in H], -1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(nonfinite, np.inf, eig.max(axis=-1) / eig.min(axis=-1))
-    failed = ~np.isfinite(cond) | (cond > COND_CAP)
-    # W T = -R with T = sigma3 H: T^T W^T = H^T (sigma3 W^T), so row block
-    # m of the solution is sigma3 W_{-m}^T; W_0 = I
-    sol = np.zeros(batch + (2 * M, 2), dtype=complex)
-    for (rows, cols), Hp in zip(classes, H):
-        Hp[failed] = np.eye(Hp.shape[-1])
-        R = -flat[..., r_at[np.ix_(rows, cols)]] * np.array([1.0, -1.0])[cols]
-        sol[..., rows[:, None], cols] = np.linalg.solve(
-            np.swapaxes(Hp, -1, -2), R)
-    sol = sol.reshape(batch + (M, 2, 2))
+    sol = np.zeros((2 * M, 2) + batch, dtype=complex)
+    pivot = np.inf
+    for rows, cols in classes:
+        # consecutive unknowns pair into 2x2 blocks, K per class; entry
+        # (i, j) of block d in the first block column of H^T is H's entry
+        # at unknowns (j, 2d + i)
+        m, r = rows.reshape(-1, 2) // 2 + 1, rows.reshape(-1, 2) % 2
+        t = planes[(m[None, None, 0] - m[:, :, None] + M) * 4
+                   + 2 * r[None, None, 0] + r[:, :, None]]
+        t = t.transpose(1, 2, 0, 3)   # (i, j, d, node)
+        y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None]
+                    + 2 * np.asarray(cols)]
+        y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[cols, None, None]
+        x, piv = _levinson(t, y)
+        sol[rows[:, None], cols] = x.transpose(2, 0, 1, 3).reshape(
+            (len(rows), len(cols)) + batch)
+        pivot = np.minimum(pivot, piv)
+    pivot = np.where(nonfinite, np.nan, pivot)
+    failed = ~(pivot >= PIVOT_MIN)
+    sol[:, :, failed] = 0.0
+    sol = np.moveaxis(sol, (0, 1), (-2, -1)).reshape(batch + (M, 2, 2))
+    # W_0 = I
     W = MatrixLoop(np.concatenate(
         [np.swapaxes(sol[..., ::-1, :, :], -1, -2) * [1.0, -1.0],
          np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M,
@@ -417,25 +426,105 @@ def _factorize(phi):
 
     Bp_inv = plus_loop_inverse(Bp, 2 * N)
     F_wide = phi.mul(Bp_inv)
-    return F_wide.truncated(N), Bp, cond, failed
+    return F_wide.truncated(N), Bp, pivot, failed
+
+
+def _mm(a, b):
+    """Products of 2x2 entry planes a (2, 2, ...) with b (2, c, ...); the
+    trailing axes broadcast.  Each entry is the sum of two products in a
+    fixed order, so a node's bits do not depend on the other nodes."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def _inv(a):
+    """Inverse of 2x2 entry planes by the adjugate."""
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return np.stack([np.stack([a[1, 1], -a[0, 1]]),
+                     np.stack([-a[1, 0], a[0, 0]])]) / det
+
+
+def _rcond(s):
+    """sigma_min / sigma_max of 2x2 entry planes: |det s| over the largest
+    eigenvalue of s^dag s, whose radius is a hypot free of cancellation; 0
+    where s is singular or not finite."""
+    p = np.abs(s[0, 0]) ** 2 + np.abs(s[1, 0]) ** 2
+    q = np.abs(s[0, 1]) ** 2 + np.abs(s[1, 1]) ** 2
+    off = np.abs(np.conj(s[0, 0]) * s[0, 1] + np.conj(s[1, 0]) * s[1, 1])
+    rc = (np.abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0])
+          / (0.5 * (p + q) + np.hypot(0.5 * (p - q), off)))
+    return np.where(rc >= 0.0, rc, 0.0)
+
+
+def _levinson(t, y):
+    """Solve T x = y for a Hermitian block-Toeplitz T with 2x2 blocks,
+    batched over nodes: Whittle's block-Levinson recursion (Akaike 1973).
+
+    t (2, 2, K, n) holds block (k + d, k) of T at d, for d = 0..K-1; the
+    blocks above the diagonal are their adjoints.  y is (2, c, K, n).
+    Section k + 1 extends the monic forward predictor a (T a = [P, 0..0])
+    and backward predictor b (T b = [0..0, Q]) of section k; Q is the Schur
+    complement S_k of T's leading k blocks in its first k + 1, and T x = y
+    is solved section by section along b.  The sums over a section run in
+    a fixed order.  Returns x (2, c, K, n) and, per node, the smallest
+    reciprocal 2x2 condition of S_0..S_{K-1} (0 when one is singular).
+    """
+    K, n = t.shape[2:]
+    c = y.shape[1]
+    # a and x side by side, so one product serves both sums; b is stored
+    # reversed (b_k first), so both predictor updates read the other one
+    # backwards through a view
+    ax = np.zeros((2, 2 + c, K, n), dtype=complex)
+    a, x = ax[:, :2], ax[:, 2:]
+    br = np.zeros((2, 2, K, n), dtype=complex)
+    a[:, :, 0] = br[:, :, 0] = np.eye(2)[:, :, None]
+    S = np.empty((2, 2, K, n), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = S[:, :, 0] = t[:, :, 0]
+        Qinv = _inv(P)
+        x[:, :, 0] = _mm(Qinv, y[:, :, 0])
+        for k in range(K - 1):
+            # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j
+            prod = _mm(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
+            acc = prod[:, :, 0]
+            for j in range(1, k + 1):
+                acc = acc + prod[:, :, j]
+            D, eps = acc[:, :2], acc[:, 2:]
+            # by symmetry, T [0, b] = [Delta^dag, 0.., Q]
+            Dh = np.swapaxes(D, 0, 1).conj()
+            G = _mm(Qinv, D)
+            H = _mm(_inv(P), Dh)
+            da = _mm(br[:, :, k + 1::-1], G[:, :, None])
+            br[:, :, :k + 2] -= _mm(a[:, :, k + 1::-1], H[:, :, None])
+            a[:, :, :k + 2] -= da
+            P = P - _mm(Dh, G)
+            Q = S[:, :, k + 1] = S[:, :, k] - _mm(D, H)
+            Qinv = _inv(Q)
+            x[:, :, :k + 2] += _mm(br[:, :, k + 1::-1],
+                                   _mm(Qinv, y[:, :, k + 1] - eps)[:, :, None])
+        pivot = np.min(_rcond(S), axis=0)
+    return x, pivot
 
 
 def iwasawa_residuals(phi, F, Bp, mask=None):
     """(reconstruction, reality) max residuals over eight circle samples,
-    on the nodes of `mask` (default: every node)."""
-    if mask is None:
-        mask = np.ones(phi.batch_shape, dtype=bool)
-    recon = 0.0
-    reality = 0.0
-    for lam in _circle_samples(8):
-        pv = phi.eval(lam)
-        fv = F.eval(lam)
-        bv = Bp.eval(lam)
-        r1 = np.max(np.abs(pv - fv @ bv), axis=(-2, -1))
-        herm = np.swapaxes(fv.conj(), -1, -2) @ SIGMA3 @ fv - SIGMA3
-        r2 = np.max(np.abs(herm), axis=(-2, -1))
-        recon = max(recon, float(np.max(r1[mask], initial=0.0)))
-        reality = max(reality, float(np.max(r2[mask], initial=0.0)))
+    on the nodes of `mask` (default: every node).  Each loop is evaluated at
+    all eight samples by one product of the (8, P) table of the samples'
+    powers with its coefficients, BLOCK nodes at a time."""
+    keep = np.ones(phi.batch_shape, dtype=bool) if mask is None else mask
+    keep = keep.reshape(-1)
+    lam = _circle_samples(8)[:, None]
+    loops = [(lam ** (L.low + np.arange(L.coeffs.shape[-3])),
+              L.coeffs.reshape(-1, L.coeffs.shape[-3], 4))
+             for L in (phi, F, Bp)]
+    recon = reality = 0.0
+    for start in range(0, keep.size, BLOCK):
+        part = np.flatnonzero(keep[start:start + BLOCK]) + start
+        pv, fv, bv = (np.matmul(table, c[part]).reshape(-1, 8, 2, 2)
+                      for table, c in loops)
+        herm = np.swapaxes(fv.conj(), -1, -2) @ (SIGMA3 @ fv)
+        recon = max(recon, float(np.max(np.abs(pv - fv @ bv), initial=0.0)))
+        reality = max(reality,
+                      float(np.max(np.abs(herm - SIGMA3), initial=0.0)))
     return recon, reality
 
 
@@ -502,7 +591,7 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     if exclude_disk is not None and not np.isfinite(exclude_disk):
         raise ConfigError(f"exclusion radius must be finite, "
                           f"got {exclude_disk}")
-    # an overflowing node is reported as failed (cond = inf), not warned of
+    # an overflowing node is reported as failed (pivot nan), not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         phi = integrate_potential(xi, grid, z0=z0, order=order)
         F, Bp, report = iwasawa(phi)
@@ -520,6 +609,9 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
     floop = MatrixLoop.constant(SPINOR_GAUGE, F.parity).mul(F)
+    # the frame evaluation below sets the pipeline's peak memory: keep only
+    # the loop it reads
+    del phi, F, Bp
 
     frames = [frame_field_from_loop(floop, lam, grid) for lam in lam_samples]
     return PipelineResult(grid=grid, lam_samples=lam_samples,

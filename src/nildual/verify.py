@@ -26,6 +26,7 @@ from .nil3 import (
     left_maurer_cartan,
     stencil_valid,
 )
+from .potentials import PIVOT_MIN
 from .spinors import (
     DiracData,
     dirac_data,
@@ -188,8 +189,12 @@ def verify_pipeline(result, tols=None, perturb_frame=0.0):
     grid = result.grid
     rng = np.random.default_rng(7)
 
+    pivot = result.report.pivot
     rep.add_scalar("iwasawa_recon", result.recon_residual,
-                   tols["iwasawa_recon"])
+                   tols["iwasawa_recon"],
+                   note=f"pivot min {np.min(pivot[result.mask]):.3e}, "
+                        f"{np.sum(pivot < PIVOT_MIN)} nodes below "
+                        f"{PIVOT_MIN:.0e}")
     rep.add_scalar("iwasawa_reality", result.reality_residual,
                    tols["iwasawa_reality"])
 

@@ -359,7 +359,8 @@ def reference_continued_sqrt(field, grid, valid):
 
 
 # ---------------------------------------------------------------------------
-# Loop-group references: the einsum Cauchy product and the SVD guard
+# Loop-group references: the einsum Cauchy product and the dense Schur
+# complements of the factorization system
 
 
 def cauchy_loop(a, b):
@@ -375,21 +376,47 @@ def cauchy_loop(a, b):
     return out
 
 
-def svd_cond(phi):
-    """2-norm condition number of the block-Toeplitz factorization system
-    of `phi`, assembled block by block and taken from a full SVD."""
+def factorization_classes(phi):
+    """The dense factorization system of `phi`, one matrix per parity class,
+    assembled block by block.
+
+    The system has entry ((m,r),(e,c)) = Y_{m-e}[r, c] for m, e = 1..2N,
+    where Y = Phi^dag sigma3 Phi = sigma3 Z.  A twisted `phi` splits it
+    into two classes: class p keeps, for each m, the unknown r = (p + m) % 2,
+    in order of m.  An untagged `phi` is one class of every unknown.
+    """
     N = phi.order
     M = 2 * N
     s3 = np.diag([1.0, -1.0]).astype(complex)[None]
     adj = phi.adjoint_on_circle()
-    Z = MatrixLoop(cauchy_loop(cauchy_loop(cauchy_loop(s3, adj.coeffs), s3),
-                               phi.coeffs), adj.low + phi.low)
-    T = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
+    Y = MatrixLoop(cauchy_loop(adj.coeffs, cauchy_loop(s3, phi.coeffs)),
+                   adj.low + phi.low)
+    H = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
     for m in range(1, M + 1):
         for e in range(1, M + 1):
-            T[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = Z.coeff(m - e)
-    sing = np.linalg.svd(T, compute_uv=False)
-    return sing[..., 0] / sing[..., -1]
+            H[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = Y.coeff(m - e)
+    m = np.arange(1, M + 1)
+    if phi.parity != "twisted":
+        return [H]
+    return [H[..., rows[:, None], rows]
+            for rows in (2 * (m - 1) + (p + m) % 2 for p in (0, 1))]
+
+
+def schur_pivot(phi):
+    """Smallest reciprocal 2-norm condition of the Schur complements
+    S_k = T_{k+1} / T_k of the leading sections of each class system T,
+    its unknowns paired into 2x2 blocks in order: S_k by np.linalg.solve on
+    the leading k blocks, its condition from a 2x2 SVD."""
+    pivot = np.full(phi.batch_shape, np.inf)
+    for T in factorization_classes(phi):
+        for k in range(T.shape[-1] // 2):
+            S = T[..., 2 * k:2 * k + 2, 2 * k:2 * k + 2]
+            if k:
+                S = S - T[..., 2 * k:2 * k + 2, :2 * k] @ np.linalg.solve(
+                    T[..., :2 * k, :2 * k], T[..., :2 * k, 2 * k:2 * k + 2])
+            sing = np.linalg.svd(S, compute_uv=False)
+            pivot = np.minimum(pivot, sing[..., -1] / sing[..., 0])
+    return pivot
 
 
 def within_cauchy_bound(got, a, b, ulps=16):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nildual import potentials
+from nildual.loops import MatrixLoop
 from nildual.nil3 import DomainGrid
 from nildual.potentials import run_example
 from nildual.verify import VerificationReport, verify_pipeline
@@ -32,6 +34,53 @@ def test_battery_flags_perturbed_frame(pb_run):
     rep = verify_pipeline(pb_run, perturb_frame=1e-3)
     failed = {c.name.split("[")[0] for c in rep.checks if not c.passed}
     assert failed == {"frame_su11"}
+
+
+def _failed_rows_with_perturbed(monkeypatch, which):
+    """Rows the battery fails when iwasawa hands the pipeline a seeded
+    perturbation of the allowed entries of F or of B+, the same at every
+    node.  B+ takes 1e-6 on its powers from 1, so B+(0), and with it the
+    gauge and the frames, stay exact; F takes 1e-7 on its powers -1..1, so
+    the Sym formula, which weights power j by up to j^2, still sees a
+    frame."""
+    factorize = potentials.iwasawa
+
+    def perturbed(phi):
+        F, Bp, report = factorize(phi)
+        loop = F if which == "F" else Bp
+        j = loop.low + np.arange(loop.coeffs.shape[-3])
+        allowed = (j[:, None, None] + np.arange(2)[:, None]
+                   + np.arange(2)) % 2 == 0
+        allowed[(j < 1) if which == "B+" else (np.abs(j) > 1)] = False
+        size = 1e-6 if which == "B+" else 1e-7
+        rng = np.random.default_rng(23)
+        noise = rng.normal(size=(2,) + loop.coeffs.shape[-3:])
+        bump = size * allowed * (noise[0] + 1j * noise[1])
+        bumped = MatrixLoop(loop.coeffs + bump, loop.low, loop.parity)
+        return (bumped, Bp, report) if which == "F" else (F, bumped, report)
+
+    monkeypatch.setattr(potentials, "iwasawa", perturbed)
+    run = run_example("paraboloid", grid=DomainGrid(-1, 1, -1, 1, 41, 41),
+                      lam_samples=[1.0, np.exp(1j * np.pi / 3)])
+    return {c.name.split("[")[0] for c in verify_pipeline(run).checks
+            if not c.passed}
+
+
+def test_battery_flags_perturbed_plus_loop(monkeypatch):
+    assert _failed_rows_with_perturbed(monkeypatch, "B+") == {"iwasawa_recon"}
+
+
+def test_battery_flags_perturbed_factorized_frame(monkeypatch):
+    # F also breaks Phi = F B+, and the frames downstream are built from it
+    assert _failed_rows_with_perturbed(monkeypatch, "F") == {
+        "iwasawa_reality", "iwasawa_recon", "frame_su11", "sym_duality_factor"}
+
+
+def test_iwasawa_row_notes_the_pivot(pb_run):
+    row = verify_pipeline(pb_run).checks[0]
+    assert row.name == "iwasawa_recon"
+    pivot = np.min(pb_run.report.pivot[pb_run.mask])
+    assert row.note == f"pivot min {pivot:.3e}, 0 nodes below 1e-12"
 
 
 def test_report_rendering(pb_run):
