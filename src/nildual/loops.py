@@ -4,7 +4,7 @@ matrix-valued Laurent polynomials in the spectral parameter.
 A loop's tag is "twisted" or None.  The twisted grading is stated here
 alone (`class_rows`): entry (r, c) of lam^j is allowed only when r + c + j
 is even.  A tag is exact: the constructor refuses any nonzero forbidden
-entry, NaN and inf included (`forbidden_mass`).  A derivative is untagged.
+entry, NaN and inf included (`forbidden_mass`).
 All loop values broadcast over leading batch axes of the coefficient
 array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
@@ -111,47 +111,52 @@ class MatrixLoop:
             return self.coeffs[..., j - self.low, :, :]
         return np.zeros(self.batch_shape + (2, 2), dtype=complex)
 
-    def eval(self, lam):
-        """Horner evaluation at lam on the unit circle."""
+    def eval(self, lam, derivative=0):
+        """Horner evaluation at lam on the unit circle, of the loop or of its
+        first or second lam-derivative (from j A_j or j (j - 1) A_j)."""
         lam = complex(lam)
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
+        p = np.arange(self.low, self.high + 1)[:, None, None]
+        c = self.coeffs * p if derivative else self.coeffs
+        if derivative == 2:
+            c *= p - 1
         out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
-        for k in range(self.coeffs.shape[-3] - 1, -1, -1):
-            out = out * lam + self.coeffs[..., k, :, :]
-        if self.low != 0:
-            out = out * lam ** self.low
+        for k in range(c.shape[-3] - 1, -1, -1):
+            out = out * lam + c[..., k, :, :]
+        if self.low != derivative:
+            out = out * lam ** (self.low - derivative)
         return out
 
-    def dlambda(self):
-        """Exact derivative in the parameter: j A_j shifted to power j-1,
-        untagged."""
-        P = self.coeffs.shape[-3]
-        powers = np.arange(self.low, self.low + P)
-        c = self.coeffs * powers[:, None, None]
-        return MatrixLoop(c, self.low - 1)
-
-    def mul(self, other):
-        """Cauchy product; window widens to the sum of the windows.
+    def mul(self, other, lo=None, hi=None):
+        """Cauchy product on the powers lo..hi (clipped to the product's,
+        which is the default); a window keeping no power raises ValueError.
 
         A direct sum per power, not an FFT, so every coefficient is rounded
         relative to its own terms and forbidden-parity entries stay exactly
-        zero.  Loops over self's window, which is never the longer one
-        in the pipeline's products.  When both factors are tagged, only
+        zero; a window sums the same terms in the same order as the full
+        product, so it is bit-equal to its slice.  Loops over self's window,
+        the shorter one in the pipeline.  When both factors are tagged, only
         their allowed entries are multiplied, a quarter of the dense terms,
         in the same order: the result is bit-equal to the dense sum.
         """
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
         a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
         Pa, Pb = a.shape[2], b.shape[2]
-        out = np.zeros((2, 2, Pa + Pb - 1) + batch, dtype=complex)
+        low = self.low + other.low
+        # kept output indices i0..i1; a[k] b[j] goes to output index k + j
+        i0 = 0 if lo is None else max(lo - low, 0)
+        i1 = Pa + Pb - 2 if hi is None else min(hi - low, Pa + Pb - 2)
+        if i0 > i1:
+            raise ValueError(f"window [{lo}, {hi}] keeps no power")
+        out = np.zeros((2, 2, i1 - i0 + 1) + batch, dtype=complex)
         tagged = self.parity is not None and other.parity is not None
         step = 2 if tagged else 1
         blocks = [(slice(0, 2), slice(0, 2), 0)]
         if tagged:   # the allowed rows of a's powers and of b's first one
             rows_a = class_rows(1, self.low + np.arange(Pa))[0]
             rows_b = class_rows(1, [other.low])[0, 0]
-        for k in range(Pa):
+        for k in range(max(i0 - Pb + 1, 0), min(i1 + 1, Pa)):
             for s in range(2):
                 if tagged:
                     # a[:, s, k] lives in one row, b[s, c] on every other
@@ -160,19 +165,12 @@ class MatrixLoop:
                     blocks = [(slice(r, r + 1), slice(c, c + 1),
                                int(rows_b[c] != s)) for c in range(2)]
                 for rows, cols, j in blocks:
-                    out[rows, cols, k + j:k + Pb:step] += (
-                        a[rows, s, k, None, None] * b[None, s, cols, j::step])
+                    j -= min(k + j - i0, 0) // step * step  # first kept j
+                    out[rows, cols, k + j - i0:k + Pb - i0:step] += (
+                        a[rows, s, k, None, None]
+                        * b[None, s, cols, j:i1 - k + 1:step])
         return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
-                          self.low + other.low, "twisted" if tagged else None)
-
-    def truncated(self, order):
-        """The loop with its window clipped to [-order, order]."""
-        lo = max(self.low, -order)
-        hi = min(self.high, order)
-        if lo > hi:
-            raise ValueError("window collapsed to nothing")
-        keep = self.coeffs[..., lo - self.low:hi - self.low + 1, :, :]
-        return MatrixLoop(keep.copy(), lo, self.parity)
+                          low + i0, "twisted" if tagged else None)
 
     def adjoint_on_circle(self):
         """Loop whose circle values are the conjugate transposes of self's."""
@@ -197,7 +195,8 @@ def plus_loop_inverse(L, order):
     Requires low == 0 and an invertible constant term.  Power k is
     -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in order of m by
     multiply-adds on entry planes, as in `MatrixLoop.mul`.  The inverse
-    keeps L's parity tag.
+    keeps L's parity tag; for a tagged L, B_m X_{k-m} is one product per
+    inner index, bit-equal to the dense sum.
     """
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
@@ -211,7 +210,11 @@ def plus_loop_inverse(L, order):
         acc = np.zeros((2, 2) + batch, dtype=complex)
         for m in range(1, min(k, P - 1) + 1):
             for s in range(2):
-                acc += b[:, s, m, None] * out[None, s, :, k - m]
+                r, c = (s + m) % 2, (s + k - m) % 2   # the allowed entry
+                rows, cols = ((slice(r, r + 1), slice(c, c + 1)) if L.parity
+                              else (slice(0, 2),) * 2)
+                acc[rows, cols] += (b[rows, s, m, None]
+                                    * out[None, s, cols, k - m])
         out[:, :, k] = -(b0_inv[:, 0, None] * acc[None, 0]
                          + b0_inv[:, 1, None] * acc[None, 1])
     return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, L.parity)

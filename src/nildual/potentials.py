@@ -14,20 +14,21 @@ The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
 the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
 fixed by requiring B+(0) upper-triangular with positive real diagonal.
-Finally F = Phi B+^{-1}.  For a twisted Phi the system splits into two
-parity classes of half the size, solved separately, and W, B+ and F come
-out exactly twisted.  Each class system (an untagged Phi's whole system)
-is Hermitian block-Toeplitz with 2x2 blocks, solved by a block-Levinson
-recursion with no eigen step and no dense matrix.  Its guard, the pivot,
-is the smallest reciprocal condition of the Schur complements of the
-system's leading sections; nodes with a pivot below PIVOT_MIN are big-cell
-failures and are masked.  The nodes are factorized BLOCK at a time, which
-bounds the memory the systems take and changes no bit.
+Finally F = Phi B+^{-1}; both products sum only the powers they keep.
+For a twisted Phi the system splits into two parity classes of half the
+size, solved separately, and W, B+ and F come out exactly twisted.  Each
+class system (an untagged Phi's whole system) is Hermitian block-Toeplitz
+with 2x2 blocks, solved by a block-Levinson recursion with no eigen step
+and no dense matrix.  Its guard, the pivot, is the smallest reciprocal
+condition of the Schur complements of the system's leading sections;
+nodes with a pivot below PIVOT_MIN are big-cell failures and are masked.
+The nodes are factorized BLOCK at a time, which bounds the memory the
+systems take and changes no bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -240,11 +241,15 @@ def _sweep(terms, v0, z_start, dz, steps, substeps, out=None):
     """
     h = 1.0 / substeps
 
-    def stages(k, s):
+    @lru_cache(maxsize=1)
+    def step_table(k):
+        # xi at the stage points i h / 2 of node step k, ends shared
         zk = z_start + k * dz
-        zs = (zk + dz * (s * h), zk + dz * ((s + 0.5) * h),
-              zk + dz * ((s + 1) * h))
-        return [{j: _horner(c, z) for j, c in terms.items()} for z in zs]
+        zs = np.stack([zk + dz * (i / 2 * h) for i in range(2 * substeps + 1)])
+        table = {j: _horner(c, zs) for j, c in terms.items()}
+        return [{j: v[i] for j, v in table.items()} for i in range(len(zs))]
+
+    stages = lambda k, s: step_table(k)[2 * s:2 * s + 3]
 
     return rk4_march(v0, [h * dz] * steps, substeps, stages, _mul_into_window,
                      out=out)
@@ -397,11 +402,7 @@ def _factorize(phi):
          np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M,
         Z.parity)
 
-    Zp_full = W.mul(Z)
-    # keep powers 0..2N; the solve does not constrain the negative ones
-    cut = -Zp_full.low
-    Zp = MatrixLoop(Zp_full.coeffs[..., cut:cut + 2 * N + 1, :, :].copy(), 0,
-                    Zp_full.parity)
+    Zp = W.mul(Z, 0, 2 * N)   # the solve leaves the negative powers free
 
     # failed nodes get B+ = I below; keep them out of the positivity test
     Z0 = np.where(failed[..., None, None], np.eye(2), Zp.coeff(0))
@@ -424,9 +425,7 @@ def _factorize(phi):
     bp[failed, 0] = np.eye(2)
     Bp = MatrixLoop(bp, 0, Zp.parity)
 
-    Bp_inv = plus_loop_inverse(Bp, 2 * N)
-    F_wide = phi.mul(Bp_inv)
-    return F_wide.truncated(N), Bp, pivot, failed
+    return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
 
 
 def _mm(a, b):
@@ -547,10 +546,8 @@ class PipelineResult:
 
 def frame_field_from_loop(floop, lam, grid):
     """Evaluate a frame loop and its exact derivatives at one parameter."""
-    d1 = floop.dlambda()
-    d2 = d1.dlambda()
-    return FrameField(F=floop.eval(lam), F_lam=d1.eval(lam),
-                      F_lam2=d2.eval(lam), lam=complex(lam), grid=grid)
+    return FrameField(F=floop.eval(lam), F_lam=floop.eval(lam, 1),
+                      F_lam2=floop.eval(lam, 2), lam=complex(lam), grid=grid)
 
 
 def _dirac_gauge(xi, grid, F, Bp, mask):

@@ -383,9 +383,9 @@ def test_criterion_10_negative_controls(pb41):
                         + 1j * rng.normal(size=F.shape))
     su11_bad = float(np.max(su11_residual(noisy)))
     from nildual.frames import FrameField
-    d1 = pb41.frame_loop.dlambda()
-    fr = FrameField(F=noisy, F_lam=d1.eval(1.0),
-                    F_lam2=d1.dlambda().eval(1.0), lam=1.0 + 0.0j, grid=g)
+    fr = FrameField(F=noisy, F_lam=pb41.frame_loop.eval(1.0, 1),
+                    F_lam2=pb41.frame_loop.eval(1.0, 2), lam=1.0 + 0.0j,
+                    grid=g)
     compat_bad = float(np.max(frame_compatibility_residual(fr, a.dirac)[core]))
     surface_clean, e_u = conformality_residual(
         left_maurer_cartan(pb41.sym[0].f_minus))

@@ -70,16 +70,18 @@ def test_loop_eval_examples():
 
 
 def test_loop_dlambda():
+    # eval's first and second derivatives in lam, at lam = i
+    lam = 1j
     L = MatrixLoop.constant(np.eye(2))
-    dL = L.dlambda()
-    assert np.max(np.abs(dL.coeffs)) == 0.0
+    assert np.max(np.abs(L.eval(lam, 1))) == 0.0
+    assert np.max(np.abs(L.eval(lam, 2))) == 0.0
     A = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     L = MatrixLoop(A[None], 1)          # A lam
-    dL = L.dlambda()
-    assert dL.low == 0 and np.allclose(dL.coeffs[0], A)
+    assert np.allclose(L.eval(lam, 1), A)
+    assert np.max(np.abs(L.eval(lam, 2))) == 0.0
     L = MatrixLoop(A[None], -1)         # A / lam
-    dL = L.dlambda()
-    assert dL.low == -2 and np.allclose(dL.coeffs[0], -A)
+    assert np.allclose(L.eval(lam, 1), -A / lam**2)
+    assert np.allclose(L.eval(lam, 2), 2 * A / lam**3)
 
 
 def test_loop_mul_identity_and_powers(rng):
@@ -114,12 +116,13 @@ def twisted_loops(draw, order=2):
 def test_twisted_product_parity(L1, L2):
     prod = L1.mul(L2)
     assert prod.parity == "twisted"
-    assert prod.dlambda().parity is None
-    # the twisting relation on circle values: M(-lam) = sigma3 M(lam) sigma3
+    # the twisting relation on circle values, M(-lam) = sigma3 M(lam) sigma3,
+    # and its derivatives: (-1)^d M^(d)(-lam) = sigma3 M^(d)(lam) sigma3
     lam = np.exp(0.37j)
-    lhs = prod.eval(-lam)
-    rhs = SIGMA3 @ prod.eval(lam) @ SIGMA3
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    for d in (0, 1, 2):
+        lhs = (-1) ** d * prod.eval(-lam, d)
+        rhs = SIGMA3 @ prod.eval(lam, d) @ SIGMA3
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 @given(twisted_loops(order=1), twisted_loops(order=1))
@@ -145,7 +148,8 @@ def tagged_loops(draw, parity, batch):
     P = draw(st.integers(1, 6))
     c = draw(hnp.arrays(complex, batch + (P, 2, 2),
                         elements=st.complex_numbers(max_magnitude=2.0)))
-    c[..., _forbidden(P, low)] = 0.0
+    if parity is not None:
+        c[..., _forbidden(P, low)] = 0.0
     return MatrixLoop(c, low, parity)
 
 
@@ -179,6 +183,12 @@ def test_twisted_tag_refuses_every_forbidden_entry(low, P, data):
     MatrixLoop(c, low, "twisted")
 
 
+def _same_bits(x, y):
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and all(np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
+                    for part in (np.real, np.imag)))
+
+
 @pytest.mark.parametrize("pa, pb", [("twisted", "twisted")])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
@@ -193,13 +203,57 @@ def test_tagged_mul_is_the_dense_sum(pa, pb, data):
     dense = MatrixLoop(x.coeffs, x.low).mul(MatrixLoop(y.coeffs, y.low))
     assert got.parity == "twisted"
     assert dense.parity is None and got.low == dense.low
-    assert np.array_equal(got.coeffs, dense.coeffs)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got.coeffs)),
-                              np.signbit(part(dense.coeffs)))
+    assert _same_bits(got.coeffs, dense.coeffs)
     zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low)]
     assert np.all(zero == 0.0)
     assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
+
+
+@pytest.mark.parametrize("parity", ["twisted", None])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_windowed_mul_is_the_slice_of_the_full_product(parity, data):
+    ba, bb = data.draw(st.sampled_from([((2, 3), (2, 3)), ((2, 3), ()),
+                                        ((), (2, 3))]))
+    x = data.draw(tagged_loops(parity, ba))
+    y = data.draw(tagged_loops(parity, bb))
+    full = x.mul(y)
+    lo0 = data.draw(st.integers(full.low - 3, full.high))
+    hi0 = data.draw(st.integers(max(lo0, full.low), full.high + 3))
+    one = data.draw(st.integers(full.low, full.high))
+    # a drawn window (clipping either end or neither), one wider than the
+    # product at both ends, and a one-power window
+    for lo, hi in ((lo0, hi0), (full.low - 2, full.high + 2), (one, one)):
+        got = x.mul(y, lo, hi)
+        start, stop = max(lo, full.low), min(hi, full.high)
+        assert (got.low, got.high, got.parity) == (start, stop, full.parity)
+        assert _same_bits(got.coeffs, full.coeffs[
+            ..., start - full.low:stop - full.low + 1, :, :])
+
+
+def test_empty_window_raises():
+    x = MatrixLoop(np.ones((3, 2, 2)), -1)
+    y = MatrixLoop.identity((2,))   # the product has the powers -1..1
+    for lo, hi in ((1, 0), (2, 5), (-7, -2)):
+        with pytest.raises(ValueError, match="keeps no power"):
+            x.mul(y, lo, hi)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tagged_plus_loop_inverse_is_the_untagged_one(data):
+    batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
+    P = data.draw(st.integers(1, 6))
+    c = data.draw(hnp.arrays(complex, batch + (P, 2, 2),
+                             elements=st.complex_numbers(max_magnitude=2.0)))
+    c[..., _forbidden(P, 0)] = 0.0
+    # B_0 = I + (diagonal of modulus at most 1/2): well conditioned
+    c[..., 0, :, :] = 0.25 * c[..., 0, :, :] + np.eye(2)
+    order = data.draw(st.integers(0, 8))
+    got = plus_loop_inverse(MatrixLoop(c, 0, "twisted"), order)
+    dense = plus_loop_inverse(MatrixLoop(c, 0), order)
+    assert got.parity == "twisted" and dense.parity is None
+    assert _same_bits(got.coeffs, dense.coeffs)
 
 
 def _graded(rng, batch, P, span=30.0):
@@ -239,15 +293,18 @@ def test_mul_keeps_parity_slots_exactly_zero(rng):
     c = _graded(rng, (2, 3), 7)
     c[..., _forbidden(7, -3)] = 0.0
     L = MatrixLoop(c, -3, "twisted")
-    for x, y in ((L, L), (L, L.truncated(1))):
-        prod = x.mul(y)   # the parity check raises on any nonzero slot
+    short = MatrixLoop(c[..., 2:5, :, :], -1, "twisted")
+    for x, y, lo, hi in ((L, L, None, None), (L, short, None, None),
+                         (L, L, -1, 2), (short, L, -4, -4)):
+        prod = x.mul(y, lo, hi)   # the parity check raises on any nonzero slot
         assert prod.parity == "twisted"
 
 
 def test_truncation_tail(rng):
+    # a product window that clips both ends keeps the powers inside it
     c = rng.normal(size=(9, 2, 2)) + 0j
     L = MatrixLoop(c, -4)
-    cut = L.truncated(2)
+    cut = L.mul(MatrixLoop.identity(parity=None), -2, 2)
     assert cut.low == -2 and cut.high == 2
     assert np.array_equal(cut.coeffs, c[2:7])
 
