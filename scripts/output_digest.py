@@ -3,14 +3,17 @@
 
 The command set: `generate`, `dual`, `sweep` and `export --formats obj,csv`
 for the paraboloid, smyth-2 and helicoid at
-`--lambda 1,exp:pi/3 --allow-reflection`; `verify` for the paraboloid
-(`1,exp:pi/3`) and smyth-2 (`1`); and `generate` and `verify` driven by
-`--spinors` from the paraboloid's lam0 CSVs; and `generate --potential` of
-the helicoid's potential marked untwisted, on a 41x41 grid, the one command
-that marches a potential without the twisted parity pattern. The CSVs are
-copied to the fixed relative prefix `spinors/lam0`, and the potential is
-written to `potentials/helicoid_untwisted.json`, because the input path
-enters the run hash and so the run directory's name.
+`--lambda 1,exp:pi/3 --allow-reflection`; `verify` for the paraboloid,
+the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
+being the one verify of a Phi with positive powers; and `generate` and
+`verify` driven by `--spinors` from the paraboloid's lam0 CSVs; and
+`generate --potential` of the helicoid's potential marked untwisted, on a
+41x41 grid, the one command that marches a potential without the twisted
+parity pattern. The CSVs are copied to the fixed relative prefix
+`spinors/lam0`, and the potential is written to
+`potentials/helicoid_untwisted.json`, because the input path enters the run
+hash and so the run directory's name. The set writes 195 digest entries,
+files and exit codes together.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>`, and exits 1 if any command exited non-zero.
@@ -58,8 +61,9 @@ def run_commands(out, env):
             nildual(command, "--example", ex, *FLAGS)
         nildual("export", "--run", cache_dir(ex).relative_to(out).as_posix(),
                 "--formats", "obj,csv")
-    nildual("verify", "--example", "paraboloid", "--lambda", "1,exp:pi/3",
-            "--out", "runs")
+    for ex in ("paraboloid", "helicoid", "smyth-1"):
+        nildual("verify", "--example", ex, "--lambda", "1,exp:pi/3",
+                "--out", "runs")
     nildual("verify", "--example", "smyth-2", "--lambda", "1", "--out", "runs")
 
     (out / "spinors").mkdir()

@@ -95,7 +95,8 @@ def _reproject_su11(F):
     return np.array([[a, b], [np.conj(b), np.conj(a)]])
 
 
-def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
+def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
+                    derivatives=True):
     """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
 
     The parameter enters the connection only through 1/lam and lam, so the
@@ -103,14 +104,18 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
     the coupled system at fixed lam.  Classical 4th-order stages run along
     the first column and then along all rows at once (or transposed when
     `column_first` is false); F(base) = base_value, derivatives start at 0.
+    With `derivatives` false F is marched alone, bit-equal to its slice of
+    the joint march, and F_lam, F_lam2 are None.
     """
     minimality_gate(d, "frame integration needs minimal data")
     lam = complex(lam)
     grid = d.grid
     U0, Um, V0, Vp = _connection_parts(d)
 
-    # stacked state Y = (F, F_lam, F_lam2), shape (lines, 3, 2, 2)
+    # state Y = (F, F_lam, F_lam2) or F alone, shape (lines, 3 or 1, 2, 2)
     def rhs(Y, A):
+        if not derivatives:
+            return (Y[:, 0] @ A[0])[:, None]
         A0, A1, A2 = A  # alpha and its first two lam-derivatives along dt
         F, F1, F2 = Y[:, 0], Y[:, 1], Y[:, 2]
         return np.stack([
@@ -122,15 +127,13 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
     def pack(vals, direction):
         # direction "x": d/dx = U + V; "y": d/dy = i(U - V)
         u0, um, v0, vp = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
-        U = u0 + um / lam
-        V = v0 + lam * vp
-        U1 = -um / lam**2
-        V1 = vp
-        U2 = 2.0 * um / lam**3
-        V2 = np.zeros_like(vp)
+        parts = [(u0 + um / lam, v0 + lam * vp)]
+        if derivatives:
+            parts += [(-um / lam**2, vp),
+                      (2.0 * um / lam**3, np.zeros_like(vp))]
         if direction == "x":
-            return np.stack([U + V, U1 + V1, U2 + V2])
-        return np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)])
+            return np.stack([U + V for U, V in parts])
+        return np.stack([1j * (U - V) for U, V in parts])
 
     fields = np.stack([U0, Um, V0, Vp], axis=2)  # (ny, nx, 4, 2, 2)
 
@@ -141,7 +144,7 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
 
     if base_value is None:
         base_value = np.eye(2, dtype=complex)
-    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
+    out = np.empty(grid.shape + (3 if derivatives else 1, 2, 2), dtype=complex)
     out[0, 0] = 0.0
     out[0, 0, 0] = base_value
     # (lines, nodes, ...) views: the first column (row), then every row
@@ -163,8 +166,9 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True):
         idx = np.argwhere(bad)
         for i, j in idx:
             F[i, j] = _reproject_su11(F[i, j])
-    return FrameField(F=F, F_lam=out[..., 1, :, :], F_lam2=out[..., 2, :, :],
-                      lam=lam, grid=grid, reprojections=reproj)
+    F_lam, F_lam2 = (out[:, :, k] if derivatives else None for k in (1, 2))
+    return FrameField(F=F, F_lam=F_lam, F_lam2=F_lam2, lam=lam, grid=grid,
+                      reprojections=reproj)
 
 
 def frame_from_spinors(s):

@@ -135,8 +135,10 @@ class MatrixLoop:
         A direct sum per power, not an FFT, so every coefficient is rounded
         relative to its own terms and forbidden-parity entries stay exactly
         zero; a window sums the same terms in the same order as the full
-        product, so it is bit-equal to its slice.  Loops over self's window,
-        the shorter one in the pipeline.  When both factors are tagged, only
+        product, so it is bit-equal to its slice.  A power a factor lacks adds
+        no term; zero-padding it would add exact zeros to sums that start at
+        +0, the same bits for finite factors.  Loops over self's powers, no
+        more than other's in the pipeline.  When both factors are tagged, only
         their allowed entries are multiplied, a quarter of the dense terms,
         in the same order: the result is bit-equal to the dense sum.
         """

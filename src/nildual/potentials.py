@@ -5,9 +5,10 @@ the frame (with exact parameter derivatives) to the surface formulas.
 The twisted grading, its parity classes and the exact check of a tag are
 stated in `loops`; this module only applies them.  A potential must be
 finite.  The integration marches only the entries of Phi that its parity
-classes allow (one per power and column for a twisted potential, on the
-powers up to 0 when xi has no positive power) and expands them into the
-dense loop at the end; every skipped entry is exactly zero.
+classes allow (one per power and column for a twisted potential) and only
+the powers up to 0 when xi has no positive power; Phi is returned on the
+powers marched, so the factorization of such a minus-loop multiplies none
+of the exact zeros above them.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
@@ -263,7 +264,9 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     independent; `column_first` selects the sweep used, and the two-path
     agreement is a separate check.  The first column (row) is marched from
     the corner, then every row (column) at once, on Phi's allowed entries
-    (module docstring).  Returns a batched MatrixLoop over the grid nodes.
+    (module docstring).  Returns a batched MatrixLoop over the grid nodes on
+    the powers marched: -N..0 (power 0 exactly I) when xi has no positive
+    power, -N..N otherwise.
     """
     N = order
     C = 1 if xi.twisted else 2
@@ -294,7 +297,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         _sweep(terms, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps,
                out=dst)
 
-    dense = np.zeros(grid.shape + (2 * N + 1, 2, 2), dtype=complex)
+    dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
     dense[..., np.arange(len(powers))[:, None], class_rows(C, powers),
           [0, 1]] = out
     return MatrixLoop(dense, -N, "twisted" if xi.twisted else None)

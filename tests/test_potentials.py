@@ -5,9 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nildual.errors import ConfigError
-from nildual.loops import SIGMA3, MatrixLoop, su11_residual
+from nildual.loops import SIGMA3, MatrixLoop, class_rows, su11_residual
 from nildual.nil3 import DomainGrid, left_maurer_cartan
 from nildual.potentials import (
     BLOCK,
@@ -337,6 +340,50 @@ def test_iwasawa_memory_is_bounded_by_the_block():
 
     (p3, out3), (p5, out5) = peak(3), peak(5)
     assert p5 - p3 <= 1.1 * (out5 - out3)
+
+
+@st.composite
+def twisted_potentials(draw, powers):
+    """Random twisted potentials on `powers`: polynomial entries of degree
+    at most 2 on the entries the grading allows, parts in [-1/2, 1/2]."""
+    deg = draw(st.integers(0, 2))
+    parts = st.floats(-0.5, 0.5)
+    terms = {}
+    for j in powers:
+        re, im = draw(hnp.arrays(float, (2, deg + 1, 2), elements=parts))
+        c = np.zeros((deg + 1, 2, 2), dtype=complex)
+        c[:, class_rows(1, [j])[0, 0], [0, 1]] = re + 1j * im
+        terms[j] = c
+    return HoloPotential(terms)
+
+
+@pytest.mark.parametrize("powers", [(-1,), (-1, 0, 1)])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
+    # Phi of a minus-loop potential is marched and factorized on -N..0; the
+    # splitting of it zero-padded to -N..N is the same, bit for bit, and its
+    # B+ holds exact zeros above power N
+    xi = data.draw(twisted_potentials(powers))
+    N = 12
+    grid = DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    phi = integrate_potential(xi, grid, order=N, substeps=2)
+    minus = max(powers) <= 0
+    assert (phi.low, phi.high) == (-N, 0 if minus else N)
+    if minus:
+        assert _same_bits(phi.coeff(0), np.broadcast_to(
+            np.eye(2, dtype=complex), phi.batch_shape + (2, 2)))
+    pad = np.zeros(phi.batch_shape + (N - phi.high, 2, 2), dtype=complex)
+    padded = MatrixLoop(np.concatenate([phi.coeffs, pad], axis=-3), -N,
+                        phi.parity)
+    (F, Bp, rep), (Fd, Bpd, repd) = iwasawa(phi), iwasawa(padded)
+    assert (F.low, F.high) == (Fd.low, Fd.high)
+    assert _same_bits(F.coeffs, Fd.coeffs)
+    assert _same_bits(rep.pivot, repd.pivot)
+    assert _same_bits(rep.failed, repd.failed)
+    assert Bp.high == (N if minus else 2 * N)
+    assert _same_bits(Bp.coeffs, Bpd.coeffs[..., :Bp.high + 1, :, :])
+    assert not Bpd.coeffs[..., Bp.high + 1:, :, :].any()
 
 
 def test_pipeline_paraboloid_matches_closed_surfaces(grid21):

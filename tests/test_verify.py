@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,19 @@ def test_tolerance_overrides(pb_run):
     assert not rep.passed
     bad = [c for c in rep.checks if not c.passed]
     assert all(c.name.startswith("conformality") for c in bad)
+
+
+def test_battery_flags_perturbed_frame_loop(pb_run):
+    # the frame loop's coefficients off power 0 scaled by a seeded 1 + 1e-5
+    # relative noise (at 1e-6 the row read 4.9e-7..9.8e-7 over four seeds,
+    # under its 1e-6 tolerance); the frames and sheets are already built, so
+    # only the cross-pipeline row reads the loop again
+    loop = pb_run.frame_loop
+    rng = np.random.default_rng(29)
+    scale = 1 + 1e-5 * rng.normal(size=loop.coeffs.shape[-3:])
+    scale[-loop.low] = 1.0
+    bumped = dataclasses.replace(pb_run, frame_loop=MatrixLoop(
+        loop.coeffs * scale, loop.low, loop.parity))
+    failed = {c.name.split("[")[0] for c in verify_pipeline(bumped).checks
+              if not c.passed}
+    assert failed == {"cross_pipeline"}
