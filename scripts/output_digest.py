@@ -9,10 +9,13 @@ being the one verify of a Phi with positive powers; and `generate` and
 `verify` driven by `--spinors` from the paraboloid's lam0 CSVs; and
 `generate --potential` of the helicoid's potential marked untwisted, on a
 41x41 grid, the one command that marches a potential without the twisted
-parity pattern. The CSVs are copied to the fixed relative prefix
+parity pattern; and `generate` (`1,exp:pi/3`) and `verify` (`1`) of the
+paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose axes have no node at
+z0 = 0, so that the march hops to its nearest node and every line's two
+halves differ in length. The CSVs are copied to the fixed relative prefix
 `spinors/lam0`, and the potential is written to
 `potentials/helicoid_untwisted.json`, because the input path enters the run
-hash and so the run directory's name. The set writes 195 digest entries,
+hash and so the run directory's name. The set writes 215 digest entries,
 files and exit codes together.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
@@ -37,6 +40,7 @@ from pathlib import Path
 
 EXAMPLES = ("paraboloid", "smyth-2", "helicoid")
 FLAGS = ("--lambda", "1,exp:pi/3", "--allow-reflection", "--out", "runs")
+OFF_CENTRE = "-0.9,1.1,-1,0.9,30,41"
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
     "d = helicoid_potential().to_json(); d['twisted'] = False; "
@@ -79,6 +83,12 @@ def run_commands(out, env):
         capture_output=True, text=True).stdout)
     nildual("generate", "--potential", "potentials/helicoid_untwisted.json",
             "--grid=-0.5,0.5,-0.5,0.5,41,41", *FLAGS)
+
+    # z0 = 0 off both grid axes, and unequal halves on every line; a
+    # directory of their own keeps cache_dir's glob to one match
+    for command, lams in (("generate", "1,exp:pi/3"), ("verify", "1")):
+        nildual(command, "--example", "paraboloid", f"--grid={OFF_CENTRE}",
+                "--lambda", lams, "--out", "off_centre")
     return codes
 
 

@@ -140,7 +140,9 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
     def sweep(y0, lines, ts, direction, out):
         node = node_stages(lines, substeps)
         stages = lambda k, s: [pack(v, direction) for v in node(k, s)]
-        rk4_march(y0, np.diff(ts) / substeps, substeps, stages, rhs, out=out)
+        for k, y in enumerate(rk4_march(y0, np.diff(ts) / substeps, substeps,
+                                        stages, rhs), 1):
+            out[:, k] = y
 
     if base_value is None:
         base_value = np.eye(2, dtype=complex)

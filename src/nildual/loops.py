@@ -113,17 +113,17 @@ class MatrixLoop:
 
     def eval(self, lam, derivative=0):
         """Horner evaluation at lam on the unit circle, of the loop or of its
-        first or second lam-derivative (from j A_j or j (j - 1) A_j)."""
+        first or second lam-derivative (from j A_j or j (j - 1) A_j, formed
+        one power at a time)."""
         lam = complex(lam)
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
-        p = np.arange(self.low, self.high + 1)[:, None, None]
-        c = self.coeffs * p if derivative else self.coeffs
-        if derivative == 2:
-            c *= p - 1
         out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
-        for k in range(c.shape[-3] - 1, -1, -1):
-            out = out * lam + c[..., k, :, :]
+        for k in range(self.coeffs.shape[-3] - 1, -1, -1):
+            c, p = self.coeffs[..., k, :, :], self.low + k
+            for d in range(derivative):
+                c = c * (p - d)
+            out = out * lam + c
         if self.low != derivative:
             out = out * lam ** (self.low - derivative)
         return out

@@ -258,14 +258,15 @@ def sample_between(f, j, t):
     return np.matmul(w, g).reshape(f.shape[:1] + f.shape[2:])
 
 
-def rk4_march(y0, steps, substeps, stages, rhs, out=None):
+def rk4_march(y0, steps, substeps, stages, rhs):
     """Classical 4th-order Runge-Kutta along a batch of grid lines.
 
-    y0 holds one start state per line on its leading axis.  steps[k] is
-    the substep size between nodes k and k+1; stages(k, s) returns the
-    coefficient data at the start, middle and end of substep s for every
-    line, and rhs(y, a) the derivative.  The state at node k+1 goes to
-    out[:, k + 1] when `out` is given; the final state is returned.
+    y0 holds one start state per line, on whichever axis the caller keeps
+    its lines.  steps[k] is the substep size between nodes k and k+1, a
+    scalar or one per line broadcasting against the state; stages(k, s)
+    returns the coefficient data at the start, middle and end of substep s
+    for every line, and rhs(y, a) the derivative.  Yields the state at
+    nodes 1, 2, ... in turn; the caller stores what it keeps.
     """
     y = y0
     for k, h in enumerate(steps):
@@ -276,9 +277,7 @@ def rk4_march(y0, steps, substeps, stages, rhs, out=None):
             k3 = rhs(y + 0.5 * h * k2, am)
             k4 = rhs(y + h * k3, a1)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if out is not None:
-            out[:, k + 1] = y
-    return y
+        yield y
 
 
 def node_stages(f, substeps):

@@ -4,11 +4,12 @@ the frame (with exact parameter derivatives) to the surface formulas.
 
 The twisted grading, its parity classes and the exact check of a tag are
 stated in `loops`; this module only applies them.  A potential must be
-finite.  The integration marches only the entries of Phi that its parity
-classes allow (one per power and column for a twisted potential) and only
-the powers up to 0 when xi has no positive power; Phi is returned on the
-powers marched, so the factorization of such a minus-loop multiplies none
-of the exact zeros above them.
+finite.  The integration starts at z0, where Phi = I, and marches outward
+by half-lines, the lines batched on the state's last axis.  It marches only
+the entries of Phi that its parity classes allow (one per power and column
+for a twisted potential) and only the powers up to 0 when xi has no
+positive power; Phi is returned on the powers marched, so the factorization
+of such a minus-loop multiplies none of the exact zeros above them.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
@@ -43,7 +44,7 @@ from .loops import (
     forbidden_mass,
     plus_loop_inverse,
 )
-from .nil3 import DomainGrid, rk4_march
+from .nil3 import DomainGrid, rk4_march, stencil_valid
 from .sym import sym_sheets
 
 # left gauge applied to pipeline frames: a fixed rotation about e3 that
@@ -209,36 +210,36 @@ BUILTIN_NAMES = ("paraboloid", "helicoid", "smyth-1", "smyth-2")
 def _mul_into_window(v, x_at_z):
     """(Phi xi)(lam) truncated to the state's window, per line.
 
-    v holds Phi's entries by parity class, shape (lines, C, P, 2);
-    x_at_z maps power s -> xi_s's entries, shape (lines, C, 2).  Class b of
-    xi_s meets class c - b of Phi, whose column (t + s + b) % 2 it takes in
-    column t: one multiply per entry and class, the two classes' terms
-    summed before they are accumulated.
+    v holds Phi's entries by parity class in the entry-plane layout of
+    `loops._planes`, shape (C, P, 2, lines); x_at_z maps power s -> xi_s's
+    entries, shape (C, 2, lines).  Class b of xi_s meets class c - b of Phi,
+    whose column (t + s + b) % 2 it takes in column t: one multiply per entry
+    and class, the two classes' terms summed before they are accumulated.
     """
-    P = v.shape[2]
+    P = v.shape[1]
     out = np.zeros_like(v)
     for s, x in x_at_z.items():
-        for b in range(v.shape[1]):
-            src = v if b == 0 else v[:, ::-1]
+        for b in range(v.shape[0]):
+            src = v if b == 0 else v[::-1]
             if (s + b) % 2:
-                src = src[..., ::-1]
-            term = src * x[:, b, None, None, :]
+                src = src[:, :, ::-1]
+            term = src * x[b]
             prod = term if b == 0 else prod + term
         if s == 0:
             out += prod
         elif s > 0:
-            out[:, :, s:] += prod[:, :, :P - s]
+            out[:, s:] += prod[:, :P - s]
         else:
-            out[:, :, :s] += prod[:, :, -s:]
+            out[:, :s] += prod[:, -s:]
     return out
 
 
-def _sweep(terms, v0, z_start, dz, steps, substeps, out=None):
-    """RK4 along the segments z_start + k*dz, one line per start point.
+def _sweep(terms, v0, z_start, dz, steps, substeps):
+    """RK4 along the segments z_start + k*dz, one line per start point on
+    the state's last axis; dz is one step or one per line.
 
     `terms` maps power -> xi's coefficients in the state's class layout.
-    Returns the final states; node k of each line goes to out[:, k] when
-    `out` is given.
+    Yields the states at nodes 1..steps.
     """
     h = 1.0 / substeps
 
@@ -247,59 +248,77 @@ def _sweep(terms, v0, z_start, dz, steps, substeps, out=None):
         # xi at the stage points i h / 2 of node step k, ends shared
         zk = z_start + k * dz
         zs = np.stack([zk + dz * (i / 2 * h) for i in range(2 * substeps + 1)])
-        table = {j: _horner(c, zs) for j, c in terms.items()}
+        table = {j: np.ascontiguousarray(np.moveaxis(_horner(c, zs), 1, -1))
+                 for j, c in terms.items()}
         return [{j: v[i] for j, v in table.items()} for i in range(len(zs))]
 
     stages = lambda k, s: step_table(k)[2 * s:2 * s + 3]
 
-    return rk4_march(v0, [h * dz] * steps, substeps, stages, _mul_into_window,
-                     out=out)
+    return rk4_march(v0, [h * np.asarray(dz)] * steps, substeps, stages,
+                     _mul_into_window)
+
+
+def _halves(terms, g, c, z_c, dz, substeps):
+    """March the lines of g (..., lines, nodes) both ways from node c, whose
+    states are set and which sits at z_c (one point per line).  Equal halves
+    go as one batch of twice the lines, with steps dz and -dz."""
+    L, n = g.shape[-2:]
+    for d in map(np.array, ([1, -1],) if 2 * c == n - 1 else ([1], [-1])):
+        march = _sweep(terms, np.repeat(g[..., c], len(d), axis=-1),
+                       np.repeat(z_c, len(d)), np.tile(d, L) * dz,
+                       n - 1 - c if d[0] == 1 else c, substeps)
+        for k, v in enumerate(march, 1):
+            g[..., c + k * d] = v.reshape(v.shape[:-1] + (L, -1))
 
 
 def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
                         column_first=True):
-    """Solve dPhi = Phi xi dz from z0 over the grid.
+    """Solve dPhi = Phi xi dz, Phi(z0) = I, over the grid.
 
     The connection is holomorphic (dz only), so the result is path
     independent; `column_first` selects the sweep used, and the two-path
-    agreement is a separate check.  The first column (row) is marched from
-    the corner, then every row (column) at once, on Phi's allowed entries
-    (module docstring).  Returns a batched MatrixLoop over the grid nodes on
-    the powers marched: -N..0 (power 0 exactly I) when xi has no positive
-    power, -N..N otherwise.
+    agreement is a separate check.  Phi starts at the node nearest z0 (one
+    hop from z0, of steps no longer than the grid spacing, when z0 is not a
+    node).  That node's column (row) is marched outward as two half-lines,
+    then every row (column) as two half-lines from it, on Phi's allowed
+    entries (module docstring) with the lines on the state's last axis.
+    Returns a batched MatrixLoop over the grid nodes on the powers marched:
+    -N..0 (power 0 exactly I) when xi has no positive power, -N..N
+    otherwise.
     """
     N = order
     C = 1 if xi.twisted else 2
     powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
     terms = {j: c[:, class_rows(C, [j])[:, 0], [0, 1]]
              for j, c in xi.terms.items()}
-    v0 = np.zeros((1, C, len(powers), 2), dtype=complex)
-    v0[:, 0, N] = 1.0   # the identity: power 0's diagonal is class 0
+    v = np.zeros((C, len(powers), 2, 1), dtype=complex)
+    v[0, N] = 1.0   # the identity: power 0's diagonal is class 0
 
-    corner = grid.node_z(0, 0)
-    if abs(corner - z0) > 0:
-        steps = max(grid.nx, grid.ny)
-        v0 = _sweep(terms, v0, np.array([z0]), (corner - z0) / steps, steps,
-                    substeps)
+    i0 = int(np.clip(np.rint((z0.imag - grid.y0) / grid.hy), 0, grid.ny - 1))
+    j0 = int(np.clip(np.rint((z0.real - grid.x0) / grid.hx), 0, grid.nx - 1))
+    base = grid.node_z(i0, j0)
+    if base != z0:
+        steps = max(1, int(np.ceil(abs(base - z0) / min(grid.hx, grid.hy))))
+        *_, v = _sweep(terms, v, np.array([z0]), (base - z0) / steps, steps,
+                       substeps)
 
-    out = np.empty(grid.shape + v0.shape[1:], dtype=complex)
-    out[0, 0] = v0[0]
-    # (lines, nodes, ...) views: the first column (row), then every row
-    # (column) at once from it
-    cols = out.swapaxes(0, 1)
+    out = np.empty(v.shape[:3] + grid.shape, dtype=complex)
+    out[..., i0, j0] = v[..., 0]
+    # (..., lines, nodes) views: the base node's column (row), then every
+    # row (column) from it
+    cols = out.swapaxes(-1, -2)
     if column_first:
-        sweeps = ((cols[0:1], np.array([corner]), 1j * grid.hy),
-                  (out, grid.zz[:, 0], grid.hx))
+        sweeps = ((cols[..., j0:j0 + 1, :], i0, np.array([base]), 1j * grid.hy),
+                  (out, j0, grid.zz[:, j0], grid.hx))
     else:
-        sweeps = ((out[0:1], np.array([corner]), grid.hx),
-                  (cols, grid.zz[0], 1j * grid.hy))
-    for dst, z_start, dz in sweeps:
-        _sweep(terms, dst[:, 0], z_start, dz, dst.shape[1] - 1, substeps,
-               out=dst)
+        sweeps = ((out[..., i0:i0 + 1, :], j0, np.array([base]), grid.hx),
+                  (cols, i0, grid.zz[i0], 1j * grid.hy))
+    for g, c, z_c, dz in sweeps:
+        _halves(terms, g, c, z_c, dz, substeps)
 
     dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
     dense[..., np.arange(len(powers))[:, None], class_rows(C, powers),
-          [0, 1]] = out
+          [0, 1]] = np.moveaxis(out, (-2, -1), (0, 1))
     return MatrixLoop(dense, -N, "twisted" if xi.twisted else None)
 
 
@@ -510,23 +529,26 @@ def _levinson(t, y):
 def iwasawa_residuals(phi, F, Bp, mask=None):
     """(reconstruction, reality) max residuals over eight circle samples,
     on the nodes of `mask` (default: every node).  Each loop is evaluated at
-    all eight samples by one product of the (8, P) table of the samples'
-    powers with its coefficients, BLOCK nodes at a time."""
+    all eight samples as entry planes (2, 2, 8, nodes), by one product of
+    the (8, P) table of the samples' powers with its coefficients, BLOCK
+    nodes at a time; F B+ and F^dag sigma3 F are formed entrywise."""
     keep = np.ones(phi.batch_shape, dtype=bool) if mask is None else mask
     keep = keep.reshape(-1)
     lam = _circle_samples(8)[:, None]
     loops = [(lam ** (L.low + np.arange(L.coeffs.shape[-3])),
               L.coeffs.reshape(-1, L.coeffs.shape[-3], 4))
              for L in (phi, F, Bp)]
+    rows = np.array([1.0, -1.0])[:, None, None, None]   # sigma3 from the left
     recon = reality = 0.0
     for start in range(0, keep.size, BLOCK):
         part = np.flatnonzero(keep[start:start + BLOCK]) + start
-        pv, fv, bv = (np.matmul(table, c[part]).reshape(-1, 8, 2, 2)
+        pv, fv, bv = (np.matmul(table, c[part].T).reshape(2, 2, 8, -1)
                       for table, c in loops)
-        herm = np.swapaxes(fv.conj(), -1, -2) @ (SIGMA3 @ fv)
-        recon = max(recon, float(np.max(np.abs(pv - fv @ bv), initial=0.0)))
-        reality = max(reality,
-                      float(np.max(np.abs(herm - SIGMA3), initial=0.0)))
+        herm = _mm(np.swapaxes(fv, 0, 1).conj(), rows * fv)
+        recon = max(recon, float(np.max(np.abs(pv - _mm(fv, bv)),
+                                        initial=0.0)))
+        reality = max(reality, float(np.max(
+            np.abs(herm - SIGMA3[:, :, None, None]), initial=0.0)))
     return recon, reality
 
 
@@ -548,9 +570,14 @@ class PipelineResult:
 
 
 def frame_field_from_loop(floop, lam, grid):
-    """Evaluate a frame loop and its exact derivatives at one parameter."""
-    return FrameField(F=floop.eval(lam), F_lam=floop.eval(lam, 1),
-                      F_lam2=floop.eval(lam, 2), lam=complex(lam), grid=grid)
+    """Evaluate a frame loop and its exact derivatives at one parameter.
+
+    F_lam and F_lam2 are the value and the first derivative of the loop
+    sum_j j A_j lam^(j-1), whose coefficients are formed once."""
+    p = np.arange(floop.low, floop.high + 1)[:, None, None]
+    dloop = MatrixLoop(floop.coeffs * p, floop.low - 1)
+    return FrameField(F=floop.eval(lam), F_lam=dloop.eval(lam),
+                      F_lam2=dloop.eval(lam, 1), lam=complex(lam), grid=grid)
 
 
 def _dirac_gauge(xi, grid, F, Bp, mask):
@@ -597,7 +624,9 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
         F, Bp, report = iwasawa(phi)
     ok_mask = report.ok()
     F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
-    if not ok_mask.any():
+    # the extraction needs a node whose whole stencil factorized: a Phi that
+    # overflows off z0 factorizes at that node alone
+    if not stencil_valid(ok_mask).any():
         raise ConfigError("the factorization fails at every node (a "
                           "non-finite or ill-conditioned Phi)")
     mask = ok_mask

@@ -16,6 +16,7 @@ must reproduce their bytes.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,9 @@ def _mul_into_window(phi, xi_at_z, N):
 
 
 def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
+    # the step in numpy's arithmetic, as in the batched march, whose complex
+    # steps are arrays (numpy divides a complex by 6.0 as a complex)
+    dz = np.asarray(dz)[()]
     out = [phi0]
     phi = phi0
     h = 1.0 / substeps
@@ -160,33 +164,43 @@ def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
 
 def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
                                   column_first=True):
-    """integrate_potential marching one row (or column) at a time."""
+    """integrate_potential marching one half-line at a time: the hop from
+    z0 to its nearest node, that node's column (row) up and down, then each
+    row (column) right and left from it."""
     N = order
     P = 2 * N + 1
     phi0 = np.zeros((P, 2, 2), dtype=complex)
     phi0[N] = np.eye(2)
 
-    corner = grid.node_z(0, 0)
-    if abs(corner - z0) > 0:
-        steps = max(grid.nx, grid.ny)
-        phi0 = _march_potential(phi0, xi, z0, (corner - z0) / steps,
+    z0 = complex(z0)
+    i0 = min(max(round((z0.imag - grid.y0) / grid.hy), 0), grid.ny - 1)
+    j0 = min(max(round((z0.real - grid.x0) / grid.hx), 0), grid.nx - 1)
+    base = grid.node_z(i0, j0)
+    if base != z0:
+        steps = max(1, math.ceil(abs(base - z0) / min(grid.hx, grid.hy)))
+        phi0 = _march_potential(phi0, xi, z0, (base - z0) / steps,
                                 steps, substeps, N)[-1]
+
+    def both_ways(phi, z, dz, c, n):
+        """The n node values of a line from its node c, at z."""
+        line = {}
+        for d, steps in ((1, n - 1 - c), (-1, c)):
+            for k, v in enumerate(_march_potential(phi, xi, z, d * dz, steps,
+                                                   substeps, N)):
+                line[c + d * k] = v
+        return np.stack([line[i] for i in range(n)])
 
     out = np.empty(grid.shape + (P, 2, 2), dtype=complex)
     if column_first:
-        col = _march_potential(phi0, xi, corner, 1j * grid.hy,
-                               grid.ny - 1, substeps, N)
+        col = both_ways(phi0, base, 1j * grid.hy, i0, grid.ny)
         for i in range(grid.ny):
-            row = _march_potential(col[i], xi, grid.node_z(i, 0), grid.hx,
-                                   grid.nx - 1, substeps, N)
-            out[i] = np.stack(row, axis=0)
+            out[i] = both_ways(col[i], grid.node_z(i, j0), grid.hx, j0,
+                               grid.nx)
     else:
-        row0 = _march_potential(phi0, xi, corner, grid.hx,
-                                grid.nx - 1, substeps, N)
+        row = both_ways(phi0, base, grid.hx, j0, grid.nx)
         for j in range(grid.nx):
-            colj = _march_potential(row0[j], xi, grid.node_z(0, j),
-                                    1j * grid.hy, grid.ny - 1, substeps, N)
-            out[:, j] = np.stack(colj, axis=0)
+            out[:, j] = both_ways(row[j], grid.node_z(i0, j), 1j * grid.hy,
+                                  i0, grid.ny)
 
     return MatrixLoop(out, -N, "twisted" if xi.twisted else None)
 

@@ -20,6 +20,9 @@ from nildual.spinors import SpinorField, dirac_data
 from . import oracles
 
 GRID = DomainGrid(-0.6, 0.4, -0.5, 0.5, 13, 11)
+# odd and centred on 0, as every built-in grid: both halves of each line
+# have the same length and are marched as one batch
+CENTRED = DomainGrid(-0.5, 0.5, -0.4, 0.4, 11, 9)
 
 
 def untwisted_potential():
@@ -34,12 +37,17 @@ def untwisted_potential():
 @pytest.mark.parametrize("column_first", [True, False])
 @pytest.mark.parametrize("make_xi", [paraboloid_potential, helicoid_potential,
                                      untwisted_potential])
-@pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
-def test_integrate_potential_matches_line_reference(make_xi, column_first, z0):
+@pytest.mark.parametrize("z0, grid", [
+    pytest.param(0j, GRID, id="0j"),
+    pytest.param(0.3 - 0.2j, GRID, id="(0.3-0.2j)"),
+    pytest.param(0j, CENTRED, id="0j-centred"),
+    pytest.param(0.3 - 0.2j, CENTRED, id="(0.3-0.2j)-centred")])
+def test_integrate_potential_matches_line_reference(make_xi, column_first, z0,
+                                                    grid):
     xi = make_xi()
     kw = dict(z0=z0, order=6, substeps=3, column_first=column_first)
-    got = integrate_potential(xi, GRID, **kw)
-    ref = oracles.reference_integrate_potential(xi, GRID, **kw)
+    got = integrate_potential(xi, grid, **kw)
+    ref = oracles.reference_integrate_potential(xi, grid, **kw)
     if xi.twisted:
         # Phi is returned on the powers it is marched on; the reference's
         # dense loop holds exact zeros above them

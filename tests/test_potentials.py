@@ -105,11 +105,12 @@ def test_integrate_potential_closed_form(grid21, pb_phi):
 
 
 def test_integrate_potential_init_node(grid21, pb_phi):
-    # z0 = 0 sits on the grid; the loop there is the identity
-    i0 = grid21.ny // 2
-    j0 = grid21.nx // 2
-    node = pb_phi.at_node((i0, j0))
-    assert np.max(np.abs(node.eval(1.0) - np.eye(2))) < 1e-12
+    # z0 = 0 is the centre node, where the march starts: the loop there is
+    # exactly the identity
+    node = pb_phi.at_node((grid21.ny // 2, grid21.nx // 2))
+    assert np.array_equal(node.coeff(0), np.eye(2))
+    assert not node.coeffs[:-1].any()   # powers -N..-1
+    assert np.array_equal(node.eval(1.0), np.eye(2))
 
 
 def test_integrate_potential_two_paths(grid21):
@@ -317,6 +318,34 @@ def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
     assert _same_bits(Bp2.coeffs[~bad], Bp.coeffs[~bad])
 
 
+def test_iwasawa_residuals_match_dense_products(three_blocks, rng):
+    # loops perturbed by 1e-6 relative noise, so that both residuals are
+    # about 1e-6, on a random mask over more than three blocks: against
+    # per-node matrix products of Horner values at the eight samples.  The
+    # two evaluations round differently, within 64 eps of the terms' scale
+    phi, (F, Bp, _) = three_blocks
+    F, Bp = (MatrixLoop(L.coeffs * (1 + 1e-6 * rng.normal(size=L.coeffs.shape)),
+                        L.low) for L in (F, Bp))
+    mask = rng.random(phi.batch_shape) < 0.7
+    recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
+    ref_recon = ref_reality = 0.0
+    for lam in np.exp(2j * np.pi * np.arange(8) / 8):
+        p, f, b = (L.eval(lam)[mask] for L in (phi, F, Bp))
+        herm = np.swapaxes(f.conj(), -1, -2) @ SIGMA3 @ f
+        ref_recon = max(ref_recon, np.max(np.abs(p - f @ b)))
+        ref_reality = max(ref_reality, np.max(np.abs(herm - SIGMA3)))
+
+    def size(L):   # sum over powers of the largest entry, per kept node
+        return np.sum(np.max(np.abs(L.coeffs), axis=(-2, -1)), axis=-1)[mask]
+
+    scale = np.max(np.maximum(size(phi) + 2 * size(F) * size(Bp),
+                              2 * size(F) ** 2 + 1))
+    tol = 64 * np.finfo(float).eps * scale
+    assert min(ref_recon, ref_reality) > 1e4 * tol
+    assert abs(recon - ref_recon) <= tol
+    assert abs(reality - ref_reality) <= tol
+
+
 def test_iwasawa_memory_is_bounded_by_the_block():
     # the working set is one block's; only the outputs grow with the nodes:
     # two more blocks cost at most 1.1 times their outputs' bytes
@@ -455,6 +484,29 @@ def test_lambda_rotation_is_exact(name):
     a, b = (np.stack([r.sym[0].f_minus.coords[ok], r.sym[0].f_plus.coords[ok]])
             for r in runs)
     assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["paraboloid", "smyth-2"])
+def test_quarter_turn_is_exact(name):
+    # xi'(z) = i xi(iz) gives Phi'(z) = Phi(iz): on a centred square grid
+    # its sheets are xi's with the node indices turned by a quarter; the
+    # march from z0 = 0 keeps the turn to round-off
+    spec = builtin_example(name)
+    g = spec.grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 21, 21)
+    lams = [1.0, np.exp(1j * np.pi / 3)]
+    xi = spec.potential()
+    turned = HoloPotential({j: c * 1j ** (np.arange(len(c)) + 1)[:, None, None]
+                            for j, c in xi.terms.items()})
+    runs = [dpw_pipeline(p, grid, z0=spec.z0, lam_samples=lams,
+                         exclude_disk=spec.exclude_disk) for p in (xi, turned)]
+    assert np.array_equal(np.rot90(runs[0].ok_mask), runs[1].ok_mask)
+    ok = runs[1].ok_mask
+    for a, b in zip(runs[0].sym, runs[1].sym):
+        x = np.stack([np.rot90(a.f_minus.coords)[ok],
+                      np.rot90(a.f_plus.coords)[ok]])
+        y = np.stack([b.f_minus.coords[ok], b.f_plus.coords[ok]])
+        assert np.max(np.abs(x - y)) / np.max(np.abs(x)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "smyth-2"])
