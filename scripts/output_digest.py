@@ -7,9 +7,10 @@ for the paraboloid, smyth-2 and helicoid at
 the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
 being the one verify of a Phi with positive powers; and `generate` and
 `verify` driven by `--spinors` from the paraboloid's lam0 CSVs; and
-`generate --potential` of the helicoid's potential marked untwisted, on a
-41x41 grid, the one command that marches a potential without the twisted
-parity pattern; and `generate` (`1,exp:pi/3`) and `verify` (`1`) of the
+`generate --potential` of the helicoid's potential with a stale
+`"twisted": false` key, on a 41x41 grid, the one command that reads a
+potential file: the reader ignores the key and marches the potential as
+every other; and `generate` (`1,exp:pi/3`) and `verify` (`1`) of the
 paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose axes have no node at
 z0 = 0, so that the march hops to its nearest node and every line's two
 halves differ in length. The CSVs are copied to the fixed relative prefix

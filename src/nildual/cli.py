@@ -287,18 +287,15 @@ def cmd_dual(config):
     return 0
 
 
-def cmd_verify(config, perturb_frame=0.0):
+def cmd_verify(config):
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
-        if perturb_frame:
-            raise ConfigError("--perturb-frame needs a frame; the spinor "
-                              "battery has no frame rows")
         # the spinor battery reads the input fields only
         rep = verify_spinors(_read_spinors(arg), tols=config.tols,
                              conjugate_sign=config.conjugate_sign)
     else:
         rep = verify_pipeline(run_pipeline(config, for_verify=True).result,
-                              tols=config.tols, perturb_frame=perturb_frame)
+                              tols=config.tols)
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     iof.write_json(run_dir / "report.json", rep.to_json())
@@ -400,9 +397,6 @@ def build_parser():
     for name in ("generate", "dual", "verify", "sweep"):
         sp = sub.add_parser(name)
         add_common(sp)
-        if name == "verify":
-            sp.add_argument("--perturb-frame", type=float, default=0.0,
-                            help="noise amplitude for the negative control")
 
     sp = sub.add_parser("export")
     sp.add_argument("--run", required=True, help="previous run directory")
@@ -453,7 +447,7 @@ def main(argv=None):
         if args.command == "dual":
             return cmd_dual(config)
         if args.command == "verify":
-            return cmd_verify(config, perturb_frame=args.perturb_frame)
+            return cmd_verify(config)
         if args.command == "sweep":
             return cmd_sweep(config)
     except (ConfigError, NilDualError) as exc:

@@ -4,7 +4,9 @@ matrix-valued Laurent polynomials in the spectral parameter.
 A loop's tag is "twisted" or None.  The twisted grading is stated here
 alone (`class_rows`): entry (r, c) of lam^j is allowed only when r + c + j
 is even.  A tag is exact: the constructor refuses any nonzero forbidden
-entry, NaN and inf included (`forbidden_mass`).
+entry, NaN and inf included (`forbidden_mass`).  Products and inverses
+take twisted loops only; an untagged loop, such as the derivative of a
+twisted one (whose parity is the other), is only evaluated.
 All loop values broadcast over leading batch axes of the coefficient
 array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
@@ -138,10 +140,12 @@ class MatrixLoop:
         product, so it is bit-equal to its slice.  A power a factor lacks adds
         no term; zero-padding it would add exact zeros to sums that start at
         +0, the same bits for finite factors.  Loops over self's powers, no
-        more than other's in the pipeline.  When both factors are tagged, only
-        their allowed entries are multiplied, a quarter of the dense terms,
-        in the same order: the result is bit-equal to the dense sum.
+        more than other's in the pipeline.  Both factors must be twisted
+        (else ValueError); only their allowed entries are multiplied, a
+        quarter of the dense terms, in order: bit-equal to the dense sum.
         """
+        if self.parity is None or other.parity is None:
+            raise ValueError("mul needs two twisted factors")
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
         a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
         Pa, Pb = a.shape[2], b.shape[2]
@@ -152,27 +156,21 @@ class MatrixLoop:
         if i0 > i1:
             raise ValueError(f"window [{lo}, {hi}] keeps no power")
         out = np.zeros((2, 2, i1 - i0 + 1) + batch, dtype=complex)
-        tagged = self.parity is not None and other.parity is not None
-        step = 2 if tagged else 1
-        blocks = [(slice(0, 2), slice(0, 2), 0)]
-        if tagged:   # the allowed rows of a's powers and of b's first one
-            rows_a = class_rows(1, self.low + np.arange(Pa))[0]
-            rows_b = class_rows(1, [other.low])[0, 0]
+        # the allowed rows of a's powers and of b's first one
+        rows_a = class_rows(1, self.low + np.arange(Pa))[0]
+        rows_b = class_rows(1, [other.low])[0, 0]
         for k in range(max(i0 - Pb + 1, 0), min(i1 + 1, Pa)):
             for s in range(2):
-                if tagged:
-                    # a[:, s, k] lives in one row, b[s, c] on every other
-                    # power, from the first whose allowed row is s
-                    r = rows_a[k, s]
-                    blocks = [(slice(r, r + 1), slice(c, c + 1),
-                               int(rows_b[c] != s)) for c in range(2)]
-                for rows, cols, j in blocks:
-                    j -= min(k + j - i0, 0) // step * step  # first kept j
-                    out[rows, cols, k + j - i0:k + Pb - i0:step] += (
-                        a[rows, s, k, None, None]
-                        * b[None, s, cols, j:i1 - k + 1:step])
+                # a[:, s, k] lives in one row r, b[s, c] on every other
+                # power, from the first whose allowed row is s
+                r = rows_a[k, s]
+                for c in range(2):
+                    j = int(rows_b[c] != s)
+                    j -= min(k + j - i0, 0) // 2 * 2  # first kept j
+                    out[r, c, k + j - i0:k + Pb - i0:2] += (
+                        a[r, s, k, None] * b[s, c, j:i1 - k + 1:2])
         return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
-                          low + i0, "twisted" if tagged else None)
+                          low + i0, "twisted")
 
     def adjoint_on_circle(self):
         """Loop whose circle values are the conjugate transposes of self's."""
@@ -194,12 +192,14 @@ def _planes(coeffs, batch):
 def plus_loop_inverse(L, order):
     """Power-series inverse of a plus-loop, truncated at `order`.
 
-    Requires low == 0 and an invertible constant term.  Power k is
-    -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in order of m by
-    multiply-adds on entry planes, as in `MatrixLoop.mul`.  The inverse
-    keeps L's parity tag; for a tagged L, B_m X_{k-m} is one product per
-    inner index, bit-equal to the dense sum.
+    Requires a twisted L (ValueError otherwise), low == 0 and an invertible
+    constant term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in
+    order of m by multiply-adds on entry planes, as in `MatrixLoop.mul`;
+    the inverse is twisted, and B_m X_{k-m} is one product per inner index
+    and entry, bit-equal to the dense sum.
     """
+    if L.parity is None:
+        raise ValueError("plus-loop inversion needs a twisted loop")
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
     batch = L.batch_shape
@@ -212,11 +212,10 @@ def plus_loop_inverse(L, order):
         acc = np.zeros((2, 2) + batch, dtype=complex)
         for m in range(1, min(k, P - 1) + 1):
             for s in range(2):
-                r, c = (s + m) % 2, (s + k - m) % 2   # the allowed entry
-                rows, cols = ((slice(r, r + 1), slice(c, c + 1)) if L.parity
-                              else (slice(0, 2),) * 2)
-                acc[rows, cols] += (b[rows, s, m, None]
-                                    * out[None, s, cols, k - m])
+                # the allowed entry; `...` keeps an unbatched L's entries
+                # arrays: numpy's scalar complex product rounds differently
+                r, c = (s + m) % 2, (s + k - m) % 2
+                acc[r, c, ...] += b[r, s, m, ...] * out[s, c, k - m, ...]
         out[:, :, k] = -(b0_inv[:, 0, None] * acc[None, 0]
                          + b0_inv[:, 1, None] * acc[None, 1])
-    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, L.parity)
+    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, "twisted")

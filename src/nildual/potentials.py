@@ -2,14 +2,14 @@
 algebra, split Phi = F B+ pointwise in the SU(1,1) loop group, and hand
 the frame (with exact parameter derivatives) to the surface formulas.
 
-The twisted grading, its parity classes and the exact check of a tag are
-stated in `loops`; this module only applies them.  A potential must be
-finite.  The integration starts at z0, where Phi = I, and marches outward
-by half-lines, the lines batched on the state's last axis.  It marches only
-the entries of Phi that its parity classes allow (one per power and column
-for a twisted potential) and only the powers up to 0 when xi has no
-positive power; Phi is returned on the powers marched, so the factorization
-of such a minus-loop multiplies none of the exact zeros above them.
+Every potential, and every loop multiplied or inverted here, is twisted;
+the grading and the exact check of a tag are stated in `loops`.  A
+potential must be finite.  The integration starts at z0, where Phi = I, and
+marches outward by half-lines, the lines batched on the state's last axis.
+It marches only the entries of Phi that the grading allows (one per power
+and column) and only the powers up to 0 when xi has no positive power; Phi
+is returned on the powers marched, so the factorization of such a
+minus-loop multiplies none of the exact zeros above them.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
@@ -17,15 +17,14 @@ linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
 the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
 fixed by requiring B+(0) upper-triangular with positive real diagonal.
 Finally F = Phi B+^{-1}; both products sum only the powers they keep.
-For a twisted Phi the system splits into two parity classes of half the
-size, solved separately, and W, B+ and F come out exactly twisted.  Each
-class system (an untagged Phi's whole system) is Hermitian block-Toeplitz
-with 2x2 blocks, solved by a block-Levinson recursion with no eigen step
-and no dense matrix.  Its guard, the pivot, is the smallest reciprocal
-condition of the Schur complements of the system's leading sections;
-nodes with a pivot below PIVOT_MIN are big-cell failures and are masked.
-The nodes are factorized BLOCK at a time, which bounds the memory the
-systems take and changes no bit.
+The system splits into two parity classes of half the size, solved
+separately, and W, B+ and F come out exactly twisted.  Each class system
+is Hermitian block-Toeplitz with 2x2 blocks, solved by a block-Levinson
+recursion with no eigen step and no dense matrix.  Its guard, the pivot,
+is the smallest reciprocal condition of the Schur complements of the
+system's leading sections; nodes with a pivot below PIVOT_MIN are big-cell
+failures and are masked.  The nodes are factorized BLOCK at a time, which
+bounds the memory the systems take and changes no bit.
 """
 from __future__ import annotations
 
@@ -61,12 +60,11 @@ class HoloPotential:
     """xi = sum_j xi_j(z) lam^j dz with polynomial entries, j >= -1.
 
     terms[j] is an array (deg+1, 2, 2): coefficient of z^k at index k.
-    Every coefficient is finite, and a twisted potential's terms obey the
-    twisted grading of `loops` exactly.
+    Every coefficient is finite, and the terms obey the twisted grading of
+    `loops` exactly.
     """
 
     terms: dict
-    twisted: bool = True
 
     def __post_init__(self):
         if not self.terms:
@@ -78,16 +76,11 @@ class HoloPotential:
         for j, c in self.terms.items():
             if c.ndim != 3 or c.shape[1:] != (2, 2):
                 raise ConfigError("term entries must be (deg+1, 2, 2)")
-        # the terms as one stack from power -1, term i at position 2i or
-        # 2i + 1, whichever has its power's parity (the grading sees j % 2)
-        stack = np.zeros((max(map(len, self.terms.values())),
-                          2 * len(self.terms), 2, 2), dtype=complex)
-        for i, (j, c) in enumerate(self.terms.items()):
-            stack[:len(c), 2 * i + (j + 1) % 2] = c
-        if not np.isfinite(stack).all():
+        if not all(np.isfinite(c).all() for c in self.terms.values()):
             raise ConfigError("potential has a non-finite coefficient")
-        if self.twisted and forbidden_mass(stack, -1) != 0.0:
-            raise ConfigError("twisted potential has forbidden-parity mass")
+        # each term's z^k coefficients as a batch of one power, j
+        if any(forbidden_mass(c[:, None], j) for j, c in self.terms.items()):
+            raise ConfigError("potential has forbidden-parity mass")
 
     @property
     def powers(self):
@@ -107,10 +100,13 @@ class HoloPotential:
                     entries.append([[float(v.real), float(v.imag)]
                                     for v in c[:, r, s]])
             terms.append({"power": j, "entries": entries})
-        return {"schema": 1, "twisted": self.twisted, "terms": terms}
+        return {"schema": 1, "terms": terms}
 
     @classmethod
     def from_json(cls, data):
+        """The potential of a `to_json` dict.  Other keys are ignored, the
+        `twisted` flag of older files too: terms with forbidden-parity mass
+        are refused (ConfigError) whatever the flag says."""
         terms = {}
         for item in data["terms"]:
             j = int(item["power"])
@@ -121,7 +117,7 @@ class HoloPotential:
                 for k, (re, im) in enumerate(coeffs):
                     c[k, idx // 2, idx % 2] = complex(re, im)
             terms[j] = c
-        return cls(terms, twisted=bool(data.get("twisted", False)))
+        return cls(terms)
 
 
 def _horner(c, zz):
@@ -210,27 +206,22 @@ BUILTIN_NAMES = ("paraboloid", "helicoid", "smyth-1", "smyth-2")
 def _mul_into_window(v, x_at_z):
     """(Phi xi)(lam) truncated to the state's window, per line.
 
-    v holds Phi's entries by parity class in the entry-plane layout of
-    `loops._planes`, shape (C, P, 2, lines); x_at_z maps power s -> xi_s's
-    entries, shape (C, 2, lines).  Class b of xi_s meets class c - b of Phi,
-    whose column (t + s + b) % 2 it takes in column t: one multiply per entry
-    and class, the two classes' terms summed before they are accumulated.
+    v holds Phi's allowed entries, one per power and column, in the
+    entry-plane layout of `loops._planes`, shape (P, 2, lines); x_at_z maps
+    power s -> xi_s's allowed entries, shape (2, lines).  Column t of xi_s
+    takes Phi's column (t + s) % 2: one product per power, the state's
+    columns reversed for odd s.
     """
-    P = v.shape[1]
+    P = v.shape[0]
     out = np.zeros_like(v)
     for s, x in x_at_z.items():
-        for b in range(v.shape[0]):
-            src = v if b == 0 else v[::-1]
-            if (s + b) % 2:
-                src = src[:, :, ::-1]
-            term = src * x[b]
-            prod = term if b == 0 else prod + term
+        prod = (v[:, ::-1] if s % 2 else v) * x
         if s == 0:
             out += prod
         elif s > 0:
-            out[:, s:] += prod[:, :P - s]
+            out[s:] += prod[:P - s]
         else:
-            out[:, :s] += prod[:, -s:]
+            out[:s] += prod[-s:]
     return out
 
 
@@ -238,7 +229,7 @@ def _sweep(terms, v0, z_start, dz, steps, substeps):
     """RK4 along the segments z_start + k*dz, one line per start point on
     the state's last axis; dz is one step or one per line.
 
-    `terms` maps power -> xi's coefficients in the state's class layout.
+    `terms` maps power -> xi's allowed entries, as in `_mul_into_window`.
     Yields the states at nodes 1..steps.
     """
     h = 1.0 / substeps
@@ -287,12 +278,11 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     otherwise.
     """
     N = order
-    C = 1 if xi.twisted else 2
     powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
-    terms = {j: c[:, class_rows(C, [j])[:, 0], [0, 1]]
+    terms = {j: c[:, class_rows(1, [j])[0, 0], [0, 1]]
              for j, c in xi.terms.items()}
-    v = np.zeros((C, len(powers), 2, 1), dtype=complex)
-    v[0, N] = 1.0   # the identity: power 0's diagonal is class 0
+    v = np.zeros((len(powers), 2, 1), dtype=complex)
+    v[N] = 1.0   # the identity: power 0's diagonal is allowed
 
     i0 = int(np.clip(np.rint((z0.imag - grid.y0) / grid.hy), 0, grid.ny - 1))
     j0 = int(np.clip(np.rint((z0.real - grid.x0) / grid.hx), 0, grid.nx - 1))
@@ -302,7 +292,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         *_, v = _sweep(terms, v, np.array([z0]), (base - z0) / steps, steps,
                        substeps)
 
-    out = np.empty(v.shape[:3] + grid.shape, dtype=complex)
+    out = np.empty(v.shape[:2] + grid.shape, dtype=complex)
     out[..., i0, j0] = v[..., 0]
     # (..., lines, nodes) views: the base node's column (row), then every
     # row (column) from it
@@ -317,9 +307,9 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         _halves(terms, g, c, z_c, dz, substeps)
 
     dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
-    dense[..., np.arange(len(powers))[:, None], class_rows(C, powers),
+    dense[..., np.arange(len(powers))[:, None], class_rows(1, powers)[0],
           [0, 1]] = np.moveaxis(out, (-2, -1), (0, 1))
-    return MatrixLoop(dense, -N, "twisted" if xi.twisted else None)
+    return MatrixLoop(dense, -N, "twisted")
 
 
 @dataclass
@@ -391,15 +381,12 @@ def _factorize(phi):
     planes = np.ascontiguousarray(flat.T)   # node axis last
     # unknown (m,r) of a twisted W_{-m} is nonzero in the one row the grading
     # allows, which is its right-hand column: two half-size systems, one
-    # column each; an untagged Z is one class
-    if Z.parity == "twisted":
-        cls = class_rows(1, -np.arange(1, M + 1))[0].reshape(2 * M)
-        classes = [(np.flatnonzero(cls == p), [p]) for p in (0, 1)]
-    else:
-        classes = [(np.arange(2 * M), [0, 1])]
+    # column each
+    cls = class_rows(1, -np.arange(1, M + 1))[0].reshape(2 * M)
     sol = np.zeros((2 * M, 2) + batch, dtype=complex)
     pivot = np.inf
-    for rows, cols in classes:
+    for p in (0, 1):
+        rows = np.flatnonzero(cls == p)
         # consecutive unknowns pair into 2x2 blocks, K per class; entry
         # (i, j) of block d in the first block column of H^T is H's entry
         # at unknowns (j, 2d + i)
@@ -407,12 +394,10 @@ def _factorize(phi):
         t = planes[(m[None, None, 0] - m[:, :, None] + M) * 4
                    + 2 * r[None, None, 0] + r[:, :, None]]
         t = t.transpose(1, 2, 0, 3)   # (i, j, d, node)
-        y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None]
-                    + 2 * np.asarray(cols)]
-        y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[cols, None, None]
+        y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None] + 2 * p]
+        y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[p]
         x, piv = _levinson(t, y)
-        sol[rows[:, None], cols] = x.transpose(2, 0, 1, 3).reshape(
-            (len(rows), len(cols)) + batch)
+        sol[rows, p] = x.transpose(2, 0, 1, 3).reshape((len(rows),) + batch)
         pivot = np.minimum(pivot, piv)
     pivot = np.where(nonfinite, np.nan, pivot)
     failed = ~(pivot >= PIVOT_MIN)
@@ -481,20 +466,19 @@ def _levinson(t, y):
     batched over nodes: Whittle's block-Levinson recursion (Akaike 1973).
 
     t (2, 2, K, n) holds block (k + d, k) of T at d, for d = 0..K-1; the
-    blocks above the diagonal are their adjoints.  y is (2, c, K, n).
+    blocks above the diagonal are their adjoints.  y is (2, 1, K, n).
     Section k + 1 extends the monic forward predictor a (T a = [P, 0..0])
     and backward predictor b (T b = [0..0, Q]) of section k; Q is the Schur
     complement S_k of T's leading k blocks in its first k + 1, and T x = y
     is solved section by section along b.  The sums over a section run in
-    a fixed order.  Returns x (2, c, K, n) and, per node, the smallest
+    a fixed order.  Returns x (2, 1, K, n) and, per node, the smallest
     reciprocal 2x2 condition of S_0..S_{K-1} (0 when one is singular).
     """
     K, n = t.shape[2:]
-    c = y.shape[1]
     # a and x side by side, so one product serves both sums; b is stored
     # reversed (b_k first), so both predictor updates read the other one
     # backwards through a view
-    ax = np.zeros((2, 2 + c, K, n), dtype=complex)
+    ax = np.zeros((2, 3, K, n), dtype=complex)
     a, x = ax[:, :2], ax[:, 2:]
     br = np.zeros((2, 2, K, n), dtype=complex)
     a[:, :, 0] = br[:, :, 0] = np.eye(2)[:, :, None]
@@ -631,7 +615,9 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                           "non-finite or ill-conditioned Phi)")
     mask = ok_mask
     if exclude_disk is not None:
-        mask = mask & (np.abs(grid.zz) >= exclude_disk)
+        # a node within a relative 1e-12 of the radius is on it: linspace
+        # rounds mirror nodes of a symmetric grid to either side of it
+        mask = mask & (np.abs(grid.zz) >= exclude_disk * (1 - 1e-12))
         if not mask.any():
             raise ConfigError(f"exclusion radius {exclude_disk} leaves no "
                               f"node to export")

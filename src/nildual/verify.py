@@ -175,19 +175,15 @@ def analyze_sheet(surface, lam, extract_mask=None):
     return SheetAnalysis(spinors=s, dirac=d, e_u=e_u, h=h)
 
 
-def verify_pipeline(result, tols=None, perturb_frame=0.0):
+def verify_pipeline(result, tols=None):
     """Run the full residual battery on a pipeline result.
 
     The self-duality checks run when the result is flagged self-dual (the
-    built-in examples carry the flag of their spec).  `perturb_frame`
-    adds uniform noise to the frame before the frame-level checks: the
-    negative control that must trip exactly the SU(1,1) and compatibility
-    checks.
+    built-in examples carry the flag of their spec).
     """
     tols = {**DEFAULT_TOLS, **(tols or {})}
     rep = VerificationReport()
     grid = result.grid
-    rng = np.random.default_rng(7)
 
     pivot = result.report.pivot
     rep.add_scalar("iwasawa_recon", result.recon_residual,
@@ -228,11 +224,7 @@ def verify_pipeline(result, tols=None, perturb_frame=0.0):
         rep.add(f"flatness[{_lam_tag(lam)}]", flatness_residual(d, [lam]),
                 tols["flatness"], live6)
 
-        Fv = fr.F
-        if perturb_frame:
-            Fv = Fv + perturb_frame * (
-                rng.normal(size=Fv.shape) + 1j * rng.normal(size=Fv.shape))
-        rep.add(f"frame_su11[{_lam_tag(lam)}]", su11_residual(Fv),
+        rep.add(f"frame_su11[{_lam_tag(lam)}]", su11_residual(fr.F),
                 tols["frame_su11"], valid)
 
         g_spin, _ = gauss_map(a_minus.spinors)
@@ -253,8 +245,6 @@ def verify_pipeline(result, tols=None, perturb_frame=0.0):
     if base_entry is not None:
         a1 = base_entry[2]
         for sym, lam, a, fr in analyses:
-            if perturb_frame:
-                continue
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
             rep.add(f"frame_compat[{_lam_tag(lam)}]",

@@ -202,7 +202,7 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
             out[:, j] = both_ways(row[j], grid.node_z(i0, j), 1j * grid.hy,
                                   i0, grid.ny)
 
-    return MatrixLoop(out, -N, "twisted" if xi.twisted else None)
+    return MatrixLoop(out, -N, "twisted")
 
 
 def reference_integrate_frame(d, lam, base_value=None, substeps=1,
@@ -391,13 +391,12 @@ def cauchy_loop(a, b):
 
 
 def factorization_classes(phi):
-    """The dense factorization system of `phi`, one matrix per parity class,
-    assembled block by block.
+    """The dense factorization system of a twisted `phi`, one matrix per
+    parity class, assembled block by block.
 
     The system has entry ((m,r),(e,c)) = Y_{m-e}[r, c] for m, e = 1..2N,
-    where Y = Phi^dag sigma3 Phi = sigma3 Z.  A twisted `phi` splits it
-    into two classes: class p keeps, for each m, the unknown r = (p + m) % 2,
-    in order of m.  An untagged `phi` is one class of every unknown.
+    where Y = Phi^dag sigma3 Phi = sigma3 Z.  It splits into two classes:
+    class p keeps, for each m, the unknown r = (p + m) % 2, in order of m.
     """
     N = phi.order
     M = 2 * N
@@ -410,8 +409,6 @@ def factorization_classes(phi):
         for e in range(1, M + 1):
             H[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = Y.coeff(m - e)
     m = np.arange(1, M + 1)
-    if phi.parity != "twisted":
-        return [H]
     return [H[..., rows[:, None], rows]
             for rows in (2 * (m - 1) + (p + m) % 2 for p in (0, 1))]
 

@@ -132,14 +132,16 @@ def test_verify_exit_codes(tmp_path):
     (run_dir,) = tmp_path.iterdir()
     report = json.loads((run_dir / "report.json").read_text())
     assert report["passed"] is True
-    # perturbed frame: nonzero exit, SU(1,1) and compatibility checks trip
+    # a failed row: exit 1, and the report, in the run directory of the
+    # new tolerances, names it
     rc = run(["verify", "--example", "paraboloid",
               "--lambda", "1", "--out", str(tmp_path),
-              "--perturb-frame", "1e-3"])
+              "--tol", "frame_su11=1e-30"])
     assert rc == 1
+    (run_dir,) = set(tmp_path.iterdir()) - {run_dir}
     report = json.loads((run_dir / "report.json").read_text())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert any(n.startswith("frame_su11") for n in failed)
+    assert failed == {"frame_su11[lam+0.000pi]"}
 
 
 def test_sweep_requires_two_lambdas(tmp_path):
@@ -316,20 +318,15 @@ def _generate(tmp, *args):
     return ["generate", *args, "--lambda", "1", "--out", str(tmp / "o")]
 
 
-def _paraboloid_potential(tmp, entries):
+def _paraboloid_potential(tmp, entries, **keys):
     """generate --potential on a 21x21 grid from the paraboloid's potential
-    with `entries` ({2 * row + col: [re, im]} of power -1) replaced."""
-    data = nildual.potentials.paraboloid_potential().to_json()
+    with `entries` ({2 * row + col: [re, im]} of power -1) replaced and the
+    top-level `keys` added."""
+    data = {**nildual.potentials.paraboloid_potential().to_json(), **keys}
     for index, value in entries.items():
         data["terms"][0]["entries"][index] = [value]
     path = _write_text(tmp / "xi.json", json.dumps(data))
     return _generate(tmp, "--potential", str(path), "--grid=-1,1,-1,1,21,21")
-
-
-def _verify_spinors(tmp):
-    _write_paraboloid_spinors(tmp)
-    return ["verify", "--spinors", str(tmp / "in"), "--lambda", "1",
-            "--out", str(tmp / "o")]
 
 
 def _export_cache(tmp, text):
@@ -396,15 +393,19 @@ def _b64(n_bytes):
     (lambda tmp: _generate(tmp, "--example", "paraboloid",
                            "--grid=-1,1,-1,1,21,21", "--exclude-disk", "10"),
      "exclusion radius 10.0"),
-    # the spinor battery has no frame rows for the negative control to trip
-    (lambda tmp: [*_verify_spinors(tmp), "--perturb-frame", "1e-3"],
-     "--perturb-frame"),
     (lambda tmp: [*_export_edited_cache(tmp), "--formats", "objj"], "objj"),
     # NaN on an entry the twisted grading forbids, and on an allowed one
     (lambda tmp: _paraboloid_potential(tmp, {3: [math.nan, 0.0]}),
      "non-finite"),
     (lambda tmp: _paraboloid_potential(tmp, {1: [math.nan, 0.0]}),
      "non-finite"),
+    # +-0.1 on the diagonal at the odd power -1, which the grading forbids,
+    # whatever an old `twisted` flag says
+    (lambda tmp: _paraboloid_potential(tmp, {0: [0.1, 0.0], 3: [-0.1, 0.0]},
+                                       twisted=False),
+     "forbidden-parity mass"),
+    (lambda tmp: _paraboloid_potential(tmp, {0: [0.1, 0.0], 3: [-0.1, 0.0]}),
+     "forbidden-parity mass"),
     # finite, but Phi overflows at every node
     (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, -1e300],
                                              2: [0.0, -1e300]}),
@@ -414,8 +415,9 @@ def _b64(n_bytes):
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "exclude-disk-nan",
-        "exclude-disk-everything", "spinors-perturb-frame", "export-format",
+        "exclude-disk-everything", "export-format",
         "potential-nan-forbidden", "potential-nan-allowed",
+        "potential-forbidden-untwisted-flag", "potential-forbidden-no-flag",
         "potential-overflow"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):

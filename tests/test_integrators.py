@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nildual.frames import integrate_frame
+from nildual.loops import class_rows
 from nildual.nil3 import DomainGrid
 from nildual.potentials import (
     HoloPotential,
@@ -25,18 +26,23 @@ GRID = DomainGrid(-0.6, 0.4, -0.5, 0.5, 13, 11)
 CENTRED = DomainGrid(-0.5, 0.5, -0.4, 0.4, 11, 9)
 
 
-def untwisted_potential():
-    """Random polynomial entries on the powers -1, 0, 1, no parity pattern,
-    at the built-in potentials' scale (entries about 1/4)."""
+def polynomial_potential():
+    """Random quadratic entries on the powers -1, 0, 1, the entries the
+    twisted grading forbids zeroed, at the built-in potentials' scale
+    (entries about 1/4)."""
     rng = np.random.default_rng(7)
-    return HoloPotential({j: 0.25 * (rng.normal(size=(3, 2, 2))
-                                     + 1j * rng.normal(size=(3, 2, 2)))
-                          for j in (-1, 0, 1)}, twisted=False)
+    terms = {}
+    for j in (-1, 0, 1):
+        c = 0.25 * (rng.normal(size=(3, 2, 2))
+                    + 1j * rng.normal(size=(3, 2, 2)))
+        c[:, class_rows(2, [j])[1, 0], [0, 1]] = 0.0
+        terms[j] = c
+    return HoloPotential(terms)
 
 
 @pytest.mark.parametrize("column_first", [True, False])
 @pytest.mark.parametrize("make_xi", [paraboloid_potential, helicoid_potential,
-                                     untwisted_potential])
+                                     polynomial_potential])
 @pytest.mark.parametrize("z0, grid", [
     pytest.param(0j, GRID, id="0j"),
     pytest.param(0.3 - 0.2j, GRID, id="(0.3-0.2j)"),
@@ -48,18 +54,12 @@ def test_integrate_potential_matches_line_reference(make_xi, column_first, z0,
     kw = dict(z0=z0, order=6, substeps=3, column_first=column_first)
     got = integrate_potential(xi, grid, **kw)
     ref = oracles.reference_integrate_potential(xi, grid, **kw)
-    if xi.twisted:
-        # Phi is returned on the powers it is marched on; the reference's
-        # dense loop holds exact zeros above them
-        kept = got.high - ref.low + 1
-        assert got.low == ref.low
-        assert np.array_equal(got.coeffs, ref.coeffs[..., :kept, :, :])
-        assert not ref.coeffs[..., kept:, :, :].any()
-    else:
-        # each entry of a 2x2 product has two nonzero terms, which the
-        # reference's matmul may round differently
-        tol = 16 * np.finfo(float).eps * np.max(np.abs(ref.coeffs))
-        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= tol
+    # Phi is returned on the powers it is marched on; the reference's dense
+    # loop holds exact zeros above them
+    kept = got.high - ref.low + 1
+    assert got.low == ref.low
+    assert np.array_equal(got.coeffs, ref.coeffs[..., :kept, :, :])
+    assert not ref.coeffs[..., kept:, :, :].any()
 
 
 @pytest.mark.parametrize("column_first", [True, False])

@@ -86,12 +86,15 @@ def test_loop_dlambda():
 
 def test_loop_mul_identity_and_powers(rng):
     c = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-    L = MatrixLoop(c, -2)
-    out = L.mul(MatrixLoop.identity(parity=None))
+    c[_forbidden(5, -2)] = 0.0
+    L = MatrixLoop(c, -2, "twisted")
+    out = L.mul(MatrixLoop.identity())
     assert out.low == -2 and np.allclose(out.coeffs, c)
-    A = rng.normal(size=(2, 2)) + 0j
-    B = rng.normal(size=(2, 2)) + 0j
-    prod = MatrixLoop(A[None], 1).mul(MatrixLoop(B[None], -1))
+    # odd powers hold off-diagonal entries
+    A = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
+    B = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
+    prod = MatrixLoop(A[None], 1, "twisted").mul(
+        MatrixLoop(B[None], -1, "twisted"))
     assert prod.low == 0 and np.allclose(prod.coeffs[0], A @ B)
 
 
@@ -142,15 +145,22 @@ def _forbidden(P, low):
     return (j + rc) % 2 != 0
 
 
+entries = st.complex_numbers(max_magnitude=2.0)
+# for the coefficientwise error bounds, which hold only where no product
+# underflows: moduli 0 or at least 1e-20, so that products of up to nine
+# entries stay normal
+no_underflow = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=1e-20, max_magnitude=2.0))
+
+
 @st.composite
-def tagged_loops(draw, parity, batch):
+def tagged_loops(draw, batch, elements=entries):
+    """Twisted loops of any low and up to six powers on `batch`."""
     low = draw(st.integers(-3, 3))
     P = draw(st.integers(1, 6))
-    c = draw(hnp.arrays(complex, batch + (P, 2, 2),
-                        elements=st.complex_numbers(max_magnitude=2.0)))
-    if parity is not None:
-        c[..., _forbidden(P, low)] = 0.0
-    return MatrixLoop(c, low, parity)
+    c = draw(hnp.arrays(complex, batch + (P, 2, 2), elements=elements))
+    c[..., _forbidden(P, low)] = 0.0
+    return MatrixLoop(c, low, "twisted")
 
 
 @given(low=st.integers(-7, 7), P=st.integers(1, 6))
@@ -165,8 +175,7 @@ def test_class_rows_is_the_twisted_rule(low, P):
 @given(low=st.integers(-4, 4), P=st.integers(1, 5), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_twisted_tag_refuses_every_forbidden_entry(low, P, data):
-    c = data.draw(hnp.arrays(complex, (2, P, 2, 2),
-                             elements=st.complex_numbers(max_magnitude=2.0)))
+    c = data.draw(hnp.arrays(complex, (2, P, 2, 2), elements=entries))
     forbidden = _forbidden(P, low)
     c[:, forbidden] = 0.0
     MatrixLoop(c, low, "twisted")
@@ -189,34 +198,32 @@ def _same_bits(x, y):
                     for part in (np.real, np.imag)))
 
 
-@pytest.mark.parametrize("pa, pb", [("twisted", "twisted")])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_tagged_mul_is_the_dense_sum(pa, pb, data):
+def test_tagged_mul_is_the_dense_sum(data):
     # odd and even lows, unequal windows, and a constant broadcast against
-    # a batch on either side
+    # a batch on either side: each coefficient within the einsum product's
+    # bound, and the forbidden entries +0 exactly
     ba, bb = data.draw(st.sampled_from([((2, 3), (2, 3)), ((2, 3), ()),
                                         ((), (2, 3))]))
-    x = data.draw(tagged_loops(pa, ba))
-    y = data.draw(tagged_loops(pb, bb))
+    x = data.draw(tagged_loops(ba, no_underflow))
+    y = data.draw(tagged_loops(bb, no_underflow))
     got = x.mul(y)
-    dense = MatrixLoop(x.coeffs, x.low).mul(MatrixLoop(y.coeffs, y.low))
-    assert got.parity == "twisted"
-    assert dense.parity is None and got.low == dense.low
-    assert _same_bits(got.coeffs, dense.coeffs)
+    assert got.parity == "twisted" and got.low == x.low + y.low
+    assert got.coeffs.shape[-3] == x.coeffs.shape[-3] + y.coeffs.shape[-3] - 1
+    assert oracles.within_cauchy_bound(got.coeffs, x.coeffs, y.coeffs)
     zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low)]
     assert np.all(zero == 0.0)
     assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
 
 
-@pytest.mark.parametrize("parity", ["twisted", None])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_windowed_mul_is_the_slice_of_the_full_product(parity, data):
+def test_windowed_mul_is_the_slice_of_the_full_product(data):
     ba, bb = data.draw(st.sampled_from([((2, 3), (2, 3)), ((2, 3), ()),
                                         ((), (2, 3))]))
-    x = data.draw(tagged_loops(parity, ba))
-    y = data.draw(tagged_loops(parity, bb))
+    x = data.draw(tagged_loops(ba))
+    y = data.draw(tagged_loops(bb))
     full = x.mul(y)
     lo0 = data.draw(st.integers(full.low - 3, full.high))
     hi0 = data.draw(st.integers(max(lo0, full.low), full.high + 3))
@@ -226,13 +233,15 @@ def test_windowed_mul_is_the_slice_of_the_full_product(parity, data):
     for lo, hi in ((lo0, hi0), (full.low - 2, full.high + 2), (one, one)):
         got = x.mul(y, lo, hi)
         start, stop = max(lo, full.low), min(hi, full.high)
-        assert (got.low, got.high, got.parity) == (start, stop, full.parity)
+        assert (got.low, got.high, got.parity) == (start, stop, "twisted")
         assert _same_bits(got.coeffs, full.coeffs[
             ..., start - full.low:stop - full.low + 1, :, :])
 
 
 def test_empty_window_raises():
-    x = MatrixLoop(np.ones((3, 2, 2)), -1)
+    c = np.ones((3, 2, 2), dtype=complex)
+    c[_forbidden(3, -1)] = 0.0
+    x = MatrixLoop(c, -1, "twisted")
     y = MatrixLoop.identity((2,))   # the product has the powers -1..1
     for lo, hi in ((1, 0), (2, 5), (-7, -2)):
         with pytest.raises(ValueError, match="keeps no power"):
@@ -241,19 +250,34 @@ def test_empty_window_raises():
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_tagged_plus_loop_inverse_is_the_untagged_one(data):
+def test_tagged_plus_loop_inverse_is_within_the_cauchy_bound(data):
+    # L X is the identity on the powers 0..order within the einsum
+    # product's bound, and X's forbidden entries are exactly zero
     batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
     P = data.draw(st.integers(1, 6))
     c = data.draw(hnp.arrays(complex, batch + (P, 2, 2),
-                             elements=st.complex_numbers(max_magnitude=2.0)))
+                             elements=no_underflow))
     c[..., _forbidden(P, 0)] = 0.0
     # B_0 = I + (diagonal of modulus at most 1/2): well conditioned
     c[..., 0, :, :] = 0.25 * c[..., 0, :, :] + np.eye(2)
     order = data.draw(st.integers(0, 8))
     got = plus_loop_inverse(MatrixLoop(c, 0, "twisted"), order)
-    dense = plus_loop_inverse(MatrixLoop(c, 0), order)
-    assert got.parity == "twisted" and dense.parity is None
-    assert _same_bits(got.coeffs, dense.coeffs)
+    assert got.parity == "twisted" and got.coeffs.shape[-3] == order + 1
+    ident = np.zeros(batch + (order + 1, 2, 2), dtype=complex)
+    ident[..., 0, :, :] = np.eye(2)
+    assert oracles.within_cauchy_bound(ident, c, got.coeffs)
+    assert np.all(got.coeffs[..., _forbidden(order + 1, 0)] == 0.0)
+
+
+def test_products_refuse_an_untagged_factor():
+    twisted = MatrixLoop.identity((2,))
+    untagged = MatrixLoop.identity((2,), parity=None)
+    for x, y in ((twisted, untagged), (untagged, twisted),
+                 (untagged, untagged)):
+        with pytest.raises(ValueError, match="twisted"):
+            x.mul(y)
+    with pytest.raises(ValueError, match="twisted"):
+        plus_loop_inverse(untagged, 3)
 
 
 def _graded(rng, batch, P, span=30.0):
@@ -276,7 +300,9 @@ def _fft_product(a, b):
 def test_mul_error_is_coefficientwise(rng, Pa, Pb, batch_b):
     a = _graded(rng, (3, 4), Pa)
     b = _graded(rng, batch_b, Pb)
-    got = MatrixLoop(a, -2).mul(MatrixLoop(b, 1))
+    a[..., _forbidden(Pa, -2)] = 0.0
+    b[..., _forbidden(Pb, 1)] = 0.0
+    got = MatrixLoop(a, -2, "twisted").mul(MatrixLoop(b, 1, "twisted"))
     assert got.low == -1 and got.coeffs.shape == (3, 4, Pa + Pb - 1, 2, 2)
     assert oracles.within_cauchy_bound(got.coeffs, a, b)
 
@@ -303,8 +329,9 @@ def test_mul_keeps_parity_slots_exactly_zero(rng):
 def test_truncation_tail(rng):
     # a product window that clips both ends keeps the powers inside it
     c = rng.normal(size=(9, 2, 2)) + 0j
-    L = MatrixLoop(c, -4)
-    cut = L.mul(MatrixLoop.identity(parity=None), -2, 2)
+    c[_forbidden(9, -4)] = 0.0
+    L = MatrixLoop(c, -4, "twisted")
+    cut = L.mul(MatrixLoop.identity(), -2, 2)
     assert cut.low == -2 and cut.high == 2
     assert np.array_equal(cut.coeffs, c[2:7])
 
@@ -329,8 +356,9 @@ def test_adjoint_on_circle(rng):
 
 def test_plus_loop_inverse(rng):
     c = 0.1 * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
+    c[_forbidden(4, 0)] = 0.0
     c[0] = np.eye(2) + 0.05 * c[0]
-    L = MatrixLoop(c, 0)
+    L = MatrixLoop(c, 0, "twisted")
     inv = plus_loop_inverse(L, 12)
     prod = L.mul(inv)
     ident = np.zeros_like(prod.coeffs[..., 0, :, :])
@@ -345,13 +373,14 @@ def test_plus_loop_inverse(rng):
 def test_plus_loop_inverse_batched(rng):
     c = 0.1 * (rng.normal(size=(3, 2, 5, 2, 2))
                + 1j * rng.normal(size=(3, 2, 5, 2, 2)))
+    c[..., _forbidden(5, 0)] = 0.0
     c[..., 0, :, :] += np.eye(2)
-    inv = plus_loop_inverse(MatrixLoop(c, 0), 10)
+    inv = plus_loop_inverse(MatrixLoop(c, 0, "twisted"), 10)
     assert inv.coeffs.shape == (3, 2, 11, 2, 2)
     for idx in np.ndindex(3, 2):
-        one = plus_loop_inverse(MatrixLoop(c[idx], 0), 10)
+        one = plus_loop_inverse(MatrixLoop(c[idx], 0, "twisted"), 10)
         assert np.array_equal(inv.coeffs[idx], one.coeffs)
-        prod = MatrixLoop(c[idx], 0).mul(one)
+        prod = MatrixLoop(c[idx], 0, "twisted").mul(one)
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
 

@@ -50,14 +50,17 @@ def test_potential_json_roundtrip():
     xi = smyth_potential(2)
     xi.terms[-1][0, 0, 1] = complex(1.0, -0.0)
     xi.terms[-1][2, 1, 0] = complex(-0.0, 1.0)
-    back = HoloPotential.from_json(xi.to_json())
-    assert back.twisted
-    assert set(back.terms) == set(xi.terms)
-    for j in xi.terms:
-        assert np.array_equal(back.terms[j], xi.terms[j])
-        for part in (np.real, np.imag):
-            assert np.array_equal(np.signbit(part(back.terms[j])),
-                                  np.signbit(part(xi.terms[j])))
+    data = xi.to_json()
+    assert "twisted" not in data
+    # a `twisted` flag of older files is read past, whatever it says
+    for extra in ({}, {"twisted": False}, {"twisted": True}):
+        back = HoloPotential.from_json({**data, **extra})
+        assert set(back.terms) == set(xi.terms)
+        for j in xi.terms:
+            assert np.array_equal(back.terms[j], xi.terms[j])
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(back.terms[j])),
+                                      np.signbit(part(xi.terms[j])))
 
 
 def test_potential_validation():
@@ -79,16 +82,24 @@ def test_potential_checks_every_term():
         out[j][k, r, c] = value
         return out
 
-    HoloPotential(terms)
+    def edited_json(j, k, r, c, value):
+        data = HoloPotential(terms).to_json()
+        term = next(t for t in data["terms"] if t["power"] == j)
+        term["entries"][2 * r + c][k] = [value, 0.0]
+        return data
+
     for where in ((2, 0, 0, 1), (5, 2, 1, 1), (-1, 1, 0, 0)):
-        with pytest.raises(ConfigError, match="forbidden"):
+        with pytest.raises(ConfigError, match="forbidden-parity mass"):
             HoloPotential(edited(*where, 1e-300))
-        HoloPotential(edited(*where, 1e-300), twisted=False)
+        # a file is refused alike, with an old `twisted` flag or without
+        for extra in ({}, {"twisted": False}):
+            with pytest.raises(ConfigError, match="forbidden-parity mass"):
+                HoloPotential.from_json({**edited_json(*where, 1e-300),
+                                         **extra})
         for bad in (np.nan, np.inf):   # forbidden and allowed entries alike
             for at in (where, (where[0], 0, 0, where[0] % 2)):
-                for twisted in (True, False):
-                    with pytest.raises(ConfigError, match="non-finite"):
-                        HoloPotential(edited(*at, bad), twisted=twisted)
+                with pytest.raises(ConfigError, match="non-finite"):
+                    HoloPotential(edited(*at, bad))
 
 
 def test_integrate_potential_closed_form(grid21, pb_phi):
@@ -156,16 +167,18 @@ def test_iwasawa_of_real_loop_is_trivial(grid21, pb_phi):
 
 
 def test_iwasawa_of_plus_loop_is_identity(rng):
-    # normalized plus-loop input: F = I
+    # normalized twisted plus-loop input, B+(0) diagonal: F = I
     c = np.zeros((4, 2, 2), dtype=complex)
-    c[0] = np.array([[1.5, 0.3 + 0.2j], [0.0, 0.8]])
+    c[0] = np.diag([1.5, 0.8])
     c[1] = 0.1 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[2] = 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0)
+    c[~_allowed(MatrixLoop(c, 0))] = 0.0
+    Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0,
+                         "twisted")
     # widen into a symmetric window so the splitter sees a generic input
     pad = np.zeros((3, 3, 9, 2, 2), dtype=complex)
     pad[..., 4:8, :, :] = Bp_true.coeffs
-    phi = MatrixLoop(pad, -4)
+    phi = MatrixLoop(pad, -4, "twisted")
     F, Bp, report = iwasawa(phi)
     assert not np.any(report.failed)
     lam = np.exp(1.1j)
@@ -199,25 +212,6 @@ def test_iwasawa_pivot_matches_dense_schur_complements(name):
     _, _, report = iwasawa(phi)
     ref = oracles.schur_pivot(phi)
     assert np.max(np.abs(report.pivot - ref) / ref) < 1e-10
-
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_iwasawa_parity_classes_match_the_dense_system(name):
-    # an untagged copy is one parity class: the whole 2M x 2M system
-    g = builtin_example(name).grid
-    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
-    phi = integrate_potential(builtin_example(name).potential(), grid)
-    F, Bp, report = iwasawa(phi)
-    Fd, Bpd, dense = iwasawa(MatrixLoop(phi.coeffs, phi.low))
-    assert F.parity == Bp.parity == "twisted"
-    assert Fd.parity is None and Bpd.parity is None
-    assert np.array_equal(report.failed, dense.failed)
-    # the pivot depends on the layout: each against its own dense oracle
-    for rep, loop in ((report, phi), (dense, MatrixLoop(phi.coeffs, phi.low))):
-        ref = oracles.schur_pivot(loop)
-        assert np.max(np.abs(rep.pivot - ref) / ref) < 1e-10
-    assert np.max(np.abs(F.coeffs - Fd.coeffs)) < 1e-13
-    assert np.max(np.abs(Bp.coeffs - Bpd.coeffs)) < 1e-13
 
 
 def _allowed(loop):
@@ -500,7 +494,9 @@ def test_quarter_turn_is_exact(name):
                             for j, c in xi.terms.items()})
     runs = [dpw_pipeline(p, grid, z0=spec.z0, lam_samples=lams,
                          exclude_disk=spec.exclude_disk) for p in (xi, turned)]
-    assert np.array_equal(np.rot90(runs[0].ok_mask), runs[1].ok_mask)
+    for m in ("ok_mask", "mask"):
+        assert np.array_equal(np.rot90(getattr(runs[0], m)),
+                              getattr(runs[1], m))
     ok = runs[1].ok_mask
     for a, b in zip(runs[0].sym, runs[1].sym):
         x = np.stack([np.rot90(a.f_minus.coords)[ok],

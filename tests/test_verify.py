@@ -33,9 +33,17 @@ def test_battery_passes_on_paraboloid(pb_run):
 
 
 def test_battery_flags_perturbed_frame(pb_run):
-    rep = verify_pipeline(pb_run, perturb_frame=1e-3)
-    failed = {c.name.split("[")[0] for c in rep.checks if not c.passed}
-    assert failed == {"frame_su11"}
+    # the frame at both lam plus seeded 1e-3 normal noise: the SU(1,1) and
+    # compatibility rows read it and trip at both; the sheets were built
+    # from the unperturbed frame, and the cross-pipeline row reads the loop
+    rng = np.random.default_rng(7)
+    frames = [dataclasses.replace(fr, F=fr.F + 1e-3 * (
+        rng.normal(size=fr.F.shape) + 1j * rng.normal(size=fr.F.shape)))
+        for fr in pb_run.frames]
+    rep = verify_pipeline(dataclasses.replace(pb_run, frames=frames))
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {f"{row}[lam+{turn}pi]" for turn in ("0.000", "0.333")
+                      for row in ("frame_su11", "frame_compat")}
 
 
 def _failed_rows_with_perturbed(monkeypatch, which):
