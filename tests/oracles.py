@@ -413,6 +413,32 @@ def factorization_classes(phi):
             for rows in (2 * (m - 1) + (p + m) % 2 for p in (0, 1))]
 
 
+def factorization_solution(phi):
+    """The whole factorization system of `phi` solved at once, unsplit into
+    parity classes: sum_m W_{-m} Z_{m-e} = -Z_{-e} for e = 1..2N, with
+    Z = sigma3 Phi^dag sigma3 Phi, by np.linalg.solve on its 4N x 4N
+    transpose.  Returns the coefficient stacks of W (powers -2N..0, W_0 = I)
+    and of Z, with Z's lowest power."""
+    N = phi.order
+    M = 2 * N
+    adj = phi.adjoint_on_circle()
+    Z = MatrixLoop(cauchy_loop(adj.coeffs * [[1.0, -1.0], [-1.0, 1.0]],
+                               phi.coeffs), adj.low + phi.low)
+    # unknown (m, r) of row a of W is W_{-m}[a, r]; equation (e, c)
+    A = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
+    rhs = np.zeros(phi.batch_shape + (2 * M, 2), dtype=complex)
+    for e in range(1, M + 1):
+        for m in range(1, M + 1):
+            A[..., 2 * (e - 1):2 * e, 2 * (m - 1):2 * m] = np.swapaxes(
+                Z.coeff(m - e), -1, -2)
+        rhs[..., 2 * (e - 1):2 * e, :] = -np.swapaxes(Z.coeff(-e), -1, -2)
+    u = np.linalg.solve(A, rhs).reshape(phi.batch_shape + (M, 2, 2))
+    W = np.empty(phi.batch_shape + (M + 1, 2, 2), dtype=complex)
+    W[..., :M, :, :] = np.swapaxes(u, -1, -2)[..., ::-1, :, :]
+    W[..., M, :, :] = np.eye(2)
+    return W, Z.coeffs, Z.low
+
+
 def schur_pivot(phi):
     """Smallest reciprocal 2-norm condition of the Schur complements
     S_k = T_{k+1} / T_k of the leading sections of each class system T,

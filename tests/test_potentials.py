@@ -214,6 +214,29 @@ def test_iwasawa_pivot_matches_dense_schur_complements(name):
     assert np.max(np.abs(report.pivot - ref) / ref) < 1e-10
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_iwasawa_parity_classes_match_the_dense_system(name):
+    # the two half-size class solves against one dense solve of the whole
+    # system: its W is twisted, W Z has no powers -2N..-1, and on the
+    # powers 0..N it is B+(0)^dag B+
+    g = builtin_example(name).grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
+    phi = integrate_potential(builtin_example(name).potential(), grid)
+    _, Bp, report = iwasawa(phi)
+    assert not report.failed.any()
+    W, Z, z_low = oracles.factorization_solution(phi)
+    M = W.shape[-3] - 1
+    assert np.all(W[..., ~_allowed(MatrixLoop(W, -M))] == 0.0)
+    WZ = oracles.cauchy_loop(W, Z)   # powers -M + z_low on
+    scale = np.max(np.abs(Z), axis=(-3, -2, -1))[..., None, None, None]
+    assert np.max(np.abs(WZ[..., -z_low:M - z_low, :, :]) / scale) < 1e-13
+    b0h = np.swapaxes(Bp.coeffs[..., 0, :, :].conj(), -1, -2)
+    plus = WZ[..., M - z_low:, :, :]
+    assert plus.shape == Bp.coeffs.shape
+    assert np.max(np.abs(plus - np.einsum("...ab,...jbc->...jac", b0h,
+                                          Bp.coeffs)) / scale) < 1e-13
+
+
 def _allowed(loop):
     """(P, 2, 2) mask of the entries a twisted loop may hold: entry (r, c)
     of power j when r + c + j is even."""
