@@ -13,10 +13,13 @@ potential file: the reader ignores the key and marches the potential as
 every other; and `generate` (`1,exp:pi/3`) and `verify` (`1`) of the
 paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose axes have no node at
 z0 = 0, so that the march hops to its nearest node and every line's two
-halves differ in length. The CSVs are copied to the fixed relative prefix
-`spinors/lam0`, and the potential is written to
+halves differ in length; and `generate` and `verify` driven by `--spinors`
+from that run's lam0 CSVs, whose 30x41 grid has an even side, so that the
+frame march from the grid's centre node has halves of unequal length. The
+CSVs are copied to the fixed relative prefixes `spinors/lam0` and
+`spinors_off_centre/lam0`, and the potential is written to
 `potentials/helicoid_untwisted.json`, because the input path enters the run
-hash and so the run directory's name. The set writes 215 digest entries,
+hash and so the run directory's name. The set writes 227 digest entries,
 files and exit codes together.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
@@ -71,12 +74,15 @@ def run_commands(out, env):
                 "--out", "runs")
     nildual("verify", "--example", "smyth-2", "--lambda", "1", "--out", "runs")
 
-    (out / "spinors").mkdir()
-    for part in ("psi1", "psi2"):
-        shutil.copyfile(cache_dir("paraboloid") / f"lam0_{part}.csv",
-                        out / "spinors" / f"lam0_{part}.csv")
-    nildual("generate", "--spinors", "spinors/lam0", *FLAGS)
-    nildual("verify", "--spinors", "spinors/lam0", *FLAGS)
+    def spinor_runs(run_dir, prefix):
+        (out / prefix).mkdir()
+        for part in ("psi1", "psi2"):
+            shutil.copyfile(run_dir / f"lam0_{part}.csv",
+                            out / prefix / f"lam0_{part}.csv")
+        for command in ("generate", "verify"):
+            nildual(command, "--spinors", f"{prefix}/lam0", *FLAGS)
+
+    spinor_runs(cache_dir("paraboloid"), "spinors")
 
     (out / "potentials").mkdir()
     (out / "potentials" / "helicoid_untwisted.json").write_text(subprocess.run(
@@ -90,6 +96,8 @@ def run_commands(out, env):
     for command, lams in (("generate", "1,exp:pi/3"), ("verify", "1")):
         nildual(command, "--example", "paraboloid", f"--grid={OFF_CENTRE}",
                 "--lambda", lams, "--out", "off_centre")
+    (cache,) = (out / "off_centre").glob("example_paraboloid_*/frames.json")
+    spinor_runs(cache.parent, "spinors_off_centre")
     return codes
 
 

@@ -176,7 +176,7 @@ def run_pipeline(config, for_verify=False):
     if kind == "spinors":
         s = _read_spinors(arg)
         d = dirac_data(s)
-        base = frame_from_spinors(s)[0, 0]
+        base = frame_from_spinors(s)[s.grid.centre]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
         return RunArtifacts(sym_sheets(frames, s.mask, s.mask), frames, s.mask)

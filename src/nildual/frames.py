@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import VerticalPointError
 from .loops import SQRT_I, su11_residual
-from .nil3 import dz_field, dzbar_field, node_stages, rk4_march
+from .nil3 import (dz_field, dzbar_field, march_grid, mm2, node_stages,
+                   rk4_march)
 from .spinors import minimality_gate
 
 DRIFT_TOL = 1e-6    # SU(1,1) drift above which a frame node is reprojected
@@ -101,9 +102,13 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
 
     The parameter enters the connection only through 1/lam and lam, so the
     exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2  close
-    the coupled system at fixed lam.  Classical 4th-order stages run along
-    the first column and then along all rows at once (or transposed when
-    `column_first` is false); F(base) = base_value, derivatives start at 0.
+    the coupled system at fixed lam.  F at the grid's centre node is
+    base_value (default I), its derivatives 0 there.  `nil3.march_grid`
+    fills the grid from that node by half-lines, the centre's column first
+    (row, when `column_first` is false), with classical 4th-order stages on
+    2x2 entry planes, state (3 or 1, 2, 2, lines).  alpha and its
+    lam-derivatives are formed at the nodes once per direction, i(U - V)
+    along y and U + V along x, and gathered along each batch of half-lines.
     With `derivatives` false F is marched alone, bit-equal to its slice of
     the joint march, and F_lam, F_lam2 are None.
     """
@@ -111,53 +116,41 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
     lam = complex(lam)
     grid = d.grid
     U0, Um, V0, Vp = _connection_parts(d)
+    parts = [(U0 + Um / lam, V0 + lam * Vp)]
+    if derivatives:
+        parts += [(-Um / lam**2, Vp), (2.0 * Um / lam**3, np.zeros_like(Vp))]
+    # alpha along y, i(U - V), and along x, U + V: (3 or 1, 2, 2, ny, nx)
+    alpha = [np.moveaxis(np.stack(a), (3, 4), (1, 2)) for a in
+             ([1j * (U - V) for U, V in parts], [U + V for U, V in parts])]
 
-    # state Y = (F, F_lam, F_lam2) or F alone, shape (lines, 3 or 1, 2, 2)
     def rhs(Y, A):
-        if not derivatives:
-            return (Y[:, 0] @ A[0])[:, None]
-        A0, A1, A2 = A  # alpha and its first two lam-derivatives along dt
-        F, F1, F2 = Y[:, 0], Y[:, 1], Y[:, 2]
-        return np.stack([
-            F @ A0,
-            F1 @ A0 + F @ A1,
-            F2 @ A0 + 2.0 * F1 @ A1 + F @ A2,
-        ], axis=1)
-
-    def pack(vals, direction):
-        # direction "x": d/dx = U + V; "y": d/dy = i(U - V)
-        u0, um, v0, vp = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
-        parts = [(u0 + um / lam, v0 + lam * vp)]
+        dY = [mm2(Y[0], A[0])]
         if derivatives:
-            parts += [(-um / lam**2, vp),
-                      (2.0 * um / lam**3, np.zeros_like(vp))]
-        if direction == "x":
-            return np.stack([U + V for U, V in parts])
-        return np.stack([1j * (U - V) for U, V in parts])
+            dY += [mm2(Y[1], A[0]) + mm2(Y[0], A[1]),
+                   mm2(Y[2], A[0]) + 2.0 * mm2(Y[1], A[1]) + mm2(Y[0], A[2])]
+        return np.stack(dY)
 
-    fields = np.stack([U0, Um, V0, Vp], axis=2)  # (ny, nx, 4, 2, 2)
-
-    def sweep(y0, lines, ts, direction, out):
-        node = node_stages(lines, substeps)
-        stages = lambda k, s: [pack(v, direction) for v in node(k, s)]
-        for k, y in enumerate(rk4_march(y0, np.diff(ts) / substeps, substeps,
-                                        stages, rhs), 1):
-            out[:, k] = y
+    def march(y0, axis, lines, c, dirs, steps):
+        # each half-line's whole line in marching order, so that the
+        # interpolation windows reach behind its start node
+        n = grid.shape[axis]
+        k0 = c if dirs[0] > 0 else n - 1 - c
+        pos = c + dirs * (np.arange(n)[:, None] - k0)
+        a = alpha[axis]
+        node = node_stages(a[..., pos, lines] if axis == 0
+                           else a[..., lines, pos], substeps)
+        h = dirs * ((grid.hy if axis == 0 else grid.hx) / substeps)
+        return rk4_march(y0, [h] * steps, substeps,
+                         lambda k, s: node(k0 + k, s), rhs)
 
     if base_value is None:
         base_value = np.eye(2, dtype=complex)
-    out = np.empty(grid.shape + (3 if derivatives else 1, 2, 2), dtype=complex)
-    out[0, 0] = 0.0
-    out[0, 0, 0] = base_value
-    # (lines, nodes, ...) views: the first column (row), then every row
-    # (column) at once from it
-    cols, out_cols = fields.swapaxes(0, 1), out.swapaxes(0, 1)
-    if column_first:
-        sweep(out[None, 0, 0], cols[0:1], grid.ys, "y", out_cols[0:1])
-        sweep(out[:, 0], fields, grid.xs, "x", out)
-    else:
-        sweep(out[None, 0, 0], fields[0:1], grid.xs, "x", out[0:1])
-        sweep(out[0], cols, grid.ys, "y", out_cols)
+    out = np.zeros((3 if derivatives else 1, 2, 2) + grid.shape,
+                   dtype=complex)
+    i, j = grid.centre
+    out[0, :, :, i, j] = base_value
+    march_grid(out, grid.centre, column_first, march)
+    out = np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (2, 3, 4)))
 
     reproj = 0
     F = out[..., 0, :, :]

@@ -206,16 +206,20 @@ def plus_loop_inverse(L, order):
     P = min(L.coeffs.shape[-3], order + 1)
     b = _planes(L.coeffs[..., :P, :, :], batch)
     b0_inv = np.moveaxis(np.linalg.inv(L.coeffs[..., 0, :, :]), (-2, -1), (0, 1))
+    # only the allowed entries are written: the forbidden ones keep the +0
+    # of np.zeros, as in `MatrixLoop.mul`.  `...` keeps an unbatched L's
+    # entries arrays: numpy's scalar complex product rounds differently
     out = np.zeros((2, 2, order + 1) + batch, dtype=complex)
-    out[:, :, 0] = b0_inv
+    for r in range(2):
+        out[r, r, 0, ...] = b0_inv[r, r, ...]
     for k in range(1, order + 1):
         acc = np.zeros((2, 2) + batch, dtype=complex)
         for m in range(1, min(k, P - 1) + 1):
             for s in range(2):
-                # the allowed entry; `...` keeps an unbatched L's entries
-                # arrays: numpy's scalar complex product rounds differently
                 r, c = (s + m) % 2, (s + k - m) % 2
                 acc[r, c, ...] += b[r, s, m, ...] * out[s, c, k - m, ...]
-        out[:, :, k] = -(b0_inv[:, 0, None] * acc[None, 0]
-                         + b0_inv[:, 1, None] * acc[None, 1])
+        # B_0^{-1} is diagonal: column c's one allowed entry is in row r
+        for c in range(2):
+            r = (c + k) % 2
+            out[r, c, k, ...] = -(b0_inv[r, r, ...] * acc[r, c, ...])
     return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, "twisted")

@@ -59,6 +59,11 @@ class DomainGrid:
     def shape(self):
         return (self.ny, self.nx)
 
+    @property
+    def centre(self):
+        """The centre node (ny // 2, nx // 2), where frames are based."""
+        return (self.ny // 2, self.nx // 2)
+
     def node_z(self, i, j):
         return complex(self.xs[j], self.ys[i])
 
@@ -229,8 +234,9 @@ def xi_nil_with_residual(v):
     return coords, residual
 
 
-# Cubic Lagrange interpolation along a grid axis, used by the one-step
-# integrators to evaluate node-sampled coefficient fields at stage points.
+# Grid marches: one RK4 line marcher, the stages of node-sampled fields
+# (cubic Lagrange between nodes), and one routine that fills a grid from a
+# base node by half-lines, for the potential and the frame alike.
 
 def _lagrange_weights(offsets, t):
     w = np.ones(len(offsets))
@@ -241,32 +247,15 @@ def _lagrange_weights(offsets, t):
     return w
 
 
-def sample_between(f, j, t):
-    """Values of the node fields f between nodes j and j+1 at fraction t.
-
-    f has shape (lines, nodes, ...); the result has shape (lines, ...).
-    Cubic Lagrange through 4 nodes; window shifts at the boundary.  Each
-    line gets a weights-times-nodes product of its own, so a batch gives
-    the bits of one line at a time (one product over all lines can take
-    another summation path in BLAS).
-    """
-    n = f.shape[1]
-    lo = min(max(j - 1, 0), n - 4)
-    offsets = np.arange(lo - j, lo - j + 4)
-    w = _lagrange_weights(offsets, t)
-    g = f[:, lo:lo + 4].reshape(f.shape[0], 4, -1)
-    return np.matmul(w, g).reshape(f.shape[:1] + f.shape[2:])
-
-
 def rk4_march(y0, steps, substeps, stages, rhs):
     """Classical 4th-order Runge-Kutta along a batch of grid lines.
 
-    y0 holds one start state per line, on whichever axis the caller keeps
-    its lines.  steps[k] is the substep size between nodes k and k+1, a
-    scalar or one per line broadcasting against the state; stages(k, s)
-    returns the coefficient data at the start, middle and end of substep s
-    for every line, and rhs(y, a) the derivative.  Yields the state at
-    nodes 1, 2, ... in turn; the caller stores what it keeps.
+    y0 holds one start state per line, the lines on its last axis.
+    steps[k] is the substep size between nodes k and k+1, a scalar or one
+    per line broadcasting against the state; stages(k, s) returns the
+    coefficient data at the start, middle and end of substep s for every
+    line, and rhs(y, a) the derivative.  Yields the state at nodes 1, 2, ...
+    in turn; the caller stores what it keeps.
     """
     y = y0
     for k, h in enumerate(steps):
@@ -281,22 +270,63 @@ def rk4_march(y0, steps, substeps, stages, rhs):
 
 
 def node_stages(f, substeps):
-    """rk4_march stages for node fields f of shape (lines, nodes, ...).
+    """rk4_march stages for node fields f of shape (..., nodes, lines).
 
     Stage points on a node take the node value; between nodes they are
-    sampled by cubic Lagrange interpolation (`sample_between`).
+    cubic Lagrange values through 4 nodes, the window shifted at the ends
+    of the line.  The window is summed in a fixed order, node by node, so
+    a line's bits do not depend on the other lines of the batch.
     """
     def at(k, t):
         if t == 0:
-            return f[:, k]
+            return f[..., k, :]
         if t == 1:
-            return f[:, k + 1]
-        return sample_between(f, k, t)
+            return f[..., k + 1, :]
+        lo = min(max(k - 1, 0), f.shape[-2] - 4)
+        w = _lagrange_weights(np.arange(lo - k, lo - k + 4), t)
+        acc = w[0] * f[..., lo, :]
+        for a in range(1, 4):
+            acc = acc + w[a] * f[..., lo + a, :]
+        return acc
 
     def stages(k, s):
         return (at(k, s / substeps), at(k, (s + 0.5) / substeps),
                 at(k, (s + 1) / substeps))
     return stages
+
+
+def march_grid(g, base, column_first, march):
+    """Fill the grid buffer g (..., ny, nx) from its base node by half-lines.
+
+    The base node (i, j), whose value is set, has its column (row, when
+    `column_first` is false) marched outward as two half-lines; then every
+    row (column) is marched both ways from that line.  Two halves of equal
+    length go as one batch.  march(y0, axis, lines, c, d, steps) yields the
+    states at nodes 1..steps of a batch of half-lines, lines last: y0 holds
+    their start states, axis is the grid axis they run along (0: a column,
+    1: a row), lines the index of each one's column (row), c the index of
+    their start node along it and d one direction, +1 or -1, per half-line.
+    """
+    first, second = (0, 1) if column_first else (1, 0)
+    for axis, lines in ((first, np.array([base[1 - first]])),
+                        (second, np.arange(g.shape[-1 - second]))):
+        n, c = g.shape[axis - 2], base[axis]
+        for ds in ([1, -1],) if 2 * c == n - 1 else ([1], [-1]):
+            d = np.repeat(ds, len(lines))
+            ls = np.tile(lines, len(ds))
+            at = lambda pos: (..., pos, ls) if axis == 0 else (..., ls, pos)
+            steps = n - 1 - c if ds[0] == 1 else c
+            # the gather lays the lines out first in memory: copy them last
+            y0 = np.ascontiguousarray(g[at(c)])
+            for k, y in enumerate(march(y0, axis, ls, c, d, steps), 1):
+                g[at(c + k * d)] = y
+
+
+def mm2(a, b):
+    """Products of 2x2 entry planes a (2, 2, ...) with b (2, c, ...); the
+    trailing axes broadcast.  Each entry is the sum of two products in a
+    fixed order, so a node's bits do not depend on the other nodes."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
 
 def dilate_mask(invalid, radius):

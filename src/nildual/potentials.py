@@ -43,7 +43,7 @@ from .loops import (
     forbidden_mass,
     plus_loop_inverse,
 )
-from .nil3 import DomainGrid, rk4_march, stencil_valid
+from .nil3 import DomainGrid, march_grid, mm2, rk4_march, stencil_valid
 from .sym import sym_sheets
 
 # left gauge applied to pipeline frames: a fixed rotation about e3 that
@@ -249,19 +249,6 @@ def _sweep(terms, v0, z_start, dz, steps, substeps):
                      _mul_into_window)
 
 
-def _halves(terms, g, c, z_c, dz, substeps):
-    """March the lines of g (..., lines, nodes) both ways from node c, whose
-    states are set and which sits at z_c (one point per line).  Equal halves
-    go as one batch of twice the lines, with steps dz and -dz."""
-    L, n = g.shape[-2:]
-    for d in map(np.array, ([1, -1],) if 2 * c == n - 1 else ([1], [-1])):
-        march = _sweep(terms, np.repeat(g[..., c], len(d), axis=-1),
-                       np.repeat(z_c, len(d)), np.tile(d, L) * dz,
-                       n - 1 - c if d[0] == 1 else c, substeps)
-        for k, v in enumerate(march, 1):
-            g[..., c + k * d] = v.reshape(v.shape[:-1] + (L, -1))
-
-
 def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
                         column_first=True):
     """Solve dPhi = Phi xi dz, Phi(z0) = I, over the grid.
@@ -270,9 +257,9 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     independent; `column_first` selects the sweep used, and the two-path
     agreement is a separate check.  Phi starts at the node nearest z0 (one
     hop from z0, of steps no longer than the grid spacing, when z0 is not a
-    node).  That node's column (row) is marched outward as two half-lines,
-    then every row (column) as two half-lines from it, on Phi's allowed
-    entries (module docstring) with the lines on the state's last axis.
+    node).  `nil3.march_grid` fills the grid from that node by half-lines,
+    on Phi's allowed entries (module docstring) with the lines on the
+    state's last axis.
     Returns a batched MatrixLoop over the grid nodes on the powers marched:
     -N..0 (power 0 exactly I) when xi has no positive power, -N..N
     otherwise.
@@ -292,19 +279,14 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
         *_, v = _sweep(terms, v, np.array([z0]), (base - z0) / steps, steps,
                        substeps)
 
+    def march(v, axis, lines, c, d, steps):
+        z = grid.zz[c, lines] if axis == 0 else grid.zz[lines, c]
+        dz = d * (1j * grid.hy if axis == 0 else grid.hx)
+        return _sweep(terms, v, z, dz, steps, substeps)
+
     out = np.empty(v.shape[:2] + grid.shape, dtype=complex)
     out[..., i0, j0] = v[..., 0]
-    # (..., lines, nodes) views: the base node's column (row), then every
-    # row (column) from it
-    cols = out.swapaxes(-1, -2)
-    if column_first:
-        sweeps = ((cols[..., j0:j0 + 1, :], i0, np.array([base]), 1j * grid.hy),
-                  (out, j0, grid.zz[:, j0], grid.hx))
-    else:
-        sweeps = ((out[..., i0:i0 + 1, :], j0, np.array([base]), grid.hx),
-                  (cols, i0, grid.zz[i0], 1j * grid.hy))
-    for g, c, z_c, dz in sweeps:
-        _halves(terms, g, c, z_c, dz, substeps)
+    march_grid(out, (i0, j0), column_first, march)
 
     dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
     dense[..., np.arange(len(powers))[:, None], class_rows(1, powers)[0],
@@ -435,13 +417,6 @@ def _factorize(phi):
     return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
 
 
-def _mm(a, b):
-    """Products of 2x2 entry planes a (2, 2, ...) with b (2, c, ...); the
-    trailing axes broadcast.  Each entry is the sum of two products in a
-    fixed order, so a node's bits do not depend on the other nodes."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
-
-
 def _inv(a):
     """Inverse of 2x2 entry planes by the adjugate."""
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
@@ -486,26 +461,26 @@ def _levinson(t, y):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         P = S[:, :, 0] = t[:, :, 0]
         Qinv = _inv(P)
-        x[:, :, 0] = _mm(Qinv, y[:, :, 0])
+        x[:, :, 0] = mm2(Qinv, y[:, :, 0])
         for k in range(K - 1):
             # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j
-            prod = _mm(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
+            prod = mm2(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
             acc = prod[:, :, 0]
             for j in range(1, k + 1):
                 acc = acc + prod[:, :, j]
             D, eps = acc[:, :2], acc[:, 2:]
             # by symmetry, T [0, b] = [Delta^dag, 0.., Q]
             Dh = np.swapaxes(D, 0, 1).conj()
-            G = _mm(Qinv, D)
-            H = _mm(_inv(P), Dh)
-            da = _mm(br[:, :, k + 1::-1], G[:, :, None])
-            br[:, :, :k + 2] -= _mm(a[:, :, k + 1::-1], H[:, :, None])
+            G = mm2(Qinv, D)
+            H = mm2(_inv(P), Dh)
+            da = mm2(br[:, :, k + 1::-1], G[:, :, None])
+            br[:, :, :k + 2] -= mm2(a[:, :, k + 1::-1], H[:, :, None])
             a[:, :, :k + 2] -= da
-            P = P - _mm(Dh, G)
-            Q = S[:, :, k + 1] = S[:, :, k] - _mm(D, H)
+            P = P - mm2(Dh, G)
+            Q = S[:, :, k + 1] = S[:, :, k] - mm2(D, H)
             Qinv = _inv(Q)
-            x[:, :, :k + 2] += _mm(br[:, :, k + 1::-1],
-                                   _mm(Qinv, y[:, :, k + 1] - eps)[:, :, None])
+            x[:, :, :k + 2] += mm2(br[:, :, k + 1::-1],
+                                   mm2(Qinv, y[:, :, k + 1] - eps)[:, :, None])
         pivot = np.min(_rcond(S), axis=0)
     return x, pivot
 
@@ -528,8 +503,8 @@ def iwasawa_residuals(phi, F, Bp, mask=None):
         part = np.flatnonzero(keep[start:start + BLOCK]) + start
         pv, fv, bv = (np.matmul(table, c[part].T).reshape(2, 2, 8, -1)
                       for table, c in loops)
-        herm = _mm(np.swapaxes(fv, 0, 1).conj(), rows * fv)
-        recon = max(recon, float(np.max(np.abs(pv - _mm(fv, bv)),
+        herm = mm2(np.swapaxes(fv, 0, 1).conj(), rows * fv)
+        recon = max(recon, float(np.max(np.abs(pv - mm2(fv, bv)),
                                         initial=0.0)))
         reality = max(reality, float(np.max(
             np.abs(herm - SIGMA3[:, :, None, None]), initial=0.0)))

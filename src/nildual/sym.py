@@ -154,11 +154,6 @@ class MotionFit:
     residual: float
 
 
-def _phi_pack(surface):
-    phi = left_maurer_cartan(surface).phi
-    return phi
-
-
 _REFLECTIONS = {
     "rotation": lambda p: p,
     # d(rho) for rho(x) = (x1, -x2, -x3), same parametrization
@@ -192,8 +187,8 @@ def mc_equivalent(f, g, allow_reflection=False):
         raise ValueError("surfaces must share a grid")
     grid = f.grid
     sv = stencil_valid(f.mask & g.mask)
-    pf = _phi_pack(f)
-    pg = _phi_pack(g)
+    pf = left_maurer_cartan(f).phi
+    pg = left_maurer_cartan(g).phi
     kinds = ["rotation"]
     if allow_reflection:
         kinds += ["reflection", "reflection-conj"]

@@ -253,7 +253,8 @@ def verify_pipeline(result, tols=None):
                     centred_interior(sym.f_minus.mask, W6))
         lam0 = 1.0 + 0.0j
         d_sub, cut = interior_dirac(a1.dirac, W4)
-        base = result.frame_loop.at_node((W4, W4)).eval(lam0)
+        # the sub-grid's centre is the grid's: (n - 2 W4) // 2 + W4 = n // 2
+        base = result.frame_loop.at_node(grid.centre).eval(lam0)
         integ = integrate_frame(d_sub, lam0, base_value=base,
                                 derivatives=False)
         diff = np.max(np.abs(integ.F - result.frame_loop.eval(lam0)[cut]),

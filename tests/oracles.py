@@ -105,12 +105,16 @@ def paraboloid_dual_surface(grid, lam=1.0 + 0.0j):
 
 
 def sample_between(f, axis, j, t):
-    """Cubic Lagrange value of one line's node field between nodes j, j+1."""
+    """Cubic Lagrange value of one line's node field between nodes j, j+1,
+    its four terms summed in order."""
     g = np.moveaxis(np.asarray(f), axis, 0)
     n = g.shape[0]
     lo = min(max(j - 1, 0), n - 4)
     w = _lagrange_weights(np.arange(lo - j, lo - j + 4), t)
-    return np.tensordot(w, g[lo:lo + 4], axes=(0, 0))
+    acc = w[0] * g[lo]
+    for a in range(1, 4):
+        acc = acc + w[a] * g[lo + a]
+    return acc
 
 
 def _potential_at(xi, z):
@@ -205,56 +209,50 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
     return MatrixLoop(out, -N, "twisted")
 
 
+def _mat2(a, b):
+    """2x2 matrix product, entry (r, c) summed as a[r, 0] b[0, c] + a[r, 1]
+    b[1, c], the order of the batched march's entry-plane product."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
 def reference_integrate_frame(d, lam, base_value=None, substeps=1,
                               column_first=True):
-    """integrate_frame marching one row (or column) at a time.
+    """integrate_frame marching one half-line at a time: the centre node's
+    column (row) up and down, then each row (column) right and left from it.
+    Each half-line interpolates alpha along its whole line, read in marching
+    order.
 
     Returns (F, F_lam, F_lam2, reprojections).
     """
     lam = complex(lam)
     grid = d.grid
     U0, Um, V0, Vp = _connection_parts(d)
+    U, V = U0 + Um / lam, V0 + lam * Vp
+    U1, V1 = -Um / lam**2, Vp
+    U2, V2 = 2.0 * Um / lam**3, np.zeros_like(Vp)
+    # alpha and its lam-derivatives at the nodes, (ny, nx, 3, 2, 2)
+    alpha_y = np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)], axis=2)
+    alpha_x = np.stack([U + V, U1 + V1, U2 + V2], axis=2)
 
     def rhs(Y, A):
         A0, A1, A2 = A
         F, F1, F2 = Y
         return np.stack([
-            F @ A0,
-            F1 @ A0 + F @ A1,
-            F2 @ A0 + 2.0 * F1 @ A1 + F @ A2,
+            _mat2(F, A0),
+            _mat2(F1, A0) + _mat2(F, A1),
+            _mat2(F2, A0) + 2.0 * _mat2(F1, A1) + _mat2(F, A2),
         ])
 
-    def pack(u0, um, v0, vp, direction):
-        U = u0 + um / lam
-        V = v0 + lam * vp
-        U1 = -um / lam**2
-        V1 = vp
-        U2 = 2.0 * um / lam**3
-        V2 = np.zeros_like(vp)
-        if direction == "x":
-            return np.stack([U + V, U1 + V1, U2 + V2])
-        return np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)])
-
-    fields = np.stack([U0, Um, V0, Vp], axis=0)
-    if base_value is None:
-        base_value = np.eye(2, dtype=complex)
-    Y0 = np.stack([np.asarray(base_value, dtype=complex),
-                   np.zeros((2, 2), complex), np.zeros((2, 2), complex)])
-    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
-
-    def march(Y_start, line_fields, ts, direction):
+    def march(Y, line, k0, h):
+        """Node values after Y at node k0 of `line`, to the line's end."""
         def coeff(k, t):
             if t == 0:
-                vals = line_fields[:, k]
-            elif t == 1:
-                vals = line_fields[:, k + 1]
-            else:
-                vals = sample_between(line_fields, 1, k, t)
-            return pack(vals[0], vals[1], vals[2], vals[3], direction)
-        ys = [Y_start]
-        Y = Y_start
-        for k in range(len(ts) - 1):
-            h = (ts[k + 1] - ts[k]) / substeps
+                return line[k]
+            if t == 1:
+                return line[k + 1]
+            return sample_between(line, 0, k, t)
+        ys = []
+        for k in range(k0, len(line) - 1):
             for s in range(substeps):
                 t0, tm, t1 = s / substeps, (s + 0.5) / substeps, (s + 1) / substeps
                 a0, am, a1 = coeff(k, t0), coeff(k, tm), coeff(k, t1)
@@ -266,16 +264,31 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
             ys.append(Y)
         return ys
 
+    def both_ways(Y, line, c, spacing):
+        """The node values of a line from its node c, where it is Y."""
+        n = len(line)
+        out = {c: Y}
+        for d in (1, -1):
+            k0 = c if d == 1 else n - 1 - c
+            for k, v in enumerate(march(Y, line[::d], k0,
+                                        d * (spacing / substeps)), 1):
+                out[c + d * k] = v
+        return np.stack([out[i] for i in range(n)])
+
+    if base_value is None:
+        base_value = np.eye(2, dtype=complex)
+    Y0 = np.stack([np.asarray(base_value, dtype=complex),
+                   np.zeros((2, 2), complex), np.zeros((2, 2), complex)])
+    i0, j0 = grid.ny // 2, grid.nx // 2
+    out = np.empty(grid.shape + (3, 2, 2), dtype=complex)
     if column_first:
-        col = march(Y0, fields[:, :, 0], grid.ys, "y")
+        col = both_ways(Y0, alpha_y[:, j0], i0, grid.hy)
         for i in range(grid.ny):
-            row = march(col[i], fields[:, i, :], grid.xs, "x")
-            out[i] = np.stack(row, axis=0)
+            out[i] = both_ways(col[i], alpha_x[i], j0, grid.hx)
     else:
-        row0 = march(Y0, fields[:, 0, :], grid.xs, "x")
+        row = both_ways(Y0, alpha_x[i0], j0, grid.hx)
         for j in range(grid.nx):
-            colj = march(row0[j], fields[:, :, j], grid.ys, "y")
-            out[:, j] = np.stack(colj, axis=0)
+            out[:, j] = both_ways(row[j], alpha_y[:, j], i0, grid.hy)
 
     F = out[..., 0, :, :]
     drift = su11_residual(F)

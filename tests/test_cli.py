@@ -238,7 +238,7 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     _, p2, _ = read_field_csv(tmp_path / "in_psi2.csv")
     s = SpinorField(p1, p2, g)
     d = dirac_data(s)
-    base = frame_from_spinors(s)[0, 0]
+    base = frame_from_spinors(s)[g.centre]
     for fr, lam in zip(frames, parse_lambda_list("1,exp:pi/3")):
         direct = integrate_frame(d, lam, base_value=base)
         assert fr.lam == lam

@@ -94,7 +94,7 @@ def test_flatness_detects_nonintegrable(grid41):
 def test_integrate_frame_matches_closed_form(grid41):
     d = _analytic_pb_dirac(grid41)
     for lam in (1.0 + 0.0j, np.exp(1j * np.pi / 3)):
-        base = paraboloid_frame(grid41.node_z(0, 0), lam)
+        base = paraboloid_frame(grid41.node_z(*grid41.centre), lam)
         fr = integrate_frame(d, lam, base_value=base)
         expected = paraboloid_frame(grid41.zz, lam)
         assert np.max(np.abs(fr.F - expected)) < 1e-8
@@ -185,8 +185,8 @@ def test_spinor_scale_detects_wrong_support(pb):
 def test_twisted_parity_of_frames(grid41):
     d = _analytic_pb_dirac(grid41)
     lam = np.exp(0.7j)
-    base_p = paraboloid_frame(grid41.node_z(0, 0), lam)
-    base_m = paraboloid_frame(grid41.node_z(0, 0), -lam)
+    base_p = paraboloid_frame(grid41.node_z(*grid41.centre), lam)
+    base_m = paraboloid_frame(grid41.node_z(*grid41.centre), -lam)
     Fp = integrate_frame(d, lam, base_value=base_p).F
     Fm = integrate_frame(d, -lam, base_value=base_m).F
     assert np.max(np.abs(Fm - SIGMA3 @ Fp @ SIGMA3)) < 1e-8
