@@ -6,21 +6,22 @@ for the paraboloid, smyth-2 and helicoid at
 `--lambda 1,exp:pi/3 --allow-reflection`; `verify` for the paraboloid,
 the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
 being the one verify of a Phi with positive powers; and `generate` and
-`verify` driven by `--spinors` from the paraboloid's lam0 CSVs; and
-`generate --potential` of the helicoid's potential with a stale
-`"twisted": false` key, on a 41x41 grid, the one command that reads a
-potential file: the reader ignores the key and marches the potential as
-every other; and `generate` (`1,exp:pi/3`) and `verify` (`1`) of the
-paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose axes have no node at
-z0 = 0, so that the march hops to its nearest node and every line's two
-halves differ in length; and `generate` and `verify` driven by `--spinors`
-from that run's lam0 CSVs, whose 30x41 grid has an even side, so that the
-frame march from the grid's centre node has halves of unequal length. The
-CSVs are copied to the fixed relative prefixes `spinors/lam0` and
-`spinors_off_centre/lam0`, and the potential is written to
-`potentials/helicoid_untwisted.json`, because the input path enters the run
-hash and so the run directory's name. The set writes 227 digest entries,
-files and exit codes together.
+`verify` driven by `--spinors` from the lam0 CSVs of the paraboloid and of
+the helicoid, whose sheet rows then run on an 81x81 grid and on spinors of
+a Phi with positive powers; and `generate --potential` of the helicoid's
+potential with a stale `"twisted": false` key, on a 41x41 grid, the one
+command that reads a potential file: the reader ignores the key and
+marches the potential as every other; and `generate` (`1,exp:pi/3`) and
+`verify` (`1`) of the paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose
+axes have no node at z0 = 0, so that the march hops to its nearest node
+and every line's two halves differ in length; and `generate` and `verify`
+driven by `--spinors` from that run's lam0 CSVs, whose 30x41 grid has an
+even side, so that the frame march from the grid's centre node has halves
+of unequal length. The CSVs are copied to the fixed relative prefixes
+`spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
+the potential is written to `potentials/helicoid_untwisted.json`, because
+the input path enters the run hash and so the run directory's name. The
+set writes 249 digest entries, files and exit codes together.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>`, and exits 1 if any command exited non-zero.
@@ -83,6 +84,8 @@ def run_commands(out, env):
             nildual(command, "--spinors", f"{prefix}/lam0", *FLAGS)
 
     spinor_runs(cache_dir("paraboloid"), "spinors")
+    # an 81x81 grid, from a Phi with positive powers
+    spinor_runs(cache_dir("helicoid"), "spinors_helicoid")
 
     (out / "potentials").mkdir()
     (out / "potentials" / "helicoid_untwisted.json").write_text(subprocess.run(

@@ -27,15 +27,18 @@ from .potentials import (
     HoloPotential,
     builtin_example,
     dpw_pipeline,
+    run_example,
 )
-from .spinors import SpinorField, dirac_data
+from .spinors import SpinorField, dirac_data, uh_from_spinors
 from .sym import mc_equivalent, sym_sheets
 from .verify import (
     DEFAULT_TOLS,
     W4,
+    SheetAnalysis,
+    VerificationReport,
     analyze_sheet,
+    sheet_checks,
     verify_pipeline,
-    verify_spinors,
 )
 
 DEFAULT_OUT_ENV = "NILDUAL_OUT"
@@ -69,7 +72,8 @@ def parse_lambda(token):
         lam = complex(token)
     except ValueError as exc:
         raise ConfigError(f"bad lambda {token!r}: {exc}") from None
-    if abs(abs(lam) - 1.0) > 1e-12:
+    # NaN compares False both ways: only a finite unit modulus passes
+    if not abs(abs(lam) - 1.0) <= 1e-12:
         raise ConfigError(f"lambda {token!r} is not unit-modulus")
     return lam
 
@@ -156,12 +160,8 @@ def run_pipeline(config, for_verify=False):
     kind, _, arg = config.pipeline.partition(":")
     grid = config.resolved_grid(for_verify=for_verify)
     if kind == "example":
-        spec = builtin_example(arg)
-        exclude = (config.exclude_disk if config.exclude_disk is not None
-                   else spec.exclude_disk)
-        res = dpw_pipeline(spec.potential(), grid, z0=spec.z0,
-                           lam_samples=config.lams, order=config.order,
-                           exclude_disk=exclude, self_dual=spec.self_dual)
+        res = run_example(arg, grid=grid, lam_samples=config.lams,
+                          order=config.order, exclude_disk=config.exclude_disk)
         return RunArtifacts(res.sym, res.frames, res.ok_mask, result=res)
     if kind == "potential":
         try:
@@ -256,24 +256,22 @@ def cmd_dual(config):
             print(f"dual spinors unavailable at {_lam_slug(k)}: {exc}",
                   file=sys.stderr)
             return 2
-        e_u_star, h_star, B_star, g_star, ew2_star, dmask = dual_invariants(
-            a.spinors, a.dirac)
+        e_u_star, h_star, B_star, _, _, _ = dual_invariants(pair)
         grid = sym.grid
         tag = _lam_slug(k)
         # exports honour both the duality degeneracies and the run's
         # exclusion mask (singular points of the dual stay unfilled)
         out_mask = pair.mask & sym.f_plus.mask
-        inv_mask = dmask & sym.f_plus.mask
         iof.write_field_csv(run_dir / f"{tag}_dual_psi1.csv",
                             pair.dual.psi1, grid, mask=out_mask)
         iof.write_field_csv(run_dir / f"{tag}_dual_psi2.csv",
                             pair.dual.psi2, grid, mask=out_mask)
         iof.write_field_csv(run_dir / f"{tag}_e_u_star.csv",
-                            e_u_star.astype(complex), grid, mask=inv_mask)
+                            e_u_star.astype(complex), grid, mask=out_mask)
         iof.write_field_csv(run_dir / f"{tag}_h_star.csv",
-                            h_star.astype(complex), grid, mask=inv_mask)
+                            h_star.astype(complex), grid, mask=out_mask)
         iof.write_field_csv(run_dir / f"{tag}_B_star.csv", B_star, grid,
-                            mask=inv_mask)
+                            mask=out_mask)
         iof.write_json(run_dir / f"{tag}_branch_log.json",
                        pair.branch_log(export_mask=sym.f_plus.mask))
         fit = mc_equivalent(sym.f_minus, sym.f_plus,
@@ -290,9 +288,12 @@ def cmd_dual(config):
 def cmd_verify(config):
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
-        # the spinor battery reads the input fields only
-        rep = verify_spinors(_read_spinors(arg), tols=config.tols,
-                             conjugate_sign=config.conjugate_sign)
+        # the sheet rows of the input pair and its dual: no frame is
+        # integrated, and the rows are blind to --conjugate-sign
+        s = _read_spinors(arg)
+        rep = VerificationReport()
+        sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
+                     s.mask, {**DEFAULT_TOLS, **config.tols})
     else:
         rep = verify_pipeline(run_pipeline(config, for_verify=True).result,
                               tols=config.tols)
@@ -422,6 +423,10 @@ def config_from_args(args):
             tols[name] = float(val)
         except ValueError:
             raise ConfigError(f"bad --tol {item!r}") from None
+        # NaN fails every row and inf turns a row off
+        if not 0.0 <= tols[name] < math.inf:
+            raise ConfigError(f"--tol {item!r} is not a finite, "
+                              f"non-negative value")
     out = args.out or os.environ.get(DEFAULT_OUT_ENV, "out")
     return RunConfig(
         pipeline=pipeline,

@@ -28,7 +28,6 @@ from .spinors import (
 
 B_MASK_REL = 1e-8   # |B| < rel * max|B| is treated as a zero of B
 H_MASK_ABS = 1e-8   # |h| below this is a vertical point
-_MINIMAL_ONLY = "duality is defined for minimal data only"
 
 
 @dataclass
@@ -85,37 +84,31 @@ def _dual_pair(s, B, h, valid, sign):
                     cut_edges=cuts, mask=mask)
 
 
-def _invariants(s, B, h, valid):
-    """Dual invariants of `s` with coefficient B and support h on `valid`."""
-    e_u, _ = uh_from_spinors(s)
-    mask = _degeneracy_mask(B, h, valid)
-    absB = np.abs(B)
-    h_safe = np.where(mask, h, 1.0)
-    e_u_star = np.where(mask, 256.0 * absB**2 * e_u / h_safe**4, 0.0)
-    h_star = np.where(mask, 16.0 * absB / h_safe, 0.0)
-    B_star = B.copy()
-    g_star = s.psi2 / np.conj(s.psi1)
-    ew2_star = np.where(mask, 4.0j * absB / h_safe, 0.0)
-    return e_u_star, h_star, B_star, g_star, ew2_star, mask
-
-
 def dual_spinors(s, d, conjugate_sign=+1):
     """Construct the dual spinor pair from a minimal field and its data."""
-    minimality_gate(d, _MINIMAL_ONLY)
+    minimality_gate(d, "duality is defined for minimal data only")
     _, h = uh_from_spinors(s)
     return _dual_pair(s, d.B, h, s.mask & d.mask, conjugate_sign)
 
 
-def dual_invariants(s, d):
+def dual_invariants(pair):
     """Geometric data of the dual: (e^{u*}, h*, B*, g*, e^{w*/2}, mask).
 
     e^{u*} = 4^4 |B|^2 e^u / h^4,  h* = 4^2 |B| / h,  B* = B,  g* = g,
-    e^{w*/2} = 4 i |B| / h.  Masked nodes propagate as NaN-free zeros via
-    the accompanying mask.
+    e^{w*/2} = 4 i |B| / h, read off the pair's B, h and mask, so the
+    minimality gate and the degeneracy mask of `dual_spinors` are the only
+    ones.  Masked nodes propagate as NaN-free zeros via the returned mask.
     """
-    minimality_gate(d, _MINIMAL_ONLY)
-    _, h = uh_from_spinors(s)
-    return _invariants(s, d.B, h, s.mask & d.mask)
+    s, mask = pair.source, pair.mask
+    e_u, _ = uh_from_spinors(s)
+    absB = np.abs(pair.B)
+    h_safe = np.where(mask, pair.h, 1.0)
+    e_u_star = np.where(mask, 256.0 * absB**2 * e_u / h_safe**4, 0.0)
+    h_star = np.where(mask, 16.0 * absB / h_safe, 0.0)
+    B_star = pair.B.copy()
+    g_star = s.psi2 / np.conj(s.psi1)
+    ew2_star = np.where(mask, 4.0j * absB / h_safe, 0.0)
+    return e_u_star, h_star, B_star, g_star, ew2_star, mask
 
 
 def dual_local_check(pair):
@@ -127,9 +120,8 @@ def dual_local_check(pair):
     source Gauss map (the roles of the dual pair are swapped relative to
     an upward field because the dual's normal flips).
     """
-    s, dual, mask = pair.source, pair.dual, pair.mask
-    e_u_star, h_star, _, g, _, mask2 = _invariants(s, pair.B, pair.h, s.mask)
-    m = mask & mask2
+    dual = pair.dual
+    e_u_star, h_star, _, g, _, m = dual_invariants(pair)
     a = np.abs(dual.psi1) ** 2
     b = np.abs(dual.psi2) ** 2
     res_metric = np.abs(4.0 * (a + b) ** 2 - e_u_star)
@@ -162,7 +154,6 @@ def double_dual(pair, conjugate_sign=+1):
     the product of the two branch factors is unimodular and the frame
     components are restored exactly.
     """
-    h_safe = np.where(pair.mask, pair.h, 1.0)
-    h_star = np.where(pair.mask, 16.0 * np.abs(pair.B) / h_safe, 0.0)
+    h_star = dual_invariants(pair)[1]
     second = _dual_pair(pair.dual, pair.B, h_star, pair.mask, conjugate_sign)
     return second.dual, pair.mask & second.mask

@@ -118,7 +118,7 @@ class MatrixLoop:
         first or second lam-derivative (from j A_j or j (j - 1) A_j, formed
         one power at a time)."""
         lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
         out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
         for k in range(self.coeffs.shape[-3] - 1, -1, -1):

@@ -31,6 +31,9 @@ class DomainGrid:
             raise GridTooSmallError(
                 f"need nx, ny >= 5 for the stencils, got {self.nx}x{self.ny}"
             )
+        bounds = (self.x0, self.x1, self.y0, self.y1)
+        if not np.all(np.isfinite(bounds)):
+            raise ConfigError(f"grid bounds must be finite, got {bounds}")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise GridTooSmallError("empty coordinate ranges")
 

@@ -570,7 +570,7 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     """Potential -> loops -> factorization -> both surfaces per parameter."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ConfigError(f"lam sample {lam} is not unit-modulus")
     if order < 1:
         raise ConfigError(f"truncation order must be at least 1, got {order}")
@@ -613,10 +613,13 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
 
 
 def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),
-                order=DEFAULT_ORDER):
+                order=DEFAULT_ORDER, exclude_disk=None):
+    """`dpw_pipeline` on a built-in example's spec; `grid` and
+    `exclude_disk` default (None) to the spec's."""
     spec = builtin_example(name)
     g = grid if grid is not None else spec.grid
+    if exclude_disk is None:
+        exclude_disk = spec.exclude_disk
     return dpw_pipeline(spec.potential(), g, z0=spec.z0,
                         lam_samples=lam_samples, order=order,
-                        exclude_disk=spec.exclude_disk,
-                        self_dual=spec.self_dual)
+                        exclude_disk=exclude_disk, self_dual=spec.self_dual)

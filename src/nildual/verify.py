@@ -1,5 +1,6 @@
-"""Residual suites: every identity of the construction, measured on a
-pipeline run and reported with pass/fail against its tolerance.
+"""The residual battery: every identity of the construction, measured on a
+pipeline run (or, for its sheet rows, on a spinor pair) and reported with
+pass/fail against its tolerance.
 
 Stencil-based identities are asserted on centred-stencil interiors (the
 one-sided boundary bands carry larger constants and are reported via the
@@ -170,14 +171,73 @@ def analyze_sheet(surface, lam, extract_mask=None):
     s = spinors_from_phi(phi, lam=lam, conformal_tol=SHEET_CONFORMAL_TOL,
                          mask=stencil_valid(extract_mask),
                          on_branch_cut="record")
-    d = dirac_data(s)
-    e_u, h = uh_from_spinors(s)
-    return SheetAnalysis(spinors=s, dirac=d, e_u=e_u, h=h)
+    return SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s))
+
+
+def sheet_checks(rep, a, valid, tols):
+    """Add to `rep` the rows that read one sheet's spinor data and its dual;
+    return the dual pair, or None when the sheet has no dual.
+
+    The one battery of a sheet given by its spinors: `verify_pipeline` runs
+    it on every parameter's sheet, `verify --spinors` on the input pair.
+    Rows are tagged with the spinors' parameter.  `valid` is the sheet's
+    node mask: the stencil rows are asserted on its centred interiors, the
+    double dual on the nodes where it is defined.  Every row is blind to
+    the branch convention of the dual: it reads |psi*|, a ratio whose sign
+    cancels, or the involution, which applies the sign twice.
+    """
+    s, d = a.spinors, a.dirac
+    tag = _lam_tag(s.lam)
+    live4 = centred_interior(valid, W4)
+    live6 = centred_interior(valid, W6)
+    rep.add(f"dirac_consistency[{tag}]", d.consistency,
+            tols["dirac_consistency"], live4)
+    rep.add(f"minimality[{tag}]", np.abs(d.ew2.real), tols["minimality"],
+            live4)
+    rep.add(f"holomorphy_B[{tag}]", holomorphy_residual(d.B, s.grid),
+            tols["holomorphy_B"], live6)
+    rep.add(f"flatness[{tag}]", flatness_residual(d, [s.lam]),
+            tols["flatness"], live6)
+    g_spin, _ = gauss_map(s)
+    rep.add(f"harmonic_g[{tag}]", harmonic_residual(g_spin, s.grid),
+            tols["harmonic_g"], live4)
+
+    try:
+        pair = dual_spinors(s, d)
+    except NilDualError as exc:
+        rep.add_scalar(f"dual_spinors[{tag}]", np.inf, 0.0, note=str(exc))
+        return None
+    again, invmask = double_dual(pair)
+    rep.add(f"involution_phi[{tag}]",
+            np.max(np.abs(phi_from_spinors(again).phi
+                          - phi_from_spinors(s).phi), axis=-1),
+            tols["involution_phi"], invmask)
+    e_u2, h2 = uh_from_spinors(again)
+    rep.add(f"involution_metric[{tag}]",
+            np.maximum(np.abs(e_u2 - a.e_u), np.abs(h2 - a.h)),
+            tols["involution_metric"], invmask)
+    local = dual_local_check(pair)
+    rep.add_scalar(f"dual_local[{tag}]",
+                   max(local["metric"], local["support"],
+                       local["gauss_constancy"], local["gauss_unimodular"]),
+                   tols["dual_local"])
+    # independently recomputed Dirac potential of the dual: purely imaginary
+    if not pair.has_branch_cut:
+        d_star = dirac_data(pair.dual, require_minimal=False)
+        rep.add(f"dual_minimality[{tag}]", np.abs(d_star.ew2.real),
+                tols["dual_minimality"], centred_interior(pair.mask, W4))
+    return pair
 
 
 def verify_pipeline(result, tols=None):
     """Run the full residual battery on a pipeline result.
 
+    The factorization's rows come first.  Then, per parameter,
+    `sheet_checks` runs on the minus sheet's analysis, followed by the rows
+    only a pipeline has: the sheet's conformality, the lambda-independence
+    of e^{w/2}, the frame's su(1,1) defect, the normal and its structure,
+    and the Sym factor of the dual against the pair `sheet_checks`
+    returned.  Frame compatibility and the cross-pipeline frame follow.
     The self-duality checks run when the result is flagged self-dual (the
     built-in examples carry the flag of their spec).
     """
@@ -200,45 +260,31 @@ def verify_pipeline(result, tols=None):
         a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=result.ok_mask)
         analyses.append((sym, lam, a_minus, fr))
         valid = sym.f_minus.mask
+        pair = sheet_checks(rep, a_minus, valid, tols)
+        tag = _lam_tag(lam)
         live1 = centred_interior(valid, W1)
-        live4 = centred_interior(valid, W4)
-        live6 = centred_interior(valid, W6)
 
         res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
-        rep.add(f"conformality[{_lam_tag(lam)}]", res / e_u,
-                tols["conformality"], live1)
-
-        d = a_minus.dirac
-        rep.add(f"dirac_consistency[{_lam_tag(lam)}]", d.consistency,
-                tols["dirac_consistency"], live4)
-        rep.add(f"minimality[{_lam_tag(lam)}]", np.abs(d.ew2.real),
-                tols["minimality"], live4)
+        rep.add(f"conformality[{tag}]", res / e_u, tols["conformality"],
+                live1)
+        ew2 = a_minus.dirac.ew2
         if ew2_ref is None:
-            ew2_ref = d.ew2
+            ew2_ref = ew2
         else:
-            rep.add(f"lambda_independence[{_lam_tag(lam)}]",
-                    np.abs(d.ew2 - ew2_ref), tols["lambda_independence"],
-                    live4)
-        rep.add(f"holomorphy_B[{_lam_tag(lam)}]",
-                holomorphy_residual(d.B, grid), tols["holomorphy_B"], live6)
-        rep.add(f"flatness[{_lam_tag(lam)}]", flatness_residual(d, [lam]),
-                tols["flatness"], live6)
-
-        rep.add(f"frame_su11[{_lam_tag(lam)}]", su11_residual(fr.F),
+            rep.add(f"lambda_independence[{tag}]", np.abs(ew2 - ew2_ref),
+                    tols["lambda_independence"], centred_interior(valid, W4))
+        rep.add(f"frame_su11[{tag}]", su11_residual(fr.F),
                 tols["frame_su11"], valid)
-
         g_spin, _ = gauss_map(a_minus.spinors)
-        rep.add(f"normal_agreement[{_lam_tag(lam)}]",
+        rep.add(f"normal_agreement[{tag}]",
                 np.abs(gauss_from_normal_field(sym.n_m) - g_spin),
                 tols["normal_agreement"], live1)
-        rep.add(f"harmonic_g[{_lam_tag(lam)}]",
-                harmonic_residual(g_spin, grid), tols["harmonic_g"], live4)
         det = np.abs(np.linalg.det(sym.n_m) - 0.25)
         tr = np.abs(np.trace(sym.n_m, axis1=-2, axis2=-1))
-        rep.add(f"n_m_structure[{_lam_tag(lam)}]", np.maximum(det, tr),
+        rep.add(f"n_m_structure[{tag}]", np.maximum(det, tr),
                 tols["n_m_structure"], valid)
-
-        _duality_checks(rep, tols, sym, lam, a_minus)
+        if pair is not None and not pair.has_branch_cut:
+            _sym_duality_factor(rep, tols, sym, tag, pair)
 
     base_entry = next((entry for entry in analyses
                        if abs(entry[1] - 1.0) < 1e-12), None)
@@ -288,81 +334,27 @@ def verify_pipeline(result, tols=None):
     return rep
 
 
-def verify_spinors(s, tols=None, conjugate_sign=+1):
-    """Reduced battery for a spinor-field input (no loop factorization).
-
-    The stencil rows (dirac_consistency, minimality) are asserted on the
-    W4 interior of the input's nodes, as in verify_pipeline; conformality
-    on every input node, the involution where the double dual is defined.
-    """
-    tols = {**DEFAULT_TOLS, **(tols or {})}
-    rep = VerificationReport()
-    live4 = centred_interior(s.mask, W4)
-    phi0 = phi_from_spinors(s).phi
-    res, e_u = conformality_residual(phi0)
-    rep.add("conformality", res / e_u, tols["conformality"], s.mask)
-    d = dirac_data(s)
-    rep.add("dirac_consistency", d.consistency, tols["dirac_consistency"],
-            live4)
-    rep.add("minimality", np.abs(d.ew2.real), tols["minimality"], live4)
-    pair = dual_spinors(s, d, conjugate_sign=conjugate_sign)
-    again, mask = double_dual(pair, conjugate_sign=conjugate_sign)
-    rep.add("involution_phi",
-            np.max(np.abs(phi_from_spinors(again).phi - phi0), axis=-1),
-            tols["involution_phi"], mask)
-    return rep
-
-
 def _lam_tag(lam):
     ang = np.angle(complex(lam))
     return f"lam{ang / np.pi:+.3f}pi"
 
 
-def _duality_checks(rep, tols, sym, lam, a_minus):
-    s, d = a_minus.spinors, a_minus.dirac
+def _sym_duality_factor(rep, tols, sym, tag, pair):
+    """The dual spinors read off the two-sided Sym formula against the pair:
+    a constant unimodular factor."""
     try:
-        pair = dual_spinors(s, d)
+        extracted = extract_dual_spinors(sym)
     except NilDualError as exc:
-        rep.add_scalar(f"dual_spinors[{_lam_tag(lam)}]", np.inf, 0.0,
-                       note=str(exc))
+        rep.add_scalar(f"sym_duality_factor[{tag}]", np.inf,
+                       tols["sym_duality_factor"], note=str(exc))
         return
-
-    again, invmask = double_dual(pair)
-    phi0 = phi_from_spinors(s).phi
-    phi2 = phi_from_spinors(again).phi
-    rep.add(f"involution_phi[{_lam_tag(lam)}]",
-            np.max(np.abs(phi2 - phi0), axis=-1),
-            tols["involution_phi"], invmask)
-    e_u2, h2 = uh_from_spinors(again)
-    rep.add(f"involution_metric[{_lam_tag(lam)}]",
-            np.maximum(np.abs(e_u2 - a_minus.e_u), np.abs(h2 - a_minus.h)),
-            tols["involution_metric"], invmask)
-
-    local = dual_local_check(pair)
-    rep.add_scalar(f"dual_local[{_lam_tag(lam)}]",
-                   max(local["metric"], local["support"],
-                       local["gauss_constancy"], local["gauss_unimodular"]),
-                   tols["dual_local"])
-
-    # independently recomputed Dirac potential of the dual: purely imaginary
-    if not pair.has_branch_cut:
-        d_star = dirac_data(pair.dual, require_minimal=False)
-        live = centred_interior(pair.mask, W4)
-        rep.add(f"dual_minimality[{_lam_tag(lam)}]", np.abs(d_star.ew2.real),
-                tols["dual_minimality"], live)
-
-        try:
-            extracted = extract_dual_spinors(sym)
-        except NilDualError as exc:
-            rep.add_scalar(f"sym_duality_factor[{_lam_tag(lam)}]", np.inf,
-                           tols["sym_duality_factor"], note=str(exc))
-            return
-        worst = 0.0
-        for got, want in ((extracted.psi1, pair.dual.psi1),
-                          (extracted.psi2, pair.dual.psi2)):
-            ok = live & (np.abs(want) > 1e-3 * np.max(np.abs(want)))
-            ratio = got[ok] / want[ok]
-            worst = max(worst, float(np.std(ratio)),
-                        abs(abs(np.mean(ratio)) - 1.0))
-        rep.add_scalar(f"sym_duality_factor[{_lam_tag(lam)}]", worst,
-                       tols["sym_duality_factor"])
+    live = centred_interior(pair.mask, W4)
+    worst = 0.0
+    for got, want in ((extracted.psi1, pair.dual.psi1),
+                      (extracted.psi2, pair.dual.psi2)):
+        ok = live & (np.abs(want) > 1e-3 * np.max(np.abs(want)))
+        ratio = got[ok] / want[ok]
+        worst = max(worst, float(np.std(ratio)),
+                    abs(abs(np.mean(ratio)) - 1.0))
+    rep.add_scalar(f"sym_duality_factor[{tag}]", worst,
+                   tols["sym_duality_factor"])

@@ -215,14 +215,25 @@ def test_spinor_csv_pipeline(tmp_path):
 
 
 def test_verify_spinors_from_generated_fields(tmp_path):
-    # the spinor battery asserts its stencil rows on the centred interior,
-    # as the pipeline battery does: the one-sided boundary bands of the
-    # written fields fail dirac_consistency's tolerance
+    # the spinor input runs the pipeline's sheet rows, asserted on the
+    # centred interior as there (the one-sided boundary bands of the written
+    # fields fail dirac_consistency's tolerance), and each row reads what
+    # the pipeline's row at lam = 1 reads
     assert run(["generate", "--example", "paraboloid", "--lambda", "1",
                 "--out", str(tmp_path / "o")]) == 0
     (run_dir,) = (tmp_path / "o").iterdir()
     assert run(["verify", "--spinors", str(run_dir / "lam0"), "--lambda", "1",
                 "--out", str(tmp_path / "v")]) == 0
+    assert run(["verify", "--example", "paraboloid", "--lambda", "1",
+                "--out", str(tmp_path / "p")]) == 0
+    (spinor_report,) = (tmp_path / "v").glob("*/report.json")
+    (pipeline_report,) = (tmp_path / "p").glob("*/report.json")
+    rows = json.loads(spinor_report.read_text())["checks"]
+    pipeline_rows = {row["name"]: row for row in
+                     json.loads(pipeline_report.read_text())["checks"]}
+    assert len(rows) == 9
+    for row in rows:
+        assert row == pipeline_rows[row["name"]]
 
 
 def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
@@ -248,9 +259,17 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
 
 
 def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
-    # the spinor battery runs on the input pair: no frame is integrated
+    # the sheet rows run on the input pair and its dual: no frame is
+    # integrated, and the report is the shared row function's on the
+    # input's analysis
     from nildual.io_formats import write_json
-    from nildual.verify import verify_spinors
+    from nildual.spinors import uh_from_spinors
+    from nildual.verify import (
+        DEFAULT_TOLS,
+        SheetAnalysis,
+        VerificationReport,
+        sheet_checks,
+    )
     _write_paraboloid_spinors(tmp_path)
     calls = _counting_integrate_frame(monkeypatch,
                                       [nildual.cli, nildual.verify])
@@ -261,9 +280,12 @@ def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
     (run_dir,) = (tmp_path / "o").iterdir()
     g, p1, m1 = read_field_csv(tmp_path / "in_psi1.csv")
     _, p2, m2 = read_field_csv(tmp_path / "in_psi2.csv")
+    s = SpinorField(p1, p2, g, mask=m1 & m2)
+    rep = VerificationReport()
+    sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
+                 s.mask, DEFAULT_TOLS)
     direct = tmp_path / "direct.json"
-    write_json(direct, verify_spinors(SpinorField(p1, p2, g, mask=m1 & m2))
-               .to_json())
+    write_json(direct, rep.to_json())
     assert (run_dir / "report.json").read_bytes() == direct.read_bytes()
 
 
@@ -365,6 +387,19 @@ def _b64(n_bytes):
                            "--tol", "conformality=abc"), ""),
     (lambda tmp: _generate(tmp, "--example", "paraboloid",
                            "--tol", "conformalty=1e-3"), ""),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--tol", "conformality=nan"), "finite"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--tol", "conformality=inf"), "finite"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--tol", "conformality=-1e-6"), "non-negative"),
+    (lambda tmp: ["generate", "--example", "paraboloid", *SMALL,
+                  "--lambda", "nan", "--out", str(tmp / "o")], "unit-modulus"),
+    (lambda tmp: ["generate", "--example", "paraboloid", *SMALL,
+                  "--lambda", "nanj", "--out", str(tmp / "o")],
+     "unit-modulus"),
+    (lambda tmp: _generate(tmp, "--example", "paraboloid",
+                           "--grid=-inf,1,-1,1,21,21"), "finite"),
     (lambda tmp: _generate(tmp, "--potential", str(tmp / "missing.json")), ""),
     (lambda tmp: _generate(tmp, "--potential",
                            str(_write_text(tmp / "bad.json", "{"))), ""),
@@ -410,8 +445,10 @@ def _b64(n_bytes):
     (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, -1e300],
                                              2: [0.0, -1e300]}),
      "every node"),
-], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "potential-missing",
-        "potential-not-json", "potential-no-terms", "spinors-missing",
+], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
+        "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
+        "potential-missing", "potential-not-json", "potential-no-terms",
+        "spinors-missing",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "exclude-disk-nan",

@@ -59,7 +59,8 @@ def test_dual_rejects_umbrella(pb, grid41):
 
 def test_dual_invariants_paraboloid_self_dual(pb):
     s, d = pb
-    e_u_star, h_star, B_star, g_star, ew2_star, mask = dual_invariants(s, d)
+    e_u_star, h_star, B_star, g_star, ew2_star, mask = dual_invariants(
+        dual_spinors(s, d))
     e_u, h = uh_from_spinors(s)
     # 4^4 (1/16)^2 / 1 = 1 and 16 (1/16) / 1 = 1: data is self-dual
     assert np.max(np.abs(e_u_star - e_u)[mask]) < 1e-6
@@ -76,7 +77,7 @@ def test_dual_invariants_degenerate_zero(grid41):
     d = dirac_data(s)
     import dataclasses
     d_syn = dataclasses.replace(d, B=grid41.zz.astype(complex))
-    e_u_star, _, _, _, _, mask = dual_invariants(s, d_syn)
+    e_u_star, _, _, _, _, mask = dual_invariants(dual_spinors(s, d_syn))
     io = grid41.ny // 2
     jo = grid41.nx // 2
     assert not mask[io, jo]  # B(0) = 0 is a singular node

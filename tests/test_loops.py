@@ -65,8 +65,9 @@ def test_loop_eval_examples():
     L = MatrixLoop(c, -1)  # single lam^{-1} coefficient
     out = L.eval(-1.0)
     assert out[0, 1] == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        L.eval(0.5)
+    for off in (0.5, complex("nan"), complex("nanj")):
+        with pytest.raises(ValueError):
+            L.eval(off)
 
 
 def test_loop_dlambda():

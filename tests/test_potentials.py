@@ -482,6 +482,14 @@ def test_pipeline_smyth_masks_origin():
     assert np.sum(~res.mask) < res.grid.nx * res.grid.ny // 4
 
 
+@pytest.mark.parametrize("lam", [0.5, complex("nan"), complex("nanj")])
+def test_pipeline_refuses_lam_off_the_circle(grid21, lam):
+    # NaN compares False with any bound, so the check must pass only finite
+    # unit moduli
+    with pytest.raises(ConfigError, match="unit-modulus"):
+        dpw_pipeline(paraboloid_potential(), grid21, lam_samples=[1.0, lam])
+
+
 @pytest.mark.parametrize("name", ["paraboloid", "helicoid", "smyth-2"])
 def test_lambda_rotation_is_exact(name):
     # xi'(lam) = xi(lam0 lam) at lam = 1 gives the sheets of xi at lam0: the
