@@ -5,7 +5,9 @@ main stencil-based residuals on the paraboloid pipeline.
 The derivative stencils are 4th order, so every residual should shrink
 by ~16x when the spacing halves (measured over a fixed geometric region).
 Exits 1 when an order observed between the last two sizes is below
-MIN_ORDER.
+MIN_ORDER.  Each grid's line also shows the spectral truncation order its
+factorization ran at (column N), so that a change of spectral order shows
+beside the stencil orders.
 
 Usage: python scripts/convergence_study.py [n ...]   (grid sizes, odd)
 """
@@ -25,9 +27,15 @@ LAM = np.exp(1j * np.pi / 3)
 MIN_ORDER = 3.5
 
 
-def measure(n):
+def paraboloid_run(n):
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, n, n)
-    run = run_example("paraboloid", grid=grid, lam_samples=[LAM])
+    return run_example("paraboloid", grid=grid, lam_samples=[LAM])
+
+
+def measure(n, run=None):
+    """The residuals of the n x n run (made here when `run` is None)."""
+    run = run or paraboloid_run(n)
+    grid = run.grid
     sym = run.sym[0]
     # fixed region |x|,|y| <= 0.6 so refinement never moves the window
     sel = (np.abs(grid.zz.real) <= 0.6) & (np.abs(grid.zz.imag) <= 0.6)
@@ -42,14 +50,18 @@ def measure(n):
 
 
 def main(sizes):
-    rows = [(n, measure(n)) for n in sizes]
-    names = list(rows[0][1])
-    header = "n      " + "".join(f"{k:>16}" for k in names)
+    rows = []
+    for n in sizes:
+        run = paraboloid_run(n)
+        rows.append((n, run.order, measure(n, run)))
+    names = list(rows[0][2])
+    header = "n      N   " + "".join(f"{k:>16}" for k in names)
     print(header)
     prev = None
     orders = []
-    for n, vals in rows:
-        line = f"{n:<7d}" + "".join(f"{vals[k]:16.3e}" for k in names)
+    for n, spectral, vals in rows:
+        line = (f"{n:<7d}{spectral:<4d}"
+                + "".join(f"{vals[k]:16.3e}" for k in names))
         if prev is not None:
             orders = [np.log(prev[1][k] / vals[k])
                       / np.log((n - 1) / (prev[0] - 1)) for k in names]

@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io_formats as iof
-from .dualize import dual_invariants, dual_spinors
+from .dualize import dual_spinors
 from .errors import ConfigError, NilDualError
 from .frames import frame_from_spinors, integrate_frame
 from .nil3 import DomainGrid, centred_interior, left_maurer_cartan
 from .potentials import (
     BUILTIN_NAMES,
+    DEFAULT_ORDER,
     HoloPotential,
     builtin_example,
     dpw_pipeline,
@@ -89,7 +90,7 @@ class RunConfig:
     pipeline: str                  # example:<name> | potential:<path> | spinors:<prefix>
     grid: DomainGrid | None = None
     lams: list = field(default_factory=lambda: [1.0 + 0.0j])
-    order: int = 12
+    order: int = DEFAULT_ORDER
     tols: dict = field(default_factory=dict)
     out_dir: Path = None
     allow_reflection: bool = False
@@ -256,7 +257,7 @@ def cmd_dual(config):
             print(f"dual spinors unavailable at {_lam_slug(k)}: {exc}",
                   file=sys.stderr)
             return 2
-        e_u_star, h_star, B_star, _, _, _ = dual_invariants(pair)
+        e_u_star, h_star, B_star, _, _, _ = pair.invariants
         grid = sym.grid
         tag = _lam_slug(k)
         # exports honour both the duality degeneracies and the run's
@@ -384,8 +385,10 @@ def build_parser():
         sp.add_argument("--grid", help="x0,x1,y0,y1,nx,ny")
         sp.add_argument("--lambda", dest="lams", default="1",
                         help="comma list: complex literals or exp:<angle>")
-        sp.add_argument("--order", type=int, default=12,
-                        help="spectral truncation order")
+        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="cap of the spectral truncation order; the "
+                             "factorization trims Phi to the order its "
+                             "tail needs")
         sp.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VAL", help="tolerance override")
         sp.add_argument("--out", default=None, help="output directory")

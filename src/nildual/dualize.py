@@ -15,6 +15,7 @@ points of the dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class DualPair:
     @property
     def has_branch_cut(self):
         return len(self.cut_edges) > 0
+
+    @cached_property
+    def invariants(self):
+        """`dual_invariants` of the pair, formed once."""
+        return dual_invariants(self)
 
     def branch_log(self, export_mask=True):
         """Branch bookkeeping; `masked` counts nodes outside the dual or
@@ -121,7 +127,7 @@ def dual_local_check(pair):
     an upward field because the dual's normal flips).
     """
     dual = pair.dual
-    e_u_star, h_star, _, g, _, m = dual_invariants(pair)
+    e_u_star, h_star, _, g, _, m = pair.invariants
     a = np.abs(dual.psi1) ** 2
     b = np.abs(dual.psi2) ** 2
     res_metric = np.abs(4.0 * (a + b) ** 2 - e_u_star)
@@ -154,6 +160,6 @@ def double_dual(pair, conjugate_sign=+1):
     the product of the two branch factors is unimodular and the frame
     components are restored exactly.
     """
-    h_star = dual_invariants(pair)[1]
+    h_star = pair.invariants[1]
     second = _dual_pair(pair.dual, pair.B, h_star, pair.mask, conjugate_sign)
     return second.dual, pair.mask & second.mask

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +44,22 @@ def config_hash(config_dict):
 
 def write_field_csv(path, field, grid, mask=None):
     """One row per node of `mask` (default: every node): i, j, x, y, Re, Im
-    (row-major over y then x)."""
+    (row-major over y then x).  The coordinates are formatted once per
+    grid row and column, the values once per node."""
     field = np.asarray(field)
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     i, j = np.nonzero(mask)
     v = field[i, j]
-    # "%d" prints the integral node indices, "%.17g" equals format(x, ".17g")
-    rows = np.stack([i, j, grid.xs[j], grid.ys[i], v.real, v.imag], axis=-1)
-    body = "%d,%d,%.17g,%.17g,%.17g,%.17g\n" * len(i) % tuple(
-        rows.ravel().tolist())
+    # the "i," and "y," of each grid row, the "j,x," of each column
+    heads = [f"{k}," for k in range(grid.ny)]
+    tails = [f"{fmt(y)}," for y in grid.ys]
+    cols = [f"{k},{fmt(x)}," for k, x in enumerate(grid.xs)]
+    prefix = [heads[a] + cols[b] + tails[a]
+              for a, b in zip(i.tolist(), j.tolist())]
+    rows = zip(prefix, v.real.tolist(), v.imag.tolist())
+    # "%.17g" equals format(x, ".17g")
+    body = "%s%.17g,%.17g\n" * len(i) % tuple(chain.from_iterable(rows))
     Path(path).write_text("# schema=1\ni,j,x,y,re,im\n" + body)
 
 

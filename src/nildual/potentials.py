@@ -11,6 +11,14 @@ and column) and only the powers up to 0 when xi has no positive power; Phi
 is returned on the powers marched, so the factorization of such a
 minus-loop multiplies none of the exact zeros above them.
 
+The truncation order of a run, `order`, is a cap.  Phi is marched at the
+cap, then trimmed to the lowest order n whose tail, the largest entry of
+Phi_{-n} (and of Phi_{+n} when xi has positive powers) relative to Phi_0's,
+is at most TAIL_MAX, and so is every tail above n (`trim_to_tail`).  A cap
+whose own tail is above TAIL_MAX is too low for the domain: ConfigError.
+The factorization, the gauge, the frame loop and the splitting residuals
+run at n; a minus-loop trimmed to n is bit-equal to its march at n.
+
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
 linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
@@ -50,8 +58,9 @@ from .sym import sym_sheets
 # aligns the factorized frame with the spinor normal form
 SPINOR_GAUGE = np.array([[1.0 / SQRT_I, 0.0], [0.0, SQRT_I]], dtype=complex)
 
-DEFAULT_ORDER = 12
+DEFAULT_ORDER = 12   # the truncation cap, --order
 PIVOT_MIN = 1e-12  # smallest reciprocal condition of a Schur complement
+TAIL_MAX = 1e-13   # largest relative size of a power Phi is trimmed past
 BLOCK = 1024   # nodes factorized at a time by iwasawa
 
 
@@ -294,6 +303,44 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     return MatrixLoop(dense, -N, "twisted")
 
 
+def trim_to_tail(phi):
+    """Phi, on the powers -N..0 or -N..N that `integrate_potential` returns,
+    trimmed to the lowest order n whose tail is at most TAIL_MAX; returns
+    (trimmed loop, n, tail(n)).
+
+    tail(n) is the largest |entry| of Phi_{-n} over the finite nodes, or of
+    Phi_{+n} when that is larger, over the largest |entry| of Phi_0.  n is
+    the smallest order from 1 to Phi's own whose tail, and every tail above
+    it, is at most TAIL_MAX; a tail above it at Phi's own order raises
+    ConfigError.  A Phi with no finite node is returned whole, tail nan.
+    Phi_{-k} of a minus-loop depends on Phi_{-k+1}..Phi_0 alone, so its
+    trimmed loop is bit-equal to the loop marched at order n.
+    """
+    N = phi.order
+    c = phi.coeffs.reshape((-1,) + phi.coeffs.shape[-3:])
+    finite = np.isfinite(c).all(axis=(1, 2, 3))
+    if not finite.any():
+        return phi, N, np.nan
+    size = np.max(np.abs(c), axis=(2, 3))[finite].max(axis=0)
+    k = np.arange(N + 1)
+    side = size[N - k]
+    if phi.high > 0:
+        side = np.maximum(side, size[N + k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = side / size[N]
+    if not tail[N] <= TAIL_MAX:
+        raise ConfigError(f"Phi's tail at the truncation cap {N} is "
+                          f"{tail[N]:.3e}, above {TAIL_MAX:.0e}: raise the "
+                          f"order")
+    # every tail from n up to the cap is within the bound
+    above = np.flatnonzero(~(tail[1:] <= TAIL_MAX))
+    n = 1 if above.size == 0 else int(above[-1]) + 2
+    keep = slice(N - n, N + (n if phi.high > 0 else 0) + 1)
+    trimmed = MatrixLoop(phi.coeffs[..., keep, :, :].copy(), -n)
+    trimmed.parity = phi.parity   # a slice of a twisted loop is twisted
+    return trimmed, n, float(tail[n])
+
+
 @dataclass
 class BigCellReport:
     """Per-node conditioning of the factorization system."""
@@ -371,10 +418,15 @@ def _factorize(phi):
         rows = np.flatnonzero(cls == p)
         # consecutive unknowns pair into 2x2 blocks, K per class; entry
         # (i, j) of block d in the first block column of H^T is H's entry
-        # at unknowns (j, 2d + i)
+        # at unknowns (j, 2d + i), of power m_j - m_{2d+i}.  The blocks
+        # past the band, whose powers all lie outside Z's window (past
+        # d = (N + 1) / 2 for a minus-loop), are exact zeros and left out
         m, r = rows.reshape(-1, 2) // 2 + 1, rows.reshape(-1, 2) % 2
-        t = planes[(m[None, None, 0] - m[:, :, None] + M) * 4
-                   + 2 * r[None, None, 0] + r[:, :, None]]
+        power = m[None, None, 0] - m[:, :, None]
+        live = ((power >= Z.low) & (power <= Z.high)).any(axis=(1, 2))
+        band = int(np.flatnonzero(live)[-1]) + 1
+        t = planes[(power[:band] + M) * 4
+                   + 2 * r[None, None, 0] + r[:band, :, None]]
         t = t.transpose(1, 2, 0, 3)   # (i, j, d, node)
         y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None] + 2 * p]
         y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[p]
@@ -440,16 +492,19 @@ def _levinson(t, y):
     """Solve T x = y for a Hermitian block-Toeplitz T with 2x2 blocks,
     batched over nodes: Whittle's block-Levinson recursion (Akaike 1973).
 
-    t (2, 2, K, n) holds block (k + d, k) of T at d, for d = 0..K-1; the
-    blocks above the diagonal are their adjoints.  y is (2, 1, K, n).
+    t (2, 2, band, n) holds block (k + d, k) of T at d, for d below the
+    band; the blocks beyond it are zero and those above the diagonal are
+    the adjoints of those below.  y is (2, 1, K, n), with band <= K.
     Section k + 1 extends the monic forward predictor a (T a = [P, 0..0])
     and backward predictor b (T b = [0..0, Q]) of section k; Q is the Schur
     complement S_k of T's leading k blocks in its first k + 1, and T x = y
     is solved section by section along b.  The sums over a section run in
-    a fixed order.  Returns x (2, 1, K, n) and, per node, the smallest
-    reciprocal 2x2 condition of S_0..S_{K-1} (0 when one is singular).
+    a fixed order and leave out the zero blocks.  Returns x (2, 1, K, n)
+    and, per node, the smallest reciprocal 2x2 condition of S_0..S_{K-1}
+    (0 when one is singular).
     """
-    K, n = t.shape[2:]
+    band = t.shape[2]
+    K, n = y.shape[2:]
     # a and x side by side, so one product serves both sums; b is stored
     # reversed (b_k first), so both predictor updates read the other one
     # backwards through a view
@@ -463,10 +518,12 @@ def _levinson(t, y):
         Qinv = _inv(P)
         x[:, :, 0] = mm2(Qinv, y[:, :, 0])
         for k in range(K - 1):
-            # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j
-            prod = mm2(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
+            # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j,
+            # from the first j whose block is inside the band
+            j0 = max(k + 2 - band, 0)
+            prod = mm2(t[:, :, k + 1 - j0:0:-1], ax[:, :, j0:k + 1])
             acc = prod[:, :, 0]
-            for j in range(1, k + 1):
+            for j in range(1, k + 1 - j0):
                 acc = acc + prod[:, :, j]
             D, eps = acc[:, :2], acc[:, 2:]
             # by symmetry, T [0, b] = [Delta^dag, 0.., Q]
@@ -526,6 +583,9 @@ class PipelineResult:
     mask: np.ndarray           # export mask: big-cell failures + exclusions
     ok_mask: np.ndarray        # big-cell failures only (extraction domain)
     self_dual: bool            # run the self-duality checks in verify
+    order: int                 # truncation order factorized, `trim_to_tail`
+    order_cap: int             # the order Phi was marched at
+    tail: float                # Phi's relative tail at `order`
 
 
 def frame_field_from_loop(floop, lam, grid):
@@ -567,7 +627,10 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
 
 def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                  order=DEFAULT_ORDER, exclude_disk=None, self_dual=False):
-    """Potential -> loops -> factorization -> both surfaces per parameter."""
+    """Potential -> loops -> factorization -> both surfaces per parameter.
+
+    Phi is marched at `order`, the cap, and factorized at the order
+    `trim_to_tail` reads off its tail."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:
         if not abs(abs(lam) - 1.0) <= 1e-12:
@@ -579,7 +642,8 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                           f"got {exclude_disk}")
     # an overflowing node is reported as failed (pivot nan), not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = integrate_potential(xi, grid, z0=z0, order=order)
+        phi, n, tail = trim_to_tail(
+            integrate_potential(xi, grid, z0=z0, order=order))
         F, Bp, report = iwasawa(phi)
     ok_mask = report.ok()
     F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
@@ -609,7 +673,8 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                           sym=sym_sheets(frames, ok_mask, mask),
                           frames=frames,
                           recon_residual=recon, reality_residual=reality,
-                          mask=mask, ok_mask=ok_mask, self_dual=self_dual)
+                          mask=mask, ok_mask=ok_mask, self_dual=self_dual,
+                          order=n, order_cap=order, tail=tail)
 
 
 def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),

@@ -9,6 +9,7 @@ max fields only); algebraic identities are asserted everywhere unmasked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,11 @@ class SheetAnalysis:
     e_u: np.ndarray
     h: np.ndarray
 
+    @cached_property
+    def gauss(self):
+        """The Gauss map g of the spinors (`gauss_map`), formed once."""
+        return gauss_map(self.spinors)[0]
+
 
 def analyze_sheet(surface, lam, extract_mask=None):
     """Spinor-level extraction; `extract_mask` (default: every node) should
@@ -198,8 +204,7 @@ def sheet_checks(rep, a, valid, tols):
             tols["holomorphy_B"], live6)
     rep.add(f"flatness[{tag}]", flatness_residual(d, [s.lam]),
             tols["flatness"], live6)
-    g_spin, _ = gauss_map(s)
-    rep.add(f"harmonic_g[{tag}]", harmonic_residual(g_spin, s.grid),
+    rep.add(f"harmonic_g[{tag}]", harmonic_residual(a.gauss, s.grid),
             tols["harmonic_g"], live4)
 
     try:
@@ -250,7 +255,8 @@ def verify_pipeline(result, tols=None):
                    tols["iwasawa_recon"],
                    note=f"pivot min {np.min(pivot[result.mask]):.3e}, "
                         f"{np.sum(pivot < PIVOT_MIN)} nodes below "
-                        f"{PIVOT_MIN:.0e}")
+                        f"{PIVOT_MIN:.0e}, order {result.order} of cap "
+                        f"{result.order_cap}, tail {result.tail:.3e}")
     rep.add_scalar("iwasawa_reality", result.reality_residual,
                    tols["iwasawa_reality"])
 
@@ -275,9 +281,8 @@ def verify_pipeline(result, tols=None):
                     tols["lambda_independence"], centred_interior(valid, W4))
         rep.add(f"frame_su11[{tag}]", su11_residual(fr.F),
                 tols["frame_su11"], valid)
-        g_spin, _ = gauss_map(a_minus.spinors)
         rep.add(f"normal_agreement[{tag}]",
-                np.abs(gauss_from_normal_field(sym.n_m) - g_spin),
+                np.abs(gauss_from_normal_field(sym.n_m) - a_minus.gauss),
                 tols["normal_agreement"], live1)
         det = np.abs(np.linalg.det(sym.n_m) - 0.25)
         tr = np.abs(np.trace(sym.n_m, axis1=-2, axis2=-1))

@@ -11,8 +11,8 @@ matrices per step.  They are the reference the batched integrators in
 nildual must reproduce bit for bit: same stage points, same products, same
 summation order.  The branch continuation chooses one square root at a
 time along the sweep, the reference of the vectorised one in nildual.  The
-file writers write one row at a time; the vectorised writers in nildual
-must reproduce their bytes.
+file writers write one row at a time, or the field CSV's rows all at once
+from one stacked table; the writers in nildual must reproduce their bytes.
 """
 from __future__ import annotations
 
@@ -500,6 +500,20 @@ def reference_write_field_csv(path, field, grid, mask=None):
         lines.append(f"{i},{j},{_fmt(grid.xs[j])},{_fmt(grid.ys[i])},"
                      f"{_fmt(v.real)},{_fmt(v.imag)}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def stacked_write_field_csv(path, field, grid, mask=None):
+    """write_field_csv formatting all six columns of every row with one
+    "%" over the stacked node table."""
+    field = np.asarray(field)
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    i, j = np.nonzero(mask)
+    v = field[i, j]
+    rows = np.stack([i, j, grid.xs[j], grid.ys[i], v.real, v.imag], axis=-1)
+    body = "%d,%d,%.17g,%.17g,%.17g,%.17g\n" * len(i) % tuple(
+        rows.ravel().tolist())
+    Path(path).write_text("# schema=1\ni,j,x,y,re,im\n" + body)
 
 
 def reference_write_obj(path, surface):

@@ -35,6 +35,7 @@ from nildual.nil3 import (
 )
 from nildual.potentials import (
     SPINOR_GAUGE,
+    TAIL_MAX,
     builtin_example,
     integrate_potential,
     iwasawa,
@@ -318,6 +319,24 @@ def test_criterion_8_iwasawa(pb41, helicoid, smyth_runs):
     ok_b = report(8, "paraboloid frame matches closed form (mod gauge)",
                   gauge_err, 1e-8)
     assert ok_a and ok_b
+
+
+def test_factorization_order_follows_the_tail(pb41, helicoid, smyth_runs,
+                                              smyth_annulus):
+    """Each built-in is factorized at the lowest order whose tail is within
+    TAIL_MAX, under the default cap of 12."""
+    runs = {"paraboloid 41x41": pb41, "helicoid 81x81": helicoid,
+            "smyth-1 101x101": smyth_runs["smyth-1"],
+            "smyth-2 101x101": smyth_runs["smyth-2"],
+            "smyth-1 41x41": smyth_annulus["smyth-1"],
+            "smyth-2 41x41": smyth_annulus["smyth-2"]}
+    orders = {name: run.order for name, run in runs.items()}
+    assert orders == {"paraboloid 41x41": 12, "helicoid 81x81": 10,
+                      "smyth-1 101x101": 10, "smyth-2 101x101": 9,
+                      "smyth-1 41x41": 12, "smyth-2 41x41": 11}
+    assert all(run.order_cap == 12 and run.tail <= TAIL_MAX
+               for run in runs.values())
+    assert all(run.frame_loop.low == -run.order for run in runs.values())
 
 
 def test_criterion_9_path_independence(pb41):

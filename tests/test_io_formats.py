@@ -1,5 +1,6 @@
-"""The one-call field-CSV and OBJ writers print the bytes of the
-row-at-a-time reference writers, special floats included."""
+"""The field-CSV and OBJ writers print the bytes of the row-at-a-time
+reference writers, special floats included, and the field-CSV writer those
+of the stacked-table one."""
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,11 @@ from hypothesis.extra import numpy as hnp
 from nildual.io_formats import write_field_csv, write_obj
 from nildual.nil3 import DomainGrid, SurfaceGrid
 
-from .oracles import reference_write_field_csv, reference_write_obj
+from .oracles import (
+    reference_write_field_csv,
+    reference_write_obj,
+    stacked_write_field_csv,
+)
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
            2.2250738585072009e-308, 1e308, -1e-308, 1.0, -1.0]
@@ -95,3 +100,22 @@ def test_writers_on_empty_and_holed_masks(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "# schema=1\ni,j,x,y,re,im\n"
     write_obj(tmp_path / "empty.obj", SurfaceGrid(coords, grid, mask=none))
     assert (tmp_path / "empty.obj").read_text() == "# schema=1\n"
+
+
+def test_field_csv_matches_stacked_table(tmp_path):
+    """Coordinates formatted once per grid row and column give the bytes of
+    formatting every node's whole row: a masked complex field and an
+    unmasked real one on a 41x41 grid."""
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 41, 41)
+    rng = np.random.default_rng(7)
+    complex_field = _complex(rng.normal(size=grid.shape),
+                             rng.normal(size=grid.shape))
+    complex_field[3, 5] = complex(-0.0, np.nan)
+    mask = np.abs(grid.zz) >= 0.3
+    real_field = rng.normal(size=grid.shape) * 1e-300
+    real_field[0, 0] = -0.0
+    for field, m in ((complex_field, mask), (real_field, None)):
+        write_field_csv(tmp_path / "new.csv", field, grid, m)
+        stacked_write_field_csv(tmp_path / "ref.csv", field, grid, m)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())

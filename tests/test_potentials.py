@@ -17,6 +17,7 @@ from nildual.potentials import (
     BUILTIN_NAMES,
     PIVOT_MIN,
     SPINOR_GAUGE,
+    TAIL_MAX,
     HoloPotential,
     _dirac_gauge,
     builtin_example,
@@ -28,6 +29,7 @@ from nildual.potentials import (
     paraboloid_potential,
     run_example,
     smyth_potential,
+    trim_to_tail,
 )
 from nildual.spinors import dirac_data, spinors_from_phi, uh_from_spinors
 from nildual.sym import mc_equivalent
@@ -571,6 +573,45 @@ def test_truncation_order_controls_reconstruction(grid21):
         recon, _ = iwasawa_residuals(phi, F, Bp)
         residuals.append(recon)
     assert residuals[0] > residuals[1] > residuals[2] or residuals[2] < 1e-12
+
+
+def test_trim_is_the_march_at_the_order_of_the_tail():
+    """smyth-2's 101x101 verify grid needs 9 of the default 12 powers, and
+    its trimmed Phi is the march at order 9: a minus-loop's power -k
+    depends on the powers -k+1..0 alone."""
+    spec = builtin_example("smyth-2")
+    xi, g = spec.potential(), spec.verify_grid
+    phi, n, tail = trim_to_tail(integrate_potential(xi, g))
+    assert (n, phi.low, phi.high, phi.parity) == (9, -9, 0, "twisted")
+    assert 1e-15 < tail <= TAIL_MAX
+    assert np.array_equal(phi.coeffs,
+                          integrate_potential(xi, g, order=9).coeffs)
+
+
+def test_trim_reads_finite_nodes_and_both_sides(grid21):
+    phi = integrate_potential(paraboloid_potential(), grid21)
+    trimmed, n, tail = trim_to_tail(phi)
+    size = np.max(np.abs(phi.coeffs), axis=(0, 1, 3, 4))
+    assert tail == size[12 - n] / size[12] <= TAIL_MAX
+    assert size[12 - n + 1] / size[12] > TAIL_MAX
+    # a non-finite node is left out of the tail; with no finite node,
+    # nothing is trimmed
+    bad = phi.coeffs.copy()
+    bad[3, 4, 2, 0, 1] = np.nan
+    assert trim_to_tail(MatrixLoop(bad, phi.low))[1:] == (n, tail)
+    whole, N, nan = trim_to_tail(MatrixLoop(np.full_like(bad, np.nan),
+                                            phi.low))
+    assert N == 12 and whole.coeffs.shape == bad.shape and math.isnan(nan)
+    # a Phi with positive powers keeps -n..n, on the larger of both tails
+    hel = integrate_potential(helicoid_potential(), grid21)
+    trimmed, n, tail = trim_to_tail(hel)
+    assert (trimmed.low, trimmed.high) == (-n, n)
+    assert np.array_equal(trimmed.coeffs, hel.coeffs[..., 12 - n:13 + n, :, :])
+    size = np.max(np.abs(hel.coeffs), axis=(0, 1, 3, 4))
+    assert tail == max(size[12 - n], size[12 + n]) / size[12]
+    with pytest.raises(ConfigError, match="tail at the truncation cap 3"):
+        trim_to_tail(integrate_potential(helicoid_potential(), grid21,
+                                         order=3))
 
 
 def test_helicoid_big_cell_everywhere(grid21):

@@ -90,7 +90,10 @@ def test_iwasawa_row_notes_the_pivot(pb_run):
     row = verify_pipeline(pb_run).checks[0]
     assert row.name == "iwasawa_recon"
     pivot = np.min(pb_run.report.pivot[pb_run.mask])
-    assert row.note == f"pivot min {pivot:.3e}, 0 nodes below 1e-12"
+    # the paraboloid's 41x41 grid needs the whole default cap
+    assert (pb_run.order, pb_run.order_cap) == (12, 12)
+    assert row.note == (f"pivot min {pivot:.3e}, 0 nodes below 1e-12, "
+                        f"order 12 of cap 12, tail {pb_run.tail:.3e}")
 
 
 def test_report_rendering(pb_run):
