@@ -3,7 +3,9 @@
 
 The command set: `generate`, `dual`, `sweep` and `export --formats obj,csv`
 for the paraboloid, smyth-2 and helicoid at
-`--lambda 1,exp:pi/3 --allow-reflection`; `verify` for the paraboloid,
+`--lambda 1,exp:pi/3 --allow-reflection`; `dual` of the paraboloid at the
+same flags in a directory of its own, where no frame cache precedes it, so
+that `dual` runs the pipeline itself; `verify` for the paraboloid,
 the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
 being the one verify of a Phi with positive powers; and `generate` and
 `verify` driven by `--spinors` from the lam0 CSVs of the paraboloid and of
@@ -21,7 +23,7 @@ of unequal length. The CSVs are copied to the fixed relative prefixes
 `spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
 the potential is written to `potentials/helicoid_untwisted.json`, because
 the input path enters the run hash and so the run directory's name. The
-set writes 249 digest entries, files and exit codes together.
+set writes 269 digest entries, files and exit codes together.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>`, and exits 1 if any command exited non-zero.
@@ -44,7 +46,8 @@ import sys
 from pathlib import Path
 
 EXAMPLES = ("paraboloid", "smyth-2", "helicoid")
-FLAGS = ("--lambda", "1,exp:pi/3", "--allow-reflection", "--out", "runs")
+LAMBDAS = ("--lambda", "1,exp:pi/3", "--allow-reflection")
+FLAGS = (*LAMBDAS, "--out", "runs")
 OFF_CENTRE = "-0.9,1.1,-1,0.9,30,41"
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
@@ -70,6 +73,8 @@ def run_commands(out, env):
             nildual(command, "--example", ex, *FLAGS)
         nildual("export", "--run", cache_dir(ex).relative_to(out).as_posix(),
                 "--formats", "obj,csv")
+    # no generate precedes this dual: it runs the pipeline on the fly
+    nildual("dual", "--example", "paraboloid", *LAMBDAS, "--out", "no_cache")
     for ex in ("paraboloid", "helicoid", "smyth-1"):
         nildual("verify", "--example", ex, "--lambda", "1,exp:pi/3",
                 "--out", "runs")

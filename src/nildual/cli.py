@@ -128,20 +128,6 @@ class RunConfig:
         return Path(self.out_dir) / f"{name}_{self.hash()}"
 
 
-def _lam_slug(k):
-    return f"lam{k}"
-
-
-@dataclass
-class RunArtifacts:
-    """In-memory products of a generate run, reused by dual/sweep/verify."""
-
-    syms: list                     # SymOutput per lambda
-    frames: list                   # FrameField per lambda
-    ok_mask: np.ndarray            # nodes whose frames are trustworthy
-    result: object = None          # PipelineResult for potential pipelines
-
-
 def _read_spinors(prefix):
     """The SpinorField of the CSV pair <prefix>_psi1.csv, <prefix>_psi2.csv;
     a node missing from either file is masked."""
@@ -156,76 +142,87 @@ def _read_spinors(prefix):
     return SpinorField(psi1, psi2, g1, mask=m1 & m2)
 
 
-def run_pipeline(config, for_verify=False):
-    """Execute the configured pipeline and return its artifacts."""
+def pipeline_result(config, grid):
+    """The PipelineResult of an --example or --potential run on `grid`."""
     kind, _, arg = config.pipeline.partition(":")
-    grid = config.resolved_grid(for_verify=for_verify)
     if kind == "example":
-        res = run_example(arg, grid=grid, lam_samples=config.lams,
-                          order=config.order, exclude_disk=config.exclude_disk)
-        return RunArtifacts(res.sym, res.frames, res.ok_mask, result=res)
-    if kind == "potential":
-        try:
-            xi = HoloPotential.from_json(iof.read_json(arg))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad potential file {arg!r}: "
-                              f"{type(exc).__name__}: {exc}") from None
-        res = dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
+        return run_example(arg, grid=grid, lam_samples=config.lams,
                            order=config.order,
                            exclude_disk=config.exclude_disk)
-        return RunArtifacts(res.sym, res.frames, res.ok_mask, result=res)
+    if kind != "potential":
+        raise ConfigError(f"unknown pipeline {config.pipeline!r}")
+    try:
+        xi = HoloPotential.from_json(iof.read_json(arg))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad potential file {arg!r}: "
+                          f"{type(exc).__name__}: {exc}") from None
+    return dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
+                        order=config.order, exclude_disk=config.exclude_disk)
+
+
+def run_pipeline(config):
+    """(sheets, frames, ok_mask) of the configured pipeline: a SymOutput and
+    a FrameField per lambda, and the nodes whose frames are trustworthy."""
+    kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
         s = _read_spinors(arg)
         d = dirac_data(s)
         base = frame_from_spinors(s)[s.grid.centre]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
-        return RunArtifacts(sym_sheets(frames, s.mask, s.mask), frames, s.mask)
-    raise ConfigError(f"unknown pipeline {config.pipeline!r}")
+        return sym_sheets(frames, s.mask, s.mask), frames, s.mask
+    res = pipeline_result(config, config.resolved_grid())
+    return res.sym, res.frames, res.ok_mask
 
 
-def _write_surface_outputs(run_dir, config, sym, k, which=("minus",)):
-    res_summary = {"sym_reality": sym.reality_residual}
-    for side in which:
-        surf = sym.f_minus if side == "minus" else sym.f_plus
-        stem = run_dir / f"{_lam_slug(k)}_f_{side}"
-        iof.write_obj(f"{stem}.obj", surf)
-        iof.write_sidecar(f"{stem}.sidecar.json", config.hash(),
-                          surf.mask, res_summary)
+def cached_sheets(run_dir):
+    """(sheets, frames, ok_mask) as run_pipeline, read from the frame cache
+    that generate wrote under `run_dir`."""
+    cache = run_dir / "frames.json"
+    if not cache.exists():
+        raise ConfigError(f"no frame cache under {run_dir}")
+    frames, _grid, mask, ok_mask, _meta = iof.read_frame_cache(cache)
+    return sym_sheets(frames, ok_mask, mask), frames, ok_mask
 
 
-def _write_field_outputs(run_dir, sym, k, extract_mask):
-    try:
-        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=extract_mask)
-    except NilDualError as exc:
-        print(f"field extraction skipped at {_lam_slug(k)}: {exc}",
-              file=sys.stderr)
-        return
-    grid = sym.grid
-    tag = _lam_slug(k)
-    iof.write_field_csv(run_dir / f"{tag}_psi1.csv", a.spinors.psi1, grid)
-    iof.write_field_csv(run_dir / f"{tag}_psi2.csv", a.spinors.psi2, grid)
-    iof.write_field_csv(run_dir / f"{tag}_B.csv", a.dirac.B, grid)
-    iof.write_field_csv(run_dir / f"{tag}_e_u.csv", a.e_u.astype(complex), grid)
-    iof.write_field_csv(run_dir / f"{tag}_h.csv", a.h.astype(complex), grid)
-    return a
-
-
-def cmd_generate(config):
-    arts = run_pipeline(config)
+def _open_run(config):
+    """The run directory of `config`, made, with its config.json."""
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     iof.write_json(run_dir / "config.json", config.to_dict())
-    for k, sym in enumerate(arts.syms):
-        _write_surface_outputs(run_dir, config, sym, k, which=("minus",))
-        _write_field_outputs(run_dir, sym, k, arts.ok_mask)
-    iof.write_frame_cache(
-        run_dir / "frames.json",
-        arts.frames,
-        arts.syms[0].grid,
-        mask=arts.syms[0].f_minus.mask,
-        ok_mask=arts.ok_mask,
-        meta={"pipeline": config.pipeline})
+    return run_dir
+
+
+def _write_sheets(run_dir, sheets, sides, cfg_hash, prefix=""):
+    """The OBJ and sidecar of each sheet's `sides` (minus, plus)."""
+    for k, sym in enumerate(sheets):
+        for side in sides:
+            surf = sym.f_minus if side == "minus" else sym.f_plus
+            stem = run_dir / f"{prefix}lam{k}_f_{side}"
+            iof.write_obj(f"{stem}.obj", surf)
+            iof.write_sidecar(f"{stem}.sidecar.json", cfg_hash, surf.mask,
+                              {"sym_reality": sym.reality_residual})
+
+
+def cmd_generate(config):
+    sheets, frames, ok_mask = run_pipeline(config)
+    run_dir = _open_run(config)
+    _write_sheets(run_dir, sheets, ("minus",), config.hash())
+    for k, sym in enumerate(sheets):
+        try:
+            a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
+        except NilDualError as exc:
+            print(f"field extraction skipped at lam{k}: {exc}",
+                  file=sys.stderr)
+            continue
+        for name, values in (("psi1", a.spinors.psi1),
+                             ("psi2", a.spinors.psi2), ("B", a.dirac.B),
+                             ("e_u", a.e_u), ("h", a.h)):
+            iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
+                                sym.grid)
+    iof.write_frame_cache(run_dir / "frames.json", frames, sheets[0].grid,
+                          mask=sheets[0].f_minus.mask, ok_mask=ok_mask,
+                          meta={"pipeline": config.pipeline})
     print(f"wrote {run_dir}")
     return 0
 
@@ -236,48 +233,36 @@ def cmd_dual(config):
     Reuses the frame cache of a previous generate run when present;
     otherwise the pipeline runs on the fly.
     """
-    run_dir = config.run_dir()
-    cache = run_dir / "frames.json"
-    if cache.exists():
-        frames, _grid, mask, ok_mask, _meta = iof.read_frame_cache(cache)
-        syms = sym_sheets(frames, ok_mask, mask)
+    if (config.run_dir() / "frames.json").exists():
+        sheets, _frames, ok_mask = cached_sheets(config.run_dir())
     else:
-        arts = run_pipeline(config)
-        syms = arts.syms
-        ok_mask = arts.ok_mask
-        run_dir.mkdir(parents=True, exist_ok=True)
-    iof.write_json(run_dir / "config.json", config.to_dict())
-    for k, sym in enumerate(syms):
-        _write_surface_outputs(run_dir, config, sym, k, which=("plus",))
+        sheets, _frames, ok_mask = run_pipeline(config)
+    run_dir = _open_run(config)
+    _write_sheets(run_dir, sheets, ("plus",), config.hash())
+    for k, sym in enumerate(sheets):
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
         try:
             pair = dual_spinors(a.spinors, a.dirac,
                                 conjugate_sign=config.conjugate_sign)
         except NilDualError as exc:
-            print(f"dual spinors unavailable at {_lam_slug(k)}: {exc}",
+            print(f"dual spinors unavailable at lam{k}: {exc}",
                   file=sys.stderr)
             return 2
         e_u_star, h_star, B_star, _, _, _ = pair.invariants
-        grid = sym.grid
-        tag = _lam_slug(k)
         # exports honour both the duality degeneracies and the run's
         # exclusion mask (singular points of the dual stay unfilled)
         out_mask = pair.mask & sym.f_plus.mask
-        iof.write_field_csv(run_dir / f"{tag}_dual_psi1.csv",
-                            pair.dual.psi1, grid, mask=out_mask)
-        iof.write_field_csv(run_dir / f"{tag}_dual_psi2.csv",
-                            pair.dual.psi2, grid, mask=out_mask)
-        iof.write_field_csv(run_dir / f"{tag}_e_u_star.csv",
-                            e_u_star.astype(complex), grid, mask=out_mask)
-        iof.write_field_csv(run_dir / f"{tag}_h_star.csv",
-                            h_star.astype(complex), grid, mask=out_mask)
-        iof.write_field_csv(run_dir / f"{tag}_B_star.csv", B_star, grid,
-                            mask=out_mask)
-        iof.write_json(run_dir / f"{tag}_branch_log.json",
+        for name, values in (("dual_psi1", pair.dual.psi1),
+                             ("dual_psi2", pair.dual.psi2),
+                             ("e_u_star", e_u_star), ("h_star", h_star),
+                             ("B_star", B_star)):
+            iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
+                                sym.grid, mask=out_mask)
+        iof.write_json(run_dir / f"lam{k}_branch_log.json",
                        pair.branch_log(export_mask=sym.f_plus.mask))
         fit = mc_equivalent(sym.f_minus, sym.f_plus,
                             allow_reflection=config.allow_reflection)
-        iof.write_json(run_dir / f"{tag}_dual_fit.json", {
+        iof.write_json(run_dir / f"lam{k}_dual_fit.json", {
             "schema": 1, "equivalent": bool(fit.equivalent),
             "kind": fit.kind, "theta": fit.theta,
             "residual": fit.residual,
@@ -296,8 +281,8 @@ def cmd_verify(config):
         sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
                      s.mask, {**DEFAULT_TOLS, **config.tols})
     else:
-        rep = verify_pipeline(run_pipeline(config, for_verify=True).result,
-                              tols=config.tols)
+        res = pipeline_result(config, config.resolved_grid(for_verify=True))
+        rep = verify_pipeline(res, tols=config.tols)
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     iof.write_json(run_dir / "report.json", rep.to_json())
@@ -309,16 +294,13 @@ def cmd_verify(config):
 def cmd_sweep(config):
     if len(config.lams) < 2:
         raise ConfigError("sweep needs at least two lambda samples")
-    arts = run_pipeline(config)
-    run_dir = config.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    iof.write_json(run_dir / "config.json", config.to_dict())
+    sheets, _frames, ok_mask = run_pipeline(config)
+    run_dir = _open_run(config)
+    _write_sheets(run_dir, sheets, ("minus", "plus"), config.hash())
     ew2_ref = None
     entries = []
-    for k, sym in enumerate(arts.syms):
-        _write_surface_outputs(run_dir, config, sym, k,
-                               which=("minus", "plus"))
-        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=arts.ok_mask)
+    for sym in sheets:
+        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
         # every node of the W4 interior, the export mask aside
         core = centred_interior(np.ones(sym.grid.shape, dtype=bool), W4)
         if ew2_ref is None:
@@ -343,28 +325,20 @@ def cmd_export(args_run, formats):
         raise ConfigError(f"unknown export format(s) {', '.join(unknown)}; "
                           f"choose from obj, csv")
     run_dir = Path(args_run)
-    cache = run_dir / "frames.json"
-    if not cache.exists():
-        raise ConfigError(f"no frame cache under {run_dir}")
-    frames, grid, mask, ok_mask, _ = iof.read_frame_cache(cache)
-    cfg_hash = "unknown"
+    sheets, _frames, _ok_mask = cached_sheets(run_dir)
     cfg_path = run_dir / "config.json"
-    if cfg_path.exists():
-        cfg_hash = iof.config_hash(iof.read_json(cfg_path))
-    for k, sym in enumerate(sym_sheets(frames, ok_mask, mask)):
-        for side in ("minus", "plus"):
-            surf = sym.f_minus if side == "minus" else sym.f_plus
-            stem = run_dir / f"export_{_lam_slug(k)}_f_{side}"
-            if "obj" in formats:
-                iof.write_obj(f"{stem}.obj", surf)
-                iof.write_sidecar(f"{stem}.sidecar.json", cfg_hash, surf.mask,
-                                  {"sym_reality": sym.reality_residual})
-            if "csv" in formats:
-                phi = left_maurer_cartan(surf)
+    cfg_hash = (iof.config_hash(iof.read_json(cfg_path))
+                if cfg_path.exists() else "unknown")
+    if "obj" in formats:
+        _write_sheets(run_dir, sheets, ("minus", "plus"), cfg_hash,
+                      prefix="export_")
+    if "csv" in formats:
+        for k, sym in enumerate(sheets):
+            for side, surf in (("minus", sym.f_minus), ("plus", sym.f_plus)):
                 iof.write_field_csv(
-                    run_dir / f"export_{_lam_slug(k)}_phi3_{side}.csv",
-                    phi.phi3, grid)
-    print(f"re-exported {len(frames)} frame(s) from {run_dir}")
+                    run_dir / f"export_lam{k}_phi3_{side}.csv",
+                    left_maurer_cartan(surf).phi3, sym.grid)
+    print(f"re-exported {len(sheets)} frame(s) from {run_dir}")
     return 0
 
 
@@ -449,19 +423,13 @@ def main(argv=None):
     try:
         if args.command == "export":
             return cmd_export(args.run, args.formats.split(","))
-        config = config_from_args(args)
-        if args.command == "generate":
-            return cmd_generate(config)
-        if args.command == "dual":
-            return cmd_dual(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
+        # looked up per call, so that a rebinding of a command is honoured
+        commands = {"generate": cmd_generate, "dual": cmd_dual,
+                    "verify": cmd_verify, "sweep": cmd_sweep}
+        return commands[args.command](config_from_args(args))
     except (ConfigError, NilDualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -64,12 +64,13 @@ class DualPair:
         }
 
 
-def _degeneracy_mask(B, h, valid, b_rel=B_MASK_REL, h_abs=H_MASK_ABS):
+def _degeneracy_mask(B, h, valid):
     scale = np.max(np.abs(B[valid])) if np.any(valid) else 0.0
     if scale == 0.0:
         raise HorizontalUmbrellaError(
             "B vanishes identically: the surface has no dual")
-    mask = valid & (np.abs(B) >= b_rel * scale) & (np.abs(h) >= h_abs)
+    mask = (valid & (np.abs(B) >= B_MASK_REL * scale)
+            & (np.abs(h) >= H_MASK_ABS))
     if not np.any(mask):
         raise HorizontalUmbrellaError("every node is degenerate for the dual")
     return mask

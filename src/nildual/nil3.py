@@ -362,9 +362,10 @@ def centred_interior(valid, width):
     return out
 
 
-def interior_max(field, width=2, valid=None):
-    """Max of `field` over the centred interior of `valid` (default: all)."""
+def interior_max(field, valid=None):
+    """Max of `field` over the centred interior of width 2 of `valid`
+    (default: all)."""
     f = np.asarray(field)
     if valid is None:
         valid = np.ones(f.shape[:2], dtype=bool)
-    return float(np.max(f[centred_interior(valid, width)], initial=0.0))
+    return float(np.max(f[centred_interior(valid, 2)], initial=0.0))

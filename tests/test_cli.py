@@ -159,13 +159,44 @@ def test_sweep_requires_two_lambdas(tmp_path):
 
 
 def test_export_from_cache(tmp_path):
+    # export re-reads the frame cache and writes each sheet as generate
+    # (minus) and dual (plus) did
     args = ["--example", "paraboloid", *SMALL, "--lambda", "1",
             "--out", str(tmp_path)]
     assert run(["generate", *args]) == 0
+    assert run(["dual", *args]) == 0
     (run_dir,) = tmp_path.iterdir()
-    rc = run(["export", "--run", str(run_dir), "--formats", "obj"])
+    rc = run(["export", "--run", str(run_dir), "--formats", "obj,csv"])
     assert rc == 0
-    assert (run_dir / "export_lam0_f_plus.obj").exists()
+    for side in ("minus", "plus"):
+        for suffix in (".obj", ".sidecar.json"):
+            name = f"lam0_f_{side}{suffix}"
+            assert ((run_dir / f"export_{name}").read_bytes()
+                    == (run_dir / name).read_bytes()), name
+        assert (run_dir / f"export_lam0_phi3_{side}.csv").exists()
+
+
+@pytest.mark.parametrize("example, grid", [("paraboloid", SMALL),
+                                           ("smyth-1", [])])
+def test_dual_without_cache_writes_what_cached_dual_writes(tmp_path, example,
+                                                           grid):
+    # with no frame cache dual runs the pipeline itself; smyth-1 carries an
+    # exclusion disk, so its export mask and trust mask differ
+    args = ["--example", example, *grid, "--lambda", "1,exp:pi/3",
+            "--allow-reflection"]
+    assert run(["dual", *args, "--out", str(tmp_path / "fresh")]) == 0
+    assert run(["generate", *args, "--out", str(tmp_path / "cached")]) == 0
+    (cached_dir,) = (tmp_path / "cached").iterdir()
+    generated = {p.name for p in cached_dir.iterdir()}
+    assert run(["dual", *args, "--out", str(tmp_path / "cached")]) == 0
+    (fresh_dir,) = (tmp_path / "fresh").iterdir()
+    assert fresh_dir.name == cached_dir.name
+    written = sorted(p.name for p in fresh_dir.iterdir())
+    # config.json aside, dual's files are its own, not generate's
+    assert len(written) == 19 and set(written) & generated == {"config.json"}
+    for name in written:
+        assert ((fresh_dir / name).read_bytes()
+                == (cached_dir / name).read_bytes()), name
 
 
 def test_potential_file_pipeline(tmp_path):
@@ -304,7 +335,7 @@ def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     # frames.json holds what evaluating the frame loop anew would write
     config = nildual.cli.config_from_args(nildual.cli.build_parser().parse_args(argv))
-    res = nildual.cli.run_pipeline(config).result
+    res = nildual.cli.pipeline_result(config, config.resolved_grid())
     direct = tmp_path / "direct.json"
     write_frame_cache(direct,
                       [frame_field_from_loop(res.frame_loop, lam, res.grid)
@@ -406,6 +437,7 @@ def _b64(n_bytes):
     (lambda tmp: _generate(tmp, "--potential", str(
         _write_text(tmp / "empty.json", '{"schema": 1}'))), ""),
     (lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")), ""),
+    (lambda tmp: ["export", "--run", str(tmp)], "no frame cache"),
     (lambda tmp: _export_cache(tmp, "{"), ""),
     (lambda tmp: _export_cache(tmp, '{"schema": 2}'), "KeyError"),
     (lambda tmp: _export_cache(tmp, "[]"), "bad frame cache"),
@@ -451,7 +483,7 @@ def _b64(n_bytes):
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
-        "spinors-missing",
+        "spinors-missing", "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "order-8",

@@ -126,3 +126,33 @@ def test_battery_flags_perturbed_frame_loop(pb_run):
     failed = {c.name.split("[")[0] for c in verify_pipeline(bumped).checks
               if not c.passed}
     assert failed == {"cross_pipeline"}
+
+
+def _failed_rows_with_normal(pb_run, change):
+    """{name: max} of the rows the battery fails when each sheet's n_m is
+    replaced by change(n_m)."""
+    sym = [dataclasses.replace(s, n_m=change(s.n_m)) for s in pb_run.sym]
+    rep = verify_pipeline(dataclasses.replace(pb_run, sym=sym))
+    return {c.name: c.max for c in rep.checks if not c.passed}
+
+
+def test_battery_flags_scaled_normal(pb_run):
+    # det n_m moves off 1/4 by 0.25 * 2e-6; the normal's direction, and
+    # with it normal_agreement, does not move
+    failed = _failed_rows_with_normal(pb_run, lambda n: (1 + 1e-6) * n)
+    assert set(failed) == {"n_m_structure[lam+0.000pi]",
+                           "n_m_structure[lam+0.333pi]"}
+    assert all(v == pytest.approx(5e-7, rel=0.01) for v in failed.values())
+
+
+def test_battery_flags_boosted_normal(pb_run):
+    # a constant SU(1,1) boost keeps det and trace, so n_m_structure holds;
+    # the normal turns by about t, and normal_agreement trips (at t = 1e-6
+    # it reads 1.18e-6, too near its 1e-6 tolerance to test)
+    t = 1e-5
+    boost = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
+    failed = _failed_rows_with_normal(
+        pb_run, lambda n: boost @ n @ np.linalg.inv(boost))
+    assert set(failed) == {"normal_agreement[lam+0.000pi]",
+                           "normal_agreement[lam+0.333pi]"}
+    assert all(v > 1e-5 for v in failed.values())
