@@ -23,10 +23,12 @@ of unequal length. The CSVs are copied to the fixed relative prefixes
 `spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
 the potential is written to `potentials/helicoid_untwisted.json`, because
 the input path enters the run hash and so the run directory's name. The
-set writes 269 digest entries, files and exit codes together.
+set writes 270 files; with its 146 report rows and 38 exit codes the
+digest holds 454 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
-code under `exit: <command>`, and exits 1 if any command exited non-zero.
+code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
+under `row: <path> <row name>`, and exits 1 if any command exited non-zero.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
 
@@ -35,7 +37,8 @@ Usage:
   python scripts/output_digest.py --compare A.json B.json
 
 `--compare` lists every path (and exit code) whose digest differs between
-two digest files, or that only one of them has.
+two digest files, or that only one of them has; a report row that changed
+prints as base -> head max, each with its headroom max/tolerance.
 """
 import hashlib
 import json
@@ -115,7 +118,16 @@ def digest(out, env):
     files = {p.relative_to(out).as_posix():
              hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return {**files, **codes}
+    rows = {f"row: {p.relative_to(out).as_posix()} {c['name']}":
+            [c["max"], c["tolerance"]]
+            for p in sorted(out.rglob("report.json"))
+            for c in json.loads(p.read_text())["checks"]}
+    return {**files, **rows, **codes}
+
+
+def _headroom(row):
+    mx, tol = row
+    return f"{mx:.8g} ({mx / tol if tol else float('inf'):.3g} of tol)"
 
 
 def compare(a_path, b_path):
@@ -129,6 +141,8 @@ def compare(a_path, b_path):
             print(f"only in {b_path}: {k}")
         elif k.startswith("exit: "):
             print(f"{k}: {a[k]} -> {b[k]}")
+        elif k.startswith("row: "):
+            print(f"{k}: {_headroom(a[k])} -> {_headroom(b[k])}")
         else:
             print(f"differs: {k}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ")

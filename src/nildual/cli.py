@@ -130,13 +130,17 @@ class RunConfig:
 
 def _read_spinors(prefix):
     """The SpinorField of the CSV pair <prefix>_psi1.csv, <prefix>_psi2.csv;
-    a node missing from either file is masked."""
+    a node missing from either file is masked, a non-finite one refused."""
     try:
         g1, psi1, m1 = iof.read_field_csv(prefix + "_psi1.csv")
         g2, psi2, m2 = iof.read_field_csv(prefix + "_psi2.csv")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad spinor files {prefix!r}: "
                           f"{type(exc).__name__}: {exc}") from None
+    for part, psi in (("psi1", psi1), ("psi2", psi2)):
+        for i, j in np.argwhere(~np.isfinite(psi))[:1]:
+            raise ConfigError(f"non-finite value in {prefix}_{part}.csv at "
+                              f"node ({i}, {j})")
     if g1 != g2:
         raise ConfigError("spinor component grids disagree")
     return SpinorField(psi1, psi2, g1, mask=m1 & m2)
@@ -204,6 +208,13 @@ def _write_sheets(run_dir, sheets, sides, cfg_hash, prefix=""):
                               {"sym_reality": sym.reality_residual})
 
 
+def _write_frame_cache(run_dir, config, sheets, frames, ok_mask):
+    """The frame cache that `cached_sheets` reads back."""
+    iof.write_frame_cache(run_dir / "frames.json", frames, sheets[0].grid,
+                          mask=sheets[0].f_minus.mask, ok_mask=ok_mask,
+                          meta={"pipeline": config.pipeline})
+
+
 def cmd_generate(config):
     sheets, frames, ok_mask = run_pipeline(config)
     run_dir = _open_run(config)
@@ -220,9 +231,7 @@ def cmd_generate(config):
                              ("e_u", a.e_u), ("h", a.h)):
             iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
                                 sym.grid)
-    iof.write_frame_cache(run_dir / "frames.json", frames, sheets[0].grid,
-                          mask=sheets[0].f_minus.mask, ok_mask=ok_mask,
-                          meta={"pipeline": config.pipeline})
+    _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
     print(f"wrote {run_dir}")
     return 0
 
@@ -231,13 +240,14 @@ def cmd_dual(config):
     """Emit the second sheet (dual surface) plus its invariant fields.
 
     Reuses the frame cache of a previous generate run when present;
-    otherwise the pipeline runs on the fly.
+    otherwise the pipeline runs on the fly and writes generate's cache.
     """
-    if (config.run_dir() / "frames.json").exists():
-        sheets, _frames, ok_mask = cached_sheets(config.run_dir())
-    else:
-        sheets, _frames, ok_mask = run_pipeline(config)
+    cached = (config.run_dir() / "frames.json").exists()
+    sheets, frames, ok_mask = (cached_sheets(config.run_dir()) if cached
+                               else run_pipeline(config))
     run_dir = _open_run(config)
+    if not cached:
+        _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
     _write_sheets(run_dir, sheets, ("plus",), config.hash())
     for k, sym in enumerate(sheets):
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)

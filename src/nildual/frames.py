@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerticalPointError
-from .loops import SQRT_I, su11_residual
-from .nil3 import (dz_field, dzbar_field, march_grid, mm2, node_stages,
-                   rk4_march)
+from .loops import SQRT_I, inv2, mm2, su11_residual
+from .nil3 import dz_field, dzbar_field, march_grid, node_stages, rk4_march
 from .spinors import minimality_gate
 
 DRIFT_TOL = 1e-6    # SU(1,1) drift above which a frame node is reprojected
@@ -68,7 +67,8 @@ def flatness_residual(d, lams):
         U, V = _connection(d, lam)
         dV = dz_field(V, d.grid)
         dU = dzbar_field(U, d.grid)
-        comm = U @ V - V @ U
+        u, v = (np.moveaxis(M, (-2, -1), (0, 1)) for M in (U, V))
+        comm = np.moveaxis(mm2(u, v) - mm2(v, u), (0, 1), (-2, -1))
         res = np.max(np.abs(dV - dU + comm), axis=(-2, -1))
         out = np.maximum(out, res)
     return out
@@ -186,8 +186,9 @@ def frame_from_spinors(s):
 def frame_compatibility_residual(frame, d):
     """|F^{-1} dz F - U| and |F^{-1} dzbar F - V| per node, maxed."""
     U, V = connection_coeffs(d, frame.lam)
-    Finv = np.linalg.inv(frame.F)
-    rz = Finv @ dz_field(frame.F, frame.grid) - U
-    rzb = Finv @ dzbar_field(frame.F, frame.grid) - V
-    return np.maximum(np.max(np.abs(rz), axis=(-2, -1)),
-                      np.max(np.abs(rzb), axis=(-2, -1)))
+    Finv = inv2(np.moveaxis(frame.F, (-2, -1), (0, 1)))
+    res = [mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
+           - np.moveaxis(W, (-2, -1), (0, 1))
+           for dF, W in ((dz_field(frame.F, frame.grid), U),
+                         (dzbar_field(frame.F, frame.grid), V))]
+    return np.maximum(*(np.max(np.abs(r), axis=(0, 1)) for r in res))

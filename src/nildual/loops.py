@@ -1,6 +1,10 @@
 """2x2 complex matrices, the SU(1,1) structure check, and truncated
 matrix-valued Laurent polynomials in the spectral parameter.
 
+Every stacked 2x2 product, inverse and determinant goes through `mm2`,
+`inv2` and `det2`, closed forms on entry planes (2, 2, ...); a stack M of
+shape (..., 2, 2) passes as the view np.moveaxis(M, (-2, -1), (0, 1)).
+
 A loop's tag is "twisted" or None.  The twisted grading is stated here
 alone (`class_rows`): entry (r, c) of lam^j is allowed only when r + c + j
 is even.  A tag is exact: the constructor refuses any nonzero forbidden
@@ -26,19 +30,43 @@ E2 = 0.5 * np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 E3 = 0.5 * np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 
 
+def mm2(a, b):
+    """Products of 2x2 entry planes a (2, 2, ...) with b (2, c, ...); the
+    trailing axes broadcast.  Each entry is the sum of two products in a
+    fixed order, so a node's bits do not depend on the other nodes."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def det2(a):
+    """Determinants of 2x2 entry planes (2, 2, ...).  `...` keeps one matrix's
+    entries arrays: numpy's scalar complex arithmetic rounds differently."""
+    return a[0, 0, ...] * a[1, 1, ...] - a[0, 1, ...] * a[1, 0, ...]
+
+
+def inv2(a):
+    """Inverses of 2x2 entry planes (2, 2, ...) by the adjugate.  A singular
+    or non-finite matrix gets non-finite entries; nothing raises."""
+    det = det2(a)
+    out = np.empty(a.shape, dtype=np.result_type(a, det))
+    out[0, 0], out[0, 1] = a[1, 1, ...] / det, -a[0, 1, ...] / det
+    out[1, 0], out[1, 1] = -a[1, 0, ...] / det, a[0, 0, ...] / det
+    return out
+
+
 def su11_residual(M):
     """Deviation of M from SU(1,1), max over three defining relations.
 
     Checks M^dag sigma3 M = sigma3, det M = 1, and the reality form
     [[a, b], [conj(b), conj(a)]]; entrywise max-abs norms.
     """
-    M = np.asarray(M, dtype=complex)
-    herm = np.swapaxes(M.conj(), -1, -2) @ SIGMA3 @ M - SIGMA3
-    r1 = np.max(np.abs(herm), axis=(-2, -1))
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    r2 = np.abs(det - 1.0)
-    r3 = np.maximum(np.abs(M[..., 1, 0] - M[..., 0, 1].conj()),
-                    np.abs(M[..., 1, 1] - M[..., 0, 0].conj()))
+    m = np.moveaxis(np.asarray(M, dtype=complex), (-2, -1), (0, 1))
+    # sigma3 M is M with its second row negated
+    herm = (mm2(np.swapaxes(m, 0, 1).conj(), np.stack([m[0], -m[1]]))
+            - SIGMA3.reshape((2, 2) + (1,) * (m.ndim - 2)))
+    r1 = np.max(np.abs(herm), axis=(0, 1))
+    r2 = np.abs(det2(m) - 1.0)
+    r3 = np.maximum(np.abs(m[1, 0] - m[0, 1].conj()),
+                    np.abs(m[1, 1] - m[0, 0].conj()))
     return np.maximum(np.maximum(r1, r2), r3)
 
 
@@ -205,7 +233,7 @@ def plus_loop_inverse(L, order):
     batch = L.batch_shape
     P = min(L.coeffs.shape[-3], order + 1)
     b = _planes(L.coeffs[..., :P, :, :], batch)
-    b0_inv = np.moveaxis(np.linalg.inv(L.coeffs[..., 0, :, :]), (-2, -1), (0, 1))
+    b0_inv = inv2(b[:, :, 0])
     # only the allowed entries are written: the forbidden ones keep the +0
     # of np.zeros, as in `MatrixLoop.mul`.  `...` keeps an unbatched L's
     # entries arrays: numpy's scalar complex product rounds differently

@@ -325,13 +325,6 @@ def march_grid(g, base, column_first, march):
                 g[at(c + k * d)] = y
 
 
-def mm2(a, b):
-    """Products of 2x2 entry planes a (2, 2, ...) with b (2, c, ...); the
-    trailing axes broadcast.  Each entry is the sum of two products in a
-    fixed order, so a node's bits do not depend on the other nodes."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
-
-
 def dilate_mask(invalid, radius):
     """Grow an invalid-node mask by `radius` in each grid direction."""
     out = invalid.copy()

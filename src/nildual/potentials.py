@@ -48,10 +48,13 @@ from .loops import (
     SQRT_I,
     MatrixLoop,
     class_rows,
+    det2,
     forbidden_mass,
+    inv2,
+    mm2,
     plus_loop_inverse,
 )
-from .nil3 import DomainGrid, march_grid, mm2, rk4_march, stencil_valid
+from .nil3 import DomainGrid, march_grid, rk4_march, stencil_valid
 from .sym import sym_sheets
 
 # left gauge applied to pipeline frames: a fixed rotation about e3 that
@@ -457,23 +460,17 @@ def _factorize(phi):
     r2 = np.sqrt(np.where(bad_r2, 1.0, r2_sq))
     failed = failed | bad_r1 | bad_r2
 
-    Cinv = np.zeros(batch + (2, 2), dtype=complex)
-    Cinv[..., 0, 0] = 1.0 / r1
-    Cinv[..., 1, 0] = np.conj(b) / (r1 * r2)
-    Cinv[..., 1, 1] = 1.0 / r2
-    bp = np.einsum("...ab,...jbc->...jac", Cinv, Zp.coeffs)
+    Cinv = np.zeros((2, 2, 1) + batch, dtype=complex)   # entry planes
+    Cinv[0, 0] = 1.0 / r1
+    Cinv[1, 0] = np.conj(b) / (r1 * r2)
+    Cinv[1, 1] = 1.0 / r2
+    zp = np.moveaxis(Zp.coeffs, (-3, -2, -1), (2, 0, 1))
+    bp = np.moveaxis(mm2(Cinv, zp), (2, 0, 1), (-3, -2, -1))
     bp[failed] = 0.0
     bp[failed, 0] = np.eye(2)
     Bp = MatrixLoop(bp, 0, Zp.parity)
 
     return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
-
-
-def _inv(a):
-    """Inverse of 2x2 entry planes by the adjugate."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return np.stack([np.stack([a[1, 1], -a[0, 1]]),
-                     np.stack([-a[1, 0], a[0, 0]])]) / det
 
 
 def _rcond(s):
@@ -483,7 +480,7 @@ def _rcond(s):
     p = np.abs(s[0, 0]) ** 2 + np.abs(s[1, 0]) ** 2
     q = np.abs(s[0, 1]) ** 2 + np.abs(s[1, 1]) ** 2
     off = np.abs(np.conj(s[0, 0]) * s[0, 1] + np.conj(s[1, 0]) * s[1, 1])
-    rc = (np.abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0])
+    rc = (np.abs(det2(s))
           / (0.5 * (p + q) + np.hypot(0.5 * (p - q), off)))
     return np.where(rc >= 0.0, rc, 0.0)
 
@@ -515,7 +512,7 @@ def _levinson(t, y):
     S = np.empty((2, 2, K, n), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         P = S[:, :, 0] = t[:, :, 0]
-        Qinv = _inv(P)
+        Qinv = inv2(P)
         x[:, :, 0] = mm2(Qinv, y[:, :, 0])
         for k in range(K - 1):
             # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j,
@@ -529,13 +526,13 @@ def _levinson(t, y):
             # by symmetry, T [0, b] = [Delta^dag, 0.., Q]
             Dh = np.swapaxes(D, 0, 1).conj()
             G = mm2(Qinv, D)
-            H = mm2(_inv(P), Dh)
+            H = mm2(inv2(P), Dh)
             da = mm2(br[:, :, k + 1::-1], G[:, :, None])
             br[:, :, :k + 2] -= mm2(a[:, :, k + 1::-1], H[:, :, None])
             a[:, :, :k + 2] -= da
             P = P - mm2(Dh, G)
             Q = S[:, :, k + 1] = S[:, :, k] - mm2(D, H)
-            Qinv = _inv(Q)
+            Qinv = inv2(Q)
             x[:, :, :k + 2] += mm2(br[:, :, k + 1::-1],
                                    mm2(Qinv, y[:, :, k + 1] - eps)[:, :, None])
         pivot = np.min(_rcond(S), axis=0)
@@ -608,20 +605,18 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     chosen so its (1,2) entry lands on the negative imaginary axis (the
     Dirac-potential slot -e^{w/2} with e^{w/2} in i R_+).
     """
-    b0 = Bp.coeff(0)
-    xi_m1 = xi.eval_grid(grid.zz, -1)
-    U_low = b0 @ xi_m1 @ np.linalg.inv(b0)
-    slot = U_low[..., 0, 1]
+    b0 = np.moveaxis(Bp.coeff(0), (-2, -1), (0, 1))
+    xi_m1 = np.moveaxis(xi.eval_grid(grid.zz, -1), (-2, -1), (0, 1))
+    slot = mm2(mm2(b0, xi_m1), inv2(b0))[0, 1]
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
     phase = np.exp(1j * theta)
     # the diagonal of k; entrywise products keep a NaN node's forbidden
     # entries exactly zero
     k = np.stack([phase, np.conj(phase)], axis=-1)
-    F2 = MatrixLoop(np.einsum("...jac,...c->...jac", F.coeffs, k), F.low,
-                    F.parity)
-    Bp2 = MatrixLoop(np.einsum("...a,...jac->...jac", np.conj(k), Bp.coeffs),
-                     Bp.low, Bp.parity)
+    F2 = MatrixLoop(F.coeffs * k[..., None, None, :], F.low, F.parity)
+    Bp2 = MatrixLoop(np.conj(k)[..., None, :, None] * Bp.coeffs, Bp.low,
+                     Bp.parity)
     return F2, Bp2, mask & ~degenerate
 
 

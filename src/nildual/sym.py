@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NilDualError
-from .loops import SIGMA3
+from .loops import inv2, mm2
 from .nil3 import (
     PhiField,
     SurfaceGrid,
@@ -53,16 +53,17 @@ def sym_maps(frame, mask=None):
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     live = mask[..., None, None]
-    F = np.where(live, frame.F, np.eye(2, dtype=complex))
-    F1 = np.where(live, frame.F_lam, 0.0)
-    F2 = np.where(live, frame.F_lam2, 0.0)
-    Finv = np.linalg.inv(F)
-
-    A = F1 @ Finv                      # (d_lam F) F^{-1}
-    N = 0.5j * (F @ SIGMA3 @ Finv)
+    # entry planes (2, 2, ny, nx) of F, F_lam and F_lam2
+    F, F1, F2 = (np.moveaxis(np.where(live, M, fill), (-2, -1), (0, 1))
+                 for M, fill in ((frame.F, np.eye(2, dtype=complex)),
+                                 (frame.F_lam, 0.0), (frame.F_lam2, 0.0)))
+    Finv = inv2(F)
+    s3 = np.array([1.0, -1.0])[:, None, None]   # M sigma3 = M * s3
+    A = mm2(F1, Finv)                  # (d_lam F) F^{-1}
+    N = 0.5j * mm2(F * s3, Finv)
     # d_lam of A and N by the product rule; d_lam(F^{-1}) = -F^{-1} F1 F^{-1}
-    dA = F2 @ Finv - A @ A
-    dN = 0.5j * (F1 @ SIGMA3 @ Finv) - N @ A
+    dA = mm2(F2, Finv) - mm2(A, A)
+    dN = 0.5j * mm2(F1 * s3, Finv) - mm2(N, A)
 
     base = -1j * lam * A
     dbase = -1j * A - 1j * lam * dA
@@ -71,9 +72,9 @@ def sym_maps(frame, mask=None):
     for sgn in (+1, -1):
         m = base + sgn * N
         dm = dbase + sgn * dN
-        hat = _off_diag(m) - 0.5j * lam * _diag(dm)
-        coords, residual = xi_nil_with_residual(hat)
-        out[sgn] = (coords, residual)
+        hat = m.copy()                 # m^o - (i/2) lam (d_lam m)^d
+        hat[0, 0], hat[1, 1] = -0.5j * lam * dm[0, 0], -0.5j * lam * dm[1, 1]
+        out[sgn] = xi_nil_with_residual(np.moveaxis(hat, (0, 1), (-2, -1)))
 
     worst = max(float(np.max(out[+1][1][mask], initial=0.0)),
                 float(np.max(out[-1][1][mask], initial=0.0)))
@@ -83,7 +84,8 @@ def sym_maps(frame, mask=None):
 
     f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
     f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask)
-    return SymOutput(f_minus=f_minus, f_plus=f_plus, n_m=N, lam=lam,
+    return SymOutput(f_minus=f_minus, f_plus=f_plus,
+                     n_m=np.moveaxis(N, (0, 1), (-2, -1)), lam=lam,
                      grid=grid, reality_residual=worst)
 
 
@@ -101,20 +103,6 @@ def sym_sheets(frames, ok_mask, export_mask):
         sym.f_plus.mask = export_mask
         syms.append(sym)
     return syms
-
-
-def _diag(M):
-    out = np.zeros_like(M)
-    out[..., 0, 0] = M[..., 0, 0]
-    out[..., 1, 1] = M[..., 1, 1]
-    return out
-
-
-def _off_diag(M):
-    out = np.zeros_like(M)
-    out[..., 0, 1] = M[..., 0, 1]
-    out[..., 1, 0] = M[..., 1, 0]
-    return out
 
 
 def extract_dual_spinors(sym, on_branch_cut="raise"):

@@ -192,11 +192,31 @@ def test_dual_without_cache_writes_what_cached_dual_writes(tmp_path, example,
     (fresh_dir,) = (tmp_path / "fresh").iterdir()
     assert fresh_dir.name == cached_dir.name
     written = sorted(p.name for p in fresh_dir.iterdir())
-    # config.json aside, dual's files are its own, not generate's
-    assert len(written) == 19 and set(written) & generated == {"config.json"}
+    # config.json and the frame cache aside, dual's files are its own
+    assert len(written) == 20
+    assert set(written) & generated == {"config.json", "frames.json"}
     for name in written:
         assert ((fresh_dir / name).read_bytes()
                 == (cached_dir / name).read_bytes()), name
+
+
+def test_dual_without_cache_leaves_a_cache_for_dual_and_export(
+        tmp_path, monkeypatch):
+    args = ["--example", "paraboloid", *SMALL, "--lambda", "1",
+            "--out", str(tmp_path)]
+    assert run(["dual", *args]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    def no_pipeline(config):
+        raise AssertionError("the pipeline ran again")
+
+    monkeypatch.setattr(nildual.cli, "run_pipeline", no_pipeline)
+    assert run(["dual", *args]) == 0
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert run(["export", "--run", str(run_dir), "--formats", "obj"]) == 0
+    for side in ("minus", "plus"):
+        assert (run_dir / f"export_lam0_f_{side}.obj").exists()
 
 
 def test_potential_file_pipeline(tmp_path):
@@ -382,6 +402,16 @@ def _paraboloid_potential(tmp, entries, **keys):
     return _generate(tmp, "--potential", str(path), "--grid=-1,1,-1,1,21,21")
 
 
+def _nan_spinors(tmp):
+    """generate --spinors from the paraboloid's pair with psi1[3, 4] NaN."""
+    _write_paraboloid_spinors(tmp)
+    grid, psi1, _ = read_field_csv(tmp / "in_psi1.csv")
+    psi1[3, 4] = math.nan
+    write_field_csv(tmp / "in_psi1.csv", psi1, grid)
+    return ["generate", "--spinors", str(tmp / "in"), "--lambda", "1",
+            "--out", str(tmp / "o")]
+
+
 def _export_cache(tmp, text):
     (tmp / "run").mkdir()
     _write_text(tmp / "run" / "frames.json", text)
@@ -437,6 +467,7 @@ def _b64(n_bytes):
     (lambda tmp: _generate(tmp, "--potential", str(
         _write_text(tmp / "empty.json", '{"schema": 1}'))), ""),
     (lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")), ""),
+    (_nan_spinors, "in_psi1.csv at node (3, 4)"),
     (lambda tmp: ["export", "--run", str(tmp)], "no frame cache"),
     (lambda tmp: _export_cache(tmp, "{"), ""),
     (lambda tmp: _export_cache(tmp, '{"schema": 2}'), "KeyError"),
@@ -483,7 +514,7 @@ def _b64(n_bytes):
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
-        "spinors-missing", "export-no-cache",
+        "spinors-missing", "spinors-nan", "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "order-8",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from nildual.loops import (
     SQRT_I,
     MatrixLoop,
     class_rows,
+    det2,
+    inv2,
+    mm2,
     plus_loop_inverse,
     su11_residual,
 )
@@ -388,3 +393,61 @@ def test_plus_loop_inverse_batched(rng):
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
 
+
+
+def _planes(M):
+    return np.moveaxis(M, (-2, -1), (0, 1))
+
+
+def _stack(M):
+    return np.moveaxis(M, (0, 1), (-2, -1))
+
+
+def _rel(got, want):
+    """Largest entry error per matrix over the matrix's largest entry."""
+    err = np.abs(got - want).reshape(want.shape[:-2] + (-1,))
+    size = np.abs(want).reshape(want.shape[:-2] + (-1,))
+    return float(np.max(np.max(err, axis=-1) / np.max(size, axis=-1)))
+
+
+def test_kernels_match_numpy(rng):
+    a, b = (rng.normal(size=(16, 16, 2, 2))
+            + 1j * rng.normal(size=(16, 16, 2, 2)) for _ in range(2))
+    # contiguous entry planes, and (..., 2, 2) stacks through moveaxis views
+    for x, y in ((np.ascontiguousarray(_planes(a)),
+                  np.ascontiguousarray(_planes(b))), (_planes(a), _planes(b))):
+        assert _rel(_stack(mm2(x, y)), np.matmul(a, b)) < 1e-14
+        assert _rel(_stack(inv2(x)), np.linalg.inv(a)) < 1e-14
+        det = np.linalg.det(a)
+        assert np.max(np.abs(det2(x) - det) / np.abs(det)) < 1e-14
+    # a constant 2x2 matrix broadcast against the stack, on either side
+    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    c_planes = c[:, :, None, None]
+    assert _rel(_stack(mm2(c_planes, _planes(b))), np.matmul(c, b)) < 1e-14
+    assert _rel(_stack(mm2(_planes(b), c_planes)), np.matmul(b, c)) < 1e-14
+    assert _rel(inv2(c), np.linalg.inv(c)) < 1e-14
+
+
+def test_kernels_never_raise_on_singular_or_nan_stacks():
+    singular = np.ones((3, 4, 2, 2), dtype=complex)    # [[1, 1], [1, 1]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular)
+    assert np.array_equal(det2(_planes(singular)), np.zeros((3, 4)))
+    nan = np.full((3, 4, 2, 2), complex(np.nan, 0.0))
+    # the IEEE flags of a division by zero are the caller's to silence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for M in (singular, nan):
+            assert not np.isfinite(inv2(_planes(M))).any()
+    assert np.isnan(det2(_planes(nan))).all()
+    assert np.isnan(mm2(_planes(nan), _planes(singular))).all()
+
+
+def test_stacked_matrix_algebra_goes_through_the_kernels():
+    # numpy's batched @, inv, det and einsum make one BLAS or LAPACK call per
+    # 2x2 matrix, and inv raises on a singular one
+    src = Path(mm2.__code__.co_filename).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for token in ("np.linalg.inv(", "np.linalg.det(", "np.einsum(",
+                      " @ "):
+            assert token not in text, f"{path.name} holds {token!r}"
