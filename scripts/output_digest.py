@@ -23,8 +23,8 @@ of unequal length. The CSVs are copied to the fixed relative prefixes
 `spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
 the potential is written to `potentials/helicoid_untwisted.json`, because
 the input path enters the run hash and so the run directory's name. The
-set writes 270 files; with its 146 report rows and 38 exit codes the
-digest holds 454 entries.
+set writes 244 files; with their 167 report rows and the 26 exit codes
+the digest holds 437 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
