@@ -19,16 +19,22 @@ axes have no node at z0 = 0, so that the march hops to its nearest node
 and every line's two halves differ in length; and `generate` and `verify`
 driven by `--spinors` from that run's lam0 CSVs, whose 30x41 grid has an
 even side, so that the frame march from the grid's centre node has halves
-of unequal length. The CSVs are copied to the fixed relative prefixes
+of unequal length; and `dual` and `sweep` of smyth-2 on the grid
+-0.5,0.5,-0.5,0.5,15,15 at `1,exp:pi/3`, each in a directory of its own
+under `refused/`, which must exit 2 (the sheets are too far from minimal
+for the B extraction) and, computing before they write, leave no file.
+The CSVs are copied to the fixed relative prefixes
 `spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
 the potential is written to `potentials/helicoid_untwisted.json`, because
 the input path enters the run hash and so the run directory's name. The
-set writes 244 files; with their 167 report rows and the 26 exit codes
-the digest holds 437 entries.
+set writes 244 files; with their 167 report rows and the 28 exit codes
+the digest holds 439 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
-under `row: <path> <row name>`, and exits 1 if any command exited non-zero.
+under `row: <path> <row name>`, and exits 1 if any command's exit code is
+not the one expected of it: 2 for the two refused commands, 0 for the
+rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
 
@@ -52,6 +58,11 @@ EXAMPLES = ("paraboloid", "smyth-2", "helicoid")
 LAMBDAS = ("--lambda", "1,exp:pi/3", "--allow-reflection")
 FLAGS = (*LAMBDAS, "--out", "runs")
 OFF_CENTRE = "-0.9,1.1,-1,0.9,30,41"
+REFUSED = ("--example", "smyth-2", "--grid=-0.5,0.5,-0.5,0.5,15,15",
+           "--lambda", "1,exp:pi/3")
+# exit codes other than 0 that the command set expects
+EXPECTED = {f"exit: {command} {' '.join(REFUSED)} --out refused/{command}": 2
+            for command in ("dual", "sweep")}
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
     "d = helicoid_potential().to_json(); d['twisted'] = False; "
@@ -109,6 +120,9 @@ def run_commands(out, env):
                 "--lambda", lams, "--out", "off_centre")
     (cache,) = (out / "off_centre").glob("example_paraboloid_*/frames.json")
     spinor_runs(cache.parent, "spinors_off_centre")
+
+    for command in ("dual", "sweep"):
+        nildual(command, *REFUSED, "--out", f"refused/{command}")
     return codes
 
 
@@ -166,7 +180,7 @@ def main(argv):
         return 2
     result = digest(Path(argv[0]).resolve(), env)
     print(json.dumps(result, indent=1, sort_keys=True))
-    return int(any(v != 0 for k, v in result.items()
+    return int(any(v != EXPECTED.get(k, 0) for k, v in result.items()
                    if k.startswith("exit: ")))
 
 

@@ -241,14 +241,12 @@ def cmd_dual(config):
 
     Reuses the frame cache of a previous generate run when present;
     otherwise the pipeline runs on the fly and writes generate's cache.
+    Every lambda is computed before the first file is written.
     """
     cached = (config.run_dir() / "frames.json").exists()
     sheets, frames, ok_mask = (cached_sheets(config.run_dir()) if cached
                                else run_pipeline(config))
-    run_dir = _open_run(config)
-    if not cached:
-        _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
-    _write_sheets(run_dir, sheets, ("plus",), config.hash())
+    outputs = []
     for k, sym in enumerate(sheets):
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
         try:
@@ -259,24 +257,28 @@ def cmd_dual(config):
                   file=sys.stderr)
             return 2
         e_u_star, h_star, B_star, _, _, _ = pair.invariants
-        # exports honour both the duality degeneracies and the run's
-        # exclusion mask (singular points of the dual stay unfilled)
-        out_mask = pair.mask & sym.f_plus.mask
-        for name, values in (("dual_psi1", pair.dual.psi1),
-                             ("dual_psi2", pair.dual.psi2),
-                             ("e_u_star", e_u_star), ("h_star", h_star),
-                             ("B_star", B_star)):
-            iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
-                                sym.grid, mask=out_mask)
-        iof.write_json(run_dir / f"lam{k}_branch_log.json",
-                       pair.branch_log(export_mask=sym.f_plus.mask))
         fit = mc_equivalent(sym.f_minus, sym.f_plus,
                             allow_reflection=config.allow_reflection)
-        iof.write_json(run_dir / f"lam{k}_dual_fit.json", {
-            "schema": 1, "equivalent": bool(fit.equivalent),
-            "kind": fit.kind, "theta": fit.theta,
-            "residual": fit.residual,
-        })
+        # exports honour both the duality degeneracies and the run's
+        # exclusion mask (singular points of the dual stay unfilled)
+        outputs.append((
+            (("dual_psi1", pair.dual.psi1), ("dual_psi2", pair.dual.psi2),
+             ("e_u_star", e_u_star), ("h_star", h_star), ("B_star", B_star)),
+            pair.mask & sym.f_plus.mask,
+            pair.branch_log(export_mask=sym.f_plus.mask),
+            {"schema": 1, "equivalent": bool(fit.equivalent),
+             "kind": fit.kind, "theta": fit.theta,
+             "residual": fit.residual}))
+    run_dir = _open_run(config)
+    if not cached:
+        _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
+    _write_sheets(run_dir, sheets, ("plus",), config.hash())
+    for k, (fields, out_mask, branch_log, fit) in enumerate(outputs):
+        for name, values in fields:
+            iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
+                                sheets[k].grid, mask=out_mask)
+        iof.write_json(run_dir / f"lam{k}_branch_log.json", branch_log)
+        iof.write_json(run_dir / f"lam{k}_dual_fit.json", fit)
     print(f"wrote duals to {run_dir}")
     return 0
 
@@ -305,8 +307,6 @@ def cmd_sweep(config):
     if len(config.lams) < 2:
         raise ConfigError("sweep needs at least two lambda samples")
     sheets, _frames, ok_mask = run_pipeline(config)
-    run_dir = _open_run(config)
-    _write_sheets(run_dir, sheets, ("minus", "plus"), config.hash())
     ew2_ref = None
     entries = []
     for sym in sheets:
@@ -323,6 +323,8 @@ def cmd_sweep(config):
             "dirac_potential_drift": drift,
             "re_dirac_max": float(np.max(np.abs(a.dirac.ew2.real[core]))),
         })
+    run_dir = _open_run(config)
+    _write_sheets(run_dir, sheets, ("minus", "plus"), config.hash())
     iof.write_json(run_dir / "sweep_report.json",
                    {"schema": 1, "entries": entries})
     print(f"wrote sweep to {run_dir}")

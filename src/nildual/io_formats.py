@@ -63,6 +63,16 @@ def write_field_csv(path, field, grid, mask=None):
     Path(path).write_text("# schema=1\ni,j,x,y,re,im\n" + body)
 
 
+def _axis_bounds(pairs):
+    """First and last coordinate of a grid axis from its sorted (index,
+    coordinate) pairs: the spacing is read off the first and last index
+    present, and the coordinate of index 0 extrapolated when it is absent."""
+    (k0, v0), (k1, v1) = pairs[0], pairs[-1]
+    if k0 == 0 or k0 == k1:
+        return v0, v1
+    return v0 - k0 * (v1 - v0) / (k1 - k0), v1
+
+
 def read_field_csv(path):
     """Returns (grid, field, mask); nodes absent from the file are masked."""
     rows = []
@@ -76,9 +86,9 @@ def read_field_csv(path):
         raise ConfigError(f"empty field file {path}")
     ny = max(r[0] for r in rows) + 1
     nx = max(r[1] for r in rows) + 1
-    xs = sorted({(r[1], r[2]) for r in rows})
-    ys = sorted({(r[0], r[3]) for r in rows})
-    grid = DomainGrid(xs[0][1], xs[-1][1], ys[0][1], ys[-1][1], nx, ny)
+    x0, x1 = _axis_bounds(sorted({(r[1], r[2]) for r in rows}))
+    y0, y1 = _axis_bounds(sorted({(r[0], r[3]) for r in rows}))
+    grid = DomainGrid(x0, x1, y0, y1, nx, ny)
     field = np.zeros((ny, nx), dtype=complex)
     mask = np.zeros((ny, nx), dtype=bool)
     for i, j, _x, _y, re, im in rows:

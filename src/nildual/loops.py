@@ -5,12 +5,11 @@ Every stacked 2x2 product, inverse and determinant goes through `mm2`,
 `inv2` and `det2`, closed forms on entry planes (2, 2, ...); a stack M of
 shape (..., 2, 2) passes as the view np.moveaxis(M, (-2, -1), (0, 1)).
 
-A loop's tag is "twisted" or None.  The twisted grading is stated here
-alone (`class_rows`): entry (r, c) of lam^j is allowed only when r + c + j
-is even.  A tag is exact: the constructor refuses any nonzero forbidden
-entry, NaN and inf included (`forbidden_mass`).  Products and inverses
-take twisted loops only; an untagged loop, such as the derivative of a
-twisted one (whose parity is the other), is only evaluated.
+Every loop is twisted.  The grading is stated here alone (`class_rows`):
+entry (r, c) of lam^j is allowed only when r + c + j is even, and the
+constructor, the one check, refuses any nonzero forbidden entry, NaN and
+inf included (`forbidden_mass`).  A loop's lam derivatives have the other
+grading: they are only evaluated (`MatrixLoop.eval(lam, 1 or 2)`).
 All loop values broadcast over leading batch axes of the coefficient
 array, which has shape (..., P, 2, 2) for P consecutive powers.
 """
@@ -98,19 +97,14 @@ class MatrixLoop:
 
     coeffs: np.ndarray
     low: int
-    parity: str | None = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape[-2:] != (2, 2):
             raise ValueError("coefficients must be (..., P, 2, 2)")
-        if self.parity not in ("twisted", None):
-            raise ValueError(f"unknown parity {self.parity!r}")
-        if self.parity is not None:
-            bad = forbidden_mass(self.coeffs, self.low)
-            if bad != 0.0:
-                raise ValueError(
-                    f"twisted loop has forbidden-parity mass {bad:.3e}")
+        bad = forbidden_mass(self.coeffs, self.low)
+        if bad != 0.0:
+            raise ValueError(f"loop has forbidden-parity mass {bad:.3e}")
 
     @property
     def high(self):
@@ -125,15 +119,15 @@ class MatrixLoop:
         return self.coeffs.shape[:-3]
 
     @classmethod
-    def identity(cls, batch_shape=(), parity="twisted"):
+    def identity(cls, batch_shape=()):
         c = np.zeros(batch_shape + (1, 2, 2), dtype=complex)
         c[..., 0, :, :] = np.eye(2)
-        return cls(c, 0, parity)
+        return cls(c, 0)
 
     @classmethod
-    def constant(cls, M, parity=None):
+    def constant(cls, M):
         M = np.asarray(M, dtype=complex)
-        return cls(M[..., None, :, :], 0, parity)
+        return cls(M[..., None, :, :], 0)
 
     def coeff(self, j):
         """Coefficient of lam^j (zeros outside the window)."""
@@ -168,12 +162,10 @@ class MatrixLoop:
         product, so it is bit-equal to its slice.  A power a factor lacks adds
         no term; zero-padding it would add exact zeros to sums that start at
         +0, the same bits for finite factors.  Loops over self's powers, no
-        more than other's in the pipeline.  Both factors must be twisted
-        (else ValueError); only their allowed entries are multiplied, a
-        quarter of the dense terms, in order: bit-equal to the dense sum.
+        more than other's in the pipeline.  Only the factors' allowed
+        entries are multiplied, a quarter of the dense terms, in order:
+        bit-equal to the dense sum.
         """
-        if self.parity is None or other.parity is None:
-            raise ValueError("mul needs two twisted factors")
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
         a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
         Pa, Pb = a.shape[2], b.shape[2]
@@ -197,17 +189,16 @@ class MatrixLoop:
                     j -= min(k + j - i0, 0) // 2 * 2  # first kept j
                     out[r, c, k + j - i0:k + Pb - i0:2] += (
                         a[r, s, k, None] * b[s, c, j:i1 - k + 1:2])
-        return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)),
-                          low + i0, "twisted")
+        return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), low + i0)
 
     def adjoint_on_circle(self):
         """Loop whose circle values are the conjugate transposes of self's."""
         c = np.swapaxes(self.coeffs.conj(), -1, -2)[..., ::-1, :, :]
-        return MatrixLoop(c.copy(), -self.high, self.parity)
+        return MatrixLoop(c.copy(), -self.high)
 
     def at_node(self, index):
         """Single-node loop out of a batched one."""
-        return MatrixLoop(self.coeffs[index], self.low, self.parity)
+        return MatrixLoop(self.coeffs[index], self.low)
 
 
 def _planes(coeffs, batch):
@@ -220,14 +211,12 @@ def _planes(coeffs, batch):
 def plus_loop_inverse(L, order):
     """Power-series inverse of a plus-loop, truncated at `order`.
 
-    Requires a twisted L (ValueError otherwise), low == 0 and an invertible
-    constant term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in
+    Requires low == 0 (ValueError otherwise) and an invertible constant
+    term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in
     order of m by multiply-adds on entry planes, as in `MatrixLoop.mul`;
     the inverse is twisted, and B_m X_{k-m} is one product per inner index
     and entry, bit-equal to the dense sum.
     """
-    if L.parity is None:
-        raise ValueError("plus-loop inversion needs a twisted loop")
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
     batch = L.batch_shape
@@ -250,4 +239,4 @@ def plus_loop_inverse(L, order):
         for c in range(2):
             r = (c + k) % 2
             out[r, c, k, ...] = -(b0_inv[r, r, ...] * acc[r, c, ...])
-    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0, "twisted")
+    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0)

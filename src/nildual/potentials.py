@@ -303,7 +303,7 @@ def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
     dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
     dense[..., np.arange(len(powers))[:, None], class_rows(1, powers)[0],
           [0, 1]] = np.moveaxis(out, (-2, -1), (0, 1))
-    return MatrixLoop(dense, -N, "twisted")
+    return MatrixLoop(dense, -N)
 
 
 def trim_to_tail(phi):
@@ -340,7 +340,6 @@ def trim_to_tail(phi):
     n = 1 if above.size == 0 else int(above[-1]) + 2
     keep = slice(N - n, N + (n if phi.high > 0 else 0) + 1)
     trimmed = MatrixLoop(phi.coeffs[..., keep, :, :].copy(), -n)
-    trimmed.parity = phi.parity   # a slice of a twisted loop is twisted
     return trimmed, n, float(tail[n])
 
 
@@ -376,16 +375,15 @@ def iwasawa(phi):
     n = flat.shape[0]
     outs = None
     for start in range(0, n, BLOCK):
-        part = MatrixLoop(flat[start:start + BLOCK], phi.low)
-        part.parity = phi.parity   # phi's constructor checked the tag
-        F, Bp, pivot, failed = _factorize(part)
+        F, Bp, pivot, failed = _factorize(
+            MatrixLoop(flat[start:start + BLOCK], phi.low))
         if outs is None:
             outs = [np.empty((n,) + a.shape[1:], a.dtype)
                     for a in (F.coeffs, Bp.coeffs, pivot, failed)]
         for o, a in zip(outs, (F.coeffs, Bp.coeffs, pivot, failed)):
             o[start:start + BLOCK] = a
     f, bp, pivot, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
-    return (MatrixLoop(f, F.low, F.parity), MatrixLoop(bp, 0, Bp.parity),
+    return (MatrixLoop(f, F.low), MatrixLoop(bp, 0),
             BigCellReport(pivot=pivot, failed=failed))
 
 
@@ -443,8 +441,7 @@ def _factorize(phi):
     # W_0 = I
     W = MatrixLoop(np.concatenate(
         [np.swapaxes(sol[..., ::-1, :, :], -1, -2) * [1.0, -1.0],
-         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M,
-        Z.parity)
+         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M)
 
     Zp = W.mul(Z, 0, 2 * N)   # the solve leaves the negative powers free
 
@@ -468,7 +465,7 @@ def _factorize(phi):
     bp = np.moveaxis(mm2(Cinv, zp), (2, 0, 1), (-3, -2, -1))
     bp[failed] = 0.0
     bp[failed, 0] = np.eye(2)
-    Bp = MatrixLoop(bp, 0, Zp.parity)
+    Bp = MatrixLoop(bp, 0)
 
     return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
 
@@ -586,14 +583,9 @@ class PipelineResult:
 
 
 def frame_field_from_loop(floop, lam, grid):
-    """Evaluate a frame loop and its exact derivatives at one parameter.
-
-    F_lam and F_lam2 are the value and the first derivative of the loop
-    sum_j j A_j lam^(j-1), whose coefficients are formed once."""
-    p = np.arange(floop.low, floop.high + 1)[:, None, None]
-    dloop = MatrixLoop(floop.coeffs * p, floop.low - 1)
-    return FrameField(F=floop.eval(lam), F_lam=dloop.eval(lam),
-                      F_lam2=dloop.eval(lam, 1), lam=complex(lam), grid=grid)
+    """A frame loop's value and exact first and second lam derivatives."""
+    return FrameField(F=floop.eval(lam), F_lam=floop.eval(lam, 1),
+                      F_lam2=floop.eval(lam, 2), lam=complex(lam), grid=grid)
 
 
 def _dirac_gauge(xi, grid, F, Bp, mask):
@@ -614,9 +606,8 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     # the diagonal of k; entrywise products keep a NaN node's forbidden
     # entries exactly zero
     k = np.stack([phase, np.conj(phase)], axis=-1)
-    F2 = MatrixLoop(F.coeffs * k[..., None, None, :], F.low, F.parity)
-    Bp2 = MatrixLoop(np.conj(k)[..., None, :, None] * Bp.coeffs, Bp.low,
-                     Bp.parity)
+    F2 = MatrixLoop(F.coeffs * k[..., None, None, :], F.low)
+    Bp2 = MatrixLoop(np.conj(k)[..., None, :, None] * Bp.coeffs, Bp.low)
     return F2, Bp2, mask & ~degenerate
 
 
@@ -657,7 +648,7 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
                               f"node to export")
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
-    floop = MatrixLoop.constant(SPINOR_GAUGE, F.parity).mul(F)
+    floop = MatrixLoop.constant(SPINOR_GAUGE).mul(F)
     # the frame evaluation below sets the pipeline's peak memory: keep only
     # the loop it reads
     del phi, F, Bp

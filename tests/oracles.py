@@ -206,7 +206,7 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
             out[:, j] = both_ways(row[j], grid.node_z(i0, j), 1j * grid.hy,
                                   i0, grid.ny)
 
-    return MatrixLoop(out, -N, "twisted")
+    return MatrixLoop(out, -N)
 
 
 def _mat2(a, b):

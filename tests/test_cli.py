@@ -144,6 +144,30 @@ def test_verify_exit_codes(tmp_path):
     assert failed == {"frame_su11[lam+0.000pi]"}
 
 
+# smyth-2 on a 15x15 grid: its sheets are too far from minimal for the B
+# extraction, which `dual` and `sweep` need and `generate` skips
+REFUSED = ["--example", "smyth-2", "--grid=-0.5,0.5,-0.5,0.5,15,15",
+           "--lambda", "1,exp:pi/3"]
+
+
+@pytest.mark.parametrize("command", ["dual", "sweep"])
+def test_refused_command_leaves_no_run_directory(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run([command, *REFUSED, "--out", str(out)]) == 2
+    assert "minimal case only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refused_dual_leaves_generate_files_unchanged(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["generate", *REFUSED, "--out", str(out)]) == 0
+    assert "field extraction skipped" in capsys.readouterr().err
+    (run_dir,) = out.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert run(["dual", *REFUSED, "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_sweep_requires_two_lambdas(tmp_path):
     rc = run(["sweep", "--example", "paraboloid", *SMALL,
               "--lambda", "1", "--out", str(tmp_path)])
@@ -594,6 +618,21 @@ def test_field_csv_roundtrip(tmp_path):
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(f2)), np.signbit(part(f)))
     assert m2.all()
+
+
+def test_field_csv_without_its_first_row_and_column(tmp_path):
+    # the spacing comes from the nodes present, not from the first one
+    grid = DomainGrid(-1.0, 1.0, -0.5, 0.7, 7, 6)
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[0, :] = mask[:, 0] = False
+    f = np.arange(42.0).reshape(grid.shape) * (1 + 2j)
+    write_field_csv(tmp_path / "f.csv", f, grid, mask)
+    g2, f2, m2 = read_field_csv(tmp_path / "f.csv")
+    assert (g2.nx, g2.ny) == (grid.nx, grid.ny)
+    assert np.max(np.abs(g2.xs - grid.xs)) <= 1e-15
+    assert np.max(np.abs(g2.ys - grid.ys)) <= 1e-15
+    assert np.array_equal(m2, mask)
+    assert np.array_equal(f2[mask], f[mask])
 
 
 def test_error_on_missing_pipeline(tmp_path):

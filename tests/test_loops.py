@@ -81,7 +81,8 @@ def test_loop_dlambda():
     L = MatrixLoop.constant(np.eye(2))
     assert np.max(np.abs(L.eval(lam, 1))) == 0.0
     assert np.max(np.abs(L.eval(lam, 2))) == 0.0
-    A = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    # off-diagonal: the entries a twisted loop allows at odd powers
+    A = np.array([[0.0, 2.0], [3.0, 0.0]], dtype=complex)
     L = MatrixLoop(A[None], 1)          # A lam
     assert np.allclose(L.eval(lam, 1), A)
     assert np.max(np.abs(L.eval(lam, 2))) == 0.0
@@ -93,14 +94,13 @@ def test_loop_dlambda():
 def test_loop_mul_identity_and_powers(rng):
     c = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     c[_forbidden(5, -2)] = 0.0
-    L = MatrixLoop(c, -2, "twisted")
+    L = MatrixLoop(c, -2)
     out = L.mul(MatrixLoop.identity())
     assert out.low == -2 and np.allclose(out.coeffs, c)
     # odd powers hold off-diagonal entries
     A = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
     B = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
-    prod = MatrixLoop(A[None], 1, "twisted").mul(
-        MatrixLoop(B[None], -1, "twisted"))
+    prod = MatrixLoop(A[None], 1).mul(MatrixLoop(B[None], -1))
     assert prod.low == 0 and np.allclose(prod.coeffs[0], A @ B)
 
 
@@ -117,14 +117,13 @@ def twisted_loops(draw, order=2):
             c[k, 0, 0], c[k, 1, 1] = vals
         else:
             c[k, 0, 1], c[k, 1, 0] = vals
-    return MatrixLoop(c, -order, "twisted")
+    return MatrixLoop(c, -order)
 
 
 @given(twisted_loops(), twisted_loops())
 @settings(max_examples=30, deadline=None)
 def test_twisted_product_parity(L1, L2):
     prod = L1.mul(L2)
-    assert prod.parity == "twisted"
     # the twisting relation on circle values, M(-lam) = sigma3 M(lam) sigma3,
     # and its derivatives: (-1)^d M^(d)(-lam) = sigma3 M^(d)(lam) sigma3
     lam = np.exp(0.37j)
@@ -166,7 +165,7 @@ def tagged_loops(draw, batch, elements=entries):
     P = draw(st.integers(1, 6))
     c = draw(hnp.arrays(complex, batch + (P, 2, 2), elements=elements))
     c[..., _forbidden(P, low)] = 0.0
-    return MatrixLoop(c, low, "twisted")
+    return MatrixLoop(c, low)
 
 
 @given(low=st.integers(-7, 7), P=st.integers(1, 6))
@@ -184,18 +183,18 @@ def test_twisted_tag_refuses_every_forbidden_entry(low, P, data):
     c = data.draw(hnp.arrays(complex, (2, P, 2, 2), elements=entries))
     forbidden = _forbidden(P, low)
     c[:, forbidden] = 0.0
-    MatrixLoop(c, low, "twisted")
+    MatrixLoop(c, low)
     k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(forbidden)))))
     node = data.draw(st.integers(0, 1))
     for bad in (np.nan, np.inf, 1e-300, complex(0.0, np.nan)):
         broken = c.copy()
         broken[node, k, r, col] = bad
         with pytest.raises(ValueError, match="forbidden-parity"):
-            MatrixLoop(broken, low, "twisted")
+            MatrixLoop(broken, low)
     # a NaN on an allowed entry is data, not a broken tag
     k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(~forbidden)))))
     c[node, k, r, col] = np.nan
-    MatrixLoop(c, low, "twisted")
+    MatrixLoop(c, low)
 
 
 def _same_bits(x, y):
@@ -215,7 +214,7 @@ def test_tagged_mul_is_the_dense_sum(data):
     x = data.draw(tagged_loops(ba, no_underflow))
     y = data.draw(tagged_loops(bb, no_underflow))
     got = x.mul(y)
-    assert got.parity == "twisted" and got.low == x.low + y.low
+    assert got.low == x.low + y.low
     assert got.coeffs.shape[-3] == x.coeffs.shape[-3] + y.coeffs.shape[-3] - 1
     assert oracles.within_cauchy_bound(got.coeffs, x.coeffs, y.coeffs)
     zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low)]
@@ -239,7 +238,7 @@ def test_windowed_mul_is_the_slice_of_the_full_product(data):
     for lo, hi in ((lo0, hi0), (full.low - 2, full.high + 2), (one, one)):
         got = x.mul(y, lo, hi)
         start, stop = max(lo, full.low), min(hi, full.high)
-        assert (got.low, got.high, got.parity) == (start, stop, "twisted")
+        assert (got.low, got.high) == (start, stop)
         assert _same_bits(got.coeffs, full.coeffs[
             ..., start - full.low:stop - full.low + 1, :, :])
 
@@ -247,7 +246,7 @@ def test_windowed_mul_is_the_slice_of_the_full_product(data):
 def test_empty_window_raises():
     c = np.ones((3, 2, 2), dtype=complex)
     c[_forbidden(3, -1)] = 0.0
-    x = MatrixLoop(c, -1, "twisted")
+    x = MatrixLoop(c, -1)
     y = MatrixLoop.identity((2,))   # the product has the powers -1..1
     for lo, hi in ((1, 0), (2, 5), (-7, -2)):
         with pytest.raises(ValueError, match="keeps no power"):
@@ -267,8 +266,8 @@ def test_tagged_plus_loop_inverse_is_within_the_cauchy_bound(data):
     # B_0 = I + (diagonal of modulus at most 1/2): well conditioned
     c[..., 0, :, :] = 0.25 * c[..., 0, :, :] + np.eye(2)
     order = data.draw(st.integers(0, 8))
-    got = plus_loop_inverse(MatrixLoop(c, 0, "twisted"), order)
-    assert got.parity == "twisted" and got.coeffs.shape[-3] == order + 1
+    got = plus_loop_inverse(MatrixLoop(c, 0), order)
+    assert got.coeffs.shape[-3] == order + 1
     ident = np.zeros(batch + (order + 1, 2, 2), dtype=complex)
     ident[..., 0, :, :] = np.eye(2)
     assert oracles.within_cauchy_bound(ident, c, got.coeffs)
@@ -276,17 +275,6 @@ def test_tagged_plus_loop_inverse_is_within_the_cauchy_bound(data):
     assert np.all(forbidden == 0.0)
     assert not np.signbit(forbidden.real).any()
     assert not np.signbit(forbidden.imag).any()
-
-
-def test_products_refuse_an_untagged_factor():
-    twisted = MatrixLoop.identity((2,))
-    untagged = MatrixLoop.identity((2,), parity=None)
-    for x, y in ((twisted, untagged), (untagged, twisted),
-                 (untagged, untagged)):
-        with pytest.raises(ValueError, match="twisted"):
-            x.mul(y)
-    with pytest.raises(ValueError, match="twisted"):
-        plus_loop_inverse(untagged, 3)
 
 
 def _graded(rng, batch, P, span=30.0):
@@ -311,7 +299,7 @@ def test_mul_error_is_coefficientwise(rng, Pa, Pb, batch_b):
     b = _graded(rng, batch_b, Pb)
     a[..., _forbidden(Pa, -2)] = 0.0
     b[..., _forbidden(Pb, 1)] = 0.0
-    got = MatrixLoop(a, -2, "twisted").mul(MatrixLoop(b, 1, "twisted"))
+    got = MatrixLoop(a, -2).mul(MatrixLoop(b, 1))
     assert got.low == -1 and got.coeffs.shape == (3, 4, Pa + Pb - 1, 2, 2)
     assert oracles.within_cauchy_bound(got.coeffs, a, b)
 
@@ -327,19 +315,18 @@ def test_fft_product_breaks_the_coefficient_bound(rng):
 def test_mul_keeps_parity_slots_exactly_zero(rng):
     c = _graded(rng, (2, 3), 7)
     c[..., _forbidden(7, -3)] = 0.0
-    L = MatrixLoop(c, -3, "twisted")
-    short = MatrixLoop(c[..., 2:5, :, :], -1, "twisted")
+    L = MatrixLoop(c, -3)
+    short = MatrixLoop(c[..., 2:5, :, :], -1)
     for x, y, lo, hi in ((L, L, None, None), (L, short, None, None),
                          (L, L, -1, 2), (short, L, -4, -4)):
-        prod = x.mul(y, lo, hi)   # the parity check raises on any nonzero slot
-        assert prod.parity == "twisted"
+        x.mul(y, lo, hi)   # the constructor raises on any nonzero slot
 
 
 def test_truncation_tail(rng):
     # a product window that clips both ends keeps the powers inside it
     c = rng.normal(size=(9, 2, 2)) + 0j
     c[_forbidden(9, -4)] = 0.0
-    L = MatrixLoop(c, -4, "twisted")
+    L = MatrixLoop(c, -4)
     cut = L.mul(MatrixLoop.identity(), -2, 2)
     assert cut.low == -2 and cut.high == 2
     assert np.array_equal(cut.coeffs, c[2:7])
@@ -349,14 +336,15 @@ def test_parity_validation():
     c = np.zeros((1, 2, 2), dtype=complex)
     c[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        MatrixLoop(c, 1, "twisted")  # diagonal mass on an odd power
+        MatrixLoop(c, 1)  # diagonal mass on an odd power
     c[0, 0, 0] = 1e-300
     with pytest.raises(ValueError):
-        MatrixLoop(c, 1, "twisted")  # no forbidden mass is too small
+        MatrixLoop(c, 1)  # no forbidden mass is too small
 
 
 def test_adjoint_on_circle(rng):
     c = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    c[_forbidden(5, -1)] = 0.0
     L = MatrixLoop(c, -1)
     adj = L.adjoint_on_circle()
     lam = np.exp(0.9j)
@@ -367,7 +355,7 @@ def test_plus_loop_inverse(rng):
     c = 0.1 * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
     c[_forbidden(4, 0)] = 0.0
     c[0] = np.eye(2) + 0.05 * c[0]
-    L = MatrixLoop(c, 0, "twisted")
+    L = MatrixLoop(c, 0)
     inv = plus_loop_inverse(L, 12)
     prod = L.mul(inv)
     ident = np.zeros_like(prod.coeffs[..., 0, :, :])
@@ -384,12 +372,12 @@ def test_plus_loop_inverse_batched(rng):
                + 1j * rng.normal(size=(3, 2, 5, 2, 2)))
     c[..., _forbidden(5, 0)] = 0.0
     c[..., 0, :, :] += np.eye(2)
-    inv = plus_loop_inverse(MatrixLoop(c, 0, "twisted"), 10)
+    inv = plus_loop_inverse(MatrixLoop(c, 0), 10)
     assert inv.coeffs.shape == (3, 2, 11, 2, 2)
     for idx in np.ndindex(3, 2):
-        one = plus_loop_inverse(MatrixLoop(c[idx], 0, "twisted"), 10)
+        one = plus_loop_inverse(MatrixLoop(c[idx], 0), 10)
         assert np.array_equal(inv.coeffs[idx], one.coeffs)
-        prod = MatrixLoop(c[idx], 0, "twisted").mul(one)
+        prod = MatrixLoop(c[idx], 0).mul(one)
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
 

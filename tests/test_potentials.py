@@ -174,13 +174,12 @@ def test_iwasawa_of_plus_loop_is_identity(rng):
     c[0] = np.diag([1.5, 0.8])
     c[1] = 0.1 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[2] = 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    c[~_allowed(MatrixLoop(c, 0))] = 0.0
-    Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0,
-                         "twisted")
+    c[~_allowed(0, 4)] = 0.0
+    Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0)
     # widen into a symmetric window so the splitter sees a generic input
     pad = np.zeros((3, 3, 9, 2, 2), dtype=complex)
     pad[..., 4:8, :, :] = Bp_true.coeffs
-    phi = MatrixLoop(pad, -4, "twisted")
+    phi = MatrixLoop(pad, -4)
     F, Bp, report = iwasawa(phi)
     assert not np.any(report.failed)
     lam = np.exp(1.1j)
@@ -228,7 +227,7 @@ def test_iwasawa_parity_classes_match_the_dense_system(name):
     assert not report.failed.any()
     W, Z, z_low = oracles.factorization_solution(phi)
     M = W.shape[-3] - 1
-    assert np.all(W[..., ~_allowed(MatrixLoop(W, -M))] == 0.0)
+    assert np.all(W[..., ~_allowed(-M, M + 1)] == 0.0)
     WZ = oracles.cauchy_loop(W, Z)   # powers -M + z_low on
     scale = np.max(np.abs(Z), axis=(-3, -2, -1))[..., None, None, None]
     assert np.max(np.abs(WZ[..., -z_low:M - z_low, :, :]) / scale) < 1e-13
@@ -239,10 +238,10 @@ def test_iwasawa_parity_classes_match_the_dense_system(name):
                                           Bp.coeffs)) / scale) < 1e-13
 
 
-def _allowed(loop):
-    """(P, 2, 2) mask of the entries a twisted loop may hold: entry (r, c)
-    of power j when r + c + j is even."""
-    j = loop.low + np.arange(loop.coeffs.shape[-3])[:, None, None]
+def _allowed(low, P):
+    """(P, 2, 2) mask of the entries a twisted loop on the powers low..
+    low + P - 1 may hold: entry (r, c) of power j when r + c + j is even."""
+    j = low + np.arange(P)[:, None, None]
     return (j + np.arange(2)[:, None] + np.arange(2)) % 2 == 0
 
 
@@ -253,8 +252,8 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     phi = integrate_potential(xi, grid, order=6)
     F0, Bp0, _ = iwasawa(phi)
     c = phi.coeffs.copy()
-    c[1, 3][_allowed(phi)] = bad
-    F, Bp, report = iwasawa(MatrixLoop(c, phi.low, phi.parity))
+    c[1, 3][_allowed(phi.low, phi.coeffs.shape[-3])] = bad
+    F, Bp, report = iwasawa(MatrixLoop(c, phi.low))
     expected = np.zeros(grid.shape, dtype=bool)
     expected[1, 3] = True
     assert np.array_equal(report.failed, expected)
@@ -277,7 +276,7 @@ def test_iwasawa_fails_a_node_whose_leading_section_is_singular():
     c[0, 2, 1, 1] = 0.0
     c[0, 4] = np.diag([1.0, -1.0])
     c[0, 1] = [[0.0, -1.0], [-1.0, 0.0]]
-    phi = MatrixLoop(c, -2, "twisted")
+    phi = MatrixLoop(c, -2)
     T = oracles.factorization_classes(phi)[0][0]
     assert np.linalg.det(T[:2, :2]) == 0.0
     assert np.linalg.cond(T) < 10.0
@@ -315,7 +314,7 @@ def test_iwasawa_blocks_match_single_nodes(three_blocks):
     for k in (BLOCK - 1, BLOCK, n - 1):
         idx = np.unravel_index(k, phi.batch_shape)
         F1, Bp1, rep1 = iwasawa(phi.at_node(idx))
-        assert (F1.low, F1.parity, Bp1.parity) == (F.low, F.parity, Bp.parity)
+        assert F1.low == F.low
         assert _same_bits(F.coeffs[idx], F1.coeffs)
         assert _same_bits(Bp.coeffs[idx], Bp1.coeffs)
         assert _same_bits(report.pivot[idx], rep1.pivot)
@@ -328,8 +327,8 @@ def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
     node = np.unravel_index(BLOCK + 5, phi.batch_shape)
     bad[node] = True
     c = phi.coeffs.copy()
-    c[node][_allowed(phi)] = np.nan
-    F2, Bp2, rep2 = iwasawa(MatrixLoop(c, phi.low, phi.parity))
+    c[node][_allowed(phi.low, phi.coeffs.shape[-3])] = np.nan
+    F2, Bp2, rep2 = iwasawa(MatrixLoop(c, phi.low))
     assert not report.failed[bad].any()
     assert np.array_equal(rep2.failed, report.failed | bad)
     assert _same_bits(rep2.pivot[~bad], report.pivot[~bad])
@@ -375,7 +374,7 @@ def test_iwasawa_memory_is_bounded_by_the_block():
     assert len(nodes) == BLOCK
 
     def peak(blocks):
-        phi = MatrixLoop(np.concatenate([nodes] * blocks), one.low, one.parity)
+        phi = MatrixLoop(np.concatenate([nodes] * blocks), one.low)
         tracemalloc.start()
         try:
             F, Bp, report = iwasawa(phi)
@@ -422,8 +421,7 @@ def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
         assert _same_bits(phi.coeff(0), np.broadcast_to(
             np.eye(2, dtype=complex), phi.batch_shape + (2, 2)))
     pad = np.zeros(phi.batch_shape + (N - phi.high, 2, 2), dtype=complex)
-    padded = MatrixLoop(np.concatenate([phi.coeffs, pad], axis=-3), -N,
-                        phi.parity)
+    padded = MatrixLoop(np.concatenate([phi.coeffs, pad], axis=-3), -N)
     (F, Bp, rep), (Fd, Bpd, repd) = iwasawa(phi), iwasawa(padded)
     assert (F.low, F.high) == (Fd.low, Fd.high)
     assert _same_bits(F.coeffs, Fd.coeffs)
@@ -582,7 +580,7 @@ def test_trim_is_the_march_at_the_order_of_the_tail():
     spec = builtin_example("smyth-2")
     xi, g = spec.potential(), spec.verify_grid
     phi, n, tail = trim_to_tail(integrate_potential(xi, g))
-    assert (n, phi.low, phi.high, phi.parity) == (9, -9, 0, "twisted")
+    assert (n, phi.low, phi.high) == (9, -9, 0)
     assert 1e-15 < tail <= TAIL_MAX
     assert np.array_equal(phi.coeffs,
                           integrate_potential(xi, g, order=9).coeffs)
@@ -597,9 +595,10 @@ def test_trim_reads_finite_nodes_and_both_sides(grid21):
     # a non-finite node is left out of the tail; with no finite node,
     # nothing is trimmed
     bad = phi.coeffs.copy()
-    bad[3, 4, 2, 0, 1] = np.nan
+    bad[3, 4, 2, 0, 0] = np.nan   # power -10: an allowed diagonal entry
     assert trim_to_tail(MatrixLoop(bad, phi.low))[1:] == (n, tail)
-    whole, N, nan = trim_to_tail(MatrixLoop(np.full_like(bad, np.nan),
+    nans = np.where(_allowed(phi.low, 13), np.nan, 0.0)
+    whole, N, nan = trim_to_tail(MatrixLoop(np.broadcast_to(nans, bad.shape),
                                             phi.low))
     assert N == 12 and whole.coeffs.shape == bad.shape and math.isnan(nan)
     # a Phi with positive powers keeps -n..n, on the larger of both tails

@@ -66,7 +66,7 @@ def _failed_rows_with_perturbed(monkeypatch, which):
         rng = np.random.default_rng(23)
         noise = rng.normal(size=(2,) + loop.coeffs.shape[-3:])
         bump = size * allowed * (noise[0] + 1j * noise[1])
-        bumped = MatrixLoop(loop.coeffs + bump, loop.low, loop.parity)
+        bumped = MatrixLoop(loop.coeffs + bump, loop.low)
         return (bumped, Bp, report) if which == "F" else (F, bumped, report)
 
     monkeypatch.setattr(potentials, "iwasawa", perturbed)
@@ -122,7 +122,7 @@ def test_battery_flags_perturbed_frame_loop(pb_run):
     scale = 1 + 1e-5 * rng.normal(size=loop.coeffs.shape[-3:])
     scale[-loop.low] = 1.0
     bumped = dataclasses.replace(pb_run, frame_loop=MatrixLoop(
-        loop.coeffs * scale, loop.low, loop.parity))
+        loop.coeffs * scale, loop.low))
     failed = {c.name.split("[")[0] for c in verify_pipeline(bumped).checks
               if not c.passed}
     assert failed == {"cross_pipeline"}
@@ -156,3 +156,21 @@ def test_battery_flags_boosted_normal(pb_run):
     assert set(failed) == {"normal_agreement[lam+0.000pi]",
                            "normal_agreement[lam+0.333pi]"}
     assert all(v > 1e-5 for v in failed.values())
+
+
+def test_battery_flags_noisy_plus_sheet(pb_run):
+    # each plus sheet's coordinates plus seeded 2e-8 normal noise.  Only
+    # self_duality_mc and sym_duality_factor read that sheet.  At 1e-8 both
+    # trip with sym_duality_factor[lam=1] at 1.7e-6, near its 1e-6
+    # tolerance; from 3e-8 the dual extraction refuses the sheet as
+    # non-conformal (above 1e-5) and sym_duality_factor reads inf
+    rng = np.random.default_rng(31)
+    sym = [dataclasses.replace(s, f_plus=dataclasses.replace(
+        s.f_plus, coords=s.f_plus.coords
+        + 2e-8 * rng.normal(size=s.f_plus.coords.shape))) for s in pb_run.sym]
+    rep = verify_pipeline(dataclasses.replace(pb_run, sym=sym))
+    failed = {c.name: c.max for c in rep.checks if not c.passed}
+    assert set(failed) == {f"{row}[lam+{turn}pi]"
+                           for row in ("self_duality_mc", "sym_duality_factor")
+                           for turn in ("0.000", "0.333")}
+    assert all(3e-6 < v < 1e-4 for v in failed.values())
