@@ -7,33 +7,38 @@ for the paraboloid, smyth-2 and helicoid at
 same flags in a directory of its own, where no frame cache precedes it, so
 that `dual` runs the pipeline itself; `verify` for the paraboloid,
 the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
-being the one verify of a Phi with positive powers; and `generate` and
-`verify` driven by `--spinors` from the lam0 CSVs of the paraboloid and of
-the helicoid, whose sheet rows then run on an 81x81 grid and on spinors of
-a Phi with positive powers; and `generate --potential` of the helicoid's
-potential with a stale `"twisted": false` key, on a 41x41 grid, the one
-command that reads a potential file: the reader ignores the key and
-marches the potential as every other; and `generate` (`1,exp:pi/3`) and
+being the one verify of a Phi with positive powers; and `generate`,
+`dual`, `sweep` and `verify` driven by `--spinors` from the lam0 CSVs of
+the paraboloid and of the helicoid, whose sheet rows then run on an 81x81
+grid and on spinors of a Phi with positive powers, and whose frames,
+sheets and fields lie on the sub-grid 4 nodes in from each edge; and
+`generate --potential` of the helicoid's potential with a stale
+`"twisted": false` key, on a 41x41 grid, the one command that reads a
+potential file: the reader ignores the key and marches the potential as
+every other; and `generate` (`1,exp:pi/3`) and
 `verify` (`1`) of the paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose
 axes have no node at z0 = 0, so that the march hops to its nearest node
-and every line's two halves differ in length; and `generate` and `verify`
-driven by `--spinors` from that run's lam0 CSVs, whose 30x41 grid has an
+and every line's two halves differ in length; and the same four
+`--spinors` commands from that run's lam0 CSVs, whose 30x41 grid has an
 even side, so that the frame march from the grid's centre node has halves
 of unequal length; and `dual` and `sweep` of smyth-2 on the grid
 -0.5,0.5,-0.5,0.5,15,15 at `1,exp:pi/3`, each in a directory of its own
 under `refused/`, which must exit 2 (the sheets are too far from minimal
-for the B extraction) and, computing before they write, leave no file.
-The CSVs are copied to the fixed relative prefixes
-`spinors/lam0`, `spinors_helicoid/lam0` and `spinors_off_centre/lam0`, and
-the potential is written to `potentials/helicoid_untwisted.json`, because
-the input path enters the run hash and so the run directory's name. The
-set writes 244 files; with their 167 report rows and the 28 exit codes
-the digest holds 439 entries.
+for the B extraction) and, computing before they write, leave no file;
+and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
+`refused/spinors`, which must exit 2 (the frame marched from them leaves
+SU(1,1) at the under-resolved corners, and no node is repaired) and leave
+no file.  The CSVs are copied to the fixed relative prefixes
+`spinors/lam0`, `spinors_helicoid/lam0`, `spinors_off_centre/lam0` and
+`spinors_smyth-2/lam0`, and the potential is written to
+`potentials/helicoid_untwisted.json`, because the input path enters the
+run hash and so the run directory's name. The set writes 323 files; with
+their 167 report rows and the 35 exit codes the digest holds 525 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the two refused commands, 0 for the
+not the one expected of it: 2 for the three refused commands, 0 for the
 rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
@@ -60,9 +65,15 @@ FLAGS = (*LAMBDAS, "--out", "runs")
 OFF_CENTRE = "-0.9,1.1,-1,0.9,30,41"
 REFUSED = ("--example", "smyth-2", "--grid=-0.5,0.5,-0.5,0.5,15,15",
            "--lambda", "1,exp:pi/3")
+# smyth-2's 41x41 CSVs: the frame marched from them leaves SU(1,1) at the
+# under-resolved corners, and the surface formula refuses it
+REFUSED_SPINORS = ("--spinors", "spinors_smyth-2/lam0", *LAMBDAS)
 # exit codes other than 0 that the command set expects
-EXPECTED = {f"exit: {command} {' '.join(REFUSED)} --out refused/{command}": 2
-            for command in ("dual", "sweep")}
+EXPECTED = {
+    **{f"exit: {command} {' '.join(REFUSED)} --out refused/{command}": 2
+       for command in ("dual", "sweep")},
+    f"exit: generate {' '.join(REFUSED_SPINORS)} --out refused/spinors": 2,
+}
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
     "d = helicoid_potential().to_json(); d['twisted'] = False; "
@@ -94,12 +105,15 @@ def run_commands(out, env):
                 "--out", "runs")
     nildual("verify", "--example", "smyth-2", "--lambda", "1", "--out", "runs")
 
-    def spinor_runs(run_dir, prefix):
+    def copy_spinors(run_dir, prefix):
         (out / prefix).mkdir()
         for part in ("psi1", "psi2"):
             shutil.copyfile(run_dir / f"lam0_{part}.csv",
                             out / prefix / f"lam0_{part}.csv")
-        for command in ("generate", "verify"):
+
+    def spinor_runs(run_dir, prefix):
+        copy_spinors(run_dir, prefix)
+        for command in ("generate", "dual", "sweep", "verify"):
             nildual(command, "--spinors", f"{prefix}/lam0", *FLAGS)
 
     spinor_runs(cache_dir("paraboloid"), "spinors")
@@ -123,6 +137,8 @@ def run_commands(out, env):
 
     for command in ("dual", "sweep"):
         nildual(command, *REFUSED, "--out", f"refused/{command}")
+    copy_spinors(cache_dir("smyth-2"), "spinors_smyth-2")
+    nildual("generate", *REFUSED_SPINORS, "--out", "refused/spinors")
     return codes
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io_formats as iof
 from .dualize import dual_spinors
-from .errors import ConfigError, NilDualError
+from .errors import ConfigError, GridTooSmallError, NilDualError
 from .frames import frame_from_spinors, integrate_frame
 from .nil3 import DomainGrid, centred_interior, left_maurer_cartan
 from .potentials import (
@@ -38,6 +38,7 @@ from .verify import (
     SheetAnalysis,
     VerificationReport,
     analyze_sheet,
+    interior_dirac,
     sheet_checks,
     verify_pipeline,
 )
@@ -129,11 +130,11 @@ class RunConfig:
 
 
 def _read_spinors(prefix):
-    """The SpinorField of the CSV pair <prefix>_psi1.csv, <prefix>_psi2.csv;
-    a node missing from either file is masked, a non-finite one refused."""
+    """The SpinorField of <prefix>_psi1.csv, _psi2.csv on their union's grid;
+    a node absent from either file is masked, a non-finite one refused."""
     try:
-        g1, psi1, m1 = iof.read_field_csv(prefix + "_psi1.csv")
-        g2, psi2, m2 = iof.read_field_csv(prefix + "_psi2.csv")
+        grid, (psi1, psi2), (m1, m2) = iof.read_field_csvs(
+            [prefix + "_psi1.csv", prefix + "_psi2.csv"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad spinor files {prefix!r}: "
                           f"{type(exc).__name__}: {exc}") from None
@@ -141,9 +142,7 @@ def _read_spinors(prefix):
         for i, j in np.argwhere(~np.isfinite(psi))[:1]:
             raise ConfigError(f"non-finite value in {prefix}_{part}.csv at "
                               f"node ({i}, {j})")
-    if g1 != g2:
-        raise ConfigError("spinor component grids disagree")
-    return SpinorField(psi1, psi2, g1, mask=m1 & m2)
+    return SpinorField(psi1, psi2, grid, mask=m1 & m2)
 
 
 def pipeline_result(config, grid):
@@ -160,7 +159,7 @@ def pipeline_result(config, grid):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad potential file {arg!r}: "
                           f"{type(exc).__name__}: {exc}") from None
-    return dpw_pipeline(xi, grid, z0=0j, lam_samples=config.lams,
+    return dpw_pipeline(xi, grid, lam_samples=config.lams,
                         order=config.order, exclude_disk=config.exclude_disk)
 
 
@@ -169,12 +168,18 @@ def run_pipeline(config):
     a FrameField per lambda, and the nodes whose frames are trustworthy."""
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
+        # frames are marched on the W4 sub-grid, whose centre is the grid's
         s = _read_spinors(arg)
-        d = dirac_data(s)
+        if min(s.grid.shape) < 2 * W4 + 5:
+            raise GridTooSmallError(f"--spinors needs {2 * W4 + 5} nodes a "
+                                    f"side; the input grid of {arg!r} is "
+                                    f"{s.grid.nx}x{s.grid.ny}")
+        d, cut = interior_dirac(dirac_data(s), W4)
         base = frame_from_spinors(s)[s.grid.centre]
         frames = [integrate_frame(d, lam, base_value=base)
                   for lam in config.lams]
-        return sym_sheets(frames, s.mask, s.mask), frames, s.mask
+        mask = s.mask[cut]
+        return sym_sheets(frames, mask, mask), frames, mask
     res = pipeline_result(config, config.resolved_grid())
     return res.sym, res.frames, res.ok_mask
 
@@ -307,12 +312,16 @@ def cmd_sweep(config):
     if len(config.lams) < 2:
         raise ConfigError("sweep needs at least two lambda samples")
     sheets, _frames, ok_mask = run_pipeline(config)
+    # every node of the W4 interior, the export mask aside
+    core = centred_interior(np.ones(sheets[0].grid.shape, dtype=bool), W4)
+    if not core.any():
+        raise GridTooSmallError(f"sweep reads nodes {W4} in from each edge; "
+                                f"sheets of {core.shape[1]}x{core.shape[0]} "
+                                f"nodes have none")
     ew2_ref = None
     entries = []
     for sym in sheets:
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
-        # every node of the W4 interior, the export mask aside
-        core = centred_interior(np.ones(sym.grid.shape, dtype=bool), W4)
         if ew2_ref is None:
             ew2_ref = a.dirac.ew2
             drift = 0.0

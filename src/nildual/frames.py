@@ -8,6 +8,9 @@ For minimal data (w, B) the connection is  alpha = U dz + V dzbar  with
 flat for every unit-modulus lam.  Frames solve F^{-1} dF = alpha and are
 integrated jointly with their first two parameter derivatives so the
 surface formulas downstream never differentiate numerically in lam.
+No frame node is ever repaired: `sym.sym_maps` refuses a frame whose surface
+matrices leave su(1,1) beyond REALITY_TOL, and names the worst node.  The
+`--spinors` pipeline marches on the sub-grid 4 nodes in from each edge.
 """
 from __future__ import annotations
 
@@ -16,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerticalPointError
-from .loops import SQRT_I, inv2, mm2, su11_residual
+from .loops import SQRT_I, inv2, mm2
 from .nil3 import dz_field, dzbar_field, march_grid, node_stages, rk4_march
 from .spinors import minimality_gate
 
-DRIFT_TOL = 1e-6    # SU(1,1) drift above which a frame node is reprojected
 UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
 
 
@@ -83,17 +85,7 @@ class FrameField:
     F_lam2: np.ndarray
     lam: complex
     grid: object
-    reprojections: int = 0
-
-
-def _reproject_su11(F):
-    """Nearest matrix of the form [[a, b], [conj(b), conj(a)]] with
-    |a|^2 - |b|^2 = 1."""
-    a = 0.5 * (F[0, 0] + np.conj(F[1, 1]))
-    b = 0.5 * (F[0, 1] + np.conj(F[1, 0]))
-    n = np.sqrt(abs(abs(a) ** 2 - abs(b) ** 2))
-    a, b = a / n, b / n
-    return np.array([[a, b], [np.conj(b), np.conj(a)]])
+    reprojections: int = 0  # always 0: no node is repaired; benchmark field
 
 
 def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
@@ -151,19 +143,9 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
     out[0, :, :, i, j] = base_value
     march_grid(out, grid.centre, column_first, march)
     out = np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (2, 3, 4)))
-
-    reproj = 0
-    F = out[..., 0, :, :]
-    drift = su11_residual(F)
-    if np.max(drift) > DRIFT_TOL:
-        bad = drift > DRIFT_TOL
-        reproj = int(np.sum(bad))
-        idx = np.argwhere(bad)
-        for i, j in idx:
-            F[i, j] = _reproject_su11(F[i, j])
     F_lam, F_lam2 = (out[:, :, k] if derivatives else None for k in (1, 2))
-    return FrameField(F=F, F_lam=F_lam, F_lam2=F_lam2, lam=lam, grid=grid,
-                      reprojections=reproj)
+    return FrameField(F=out[:, :, 0], F_lam=F_lam, F_lam2=F_lam2, lam=lam,
+                      grid=grid)
 
 
 def frame_from_spinors(s):

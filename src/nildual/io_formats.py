@@ -75,26 +75,40 @@ def _axis_bounds(pairs):
 
 def read_field_csv(path):
     """Returns (grid, field, mask); nodes absent from the file are masked."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("i,"):
-            continue
-        i, j, x, y, re, im = line.split(",")
-        rows.append((int(i), int(j), float(x), float(y),
-                     float(re), float(im)))
-    if not rows:
-        raise ConfigError(f"empty field file {path}")
-    ny = max(r[0] for r in rows) + 1
-    nx = max(r[1] for r in rows) + 1
-    x0, x1 = _axis_bounds(sorted({(r[1], r[2]) for r in rows}))
-    y0, y1 = _axis_bounds(sorted({(r[0], r[3]) for r in rows}))
-    grid = DomainGrid(x0, x1, y0, y1, nx, ny)
-    field = np.zeros((ny, nx), dtype=complex)
-    mask = np.zeros((ny, nx), dtype=bool)
-    for i, j, _x, _y, re, im in rows:
-        field[i, j] = complex(re, im)  # keeps the sign of a zero part
-        mask[i, j] = True
+    grid, (field,), (mask,) = read_field_csvs([path])
     return grid, field, mask
+
+
+def read_field_csvs(paths):
+    """(grid, fields, masks) of field CSVs on the one grid of the union of
+    their (index, coordinate) pairs; a node absent from a file is masked in
+    its mask.  Files that put one index at two coordinates are refused."""
+    rows = []  # (file, i, j, x, y, re, im)
+    for n, path in enumerate(paths):
+        count = len(rows)
+        for line in Path(path).read_text().splitlines():
+            if not line or line.startswith("#") or line.startswith("i,"):
+                continue
+            i, j, x, y, re, im = line.split(",")
+            rows.append((n, int(i), int(j), float(x), float(y),
+                         float(re), float(im)))
+        if len(rows) == count:
+            raise ConfigError(f"empty field file {path}")
+    axes = []
+    for k, name in ((1, "row"), (2, "column")):
+        pairs = sorted({(r[k], r[5 - k]) for r in rows})
+        if len({m for m, _ in pairs}) < len(pairs):
+            raise ConfigError(f"{', '.join(map(str, paths))} put a {name} "
+                              f"at two coordinates")
+        axes.append((*_axis_bounds(pairs), pairs[-1][0] + 1))
+    (y0, y1, ny), (x0, x1, nx) = axes
+    grid = DomainGrid(x0, x1, y0, y1, nx, ny)
+    fields = np.zeros((len(paths), ny, nx), dtype=complex)
+    masks = np.zeros(fields.shape, dtype=bool)
+    for n, i, j, _x, _y, re, im in rows:
+        fields[n, i, j] = complex(re, im)  # keeps the sign of a zero part
+        masks[n, i, j] = True
+    return grid, fields, masks
 
 
 def write_obj(path, surface):

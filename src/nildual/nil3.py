@@ -325,22 +325,18 @@ def march_grid(g, base, column_first, march):
                 g[at(c + k * d)] = y
 
 
-def dilate_mask(invalid, radius):
-    """Grow an invalid-node mask by `radius` in each grid direction."""
-    out = invalid.copy()
-    for _ in range(radius):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
-
-
 def stencil_valid(valid):
-    """Nodes whose full 2-wide stencil neighbourhood is valid."""
-    return ~dilate_mask(~valid, 2)
+    """Nodes whose full 2-wide stencil neighbourhood is valid: `valid`
+    shrunk by 2 nodes in each grid direction."""
+    out = valid.copy()
+    for _ in range(2):
+        shrunk = out.copy()
+        shrunk[1:, :] &= out[:-1, :]
+        shrunk[:-1, :] &= out[1:, :]
+        shrunk[:, 1:] &= out[:, :-1]
+        shrunk[:, :-1] &= out[:, 1:]
+        out = shrunk
+    return out
 
 
 def centred_interior(valid, width):

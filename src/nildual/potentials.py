@@ -178,7 +178,6 @@ class ExampleSpec:
     name: str
     potential: object  # () -> HoloPotential
     grid: DomainGrid
-    z0: complex
     self_dual: bool
     exclude_disk: float | None
     verify_grid: DomainGrid = None  # residual-suite grid when it differs
@@ -188,13 +187,13 @@ def builtin_example(name):
     """The registry of built-in examples: the only parser of their names."""
     if name == "paraboloid":
         return ExampleSpec(name, paraboloid_potential,
-                           DomainGrid(-1, 1, -1, 1, 41, 41), 0j, True, None)
+                           DomainGrid(-1, 1, -1, 1, 41, 41), True, None)
     if name == "helicoid":
         # the fields grow like cosh(2|z|): a tighter domain and finer grid
         # keep the extraction floors at the paraboloid's level
         return ExampleSpec(name, helicoid_potential,
                            DomainGrid(-0.5, 0.5, -0.5, 0.5, 81, 81),
-                           0j, True, None)
+                           True, None)
     if name.startswith("smyth-"):
         try:
             k = int(name.split("-", 1)[1])
@@ -207,7 +206,7 @@ def builtin_example(name):
         # floors fit the tolerances (the corner fields grow steeply)
         return ExampleSpec(name, partial(smyth_potential, k),
                            DomainGrid(-0.5, 0.5, -0.5, 0.5, 41, 41),
-                           0j, False, 0.05,
+                           False, 0.05,
                            DomainGrid(-0.3, 0.3, -0.3, 0.3, 101, 101))
     raise ConfigError(f"unknown example {name!r}")
 
@@ -611,12 +610,12 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     return F2, Bp2, mask & ~degenerate
 
 
-def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
-                 order=DEFAULT_ORDER, exclude_disk=None, self_dual=False):
+def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
+                 exclude_disk=None, self_dual=False):
     """Potential -> loops -> factorization -> both surfaces per parameter.
 
-    Phi is marched at `order`, the cap, and factorized at the order
-    `trim_to_tail` reads off its tail."""
+    Phi(0) = I; Phi is marched at `order`, the cap, and factorized at the
+    order `trim_to_tail` reads off its tail."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:
         if not abs(abs(lam) - 1.0) <= 1e-12:
@@ -629,12 +628,12 @@ def dpw_pipeline(xi, grid, z0=0j, lam_samples=(1.0 + 0.0j,),
     # an overflowing node is reported as failed (pivot nan), not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         phi, n, tail = trim_to_tail(
-            integrate_potential(xi, grid, z0=z0, order=order))
+            integrate_potential(xi, grid, order=order))
         F, Bp, report = iwasawa(phi)
     ok_mask = report.ok()
     F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
     # the extraction needs a node whose whole stencil factorized: a Phi that
-    # overflows off z0 factorizes at that node alone
+    # overflows off z = 0 factorizes at that node alone
     if not stencil_valid(ok_mask).any():
         raise ConfigError("the factorization fails at every node (a "
                           "non-finite or ill-conditioned Phi)")
@@ -671,6 +670,6 @@ def run_example(name, grid=None, lam_samples=(1.0 + 0.0j,),
     g = grid if grid is not None else spec.grid
     if exclude_disk is None:
         exclude_disk = spec.exclude_disk
-    return dpw_pipeline(spec.potential(), g, z0=spec.z0,
-                        lam_samples=lam_samples, order=order,
-                        exclude_disk=exclude_disk, self_dual=spec.self_dual)
+    return dpw_pipeline(spec.potential(), g, lam_samples=lam_samples,
+                        order=order, exclude_disk=exclude_disk,
+                        self_dual=spec.self_dual)

@@ -75,14 +75,10 @@ VERTICAL_REL = 1e-12    # |psi1| <= rel * scale: a vertical normal
 DEGENERATE_REL = 1e-10  # |psi| <= rel * sup|psi|: not a ratio denominator
 
 
-def minimality_defect(d):
-    """Interior max |H|: the value the minimality gate compares."""
-    return interior_max(np.abs(d.H), valid=d.mask)
-
-
 def minimality_gate(d, message):
-    """Raise NonMinimalError(message) unless `d` is minimal data."""
-    defect = minimality_defect(d)
+    """Raise NonMinimalError(message) unless `d` is minimal data: its
+    interior max |H| is at most MINIMAL_TOL."""
+    defect = interior_max(np.abs(d.H), valid=d.mask)
     if defect > MINIMAL_TOL:
         raise NonMinimalError(f"{message}; max |H| = {defect:.3e}")
 

@@ -76,11 +76,13 @@ def sym_maps(frame, mask=None):
         hat[0, 0], hat[1, 1] = -0.5j * lam * dm[0, 0], -0.5j * lam * dm[1, 1]
         out[sgn] = xi_nil_with_residual(np.moveaxis(hat, (0, 1), (-2, -1)))
 
-    worst = max(float(np.max(out[+1][1][mask], initial=0.0)),
-                float(np.max(out[-1][1][mask], initial=0.0)))
+    defect = np.where(mask, np.maximum(out[+1][1], out[-1][1]), 0.0)
+    i, j = np.unravel_index(np.argmax(defect), defect.shape)
+    worst = float(defect[i, j])
     if worst > REALITY_TOL:
-        raise NilDualError(
-            f"surface matrices leave su(1,1) by {worst:.3e} (frame defect)")
+        raise NilDualError(f"surface matrices leave su(1,1) by {worst:.3e} "
+                           f"at node ({i}, {j}) of the {grid.nx}x{grid.ny} "
+                           f"grid, z = {grid.node_z(i, j):.4g} (frame defect)")
 
     f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
     f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask)

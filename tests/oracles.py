@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nildual.frames import DRIFT_TOL, _connection_parts, _reproject_su11
-from nildual.loops import MatrixLoop, su11_residual
+from nildual.frames import _connection_parts
+from nildual.loops import MatrixLoop
 from nildual.nil3 import _lagrange_weights
 
 SQRT_I = np.exp(1j * np.pi / 4)
@@ -222,7 +222,7 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
     Each half-line interpolates alpha along its whole line, read in marching
     order.
 
-    Returns (F, F_lam, F_lam2, reprojections).
+    Returns (F, F_lam, F_lam2).
     """
     lam = complex(lam)
     grid = d.grid
@@ -289,16 +289,7 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
         row = both_ways(Y0, alpha_x[i0], j0, grid.hx)
         for j in range(grid.nx):
             out[:, j] = both_ways(row[j], alpha_y[:, j], i0, grid.hy)
-
-    F = out[..., 0, :, :]
-    drift = su11_residual(F)
-    reproj = 0
-    if np.max(drift) > DRIFT_TOL:
-        bad = drift > DRIFT_TOL
-        reproj = int(np.sum(bad))
-        for i, j in np.argwhere(bad):
-            F[i, j] = _reproject_su11(F[i, j])
-    return F, out[..., 1, :, :], out[..., 2, :, :], reproj
+    return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
 
 def _rk4_linear(y0, coeff_fn, t_nodes, substeps, rhs):

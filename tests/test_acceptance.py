@@ -355,8 +355,8 @@ def test_criterion_9_path_independence(pb41):
         spec = builtin_example(name)
         g = spec.verify_grid or spec.grid
         xi = spec.potential()
-        pa = integrate_potential(xi, g, z0=spec.z0, column_first=True)
-        pb = integrate_potential(xi, g, z0=spec.z0, column_first=False)
+        pa = integrate_potential(xi, g, column_first=True)
+        pb = integrate_potential(xi, g, column_first=False)
         for lam in (1.0, LAM2):
             worst = max(worst, float(np.max(np.abs(pa.eval(lam) - pb.eval(lam)))))
     ok_b = report(9, "potential integration two-path (3 built-ins)", worst,

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from nildual.io_formats import (
     write_field_csv,
     write_frame_cache,
 )
-from nildual.nil3 import DomainGrid
+from nildual.nil3 import DomainGrid, SurfaceGrid
 from nildual.spinors import SpinorField, dirac_data
+from nildual.sym import REALITY_TOL, mc_equivalent
+from nildual.verify import W4, interior_dirac
 
 SMALL = ["--grid=-1,1,-1,1,21,21"]
 
@@ -323,14 +326,84 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     g, p1, _ = read_field_csv(tmp_path / "in_psi1.csv")
     _, p2, _ = read_field_csv(tmp_path / "in_psi2.csv")
     s = SpinorField(p1, p2, g)
-    d = dirac_data(s)
+    # marched on the W4 sub-grid, from the input's frame at its centre
+    d, _cut = interior_dirac(dirac_data(s), W4)
     base = frame_from_spinors(s)[g.centre]
     for fr, lam in zip(frames, parse_lambda_list("1,exp:pi/3")):
         direct = integrate_frame(d, lam, base_value=base)
+        assert fr.grid == d.grid
         assert fr.lam == lam
         assert np.array_equal(fr.F, direct.F)
         assert np.array_equal(fr.F_lam, direct.F_lam)
         assert np.array_equal(fr.F_lam2, direct.F_lam2)
+
+
+def test_spinor_round_trip_on_the_w4_sub_grid(tmp_path):
+    # the paraboloid's own lam0 CSVs: the frames are marched on the
+    # sub-grid 4 nodes in from each edge, the fields are extracted at both
+    # lambdas, and the rebuilt sheets are the input sheets cut to the
+    # sub-grid, up to a rigid motion
+    assert run(["generate", "--example", "paraboloid", "--lambda",
+                "1,exp:pi/3", "--out", str(tmp_path / "o")]) == 0
+    (given_dir,) = (tmp_path / "o").iterdir()
+    argv = ["--spinors", str(given_dir / "lam0"), "--lambda", "1,exp:pi/3",
+            "--out", str(tmp_path / "s")]
+    assert run(["generate", *argv]) == 0
+    (run_dir,) = (tmp_path / "s").iterdir()
+    for k in (0, 1):
+        for name in ("psi1", "psi2", "B", "e_u", "h"):
+            assert (run_dir / f"lam{k}_{name}.csv").exists()
+    cut = np.s_[W4:-W4, W4:-W4]
+    given = nildual.cli.cached_sheets(given_dir)[0]
+    rebuilt = nildual.cli.cached_sheets(run_dir)[0]
+    for a, b in zip(given, rebuilt):
+        assert b.grid.shape == (41 - 2 * W4,) * 2
+        for f, g in ((a.f_minus, b.f_minus), (a.f_plus, b.f_plus)):
+            f_cut = SurfaceGrid(f.coords[cut], g.grid, lam=f.lam,
+                                mask=f.mask[cut])
+            assert mc_equivalent(f_cut, g).equivalent
+    assert run(["dual", *argv]) == 0
+    assert run(["sweep", *argv]) == 0
+
+
+def test_spinor_frame_defect_is_refused_at_a_named_node(tmp_path, capsys):
+    # smyth-2's 41x41 CSVs are under-resolved at the corners: the frame
+    # marched from them is not repaired, and the Sym formula's su(1,1)
+    # gate refuses it, naming the worst node of the sub-grid and its z
+    assert run(["generate", "--example", "smyth-2", "--lambda", "1,exp:pi/3",
+                "--out", str(tmp_path / "o")]) == 0
+    (given_dir,) = (tmp_path / "o").iterdir()
+    capsys.readouterr()
+    assert run(["generate", "--spinors", str(given_dir / "lam0"),
+                "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    m = re.search(r"leave su\(1,1\) by (\S+) at node \((\d+), (\d+)\) of "
+                  r"the 33x33 grid, z = (\S+) \(frame defect\)", err)
+    assert m, err
+    assert float(m[1]) > REALITY_TOL
+    i, j = int(m[2]), int(m[3])
+    # a corner: the four are equal up to round-off
+    assert i in (0, 32) and j in (0, 32)
+    sub = DomainGrid(-0.4, 0.4, -0.4, 0.4, 33, 33)
+    assert abs(complex(m[4]) - sub.node_z(i, j)) < 1e-12
+    assert not (tmp_path / "s").exists()
+
+
+def test_spinor_pair_of_different_extents_shares_one_grid(tmp_path):
+    # psi1 lacks its last column and psi2 does not: both are read onto the
+    # grid of their union, and the column is masked
+    from .oracles import paraboloid_spinors
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
+    psi1, psi2 = paraboloid_spinors(grid)
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[:, -1] = False
+    write_field_csv(tmp_path / "in_psi1.csv", psi1, grid, mask=keep)
+    write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
+    s = nildual.cli._read_spinors(str(tmp_path / "in"))
+    assert s.grid == grid
+    assert np.array_equal(s.mask, keep)
+    assert np.array_equal(s.psi1[keep], psi1[keep])
+    assert np.array_equal(s.psi2, psi2)
 
 
 def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
@@ -436,6 +509,15 @@ def _nan_spinors(tmp):
             "--out", str(tmp / "o")]
 
 
+def _spinors_on(tmp, grid1, grid2):
+    """generate --spinors from the paraboloid's psi1 on grid1, psi2 on
+    grid2."""
+    from .oracles import paraboloid_spinors
+    write_field_csv(tmp / "in_psi1.csv", paraboloid_spinors(grid1)[0], grid1)
+    write_field_csv(tmp / "in_psi2.csv", paraboloid_spinors(grid2)[1], grid2)
+    return _generate(tmp, "--spinors", str(tmp / "in"))
+
+
 def _export_cache(tmp, text):
     (tmp / "run").mkdir()
     _write_text(tmp / "run" / "frames.json", text)
@@ -492,6 +574,12 @@ def _b64(n_bytes):
         _write_text(tmp / "empty.json", '{"schema": 1}'))), ""),
     (lambda tmp: _generate(tmp, "--spinors", str(tmp / "nothing")), ""),
     (_nan_spinors, "in_psi1.csv at node (3, 4)"),
+    (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 12, 12),
+                             DomainGrid(-1, 1, -1, 1, 12, 12)),
+     "in' is 12x12"),
+    (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 21, 21),
+                             DomainGrid(-1, 1.1, -1, 1, 21, 21)),
+     "at two coordinates"),
     (lambda tmp: ["export", "--run", str(tmp)], "no frame cache"),
     (lambda tmp: _export_cache(tmp, "{"), ""),
     (lambda tmp: _export_cache(tmp, '{"schema": 2}'), "KeyError"),
@@ -538,7 +626,8 @@ def _b64(n_bytes):
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
-        "spinors-missing", "spinors-nan", "export-no-cache",
+        "spinors-missing", "spinors-nan", "spinors-12x12", "spinors-spacing",
+        "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-not-base64", "cache-short-payload", "cache-list-payload",
         "order-0", "order-negative", "order-1", "order-2", "order-8",

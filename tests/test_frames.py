@@ -190,16 +190,3 @@ def test_twisted_parity_of_frames(grid41):
     Fp = integrate_frame(d, lam, base_value=base_p).F
     Fm = integrate_frame(d, -lam, base_value=base_m).F
     assert np.max(np.abs(Fm - SIGMA3 @ Fp @ SIGMA3)) < 1e-8
-
-
-def test_su11_reprojection_helper():
-    from nildual.frames import _reproject_su11
-    rng = np.random.default_rng(5)
-    a = 1.3 + 0.1j
-    b = 0.4 - 0.2j
-    n = np.sqrt(abs(a) ** 2 - abs(b) ** 2)
-    M = np.array([[a, b], [np.conj(b), np.conj(a)]]) / n
-    M += 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    fixed = _reproject_su11(M)
-    assert su11_residual(fixed) < 1e-14
-    assert np.max(np.abs(fixed - M)) < 5e-3  # nearby, not a reset

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nildual.frames import integrate_frame
-from nildual.loops import class_rows
+from nildual.loops import class_rows, su11_residual
 from nildual.nil3 import DomainGrid
 from nildual.potentials import (
     HoloPotential,
@@ -74,25 +74,24 @@ def test_integrate_frame_matches_line_reference(column_first, nx, ny):
     for lam, substeps in ((1.0, 1), (np.exp(1j * np.pi / 3), 2)):
         fr = integrate_frame(d, lam, base_value=base, substeps=substeps,
                              column_first=column_first)
-        F, F_lam, F_lam2, reproj = oracles.reference_integrate_frame(
+        F, F_lam, F_lam2 = oracles.reference_integrate_frame(
             d, lam, base_value=base, substeps=substeps,
             column_first=column_first)
         assert np.array_equal(fr.F, F)
         assert np.array_equal(fr.F_lam, F_lam)
         assert np.array_equal(fr.F_lam2, F_lam2)
-        assert fr.reprojections == reproj
 
 
 @pytest.mark.parametrize("column_first", [True, False])
 @pytest.mark.parametrize("nx, ny", [(17, 15), (8, 6)])
 def test_integrate_frame_alone_is_the_joint_march_slice(column_first, nx, ny):
-    # on the 8x6 grid one substep drifts past DRIFT_TOL, so the reprojection
-    # is compared too
+    # the 8x6 grid drifts off SU(1,1) by more than 1e-6: no node is
+    # repaired, so the slice stays bit-equal there too
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, nx, ny)
     psi1, psi2 = oracles.paraboloid_spinors(grid)
     d = dirac_data(SpinorField(psi1, psi2, grid))
     base = oracles.paraboloid_frame(grid.node_z(*grid.centre))
-    counts = []
+    drifts = []
     for lam in (1.0, np.exp(1j * np.pi / 3)):
         for substeps in (1, 2):
             kw = dict(base_value=base, substeps=substeps,
@@ -102,9 +101,8 @@ def test_integrate_frame_alone_is_the_joint_march_slice(column_first, nx, ny):
             assert alone.F.shape == joint.F.shape
             assert alone.F.tobytes() == joint.F.tobytes()
             assert alone.F_lam is None and alone.F_lam2 is None
-            assert alone.reprojections == joint.reprojections
-            counts.append(joint.reprojections)
-    assert any(counts) == ((nx, ny) == (8, 6))
+            drifts.append(np.max(su11_residual(joint.F)))
+    assert (max(drifts) > 1e-6) == ((nx, ny) == (8, 6))
 
 
 def _convergence_study():

@@ -501,7 +501,7 @@ def test_lambda_rotation_is_exact(name):
     lam0 = np.exp(1j * np.pi / 3)
     xi = spec.potential()
     rotated = HoloPotential({j: c * lam0**j for j, c in xi.terms.items()})
-    runs = [dpw_pipeline(p, grid, z0=spec.z0, lam_samples=[lam],
+    runs = [dpw_pipeline(p, grid, lam_samples=[lam],
                          exclude_disk=spec.exclude_disk)
             for p, lam in ((xi, lam0), (rotated, 1.0))]
     assert np.array_equal(runs[0].ok_mask, runs[1].ok_mask)
@@ -523,7 +523,7 @@ def test_quarter_turn_is_exact(name):
     xi = spec.potential()
     turned = HoloPotential({j: c * 1j ** (np.arange(len(c)) + 1)[:, None, None]
                             for j, c in xi.terms.items()})
-    runs = [dpw_pipeline(p, grid, z0=spec.z0, lam_samples=lams,
+    runs = [dpw_pipeline(p, grid, lam_samples=lams,
                          exclude_disk=spec.exclude_disk) for p in (xi, turned)]
     for m in ("ok_mask", "mask"):
         assert np.array_equal(np.rot90(getattr(runs[0], m)),
@@ -550,7 +550,7 @@ def test_constant_gauge_is_a_rotation_about_e3(name):
     k = np.array([np.exp(1j * theta), np.exp(-1j * theta)])
     gauged = HoloPotential({j: c * k.conj()[:, None] * k
                             for j, c in xi.terms.items()})
-    runs = [dpw_pipeline(p, grid, z0=spec.z0, lam_samples=lams,
+    runs = [dpw_pipeline(p, grid, lam_samples=lams,
                          exclude_disk=spec.exclude_disk) for p in (xi, gauged)]
     for a, b in zip(runs[0].sym, runs[1].sym):
         for sheet in ("f_minus", "f_plus"):
