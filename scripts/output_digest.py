@@ -14,11 +14,12 @@ grid and on spinors of a Phi with positive powers, and whose frames,
 sheets and fields lie on the sub-grid 4 nodes in from each edge; and
 `generate --potential` of the helicoid's potential with a stale
 `"twisted": false` key, on a 41x41 grid, the one command that reads a
-potential file: the reader ignores the key and marches the potential as
+potential file: the reader ignores the key and reads the potential as
 every other; and `generate` (`1,exp:pi/3`) and
 `verify` (`1`) of the paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose
-axes have no node at z0 = 0, so that the march hops to its nearest node
-and every line's two halves differ in length; and the same four
+axes have no node at z = 0, where Phi = I, and whose even side gives the
+cross-pipeline frame march of `verify` halves of unequal length; and the
+same four
 `--spinors` commands from that run's lam0 CSVs, whose 30x41 grid has an
 even side, so that the frame march from the grid's centre node has halves
 of unequal length; and `dual` and `sweep` of smyth-2 on the grid
@@ -46,18 +47,29 @@ checkout is digested by running this file from inside it.
 Usage:
   python scripts/output_digest.py OUT > digest.json
   python scripts/output_digest.py --compare A.json B.json
+  python scripts/output_digest.py --numbers A_OUT B_OUT
 
 `--compare` lists every path (and exit code) whose digest differs between
 two digest files, or that only one of them has; a report row that changed
 prints as base -> head max, each with its headroom max/tolerance.
+`--numbers` reads two output directories the command set wrote and prints,
+for each CSV, OBJ or JSON file whose bytes differ, how far its numbers
+moved: the largest difference relative to the largest finite |number| of
+A's file, or "structure differs" when the files differ elsewhere (a
+frame cache's base64 payloads count as their complex128 values, and a
+JSON string that parses as a number as that number).  It gates nothing.
 """
+import base64
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 EXAMPLES = ("paraboloid", "smyth-2", "helicoid")
 LAMBDAS = ("--lambda", "1,exp:pi/3", "--allow-reflection")
@@ -127,8 +139,8 @@ def run_commands(out, env):
     nildual("generate", "--potential", "potentials/helicoid_untwisted.json",
             "--grid=-0.5,0.5,-0.5,0.5,41,41", *FLAGS)
 
-    # z0 = 0 off both grid axes, and unequal halves on every line; a
-    # directory of their own keeps cache_dir's glob to one match
+    # z = 0 off both grid axes, and an even side; a directory of their own
+    # keeps cache_dir's glob to one match
     for command, lams in (("generate", "1,exp:pi/3"), ("verify", "1")):
         nildual(command, "--example", "paraboloid", f"--grid={OFF_CENTRE}",
                 "--lambda", lams, "--out", "off_centre")
@@ -178,9 +190,100 @@ def compare(a_path, b_path):
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ")
 
 
+def _text_numbers(text):
+    """The numbers of a CSV or OBJ text, and its other tokens."""
+    numbers, rest = [], []
+    for token in re.split(r"([,\s]+)", text):
+        try:
+            numbers.append(float(token))
+            rest.append(None)
+        except ValueError:
+            rest.append(token)
+    return numbers, rest
+
+
+def _json_numbers(value, numbers, rest):
+    """Append the numbers of a JSON value to `numbers` and everything else
+    to `rest`.  A string is a number when it parses as one, and the values
+    of a frame-cache payload when it is base64 of a whole number of
+    complex128 values."""
+    if isinstance(value, dict):
+        rest.append(sorted(value))
+        for k in sorted(value):
+            _json_numbers(value[k], numbers, rest)
+    elif isinstance(value, list):
+        rest.append(len(value))
+        for v in value:
+            _json_numbers(v, numbers, rest)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(value)
+    elif isinstance(value, str):
+        try:
+            numbers.append(float(value))
+            return
+        except ValueError:
+            pass
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError:
+            raw = b""
+        if raw and len(raw) % 16 == 0:
+            values = np.frombuffer(raw, dtype="<c16")
+            numbers.extend(values)
+            rest.append(len(values))
+        else:
+            rest.append(value)
+    else:
+        rest.append(value)
+
+
+def _file_numbers(path):
+    if path.suffix == ".json":
+        numbers, rest = [], []
+        _json_numbers(json.loads(path.read_text()), numbers, rest)
+        return numbers, rest
+    return _text_numbers(path.read_text())
+
+
+def numbers(a_dir, b_dir):
+    """For each CSV, OBJ or JSON file under both output directories whose
+    bytes differ: the largest difference of its numbers relative to the
+    largest finite |number| of A's file, or "structure differs" when the
+    files differ elsewhere than in their numbers."""
+    a_dir, b_dir = Path(a_dir), Path(b_dir)
+    paths = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*")
+                   if p.suffix in (".csv", ".obj", ".json"))
+    for rel in paths:
+        a, b = a_dir / rel, b_dir / rel
+        if not b.is_file():
+            print(f"only in {a_dir}: {rel.as_posix()}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        (na, ra), (nb, rb) = _file_numbers(a), _file_numbers(b)
+        if ra != rb or len(na) != len(nb):
+            print(f"{rel.as_posix()}: structure differs")
+            continue
+        na, nb = np.asarray(na, dtype=complex), np.asarray(nb, dtype=complex)
+        same = (na == nb) | (np.isnan(na) & np.isnan(nb))
+        with np.errstate(invalid="ignore"):
+            diff = np.where(same, 0.0, np.abs(na - nb))
+        finite = np.abs(na[np.isfinite(na)])
+        scale = finite.max() if finite.size and finite.max() > 0 else 1.0
+        diff = np.where(np.isnan(diff), np.inf, diff)
+        print(f"{rel.as_posix()}: {np.max(diff, initial=0.0) / scale:.3g}")
+    for p in sorted(b_dir.rglob("*")):
+        rel = p.relative_to(b_dir)
+        if p.suffix in (".csv", ".obj", ".json") and not (a_dir / rel).exists():
+            print(f"only in {b_dir}: {rel.as_posix()}")
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--compare":
         compare(argv[1], argv[2])
+        return 0
+    if len(argv) == 3 and argv[0] == "--numbers":
+        numbers(argv[1], argv[2])
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)

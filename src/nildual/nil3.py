@@ -239,7 +239,7 @@ def xi_nil_with_residual(v):
 
 # Grid marches: one RK4 line marcher, the stages of node-sampled fields
 # (cubic Lagrange between nodes), and one routine that fills a grid from a
-# base node by half-lines, for the potential and the frame alike.
+# base node by half-lines: the frame's march.
 
 def _lagrange_weights(offsets, t):
     w = np.ones(len(offsets))

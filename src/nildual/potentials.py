@@ -4,20 +4,19 @@ the frame (with exact parameter derivatives) to the surface formulas.
 
 Every potential, and every loop multiplied or inverted here, is twisted;
 the grading and the exact check of a tag are stated in `loops`.  A
-potential must be finite.  The integration starts at z0, where Phi = I, and
-marches outward by half-lines, the lines batched on the state's last axis.
-It marches only the entries of Phi that the grading allows (one per power
-and column) and only the powers up to 0 when xi has no positive power; Phi
-is returned on the powers marched, so the factorization of such a
-minus-loop multiplies none of the exact zeros above them.
+potential must be finite.  Phi(0) = I, and Phi is summed from its Taylor
+series in z (`integrate_potential`) on the entries the grading allows (one
+per power and column), and on the powers up to 0 alone when xi has no
+positive power; Phi is returned on those powers, so the factorization of
+such a minus-loop multiplies none of the exact zeros above them.
 
-The truncation order of a run, `order`, is a cap.  Phi is marched at the
+The truncation order of a run, `order`, is a cap.  Phi is computed at the
 cap, then trimmed to the lowest order n whose tail, the largest entry of
 Phi_{-n} (and of Phi_{+n} when xi has positive powers) relative to Phi_0's,
 is at most TAIL_MAX, and so is every tail above n (`trim_to_tail`).  A cap
 whose own tail is above TAIL_MAX is too low for the domain: ConfigError.
 The factorization, the gauge, the frame loop and the splitting residuals
-run at n; a minus-loop trimmed to n is bit-equal to its march at n.
+run at n; a minus-loop trimmed to n is bit-equal to Phi computed at n.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
 (sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
@@ -37,7 +36,7 @@ bounds the memory the systems take and changes no bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .loops import (
     mm2,
     plus_loop_inverse,
 )
-from .nil3 import DomainGrid, march_grid, rk4_march, stencil_valid
+from .nil3 import DomainGrid, stencil_valid
 from .sym import sym_sheets
 
 # left gauge applied to pipeline frames: a fixed rotation about e3 that
@@ -99,7 +98,8 @@ class HoloPotential:
         return sorted(self.terms)
 
     def eval_grid(self, zz, power):
-        """One coefficient matrix evaluated on a complex grid."""
+        """One coefficient matrix evaluated on a complex grid, as entry
+        planes (2, 2, *zz.shape)."""
         return _horner(self.terms[power], zz)
 
     def to_json(self):
@@ -133,10 +133,13 @@ class HoloPotential:
 
 
 def _horner(c, zz):
-    """sum_k c[k] z^k on a complex grid; c[k] may hold any entry layout."""
-    acc = np.zeros(zz.shape + c.shape[1:], dtype=complex)
+    """sum_k c[k] z^k on a complex grid, shape c.shape[1:] + zz.shape (the
+    grid axes last), summed in place and elementwise; c[k] may hold any
+    entry layout."""
+    acc = np.zeros(c.shape[1:] + zz.shape, dtype=complex)
     for k in range(c.shape[0] - 1, -1, -1):
-        acc = acc * zz[(...,) + (None,) * (c.ndim - 1)] + c[k]
+        np.multiply(acc, zz, out=acc)
+        acc += c[k][(...,) + (None,) * zz.ndim]
     return acc
 
 
@@ -214,94 +217,81 @@ def builtin_example(name):
 BUILTIN_NAMES = ("paraboloid", "helicoid", "smyth-1", "smyth-2")
 
 
-def _mul_into_window(v, x_at_z):
-    """(Phi xi)(lam) truncated to the state's window, per line.
+def _series_degree(xi, q, radius, cap):
+    """The degree, at most `cap`, at which Phi's Taylor series is cut on
+    |z| <= R = radius.
 
-    v holds Phi's allowed entries, one per power and column, in the
-    entry-plane layout of `loops._planes`, shape (P, 2, lines); x_at_z maps
-    power s -> xi_s's allowed entries, shape (2, lines).  Column t of xi_s
-    takes Phi's column (t + s) % 2: one product per power, the state's
-    columns reversed for odd s.
+    With c_i the spectral norms of xi's z^i coefficients summed over the
+    powers of lam (a twisted coefficient is diagonal or off-diagonal, so
+    its norm is its largest |entry|), exp(int_0^r sum_i c_i s^i ds)
+    majorizes Phi: |A_n| R^n
+    <= t_n, its terms at r = R, where t_0 = 1 and (n + 1) t_{n+1} =
+    sum_i b_i t_{n-i}, b_i = c_i R^{i+1}.  Once n + 1 >= 2 sum_i b_i, each
+    later term is at most half the largest of the q + 1 before it, so the
+    remainder past n is at most (q + 1) max(t_{n-q}, .., t_n): the degree
+    is the first such n where that is at most 2^-53.  A majorant beyond the
+    float range gives `cap`, or ConfigError when there is none.
     """
-    P = v.shape[0]
-    out = np.zeros_like(v)
-    for s, x in x_at_z.items():
-        prod = (v[:, ::-1] if s % 2 else v) * x
-        if s == 0:
-            out += prod
-        elif s > 0:
-            out[s:] += prod[:P - s]
-        else:
-            out[:s] += prod[-s:]
-    return out
+    c = np.zeros(q + 1)
+    for terms in xi.terms.values():
+        c[:len(terms)] += np.max(np.abs(terms), axis=(1, 2))
+    b = c * radius ** np.arange(1, q + 2)
+    if not np.sum(b / np.arange(1, q + 2)) < np.log(np.finfo(float).max):
+        if np.isfinite(cap):
+            return cap
+        raise ConfigError(f"the potential's Taylor majorant overflows on "
+                          f"|z| <= {radius:.3g}: shrink the grid")
+    t, n = [1.0], 0
+    while n < cap and not (n + 1 >= 2 * b.sum()
+                           and (q + 1) * max(t[-q - 1:]) <= 2.0 ** -53):
+        t.append(sum(b[i] * t[n - i] for i in range(min(n, q) + 1)) / (n + 1))
+        n += 1
+    return n
 
 
-def _sweep(terms, v0, z_start, dz, steps, substeps):
-    """RK4 along the segments z_start + k*dz, one line per start point on
-    the state's last axis; dz is one step or one per line.
+def integrate_potential(xi, grid, order=DEFAULT_ORDER):
+    """Solve dPhi = Phi xi dz, Phi(0) = I, over the grid by Phi's Taylor
+    series in z, cut at the degree `_series_degree` gives for the grid's
+    largest |z|.
 
-    `terms` maps power -> xi's allowed entries, as in `_mul_into_window`.
-    Yields the states at nodes 1..steps.
-    """
-    h = 1.0 / substeps
-
-    @lru_cache(maxsize=1)
-    def step_table(k):
-        # xi at the stage points i h / 2 of node step k, ends shared
-        zk = z_start + k * dz
-        zs = np.stack([zk + dz * (i / 2 * h) for i in range(2 * substeps + 1)])
-        table = {j: np.ascontiguousarray(np.moveaxis(_horner(c, zs), 1, -1))
-                 for j, c in terms.items()}
-        return [{j: v[i] for j, v in table.items()} for i in range(len(zs))]
-
-    stages = lambda k, s: step_table(k)[2 * s:2 * s + 3]
-
-    return rk4_march(v0, [h * np.asarray(dz)] * steps, substeps, stages,
-                     _mul_into_window)
-
-
-def integrate_potential(xi, grid, z0=0j, order=DEFAULT_ORDER, substeps=8,
-                        column_first=True):
-    """Solve dPhi = Phi xi dz, Phi(z0) = I, over the grid.
-
-    The connection is holomorphic (dz only), so the result is path
-    independent; `column_first` selects the sweep used, and the two-path
-    agreement is a separate check.  Phi starts at the node nearest z0 (one
-    hop from z0, of steps no longer than the grid spacing, when z0 is not a
-    node).  `nil3.march_grid` fills the grid from that node by half-lines,
-    on Phi's allowed entries (module docstring) with the lines on the
-    state's last axis.
-    Returns a batched MatrixLoop over the grid nodes on the powers marched:
-    -N..0 (power 0 exactly I) when xi has no positive power, -N..N
+    With X_i = sum_j xi_{j,i} lam^j, xi's z^i coefficient, A_0 = I and
+    (n + 1) A_{n+1} = sum_i A_{n-i} X_i: each product by `loops.mm2` on
+    entry planes, windowed to Phi's powers, summed in order of i, then j.
+    For xi on the power -1 alone, of degree q in z, Phi_{-k} is a
+    polynomial of degree at most k (q + 1): the cut is at most N (q + 1),
+    past which every coefficient is exactly zero.  The series is summed by
+    Horner in z elementwise on Phi's allowed entries (module docstring), so
+    a node's bits depend on that node alone.  Returns a batched MatrixLoop
+    over the grid nodes on Phi's powers: -N..0 when xi has no positive
+    power (power 0 exactly I when xi is on the power -1 alone), -N..N
     otherwise.
     """
     N = order
     powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
-    terms = {j: c[:, class_rows(1, [j])[0, 0], [0, 1]]
-             for j, c in xi.terms.items()}
-    v = np.zeros((len(powers), 2, 1), dtype=complex)
-    v[N] = 1.0   # the identity: power 0's diagonal is allowed
-
-    i0 = int(np.clip(np.rint((z0.imag - grid.y0) / grid.hy), 0, grid.ny - 1))
-    j0 = int(np.clip(np.rint((z0.real - grid.x0) / grid.hx), 0, grid.nx - 1))
-    base = grid.node_z(i0, j0)
-    if base != z0:
-        steps = max(1, int(np.ceil(abs(base - z0) / min(grid.hx, grid.hy))))
-        *_, v = _sweep(terms, v, np.array([z0]), (base - z0) / steps, steps,
-                       substeps)
-
-    def march(v, axis, lines, c, d, steps):
-        z = grid.zz[c, lines] if axis == 0 else grid.zz[lines, c]
-        dz = d * (1j * grid.hy if axis == 0 else grid.hx)
-        return _sweep(terms, v, z, dz, steps, substeps)
-
-    out = np.empty(v.shape[:2] + grid.shape, dtype=complex)
-    out[..., i0, j0] = v[..., 0]
-    march_grid(out, (i0, j0), column_first, march)
-
-    dense = np.zeros(grid.shape + (len(powers), 2, 2), dtype=complex)
-    dense[..., np.arange(len(powers))[:, None], class_rows(1, powers)[0],
-          [0, 1]] = np.moveaxis(out, (-2, -1), (0, 1))
+    P = len(powers)
+    q = max(len(c) for c in xi.terms.values()) - 1
+    cap = N * (q + 1) if xi.powers == [-1] else np.inf
+    D = _series_degree(xi, q, float(np.max(np.abs(grid.zz))), cap)
+    # the recursion on entry planes (2, 2, P); xi_{j,i} is one 2x2 plane
+    A = np.zeros((D + 1, 2, 2, P), dtype=complex)
+    A[0, [0, 1], [0, 1], N] = 1.0
+    for n in range(D):
+        acc = A[n + 1]
+        for i in range(min(n, q) + 1):
+            for j in xi.powers:
+                c = xi.terms[j]
+                if i < len(c) and j < P:
+                    # A_{n-i} at power p lands on p + j, inside the window
+                    lo, hi = max(-j, 0), P - max(j, 0)
+                    acc[..., lo + j:hi + j] += mm2(A[n - i, ..., lo:hi],
+                                                   c[i, :, :, None])
+        acc /= n + 1
+    # the allowed entries, one per power and column, summed at the nodes
+    rows = class_rows(1, powers)[0]
+    dense = np.zeros(grid.shape + (P, 2, 2), dtype=complex)
+    dense[..., np.arange(P)[:, None], rows, [0, 1]] = np.moveaxis(
+        _horner(A[:, rows, [0, 1], np.arange(P)[:, None]], grid.zz),
+        (-2, -1), (0, 1))
     return MatrixLoop(dense, -N)
 
 
@@ -316,7 +306,7 @@ def trim_to_tail(phi):
     it, is at most TAIL_MAX; a tail above it at Phi's own order raises
     ConfigError.  A Phi with no finite node is returned whole, tail nan.
     Phi_{-k} of a minus-loop depends on Phi_{-k+1}..Phi_0 alone, so its
-    trimmed loop is bit-equal to the loop marched at order n.
+    trimmed loop is bit-equal to Phi computed at order n.
     """
     N = phi.order
     c = phi.coeffs.reshape((-1,) + phi.coeffs.shape[-3:])
@@ -577,7 +567,7 @@ class PipelineResult:
     ok_mask: np.ndarray        # big-cell failures only (extraction domain)
     self_dual: bool            # run the self-duality checks in verify
     order: int                 # truncation order factorized, `trim_to_tail`
-    order_cap: int             # the order Phi was marched at
+    order_cap: int             # the order Phi was computed at
     tail: float                # Phi's relative tail at `order`
 
 
@@ -597,7 +587,7 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     Dirac-potential slot -e^{w/2} with e^{w/2} in i R_+).
     """
     b0 = np.moveaxis(Bp.coeff(0), (-2, -1), (0, 1))
-    xi_m1 = np.moveaxis(xi.eval_grid(grid.zz, -1), (-2, -1), (0, 1))
+    xi_m1 = xi.eval_grid(grid.zz, -1)
     slot = mm2(mm2(b0, xi_m1), inv2(b0))[0, 1]
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
@@ -614,7 +604,7 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
                  exclude_disk=None, self_dual=False):
     """Potential -> loops -> factorization -> both surfaces per parameter.
 
-    Phi(0) = I; Phi is marched at `order`, the cap, and factorized at the
+    Phi(0) = I; Phi is computed at `order`, the cap, and factorized at the
     order `trim_to_tail` reads off its tail."""
     lam_samples = [complex(l) for l in lam_samples]
     for lam in lam_samples:

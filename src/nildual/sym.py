@@ -171,7 +171,10 @@ def mc_equivalent(f, g, allow_reflection=False):
 
     The rotation angle is fitted at one node from phi1 + i phi2 and then
     verified globally; no averaging, so failures are sharp.  Returns the
-    best MotionFit over the allowed candidates.
+    first candidate, in the fixed order of the loops below, whose residual
+    is within MOTION_TOL, so round-off cannot pick among congruences that
+    all fit; when none is, the one of smallest residual.  theta is in
+    (-pi, pi]: within MOTION_TOL of -pi it reads pi, and -0.0 reads 0.0.
     """
     if f.grid != g.grid:
         raise ValueError("surfaces must share a grid")
@@ -209,6 +212,9 @@ def mc_equivalent(f, g, allow_reflection=False):
                              np.abs(pg[..., 2] - pr[..., 2]))
             r = float(np.max(res[live], initial=0.0)) / scale
             if r < best.residual:
-                best = MotionFit(r <= MOTION_TOL, kind + vname,
-                                 float(np.angle(phase)), r)
+                theta = float(np.angle(phase))
+                theta = np.pi if theta <= MOTION_TOL - np.pi else theta + 0.0
+                best = MotionFit(r <= MOTION_TOL, kind + vname, theta, r)
+                if best.equivalent:
+                    return best
     return best

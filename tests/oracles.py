@@ -7,9 +7,12 @@ from those formulas and is frozen for comparison against the numerics.
 tests use to move surfaces by left translations.
 
 The path integrators at the end march one grid line at a time, one node's
-matrices per step.  They are the reference the batched integrators in
-nildual must reproduce bit for bit: same stage points, same products, same
-summation order.  The branch continuation chooses one square root at a
+matrices per step.  The frame's is the reference the batched frame march
+in nildual must reproduce bit for bit: same stage points, same products,
+same summation order.  The potential's is the classical RK4 march that
+nildual's Taylor series of Phi is held to at two step sizes, beside
+`exact_minus_loop_phi`, Phi in exact rational arithmetic, and the binomial
+shift of a potential that moves the series' centre.  The branch continuation chooses one square root at a
 time along the sweep, the reference of the vectorised one in nildual.  The
 file writers write one row at a time, or the field CSV's rows all at once
 from one stacked table; the writers in nildual must reproduce their bytes.
@@ -17,13 +20,15 @@ from one stacked table; the writers in nildual must reproduce their bytes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from nildual.frames import _connection_parts
 from nildual.loops import MatrixLoop
-from nildual.nil3 import _lagrange_weights
+from nildual.nil3 import DomainGrid, _lagrange_weights
+from nildual.potentials import integrate_potential
 
 SQRT_I = np.exp(1j * np.pi / 4)
 
@@ -168,9 +173,9 @@ def _march_potential(phi0, xi, z_start, dz, steps, substeps, N):
 
 def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
                                   column_first=True):
-    """integrate_potential marching one half-line at a time: the hop from
-    z0 to its nearest node, that node's column (row) up and down, then each
-    row (column) right and left from it."""
+    """Phi, Phi(z0) = I, by the classical RK4 march one half-line at a
+    time: the hop from z0 to its nearest node, that node's column (row) up
+    and down, then each row (column) right and left from it."""
     N = order
     P = 2 * N + 1
     phi0 = np.zeros((P, 2, 2), dtype=complex)
@@ -207,6 +212,101 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
                                   i0, grid.ny)
 
     return MatrixLoop(out, -N)
+
+
+def shifted_potential(xi, z1):
+    """The potential w -> xi(w + z1): each term's coefficients re-expanded
+    about z1 by the binomial theorem, sum_k c_k (w + z1)^k =
+    sum_m (sum_{k >= m} C(k, m) z1^(k - m) c_k) w^m."""
+    terms = {}
+    for j, c in xi.terms.items():
+        out = np.zeros_like(c)
+        for k in range(len(c)):
+            for m in range(k + 1):
+                out[m] += math.comb(k, m) * z1 ** (k - m) * c[k]
+        terms[j] = out
+    return type(xi)(terms)
+
+
+def shifted_grid(grid, z1):
+    """The grid's nodes moved by -z1."""
+    return DomainGrid(grid.x0 - z1.real, grid.x1 - z1.real,
+                      grid.y0 - z1.imag, grid.y1 - z1.imag, grid.nx, grid.ny)
+
+
+def recentred_phi(xi, grid, z1, order=12):
+    """Phi on the grid's nodes expanded about z1 instead of 0, as a
+    function of lam: Phi(z1) Phi~(z - z1), where Phi~ is the series of
+    xi(. + z1) and Phi(z1) is read off a 5x5 grid whose first node is z1."""
+    near = DomainGrid(z1.real, z1.real + 0.04, z1.imag, z1.imag + 0.04, 5, 5)
+    at_z1 = integrate_potential(xi, near, order=order).at_node((0, 0))
+    tilde = integrate_potential(shifted_potential(xi, z1),
+                                shifted_grid(grid, z1), order=order)
+    return lambda lam: at_z1.eval(lam) @ tilde.eval(lam)
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def exact_minus_loop_phi(xi, grid, order):
+    """Phi of a potential xi = X(z) lam^-1 on the grid's nodes, on the
+    powers -order..0, in exact rational arithmetic.
+
+    Phi_0 = I and Phi_{-k}(z) = int_0^z Phi_{-k+1}(w) X(w) dw.  Every entry
+    is a polynomial in z whose coefficients are complex rationals, pairs
+    of Fractions made exactly from xi's floats; each is integrated term by
+    term and evaluated exactly at the nodes' float coordinates, then
+    rounded once.  Returns (ny, nx, order + 1, 2, 2).
+    """
+    assert sorted(xi.terms) == [-1]
+    zero = (Fraction(0), Fraction(0))
+    X = [[[(Fraction(v.real), Fraction(v.imag)) for v in xi.terms[-1][:, r, s]]
+          for s in range(2)] for r in range(2)]
+    # powers[k][r][s]: the coefficients of Phi_{-k}[r, s], lowest first
+    one = [(Fraction(1), Fraction(0))]
+    powers = [[[one, []], [[], one]]]
+    for _ in range(order):
+        prev, nxt = powers[-1], [[[], []], [[], []]]
+        for r in range(2):
+            for s in range(2):
+                prod = []
+                for u in range(2):
+                    for a, pa in enumerate(prev[r][u]):
+                        for b, xb in enumerate(X[u][s]):
+                            while len(prod) <= a + b:
+                                prod.append(zero)
+                            ab = _cmul(pa, xb)
+                            prod[a + b] = (prod[a + b][0] + ab[0],
+                                           prod[a + b][1] + ab[1])
+                nxt[r][s] = [zero] + [(p[0] / (d + 1), p[1] / (d + 1))
+                                      for d, p in enumerate(prod)]
+        powers.append(nxt)
+    # each polynomial over one common denominator L, then evaluated at
+    # z = (X + iY) / Q in integers: sum_d a_d (X + iY)^d Q^(D - d) / (L Q^D)
+    out = np.zeros(grid.shape + (order + 1, 2, 2), dtype=complex)
+    for k, entries in enumerate(powers):
+        for r in range(2):
+            for s in range(2):
+                poly = entries[r][s]
+                if not poly:
+                    continue
+                L = math.lcm(*(part.denominator for a in poly for part in a))
+                ints = [(int(a[0] * L), int(a[1] * L)) for a in poly]
+                for (i, j), z in np.ndenumerate(grid.zz):
+                    x, y = Fraction(z.real), Fraction(z.imag)
+                    Q = math.lcm(x.denominator, y.denominator)
+                    Z, scale = (int(x * Q), int(y * Q)), 1
+                    acc = ints[-1]
+                    for a in reversed(ints[:-1]):
+                        scale *= Q
+                        acc = _cmul(acc, Z)
+                        acc = (acc[0] + a[0] * scale, acc[1] + a[1] * scale)
+                    den = L * scale
+                    out[i, j, order - k, r, s] = complex(
+                        float(Fraction(acc[0], den)),
+                        float(Fraction(acc[1], den)))
+    return out
 
 
 def _mat2(a, b):

@@ -623,6 +623,10 @@ def _b64(n_bytes):
     (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, -1e300],
                                              2: [0.0, -1e300]}),
      "every node"),
+    # finite, but Phi's tail at the cap is far above TAIL_MAX: once exported
+    # as a surface collapsed onto the origin
+    (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, 1e10], 2: [0.0, 1e10]}),
+     "Phi's tail at the truncation cap 12 is 1.336e+113"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
@@ -635,7 +639,7 @@ def _b64(n_bytes):
         "exclude-disk-everything", "export-format",
         "potential-nan-forbidden", "potential-nan-allowed",
         "potential-forbidden-untwisted-flag", "potential-forbidden-no-flag",
-        "potential-overflow"])
+        "potential-overflow", "potential-1e10i"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

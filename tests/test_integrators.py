@@ -1,7 +1,9 @@
-"""The batched path integrators against their one-line-at-a-time
-references in tests/oracles.py: equal bits, and the 4th-order
-convergence the stage scheme promises."""
+"""The path integrators against their references in tests/oracles.py:
+Phi's series against the exact rational Phi and the RK4 line march, the
+batched frame march bit for bit against its one-line-at-a-time
+reference, and the 4th-order convergence the stage scheme promises."""
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,24 +17,24 @@ from nildual.potentials import (
     helicoid_potential,
     integrate_potential,
     paraboloid_potential,
+    smyth_potential,
 )
 from nildual.spinors import SpinorField, dirac_data
 
 from . import oracles
 
 GRID = DomainGrid(-0.6, 0.4, -0.5, 0.5, 13, 11)
-# odd and centred on 0, as every built-in grid: both halves of each line
-# have the same length and are marched as one batch
+# odd and centred on 0, as every built-in grid
 CENTRED = DomainGrid(-0.5, 0.5, -0.4, 0.4, 11, 9)
 
 
-def polynomial_potential():
-    """Random quadratic entries on the powers -1, 0, 1, the entries the
-    twisted grading forbids zeroed, at the built-in potentials' scale
-    (entries about 1/4)."""
-    rng = np.random.default_rng(7)
+def polynomial_potential(powers=(-1, 0, 1), seed=7):
+    """Random quadratic entries on `powers`, the entries the twisted
+    grading forbids zeroed, at the built-in potentials' scale (entries
+    about 1/4)."""
+    rng = np.random.default_rng(seed)
     terms = {}
-    for j in (-1, 0, 1):
+    for j in powers:
         c = 0.25 * (rng.normal(size=(3, 2, 2))
                     + 1j * rng.normal(size=(3, 2, 2)))
         c[:, class_rows(2, [j])[1, 0], [0, 1]] = 0.0
@@ -50,16 +52,39 @@ def polynomial_potential():
     pytest.param(0.3 - 0.2j, CENTRED, id="(0.3-0.2j)-centred")])
 def test_integrate_potential_matches_line_reference(make_xi, column_first, z0,
                                                     grid):
+    # Phi from z0 is the series of xi(. + z0) on the grid shifted by -z0.
+    # The RK4 line reference on both of its paths, at 3 and 6 substeps:
+    # the series is closer to the finer march than the two marches are to
+    # each other
+    xi = oracles.shifted_potential(make_xi(), z0)
+    grid = oracles.shifted_grid(grid, z0)
+    got = integrate_potential(xi, grid, order=6)
+    ref3, ref6 = (oracles.reference_integrate_potential(
+        xi, grid, order=6, substeps=s, column_first=column_first)
+        for s in (3, 6))
+    # Phi is returned on its own powers; the reference's dense loop holds
+    # exact zeros above them
+    kept = got.high - ref6.low + 1
+    assert got.low == ref6.low
+    assert not ref6.coeffs[..., kept:, :, :].any()
+    step = np.max(np.abs(ref3.coeffs - ref6.coeffs))
+    assert np.max(np.abs(got.coeffs - ref6.coeffs[..., :kept, :, :])) <= step
+
+
+@pytest.mark.parametrize("make_xi, grid", [
+    (paraboloid_potential, DomainGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)),
+    (partial(smyth_potential, 2), DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)),
+    (partial(polynomial_potential, (-1,), 11),
+     DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9))],
+    ids=["paraboloid", "smyth-2", "quadratic"])
+def test_integrate_potential_matches_exact_phi(make_xi, grid):
+    # the exact rational Phi of a minus-loop potential at the default order;
+    # an RK4 march at 8 substeps misses it by 1e-11 to 4e-10
     xi = make_xi()
-    kw = dict(z0=z0, order=6, substeps=3, column_first=column_first)
-    got = integrate_potential(xi, grid, **kw)
-    ref = oracles.reference_integrate_potential(xi, grid, **kw)
-    # Phi is returned on the powers it is marched on; the reference's dense
-    # loop holds exact zeros above them
-    kept = got.high - ref.low + 1
-    assert got.low == ref.low
-    assert np.array_equal(got.coeffs, ref.coeffs[..., :kept, :, :])
-    assert not ref.coeffs[..., kept:, :, :].any()
+    phi = integrate_potential(xi, grid)
+    exact = oracles.exact_minus_loop_phi(xi, grid, phi.order)
+    scale = np.max(np.abs(exact[..., -1, :, :]))
+    assert np.max(np.abs(phi.coeffs - exact)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("column_first", [True, False])

@@ -118,7 +118,7 @@ def test_integrate_potential_closed_form(grid21, pb_phi):
 
 
 def test_integrate_potential_init_node(grid21, pb_phi):
-    # z0 = 0 is the centre node, where the march starts: the loop there is
+    # z = 0 is the centre node: the series there sums to
     # exactly the identity
     node = pb_phi.at_node((grid21.ny // 2, grid21.nx // 2))
     assert np.array_equal(node.coeff(0), np.eye(2))
@@ -126,11 +126,14 @@ def test_integrate_potential_init_node(grid21, pb_phi):
     assert np.array_equal(node.eval(1.0), np.eye(2))
 
 
-def test_integrate_potential_two_paths(grid21):
-    a = integrate_potential(paraboloid_potential(), grid21, column_first=True)
-    b = integrate_potential(paraboloid_potential(), grid21, column_first=False)
+def test_integrate_potential_expansion_centre(grid21):
+    # Phi expanded about z1 instead of 0 is Phi(z1) Phi~(z - z1), Phi~ the
+    # series of xi(. + z1)
+    xi = paraboloid_potential()
+    a = integrate_potential(xi, grid21)
+    b = oracles.recentred_phi(xi, grid21, 0.3 - 0.2j)
     lam = np.exp(1j * np.pi / 3)
-    assert np.max(np.abs(a.eval(lam) - b.eval(lam))) < 1e-10
+    assert np.max(np.abs(a.eval(lam) - b(lam))) < 1e-10
 
 
 def test_integrate_helicoid_against_expm(grid21):
@@ -408,13 +411,13 @@ def twisted_potentials(draw, powers):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
-    # Phi of a minus-loop potential is marched and factorized on -N..0; the
+    # Phi of a minus-loop potential is computed and factorized on -N..0; the
     # splitting of it zero-padded to -N..N is the same, bit for bit, and its
     # B+ holds exact zeros above power N
     xi = data.draw(twisted_potentials(powers))
     N = 12
     grid = DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)
-    phi = integrate_potential(xi, grid, order=N, substeps=2)
+    phi = integrate_potential(xi, grid, order=N)
     minus = max(powers) <= 0
     assert (phi.low, phi.high) == (-N, 0 if minus else N)
     if minus:
@@ -515,7 +518,7 @@ def test_lambda_rotation_is_exact(name):
 def test_quarter_turn_is_exact(name):
     # xi'(z) = i xi(iz) gives Phi'(z) = Phi(iz): on a centred square grid
     # its sheets are xi's with the node indices turned by a quarter; the
-    # march from z0 = 0 keeps the turn to round-off
+    # series about z = 0 keeps the turn to round-off
     spec = builtin_example(name)
     g = spec.grid
     grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 21, 21)
@@ -566,7 +569,7 @@ def test_truncation_order_controls_reconstruction(grid21):
     xi = paraboloid_potential()
     residuals = []
     for order in (4, 8, 12):
-        phi = integrate_potential(xi, grid21, order=order, substeps=4)
+        phi = integrate_potential(xi, grid21, order=order)
         F, Bp, _ = iwasawa(phi)
         recon, _ = iwasawa_residuals(phi, F, Bp)
         residuals.append(recon)
@@ -575,7 +578,7 @@ def test_truncation_order_controls_reconstruction(grid21):
 
 def test_trim_is_the_march_at_the_order_of_the_tail():
     """smyth-2's 101x101 verify grid needs 9 of the default 12 powers, and
-    its trimmed Phi is the march at order 9: a minus-loop's power -k
+    its trimmed Phi is Phi computed at order 9: a minus-loop's power -k
     depends on the powers -k+1..0 alone."""
     spec = builtin_example("smyth-2")
     xi, g = spec.potential(), spec.verify_grid
@@ -611,6 +614,13 @@ def test_trim_reads_finite_nodes_and_both_sides(grid21):
     with pytest.raises(ConfigError, match="tail at the truncation cap 3"):
         trim_to_tail(integrate_potential(helicoid_potential(), grid21,
                                          order=3))
+
+
+def test_series_refuses_a_majorant_beyond_the_float_range(grid21):
+    # a potential with powers >= 0 has no cap on its series' degree: one
+    # whose majorant exp(int_0^R m) overflows is refused, not summed
+    with pytest.raises(ConfigError, match="Taylor majorant overflows"):
+        integrate_potential(helicoid_potential(1e3), grid21)
 
 
 def test_helicoid_big_cell_everywhere(grid21):

@@ -164,6 +164,30 @@ def test_mc_equivalent_self_duality_needs_reflection(grid41):
     assert fit.residual < 1e-9
 
 
+def test_mc_equivalent_reports_a_fit_round_off_cannot_flip(grid41):
+    # the paraboloid's dual sheet fits it by a reflection, and by a
+    # reflection after z -> -z; its half turn about e3 by a rotation, and by
+    # a reflection after z -> -z: each pair at round-off.  Seeded 1e-14
+    # relative noise on one sheet must not change which is reported, nor
+    # theta's side of -pi, pi or 0
+    f = SurfaceGrid(paraboloid_surface(grid41), grid41)
+    x = paraboloid_surface(grid41)
+    rng = np.random.default_rng(5)
+    for sheet, kind, theta in (
+            (paraboloid_dual_surface(grid41), "reflection", 0.0),
+            (x * [-1.0, -1.0, 1.0], "rotation", np.pi)):
+        for _ in range(8):
+            noisy = sheet * (1 + 1e-14 * rng.normal(size=sheet.shape))
+            fit = mc_equivalent(f, SurfaceGrid(noisy, grid41),
+                                allow_reflection=True)
+            assert fit.equivalent and fit.kind == kind
+            assert -np.pi < fit.theta <= np.pi
+            assert abs(fit.theta - theta) < 1e-9
+    fit = mc_equivalent(f, f)
+    assert fit.kind == "rotation" and fit.theta == 0.0
+    assert not np.signbit(fit.theta)
+
+
 def test_mc_equivalent_distinguishes_surfaces(grid41):
     f = SurfaceGrid(paraboloid_surface(grid41), grid41)
     # a sheared variant is not congruent
