@@ -39,7 +39,6 @@ class DualPair:
     dual: SpinorField
     B: np.ndarray
     h: np.ndarray
-    branch_sign: np.ndarray        # continued root over principal root, +-1
     cut_edges: list                # vertical node pairs where the root jumps
     mask: np.ndarray               # True = dual defined
 
@@ -54,11 +53,12 @@ class DualPair:
 
     def branch_log(self, export_mask=True):
         """Branch bookkeeping; `masked` counts nodes outside the dual or
-        outside `export_mask` (default: every node)."""
+        outside `export_mask` (default: every node).  No per-node sign: it
+        is relative to the principal root, which flips at round-off where
+        the field lies on its cut."""
         mask = self.mask & export_mask
         return {
-            "schema": 1,
-            "sign": self.branch_sign.tolist(),
+            "schema": 2,
             "cut_edges": [list(map(int, e)) for e in self.cut_edges],
             "masked": int(np.sum(~mask)),
         }
@@ -81,14 +81,14 @@ def _dual_pair(s, B, h, valid, sign):
     if sign not in (+1, -1):
         raise ValueError("conjugate_sign must be +1 or -1")
     mask = _degeneracy_mask(B, h, valid)
-    r, branch_sign, cuts = continued_sqrt(-B, s.grid, mask)
+    r, _, cuts = continued_sqrt(-B, s.grid, mask)
     s2 = sign * np.conj(r)
     h_safe = np.where(mask, h, 1.0)
     psi1_star = np.where(mask, 4.0 * r / h_safe * s.psi2, 0.0)
     psi2_star = np.where(mask, 4.0 * s2 / h_safe * s.psi1, 0.0)
     dual = SpinorField(psi1_star, psi2_star, s.grid, lam=s.lam, mask=mask)
-    return DualPair(source=s, dual=dual, B=B, h=h, branch_sign=branch_sign,
-                    cut_edges=cuts, mask=mask)
+    return DualPair(source=s, dual=dual, B=B, h=h, cut_edges=cuts,
+                    mask=mask)
 
 
 def dual_spinors(s, d, conjugate_sign=+1):

@@ -88,7 +88,7 @@ class FrameField:
     reprojections: int = 0  # always 0: no node is repaired; benchmark field
 
 
-def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
+def integrate_frame(d, lam, base_value=None, column_first=True,
                     derivatives=True):
     """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
 
@@ -97,10 +97,11 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
     the coupled system at fixed lam.  F at the grid's centre node is
     base_value (default I), its derivatives 0 there.  `nil3.march_grid`
     fills the grid from that node by half-lines, the centre's column first
-    (row, when `column_first` is false), with classical 4th-order stages on
-    2x2 entry planes, state (3 or 1, 2, 2, lines).  alpha and its
-    lam-derivatives are formed at the nodes once per direction, i(U - V)
-    along y and U + V along x, and gathered along each batch of half-lines.
+    (row, when `column_first` is false), one classical 4th-order step per
+    node interval on 2x2 entry planes, state (3 or 1, 2, 2, lines).  alpha
+    and its lam-derivatives are formed at the nodes once per direction,
+    i(U - V) along y and U + V along x, and gathered along each batch of
+    half-lines.
     With `derivatives` false F is marched alone, bit-equal to its slice of
     the joint march, and F_lam, F_lam2 are None.
     """
@@ -130,10 +131,9 @@ def integrate_frame(d, lam, base_value=None, substeps=1, column_first=True,
         pos = c + dirs * (np.arange(n)[:, None] - k0)
         a = alpha[axis]
         node = node_stages(a[..., pos, lines] if axis == 0
-                           else a[..., lines, pos], substeps)
-        h = dirs * ((grid.hy if axis == 0 else grid.hx) / substeps)
-        return rk4_march(y0, [h] * steps, substeps,
-                         lambda k, s: node(k0 + k, s), rhs)
+                           else a[..., lines, pos])
+        h = dirs * (grid.hy if axis == 0 else grid.hx)
+        return rk4_march(y0, [h] * steps, lambda k: node(k0 + k), rhs)
 
     if base_value is None:
         base_value = np.eye(2, dtype=complex)

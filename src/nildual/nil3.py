@@ -250,51 +250,43 @@ def _lagrange_weights(offsets, t):
     return w
 
 
-def rk4_march(y0, steps, substeps, stages, rhs):
-    """Classical 4th-order Runge-Kutta along a batch of grid lines.
+def rk4_march(y0, steps, stages, rhs):
+    """Classical 4th-order Runge-Kutta along a batch of grid lines, one
+    step per node interval.
 
     y0 holds one start state per line, the lines on its last axis.
-    steps[k] is the substep size between nodes k and k+1, a scalar or one
-    per line broadcasting against the state; stages(k, s) returns the
-    coefficient data at the start, middle and end of substep s for every
-    line, and rhs(y, a) the derivative.  Yields the state at nodes 1, 2, ...
-    in turn; the caller stores what it keeps.
+    steps[k] is the step size between nodes k and k+1, a scalar or one per
+    line broadcasting against the state; stages(k) returns the coefficient
+    data at the start, middle and end of step k for every line, and
+    rhs(y, a) the derivative.  Yields the state at nodes 1, 2, ... in turn;
+    the caller stores what it keeps.
     """
     y = y0
     for k, h in enumerate(steps):
-        for s in range(substeps):
-            a0, am, a1 = stages(k, s)
-            k1 = rhs(y, a0)
-            k2 = rhs(y + 0.5 * h * k1, am)
-            k3 = rhs(y + 0.5 * h * k2, am)
-            k4 = rhs(y + h * k3, a1)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a0, am, a1 = stages(k)
+        k1 = rhs(y, a0)
+        k2 = rhs(y + 0.5 * h * k1, am)
+        k3 = rhs(y + 0.5 * h * k2, am)
+        k4 = rhs(y + h * k3, a1)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yield y
 
 
-def node_stages(f, substeps):
+def node_stages(f):
     """rk4_march stages for node fields f of shape (..., nodes, lines).
 
-    Stage points on a node take the node value; between nodes they are
-    cubic Lagrange values through 4 nodes, the window shifted at the ends
-    of the line.  The window is summed in a fixed order, node by node, so
-    a line's bits do not depend on the other lines of the batch.
+    The stage points on nodes k and k+1 take the node values; the midpoint
+    takes the cubic Lagrange value through 4 nodes, the window shifted at
+    the ends of the line.  The window is summed in a fixed order, node by
+    node, so a line's bits do not depend on the other lines of the batch.
     """
-    def at(k, t):
-        if t == 0:
-            return f[..., k, :]
-        if t == 1:
-            return f[..., k + 1, :]
+    def stages(k):
         lo = min(max(k - 1, 0), f.shape[-2] - 4)
-        w = _lagrange_weights(np.arange(lo - k, lo - k + 4), t)
-        acc = w[0] * f[..., lo, :]
+        w = _lagrange_weights(np.arange(lo - k, lo - k + 4), 0.5)
+        mid = w[0] * f[..., lo, :]
         for a in range(1, 4):
-            acc = acc + w[a] * f[..., lo + a, :]
-        return acc
-
-    def stages(k, s):
-        return (at(k, s / substeps), at(k, (s + 0.5) / substeps),
-                at(k, (s + 1) / substeps))
+            mid = mid + w[a] * f[..., lo + a, :]
+        return f[..., k, :], mid, f[..., k + 1, :]
     return stages
 
 

@@ -24,14 +24,17 @@ linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
 the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
 fixed by requiring B+(0) upper-triangular with positive real diagonal.
 Finally F = Phi B+^{-1}; both products sum only the powers they keep.
-The system splits into two parity classes of half the size, solved
-separately, and W, B+ and F come out exactly twisted.  Each class system
-is Hermitian block-Toeplitz with 2x2 blocks, solved by a block-Levinson
-recursion with no eigen step and no dense matrix.  Its guard, the pivot,
-is the smallest reciprocal condition of the Schur complements of the
-system's leading sections; nodes with a pivot below PIVOT_MIN are big-cell
-failures and are masked.  The nodes are factorized BLOCK at a time, which
-bounds the memory the systems take and changes no bit.
+The system's size M, the powers of W it solves for, is Z's top power made
+even: N (rounded up) for a minus-loop Phi on -N..0, where it is exact
+(`_factorize`), and 2N when Phi has positive powers.  It splits into two
+parity classes of half the size, solved separately, and W, B+ and F come
+out exactly twisted.  Each class system is Hermitian block-Toeplitz with
+2x2 blocks, solved by a block-Levinson recursion with no eigen step and no
+dense matrix.  Its guard, the pivot, is the smallest reciprocal condition
+of the Schur complements of the system's leading sections; nodes with a
+pivot below PIVOT_MIN are big-cell failures and are masked.  The nodes are
+factorized BLOCK at a time, which bounds the memory the systems take and
+changes no bit.
 """
 from __future__ import annotations
 
@@ -379,14 +382,20 @@ def iwasawa(phi):
 def _factorize(phi):
     """iwasawa on one block of nodes: (F, B+, pivot, failed)."""
     N = phi.order
-    M = 2 * N
     batch = phi.batch_shape
 
     # sigma3 Phi^dag sigma3: the adjoint with its off-diagonal signs flipped
     left = phi.adjoint_on_circle()
     left.coeffs *= [[1.0, -1.0], [-1.0, 1.0]]
     Z = left.mul(phi)
-    # sigma3 Z on the powers -M..M (zero beyond Z's own window)
+    # the system size M: Z's top power, rounded up to even for the class
+    # pairing; N (or N + 1) for a minus-loop Phi, 2N with positive powers.
+    # N is exact for a minus-loop: det Phi is constant in lam (xi's trace
+    # lies at power 0), so is det B+ = det Phi / det F, and W =
+    # C sigma3 (B+^{-1})^dag sigma3, an adjugate over a constant, has no
+    # power below -N
+    M = Z.high + Z.high % 2
+    # sigma3 Z on the powers -M..M (zero beyond Z's window, +-Z.high)
     s3Z = np.zeros(batch + (2 * M + 1, 2, 2), dtype=complex)
     s3Z[..., Z.low + M:Z.high + M + 1, :, :] = Z.coeffs * [[1.0], [-1.0]]
 
@@ -406,17 +415,13 @@ def _factorize(phi):
     pivot = np.inf
     for p in (0, 1):
         rows = np.flatnonzero(cls == p)
-        # consecutive unknowns pair into 2x2 blocks, K per class; entry
-        # (i, j) of block d in the first block column of H^T is H's entry
-        # at unknowns (j, 2d + i), of power m_j - m_{2d+i}.  The blocks
-        # past the band, whose powers all lie outside Z's window (past
-        # d = (N + 1) / 2 for a minus-loop), are exact zeros and left out
+        # consecutive unknowns pair into 2x2 blocks, K = M / 2 per class;
+        # entry (i, j) of block d in the first block column of H^T is H's
+        # entry at unknowns (j, 2d + i), of power m_j - m_{2d+i}, at least
+        # 1 - M: every block lies inside Z's window
         m, r = rows.reshape(-1, 2) // 2 + 1, rows.reshape(-1, 2) % 2
         power = m[None, None, 0] - m[:, :, None]
-        live = ((power >= Z.low) & (power <= Z.high)).any(axis=(1, 2))
-        band = int(np.flatnonzero(live)[-1]) + 1
-        t = planes[(power[:band] + M) * 4
-                   + 2 * r[None, None, 0] + r[:band, :, None]]
+        t = planes[(power + M) * 4 + 2 * r[None, None, 0] + r[:, :, None]]
         t = t.transpose(1, 2, 0, 3)   # (i, j, d, node)
         y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None] + 2 * p]
         y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[p]
@@ -475,18 +480,15 @@ def _levinson(t, y):
     """Solve T x = y for a Hermitian block-Toeplitz T with 2x2 blocks,
     batched over nodes: Whittle's block-Levinson recursion (Akaike 1973).
 
-    t (2, 2, band, n) holds block (k + d, k) of T at d, for d below the
-    band; the blocks beyond it are zero and those above the diagonal are
-    the adjoints of those below.  y is (2, 1, K, n), with band <= K.
+    t (2, 2, K, n) holds block (k + d, k) of T at d; the blocks above the
+    diagonal are the adjoints of those below.  y is (2, 1, K, n).
     Section k + 1 extends the monic forward predictor a (T a = [P, 0..0])
     and backward predictor b (T b = [0..0, Q]) of section k; Q is the Schur
     complement S_k of T's leading k blocks in its first k + 1, and T x = y
     is solved section by section along b.  The sums over a section run in
-    a fixed order and leave out the zero blocks.  Returns x (2, 1, K, n)
-    and, per node, the smallest reciprocal 2x2 condition of S_0..S_{K-1}
-    (0 when one is singular).
+    a fixed order.  Returns x (2, 1, K, n) and, per node, the smallest
+    reciprocal 2x2 condition of S_0..S_{K-1} (0 when one is singular).
     """
-    band = t.shape[2]
     K, n = y.shape[2:]
     # a and x side by side, so one product serves both sums; b is stored
     # reversed (b_k first), so both predictor updates read the other one
@@ -501,12 +503,10 @@ def _levinson(t, y):
         Qinv = inv2(P)
         x[:, :, 0] = mm2(Qinv, y[:, :, 0])
         for k in range(K - 1):
-            # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j,
-            # from the first j whose block is inside the band
-            j0 = max(k + 2 - band, 0)
-            prod = mm2(t[:, :, k + 1 - j0:0:-1], ax[:, :, j0:k + 1])
+            # Delta = sum_j t_{k+1-j} a_j and eps = sum_j t_{k+1-j} x_j
+            prod = mm2(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
             acc = prod[:, :, 0]
-            for j in range(1, k + 1 - j0):
+            for j in range(1, k + 1):
                 acc = acc + prod[:, :, j]
             D, eps = acc[:, :2], acc[:, 2:]
             # by symmetry, T [0, b] = [Delta^dag, 0.., Q]

@@ -315,8 +315,7 @@ def _mat2(a, b):
     return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
 
-def reference_integrate_frame(d, lam, base_value=None, substeps=1,
-                              column_first=True):
+def reference_integrate_frame(d, lam, base_value=None, column_first=True):
     """integrate_frame marching one half-line at a time: the centre node's
     column (row) up and down, then each row (column) right and left from it.
     Each half-line interpolates alpha along its whole line, read in marching
@@ -345,22 +344,14 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
 
     def march(Y, line, k0, h):
         """Node values after Y at node k0 of `line`, to the line's end."""
-        def coeff(k, t):
-            if t == 0:
-                return line[k]
-            if t == 1:
-                return line[k + 1]
-            return sample_between(line, 0, k, t)
         ys = []
         for k in range(k0, len(line) - 1):
-            for s in range(substeps):
-                t0, tm, t1 = s / substeps, (s + 0.5) / substeps, (s + 1) / substeps
-                a0, am, a1 = coeff(k, t0), coeff(k, tm), coeff(k, t1)
-                k1 = rhs(Y, a0)
-                k2 = rhs(Y + 0.5 * h * k1, am)
-                k3 = rhs(Y + 0.5 * h * k2, am)
-                k4 = rhs(Y + h * k3, a1)
-                Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            a0, am, a1 = line[k], sample_between(line, 0, k, 0.5), line[k + 1]
+            k1 = rhs(Y, a0)
+            k2 = rhs(Y + 0.5 * h * k1, am)
+            k3 = rhs(Y + 0.5 * h * k2, am)
+            k4 = rhs(Y + h * k3, a1)
+            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ys.append(Y)
         return ys
 
@@ -370,8 +361,7 @@ def reference_integrate_frame(d, lam, base_value=None, substeps=1,
         out = {c: Y}
         for d in (1, -1):
             k0 = c if d == 1 else n - 1 - c
-            for k, v in enumerate(march(Y, line[::d], k0,
-                                        d * (spacing / substeps)), 1):
+            for k, v in enumerate(march(Y, line[::d], k0, d * spacing), 1):
                 out[c + d * k] = v
         return np.stack([out[i] for i in range(n)])
 
@@ -496,18 +486,19 @@ def cauchy_loop(a, b):
 
 def factorization_classes(phi):
     """The dense factorization system of a twisted `phi`, one matrix per
-    parity class, assembled block by block.
+    parity class, assembled block by block, at the size the splitter
+    solves: M = Z's top power made even (N rounded up to even for a
+    minus-loop of order N, 2N for a loop with positive powers).
 
-    The system has entry ((m,r),(e,c)) = Y_{m-e}[r, c] for m, e = 1..2N,
+    The system has entry ((m,r),(e,c)) = Y_{m-e}[r, c] for m, e = 1..M,
     where Y = Phi^dag sigma3 Phi = sigma3 Z.  It splits into two classes:
     class p keeps, for each m, the unknown r = (p + m) % 2, in order of m.
     """
-    N = phi.order
-    M = 2 * N
     s3 = np.diag([1.0, -1.0]).astype(complex)[None]
     adj = phi.adjoint_on_circle()
     Y = MatrixLoop(cauchy_loop(adj.coeffs, cauchy_loop(s3, phi.coeffs)),
                    adj.low + phi.low)
+    M = Y.high + Y.high % 2
     H = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
     for m in range(1, M + 1):
         for e in range(1, M + 1):
@@ -521,8 +512,9 @@ def factorization_solution(phi):
     """The whole factorization system of `phi` solved at once, unsplit into
     parity classes: sum_m W_{-m} Z_{m-e} = -Z_{-e} for e = 1..2N, with
     Z = sigma3 Phi^dag sigma3 Phi, by np.linalg.solve on its 4N x 4N
-    transpose.  Returns the coefficient stacks of W (powers -2N..0, W_0 = I)
-    and of Z, with Z's lowest power."""
+    transpose.  Always at 2N, whatever size the splitter solves: the
+    independent full-system reference.  Returns the coefficient stacks of
+    W (powers -2N..0, W_0 = I) and of Z, with Z's lowest power."""
     N = phi.order
     M = 2 * N
     adj = phi.adjoint_on_circle()
@@ -545,9 +537,10 @@ def factorization_solution(phi):
 
 def schur_pivot(phi):
     """Smallest reciprocal 2-norm condition of the Schur complements
-    S_k = T_{k+1} / T_k of the leading sections of each class system T,
-    its unknowns paired into 2x2 blocks in order: S_k by np.linalg.solve on
-    the leading k blocks, its condition from a 2x2 SVD."""
+    S_k = T_{k+1} / T_k of the leading sections of each class system T of
+    `factorization_classes`, the ones the splitter forms, its unknowns
+    paired into 2x2 blocks in order: S_k by np.linalg.solve on the leading
+    k blocks, its condition from a 2x2 SVD."""
     pivot = np.full(phi.batch_shape, np.inf)
     for T in factorization_classes(phi):
         for k in range(T.shape[-1] // 2):

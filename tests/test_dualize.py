@@ -144,6 +144,9 @@ def test_branch_cut_recorded_for_odd_zero(grid41):
     assert pair.has_branch_cut
     log = pair.branch_log()
     assert log["cut_edges"]
+    # no per-node sign: it follows round-off on the principal cut
+    assert sorted(log) == ["cut_edges", "masked", "schema"]
+    assert log["schema"] == 2
     again, mask = double_dual(pair)
     phi0 = phi_from_spinors(s).phi
     phi2 = phi_from_spinors(again).phi

@@ -96,12 +96,11 @@ def test_integrate_frame_matches_line_reference(column_first, nx, ny):
     psi1, psi2 = oracles.paraboloid_spinors(grid)
     d = dirac_data(SpinorField(psi1, psi2, grid))
     base = oracles.paraboloid_frame(grid.node_z(*grid.centre))
-    for lam, substeps in ((1.0, 1), (np.exp(1j * np.pi / 3), 2)):
-        fr = integrate_frame(d, lam, base_value=base, substeps=substeps,
+    for lam in (1.0, np.exp(1j * np.pi / 3)):
+        fr = integrate_frame(d, lam, base_value=base,
                              column_first=column_first)
         F, F_lam, F_lam2 = oracles.reference_integrate_frame(
-            d, lam, base_value=base, substeps=substeps,
-            column_first=column_first)
+            d, lam, base_value=base, column_first=column_first)
         assert np.array_equal(fr.F, F)
         assert np.array_equal(fr.F_lam, F_lam)
         assert np.array_equal(fr.F_lam2, F_lam2)
@@ -118,15 +117,13 @@ def test_integrate_frame_alone_is_the_joint_march_slice(column_first, nx, ny):
     base = oracles.paraboloid_frame(grid.node_z(*grid.centre))
     drifts = []
     for lam in (1.0, np.exp(1j * np.pi / 3)):
-        for substeps in (1, 2):
-            kw = dict(base_value=base, substeps=substeps,
-                      column_first=column_first)
-            joint = integrate_frame(d, lam, **kw)
-            alone = integrate_frame(d, lam, derivatives=False, **kw)
-            assert alone.F.shape == joint.F.shape
-            assert alone.F.tobytes() == joint.F.tobytes()
-            assert alone.F_lam is None and alone.F_lam2 is None
-            drifts.append(np.max(su11_residual(joint.F)))
+        kw = dict(base_value=base, column_first=column_first)
+        joint = integrate_frame(d, lam, **kw)
+        alone = integrate_frame(d, lam, derivatives=False, **kw)
+        assert alone.F.shape == joint.F.shape
+        assert alone.F.tobytes() == joint.F.tobytes()
+        assert alone.F_lam is None and alone.F_lam2 is None
+        drifts.append(np.max(su11_residual(joint.F)))
     assert (max(drifts) > 1e-6) == ((nx, ny) == (8, 6))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nildual import potentials
 from nildual.errors import ConfigError
 from nildual.loops import SIGMA3, MatrixLoop, class_rows, su11_residual
 from nildual.nil3 import DomainGrid, left_maurer_cartan
@@ -171,18 +172,24 @@ def test_iwasawa_of_real_loop_is_trivial(grid21, pb_phi):
     assert np.max(np.abs(Bp2.eval(lam) - np.eye(2))) < 1e-7
 
 
-def test_iwasawa_of_plus_loop_is_identity(rng):
-    # normalized twisted plus-loop input, B+(0) diagonal: F = I
+def _plus_loop(rng):
+    """A normalized twisted plus-loop on 3x3 nodes, B+(0) diagonal, and the
+    same loop widened into the symmetric window -4..4 so the splitter sees
+    a generic input."""
     c = np.zeros((4, 2, 2), dtype=complex)
     c[0] = np.diag([1.5, 0.8])
     c[1] = 0.1 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[2] = 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[~_allowed(0, 4)] = 0.0
     Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0)
-    # widen into a symmetric window so the splitter sees a generic input
     pad = np.zeros((3, 3, 9, 2, 2), dtype=complex)
     pad[..., 4:8, :, :] = Bp_true.coeffs
-    phi = MatrixLoop(pad, -4)
+    return Bp_true, MatrixLoop(pad, -4)
+
+
+def test_iwasawa_of_plus_loop_is_identity(rng):
+    # a plus-loop input factors with F = I
+    Bp_true, phi = _plus_loop(rng)
     F, Bp, report = iwasawa(phi)
     assert not np.any(report.failed)
     lam = np.exp(1.1j)
@@ -208,8 +215,37 @@ def test_iwasawa_products_are_coefficientwise(pb_phi, monkeypatch):
         assert oracles.within_cauchy_bound(got, a, b, start=start)
 
 
+@pytest.mark.parametrize("name",
+                         ["paraboloid", "smyth-2", "helicoid", "plus-loop"])
+def test_iwasawa_solves_the_system_of_zs_band(name, rng, monkeypatch):
+    # the class systems have K = M / 2 blocks, M = Z's top power made even:
+    # ceil(n / 2) for a minus-loop Phi at order n, n with positive powers,
+    # and 4 for the plus-loop widened to -4..4, whose Z reaches 8
+    seen = []
+    levinson = potentials._levinson
+
+    def recorded(t, y):
+        seen.append((t.shape[2], y.shape[2]))
+        return levinson(t, y)
+
+    monkeypatch.setattr(potentials, "_levinson", recorded)
+    if name == "plus-loop":
+        phi, K = _plus_loop(rng)[1], 4
+    else:
+        g = builtin_example(name).grid
+        grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
+        phi, n, _ = trim_to_tail(
+            integrate_potential(builtin_example(name).potential(), grid))
+        K = n if name == "helicoid" else (n + 1) // 2
+    _, _, report = iwasawa(phi)
+    assert not report.failed.any()
+    assert seen == [(K, K)] * 2   # one system per parity class
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_iwasawa_pivot_matches_dense_schur_complements(name):
+    # against the dense Schur complements of the class systems at the size
+    # the splitter solves, every one of them formed
     g = builtin_example(name).grid
     grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
     phi = integrate_potential(builtin_example(name).potential(), grid)
@@ -220,9 +256,10 @@ def test_iwasawa_pivot_matches_dense_schur_complements(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_iwasawa_parity_classes_match_the_dense_system(name):
-    # the two half-size class solves against one dense solve of the whole
-    # system: its W is twisted, W Z has no powers -2N..-1, and on the
-    # powers 0..N it is B+(0)^dag B+
+    # the two class solves, at the size of Z's window (N for a minus-loop),
+    # against one dense solve of the whole system at 2N: its W is twisted,
+    # W Z has no powers -2N..-1, and on B+'s powers it is B+(0)^dag B+, so
+    # the half-size solve reproduces the full one
     g = builtin_example(name).grid
     grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
     phi = integrate_potential(builtin_example(name).potential(), grid)
@@ -411,9 +448,12 @@ def twisted_potentials(draw, powers):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
-    # Phi of a minus-loop potential is computed and factorized on -N..0; the
-    # splitting of it zero-padded to -N..N is the same, bit for bit, and its
-    # B+ holds exact zeros above power N
+    # Phi of a minus-loop potential is computed and factorized on -N..0, by
+    # the system of size N; zero-padded to -N..N it solves the system of
+    # size 2N, whose solution is the same: F and B+ agree to within 2^-52
+    # of each node's largest entry, B+ of the padded loop holds exact zeros
+    # above power N, and its pivot is the minimum over a superset of the
+    # same Schur complements.  A two-sided Phi is its own padding: bit-equal
     xi = data.draw(twisted_potentials(powers))
     N = 12
     grid = DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)
@@ -427,12 +467,19 @@ def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
     padded = MatrixLoop(np.concatenate([phi.coeffs, pad], axis=-3), -N)
     (F, Bp, rep), (Fd, Bpd, repd) = iwasawa(phi), iwasawa(padded)
     assert (F.low, F.high) == (Fd.low, Fd.high)
-    assert _same_bits(F.coeffs, Fd.coeffs)
-    assert _same_bits(rep.pivot, repd.pivot)
     assert _same_bits(rep.failed, repd.failed)
     assert Bp.high == (N if minus else 2 * N)
-    assert _same_bits(Bp.coeffs, Bpd.coeffs[..., :Bp.high + 1, :, :])
+    Bpd_kept = Bpd.coeffs[..., :Bp.high + 1, :, :]
     assert not Bpd.coeffs[..., Bp.high + 1:, :, :].any()
+    if minus:
+        for got, want in ((F.coeffs, Fd.coeffs), (Bp.coeffs, Bpd_kept)):
+            scale = np.max(np.abs(got), axis=(-3, -2, -1), keepdims=True)
+            assert np.all(np.abs(got - want) <= 2.0 ** -52 * scale)
+        assert np.all(repd.pivot <= rep.pivot)
+    else:
+        assert _same_bits(F.coeffs, Fd.coeffs)
+        assert _same_bits(rep.pivot, repd.pivot)
+        assert _same_bits(Bp.coeffs, Bpd_kept)
 
 
 def test_pipeline_paraboloid_matches_closed_surfaces(grid21):
