@@ -29,17 +29,22 @@ for the B extraction) and, computing before they write, leave no file;
 and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
 `refused/spinors`, which must exit 2 (the frame marched from them leaves
 SU(1,1) at the under-resolved corners, and no node is repaired) and leave
-no file.  The CSVs are copied to the fixed relative prefixes
-`spinors/lam0`, `spinors_helicoid/lam0`, `spinors_off_centre/lam0` and
-`spinors_smyth-2/lam0`, and the potential is written to
+no file; and `generate --spinors` at the flags above from the paraboloid's
+spinors on a 21x21 grid, written with psi1's last column absent, whose
+masked band lies outside the sub-grid, and, under `refused/spinors_hole`,
+with psi1's node (6, 8) absent, which lies inside it: that one must exit 2
+and leave no file.  The CSVs are copied (or written) to the fixed
+relative prefixes `spinors/lam0`, `spinors_helicoid/lam0`,
+`spinors_off_centre/lam0`, `spinors_smyth-2/lam0`, `spinors_holed/lam0`
+and `spinors_hole_inside/lam0`, and the potential is written to
 `potentials/helicoid_untwisted.json`, because the input path enters the
-run hash and so the run directory's name. The set writes 323 files; with
-their 167 report rows and the 35 exit codes the digest holds 525 entries.
+run hash and so the run directory's name. The set writes 343 files; with
+their 167 report rows and the 37 exit codes the digest holds 547 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the three refused commands, 0 for the
+not the one expected of it: 2 for the four refused commands, 0 for the
 rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
@@ -80,16 +85,36 @@ REFUSED = ("--example", "smyth-2", "--grid=-0.5,0.5,-0.5,0.5,15,15",
 # smyth-2's 41x41 CSVs: the frame marched from them leaves SU(1,1) at the
 # under-resolved corners, and the surface formula refuses it
 REFUSED_SPINORS = ("--spinors", "spinors_smyth-2/lam0", *LAMBDAS)
+# the paraboloid's 21x21 pair with psi1's node (6, 8) absent: it lies in
+# the sub-grid the frames are marched on
+REFUSED_HOLE = ("--spinors", "spinors_hole_inside/lam0", *LAMBDAS)
 # exit codes other than 0 that the command set expects
 EXPECTED = {
     **{f"exit: {command} {' '.join(REFUSED)} --out refused/{command}": 2
        for command in ("dual", "sweep")},
     f"exit: generate {' '.join(REFUSED_SPINORS)} --out refused/spinors": 2,
+    f"exit: generate {' '.join(REFUSED_HOLE)} --out refused/spinors_hole": 2,
 }
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
     "d = helicoid_potential().to_json(); d['twisted'] = False; "
     "print(json.dumps(d))")
+# the paraboloid's spinors at lam = 1, (cosh(y/2), sinh(y/2))/sqrt(2), on
+# a 21x21 grid, twice: psi1's last column absent, and its node (6, 8)
+HOLED_SPINORS = """
+import numpy as np
+from nildual.io_formats import write_field_csv
+from nildual.nil3 import DomainGrid
+grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
+y = grid.ys[:, None] + 0.0 * grid.xs[None, :]
+psi1, psi2 = (f(y / 2.0) / np.sqrt(2.0) + 0.0j for f in (np.cosh, np.sinh))
+for prefix, hole in (("spinors_holed", np.s_[:, -1]),
+                     ("spinors_hole_inside", np.s_[6, 8])):
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[hole] = False
+    write_field_csv(f"{prefix}/lam0_psi1.csv", psi1, grid, mask=keep)
+    write_field_csv(f"{prefix}/lam0_psi2.csv", psi2, grid)
+"""
 
 
 def run_commands(out, env):
@@ -151,6 +176,13 @@ def run_commands(out, env):
         nildual(command, *REFUSED, "--out", f"refused/{command}")
     copy_spinors(cache_dir("smyth-2"), "spinors_smyth-2")
     nildual("generate", *REFUSED_SPINORS, "--out", "refused/spinors")
+
+    for prefix in ("spinors_holed", "spinors_hole_inside"):
+        (out / prefix).mkdir()
+    subprocess.run([sys.executable, "-c", HOLED_SPINORS], cwd=out, env=env,
+                   check=True)
+    nildual("generate", "--spinors", "spinors_holed/lam0", *FLAGS)
+    nildual("generate", *REFUSED_HOLE, "--out", "refused/spinors_hole")
     return codes
 
 

@@ -21,7 +21,12 @@ from . import io_formats as iof
 from .dualize import dual_spinors
 from .errors import ConfigError, GridTooSmallError, NilDualError
 from .frames import frame_from_spinors, integrate_frame
-from .nil3 import DomainGrid, centred_interior, left_maurer_cartan
+from .nil3 import (
+    DomainGrid,
+    centred_interior,
+    left_maurer_cartan,
+    stencil_valid,
+)
 from .potentials import (
     BUILTIN_NAMES,
     DEFAULT_ORDER,
@@ -168,12 +173,19 @@ def run_pipeline(config):
     a FrameField per lambda, and the nodes whose frames are trustworthy."""
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
-        # frames are marched on the W4 sub-grid, whose centre is the grid's
+        # frames are marched on the W4 sub-grid, whose centre is the grid's;
+        # nodes whose stencils read an absent node are masked, none in it
         s = _read_spinors(arg)
         if min(s.grid.shape) < 2 * W4 + 5:
             raise GridTooSmallError(f"--spinors needs {2 * W4 + 5} nodes a "
                                     f"side; the input grid of {arg!r} is "
                                     f"{s.grid.nx}x{s.grid.ny}")
+        s.mask = stencil_valid(s.mask)
+        for i, j in np.argwhere(centred_interior(~s.mask, W4))[:1]:
+            raise ConfigError(f"node ({i}, {j}) of {arg!r}, z = "
+                              f"{s.grid.node_z(i, j):.4g}, is absent or "
+                              f"reads an absent node, and frames are "
+                              f"marched at every node {W4} or more in")
         d, cut = interior_dirac(dirac_data(s), W4)
         base = frame_from_spinors(s)[s.grid.centre]
         frames = [integrate_frame(d, lam, base_value=base)
@@ -294,6 +306,10 @@ def cmd_verify(config):
         # the sheet rows of the input pair and its dual: no frame is
         # integrated, and the rows are blind to --conjugate-sign
         s = _read_spinors(arg)
+        for i, j in np.argwhere(~s.mask)[:1]:
+            raise ConfigError(f"verify --spinors reads every node; node "
+                              f"({i}, {j}) of {arg!r}, z = "
+                              f"{s.grid.node_z(i, j):.4g}, is absent")
         rep = VerificationReport()
         sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
                      s.mask, {**DEFAULT_TOLS, **config.tols})

@@ -81,7 +81,7 @@ def _dual_pair(s, B, h, valid, sign):
     if sign not in (+1, -1):
         raise ValueError("conjugate_sign must be +1 or -1")
     mask = _degeneracy_mask(B, h, valid)
-    r, _, cuts = continued_sqrt(-B, s.grid, mask)
+    r, cuts = continued_sqrt(-B, s.grid, mask)
     s2 = sign * np.conj(r)
     h_safe = np.where(mask, h, 1.0)
     psi1_star = np.where(mask, 4.0 * r / h_safe * s.psi2, 0.0)

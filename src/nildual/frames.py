@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import VerticalPointError
 from .loops import SQRT_I, inv2, mm2
-from .nil3 import dz_field, dzbar_field, march_grid, node_stages, rk4_march
+from .nil3 import _lagrange_weights, dz_field, dzbar_field
 from .spinors import minimality_gate
 
 UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
@@ -95,15 +95,17 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
     The parameter enters the connection only through 1/lam and lam, so the
     exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2  close
     the coupled system at fixed lam.  F at the grid's centre node is
-    base_value (default I), its derivatives 0 there.  `nil3.march_grid`
-    fills the grid from that node by half-lines, the centre's column first
-    (row, when `column_first` is false), one classical 4th-order step per
-    node interval on 2x2 entry planes, state (3 or 1, 2, 2, lines).  alpha
-    and its lam-derivatives are formed at the nodes once per direction,
-    i(U - V) along y and U + V along x, and gathered along each batch of
-    half-lines.
-    With `derivatives` false F is marched alone, bit-equal to its slice of
-    the joint march, and F_lam, F_lam2 are None.
+    base_value (default I), its derivatives 0 there.  The centre's column
+    (row, when `column_first` is false) is marched as two half-lines, then
+    every row (column) both ways from it, halves of equal length as one
+    batch: one classical 4th-order step per node interval on 2x2 entry
+    planes, state (3 or 1, 2, 2, half-lines).  The midpoint stage is the
+    cubic Lagrange value through 4 nodes of the line, summed node by node
+    so that a line's bits do not depend on its batch.  alpha and its
+    lam-derivatives are formed at the nodes once per direction, i(U - V)
+    along y and U + V along x.  With `derivatives` false F is marched
+    alone, bit-equal to its slice of the joint march, and F_lam, F_lam2
+    are None.
     """
     minimality_gate(d, "frame integration needs minimal data")
     lam = complex(lam)
@@ -123,25 +125,40 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
                    mm2(Y[2], A[0]) + 2.0 * mm2(Y[1], A[1]) + mm2(Y[0], A[2])]
         return np.stack(dY)
 
-    def march(y0, axis, lines, c, dirs, steps):
-        # each half-line's whole line in marching order, so that the
-        # interpolation windows reach behind its start node
-        n = grid.shape[axis]
-        k0 = c if dirs[0] > 0 else n - 1 - c
-        pos = c + dirs * (np.arange(n)[:, None] - k0)
-        a = alpha[axis]
-        node = node_stages(a[..., pos, lines] if axis == 0
-                           else a[..., lines, pos])
-        h = dirs * (grid.hy if axis == 0 else grid.hx)
-        return rk4_march(y0, [h] * steps, lambda k: node(k0 + k), rhs)
-
     if base_value is None:
         base_value = np.eye(2, dtype=complex)
     out = np.zeros((3 if derivatives else 1, 2, 2) + grid.shape,
                    dtype=complex)
-    i, j = grid.centre
+    centre = i, j = grid.centre
     out[0, :, :, i, j] = base_value
-    march_grid(out, grid.centre, column_first, march)
+    first, second = (0, 1) if column_first else (1, 0)
+    # half-lines along grid axis 0 (columns) or 1 (rows), at index `lines`
+    for axis, lines in ((first, np.array([centre[1 - first]])),
+                        (second, np.arange(grid.shape[1 - second]))):
+        n, c = grid.shape[axis], centre[axis]
+        for ds in ([1, -1],) if 2 * c == n - 1 else ([1], [-1]):
+            dirs = np.repeat(ds, len(lines))
+            ls = np.tile(lines, len(ds))
+            at = lambda pos: (..., pos, ls) if axis == 0 else (..., ls, pos)
+            # each half-line's whole line in marching order, so that the
+            # interpolation windows reach behind its start node
+            k0 = c if ds[0] == 1 else n - 1 - c
+            f = alpha[axis][at(c + dirs * (np.arange(n)[:, None] - k0))]
+            h = dirs * (grid.hy if axis == 0 else grid.hx)
+            # the gather lays the lines out first in memory: copy them last
+            y = np.ascontiguousarray(out[at(c)])
+            for k in range(k0, n - 1):
+                lo = min(max(k - 1, 0), n - 4)
+                w = _lagrange_weights(np.arange(lo - k, lo - k + 4), 0.5)
+                mid = w[0] * f[..., lo, :]
+                for a in range(1, 4):
+                    mid = mid + w[a] * f[..., lo + a, :]
+                k1 = rhs(y, f[..., k, :])
+                k2 = rhs(y + 0.5 * h * k1, mid)
+                k3 = rhs(y + 0.5 * h * k2, mid)
+                k4 = rhs(y + h * k3, f[..., k + 1, :])
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out[at(c + (k + 1 - k0) * dirs)] = y
     out = np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (2, 3, 4)))
     F_lam, F_lam2 = (out[:, :, k] if derivatives else None for k in (1, 2))
     return FrameField(F=out[:, :, 0], F_lam=F_lam, F_lam2=F_lam2, lam=lam,
@@ -150,8 +167,9 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
 
 def frame_from_spinors(s):
     """Pointwise frame  (|psi1|^2-|psi2|^2)^{-1/2} [[psi1/sqrt(i), psi2/sqrt(i)],
-    [sqrt(i) conj(psi2), sqrt(i) conj(psi1)]];  exactly in SU(1,1)."""
-    norm2 = np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2
+    [sqrt(i) conj(psi2), sqrt(i) conj(psi1)]];  exactly in SU(1,1).
+    Masked nodes are not checked, and their values are not to be read."""
+    norm2 = np.where(s.mask, np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2, 1.0)
     if np.any(norm2 <= UPWARD_TOL):
         i, j = np.argwhere(norm2 <= UPWARD_TOL)[0]
         raise VerticalPointError(

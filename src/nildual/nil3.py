@@ -3,7 +3,9 @@
 Points live in global coordinates (x1, x2, x3) which double as exponential
 coordinates of the left-invariant frame {e1, e2, e3}.  Complex grids use
 z = x + i*y; arrays are stored row-major over y then x, so node (i, j)
-sits at z = x0 + j*hx + 1j*(y0 + i*hy).
+sits at z = x0 + j*hx + 1j*(y0 + i*hy).  Grid derivatives of both orders
+come from one 4th-order stencil applier; the node masks the stencils leave
+and the interpolation weights of the frame march live here too.
 """
 from __future__ import annotations
 
@@ -94,50 +96,35 @@ class DomainGrid:
         return cls(d["x0"], d["x1"], d["y0"], d["y1"], d["nx"], d["ny"])
 
 
-# 4th-order first-derivative stencils: centred in the interior, one-sided
-# on the two boundary rows of each edge.
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# 4th-order stencils by derivative order: the centred one on the interior,
+# the one-sided rows of the two boundary nodes of the near edge, and the
+# sign of those rows mirrored onto the far edge.
+_STENCILS = {
+    1: (lambda g: (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / 12.0,
+        (np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
+         np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0), -1),
+    2: (lambda g: (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2]
+                   + 16.0 * g[3:-1] - g[4:]) / 12.0,
+        (np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0,
+         np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0), 1),
+}
 
-# 4th-order second-derivative stencils (6-point one-sided at the edges).
-_EDGE0_2 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_EDGE1_2 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
-
-def _deriv_axis(f, h, axis):
-    f = np.asarray(f)
-    g = np.moveaxis(f, axis, 0)
-    n = g.shape[0]
-    if n < 5:
-        raise GridTooSmallError("axis too short for 4th-order stencil")
+def _deriv_axis(f, h, axis, order=1):
+    """The order-th derivative along `axis` at spacing h, 4th-order."""
+    centred, edges, far_sign = _STENCILS[order]
+    g = np.moveaxis(np.asarray(f), axis, 0)
+    m = len(edges[0])
+    if g.shape[0] < m:
+        raise GridTooSmallError(f"axis too short for the 4th-order "
+                                f"derivative of order {order}")
     out = np.empty_like(g, dtype=np.result_type(g.dtype, float))
-    out[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / 12.0
-    head = g[:5]
-    tail = g[-5:]
-    out[0] = np.tensordot(_EDGE0, head, axes=(0, 0))
-    out[1] = np.tensordot(_EDGE1, head, axes=(0, 0))
-    out[-2] = -np.tensordot(_EDGE1, tail[::-1], axes=(0, 0))
-    out[-1] = -np.tensordot(_EDGE0, tail[::-1], axes=(0, 0))
-    out /= h
-    return np.moveaxis(out, 0, axis)
-
-
-def _deriv2_axis(f, h, axis):
-    f = np.asarray(f)
-    g = np.moveaxis(f, axis, 0)
-    n = g.shape[0]
-    if n < 6:
-        raise GridTooSmallError("axis too short for 4th-order second derivative")
-    out = np.empty_like(g, dtype=np.result_type(g.dtype, float))
-    out[2:-2] = (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2]
-                 + 16.0 * g[3:-1] - g[4:]) / 12.0
-    head = g[:6]
-    tail = g[-6:]
-    out[0] = np.tensordot(_EDGE0_2, head, axes=(0, 0))
-    out[1] = np.tensordot(_EDGE1_2, head, axes=(0, 0))
-    out[-2] = np.tensordot(_EDGE1_2, tail[::-1], axes=(0, 0))
-    out[-1] = np.tensordot(_EDGE0_2, tail[::-1], axes=(0, 0))
-    out /= h * h
+    out[2:-2] = centred(g)
+    for k, row in enumerate(edges):
+        out[k] = np.tensordot(row, g[:m], axes=(0, 0))
+        far = np.tensordot(row, g[-m:][::-1], axes=(0, 0))
+        out[-1 - k] = -far if far_sign < 0 else far
+    out /= h if order == 1 else h * h
     return np.moveaxis(out, 0, axis)
 
 
@@ -153,7 +140,8 @@ def dzbar_field(f, grid):
 
 def dzdzbar_field(f, grid):
     """d^2/(dz dzbar) = Laplacian/4, by direct second-derivative stencils."""
-    return 0.25 * (_deriv2_axis(f, grid.hx, 1) + _deriv2_axis(f, grid.hy, 0))
+    return 0.25 * (_deriv_axis(f, grid.hx, 1, order=2)
+                   + _deriv_axis(f, grid.hy, 0, order=2))
 
 
 @dataclass
@@ -237,10 +225,6 @@ def xi_nil_with_residual(v):
     return coords, residual
 
 
-# Grid marches: one RK4 line marcher, the stages of node-sampled fields
-# (cubic Lagrange between nodes), and one routine that fills a grid from a
-# base node by half-lines: the frame's march.
-
 def _lagrange_weights(offsets, t):
     w = np.ones(len(offsets))
     for a in range(len(offsets)):
@@ -248,73 +232,6 @@ def _lagrange_weights(offsets, t):
             if a != b:
                 w[a] *= (t - offsets[b]) / (offsets[a] - offsets[b])
     return w
-
-
-def rk4_march(y0, steps, stages, rhs):
-    """Classical 4th-order Runge-Kutta along a batch of grid lines, one
-    step per node interval.
-
-    y0 holds one start state per line, the lines on its last axis.
-    steps[k] is the step size between nodes k and k+1, a scalar or one per
-    line broadcasting against the state; stages(k) returns the coefficient
-    data at the start, middle and end of step k for every line, and
-    rhs(y, a) the derivative.  Yields the state at nodes 1, 2, ... in turn;
-    the caller stores what it keeps.
-    """
-    y = y0
-    for k, h in enumerate(steps):
-        a0, am, a1 = stages(k)
-        k1 = rhs(y, a0)
-        k2 = rhs(y + 0.5 * h * k1, am)
-        k3 = rhs(y + 0.5 * h * k2, am)
-        k4 = rhs(y + h * k3, a1)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield y
-
-
-def node_stages(f):
-    """rk4_march stages for node fields f of shape (..., nodes, lines).
-
-    The stage points on nodes k and k+1 take the node values; the midpoint
-    takes the cubic Lagrange value through 4 nodes, the window shifted at
-    the ends of the line.  The window is summed in a fixed order, node by
-    node, so a line's bits do not depend on the other lines of the batch.
-    """
-    def stages(k):
-        lo = min(max(k - 1, 0), f.shape[-2] - 4)
-        w = _lagrange_weights(np.arange(lo - k, lo - k + 4), 0.5)
-        mid = w[0] * f[..., lo, :]
-        for a in range(1, 4):
-            mid = mid + w[a] * f[..., lo + a, :]
-        return f[..., k, :], mid, f[..., k + 1, :]
-    return stages
-
-
-def march_grid(g, base, column_first, march):
-    """Fill the grid buffer g (..., ny, nx) from its base node by half-lines.
-
-    The base node (i, j), whose value is set, has its column (row, when
-    `column_first` is false) marched outward as two half-lines; then every
-    row (column) is marched both ways from that line.  Two halves of equal
-    length go as one batch.  march(y0, axis, lines, c, d, steps) yields the
-    states at nodes 1..steps of a batch of half-lines, lines last: y0 holds
-    their start states, axis is the grid axis they run along (0: a column,
-    1: a row), lines the index of each one's column (row), c the index of
-    their start node along it and d one direction, +1 or -1, per half-line.
-    """
-    first, second = (0, 1) if column_first else (1, 0)
-    for axis, lines in ((first, np.array([base[1 - first]])),
-                        (second, np.arange(g.shape[-1 - second]))):
-        n, c = g.shape[axis - 2], base[axis]
-        for ds in ([1, -1],) if 2 * c == n - 1 else ([1], [-1]):
-            d = np.repeat(ds, len(lines))
-            ls = np.tile(lines, len(ds))
-            at = lambda pos: (..., pos, ls) if axis == 0 else (..., ls, pos)
-            steps = n - 1 - c if ds[0] == 1 else c
-            # the gather lays the lines out first in memory: copy them last
-            y0 = np.ascontiguousarray(g[at(c)])
-            for k, y in enumerate(march(y0, axis, ls, c, d, steps), 1):
-                g[at(c + k * d)] = y
 
 
 def stencil_valid(valid):

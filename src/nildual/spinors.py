@@ -129,7 +129,8 @@ def dirac_data(s, require_minimal=True):
         B = (dz(psi1) - w_z/2 psi1) e^{w/2} / psi2                (otherwise)
 
     Only the minimal case H = 0 supports B extraction; `require_minimal`
-    puts the result through the minimality gate.
+    puts the result through the minimality gate.  Masked nodes are never
+    refused, and their values are not to be read.
     """
     grid = s.grid
     scale = max(float(np.max(np.abs(s.psi1))), float(np.max(np.abs(s.psi2))))
@@ -150,7 +151,7 @@ def dirac_data(s, require_minimal=True):
     ew2 = np.where(prefer_u & ok1, np.where(ok1, U, 0.0),
                    np.where(ok2, V, 0.0))
     valid = (prefer_u & ok1) | (~prefer_u & ok2)
-    if not np.all(valid):
+    if not np.all(valid | ~s.mask):
         raise NonImmersionError("both spinors degenerate at some node")
 
     # consistency of the two defining equations, in residual (not ratio)
@@ -161,9 +162,9 @@ def dirac_data(s, require_minimal=True):
         np.abs(d_psi1_zb - ew2 * s.psi2)) / scale
 
     e_u, h_supp = uh_from_spinors(s)
-    if np.any(e_u <= 0):
+    if np.any((e_u <= 0) & s.mask):
         raise NonImmersionError("metric factor vanishes")
-    H = -2.0 * ew2.real / np.sqrt(e_u)
+    H = -2.0 * ew2.real / np.sqrt(np.where(s.mask, e_u, 1.0))
 
     # In the minimal regime e^{w/2} = (i/4)|h|-type data, so the logarithmic
     # derivative reduces to w_z = 2 h_z / h with h algebraic in the spinors:
@@ -216,10 +217,10 @@ def continued_sqrt(field, grid, valid):
     The sweep visits the rows in turn, even rows left to right and odd rows
     right to left.  Starts from the principal branch at the first valid
     node; at every subsequent valid node the root closer to the previous
-    valid value is chosen.  Returns (root, sign, cut_edges): `sign` is +-1
-    relative to the principal branch and `cut_edges` lists vertically
-    adjacent valid pairs whose continued values still disagree in sign (a
-    genuine branch cut, e.g. when the sweep encircles an odd-order zero).
+    valid value is chosen.  Returns (root, cut_edges): `cut_edges` lists
+    vertically adjacent valid pairs whose continued values still disagree
+    in sign (a genuine branch cut, e.g. when the sweep encircles an
+    odd-order zero).
     """
     root = np.sqrt(np.asarray(field, dtype=complex))
     order = np.arange(root.size).reshape(grid.shape)
@@ -238,13 +239,11 @@ def continued_sqrt(field, grid, valid):
     flip = order[(count - count[start]) % 2 == 1]
     flat = root.reshape(-1)
     flat[flip] = -flat[flip]
-    sign = np.ones(root.size, dtype=int)
-    sign[flip] = -1
     a, b = root[1:], root[:-1]
     # a zero root cannot count: its difference and sum have equal lengths
     cut = valid[1:] & valid[:-1] & (np.abs(a - b) > np.abs(a + b))
     cut_edges = [(int(i) + 1, int(j)) for i, j in np.argwhere(cut)]
-    return root, sign.reshape(grid.shape), cut_edges
+    return root, cut_edges
 
 
 def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
@@ -286,7 +285,7 @@ def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
         i, j = np.argwhere((np.abs(base) <= floor) & valid)[0]
         raise BranchContinuationError(
             f"dominant spinor square vanishes at node ({i}, {j})")
-    root, _, cuts = continued_sqrt(base, grid, valid)
+    root, cuts = continued_sqrt(base, grid, valid)
     if cuts and on_branch_cut == "raise":
         raise BranchContinuationError(
             f"branch continuation inconsistent at {cuts[0]}")

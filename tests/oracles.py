@@ -443,7 +443,6 @@ def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
 def reference_continued_sqrt(field, grid, valid):
     """continued_sqrt choosing each root node by node along the sweep."""
     root = np.sqrt(np.asarray(field, dtype=complex))
-    sign = np.ones(grid.shape, dtype=int)
     prev = None
     for i in range(grid.ny):
         cols = range(grid.nx) if i % 2 == 0 else range(grid.nx - 1, -1, -1)
@@ -453,7 +452,6 @@ def reference_continued_sqrt(field, grid, valid):
             v = root[i, j]
             if prev is not None and abs(v - prev) > abs(v + prev):
                 v = -v
-                sign[i, j] = -1
             root[i, j] = v
             prev = v
     cut_edges = []
@@ -463,7 +461,7 @@ def reference_continued_sqrt(field, grid, valid):
                 a, b = root[i, j], root[i - 1, j]
                 if abs(a - b) > abs(a + b) and min(abs(a), abs(b)) > 0:
                     cut_edges.append((i, j))
-    return root, sign, cut_edges
+    return root, cut_edges
 
 
 # ---------------------------------------------------------------------------

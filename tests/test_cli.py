@@ -21,7 +21,7 @@ from nildual.io_formats import (
 )
 from nildual.nil3 import DomainGrid, SurfaceGrid
 from nildual.spinors import SpinorField, dirac_data
-from nildual.sym import REALITY_TOL, mc_equivalent
+from nildual.sym import MOTION_TOL, REALITY_TOL, mc_equivalent
 from nildual.verify import W4, interior_dirac
 
 SMALL = ["--grid=-1,1,-1,1,21,21"]
@@ -256,13 +256,16 @@ def test_potential_file_pipeline(tmp_path):
     assert rc == 0
 
 
-def _write_paraboloid_spinors(tmp_path):
+def _write_paraboloid_spinors(tmp_path, hole=None):
     """The paraboloid's spinor pair on a 21x21 grid as the CSV pair
-    <tmp_path>/in_psi1.csv, in_psi2.csv."""
+    <tmp_path>/in_psi1.csv, in_psi2.csv; psi1's nodes `hole` absent."""
     from .oracles import paraboloid_spinors
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
     psi1, psi2 = paraboloid_spinors(grid)
-    write_field_csv(tmp_path / "in_psi1.csv", psi1, grid)
+    keep = np.ones(grid.shape, dtype=bool)
+    if hole is not None:
+        keep[hole] = False
+    write_field_csv(tmp_path / "in_psi1.csv", psi1, grid, mask=keep)
     write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
 
 
@@ -366,6 +369,38 @@ def test_spinor_round_trip_on_the_w4_sub_grid(tmp_path):
     assert run(["sweep", *argv]) == 0
 
 
+def test_spinor_family_is_normalized_at_the_grid_centre(tmp_path):
+    # z = 0 is no node of this grid: the spinor march is based at the
+    # centre node, where F is the input's frame and F_lam, F_lam2 vanish,
+    # while the DPW family is based at z = 0.  So the rebuilt sheet is the
+    # input's, cut to the sub-grid, at lam = 1 only
+    assert run(["generate", "--example", "paraboloid",
+                "--grid=-0.9,1.1,-1,0.9,30,41", "--lambda", "1,exp:pi/3",
+                "--out", str(tmp_path / "o")]) == 0
+    (given_dir,) = (tmp_path / "o").iterdir()
+    prefix = str(given_dir / "lam0")
+    assert run(["generate", "--spinors", prefix, "--lambda", "1,exp:pi/3",
+                "--out", str(tmp_path / "s")]) == 0
+    (run_dir,) = (tmp_path / "s").iterdir()
+    s = nildual.cli._read_spinors(prefix)
+    base = frame_from_spinors(s)[s.grid.centre]
+    frames = read_frame_cache(run_dir / "frames.json")[0]
+    i, j = frames[1].grid.centre
+    assert frames[1].lam == parse_lambda("exp:pi/3")
+    assert np.array_equal(frames[1].F[i, j], base)
+    assert not np.any(frames[1].F_lam[i, j])
+    assert not np.any(frames[1].F_lam2[i, j])
+    cut = np.s_[W4:-W4, W4:-W4]
+    given = nildual.cli.cached_sheets(given_dir)[0]
+    rebuilt = nildual.cli.cached_sheets(run_dir)[0]
+    fits = []
+    for a, b in zip(given, rebuilt):
+        f = a.f_minus
+        f_cut = SurfaceGrid(f.coords[cut], b.grid, lam=f.lam, mask=f.mask[cut])
+        fits.append(mc_equivalent(f_cut, b.f_minus).residual)
+    assert fits[0] <= MOTION_TOL < fits[1]
+
+
 def test_spinor_frame_defect_is_refused_at_a_named_node(tmp_path, capsys):
     # smyth-2's 41x41 CSVs are under-resolved at the corners: the frame
     # marched from them is not repaired, and the Sym formula's su(1,1)
@@ -404,6 +439,42 @@ def test_spinor_pair_of_different_extents_shares_one_grid(tmp_path):
     assert np.array_equal(s.mask, keep)
     assert np.array_equal(s.psi1[keep], psi1[keep])
     assert np.array_equal(s.psi2, psi2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spinor_pair_absent_outside_the_sub_grid_gives_the_full_outputs(
+        tmp_path):
+    # psi1's last column lies in the edge band: the nodes whose stencils
+    # read it are masked, none of them in the W4 sub-grid, and the sheets
+    # and the fields extracted from them are byte-equal to the full pair's
+    runs = {}
+    for name, hole in (("full", None), ("holed", np.s_[:, -1])):
+        (tmp_path / name).mkdir()
+        _write_paraboloid_spinors(tmp_path / name, hole)
+        assert run(["generate", "--spinors", str(tmp_path / name / "in"),
+                    "--lambda", "1,exp:pi/3",
+                    "--out", str(tmp_path / name / "o")]) == 0
+        (runs[name],) = (tmp_path / name / "o").iterdir()
+    for k in (0, 1):
+        for name in ("f_minus.obj", "psi1.csv", "psi2.csv", "B.csv"):
+            assert ((runs["holed"] / f"lam{k}_{name}").read_bytes()
+                    == (runs["full"] / f"lam{k}_{name}").read_bytes())
+
+
+def test_spinor_pair_absent_inside_the_sub_grid_is_refused_by_name(
+        tmp_path, capsys):
+    # (6, 8) lies in the sub-grid 4 nodes in from each edge; the first
+    # node there whose stencils read it is (4, 8)
+    _write_paraboloid_spinors(tmp_path, np.s_[6, 8])
+    argv = ["--spinors", str(tmp_path / "in"), "--lambda", "1",
+            "--out", str(tmp_path / "o")]
+    assert run(["generate", *argv]) == 2
+    assert "node (4, 8) of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # verify reads every node of the pair
+    assert run(["verify", *argv]) == 2
+    assert "node (6, 8) of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):

@@ -267,12 +267,13 @@ def test_continued_sqrt_matches_node_by_node_reference(seed):
     field[43:46] = -(1.0 + grid.xs ** 2) + 0j
     field[43:46, 1::2] = np.conj(field[43:46, 1::2])
     valid = rng.random(grid.shape) >= 0.1
-    got = continued_sqrt(field, grid, valid)
-    ref = oracles.reference_continued_sqrt(field, grid, valid)
-    for a, b in zip(got[:2], ref[:2]):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(np.real(a)), np.signbit(np.real(b)))
-        assert np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
-    assert got[2] == ref[2]
-    assert got[2] and np.any(got[1] == -1)
+    (a, cuts), (b, ref_cuts) = (
+        continued_sqrt(field, grid, valid),
+        oracles.reference_continued_sqrt(field, grid, valid))
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(np.real(a)), np.signbit(np.real(b)))
+    assert np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    assert cuts == ref_cuts
+    # some root was continued off numpy's principal branch
+    assert cuts and np.any(a != np.sqrt(field))
