@@ -6,12 +6,14 @@ Every stacked 2x2 product, inverse and determinant goes through `mm2`,
 shape (..., 2, 2) passes as the view np.moveaxis(M, (-2, -1), (0, 1)).
 
 Every loop is twisted.  The grading is stated here alone (`class_rows`):
-entry (r, c) of lam^j is allowed only when r + c + j is even, and the
-constructor, the one check, refuses any nonzero forbidden entry, NaN and
-inf included (`forbidden_mass`).  A loop's lam derivatives have the other
-grading: they are only evaluated (`MatrixLoop.eval(lam, 1 or 2)`).
-All loop values broadcast over leading batch axes of the coefficient
-array, which has shape (..., P, 2, 2) for P consecutive powers.
+entry (r, c) of lam^j is allowed only when r + c + j is even, so each
+column holds one allowed entry per power, on the diagonal at even powers
+and off it at odd ones.  A loop stores those entries alone, an array
+(..., P, 2) for P consecutive powers whose leading axes are a batch; a
+forbidden entry has no slot, so there is nothing to check.  Dense 2x2
+values appear only where one is read: `MatrixLoop.eval`, `coeff` and the
+read-only `coeffs`.  A loop's lam derivatives have the other grading: they
+are only evaluated (`MatrixLoop.eval(lam, 1 or 2)`).
 """
 from __future__ import annotations
 
@@ -77,38 +79,23 @@ def class_rows(classes, powers):
             + np.asarray(powers)[:, None] + np.arange(2)) % 2
 
 
-def forbidden_mass(coeffs, low):
-    """Largest forbidden |entry| of coefficients (..., P, 2, 2) of powers
-    low, low + 1, ...: exactly 0.0 when they are twisted, nan when a
-    forbidden entry is NaN.  One strided view per power parity and column."""
-    views = [coeffs[..., q::2, row, t] for q in (0, 1)
-             for t, row in enumerate(class_rows(2, [low + q])[1, 0])]
-    if not any(v.any() for v in views):
-        return 0.0
-    return float(np.max([np.max(np.abs(v), initial=0.0) for v in views]))
-
-
 @dataclass
 class MatrixLoop:
-    """Truncated Laurent polynomial sum_j A_j lam^j with 2x2 coefficients.
+    """Truncated twisted Laurent polynomial sum_j A_j lam^j, 2x2 coefficients.
 
-    coeffs[..., k, :, :] is the coefficient of lam^(low + k).
+    entries[..., k, c] is column c's allowed entry of the coefficient of
+    lam^(low + k), in `class_rows`' row (c + low + k) % 2.
     """
 
-    coeffs: np.ndarray
+    entries: np.ndarray
     low: int
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape[-2:] != (2, 2):
-            raise ValueError("coefficients must be (..., P, 2, 2)")
-        bad = forbidden_mass(self.coeffs, self.low)
-        if bad != 0.0:
-            raise ValueError(f"loop has forbidden-parity mass {bad:.3e}")
+        self.entries = np.asarray(self.entries, dtype=complex)
 
     @property
     def high(self):
-        return self.low + self.coeffs.shape[-3] - 1
+        return self.low + self.entries.shape[-2] - 1
 
     @property
     def order(self):
@@ -116,24 +103,33 @@ class MatrixLoop:
 
     @property
     def batch_shape(self):
-        return self.coeffs.shape[:-3]
+        return self.entries.shape[:-2]
+
+    @property
+    def rows(self):
+        """Row of each entry, (P, 2)."""
+        return class_rows(1, self.low + np.arange(self.entries.shape[-2]))[0]
+
+    @property
+    def coeffs(self):
+        """The coefficients (..., P, 2, 2), forbidden entries +0: a new
+        read-only array on each read."""
+        c = np.stack([self.coeff(j) for j in range(self.low, self.high + 1)],
+                     axis=-3)
+        c.flags.writeable = False
+        return c
 
     @classmethod
     def identity(cls, batch_shape=()):
-        c = np.zeros(batch_shape + (1, 2, 2), dtype=complex)
-        c[..., 0, :, :] = np.eye(2)
-        return cls(c, 0)
-
-    @classmethod
-    def constant(cls, M):
-        M = np.asarray(M, dtype=complex)
-        return cls(M[..., None, :, :], 0)
+        return cls(np.ones(batch_shape + (1, 2), dtype=complex), 0)
 
     def coeff(self, j):
-        """Coefficient of lam^j (zeros outside the window)."""
+        """Coefficient of lam^j, (..., 2, 2) (zeros outside the window)."""
+        out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
         if self.low <= j <= self.high:
-            return self.coeffs[..., j - self.low, :, :]
-        return np.zeros(self.batch_shape + (2, 2), dtype=complex)
+            out[..., (j + np.arange(2)) % 2, [0, 1]] = (
+                self.entries[..., j - self.low, :])
+        return out
 
     def eval(self, lam, derivative=0):
         """Horner evaluation at lam on the unit circle, of the loop or of its
@@ -143,8 +139,8 @@ class MatrixLoop:
         if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
         out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
-        for k in range(self.coeffs.shape[-3] - 1, -1, -1):
-            c, p = self.coeffs[..., k, :, :], self.low + k
+        for p in range(self.high, self.low - 1, -1):
+            c = self.coeff(p)
             for d in range(derivative):
                 c = c * (p - d)
             out = out * lam + c
@@ -157,86 +153,75 @@ class MatrixLoop:
         which is the default); a window keeping no power raises ValueError.
 
         A direct sum per power, not an FFT, so every coefficient is rounded
-        relative to its own terms and forbidden-parity entries stay exactly
-        zero; a window sums the same terms in the same order as the full
-        product, so it is bit-equal to its slice.  A power a factor lacks adds
-        no term; zero-padding it would add exact zeros to sums that start at
-        +0, the same bits for finite factors.  Loops over self's powers, no
-        more than other's in the pipeline.  Only the factors' allowed
-        entries are multiplied, a quarter of the dense terms, in order:
-        bit-equal to the dense sum.
+        relative to its own terms; a window sums the same terms in the same
+        order as the full product, so it is bit-equal to its slice.  Power k
+        of self meets power j of other in one term per column c:
+        self's entry in column row(j, c), times other's (j, c), lands on
+        power k + j, column c.  The terms are summed from +0 in order of k,
+        over self's powers, no more than other's in the pipeline; a power a
+        factor lacks adds no term.
         """
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        a, b = _planes(self.coeffs, batch), _planes(other.coeffs, batch)
-        Pa, Pb = a.shape[2], b.shape[2]
+        a, b = _planes(self.entries, batch), _planes(other.entries, batch)
+        Pa, Pb = len(a), len(b)
         low = self.low + other.low
         # kept output indices i0..i1; a[k] b[j] goes to output index k + j
         i0 = 0 if lo is None else max(lo - low, 0)
         i1 = Pa + Pb - 2 if hi is None else min(hi - low, Pa + Pb - 2)
         if i0 > i1:
             raise ValueError(f"window [{lo}, {hi}] keeps no power")
-        out = np.zeros((2, 2, i1 - i0 + 1) + batch, dtype=complex)
-        # the allowed rows of a's powers and of b's first one
-        rows_a = class_rows(1, self.low + np.arange(Pa))[0]
-        rows_b = class_rows(1, [other.low])[0, 0]
+        out = np.zeros((i1 - i0 + 1, 2) + batch, dtype=complex)
         for k in range(max(i0 - Pb + 1, 0), min(i1 + 1, Pa)):
-            for s in range(2):
-                # a[:, s, k] lives in one row r, b[s, c] on every other
-                # power, from the first whose allowed row is s
-                r = rows_a[k, s]
-                for c in range(2):
-                    j = int(rows_b[c] != s)
-                    j -= min(k + j - i0, 0) // 2 * 2  # first kept j
-                    out[r, c, k + j - i0:k + Pb - i0:2] += (
-                        a[r, s, k, None] * b[s, c, j:i1 - k + 1:2])
-        return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), low + i0)
+            stop = min(i1 - k + 1, Pb)
+            for j in range(max(i0 - k, 0), stop)[:2]:
+                # b's powers j, j + 2, .. have their entries in the rows of
+                # power j: a's columns in that order, or swapped
+                rows = a[k, ::1 - 2 * ((other.low + j) % 2)]
+                out[k + j - i0:k + stop - i0:2] += rows * b[j:stop:2]
+        return MatrixLoop(np.moveaxis(out, (0, 1), (-2, -1)), low + i0)
 
     def adjoint_on_circle(self):
-        """Loop whose circle values are the conjugate transposes of self's."""
-        c = np.swapaxes(self.coeffs.conj(), -1, -2)[..., ::-1, :, :]
-        return MatrixLoop(c.copy(), -self.high)
+        """Loop whose circle values are the conjugate transposes of self's:
+        column c of power -j is row c of power j."""
+        P = self.entries.shape[-2]
+        return MatrixLoop(self.entries[
+            ..., np.arange(P)[::-1, None], self.rows[::-1]].conj(), -self.high)
 
     def at_node(self, index):
         """Single-node loop out of a batched one."""
-        return MatrixLoop(self.coeffs[index], self.low)
+        return MatrixLoop(self.entries[index], self.low)
 
 
-def _planes(coeffs, batch):
-    """(..., P, 2, 2) coefficients as contiguous entry planes (2, 2, P, *batch);
-    powers before nodes, so each multiply-add in `mul` is one block."""
-    c = np.broadcast_to(coeffs, batch + coeffs.shape[-3:])
-    return np.ascontiguousarray(np.moveaxis(c, (-2, -1, -3), (0, 1, 2)))
+def _planes(entries, batch):
+    """(..., P, 2) entries as contiguous planes (P, 2, *batch); powers before
+    nodes, so each multiply-add in `mul` is one block."""
+    e = np.broadcast_to(entries, batch + entries.shape[-2:])
+    return np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
 
 
 def plus_loop_inverse(L, order):
     """Power-series inverse of a plus-loop, truncated at `order`.
 
     Requires low == 0 (ValueError otherwise) and an invertible constant
-    term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed in
-    order of m by multiply-adds on entry planes, as in `MatrixLoop.mul`;
-    the inverse is twisted, and B_m X_{k-m} is one product per inner index
-    and entry, bit-equal to the dense sum.
+    term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed from +0 in
+    order of m on entry planes, as in `MatrixLoop.mul`: column c of
+    B_m X_{k-m} is B_m's entry in column row(k - m, c) times X_{k-m}'s
+    (k - m, c), and B_0 is diagonal.
     """
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
     batch = L.batch_shape
-    P = min(L.coeffs.shape[-3], order + 1)
-    b = _planes(L.coeffs[..., :P, :, :], batch)
-    b0_inv = inv2(b[:, :, 0])
-    # only the allowed entries are written: the forbidden ones keep the +0
-    # of np.zeros, as in `MatrixLoop.mul`.  `...` keeps an unbatched L's
-    # entries arrays: numpy's scalar complex product rounds differently
-    out = np.zeros((2, 2, order + 1) + batch, dtype=complex)
-    for r in range(2):
-        out[r, r, 0, ...] = b0_inv[r, r, ...]
+    P = min(L.entries.shape[-2], order + 1)
+    b = _planes(L.entries[..., :P, :], batch)
+    # `...` keeps an unbatched L's entries arrays: numpy's scalar complex
+    # product rounds differently
+    det = b[0, 0, ...] * b[0, 1, ...]
+    out = np.empty((order + 1, 2) + batch, dtype=complex)
+    out[0] = b[0, ::-1] / det   # B_0^{-1}: column c's entry is in row c
     for k in range(1, order + 1):
-        acc = np.zeros((2, 2) + batch, dtype=complex)
+        acc = np.zeros((2,) + batch, dtype=complex)
         for m in range(1, min(k, P - 1) + 1):
-            for s in range(2):
-                r, c = (s + m) % 2, (s + k - m) % 2
-                acc[r, c, ...] += b[r, s, m, ...] * out[s, c, k - m, ...]
-        # B_0^{-1} is diagonal: column c's one allowed entry is in row r
-        for c in range(2):
-            r = (c + k) % 2
-            out[r, c, k, ...] = -(b0_inv[r, r, ...] * acc[r, c, ...])
-    return MatrixLoop(np.moveaxis(out, (0, 1, 2), (-2, -1, -3)), 0)
+            acc += b[m, ::1 - 2 * ((k - m) % 2)] * out[k - m]
+        # column c's entry is in row (c + k) % 2
+        out[k] = -(out[0, ::1 - 2 * (k % 2)] * acc)
+    return MatrixLoop(np.moveaxis(out, (0, 1), (-2, -1)), 0)

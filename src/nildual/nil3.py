@@ -235,8 +235,10 @@ def _lagrange_weights(offsets, t):
 
 
 def stencil_valid(valid):
-    """Nodes whose full 2-wide stencil neighbourhood is valid: `valid`
-    shrunk by 2 nodes in each grid direction."""
+    """Nodes whose every stencil reads valid nodes alone: `valid` shrunk by
+    2 nodes in each grid direction, and a node of an edge band (the nodes
+    `_STENCILS` gives one-sided rows) kept only where the widest one-sided
+    window along that axis is valid."""
     out = valid.copy()
     for _ in range(2):
         shrunk = out.copy()
@@ -245,6 +247,12 @@ def stencil_valid(valid):
         shrunk[:, 1:] &= out[:, :-1]
         shrunk[:, :-1] &= out[:, 1:]
         out = shrunk
+    band = max(len(edges) for _, edges, _ in _STENCILS.values())
+    width = max(len(edges[0]) for _, edges, _ in _STENCILS.values())
+    for axis in (0, 1):
+        o, v = np.moveaxis(out, axis, 0), np.moveaxis(valid, axis, 0)
+        o[:band] &= v[:width].all(axis=0)
+        o[-band:] &= v[-width:].all(axis=0)
     return out
 
 

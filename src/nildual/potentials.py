@@ -2,13 +2,14 @@
 algebra, split Phi = F B+ pointwise in the SU(1,1) loop group, and hand
 the frame (with exact parameter derivatives) to the surface formulas.
 
-Every potential, and every loop multiplied or inverted here, is twisted;
-the grading and the exact check of a tag are stated in `loops`.  A
-potential must be finite.  Phi(0) = I, and Phi is summed from its Taylor
-series in z (`integrate_potential`) on the entries the grading allows (one
-per power and column), and on the powers up to 0 alone when xi has no
-positive power; Phi is returned on those powers, so the factorization of
-such a minus-loop multiplies none of the exact zeros above them.
+Every potential, and every loop multiplied or inverted here, is twisted,
+and every loop is its allowed entries (`loops`, one per power and column).
+A potential must be finite, and `HoloPotential` refuses one with a nonzero
+entry the grading forbids.  Phi(0) = I, and Phi is summed from its Taylor
+series in z (`integrate_potential`) on its entries, and on the powers up to
+0 alone when xi has no positive power; Phi is returned on those powers, so
+the factorization of such a minus-loop multiplies none of the exact zeros
+above them.
 
 The truncation order of a run, `order`, is a cap.  Phi is computed at the
 cap, then trimmed to the lowest order n whose tail, the largest entry of
@@ -29,12 +30,13 @@ even: N (rounded up) for a minus-loop Phi on -N..0, where it is exact
 (`_factorize`), and 2N when Phi has positive powers.  It splits into two
 parity classes of half the size, solved separately, and W, B+ and F come
 out exactly twisted.  Each class system is Hermitian block-Toeplitz with
-2x2 blocks, solved by a block-Levinson recursion with no eigen step and no
-dense matrix.  Its guard, the pivot, is the smallest reciprocal condition
-of the Schur complements of the system's leading sections; nodes with a
-pivot below PIVOT_MIN are big-cell failures and are masked.  The nodes are
-factorized BLOCK at a time, which bounds the memory the systems take and
-changes no bit.
+2x2 blocks, read from Z's entries, and solved by a block-Levinson recursion
+with no eigen step and no dense matrix.  Its guard, the pivot, is the
+smallest reciprocal condition of the Schur complements of the system's
+leading sections; nodes with a pivot below PIVOT_MIN are big-cell failures
+and are masked.  The nodes are factorized BLOCK at a time, which bounds the
+memory the systems take and changes no bit.  The diagonal gauges applied
+after it scale each entry at its row or column.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ from .loops import (
     MatrixLoop,
     class_rows,
     det2,
-    forbidden_mass,
     inv2,
     mm2,
     plus_loop_inverse,
@@ -92,8 +93,9 @@ class HoloPotential:
                 raise ConfigError("term entries must be (deg+1, 2, 2)")
         if not all(np.isfinite(c).all() for c in self.terms.values()):
             raise ConfigError("potential has a non-finite coefficient")
-        # each term's z^k coefficients as a batch of one power, j
-        if any(forbidden_mass(c[:, None], j) for j, c in self.terms.items()):
+        # the entries of each term's z^k coefficients the grading forbids
+        if any(c[:, class_rows(2, [j])[1, 0], [0, 1]].any()
+               for j, c in self.terms.items()):
             raise ConfigError("potential has forbidden-parity mass")
 
     @property
@@ -263,11 +265,11 @@ def integrate_potential(xi, grid, order=DEFAULT_ORDER):
     For xi on the power -1 alone, of degree q in z, Phi_{-k} is a
     polynomial of degree at most k (q + 1): the cut is at most N (q + 1),
     past which every coefficient is exactly zero.  The series is summed by
-    Horner in z elementwise on Phi's allowed entries (module docstring), so
-    a node's bits depend on that node alone.  Returns a batched MatrixLoop
-    over the grid nodes on Phi's powers: -N..0 when xi has no positive
-    power (power 0 exactly I when xi is on the power -1 alone), -N..N
-    otherwise.
+    Horner in z elementwise on Phi's allowed entries, so a node's bits
+    depend on that node alone, and its output is the loop's entries.
+    Returns a batched MatrixLoop over the grid nodes on Phi's powers: -N..0
+    when xi has no positive power (power 0 exactly I when xi is on the
+    power -1 alone), -N..N otherwise.
     """
     N = order
     powers = np.arange(-N, (0 if max(xi.terms) <= 0 else N) + 1)
@@ -291,11 +293,9 @@ def integrate_potential(xi, grid, order=DEFAULT_ORDER):
         acc /= n + 1
     # the allowed entries, one per power and column, summed at the nodes
     rows = class_rows(1, powers)[0]
-    dense = np.zeros(grid.shape + (P, 2, 2), dtype=complex)
-    dense[..., np.arange(P)[:, None], rows, [0, 1]] = np.moveaxis(
+    return MatrixLoop(np.moveaxis(
         _horner(A[:, rows, [0, 1], np.arange(P)[:, None]], grid.zz),
-        (-2, -1), (0, 1))
-    return MatrixLoop(dense, -N)
+        (0, 1), (-2, -1)), -N)
 
 
 def trim_to_tail(phi):
@@ -312,11 +312,10 @@ def trim_to_tail(phi):
     trimmed loop is bit-equal to Phi computed at order n.
     """
     N = phi.order
-    c = phi.coeffs.reshape((-1,) + phi.coeffs.shape[-3:])
-    finite = np.isfinite(c).all(axis=(1, 2, 3))
+    finite = np.isfinite(phi.entries).all(axis=(-2, -1))
     if not finite.any():
         return phi, N, np.nan
-    size = np.max(np.abs(c), axis=(2, 3))[finite].max(axis=0)
+    size = np.max(np.abs(phi.entries), axis=-1)[finite].max(axis=0)
     k = np.arange(N + 1)
     side = size[N - k]
     if phi.high > 0:
@@ -331,7 +330,7 @@ def trim_to_tail(phi):
     above = np.flatnonzero(~(tail[1:] <= TAIL_MAX))
     n = 1 if above.size == 0 else int(above[-1]) + 2
     keep = slice(N - n, N + (n if phi.high > 0 else 0) + 1)
-    trimmed = MatrixLoop(phi.coeffs[..., keep, :, :].copy(), -n)
+    trimmed = MatrixLoop(phi.entries[..., keep, :].copy(), -n)
     return trimmed, n, float(tail[n])
 
 
@@ -363,7 +362,7 @@ def iwasawa(phi):
     per node, so the blocks bound the working set without changing a bit.
     """
     batch = phi.batch_shape
-    flat = phi.coeffs.reshape((-1,) + phi.coeffs.shape[-3:])
+    flat = phi.entries.reshape((-1,) + phi.entries.shape[-2:])
     n = flat.shape[0]
     outs = None
     for start in range(0, n, BLOCK):
@@ -371,8 +370,8 @@ def iwasawa(phi):
             MatrixLoop(flat[start:start + BLOCK], phi.low))
         if outs is None:
             outs = [np.empty((n,) + a.shape[1:], a.dtype)
-                    for a in (F.coeffs, Bp.coeffs, pivot, failed)]
-        for o, a in zip(outs, (F.coeffs, Bp.coeffs, pivot, failed)):
+                    for a in (F.entries, Bp.entries, pivot, failed)]
+        for o, a in zip(outs, (F.entries, Bp.entries, pivot, failed)):
             o[start:start + BLOCK] = a
     f, bp, pivot, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
     return (MatrixLoop(f, F.low), MatrixLoop(bp, 0),
@@ -384,10 +383,12 @@ def _factorize(phi):
     N = phi.order
     batch = phi.batch_shape
 
-    # sigma3 Phi^dag sigma3: the adjoint with its off-diagonal signs flipped
+    # sigma3 Phi^dag sigma3: the adjoint with its off-diagonal entries, the
+    # odd powers', negated
     left = phi.adjoint_on_circle()
-    left.coeffs *= [[1.0, -1.0], [-1.0, 1.0]]
-    Z = left.mul(phi)
+    odd = (left.low + np.arange(left.entries.shape[-2])) % 2
+    Z = MatrixLoop(left.entries * (1.0 - 2.0 * odd)[:, None],
+                   left.low).mul(phi)
     # the system size M: Z's top power, rounded up to even for the class
     # pairing; N (or N + 1) for a minus-loop Phi, 2N with positive powers.
     # N is exact for a minus-loop: det Phi is constant in lam (xi's trace
@@ -395,23 +396,24 @@ def _factorize(phi):
     # C sigma3 (B+^{-1})^dag sigma3, an adjugate over a constant, has no
     # power below -N
     M = Z.high + Z.high % 2
-    # sigma3 Z on the powers -M..M (zero beyond Z's window, +-Z.high)
-    s3Z = np.zeros(batch + (2 * M + 1, 2, 2), dtype=complex)
-    s3Z[..., Z.low + M:Z.high + M + 1, :, :] = Z.coeffs * [[1.0], [-1.0]]
+    # sigma3 Z's entries on the powers -M..M (zero beyond Z's window, +-Z.high)
+    z_entries = np.zeros(batch + (2 * M + 1, 2), dtype=complex)
+    z_entries[..., Z.low + M:Z.high + M + 1, :] = (
+        Z.entries * (1.0 - 2.0 * Z.rows))
 
     # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
     # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
     # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r].
     # It is solved as H^T (sigma3 W^T) = R, so row block m of the solution
     # is sigma3 W_{-m}^T
-    flat = s3Z.reshape(batch + (-1,))   # index (power + M) * 4 + 2 * row + col
+    flat = z_entries.reshape(batch + (-1,))   # index (power + M) * 2 + column
     nonfinite = ~np.isfinite(flat).all(axis=-1)
     planes = np.ascontiguousarray(flat.T)   # node axis last
     # unknown (m,r) of a twisted W_{-m} is nonzero in the one row the grading
     # allows, which is its right-hand column: two half-size systems, one
-    # column each
+    # column each, and every entry they read is one Z allows
     cls = class_rows(1, -np.arange(1, M + 1))[0].reshape(2 * M)
-    sol = np.zeros((2 * M, 2) + batch, dtype=complex)
+    sol = np.zeros((2 * M,) + batch, dtype=complex)
     pivot = np.inf
     for p in (0, 1):
         rows = np.flatnonzero(cls == p)
@@ -421,44 +423,39 @@ def _factorize(phi):
         # 1 - M: every block lies inside Z's window
         m, r = rows.reshape(-1, 2) // 2 + 1, rows.reshape(-1, 2) % 2
         power = m[None, None, 0] - m[:, :, None]
-        t = planes[(power + M) * 4 + 2 * r[None, None, 0] + r[:, :, None]]
+        t = planes[(power + M) * 2 + r[:, :, None]]
         t = t.transpose(1, 2, 0, 3)   # (i, j, d, node)
-        y = -planes[(M - m[:, :, None]) * 4 + r[:, :, None] + 2 * p]
+        y = -planes[(M - m[:, :, None]) * 2 + r[:, :, None]]
         y = y.transpose(1, 2, 0, 3) * np.array([1.0, -1.0])[p]
         x, piv = _levinson(t, y)
-        sol[rows, p] = x.transpose(2, 0, 1, 3).reshape((len(rows),) + batch)
+        sol[rows] = x.transpose(2, 0, 1, 3).reshape((len(rows),) + batch)
         pivot = np.minimum(pivot, piv)
     pivot = np.where(nonfinite, np.nan, pivot)
     failed = ~(pivot >= PIVOT_MIN)
-    sol[:, :, failed] = 0.0
-    sol = np.moveaxis(sol, (0, 1), (-2, -1)).reshape(batch + (M, 2, 2))
+    sol[:, failed] = 0.0
+    # column r of W_{-m} is row r of sigma3 W_{-m}^T, negated for r = 1;
     # W_0 = I
-    W = MatrixLoop(np.concatenate(
-        [np.swapaxes(sol[..., ::-1, :, :], -1, -2) * [1.0, -1.0],
-         np.broadcast_to(np.eye(2), batch + (1, 2, 2))], axis=-3), -M)
+    w = np.moveaxis(sol.reshape((M, 2) + batch), (0, 1), (-2, -1))
+    W = MatrixLoop(np.concatenate([w[..., ::-1, :] * [1.0, -1.0],
+                                   np.ones(batch + (1, 2))], axis=-2), -M)
 
     Zp = W.mul(Z, 0, 2 * N)   # the solve leaves the negative powers free
 
-    # failed nodes get B+ = I below; keep them out of the positivity test
-    Z0 = np.where(failed[..., None, None], np.eye(2), Zp.coeff(0))
-    r1_sq = Z0[..., 0, 0]
-    bad_r1 = (r1_sq.real <= 0) | (
-        np.abs(r1_sq.imag) > 1e-6 * np.abs(r1_sq.real) + 1e-12)
-    r1 = np.sqrt(np.where(bad_r1, 1.0, r1_sq.real))
-    b = Z0[..., 0, 1] / r1
-    r2_sq = Z0[..., 1, 1].real + np.abs(b) ** 2
-    bad_r2 = r2_sq <= 0
-    r2 = np.sqrt(np.where(bad_r2, 1.0, r2_sq))
+    # Zp_0 is diagonal; failed nodes get B+ = I below, so keep them out of
+    # the positivity test
+    z0 = np.where(failed[..., None], 1.0, Zp.entries[..., 0, :])
+    bad_r1 = (z0[..., 0].real <= 0) | (
+        np.abs(z0[..., 0].imag) > 1e-6 * np.abs(z0[..., 0].real) + 1e-12)
+    r1 = np.sqrt(np.where(bad_r1, 1.0, z0[..., 0].real))
+    bad_r2 = z0[..., 1].real <= 0
+    r2 = np.sqrt(np.where(bad_r2, 1.0, z0[..., 1].real))
     failed = failed | bad_r1 | bad_r2
 
-    Cinv = np.zeros((2, 2, 1) + batch, dtype=complex)   # entry planes
-    Cinv[0, 0] = 1.0 / r1
-    Cinv[1, 0] = np.conj(b) / (r1 * r2)
-    Cinv[1, 1] = 1.0 / r2
-    zp = np.moveaxis(Zp.coeffs, (-3, -2, -1), (2, 0, 1))
-    bp = np.moveaxis(mm2(Cinv, zp), (2, 0, 1), (-3, -2, -1))
+    # B+ = C^{-1} Zp with C^{-1} = diag(1 / r1, 1 / r2): each entry scaled at
+    # its row
+    bp = Zp.entries * np.stack([1.0 / r1, 1.0 / r2], axis=-1)[..., Zp.rows]
     bp[failed] = 0.0
-    bp[failed, 0] = np.eye(2)
+    bp[failed, 0] = 1.0
     Bp = MatrixLoop(bp, 0)
 
     return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
@@ -530,19 +527,24 @@ def iwasawa_residuals(phi, F, Bp, mask=None):
     on the nodes of `mask` (default: every node).  Each loop is evaluated at
     all eight samples as entry planes (2, 2, 8, nodes), by one product of
     the (8, P) table of the samples' powers with its coefficients, BLOCK
-    nodes at a time; F B+ and F^dag sigma3 F are formed entrywise."""
+    nodes at a time; F B+ and F^dag sigma3 F are formed entrywise.  Entry
+    (r, c) sums column c's entries over the powers of parity r + c: the
+    table holds the other parity's powers at 0."""
     keep = np.ones(phi.batch_shape, dtype=bool) if mask is None else mask
     keep = keep.reshape(-1)
     lam = _circle_samples(8)[:, None]
-    loops = [(lam ** (L.low + np.arange(L.coeffs.shape[-3])),
-              L.coeffs.reshape(-1, L.coeffs.shape[-3], 4))
-             for L in (phi, F, Bp)]
+    loops = []
+    for L in (phi, F, Bp):
+        p = L.low + np.arange(L.entries.shape[-2])
+        table = np.where(p % 2 == np.arange(2)[:, None, None], lam ** p, 0.0)
+        loops.append((table[:, None], L.entries.reshape(-1, len(p), 2)))
+    parity = np.array([[0, 1], [1, 0]])   # r + c, the table of entry (r, c)
     rows = np.array([1.0, -1.0])[:, None, None, None]   # sigma3 from the left
     recon = reality = 0.0
     for start in range(0, keep.size, BLOCK):
         part = np.flatnonzero(keep[start:start + BLOCK]) + start
-        pv, fv, bv = (np.matmul(table, c[part].T).reshape(2, 2, 8, -1)
-                      for table, c in loops)
+        pv, fv, bv = (np.matmul(table, e[part].T)[parity, [0, 1]]
+                      for table, e in loops)
         herm = mm2(np.swapaxes(fv, 0, 1).conj(), rows * fv)
         recon = max(recon, float(np.max(np.abs(pv - mm2(fv, bv)),
                                         initial=0.0)))
@@ -592,11 +594,11 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
     phase = np.exp(1j * theta)
-    # the diagonal of k; entrywise products keep a NaN node's forbidden
-    # entries exactly zero
+    # the diagonal of k: F k scales each entry at its column, conj(k) B+ at
+    # its row
     k = np.stack([phase, np.conj(phase)], axis=-1)
-    F2 = MatrixLoop(F.coeffs * k[..., None, None, :], F.low)
-    Bp2 = MatrixLoop(np.conj(k)[..., None, :, None] * Bp.coeffs, Bp.low)
+    F2 = MatrixLoop(F.entries * k[..., None, :], F.low)
+    Bp2 = MatrixLoop(np.conj(k)[..., Bp.rows] * Bp.entries, Bp.low)
     return F2, Bp2, mask & ~degenerate
 
 
@@ -637,7 +639,8 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
                               f"node to export")
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
-    floop = MatrixLoop.constant(SPINOR_GAUGE).mul(F)
+    # SPINOR_GAUGE F: each entry scaled at its row
+    floop = MatrixLoop(np.diag(SPINOR_GAUGE)[F.rows] * F.entries, F.low)
     # the frame evaluation below sets the pipeline's peak memory: keep only
     # the loop it reads
     del phi, F, Bp

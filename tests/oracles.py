@@ -4,7 +4,9 @@ The hyperbolic-paraboloid family admits explicit formulas for the surface,
 its frame, spinors, and invariants; everything here was derived by hand
 from those formulas and is frozen for comparison against the numerics.
 `nil3_mul` and `nil3_inv` are the reference group law of Nil3, which the
-tests use to move surfaces by left translations.
+tests use to move surfaces by left translations.  `loop_from_dense` builds
+a loop from dense coefficients, whose forbidden entries must be exactly
+zero.
 
 The path integrators at the end march one grid line at a time, one node's
 matrices per step.  The frame's is the reference the batched frame march
@@ -26,11 +28,22 @@ from pathlib import Path
 import numpy as np
 
 from nildual.frames import _connection_parts
-from nildual.loops import MatrixLoop
+from nildual.loops import MatrixLoop, class_rows
 from nildual.nil3 import DomainGrid, _lagrange_weights
 from nildual.potentials import integrate_potential
 
 SQRT_I = np.exp(1j * np.pi / 4)
+
+
+def loop_from_dense(coeffs, low):
+    """The loop of dense coefficients (..., P, 2, 2) of the powers low,
+    low + 1, ...: asserts that every entry the twisted grading forbids is
+    exactly zero, and gathers the allowed ones."""
+    c = np.asarray(coeffs, dtype=complex)
+    k = np.arange(c.shape[-3])[:, None]
+    rows = class_rows(2, low + k[:, 0])
+    assert not c[..., k, rows[1], [0, 1]].any(), "a forbidden entry is not 0"
+    return MatrixLoop(c[..., k, rows[0], [0, 1]], low)
 
 
 def nil3_mul(a, b):
@@ -211,7 +224,7 @@ def reference_integrate_potential(xi, grid, z0=0j, order=12, substeps=8,
             out[:, j] = both_ways(row[j], grid.node_z(i0, j), 1j * grid.hy,
                                   i0, grid.ny)
 
-    return MatrixLoop(out, -N)
+    return loop_from_dense(out, -N)
 
 
 def shifted_potential(xi, z1):
@@ -494,8 +507,8 @@ def factorization_classes(phi):
     """
     s3 = np.diag([1.0, -1.0]).astype(complex)[None]
     adj = phi.adjoint_on_circle()
-    Y = MatrixLoop(cauchy_loop(adj.coeffs, cauchy_loop(s3, phi.coeffs)),
-                   adj.low + phi.low)
+    Y = loop_from_dense(cauchy_loop(adj.coeffs, cauchy_loop(s3, phi.coeffs)),
+                        adj.low + phi.low)
     M = Y.high + Y.high % 2
     H = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
     for m in range(1, M + 1):
@@ -516,8 +529,8 @@ def factorization_solution(phi):
     N = phi.order
     M = 2 * N
     adj = phi.adjoint_on_circle()
-    Z = MatrixLoop(cauchy_loop(adj.coeffs * [[1.0, -1.0], [-1.0, 1.0]],
-                               phi.coeffs), adj.low + phi.low)
+    Z = loop_from_dense(cauchy_loop(adj.coeffs * [[1.0, -1.0], [-1.0, 1.0]],
+                                    phi.coeffs), adj.low + phi.low)
     # unknown (m, r) of row a of W is W_{-m}[a, r]; equation (e, c)
     A = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
     rhs = np.zeros(phi.batch_shape + (2 * M, 2), dtype=complex)

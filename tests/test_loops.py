@@ -63,11 +63,11 @@ def test_su11_residual_random(rng):
 
 
 def test_loop_eval_examples():
-    L = MatrixLoop.constant(SIGMA3)
+    L = oracles.loop_from_dense(SIGMA3[None], 0)
     assert np.allclose(L.eval(1j), SIGMA3)
     c = np.zeros((1, 2, 2), dtype=complex)
     c[0, 0, 1] = 1.0
-    L = MatrixLoop(c, -1)  # single lam^{-1} coefficient
+    L = oracles.loop_from_dense(c, -1)  # single lam^{-1} coefficient
     out = L.eval(-1.0)
     assert out[0, 1] == pytest.approx(-1.0)
     for off in (0.5, complex("nan"), complex("nanj")):
@@ -78,15 +78,15 @@ def test_loop_eval_examples():
 def test_loop_dlambda():
     # eval's first and second derivatives in lam, at lam = i
     lam = 1j
-    L = MatrixLoop.constant(np.eye(2))
+    L = MatrixLoop.identity()
     assert np.max(np.abs(L.eval(lam, 1))) == 0.0
     assert np.max(np.abs(L.eval(lam, 2))) == 0.0
     # off-diagonal: the entries a twisted loop allows at odd powers
     A = np.array([[0.0, 2.0], [3.0, 0.0]], dtype=complex)
-    L = MatrixLoop(A[None], 1)          # A lam
+    L = oracles.loop_from_dense(A[None], 1)    # A lam
     assert np.allclose(L.eval(lam, 1), A)
     assert np.max(np.abs(L.eval(lam, 2))) == 0.0
-    L = MatrixLoop(A[None], -1)         # A / lam
+    L = oracles.loop_from_dense(A[None], -1)   # A / lam
     assert np.allclose(L.eval(lam, 1), -A / lam**2)
     assert np.allclose(L.eval(lam, 2), 2 * A / lam**3)
 
@@ -94,13 +94,14 @@ def test_loop_dlambda():
 def test_loop_mul_identity_and_powers(rng):
     c = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     c[_forbidden(5, -2)] = 0.0
-    L = MatrixLoop(c, -2)
+    L = oracles.loop_from_dense(c, -2)
     out = L.mul(MatrixLoop.identity())
     assert out.low == -2 and np.allclose(out.coeffs, c)
     # odd powers hold off-diagonal entries
     A = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
     B = rng.normal(size=(2, 2)) * [[0.0, 1.0], [1.0, 0.0]] + 0j
-    prod = MatrixLoop(A[None], 1).mul(MatrixLoop(B[None], -1))
+    prod = oracles.loop_from_dense(A[None], 1).mul(
+        oracles.loop_from_dense(B[None], -1))
     assert prod.low == 0 and np.allclose(prod.coeffs[0], A @ B)
 
 
@@ -109,15 +110,9 @@ small = st.floats(-2, 2, allow_nan=False)
 
 @st.composite
 def twisted_loops(draw, order=2):
-    c = np.zeros((2 * order + 1, 2, 2), dtype=complex)
-    for k in range(2 * order + 1):
-        j = k - order
-        vals = [draw(small) + 1j * draw(small) for _ in range(2)]
-        if j % 2 == 0:
-            c[k, 0, 0], c[k, 1, 1] = vals
-        else:
-            c[k, 0, 1], c[k, 1, 0] = vals
-    return MatrixLoop(c, -order)
+    e = [[draw(small) + 1j * draw(small) for _ in range(2)]
+         for _ in range(2 * order + 1)]
+    return MatrixLoop(e, -order)
 
 
 @given(twisted_loops(), twisted_loops())
@@ -163,9 +158,8 @@ def tagged_loops(draw, batch, elements=entries):
     """Twisted loops of any low and up to six powers on `batch`."""
     low = draw(st.integers(-3, 3))
     P = draw(st.integers(1, 6))
-    c = draw(hnp.arrays(complex, batch + (P, 2, 2), elements=elements))
-    c[..., _forbidden(P, low)] = 0.0
-    return MatrixLoop(c, low)
+    e = draw(hnp.arrays(complex, batch + (P, 2), elements=elements))
+    return MatrixLoop(e, low)
 
 
 @given(low=st.integers(-7, 7), P=st.integers(1, 6))
@@ -177,30 +171,29 @@ def test_class_rows_is_the_twisted_rule(low, P):
         assert np.array_equal(mask, _forbidden(P, low) == bool(cls))
 
 
-@given(low=st.integers(-4, 4), P=st.integers(1, 5), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_twisted_tag_refuses_every_forbidden_entry(low, P, data):
-    c = data.draw(hnp.arrays(complex, (2, P, 2, 2), elements=entries))
-    forbidden = _forbidden(P, low)
-    c[:, forbidden] = 0.0
-    MatrixLoop(c, low)
-    k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(forbidden)))))
-    node = data.draw(st.integers(0, 1))
-    for bad in (np.nan, np.inf, 1e-300, complex(0.0, np.nan)):
-        broken = c.copy()
-        broken[node, k, r, col] = bad
-        with pytest.raises(ValueError, match="forbidden-parity"):
-            MatrixLoop(broken, low)
-    # a NaN on an allowed entry is data, not a broken tag
-    k, r, col = data.draw(st.sampled_from(list(zip(*np.nonzero(~forbidden)))))
-    c[node, k, r, col] = np.nan
-    MatrixLoop(c, low)
-
-
 def _same_bits(x, y):
     return (x.shape == y.shape and np.array_equal(x, y)
             and all(np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
                     for part in (np.real, np.imag)))
+
+
+@given(low=st.integers(-4, 4), P=st.integers(1, 5), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coeffs_view_puts_each_entry_in_its_class_row(low, P, data):
+    # entry (k, c) is coefficient k's entry (class_rows' row, c); the
+    # forbidden entries read +0, with no sign bit, and the view is read-only
+    e = data.draw(hnp.arrays(complex, (2, P, 2), elements=entries))
+    L = MatrixLoop(e, low)
+    c = L.coeffs
+    assert c.shape == (2, P, 2, 2) and not c.flags.writeable
+    k = np.arange(P)[:, None]
+    rows = class_rows(2, low + np.arange(P))
+    assert _same_bits(c[:, k, rows[0], [0, 1]], e)
+    zero = c[:, k, rows[1], [0, 1]]
+    assert np.all(zero == 0.0)
+    assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
+    for j in range(low, low + P):
+        assert _same_bits(L.coeff(j), c[:, j - low])
 
 
 @given(data=st.data())
@@ -208,18 +201,15 @@ def _same_bits(x, y):
 def test_tagged_mul_is_the_dense_sum(data):
     # odd and even lows, unequal windows, and a constant broadcast against
     # a batch on either side: each coefficient within the einsum product's
-    # bound, and the forbidden entries +0 exactly
+    # bound
     ba, bb = data.draw(st.sampled_from([((2, 3), (2, 3)), ((2, 3), ()),
                                         ((), (2, 3))]))
     x = data.draw(tagged_loops(ba, no_underflow))
     y = data.draw(tagged_loops(bb, no_underflow))
     got = x.mul(y)
     assert got.low == x.low + y.low
-    assert got.coeffs.shape[-3] == x.coeffs.shape[-3] + y.coeffs.shape[-3] - 1
+    assert got.high == x.high + y.high
     assert oracles.within_cauchy_bound(got.coeffs, x.coeffs, y.coeffs)
-    zero = got.coeffs[..., _forbidden(got.coeffs.shape[-3], got.low)]
-    assert np.all(zero == 0.0)
-    assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
 
 
 @given(data=st.data())
@@ -239,14 +229,12 @@ def test_windowed_mul_is_the_slice_of_the_full_product(data):
         got = x.mul(y, lo, hi)
         start, stop = max(lo, full.low), min(hi, full.high)
         assert (got.low, got.high) == (start, stop)
-        assert _same_bits(got.coeffs, full.coeffs[
-            ..., start - full.low:stop - full.low + 1, :, :])
+        assert _same_bits(got.entries, full.entries[
+            ..., start - full.low:stop - full.low + 1, :])
 
 
 def test_empty_window_raises():
-    c = np.ones((3, 2, 2), dtype=complex)
-    c[_forbidden(3, -1)] = 0.0
-    x = MatrixLoop(c, -1)
+    x = MatrixLoop(np.ones((3, 2)), -1)
     y = MatrixLoop.identity((2,))   # the product has the powers -1..1
     for lo, hi in ((1, 0), (2, 5), (-7, -2)):
         with pytest.raises(ValueError, match="keeps no power"):
@@ -257,24 +245,19 @@ def test_empty_window_raises():
 @settings(max_examples=40, deadline=None)
 def test_tagged_plus_loop_inverse_is_within_the_cauchy_bound(data):
     # L X is the identity on the powers 0..order within the einsum
-    # product's bound, and X's forbidden entries are exactly zero
+    # product's bound
     batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
     P = data.draw(st.integers(1, 6))
-    c = data.draw(hnp.arrays(complex, batch + (P, 2, 2),
-                             elements=no_underflow))
-    c[..., _forbidden(P, 0)] = 0.0
+    e = data.draw(hnp.arrays(complex, batch + (P, 2), elements=no_underflow))
     # B_0 = I + (diagonal of modulus at most 1/2): well conditioned
-    c[..., 0, :, :] = 0.25 * c[..., 0, :, :] + np.eye(2)
+    e[..., 0, :] = 0.25 * e[..., 0, :] + 1.0
     order = data.draw(st.integers(0, 8))
-    got = plus_loop_inverse(MatrixLoop(c, 0), order)
-    assert got.coeffs.shape[-3] == order + 1
+    L = MatrixLoop(e, 0)
+    got = plus_loop_inverse(L, order)
+    assert (got.low, got.high) == (0, order)
     ident = np.zeros(batch + (order + 1, 2, 2), dtype=complex)
     ident[..., 0, :, :] = np.eye(2)
-    assert oracles.within_cauchy_bound(ident, c, got.coeffs)
-    forbidden = got.coeffs[..., _forbidden(order + 1, 0)]
-    assert np.all(forbidden == 0.0)
-    assert not np.signbit(forbidden.real).any()
-    assert not np.signbit(forbidden.imag).any()
+    assert oracles.within_cauchy_bound(ident, L.coeffs, got.coeffs)
 
 
 def _graded(rng, batch, P, span=30.0):
@@ -299,7 +282,7 @@ def test_mul_error_is_coefficientwise(rng, Pa, Pb, batch_b):
     b = _graded(rng, batch_b, Pb)
     a[..., _forbidden(Pa, -2)] = 0.0
     b[..., _forbidden(Pb, 1)] = 0.0
-    got = MatrixLoop(a, -2).mul(MatrixLoop(b, 1))
+    got = oracles.loop_from_dense(a, -2).mul(oracles.loop_from_dense(b, 1))
     assert got.low == -1 and got.coeffs.shape == (3, 4, Pa + Pb - 1, 2, 2)
     assert oracles.within_cauchy_bound(got.coeffs, a, b)
 
@@ -312,40 +295,20 @@ def test_fft_product_breaks_the_coefficient_bound(rng):
     assert not oracles.within_cauchy_bound(_fft_product(a, b), a, b)
 
 
-def test_mul_keeps_parity_slots_exactly_zero(rng):
-    c = _graded(rng, (2, 3), 7)
-    c[..., _forbidden(7, -3)] = 0.0
-    L = MatrixLoop(c, -3)
-    short = MatrixLoop(c[..., 2:5, :, :], -1)
-    for x, y, lo, hi in ((L, L, None, None), (L, short, None, None),
-                         (L, L, -1, 2), (short, L, -4, -4)):
-        x.mul(y, lo, hi)   # the constructor raises on any nonzero slot
-
-
 def test_truncation_tail(rng):
     # a product window that clips both ends keeps the powers inside it
     c = rng.normal(size=(9, 2, 2)) + 0j
     c[_forbidden(9, -4)] = 0.0
-    L = MatrixLoop(c, -4)
+    L = oracles.loop_from_dense(c, -4)
     cut = L.mul(MatrixLoop.identity(), -2, 2)
     assert cut.low == -2 and cut.high == 2
     assert np.array_equal(cut.coeffs, c[2:7])
 
 
-def test_parity_validation():
-    c = np.zeros((1, 2, 2), dtype=complex)
-    c[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        MatrixLoop(c, 1)  # diagonal mass on an odd power
-    c[0, 0, 0] = 1e-300
-    with pytest.raises(ValueError):
-        MatrixLoop(c, 1)  # no forbidden mass is too small
-
-
 def test_adjoint_on_circle(rng):
     c = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     c[_forbidden(5, -1)] = 0.0
-    L = MatrixLoop(c, -1)
+    L = oracles.loop_from_dense(c, -1)
     adj = L.adjoint_on_circle()
     lam = np.exp(0.9j)
     assert np.max(np.abs(adj.eval(lam) - L.eval(lam).conj().T)) < 1e-12
@@ -355,7 +318,7 @@ def test_plus_loop_inverse(rng):
     c = 0.1 * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
     c[_forbidden(4, 0)] = 0.0
     c[0] = np.eye(2) + 0.05 * c[0]
-    L = MatrixLoop(c, 0)
+    L = oracles.loop_from_dense(c, 0)
     inv = plus_loop_inverse(L, 12)
     prod = L.mul(inv)
     ident = np.zeros_like(prod.coeffs[..., 0, :, :])
@@ -372,12 +335,13 @@ def test_plus_loop_inverse_batched(rng):
                + 1j * rng.normal(size=(3, 2, 5, 2, 2)))
     c[..., _forbidden(5, 0)] = 0.0
     c[..., 0, :, :] += np.eye(2)
-    inv = plus_loop_inverse(MatrixLoop(c, 0), 10)
-    assert inv.coeffs.shape == (3, 2, 11, 2, 2)
+    L = oracles.loop_from_dense(c, 0)
+    inv = plus_loop_inverse(L, 10)
+    assert inv.entries.shape == (3, 2, 11, 2)
     for idx in np.ndindex(3, 2):
-        one = plus_loop_inverse(MatrixLoop(c[idx], 0), 10)
-        assert np.array_equal(inv.coeffs[idx], one.coeffs)
-        prod = MatrixLoop(c[idx], 0).mul(one)
+        one = plus_loop_inverse(L.at_node(idx), 10)
+        assert np.array_equal(inv.entries[idx], one.entries)
+        prod = L.at_node(idx).mul(one)
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
 

@@ -11,7 +11,9 @@ from nildual.nil3 import (
     conformality_residual,
     dz_field,
     dzbar_field,
+    dzdzbar_field,
     left_maurer_cartan,
+    stencil_valid,
     xi_nil_with_residual,
 )
 from nildual.loops import E1, E2, E3, SIGMA3
@@ -149,3 +151,22 @@ def test_reconstruction_fourth_order(grid_small):
         errs.append(np.max(np.abs(rebuilt - paraboloid_surface(g))))
     assert errs[0] < 5e-7
     assert errs[0] / errs[1] > 8.0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("line", [3, 4, 5, -4, -5, -6])
+def test_stencil_valid_nodes_read_no_masked_node(axis, line):
+    # a masked line 3 to 5 nodes from an edge lies inside the one-sided
+    # windows of that edge's nodes (5 nodes for the first derivative, 6 for
+    # the second): a NaN there must reach no node counted valid
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
+    valid = np.ones(grid.shape, dtype=bool)
+    np.moveaxis(valid, axis, 0)[line] = False
+    f = np.exp(grid.zz)
+    holed = f.copy()
+    holed[~valid] = np.nan
+    keep = stencil_valid(valid)
+    assert keep.sum() > grid.nx
+    for deriv in (dz_field, dzbar_field, dzdzbar_field):
+        got, want = deriv(holed, grid)[keep], deriv(f, grid)[keep]
+        assert np.array_equal(got, want)

@@ -181,10 +181,10 @@ def _plus_loop(rng):
     c[1] = 0.1 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[2] = 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c[~_allowed(0, 4)] = 0.0
-    Bp_true = MatrixLoop(np.broadcast_to(c, (3, 3, 4, 2, 2)).copy(), 0)
+    Bp_true = oracles.loop_from_dense(np.broadcast_to(c, (3, 3, 4, 2, 2)), 0)
     pad = np.zeros((3, 3, 9, 2, 2), dtype=complex)
     pad[..., 4:8, :, :] = Bp_true.coeffs
-    return Bp_true, MatrixLoop(pad, -4)
+    return Bp_true, oracles.loop_from_dense(pad, -4)
 
 
 def test_iwasawa_of_plus_loop_is_identity(rng):
@@ -291,9 +291,9 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
     phi = integrate_potential(xi, grid, order=6)
     F0, Bp0, _ = iwasawa(phi)
-    c = phi.coeffs.copy()
-    c[1, 3][_allowed(phi.low, phi.coeffs.shape[-3])] = bad
-    F, Bp, report = iwasawa(MatrixLoop(c, phi.low))
+    e = phi.entries.copy()
+    e[1, 3] = bad
+    F, Bp, report = iwasawa(MatrixLoop(e, phi.low))
     expected = np.zeros(grid.shape, dtype=bool)
     expected[1, 3] = True
     assert np.array_equal(report.failed, expected)
@@ -316,7 +316,7 @@ def test_iwasawa_fails_a_node_whose_leading_section_is_singular():
     c[0, 2, 1, 1] = 0.0
     c[0, 4] = np.diag([1.0, -1.0])
     c[0, 1] = [[0.0, -1.0], [-1.0, 0.0]]
-    phi = MatrixLoop(c, -2)
+    phi = oracles.loop_from_dense(c, -2)
     T = oracles.factorization_classes(phi)[0][0]
     assert np.linalg.det(T[:2, :2]) == 0.0
     assert np.linalg.cond(T) < 10.0
@@ -355,8 +355,8 @@ def test_iwasawa_blocks_match_single_nodes(three_blocks):
         idx = np.unravel_index(k, phi.batch_shape)
         F1, Bp1, rep1 = iwasawa(phi.at_node(idx))
         assert F1.low == F.low
-        assert _same_bits(F.coeffs[idx], F1.coeffs)
-        assert _same_bits(Bp.coeffs[idx], Bp1.coeffs)
+        assert _same_bits(F.entries[idx], F1.entries)
+        assert _same_bits(Bp.entries[idx], Bp1.entries)
         assert _same_bits(report.pivot[idx], rep1.pivot)
         assert _same_bits(report.failed[idx], rep1.failed)
 
@@ -366,14 +366,14 @@ def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
     bad = np.zeros(phi.batch_shape, dtype=bool)
     node = np.unravel_index(BLOCK + 5, phi.batch_shape)
     bad[node] = True
-    c = phi.coeffs.copy()
-    c[node][_allowed(phi.low, phi.coeffs.shape[-3])] = np.nan
-    F2, Bp2, rep2 = iwasawa(MatrixLoop(c, phi.low))
+    e = phi.entries.copy()
+    e[node] = np.nan
+    F2, Bp2, rep2 = iwasawa(MatrixLoop(e, phi.low))
     assert not report.failed[bad].any()
     assert np.array_equal(rep2.failed, report.failed | bad)
     assert _same_bits(rep2.pivot[~bad], report.pivot[~bad])
-    assert _same_bits(F2.coeffs[~bad], F.coeffs[~bad])
-    assert _same_bits(Bp2.coeffs[~bad], Bp.coeffs[~bad])
+    assert _same_bits(F2.entries[~bad], F.entries[~bad])
+    assert _same_bits(Bp2.entries[~bad], Bp.entries[~bad])
 
 
 def test_iwasawa_residuals_match_dense_products(three_blocks, rng):
@@ -382,8 +382,8 @@ def test_iwasawa_residuals_match_dense_products(three_blocks, rng):
     # per-node matrix products of Horner values at the eight samples.  The
     # two evaluations round differently, within 64 eps of the terms' scale
     phi, (F, Bp, _) = three_blocks
-    F, Bp = (MatrixLoop(L.coeffs * (1 + 1e-6 * rng.normal(size=L.coeffs.shape)),
-                        L.low) for L in (F, Bp))
+    F, Bp = (MatrixLoop(L.entries * (1 + 1e-6 * rng.normal(
+        size=L.entries.shape)), L.low) for L in (F, Bp))
     mask = rng.random(phi.batch_shape) < 0.7
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
     ref_recon = ref_reality = 0.0
@@ -410,7 +410,7 @@ def test_iwasawa_memory_is_bounded_by_the_block():
     side = math.isqrt(BLOCK)
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, side, side)
     one = integrate_potential(paraboloid_potential(), grid)
-    nodes = one.coeffs.reshape((-1,) + one.coeffs.shape[-3:])
+    nodes = one.entries.reshape((-1,) + one.entries.shape[-2:])
     assert len(nodes) == BLOCK
 
     def peak(blocks):
@@ -421,7 +421,7 @@ def test_iwasawa_memory_is_bounded_by_the_block():
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = (F.coeffs.nbytes + Bp.coeffs.nbytes
+        outputs = (F.entries.nbytes + Bp.entries.nbytes
                    + report.pivot.nbytes + report.failed.nbytes)
         return top, outputs
 
@@ -463,8 +463,8 @@ def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
     if minus:
         assert _same_bits(phi.coeff(0), np.broadcast_to(
             np.eye(2, dtype=complex), phi.batch_shape + (2, 2)))
-    pad = np.zeros(phi.batch_shape + (N - phi.high, 2, 2), dtype=complex)
-    padded = MatrixLoop(np.concatenate([phi.coeffs, pad], axis=-3), -N)
+    pad = np.zeros(phi.batch_shape + (N - phi.high, 2), dtype=complex)
+    padded = MatrixLoop(np.concatenate([phi.entries, pad], axis=-2), -N)
     (F, Bp, rep), (Fd, Bpd, repd) = iwasawa(phi), iwasawa(padded)
     assert (F.low, F.high) == (Fd.low, Fd.high)
     assert _same_bits(rep.failed, repd.failed)
@@ -646,10 +646,10 @@ def test_trim_reads_finite_nodes_and_both_sides(grid21):
     # nothing is trimmed
     bad = phi.coeffs.copy()
     bad[3, 4, 2, 0, 0] = np.nan   # power -10: an allowed diagonal entry
-    assert trim_to_tail(MatrixLoop(bad, phi.low))[1:] == (n, tail)
+    assert trim_to_tail(oracles.loop_from_dense(bad, phi.low))[1:] == (n, tail)
     nans = np.where(_allowed(phi.low, 13), np.nan, 0.0)
-    whole, N, nan = trim_to_tail(MatrixLoop(np.broadcast_to(nans, bad.shape),
-                                            phi.low))
+    whole, N, nan = trim_to_tail(oracles.loop_from_dense(
+        np.broadcast_to(nans, bad.shape), phi.low))
     assert N == 12 and whole.coeffs.shape == bad.shape and math.isnan(nan)
     # a Phi with positive powers keeps -n..n, on the larger of both tails
     hel = integrate_potential(helicoid_potential(), grid21)

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nildual import potentials
-from nildual.loops import MatrixLoop
+from nildual import potentials, verify
 from nildual.nil3 import DomainGrid
 from nildual.potentials import run_example
 from nildual.verify import VerificationReport, verify_pipeline
+
+from . import oracles
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ def _failed_rows_with_perturbed(monkeypatch, which):
         rng = np.random.default_rng(23)
         noise = rng.normal(size=(2,) + loop.coeffs.shape[-3:])
         bump = size * allowed * (noise[0] + 1j * noise[1])
-        bumped = MatrixLoop(loop.coeffs + bump, loop.low)
+        bumped = oracles.loop_from_dense(loop.coeffs + bump, loop.low)
         return (bumped, Bp, report) if which == "F" else (F, bumped, report)
 
     monkeypatch.setattr(potentials, "iwasawa", perturbed)
@@ -121,7 +122,7 @@ def test_battery_flags_perturbed_frame_loop(pb_run):
     rng = np.random.default_rng(29)
     scale = 1 + 1e-5 * rng.normal(size=loop.coeffs.shape[-3:])
     scale[-loop.low] = 1.0
-    bumped = dataclasses.replace(pb_run, frame_loop=MatrixLoop(
+    bumped = dataclasses.replace(pb_run, frame_loop=oracles.loop_from_dense(
         loop.coeffs * scale, loop.low))
     failed = {c.name.split("[")[0] for c in verify_pipeline(bumped).checks
               if not c.passed}
@@ -174,3 +175,78 @@ def test_battery_flags_noisy_plus_sheet(pb_run):
                            for row in ("self_duality_mc", "sym_duality_factor")
                            for turn in ("0.000", "0.333")}
     assert all(3e-6 < v < 1e-4 for v in failed.values())
+
+
+def _failed_rows(run):
+    """{name: max / tolerance} of the rows the battery fails on `run`."""
+    return {c.name: c.max / c.tolerance
+            for c in verify_pipeline(run).checks if not c.passed}
+
+
+def test_battery_flags_stretched_minus_sheet(pb_run):
+    # each minus sheet's first coordinate times 1 + 6e-5: conformality,
+    # 1.0e-7 clean, reads 3.0e-5.  No sheet stretched off conformal stays
+    # minimal (at 1e-3 the extraction refuses it, |H| = 2.8e-4), so every
+    # row that reads the sheet's spinors or frame trips too, the weakest,
+    # minimality at e^{i pi/3}, at twice its tolerance; the rows that pass
+    # (holomorphy_B, harmonic_g, the dual's) stay under 0.6 of theirs
+    def stretched(sheet):
+        coords = sheet.coords.copy()
+        coords[..., 0] *= 1 + 6e-5
+        return dataclasses.replace(sheet, coords=coords)
+
+    sym = [dataclasses.replace(s, f_minus=stretched(s.f_minus))
+           for s in pb_run.sym]
+    failed = _failed_rows(dataclasses.replace(pb_run, sym=sym))
+    both = ("conformality", "dirac_consistency", "minimality", "flatness",
+            "normal_agreement", "sym_duality_factor", "frame_compat",
+            "self_duality_mc")
+    assert set(failed) == (
+        {f"{row}[lam+{turn}pi]" for row in both
+         for turn in ("0.000", "0.333")}
+        | {"lambda_independence[lam+0.333pi]", "cross_pipeline[lam+0.000pi]",
+           "self_duality_pointwise"})
+    assert failed["conformality[lam+0.000pi]"] > 20
+    assert failed["conformality[lam+0.333pi]"] > 20
+
+
+def _failed_rows_with_dirac(monkeypatch, run, change):
+    """_failed_rows with every sheet's Dirac data d at lam change(d, lam)."""
+    analyze = verify.analyze_sheet
+
+    def changed(surface, lam, extract_mask=None):
+        a = analyze(surface, lam, extract_mask)
+        return dataclasses.replace(a, dirac=change(a.dirac, lam))
+
+    monkeypatch.setattr(verify, "analyze_sheet", changed)
+    return _failed_rows(run)
+
+
+def test_battery_flags_real_part_of_ew2(pb_run, monkeypatch):
+    # e^{w/2}, |e^{w/2}| = 1/4, gains the real part 4e-5 |e^{w/2}|:
+    # minimality (4.8e-14 and 3.0e-8 clean) reads 1.0e-5.  The flatness and
+    # the frame's compatibility read w, and the cross-pipeline frame is
+    # marched from lam = 1's data; lambda_independence sees the same shift
+    # at both parameters and passes
+    failed = _failed_rows_with_dirac(
+        monkeypatch, pb_run,
+        lambda d, lam: dataclasses.replace(
+            d, ew2=d.ew2 + 4e-5 * np.abs(d.ew2)))
+    assert set(failed) == {
+        f"{row}[lam+{turn}pi]"
+        for row in ("minimality", "flatness", "frame_compat")
+        for turn in ("0.000", "0.333")} | {"cross_pipeline[lam+0.000pi]"}
+    assert all(failed[f"minimality[lam+{turn}pi]"] > 5
+               for turn in ("0.000", "0.333"))
+
+
+def test_battery_flags_lambda_dependent_ew2(pb_run, monkeypatch):
+    # e^{w/2} at e^{i pi/3} alone times 1 + 4e-5: lambda_independence
+    # (5.3e-8 clean) reads 1.0e-5, and that parameter's flatness trips too
+    failed = _failed_rows_with_dirac(
+        monkeypatch, pb_run,
+        lambda d, lam: d if lam == 1 else dataclasses.replace(
+            d, ew2=d.ew2 * (1 + 4e-5)))
+    assert set(failed) == {"lambda_independence[lam+0.333pi]",
+                           "flatness[lam+0.333pi]"}
+    assert failed["lambda_independence[lam+0.333pi]"] > 5
