@@ -5,8 +5,11 @@ For minimal data (w, B) the connection is  alpha = U dz + V dzbar  with
     U = [[ w_z/4, -e^{w/2}/lam], [B e^{-w/2}/lam, -w_z/4]],
     V = [[-w_zbar/4, -lam conj(B) e^{-w/2}], [lam e^{w/2}, w_zbar/4]],
 
-flat for every unit-modulus lam.  Frames solve F^{-1} dF = alpha and are
-integrated jointly with their first two parameter derivatives so the
+flat for every unit-modulus lam.  U and V are twisted loops, U on the
+powers -1..0 and V on 0..1 (`_connection`), read at lam, and
+differentiated in lam, only by `MatrixLoop.eval`.  Frames solve
+F^{-1} dF = alpha and are integrated jointly with their first two
+parameter derivatives, whose sources are `eval(lam, 1 or 2)`, so the
 surface formulas downstream never differentiate numerically in lam.
 No frame node is ever repaired: `sym.sym_maps` refuses a frame whose surface
 matrices leave su(1,1) beyond REALITY_TOL, and names the worst node.  The
@@ -19,61 +22,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerticalPointError
-from .loops import SQRT_I, inv2, mm2
+from .loops import SQRT_I, MatrixLoop, inv2, mm2
 from .nil3 import _lagrange_weights, dz_field, dzbar_field
 from .spinors import minimality_gate
 
 UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
 
 
-def _connection_parts(d):
-    """lam-graded pieces of the connection from minimal Dirac data.
+def _connection(d):
+    """The connection's (U, V) as twisted loops: U on the powers -1..0,
+    V on 0..1.  Row k of a table is power low + k, its columns c hold
+    column c's entry, in `class_rows`' row."""
+    ew2, w_zb = d.ew2, np.conj(d.w_z)
 
-    Returns (U_0, U_m, V_0, V_p): U = U_0 + U_m / lam, V = V_0 + lam V_p.
-    """
-    shape = d.grid.shape
-    ew2 = d.ew2
-    U0 = np.zeros(shape + (2, 2), dtype=complex)
-    U0[..., 0, 0] = 0.25 * d.w_z
-    U0[..., 1, 1] = -0.25 * d.w_z
-    Um = np.zeros_like(U0)
-    Um[..., 0, 1] = -ew2
-    Um[..., 1, 0] = d.B / ew2
-    V0 = np.zeros_like(U0)
-    V0[..., 0, 0] = -0.25 * d.w_zb
-    V0[..., 1, 1] = 0.25 * d.w_zb
-    Vp = np.zeros_like(U0)
-    Vp[..., 0, 1] = -np.conj(d.B) / ew2
-    Vp[..., 1, 0] = ew2
-    return U0, Um, V0, Vp
+    def loop(low, table):
+        return MatrixLoop(np.moveaxis(np.array(table), (0, 1), (-2, -1)), low)
 
-
-def _connection(d, lam):
-    lam = complex(lam)
-    U0, Um, V0, Vp = _connection_parts(d)
-    return U0 + Um / lam, V0 + lam * Vp
+    return (loop(-1, [[d.B / ew2, -ew2], [0.25 * d.w_z, -0.25 * d.w_z]]),
+            loop(0, [[-0.25 * w_zb, 0.25 * w_zb], [ew2, -np.conj(d.B) / ew2]]))
 
 
 def connection_coeffs(d, lam):
     """(U, V) matrix fields of the flat connection at the given lam."""
     minimality_gate(d, "connection assembled for minimal data only")
-    return _connection(d, lam)
+    return tuple(L.eval(lam) for L in _connection(d))
 
 
-def flatness_residual(d, lams):
-    """max over lam of  |dz V - dzbar U + [U, V]|  per node.
+def flatness_residual(d, lam):
+    """|dz V - dzbar U + [U, V]| per node at lam.
 
     Minimal or not: the residual is how far the data are from flat."""
-    out = np.zeros(d.grid.shape)
-    for lam in np.atleast_1d(lams):
-        U, V = _connection(d, lam)
-        dV = dz_field(V, d.grid)
-        dU = dzbar_field(U, d.grid)
-        u, v = (np.moveaxis(M, (-2, -1), (0, 1)) for M in (U, V))
-        comm = np.moveaxis(mm2(u, v) - mm2(v, u), (0, 1), (-2, -1))
-        res = np.max(np.abs(dV - dU + comm), axis=(-2, -1))
-        out = np.maximum(out, res)
-    return out
+    U, V = (L.eval(lam) for L in _connection(d))
+    dV = dz_field(V, d.grid)
+    dU = dzbar_field(U, d.grid)
+    u, v = (np.moveaxis(M, (-2, -1), (0, 1)) for M in (U, V))
+    comm = np.moveaxis(mm2(u, v) - mm2(v, u), (0, 1), (-2, -1))
+    return np.max(np.abs(dV - dU + comm), axis=(-2, -1))
 
 
 @dataclass
@@ -92,9 +76,9 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
                     derivatives=True):
     """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
 
-    The parameter enters the connection only through 1/lam and lam, so the
-    exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2  close
-    the coupled system at fixed lam.  F at the grid's centre node is
+    The exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2,
+    the connection's loops evaluated with `eval(lam, 1 or 2)`, close the
+    coupled system at fixed lam.  F at the grid's centre node is
     base_value (default I), its derivatives 0 there.  The centre's column
     (row, when `column_first` is false) is marched as two half-lines, then
     every row (column) both ways from it, halves of equal length as one
@@ -110,10 +94,9 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
     minimality_gate(d, "frame integration needs minimal data")
     lam = complex(lam)
     grid = d.grid
-    U0, Um, V0, Vp = _connection_parts(d)
-    parts = [(U0 + Um / lam, V0 + lam * Vp)]
-    if derivatives:
-        parts += [(-Um / lam**2, Vp), (2.0 * Um / lam**3, np.zeros_like(Vp))]
+    loops = _connection(d)
+    parts = [[L.eval(lam, k) for L in loops]
+             for k in range(3 if derivatives else 1)]
     # alpha along y, i(U - V), and along x, U + V: (3 or 1, 2, 2, ny, nx)
     alpha = [np.moveaxis(np.stack(a), (3, 4), (1, 2)) for a in
              ([1j * (U - V) for U, V in parts], [U + V for U, V in parts])]

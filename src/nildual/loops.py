@@ -134,19 +134,32 @@ class MatrixLoop:
     def eval(self, lam, derivative=0):
         """Horner evaluation at lam on the unit circle, of the loop or of its
         first or second lam-derivative (from j A_j or j (j - 1) A_j, formed
-        one power at a time)."""
+        one power at a time).
+
+        The sum runs on entry planes (2, 2, ...), in place: power j's entries
+        go to the dense term of j's parity, whose forbidden entries are +0,
+        and are scaled there.  A factor j - d below 1 signs those zeros, so
+        they are reset after use: the bits are those of the sum of `coeff(j)`.
+        """
         lam = complex(lam)
         if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
-        out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
+        cols = np.arange(2)
+        e = _planes(self.entries, self.batch_shape)
+        out = np.zeros((2, 2) + self.batch_shape, dtype=complex)
+        terms = np.zeros((2,) + out.shape, dtype=complex)
         for p in range(self.high, self.low - 1, -1):
-            c = self.coeff(p)
+            c = terms[p % 2]
+            c[(p + cols) % 2, cols] = e[p - self.low]
             for d in range(derivative):
-                c = c * (p - d)
-            out = out * lam + c
+                c *= p - d
+            out *= lam
+            out += c
+            if p < derivative:
+                c[(p + 1 + cols) % 2, cols] = 0.0
         if self.low != derivative:
-            out = out * lam ** (self.low - derivative)
-        return out
+            out *= lam ** (self.low - derivative)
+        return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
     def mul(self, other, lo=None, hi=None):
         """Cauchy product on the powers lo..hi (clipped to the product's,

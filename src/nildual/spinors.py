@@ -59,8 +59,7 @@ class DiracData:
     ew2: np.ndarray          # e^{w/2} itself, the primary field
     consistency: np.ndarray  # |U - V| where both ratios are defined
     grid: DomainGrid
-    w_z: np.ndarray          # dw/dz and dw/dzbar
-    w_zb: np.ndarray
+    w_z: np.ndarray          # dw/dz; dw/dzbar is its conjugate
     mask: np.ndarray = None  # True = valid node; None means every node
 
     def __post_init__(self):
@@ -177,7 +176,7 @@ def dirac_data(s, require_minimal=True):
     B_from_u = (d_psi1_z - 0.5 * w_z * s.psi1) * ew2 / np.where(ok2, s.psi2, 1.0)
     B = np.where(prefer_u, B_from_v, B_from_u)
     d = DiracData(B=B, H=H, ew2=ew2, consistency=consistency,
-                  grid=grid, mask=s.mask, w_z=w_z, w_zb=w_zb)
+                  grid=grid, mask=s.mask, w_z=w_z)
 
     if require_minimal:
         minimality_gate(d, "B extraction implemented for the minimal case only")

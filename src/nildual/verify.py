@@ -148,7 +148,7 @@ def interior_dirac(d, width=4):
     cut = np.s_[width:-width, width:-width]
     return DiracData(B=d.B[cut], H=d.H[cut], ew2=d.ew2[cut],
                      consistency=d.consistency[cut], grid=sub,
-                     w_z=d.w_z[cut], w_zb=d.w_zb[cut]), cut
+                     w_z=d.w_z[cut]), cut
 
 
 @dataclass
@@ -202,7 +202,7 @@ def sheet_checks(rep, a, valid, tols):
             live4)
     rep.add(f"holomorphy_B[{tag}]", holomorphy_residual(d.B, s.grid),
             tols["holomorphy_B"], live6)
-    rep.add(f"flatness[{tag}]", flatness_residual(d, [s.lam]),
+    rep.add(f"flatness[{tag}]", flatness_residual(d, s.lam),
             tols["flatness"], live6)
     rep.add(f"harmonic_g[{tag}]", harmonic_residual(a.gauss, s.grid),
             tols["harmonic_g"], live4)

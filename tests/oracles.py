@@ -6,7 +6,8 @@ from those formulas and is frozen for comparison against the numerics.
 `nil3_mul` and `nil3_inv` are the reference group law of Nil3, which the
 tests use to move surfaces by left translations.  `loop_from_dense` builds
 a loop from dense coefficients, whose forbidden entries must be exactly
-zero.
+zero, and `reference_loop_eval` sums a loop's dense coefficients by
+Horner's rule, the reference `MatrixLoop.eval` reproduces bit for bit.
 
 The path integrators at the end march one grid line at a time, one node's
 matrices per step.  The frame's is the reference the batched frame march
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nildual.frames import _connection_parts
+from nildual.frames import _connection
 from nildual.loops import MatrixLoop, class_rows
 from nildual.nil3 import DomainGrid, _lagrange_weights
 from nildual.potentials import integrate_potential
@@ -44,6 +45,22 @@ def loop_from_dense(coeffs, low):
     rows = class_rows(2, low + k[:, 0])
     assert not c[..., k, rows[1], [0, 1]].any(), "a forbidden entry is not 0"
     return MatrixLoop(c[..., k, rows[0], [0, 1]], low)
+
+
+def reference_loop_eval(L, lam, derivative=0):
+    """MatrixLoop.eval as a dense Horner sum: each power's coefficient
+    (`coeff(j)`, forbidden entries +0) is a new array, scaled by j - d one
+    factor at a time, and the sum a new array at every step."""
+    lam = complex(lam)
+    out = np.zeros(L.batch_shape + (2, 2), dtype=complex)
+    for p in range(L.high, L.low - 1, -1):
+        c = L.coeff(p)
+        for d in range(derivative):
+            c = c * (p - d)
+        out = out * lam + c
+    if L.low != derivative:
+        out = out * lam ** (L.low - derivative)
+    return out
 
 
 def nil3_mul(a, b):
@@ -338,10 +355,8 @@ def reference_integrate_frame(d, lam, base_value=None, column_first=True):
     """
     lam = complex(lam)
     grid = d.grid
-    U0, Um, V0, Vp = _connection_parts(d)
-    U, V = U0 + Um / lam, V0 + lam * Vp
-    U1, V1 = -Um / lam**2, Vp
-    U2, V2 = 2.0 * Um / lam**3, np.zeros_like(Vp)
+    (U, V), (U1, V1), (U2, V2) = ([L.eval(lam, k) for L in _connection(d)]
+                                  for k in range(3))
     # alpha and its lam-derivatives at the nodes, (ny, nx, 3, 2, 2)
     alpha_y = np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)], axis=2)
     alpha_x = np.stack([U + V, U1 + V1, U2 + V2], axis=2)

@@ -272,7 +272,7 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
             worst_re = max(worst_re,
                            float(np.max(np.abs(a.dirac.ew2.real)[c4])))
             worst_flat = max(worst_flat,
-                             float(np.max(flatness_residual(a.dirac, [lam])[c6])))
+                             float(np.max(flatness_residual(a.dirac, lam)[c6])))
     ok_a = report(7, "Re(dirac potential), all surfaces/lambdas", worst_re,
                   1e-6)
     ok_b = report(7, "flatness residual, all surfaces/lambdas", worst_flat,
@@ -287,8 +287,8 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
                 / np.max(np.abs(a_f.dirac.ew2.real)[rf]))
     fc = np.s_[6:-6, 6:-6]
     ff = np.s_[12:-12, 12:-12]
-    fl_ratio = (np.max(flatness_residual(a_c.dirac, [LAM2])[fc])
-                / np.max(flatness_residual(a_f.dirac, [LAM2])[ff]))
+    fl_ratio = (np.max(flatness_residual(a_c.dirac, LAM2)[fc])
+                / np.max(flatness_residual(a_f.dirac, LAM2)[ff]))
     ok_c = report(7, "refinement gain Re(dirac) 41->81", float(re_ratio),
                   8.0, passed=re_ratio >= 8.0, note=">= 8 required")
     ok_d = report(7, "refinement gain flatness 41->81", float(fl_ratio),

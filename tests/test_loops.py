@@ -196,6 +196,17 @@ def test_coeffs_view_puts_each_entry_in_its_class_row(low, P, data):
         assert _same_bits(L.coeff(j), c[:, j - low])
 
 
+@given(L=st.one_of(twisted_loops(), twisted_loops(order=0),
+                   tagged_loops((2, 3))),
+       lam=st.sampled_from([1.0, -1.0, 1j, -1j, np.exp(0.37j), np.exp(2.2j)]))
+@settings(max_examples=80, deadline=None)
+def test_eval_is_the_dense_horner_sum(L, lam):
+    # the parity buffers sum what the dense coefficients sum, bit for bit,
+    # signed zeros included, below, at and above each derivative order
+    for d in (0, 1, 2):
+        assert _same_bits(L.eval(lam, d), oracles.reference_loop_eval(L, lam, d))
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_tagged_mul_is_the_dense_sum(data):

@@ -250,3 +250,25 @@ def test_battery_flags_lambda_dependent_ew2(pb_run, monkeypatch):
     assert set(failed) == {"lambda_independence[lam+0.333pi]",
                            "flatness[lam+0.333pi]"}
     assert failed["lambda_independence[lam+0.333pi]"] > 5
+
+
+def test_battery_flags_antiholomorphic_B(pb_run, monkeypatch):
+    # B, 1/16 here, times 1 + 1e-3 zbar: holomorphy_B (1.2e-8 clean) reads
+    # |dzbar B| = 6.3e-5, and flatness (4.7e-8 clean) 2.5e-4, from the
+    # 1e-3 B e^{-w/2} that dzbar U gains.  Sized at 1e-6, 1e-5 and 1e-4:
+    # flatness trips from 1e-5, holomorphy_B only above 1.6e-4.  The frame's
+    # compatibility, the cross-pipeline march and the dual read the same B;
+    # every other row stays under 0.11 of its tolerance
+    failed = _failed_rows_with_dirac(
+        monkeypatch, pb_run,
+        lambda d, lam: dataclasses.replace(
+            d, B=d.B * (1 + 1e-3 * np.conj(d.grid.zz))))
+    assert set(failed) == {
+        f"{row}[lam+{turn}pi]"
+        for row in ("holomorphy_B", "flatness", "frame_compat",
+                    "dual_minimality", "sym_duality_factor")
+        for turn in ("0.000", "0.333")} | {"cross_pipeline[lam+0.000pi]",
+                                           "self_duality_pointwise"}
+    assert all(failed[f"{row}[lam+{turn}pi]"] > 5
+               for row in ("holomorphy_B", "flatness")
+               for turn in ("0.000", "0.333"))
