@@ -2,15 +2,21 @@
 
 Text output (field CSVs, OBJ vertices, sidecar residuals) prints every
 float with 17 significant digits, so identical configurations produce
-bit-identical files.  The frame cache stores its matrix grids as exact
-binary instead: base64 of their little-endian complex128 bytes.
+bit-identical files.  A CSV's header and rows' "i,j,x,y,", and an OBJ's
+face list, are formatted once per grid and mask into an ASCII "%" template
+(bytes, written as they are) that each file fills with its numbers.  Each
+writer keeps one template, keyed on the exact bytes of the grid axes and
+the boolean mask, since every command writes all its CSVs on one grid and
+mask and all its OBJs on one mask.  The frame cache stores its matrix
+grids as exact binary instead: base64 of their little-endian complex128
+bytes.
 """
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,23 +50,32 @@ def config_hash(config_dict):
 
 def write_field_csv(path, field, grid, mask=None):
     """One row per node of `mask` (default: every node): i, j, x, y, Re, Im
-    (row-major over y then x).  The coordinates are formatted once per
-    grid row and column, the values once per node."""
+    (row-major over y then x).  The file is `_csv_template` of the grid and
+    mask with each node's two values formatted in."""
     field = np.asarray(field)
-    if mask is None:
-        mask = np.ones(grid.shape, dtype=bool)
-    i, j = np.nonzero(mask)
-    v = field[i, j]
+    mask = (np.ones(grid.shape, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool))
+    v = field[mask]
+    template = _csv_template(grid.xs.tobytes(), grid.ys.tobytes(),
+                             mask.tobytes(), mask.shape)
+    Path(path).write_bytes(template % tuple(
+        np.stack([v.real, v.imag], axis=-1).ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_template(xs, ys, mask, shape):
+    """The field CSV of a grid and mask, given as bytes (not floats: a
+    -0.0 bound prints as -0), with a "%.17g,%.17g" slot per kept node; the
+    coordinates are formatted once per grid row and column."""
+    i, j = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
     # the "i," and "y," of each grid row, the "j,x," of each column
-    heads = [f"{k}," for k in range(grid.ny)]
-    tails = [f"{fmt(y)}," for y in grid.ys]
-    cols = [f"{k},{fmt(x)}," for k, x in enumerate(grid.xs)]
-    prefix = [heads[a] + cols[b] + tails[a]
-              for a, b in zip(i.tolist(), j.tolist())]
-    rows = zip(prefix, v.real.tolist(), v.imag.tolist())
+    heads = [f"{k}," for k in range(shape[0])]
+    tails = [f"{fmt(y)}," for y in np.frombuffer(ys)]
+    cols = [f"{k},{fmt(x)}," for k, x in enumerate(np.frombuffer(xs))]
     # "%.17g" equals format(x, ".17g")
-    body = "%s%.17g,%.17g\n" * len(i) % tuple(chain.from_iterable(rows))
-    Path(path).write_text("# schema=1\ni,j,x,y,re,im\n" + body)
+    return ("# schema=1\ni,j,x,y,re,im\n" + "".join(
+        heads[a] + cols[b] + tails[a] + "%.17g,%.17g\n"
+        for a, b in zip(i.tolist(), j.tolist()))).encode()
 
 
 def _axis_bounds(pairs):
@@ -114,21 +129,28 @@ def read_field_csvs(paths):
 def write_obj(path, surface):
     """Wavefront mesh: Nil coordinates are global, so vertices export as
     plain R^3 triples; grid quads split into two triangles; quads touching
-    masked nodes are dropped."""
-    valid = surface.mask
-    verts = surface.coords[valid]
+    masked nodes are dropped.  The file is `_obj_template` of the mask with
+    the valid nodes' coordinates formatted in."""
+    valid = np.asarray(surface.mask, dtype=bool)
+    template = _obj_template(valid.tobytes(), valid.shape)
+    Path(path).write_bytes(template % tuple(
+        surface.coords[valid].ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def _obj_template(mask, shape):
+    """The OBJ of a mask, given as bytes: a "v %.17g %.17g %.17g" slot per
+    valid node, then the faces, formatted here."""
+    valid = np.frombuffer(mask, dtype=bool).reshape(shape)
     # 1-based vertex number of every valid node, in row-major order
-    index = np.cumsum(valid.ravel()).reshape(valid.shape)
+    index = np.cumsum(valid.ravel()).reshape(shape)
     quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
     a, b = index[:-1, :-1][quad], index[:-1, 1:][quad]
     c, d = index[1:, 1:][quad], index[1:, :-1][quad]
     faces = np.stack([a, b, c, a, c, d], axis=-1)
-    text = ("# schema=1\n"
-            + "v %.17g %.17g %.17g\n" * len(verts) % tuple(
-                verts.ravel().tolist())
+    return ("# schema=1\n" + "v %.17g %.17g %.17g\n" * int(valid.sum())
             + "f %d %d %d\nf %d %d %d\n" * len(faces) % tuple(
-                faces.ravel().tolist()))
-    Path(path).write_text(text)
+                faces.ravel().tolist())).encode()
 
 
 def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):

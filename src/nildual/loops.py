@@ -145,7 +145,8 @@ class MatrixLoop:
         if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
         cols = np.arange(2)
-        e = _planes(self.entries, self.batch_shape)
+        # a view: each power's entries are copied into its term alone
+        e = np.moveaxis(self.entries, (-2, -1), (0, 1))
         out = np.zeros((2, 2) + self.batch_shape, dtype=complex)
         terms = np.zeros((2,) + out.shape, dtype=complex)
         for p in range(self.high, self.low - 1, -1):

@@ -580,7 +580,8 @@ def frame_field_from_loop(floop, lam, grid):
 
 
 def _dirac_gauge(xi, grid, F, Bp, mask):
-    """Point-dependent diagonal gauge making the frame an extended frame.
+    """Point-dependent diagonal gauge making the frame an extended frame,
+    applied to F and B+ in place; returns `mask` less the degenerate nodes.
 
     The factorization normalization leaves a residual U(1) right gauge
     k(z) = diag(e^{i theta}, e^{-i theta}); the lowest spectral coefficient
@@ -595,11 +596,14 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
     phase = np.exp(1j * theta)
     # the diagonal of k: F k scales each entry at its column, conj(k) B+ at
-    # its row
+    # its row, one power parity at a time.  Each product keeps its operand
+    # order: numpy's complex multiply is not bitwise commutative
     k = np.stack([phase, np.conj(phase)], axis=-1)
-    F2 = MatrixLoop(F.entries * k[..., None, :], F.low)
-    Bp2 = MatrixLoop(np.conj(k)[..., Bp.rows] * Bp.entries, Bp.low)
-    return F2, Bp2, mask & ~degenerate
+    np.multiply(F.entries, k[..., None, :], out=F.entries)
+    for p, rows in enumerate(Bp.rows[:2]):
+        e = Bp.entries[..., p::2, :]
+        np.multiply(np.conj(k)[..., None, rows], e, out=e)
+    return mask & ~degenerate
 
 
 def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
@@ -622,8 +626,7 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
         phi, n, tail = trim_to_tail(
             integrate_potential(xi, grid, order=order))
         F, Bp, report = iwasawa(phi)
-    ok_mask = report.ok()
-    F, Bp, ok_mask = _dirac_gauge(xi, grid, F, Bp, ok_mask)
+    ok_mask = _dirac_gauge(xi, grid, F, Bp, report.ok())
     # the extraction needs a node whose whole stencil factorized: a Phi that
     # overflows off z = 0 factorizes at that node alone
     if not stencil_valid(ok_mask).any():
@@ -639,8 +642,9 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
                               f"node to export")
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
-    # SPINOR_GAUGE F: each entry scaled at its row
-    floop = MatrixLoop(np.diag(SPINOR_GAUGE)[F.rows] * F.entries, F.low)
+    # SPINOR_GAUGE F, in place: each entry scaled at its row
+    floop = MatrixLoop(np.multiply(np.diag(SPINOR_GAUGE)[F.rows], F.entries,
+                                   out=F.entries), F.low)
     # the frame evaluation below sets the pipeline's peak memory: keep only
     # the loop it reads
     del phi, F, Bp

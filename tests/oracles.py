@@ -16,9 +16,12 @@ same summation order.  The potential's is the classical RK4 march that
 nildual's Taylor series of Phi is held to at two step sizes, beside
 `exact_minus_loop_phi`, Phi in exact rational arithmetic, and the binomial
 shift of a potential that moves the series' centre.  The branch continuation chooses one square root at a
-time along the sweep, the reference of the vectorised one in nildual.  The
-file writers write one row at a time, or the field CSV's rows all at once
-from one stacked table; the writers in nildual must reproduce their bytes.
+time along the sweep, the reference of the vectorised one in nildual.
+`reference_gauges` applies the pipeline's Dirac gauge and spinor gauge to
+the factorization's F and B+ as products formed into new arrays, the bits
+the in-place gauges must keep.  The file writers write one row at a time,
+or the field CSV's rows all at once from one stacked table; the writers in
+nildual must reproduce their bytes.
 """
 from __future__ import annotations
 
@@ -29,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from nildual.frames import _connection
-from nildual.loops import MatrixLoop, class_rows
+from nildual.loops import MatrixLoop, class_rows, inv2, mm2
 from nildual.nil3 import DomainGrid, _lagrange_weights
-from nildual.potentials import integrate_potential
+from nildual.potentials import SPINOR_GAUGE, integrate_potential
 
 SQRT_I = np.exp(1j * np.pi / 4)
 
@@ -650,3 +653,22 @@ def reference_write_obj(path, surface):
                 lines.append(f"f {a} {b} {c}")
                 lines.append(f"f {a} {c} {d}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Out-of-place gauges
+
+
+def reference_gauges(xi, grid, F, Bp):
+    """The Dirac gauge of F and B+ and the spinor gauge of the gauged F, each
+    product formed into a new array: (frame loop, gauged B+)."""
+    b0 = np.moveaxis(Bp.coeff(0), (-2, -1), (0, 1))
+    slot = mm2(mm2(b0, xi.eval_grid(grid.zz, -1)), inv2(b0))[0, 1]
+    degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
+    theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
+    phase = np.exp(1j * theta)
+    k = np.stack([phase, np.conj(phase)], axis=-1)
+    F2 = MatrixLoop(F.entries * k[..., None, :], F.low)
+    Bp2 = MatrixLoop(np.conj(k)[..., Bp.rows] * Bp.entries, Bp.low)
+    floop = MatrixLoop(np.diag(SPINOR_GAUGE)[F2.rows] * F2.entries, F2.low)
+    return floop, Bp2

@@ -494,6 +494,36 @@ def test_pipeline_paraboloid_matches_closed_surfaces(grid21):
         assert np.max(np.abs(fp - paraboloid_dual_surface(grid21, lam))) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["paraboloid", "helicoid"])
+def test_gauges_in_place_keep_the_out_of_place_bits(name, grid21,
+                                                    monkeypatch):
+    """The pipeline's frame loop and gauged B+ are bit-equal to the gauges
+    formed out of place from copies of iwasawa's F and B+: an in-place
+    product that swaps its operands moves bits (numpy's complex multiply
+    is not bitwise commutative).  The paraboloid's Dirac gauge is the
+    identity; the helicoid's is not."""
+    kept = {}
+
+    def keeping(phi):
+        F, Bp, report = iwasawa(phi)
+        kept["F"] = MatrixLoop(F.entries.copy(), F.low)
+        kept["Bp"] = MatrixLoop(Bp.entries.copy(), Bp.low)
+        return F, Bp, report
+
+    def residuals(phi, F, Bp, mask=None):
+        kept["Bp_gauged"] = Bp.entries.copy()
+        return iwasawa_residuals(phi, F, Bp, mask=mask)
+
+    monkeypatch.setattr(potentials, "iwasawa", keeping)
+    monkeypatch.setattr(potentials, "iwasawa_residuals", residuals)
+    res = run_example(name, grid=grid21)
+    floop, Bp = oracles.reference_gauges(builtin_example(name).potential(),
+                                         grid21, kept["F"], kept["Bp"])
+    assert res.frame_loop.low == floop.low
+    assert _same_bits(res.frame_loop.entries, floop.entries)
+    assert _same_bits(kept["Bp_gauged"], Bp.entries)
+
+
 def test_pipeline_helicoid_self_dual(grid21):
     res = run_example("helicoid", grid=grid21, lam_samples=[1.0])
     sym = res.sym[0]
