@@ -214,18 +214,25 @@ def continued_sqrt(field, grid, valid):
     """Square root continued along the serpentine sweep from the base node.
 
     The sweep visits the rows in turn, even rows left to right and odd rows
-    right to left.  Starts from the principal branch at the first valid
-    node; at every subsequent valid node the root closer to the previous
+    right to left.  Starts at the first valid node from the root with
+    Re r > 0, or, within 2^-26 |r| of the imaginary axis, from the one with
+    Im r > 0: a field on the negative real axis gets the same start whatever
+    sign round-off gives its imaginary part, which flips numpy's principal
+    root.  At every subsequent valid node the root closer to the previous
     valid value is chosen.  Returns (root, cut_edges): `cut_edges` lists
     vertically adjacent valid pairs whose continued values still disagree
     in sign (a genuine branch cut, e.g. when the sweep encircles an
     odd-order zero).
     """
     root = np.sqrt(np.asarray(field, dtype=complex))
+    # every node's starting root, by the rule above; a negation is exact,
+    # so past the start the continued bits are those of the principal roots
+    np.negative(root, out=root, where=(root.imag < 0)
+                & (np.abs(root.real) <= 2.0 ** -26 * np.abs(root)))
     order = np.arange(root.size).reshape(grid.shape)
     order[1::2] = order[1::2, ::-1]
     order = order.ravel()[valid.ravel()[order.ravel()]]
-    # against the previous principal root, the sign toggles where the
+    # against the previous starting root, the sign toggles where the
     # difference is longer than the sum, stays where the sum is longer, and
     # restarts at +1 on a tie (a zero or non-finite root): a run-wise parity
     r = root.ravel()[order]

@@ -474,6 +474,12 @@ def reference_integrate_phi_to_surface(phi, base_point=(0.0, 0.0, 0.0),
 def reference_continued_sqrt(field, grid, valid):
     """continued_sqrt choosing each root node by node along the sweep."""
     root = np.sqrt(np.asarray(field, dtype=complex))
+    for idx in np.ndindex(root.shape):
+        v = root[idx]
+        # the starting root: off the principal branch's cut, never flipped
+        # by the sign of an imaginary part at round-off
+        if abs(v.real) <= 2.0 ** -26 * abs(v) and v.imag < 0:
+            root[idx] = -v
     prev = None
     for i in range(grid.ny):
         cols = range(grid.nx) if i % 2 == 0 else range(grid.nx - 1, -1, -1)

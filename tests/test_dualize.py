@@ -151,3 +151,19 @@ def test_branch_cut_recorded_for_odd_zero(grid41):
     phi0 = phi_from_spinors(s).phi
     phi2 = phi_from_spinors(again).phi
     assert np.max(np.abs(phi2 - phi0)[mask]) < 1e-6
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dual_spinors_sign_survives_round_off_in_B(pb, sign):
+    # B = 1/16 with a seeded 1e-13 imaginary part of either sign at every
+    # node, the start node's included: -B sits on the principal square
+    # root's cut, and the dual keeps the sign it has without the noise
+    s, d = pb
+    import dataclasses
+    rng = np.random.default_rng(31)
+    noisy = dataclasses.replace(
+        d, B=d.B + sign * 1e-13j * (1.0 + rng.random(d.B.shape)))
+    clean, pair = dual_spinors(s, d), dual_spinors(s, noisy)
+    assert np.max(np.abs(pair.dual.psi1 - clean.dual.psi1)) < 1e-9
+    assert np.max(np.abs(pair.dual.psi2 - clean.dual.psi2)) < 1e-9
+    assert np.max(np.abs(pair.dual.psi1 - 1j * s.psi2)) < 1e-6

@@ -277,3 +277,17 @@ def test_continued_sqrt_matches_node_by_node_reference(seed):
     assert cuts == ref_cuts
     # some root was continued off numpy's principal branch
     assert cuts and np.any(a != np.sqrt(field))
+
+
+@pytest.mark.parametrize("eps", [1e-14, -1e-14, 0.0, -0.0])
+def test_continued_sqrt_start_does_not_follow_round_off(eps):
+    # a start value -1 + i eps on numpy's branch cut: the principal root's
+    # sign follows eps, the continued field's does not
+    grid = DomainGrid(0.0, 1.0, 0.0, 1.0, 5, 5)
+    field = -(1.0 + 0.1 * grid.zz) + 0j
+    field[0, 0] = complex(-1.0, eps)
+    root, cuts = continued_sqrt(field, grid, np.ones(grid.shape, dtype=bool))
+    assert abs(root[0, 0] - 1j) < 1e-13
+    expected = 1j * np.sqrt(1.0 + 0.1 * grid.zz)
+    assert np.max(np.abs(root - expected)) < 1e-12
+    assert not cuts
