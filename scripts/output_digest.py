@@ -58,17 +58,21 @@ Usage:
 two digest files, or that only one of them has; a report row that changed
 prints as base -> head max, each with its headroom max/tolerance.
 `--numbers` reads two output directories the command set wrote and prints,
-for each CSV, OBJ or JSON file whose bytes differ, how far its numbers
-moved: the largest difference relative to the largest finite |number| of
-A's file, or "structure differs" when the files differ elsewhere (a
-frame cache's base64 payloads count as their complex128 values, and a
-JSON string that parses as a number as that number).  It gates nothing.
+for each CSV, OBJ or JSON file whose bytes differ, how far its values
+moved: the largest difference relative to the largest finite |value| of
+A's file, or "structure differs" when the files differ elsewhere.  A CSV's
+values are its `re` and `im` columns, scaled together (a field's
+imaginary part may be round-off alone), and an OBJ's are its vertex
+coordinates; a CSV's other columns (i, j, x, y) and an OBJ's faces are
+structure, so a changed index or coordinate or face token reads
+"structure differs".  Every number of a JSON file is a value (a frame
+cache's base64 payloads count as their complex128 values, and a JSON
+string that parses as a number as that number).  It gates nothing.
 """
 import base64
 import hashlib
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -222,15 +226,36 @@ def compare(a_path, b_path):
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ")
 
 
-def _text_numbers(text):
-    """The numbers of a CSV or OBJ text, and its other tokens."""
+def _csv_numbers(text):
+    """The `re` and `im` values of a field CSV, and its other tokens."""
     numbers, rest = [], []
-    for token in re.split(r"([,\s]+)", text):
-        try:
-            numbers.append(float(token))
-            rest.append(None)
-        except ValueError:
-            rest.append(token)
+    value = None   # per column, whether it is a value column
+    for line in text.splitlines():
+        cells = line.split(",")
+        if line.startswith("#") or value is None:
+            rest.append(line)
+            if not line.startswith("#"):
+                value = [c in ("re", "im") for c in cells]
+            continue
+        rest.append(len(cells))
+        for is_value, cell in zip(value, cells):
+            if is_value:
+                numbers.append(float(cell))
+            else:
+                rest.append(cell)
+    return numbers, rest
+
+
+def _obj_numbers(text):
+    """The vertex coordinates of an OBJ, and its other tokens."""
+    numbers, rest = [], []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[:1] == ["v"]:
+            rest.append(len(tokens))
+            numbers.extend(float(t) for t in tokens[1:])
+        else:
+            rest.append(line)
     return numbers, rest
 
 
@@ -270,18 +295,21 @@ def _json_numbers(value, numbers, rest):
 
 
 def _file_numbers(path):
+    """(values, everything else) of a CSV, OBJ or JSON file."""
     if path.suffix == ".json":
         numbers, rest = [], []
         _json_numbers(json.loads(path.read_text()), numbers, rest)
         return numbers, rest
-    return _text_numbers(path.read_text())
+    if path.suffix == ".csv":
+        return _csv_numbers(path.read_text())
+    return _obj_numbers(path.read_text())
 
 
 def numbers(a_dir, b_dir):
     """For each CSV, OBJ or JSON file under both output directories whose
-    bytes differ: the largest difference of its numbers relative to the
-    largest finite |number| of A's file, or "structure differs" when the
-    files differ elsewhere than in their numbers."""
+    bytes differ: the largest difference of its values relative to the
+    largest finite |value| of A's file, or "structure differs" when the
+    files differ elsewhere than in their values (`_file_numbers`)."""
     a_dir, b_dir = Path(a_dir), Path(b_dir)
     paths = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*")
                    if p.suffix in (".csv", ".obj", ".json"))
