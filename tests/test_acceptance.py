@@ -16,6 +16,9 @@ forms computed and printed alongside:
   z^k exactly for these potentials, so the exponent is asserted through
   the |B|-field fit.
 """
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,7 +54,7 @@ from nildual.spinors import (
     uh_from_spinors,
 )
 from nildual.sym import extract_dual_spinors, mc_equivalent
-from nildual.verify import analyze_sheet
+from nildual.verify import analyze_sheet, verify_pipeline
 
 from .oracles import (
     nil3_inv,
@@ -415,3 +418,26 @@ def test_criterion_10_negative_controls(pb41):
                   passed=(su11_bad > 1e-4 and compat_bad > 1e-4
                           and clean < 1e-6))
     assert ok_a and ok_b and ok_c
+
+
+def test_verify_margins_hold_the_ledger(pb41, helicoid, smyth_runs):
+    # tests/data/verify_margins.json, written by scripts/margin_ledger.py:
+    # each built-in's verify rows at lam = 1 and e^{i pi/3}.  A row with
+    # headroom (max / tolerance) of 0.01 or more holds its max to 1 %
+    # either way; every row's max stays under 10 times the ledger's.  A
+    # change that moves a margin rewrites the ledger with the script
+    ledger = json.loads((Path(__file__).parent / "data"
+                         / "verify_margins.json").read_text())["examples"]
+    runs = {"paraboloid": pb41, "helicoid": helicoid, **smyth_runs}
+    moved = []
+    for name, run in runs.items():
+        rows = {c.name: c.max for c in verify_pipeline(run).checks}
+        assert set(rows) == set(ledger[name]), name
+        for row, (was, tol) in ledger[name].items():
+            now = rows[row]
+            held = now <= 10.0 * was and (
+                was < 0.01 * tol or abs(now - was) <= 0.01 * was)
+            if not held:
+                moved.append(f"{name} {row}: {was:.4g} -> {now:.4g} "
+                             f"(tol {tol:.0e})")
+    assert not moved, "\n".join(moved)
