@@ -272,3 +272,47 @@ def test_battery_flags_antiholomorphic_B(pb_run, monkeypatch):
     assert all(failed[f"{row}[lam+{turn}pi]"] > 5
                for row in ("holomorphy_B", "flatness")
                for turn in ("0.000", "0.333"))
+
+
+def _failed_rows_with_gauss(monkeypatch, run, change):
+    """_failed_rows with every sheet's Gauss map g changed to change(g)."""
+    analyze = verify.analyze_sheet
+
+    def changed(surface, lam, extract_mask=None):
+        a = analyze(surface, lam, extract_mask)
+        out = dataclasses.replace(a)
+        out.gauss = change(a.gauss)   # over the cached property
+        return out
+
+    monkeypatch.setattr(verify, "analyze_sheet", changed)
+    return _failed_rows(run)
+
+
+def test_battery_flags_non_harmonic_g(pb_run, monkeypatch):
+    # g + 1e-4 |z|^2, whose dz dzbar is 1e-4: harmonic_g (3.5e-8 and
+    # 8.2e-9 clean) reads 1.5e-4 and 1.7e-4.  Sized at 1e-6, 1e-5 and
+    # 1e-4: harmonic_g trips from 1e-5, normal_agreement, which compares g
+    # with the normal's to 1e-6, already at 1e-6; it reads 1.6e-4 here.
+    # No other row reads g
+    zz = pb_run.grid.zz
+    failed = _failed_rows_with_gauss(monkeypatch, pb_run,
+                                     lambda g: g + 1e-4 * np.abs(zz) ** 2)
+    assert set(failed) == {f"{row}[lam+{turn}pi]"
+                           for row in ("harmonic_g", "normal_agreement")
+                           for turn in ("0.000", "0.333")}
+    assert all(failed[f"harmonic_g[lam+{turn}pi]"] > 10
+               for turn in ("0.000", "0.333"))
+
+
+def test_battery_flags_rough_g_in_harmonic_g_alone(pb_run, monkeypatch):
+    # g plus seeded normal noise of size 5e-8: the stencil's second
+    # differences read it 400 times over at this spacing, so harmonic_g
+    # trips alone.  Sized at 1e-9, 1e-8 and 1e-7: harmonic_g reads 2.0e-6,
+    # 2.0e-5 and 2.0e-4, normal_agreement at most 0.41 of its tolerance;
+    # here harmonic_g reads 1.0e-4 and normal_agreement 0.23 of its own
+    noise = 5e-8 * np.random.default_rng(6).normal(size=pb_run.grid.shape)
+    failed = _failed_rows_with_gauss(monkeypatch, pb_run,
+                                     lambda g: g + noise)
+    assert set(failed) == {f"harmonic_g[lam+{turn}pi]"
+                           for turn in ("0.000", "0.333")}
+    assert all(v > 5 for v in failed.values())
