@@ -20,11 +20,16 @@ The factorization, the gauge, the frame loop and the splitting residuals
 run at n; a minus-loop trimmed to n is bit-equal to Phi computed at n.
 
 The splitting method: on the circle  Z := sigma3 Phi^dag sigma3 Phi equals
-(sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  A block-Toeplitz
-linear system on the Fourier coefficients yields W = Z_-^{-1} normalized to
-the identity at infinity; then Z+ = W Z is C B+ for a constant matrix C
-fixed by requiring B+(0) upper-triangular with positive real diagonal.
-Finally F = Phi B+^{-1}; both products sum only the powers they keep.
+(sigma3 B+^dag sigma3) B+, a minus-loop times a plus-loop.  Z is formed on
+its nonnegative powers alone: sigma3 Z is Hermitian on the circle, so its
+negative powers are the adjoints of those.  A block-Toeplitz linear system
+on the Fourier coefficients yields W = Z_-^{-1} normalized to the identity
+at infinity; then Z+ = W Z, which reads no negative power of Z, is C B+
+for a constant matrix C fixed by requiring B+(0) upper-triangular with
+positive real diagonal.  Finally F = Phi B+^{-1}, where B+^{-1} =
+sigma3 W^dag sigma3 C^{-1} for a minus-loop Phi, and B+'s power series
+inverse to 2N when Phi has positive powers; every product sums only the
+powers it keeps.
 The system's size M, the powers of W it solves for, is Z's top power made
 even: N (rounded up) for a minus-loop Phi on -N..0, where it is exact
 (`_factorize`), and 2N when Phi has positive powers.  It splits into two
@@ -140,11 +145,27 @@ class HoloPotential:
 def _horner(c, zz):
     """sum_k c[k] z^k on a complex grid, shape c.shape[1:] + zz.shape (the
     grid axes last), summed in place and elementwise; c[k] may hold any
-    entry layout."""
+    entry layout.
+
+    Each entry starts at its own degree, the top one whose coefficient is
+    not +0: step k updates only the contiguous range of entries whose
+    degree reaches k.  An entry in that range of lower degree is +0 and
+    stays +0 (any zero times z, plus +0, is +0), so the bits are those of
+    the Horner sum over every degree."""
     acc = np.zeros(c.shape[1:] + zz.shape, dtype=complex)
-    for k in range(c.shape[0] - 1, -1, -1):
-        np.multiply(acc, zz, out=acc)
-        acc += c[k][(...,) + (None,) * zz.ndim]
+    flat = acc.reshape((-1,) + zz.shape)
+    coef = np.asarray(c, dtype=complex).reshape(len(c), -1)
+    # each entry's degree (a -0 part counts), -1 for an entry that is +0
+    # at every degree
+    nonzero = (coef != 0) | np.signbit(coef.real) | np.signbit(coef.imag)
+    deg = np.max(np.where(nonzero, np.arange(len(coef))[:, None], -1),
+                 axis=0, initial=-1)
+    grid_axes = (...,) + (None,) * zz.ndim
+    for k in range(int(deg.max(initial=-1)), -1, -1):
+        live = np.flatnonzero(deg >= k)
+        part = flat[live[0]:live[-1] + 1]
+        np.multiply(part, zz, out=part)
+        part += coef[k, live[0]:live[-1] + 1][grid_axes]
     return acc
 
 
@@ -384,31 +405,35 @@ def _factorize(phi):
     batch = phi.batch_shape
 
     # sigma3 Phi^dag sigma3: the adjoint with its off-diagonal entries, the
-    # odd powers', negated
+    # odd powers', negated.  Z on its powers 0..Z.high alone: on the circle
+    # sigma3 Z is Hermitian, so its power -k is the adjoint of its power k
     left = phi.adjoint_on_circle()
     odd = (left.low + np.arange(left.entries.shape[-2])) % 2
     Z = MatrixLoop(left.entries * (1.0 - 2.0 * odd)[:, None],
-                   left.low).mul(phi)
+                   left.low).mul(phi, 0)
     # the system size M: Z's top power, rounded up to even for the class
     # pairing; N (or N + 1) for a minus-loop Phi, 2N with positive powers.
     # N is exact for a minus-loop: det Phi is constant in lam (xi's trace
     # lies at power 0), so is det B+ = det Phi / det F, and W =
     # C sigma3 (B+^{-1})^dag sigma3, an adjugate over a constant, has no
     # power below -N
-    M = Z.high + Z.high % 2
-    # sigma3 Z's entries on the powers -M..M (zero beyond Z's window, +-Z.high)
-    z_entries = np.zeros(batch + (2 * M + 1, 2), dtype=complex)
-    z_entries[..., Z.low + M:Z.high + M + 1, :] = (
-        Z.entries * (1.0 - 2.0 * Z.rows))
+    top = Z.high
+    M = top + top % 2
+    half = MatrixLoop(Z.entries * (1.0 - 2.0 * Z.rows), 0)   # sigma3 Z
 
     # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
     # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
     # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r].
     # It is solved as H^T (sigma3 W^T) = R, so row block m of the solution
-    # is sigma3 W_{-m}^T
-    flat = z_entries.reshape(batch + (-1,))   # index (power + M) * 2 + column
-    nonfinite = ~np.isfinite(flat).all(axis=-1)
-    planes = np.ascontiguousarray(flat.T)   # node axis last
+    # is sigma3 W_{-m}^T.  The table of sigma3 Z's entries, node axis last,
+    # at index (power + M) * 2 + column: powers -top..-1 from the half's
+    # adjoint, 0..top from the half, written last, zero beyond them
+    planes = np.zeros((2 * (2 * M + 1),) + batch, dtype=complex)
+    for loop in (half.adjoint_on_circle(), half):
+        e = np.moveaxis(loop.entries, (-2, -1), (0, 1))
+        lo = (loop.low + M) * 2
+        planes[lo:lo + e.shape[0] * 2] = e.reshape((-1,) + batch)
+    nonfinite = ~np.isfinite(Z.entries).all(axis=(-2, -1))
     # unknown (m,r) of a twisted W_{-m} is nonzero in the one row the grading
     # allows, which is its right-hand column: two half-size systems, one
     # column each, and every entry they read is one Z allows
@@ -439,7 +464,9 @@ def _factorize(phi):
     W = MatrixLoop(np.concatenate([w[..., ::-1, :] * [1.0, -1.0],
                                    np.ones(batch + (1, 2))], axis=-2), -M)
 
-    Zp = W.mul(Z, 0, 2 * N)   # the solve leaves the negative powers free
+    # the solve leaves the negative powers free, and W Z on 0..2N reads no
+    # negative power of Z
+    Zp = W.mul(Z, 0, 2 * N)
 
     # Zp_0 is diagonal; failed nodes get B+ = I below, so keep them out of
     # the positivity test
@@ -450,15 +477,28 @@ def _factorize(phi):
     bad_r2 = z0[..., 1].real <= 0
     r2 = np.sqrt(np.where(bad_r2, 1.0, z0[..., 1].real))
     failed = failed | bad_r1 | bad_r2
+    cinv = np.stack([1.0 / r1, 1.0 / r2], axis=-1)   # C^{-1}'s diagonal
 
-    # B+ = C^{-1} Zp with C^{-1} = diag(1 / r1, 1 / r2): each entry scaled at
-    # its row
-    bp = Zp.entries * np.stack([1.0 / r1, 1.0 / r2], axis=-1)[..., Zp.rows]
+    # B+ = C^{-1} Zp: each entry scaled at its row
+    bp = Zp.entries * cinv[..., Zp.rows]
     bp[failed] = 0.0
     bp[failed, 0] = 1.0
     Bp = MatrixLoop(bp, 0)
-
-    return phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot, failed
+    if phi.high > 0:
+        # W of a Phi with positive powers is the finite section of a
+        # minus-loop with no last power: B+ is inverted by its own power
+        # series, to 2N, so that F B+ = Phi there
+        return (phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot,
+                failed)
+    # B+^{-1} = sigma3 W^dag sigma3 C^{-1} on the powers 0..M, exact for a
+    # minus-loop: the adjoint with its odd powers' entries negated, each
+    # entry scaled at its column; I at failed nodes, as B+
+    adj = W.adjoint_on_circle()
+    sign = 1.0 - 2.0 * (np.arange(M + 1) % 2)
+    binv = adj.entries * (sign[:, None] * cinv[..., None, :])
+    binv[failed] = 0.0
+    binv[failed, 0] = 1.0
+    return phi.mul(MatrixLoop(binv, 0), -N, N), Bp, pivot, failed
 
 
 def _rcond(s):
@@ -510,9 +550,11 @@ def _levinson(t, y):
             Dh = np.swapaxes(D, 0, 1).conj()
             G = mm2(Qinv, D)
             H = mm2(inv2(P), Dh)
-            da = mm2(br[:, :, k + 1::-1], G[:, :, None])
-            br[:, :, :k + 2] -= mm2(a[:, :, k + 1::-1], H[:, :, None])
-            a[:, :, :k + 2] -= da
+            # a_j -= b_{k+1-j} G and b_j -= a_{k+1-j} H for j = 1..k + 1:
+            # at j = 0 both read block k + 1, still zero, and a_0 = b_0 = I
+            da = mm2(br[:, :, k::-1], G[:, :, None])
+            br[:, :, 1:k + 2] -= mm2(a[:, :, k::-1], H[:, :, None])
+            a[:, :, 1:k + 2] -= da
             P = P - mm2(Dh, G)
             Q = S[:, :, k + 1] = S[:, :, k] - mm2(D, H)
             Qinv = inv2(Q)

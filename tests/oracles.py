@@ -15,7 +15,10 @@ in nildual must reproduce bit for bit: same stage points, same products,
 same summation order.  The potential's is the classical RK4 march that
 nildual's Taylor series of Phi is held to at two step sizes, beside
 `exact_minus_loop_phi`, Phi in exact rational arithmetic, and the binomial
-shift of a potential that moves the series' centre.  The branch continuation chooses one square root at a
+shift of a potential that moves the series' centre.  `reference_horner`
+and `reference_levinson` are the full-degree Horner sum and the
+block-Levinson recursion over every block, whose bits the factorization's
+shortened loops keep.  The branch continuation chooses one square root at a
 time along the sweep, the reference of the vectorised one in nildual.
 `reference_gauges` applies the pipeline's Dirac gauge and spinor gauge to
 the factorization's F and B+ as products formed into new arrays, the bits
@@ -34,7 +37,7 @@ import numpy as np
 from nildual.frames import _connection
 from nildual.loops import MatrixLoop, class_rows, inv2, mm2
 from nildual.nil3 import DomainGrid, _lagrange_weights
-from nildual.potentials import SPINOR_GAUGE, integrate_potential
+from nildual.potentials import SPINOR_GAUGE, _rcond, integrate_potential
 
 SQRT_I = np.exp(1j * np.pi / 4)
 
@@ -586,6 +589,52 @@ def schur_pivot(phi):
             sing = np.linalg.svd(S, compute_uv=False)
             pivot = np.minimum(pivot, sing[..., -1] / sing[..., 0])
     return pivot
+
+
+def reference_levinson(t, y):
+    """The block-Levinson recursion as `potentials._levinson` was before it
+    skipped the predictors' block k + 1, still zero, at step k: each update
+    runs over blocks 0..k + 1.  Its bits on finite input are the ones the
+    skipping recursion keeps."""
+    K, n = y.shape[2:]
+    ax = np.zeros((2, 3, K, n), dtype=complex)
+    a, x = ax[:, :2], ax[:, 2:]
+    br = np.zeros((2, 2, K, n), dtype=complex)
+    a[:, :, 0] = br[:, :, 0] = np.eye(2)[:, :, None]
+    S = np.empty((2, 2, K, n), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = S[:, :, 0] = t[:, :, 0]
+        Qinv = inv2(P)
+        x[:, :, 0] = mm2(Qinv, y[:, :, 0])
+        for k in range(K - 1):
+            prod = mm2(t[:, :, k + 1:0:-1], ax[:, :, :k + 1])
+            acc = prod[:, :, 0]
+            for j in range(1, k + 1):
+                acc = acc + prod[:, :, j]
+            D, eps = acc[:, :2], acc[:, 2:]
+            Dh = np.swapaxes(D, 0, 1).conj()
+            G = mm2(Qinv, D)
+            H = mm2(inv2(P), Dh)
+            da = mm2(br[:, :, k + 1::-1], G[:, :, None])
+            br[:, :, :k + 2] -= mm2(a[:, :, k + 1::-1], H[:, :, None])
+            a[:, :, :k + 2] -= da
+            P = P - mm2(Dh, G)
+            Q = S[:, :, k + 1] = S[:, :, k] - mm2(D, H)
+            Qinv = inv2(Q)
+            x[:, :, :k + 2] += mm2(br[:, :, k + 1::-1],
+                                   mm2(Qinv, y[:, :, k + 1] - eps)[:, :, None])
+        pivot = np.min(_rcond(S), axis=0)
+    return x, pivot
+
+
+def reference_horner(c, zz):
+    """sum_k c[k] z^k on a grid by Horner's rule over every degree of c,
+    every entry from the top: the bits `potentials._horner` keeps."""
+    acc = np.zeros(c.shape[1:] + zz.shape, dtype=complex)
+    for k in range(c.shape[0] - 1, -1, -1):
+        np.multiply(acc, zz, out=acc)
+        acc += c[k][(...,) + (None,) * zz.ndim]
+    return acc
 
 
 def within_cauchy_bound(got, a, b, ulps=16, start=0):

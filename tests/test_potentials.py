@@ -11,7 +11,13 @@ from hypothesis.extra import numpy as hnp
 
 from nildual import potentials
 from nildual.errors import ConfigError
-from nildual.loops import SIGMA3, MatrixLoop, class_rows, su11_residual
+from nildual.loops import (
+    SIGMA3,
+    MatrixLoop,
+    class_rows,
+    plus_loop_inverse,
+    su11_residual,
+)
 from nildual.nil3 import DomainGrid, left_maurer_cartan
 from nildual.potentials import (
     BLOCK,
@@ -301,6 +307,10 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     identity = np.zeros_like(Bp.coeffs[1, 3])
     identity[0] = np.eye(2)
     assert np.array_equal(Bp.coeffs[1, 3], identity)
+    if bad == 0.0:
+        # B+^{-1} = I there too: F is the node's Phi, zero and finite
+        assert np.isfinite(F.entries).all()
+        assert not F.entries[1, 3].any()
     assert np.array_equal(F.coeffs[~expected], F0.coeffs[~expected])
     assert np.array_equal(Bp.coeffs[~expected], Bp0.coeffs[~expected])
     _dirac_gauge(xi, grid, F, Bp, report.ok())
@@ -329,6 +339,125 @@ def test_iwasawa_fails_a_node_whose_leading_section_is_singular():
     identity = np.zeros_like(Bp.coeffs[0])
     identity[0] = np.eye(2)
     assert np.array_equal(Bp.coeffs[0], identity)
+
+
+def _small(name):
+    """Phi of a built-in at its trimmed order on an 11x11 grid over the
+    example's grid, or over its verify grid."""
+    spec = builtin_example(name[:-7] if name.endswith(":verify") else name)
+    g = spec.verify_grid if name.endswith(":verify") else spec.grid
+    grid = DomainGrid(g.x0, g.x1, g.y0, g.y1, 11, 11)
+    return trim_to_tail(integrate_potential(spec.potential(), grid))[0]
+
+
+SIX_GRIDS = (*BUILTIN_NAMES, "smyth-1:verify", "smyth-2:verify")
+
+
+def _factorized(phi):
+    """iwasawa(phi) and the B+^{-1} its last product read, from one block."""
+    seen = []
+    mul = MatrixLoop.mul
+
+    def recorded(self, other, lo=None, hi=None):
+        seen.append(other)
+        return mul(self, other, lo, hi)
+
+    MatrixLoop.mul = recorded
+    try:
+        out = iwasawa(phi)
+    finally:
+        MatrixLoop.mul = mul
+    binv = seen[-1]
+    return out, MatrixLoop(binv.entries.reshape(
+        phi.batch_shape + binv.entries.shape[-2:]), binv.low)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "plus-loop"])
+def test_frame_from_the_adjoint_of_w_is_the_power_series_frame(name, rng):
+    # F = Phi B+^{-1} with B+^{-1} = sigma3 W^dag sigma3 C^{-1} on the
+    # powers 0..M, against Phi times the power-series inverse of B+ to 2N:
+    # within 4 2^-52 of each node's largest F entry (3.0 measured).  A Phi
+    # with positive powers, the helicoid's and the plus-loop's, inverts B+
+    # by that series: bit-equal
+    phi = _plus_loop(rng)[1] if name == "plus-loop" else _small(name)
+    N = phi.order
+    F, Bp, report = iwasawa(phi)
+    assert not report.failed.any()
+    ref = phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N)
+    assert (F.low, F.high) == (ref.low, ref.high)
+    if phi.high > 0:
+        assert _same_bits(F.entries, ref.entries)
+        return
+    scale = np.max(np.abs(F.entries), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(F.entries - ref.entries) <= 4 * 2.0 ** -52 * scale)
+
+
+@pytest.mark.parametrize("name", ["paraboloid", "smyth-1", "smyth-2"])
+def test_plus_loop_inverse_from_w_inverts_b_plus_on_the_circle(name):
+    # a minus-loop Phi: B+^{-1} has the powers 0..M of W, and B+^{-1} B+ is
+    # I at the eight circle samples within 4 2^-52 of each node's sum over
+    # powers of |B+^{-1}| times that of |B+| (2.3 measured); it is the
+    # power-series inverse within the same bound
+    phi = _small(name)
+    (F, Bp, report), binv = _factorized(phi)
+    assert not report.failed.any()
+    M = phi.order + phi.order % 2
+    assert (binv.low, binv.high) == (0, M)
+
+    def size(L):
+        return np.sum(np.max(np.abs(L.entries), axis=-1), axis=-1)
+
+    bound = 4 * 2.0 ** -52 * size(binv) * size(Bp)
+    for lam in np.exp(2j * np.pi * np.arange(8) / 8):
+        err = np.abs(binv.eval(lam) @ Bp.eval(lam) - np.eye(2))
+        assert np.all(np.max(err, axis=(-2, -1)) <= bound)
+    series = plus_loop_inverse(Bp, M)
+    assert np.all(np.max(np.abs(binv.entries - series.entries), axis=(-2, -1))
+                  <= bound[..., None])
+
+
+def test_levinson_keeps_the_bits_of_the_recursion_over_every_block(rng):
+    # random finite systems of 1 to 6 blocks, Hermitian or not: x and the
+    # pivot bit for bit against the recursion that also multiplies the
+    # predictors' zero block
+    for K in range(1, 7):
+        t = rng.normal(size=(2, 2, K, 40)) + 1j * rng.normal(
+            size=(2, 2, K, 40))
+        t[:, :, 0] += 4.0 * np.eye(2)[:, :, None]
+        y = rng.normal(size=(2, 1, K, 40)) + 1j * rng.normal(
+            size=(2, 1, K, 40))
+        (x, piv), (x_ref, piv_ref) = (potentials._levinson(t, y),
+                                      oracles.reference_levinson(t, y))
+        assert _same_bits(x, x_ref)
+        assert _same_bits(piv, piv_ref)
+
+
+@pytest.mark.parametrize("name", SIX_GRIDS)
+def test_iwasawa_keeps_the_bits_of_the_recursion_over_every_block(
+        name, monkeypatch):
+    phi = _small(name)
+    F, Bp, report = iwasawa(phi)
+    monkeypatch.setattr(potentials, "_levinson", oracles.reference_levinson)
+    F1, Bp1, rep1 = iwasawa(phi)
+    assert _same_bits(F.entries, F1.entries)
+    assert _same_bits(Bp.entries, Bp1.entries)
+    assert _same_bits(report.pivot, rep1.pivot)
+
+
+@pytest.mark.parametrize("name", SIX_GRIDS)
+def test_horner_keeps_the_bits_of_the_sum_over_every_degree(name,
+                                                            monkeypatch):
+    # each Phi entry summed from its own top degree: integrate_potential
+    # and every term's eval_grid, bit for bit
+    spec = builtin_example(name.split(":")[0])
+    g = spec.verify_grid if name.endswith(":verify") else spec.grid
+    xi = spec.potential()
+    got = [integrate_potential(xi, g).entries,
+           *(xi.eval_grid(g.zz, j) for j in xi.powers)]
+    monkeypatch.setattr(potentials, "_horner", oracles.reference_horner)
+    want = [integrate_potential(xi, g).entries,
+            *(xi.eval_grid(g.zz, j) for j in xi.powers)]
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
 @pytest.fixture(scope="module")
@@ -450,10 +579,13 @@ def twisted_potentials(draw, powers):
 def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
     # Phi of a minus-loop potential is computed and factorized on -N..0, by
     # the system of size N; zero-padded to -N..N it solves the system of
-    # size 2N, whose solution is the same: F and B+ agree to within 2^-52
-    # of each node's largest entry, B+ of the padded loop holds exact zeros
-    # above power N, and its pivot is the minimum over a superset of the
-    # same Schur complements.  A two-sided Phi is its own padding: bit-equal
+    # size 2N, whose solution is the same: B+ agrees to within 2^-52 of each
+    # node's largest entry.  F agrees to within 4 2^-52: the padded loop has
+    # a positive power, so its B+ is inverted by the power series, Phi's by
+    # the adjoint of W (at most 2.95 2^-52 over 300 random potentials).  B+
+    # of the padded loop holds exact zeros above power N, and its pivot is
+    # the minimum over a superset of the same Schur complements.  A
+    # two-sided Phi is its own padding: bit-equal
     xi = data.draw(twisted_potentials(powers))
     N = 12
     grid = DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)
@@ -472,14 +604,35 @@ def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
     Bpd_kept = Bpd.coeffs[..., :Bp.high + 1, :, :]
     assert not Bpd.coeffs[..., Bp.high + 1:, :, :].any()
     if minus:
-        for got, want in ((F.coeffs, Fd.coeffs), (Bp.coeffs, Bpd_kept)):
+        for got, want, ulps in ((F.coeffs, Fd.coeffs, 4),
+                                (Bp.coeffs, Bpd_kept, 1)):
             scale = np.max(np.abs(got), axis=(-3, -2, -1), keepdims=True)
-            assert np.all(np.abs(got - want) <= 2.0 ** -52 * scale)
+            assert np.all(np.abs(got - want) <= ulps * 2.0 ** -52 * scale)
         assert np.all(repd.pivot <= rep.pivot)
     else:
         assert _same_bits(F.coeffs, Fd.coeffs)
         assert _same_bits(rep.pivot, repd.pivot)
         assert _same_bits(Bp.coeffs, Bpd_kept)
+
+
+@pytest.mark.parametrize("powers", [(-1,), (-1, 0, 1)])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_horner_keeps_the_bits_on_twisted_potentials(powers, data):
+    # entries of every degree up to the cap, signed zeros among the drawn
+    # coefficients: bit for bit against the sum over every degree
+    xi = data.draw(twisted_potentials(powers))
+    grid = DomainGrid(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    got = [integrate_potential(xi, grid, order=6).entries,
+           *(xi.eval_grid(grid.zz, j) for j in xi.powers)]
+    horner = potentials._horner
+    potentials._horner = oracles.reference_horner
+    try:
+        want = [integrate_potential(xi, grid, order=6).entries,
+                *(xi.eval_grid(grid.zz, j) for j in xi.powers)]
+    finally:
+        potentials._horner = horner
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_pipeline_paraboloid_matches_closed_surfaces(grid21):
