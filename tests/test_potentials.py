@@ -353,7 +353,7 @@ def _small(name):
 SIX_GRIDS = (*BUILTIN_NAMES, "smyth-1:verify", "smyth-2:verify")
 
 
-def _factorized(phi):
+def _factorized(phi, monkeypatch):
     """iwasawa(phi) and the B+^{-1} its last product read, from one block."""
     seen = []
     mul = MatrixLoop.mul
@@ -362,11 +362,9 @@ def _factorized(phi):
         seen.append(other)
         return mul(self, other, lo, hi)
 
-    MatrixLoop.mul = recorded
-    try:
-        out = iwasawa(phi)
-    finally:
-        MatrixLoop.mul = mul
+    monkeypatch.setattr(MatrixLoop, "mul", recorded)
+    out = iwasawa(phi)
+    monkeypatch.undo()
     binv = seen[-1]
     return out, MatrixLoop(binv.entries.reshape(
         phi.batch_shape + binv.entries.shape[-2:]), binv.low)
@@ -393,13 +391,14 @@ def test_frame_from_the_adjoint_of_w_is_the_power_series_frame(name, rng):
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "smyth-1", "smyth-2"])
-def test_plus_loop_inverse_from_w_inverts_b_plus_on_the_circle(name):
+def test_plus_loop_inverse_from_w_inverts_b_plus_on_the_circle(name,
+                                                               monkeypatch):
     # a minus-loop Phi: B+^{-1} has the powers 0..M of W, and B+^{-1} B+ is
     # I at the eight circle samples within 4 2^-52 of each node's sum over
     # powers of |B+^{-1}| times that of |B+| (2.3 measured); it is the
     # power-series inverse within the same bound
     phi = _small(name)
-    (F, Bp, report), binv = _factorized(phi)
+    (F, Bp, report), binv = _factorized(phi, monkeypatch)
     assert not report.failed.any()
     M = phi.order + phi.order % 2
     assert (binv.low, binv.high) == (0, M)
