@@ -216,9 +216,9 @@ def _planes(entries, batch):
 def plus_loop_inverse(L, order):
     """Power-series inverse of a plus-loop, truncated at `order`.
 
-    The factorization inverts B+ this way for a Phi with positive powers;
-    a minus-loop's B+^{-1} is read off the solve instead, and the tests
-    hold it to this inverse.
+    The factorization inverts B+ this way, to N for a minus-loop Phi on
+    -N..0 and to 2N for a Phi with positive powers; the tests hold its F to
+    Phi times this inverse to 2N.
 
     Requires low == 0 (ValueError otherwise) and an invertible constant
     term.  Power k is -B_0^{-1} sum_{m=1..k} B_m X_{k-m}, summed from +0 in

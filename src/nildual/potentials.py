@@ -26,10 +26,10 @@ negative powers are the adjoints of those.  A block-Toeplitz linear system
 on the Fourier coefficients yields W = Z_-^{-1} normalized to the identity
 at infinity; then Z+ = W Z, which reads no negative power of Z, is C B+
 for a constant matrix C fixed by requiring B+(0) upper-triangular with
-positive real diagonal.  Finally F = Phi B+^{-1}, where B+^{-1} =
-sigma3 W^dag sigma3 C^{-1} for a minus-loop Phi, and B+'s power series
-inverse to 2N when Phi has positive powers; every product sums only the
-powers it keeps.
+positive real diagonal.  Finally F = Phi B+^{-1}, B+^{-1} summed as B+'s
+power series: to N for a minus-loop Phi (one whose positive powers are
+all zero), where B+^{-1} has no power above N, and to 2N otherwise; every
+product sums only the powers it keeps.
 The system's size M, the powers of W it solves for, is Z's top power made
 even: N (rounded up) for a minus-loop Phi on -N..0, where it is exact
 (`_factorize`), and 2N when Phi has positive powers.  It splits into two
@@ -385,10 +385,13 @@ def iwasawa(phi):
     batch = phi.batch_shape
     flat = phi.entries.reshape((-1,) + phi.entries.shape[-2:])
     n = flat.shape[0]
+    # a Phi whose positive powers are all zero, a zero-padded one too, is a
+    # minus-loop: decided once, so that every block sums B+^{-1} alike
+    minus = phi.high <= 0 or not flat[:, -phi.high:].any()
     outs = None
     for start in range(0, n, BLOCK):
         F, Bp, pivot, failed = _factorize(
-            MatrixLoop(flat[start:start + BLOCK], phi.low))
+            MatrixLoop(flat[start:start + BLOCK], phi.low), minus)
         if outs is None:
             outs = [np.empty((n,) + a.shape[1:], a.dtype)
                     for a in (F.entries, Bp.entries, pivot, failed)]
@@ -399,8 +402,9 @@ def iwasawa(phi):
             BigCellReport(pivot=pivot, failed=failed))
 
 
-def _factorize(phi):
-    """iwasawa on one block of nodes: (F, B+, pivot, failed)."""
+def _factorize(phi, minus):
+    """iwasawa on one block of nodes: (F, B+, pivot, failed); `minus` is
+    True when Phi has no nonzero positive power."""
     N = phi.order
     batch = phi.batch_shape
 
@@ -477,28 +481,20 @@ def _factorize(phi):
     bad_r2 = z0[..., 1].real <= 0
     r2 = np.sqrt(np.where(bad_r2, 1.0, z0[..., 1].real))
     failed = failed | bad_r1 | bad_r2
-    cinv = np.stack([1.0 / r1, 1.0 / r2], axis=-1)   # C^{-1}'s diagonal
 
-    # B+ = C^{-1} Zp: each entry scaled at its row
-    bp = Zp.entries * cinv[..., Zp.rows]
+    # B+ = C^{-1} Zp with C^{-1} = diag(1 / r1, 1 / r2): each entry scaled at
+    # its row
+    bp = Zp.entries * np.stack([1.0 / r1, 1.0 / r2], axis=-1)[..., Zp.rows]
     bp[failed] = 0.0
     bp[failed, 0] = 1.0
     Bp = MatrixLoop(bp, 0)
-    if phi.high > 0:
-        # W of a Phi with positive powers is the finite section of a
-        # minus-loop with no last power: B+ is inverted by its own power
-        # series, to 2N, so that F B+ = Phi there
-        return (phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N), Bp, pivot,
-                failed)
-    # B+^{-1} = sigma3 W^dag sigma3 C^{-1} on the powers 0..M, exact for a
-    # minus-loop: the adjoint with its odd powers' entries negated, each
-    # entry scaled at its column; I at failed nodes, as B+
-    adj = W.adjoint_on_circle()
-    sign = 1.0 - 2.0 * (np.arange(M + 1) % 2)
-    binv = adj.entries * (sign[:, None] * cinv[..., None, :])
-    binv[failed] = 0.0
-    binv[failed, 0] = 1.0
-    return phi.mul(MatrixLoop(binv, 0), -N, N), Bp, pivot, failed
+
+    # B+^{-1} by its power series: to N for a minus-loop, where it has no
+    # power above N (B+^{-1} = adj B+ / det B+, det B+ constant) and the
+    # series' powers above N would be round-off alone; to 2N for a Phi with
+    # positive powers, whose B+^{-1} is an infinite series
+    binv = plus_loop_inverse(Bp, N if minus else 2 * N)
+    return phi.mul(binv, -N, N), Bp, pivot, failed
 
 
 def _rcond(s):
