@@ -20,7 +20,7 @@ import numpy as np
 from . import io_formats as iof
 from .dualize import dual_spinors
 from .errors import ConfigError, GridTooSmallError, NilDualError
-from .frames import frame_from_spinors, integrate_frame
+from .frames import frame_from_spinors
 from .nil3 import (
     DomainGrid,
     centred_interior,
@@ -35,15 +35,15 @@ from .potentials import (
     dpw_pipeline,
     run_example,
 )
-from .spinors import SpinorField, dirac_data, uh_from_spinors
+from .spinors import SpinorField
 from .sym import mc_equivalent, sym_sheets
 from .verify import (
     DEFAULT_TOLS,
     W4,
+    W4_CUT,
     SheetAnalysis,
     VerificationReport,
     analyze_sheet,
-    interior_dirac,
     sheet_checks,
     verify_pipeline,
 )
@@ -135,8 +135,11 @@ class RunConfig:
 
 
 def _read_spinors(prefix):
-    """The SpinorField of <prefix>_psi1.csv, _psi2.csv on their union's grid;
-    a node absent from either file is masked, a non-finite one refused."""
+    """The SpinorField of <prefix>_psi1.csv, _psi2.csv on their union's grid,
+    by the one --spinors rule: a non-finite value or a grid under 2 W4 + 5
+    nodes a side is refused; an absent node is zero-filled and masked with
+    every node whose stencils read it (`stencil_valid`), and refused by name
+    if one of them lies W4 or more in."""
     try:
         grid, (psi1, psi2), (m1, m2) = iof.read_field_csvs(
             [prefix + "_psi1.csv", prefix + "_psi2.csv"])
@@ -147,7 +150,17 @@ def _read_spinors(prefix):
         for i, j in np.argwhere(~np.isfinite(psi))[:1]:
             raise ConfigError(f"non-finite value in {prefix}_{part}.csv at "
                               f"node ({i}, {j})")
-    return SpinorField(psi1, psi2, grid, mask=m1 & m2)
+    if min(grid.shape) < 2 * W4 + 5:
+        raise GridTooSmallError(f"--spinors needs {2 * W4 + 5} nodes a side; "
+                                f"the input grid of {prefix!r} is "
+                                f"{grid.nx}x{grid.ny}")
+    mask = stencil_valid(m1 & m2)
+    for i, j in np.argwhere(centred_interior(~mask, W4))[:1]:
+        raise ConfigError(f"node ({i}, {j}) of {prefix!r}, z = "
+                          f"{grid.node_z(i, j):.4g}, is absent or reads an "
+                          f"absent node, and --spinors reads every node "
+                          f"{W4} or more in")
+    return SpinorField(psi1, psi2, grid, mask=mask)
 
 
 def pipeline_result(config, grid):
@@ -173,24 +186,11 @@ def run_pipeline(config):
     a FrameField per lambda, and the nodes whose frames are trustworthy."""
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
-        # frames are marched on the W4 sub-grid, whose centre is the grid's;
-        # nodes whose stencils read an absent node are masked, none in it
         s = _read_spinors(arg)
-        if min(s.grid.shape) < 2 * W4 + 5:
-            raise GridTooSmallError(f"--spinors needs {2 * W4 + 5} nodes a "
-                                    f"side; the input grid of {arg!r} is "
-                                    f"{s.grid.nx}x{s.grid.ny}")
-        s.mask = stencil_valid(s.mask)
-        for i, j in np.argwhere(centred_interior(~s.mask, W4))[:1]:
-            raise ConfigError(f"node ({i}, {j}) of {arg!r}, z = "
-                              f"{s.grid.node_z(i, j):.4g}, is absent or "
-                              f"reads an absent node, and frames are "
-                              f"marched at every node {W4} or more in")
-        d, cut = interior_dirac(dirac_data(s), W4)
+        a = SheetAnalysis.of(s)
         base = frame_from_spinors(s)[s.grid.centre]
-        frames = [integrate_frame(d, lam, base_value=base)
-                  for lam in config.lams]
-        mask = s.mask[cut]
+        frames = [a.frame(lam, base) for lam in config.lams]
+        mask = s.mask[W4_CUT]
         return sym_sheets(frames, mask, mask), frames, mask
     res = pipeline_result(config, config.resolved_grid())
     return res.sym, res.frames, res.ok_mask
@@ -306,13 +306,9 @@ def cmd_verify(config):
         # the sheet rows of the input pair and its dual: no frame is
         # integrated, and the rows are blind to --conjugate-sign
         s = _read_spinors(arg)
-        for i, j in np.argwhere(~s.mask)[:1]:
-            raise ConfigError(f"verify --spinors reads every node; node "
-                              f"({i}, {j}) of {arg!r}, z = "
-                              f"{s.grid.node_z(i, j):.4g}, is absent")
         rep = VerificationReport()
-        sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
-                     s.mask, {**DEFAULT_TOLS, **config.tols})
+        sheet_checks(rep, SheetAnalysis.of(s), s.mask,
+                     {**DEFAULT_TOLS, **config.tols})
     else:
         res = pipeline_result(config, config.resolved_grid(for_verify=True))
         rep = verify_pipeline(res, tols=config.tols)
@@ -328,25 +324,22 @@ def cmd_sweep(config):
     if len(config.lams) < 2:
         raise ConfigError("sweep needs at least two lambda samples")
     sheets, _frames, ok_mask = run_pipeline(config)
-    # every node of the W4 interior, the export mask aside
-    core = centred_interior(np.ones(sheets[0].grid.shape, dtype=bool), W4)
-    if not core.any():
+    # every node of the W4 sub-grid, the export mask aside
+    g = sheets[0].grid
+    if min(g.shape) <= 2 * W4:
         raise GridTooSmallError(f"sweep reads nodes {W4} in from each edge; "
-                                f"sheets of {core.shape[1]}x{core.shape[0]} "
-                                f"nodes have none")
+                                f"sheets of {g.nx}x{g.ny} nodes have none")
     ew2_ref = None
     entries = []
     for sym in sheets:
         a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
         if ew2_ref is None:
             ew2_ref = a.dirac.ew2
-            drift = 0.0
-        else:
-            drift = float(np.max(np.abs((a.dirac.ew2 - ew2_ref)[core])))
+        drift = np.max(np.abs((a.dirac.ew2 - ew2_ref)[W4_CUT]))
         entries.append({
             "lambda": [complex(sym.lam).real, complex(sym.lam).imag],
-            "dirac_potential_drift": drift,
-            "re_dirac_max": float(np.max(np.abs(a.dirac.ew2.real[core]))),
+            "dirac_potential_drift": float(drift),
+            "re_dirac_max": float(np.max(np.abs(a.dirac.ew2.real[W4_CUT]))),
         })
     run_dir = _open_run(config)
     _write_sheets(run_dir, sheets, ("minus", "plus"), config.hash())

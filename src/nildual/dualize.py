@@ -113,7 +113,7 @@ def dual_invariants(pair):
     e_u_star = np.where(mask, 256.0 * absB**2 * e_u / h_safe**4, 0.0)
     h_star = np.where(mask, 16.0 * absB / h_safe, 0.0)
     B_star = pair.B.copy()
-    g_star = s.psi2 / np.conj(s.psi1)
+    g_star = s.psi2 / np.conj(np.where(mask, s.psi1, 1.0))
     ew2_star = np.where(mask, 4.0j * absB / h_safe, 0.0)
     return e_u_star, h_star, B_star, g_star, ew2_star, mask
 

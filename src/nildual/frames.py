@@ -12,8 +12,8 @@ F^{-1} dF = alpha and are integrated jointly with their first two
 parameter derivatives, whose sources are `eval(lam, 1 or 2)`, so the
 surface formulas downstream never differentiate numerically in lam.
 No frame node is ever repaired: `sym.sym_maps` refuses a frame whose surface
-matrices leave su(1,1) beyond REALITY_TOL, and names the worst node.  The
-`--spinors` pipeline marches on the sub-grid 4 nodes in from each edge.
+matrices leave su(1,1) beyond REALITY_TOL, and names the worst node.
+`verify.SheetAnalysis.frame` marches a sheet's frames on its W4 sub-grid.
 """
 from __future__ import annotations
 
@@ -34,18 +34,13 @@ def _connection(d):
     V on 0..1.  Row k of a table is power low + k, its columns c hold
     column c's entry, in `class_rows`' row."""
     ew2, w_zb = d.ew2, np.conj(d.w_z)
+    den = np.where(ew2 == 0, 1.0, ew2)  # 0 at a zero-filled, masked node
 
     def loop(low, table):
         return MatrixLoop(np.moveaxis(np.array(table), (0, 1), (-2, -1)), low)
 
-    return (loop(-1, [[d.B / ew2, -ew2], [0.25 * d.w_z, -0.25 * d.w_z]]),
-            loop(0, [[-0.25 * w_zb, 0.25 * w_zb], [ew2, -np.conj(d.B) / ew2]]))
-
-
-def connection_coeffs(d, lam):
-    """(U, V) matrix fields of the flat connection at the given lam."""
-    minimality_gate(d, "connection assembled for minimal data only")
-    return tuple(L.eval(lam) for L in _connection(d))
+    return (loop(-1, [[d.B / den, -ew2], [0.25 * d.w_z, -0.25 * d.w_z]]),
+            loop(0, [[-0.25 * w_zb, 0.25 * w_zb], [ew2, -np.conj(d.B) / den]]))
 
 
 def flatness_residual(d, lam):
@@ -168,7 +163,8 @@ def frame_from_spinors(s):
 
 def frame_compatibility_residual(frame, d):
     """|F^{-1} dz F - U| and |F^{-1} dzbar F - V| per node, maxed."""
-    U, V = connection_coeffs(d, frame.lam)
+    minimality_gate(d, "connection assembled for minimal data only")
+    U, V = (L.eval(frame.lam) for L in _connection(d))
     Finv = inv2(np.moveaxis(frame.F, (-2, -1), (0, 1)))
     res = [mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
            - np.moveaxis(W, (-2, -1), (0, 1))

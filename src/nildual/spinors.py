@@ -108,7 +108,7 @@ def gauss_map(s):
     if np.any(bad & s.mask):
         i, j = np.argwhere(bad & s.mask)[0]
         raise VerticalPointError(f"psi1 vanishes at node ({i}, {j})")
-    g = s.psi2 / np.conj(s.psi1)
+    g = s.psi2 / np.conj(np.where(bad, 1.0, s.psi1))
     denom = 1.0 + np.abs(g) ** 2
     normal = np.stack([2.0 * g.real, 2.0 * g.imag, 1.0 - np.abs(g) ** 2],
                       axis=-1) / denom[..., None]

@@ -139,31 +139,43 @@ class VerificationReport:
         }
 
 
-def interior_dirac(d, width=4):
-    """Dirac data restricted to the centred-stencil interior subgrid."""
-    g = d.grid
-    sub = DomainGrid(g.xs[width], g.xs[-width - 1],
-                     g.ys[width], g.ys[-width - 1],
-                     g.nx - 2 * width, g.ny - 2 * width)
-    cut = np.s_[width:-width, width:-width]
-    return DiracData(B=d.B[cut], H=d.H[cut], ew2=d.ew2[cut],
-                     consistency=d.consistency[cut], grid=sub,
-                     w_z=d.w_z[cut]), cut
+W4_CUT = np.s_[W4:-W4, W4:-W4]  # the sub-grid a sheet's frames are marched on
+
+
+def interior_dirac(d):
+    """Dirac data restricted to the W4 sub-grid (`W4_CUT`)."""
+    xs, ys = d.grid.xs[W4:-W4], d.grid.ys[W4:-W4]
+    sub = DomainGrid(xs[0], xs[-1], ys[0], ys[-1], xs.size, ys.size)
+    return DiracData(B=d.B[W4_CUT], H=d.H[W4_CUT], ew2=d.ew2[W4_CUT],
+                     consistency=d.consistency[W4_CUT], grid=sub,
+                     w_z=d.w_z[W4_CUT])
 
 
 @dataclass
 class SheetAnalysis:
-    """Extracted spinor-level data of one surface sheet at one parameter."""
+    """Extracted spinor-level data of one surface sheet at one parameter,
+    formed by `SheetAnalysis.of`; no row or march reads it off the mask."""
 
     spinors: object
     dirac: object
     e_u: np.ndarray
     h: np.ndarray
 
+    @classmethod
+    def of(cls, s):
+        """The analysis of the spinor field `s`, its Dirac data gated."""
+        return cls(s, dirac_data(s), *uh_from_spinors(s))
+
     @cached_property
     def gauss(self):
         """The Gauss map g of the spinors (`gauss_map`), formed once."""
         return gauss_map(self.spinors)[0]
+
+    def frame(self, lam, base_value, derivatives=True):
+        """`integrate_frame` at `lam` on the W4 sub-grid, from `base_value`
+        at its centre node, the grid's: (n - 2 W4) // 2 + W4 = n // 2."""
+        return integrate_frame(interior_dirac(self.dirac), lam,
+                               base_value=base_value, derivatives=derivatives)
 
 
 def analyze_sheet(surface, lam, extract_mask=None):
@@ -174,10 +186,9 @@ def analyze_sheet(surface, lam, extract_mask=None):
     if extract_mask is None:
         extract_mask = np.ones(surface.grid.shape, dtype=bool)
     phi = left_maurer_cartan(surface)
-    s = spinors_from_phi(phi, lam=lam, conformal_tol=SHEET_CONFORMAL_TOL,
-                         mask=stencil_valid(extract_mask),
-                         on_branch_cut="record")
-    return SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s))
+    return SheetAnalysis.of(spinors_from_phi(
+        phi, lam=lam, conformal_tol=SHEET_CONFORMAL_TOL,
+        mask=stencil_valid(extract_mask), on_branch_cut="record"))
 
 
 def sheet_checks(rep, a, valid, tols):
@@ -188,7 +199,8 @@ def sheet_checks(rep, a, valid, tols):
     it on every parameter's sheet, `verify --spinors` on the input pair.
     Rows are tagged with the spinors' parameter.  `valid` is the sheet's
     node mask: the stencil rows are asserted on its centred interiors, the
-    double dual on the nodes where it is defined.  Every row is blind to
+    double dual on the nodes where it is defined, and the dual's minimality
+    where its stencils read no masked node.  Every row is blind to
     the branch convention of the dual: it reads |psi*|, a ratio whose sign
     cancels, or the involution, which applies the sign twice.
     """
@@ -230,7 +242,8 @@ def sheet_checks(rep, a, valid, tols):
     if not pair.has_branch_cut:
         d_star = dirac_data(pair.dual, require_minimal=False)
         rep.add(f"dual_minimality[{tag}]", np.abs(d_star.ew2.real),
-                tols["dual_minimality"], centred_interior(pair.mask, W4))
+                tols["dual_minimality"],
+                centred_interior(stencil_valid(pair.mask), W4))
     return pair
 
 
@@ -248,7 +261,6 @@ def verify_pipeline(result, tols=None):
     """
     tols = {**DEFAULT_TOLS, **(tols or {})}
     rep = VerificationReport()
-    grid = result.grid
 
     pivot = result.report.pivot
     rep.add_scalar("iwasawa_recon", result.recon_residual,
@@ -303,12 +315,9 @@ def verify_pipeline(result, tols=None):
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
         lam0 = 1.0 + 0.0j
-        d_sub, cut = interior_dirac(a1.dirac, W4)
-        # the sub-grid's centre is the grid's: (n - 2 W4) // 2 + W4 = n // 2
-        base = result.frame_loop.at_node(grid.centre).eval(lam0)
-        integ = integrate_frame(d_sub, lam0, base_value=base,
-                                derivatives=False)
-        diff = np.max(np.abs(integ.F - result.frame_loop.eval(lam0)[cut]),
+        base = result.frame_loop.at_node(result.grid.centre).eval(lam0)
+        integ = a1.frame(lam0, base, derivatives=False)
+        diff = np.max(np.abs(integ.F - result.frame_loop.eval(lam0)[W4_CUT]),
                       axis=(-2, -1))
         rep.add(f"cross_pipeline[{_lam_tag(lam0)}]", diff,
                 tols["cross_pipeline"])

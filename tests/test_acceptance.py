@@ -348,7 +348,7 @@ def test_criterion_9_path_independence(pb41):
     about 0 vs about z1 = 0.2 - 0.1i <= 1e-10."""
     from nildual.verify import interior_dirac
     a = analyze_sheet(pb41.sym[0].f_minus, 1.0)
-    d_sub, _ = interior_dirac(a.dirac, 4)
+    d_sub = interior_dirac(a.dirac)
     fr_row = integrate_frame(d_sub, 1.0, column_first=False)
     fr_col = integrate_frame(d_sub, 1.0, column_first=True)
     frame_diff = float(np.max(np.abs(fr_row.F - fr_col.F)))

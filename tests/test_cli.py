@@ -19,7 +19,7 @@ from nildual.io_formats import (
     write_field_csv,
     write_frame_cache,
 )
-from nildual.nil3 import DomainGrid, SurfaceGrid
+from nildual.nil3 import DomainGrid, SurfaceGrid, stencil_valid
 from nildual.spinors import SpinorField, dirac_data
 from nildual.sym import MOTION_TOL, REALITY_TOL, mc_equivalent
 from nildual.verify import W4, interior_dirac
@@ -319,7 +319,7 @@ def test_verify_spinors_from_generated_fields(tmp_path):
 
 def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     _write_paraboloid_spinors(tmp_path)
-    calls = _counting_integrate_frame(monkeypatch, [nildual.cli])
+    calls = _counting_integrate_frame(monkeypatch, [nildual.verify])
     rc = run(["generate", "--spinors", str(tmp_path / "in"),
               "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -330,7 +330,7 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     _, p2, _ = read_field_csv(tmp_path / "in_psi2.csv")
     s = SpinorField(p1, p2, g)
     # marched on the W4 sub-grid, from the input's frame at its centre
-    d, _cut = interior_dirac(dirac_data(s), W4)
+    d = interior_dirac(dirac_data(s))
     base = frame_from_spinors(s)[g.centre]
     for fr, lam in zip(frames, parse_lambda_list("1,exp:pi/3")):
         direct = integrate_frame(d, lam, base_value=base)
@@ -426,7 +426,8 @@ def test_spinor_frame_defect_is_refused_at_a_named_node(tmp_path, capsys):
 
 def test_spinor_pair_of_different_extents_shares_one_grid(tmp_path):
     # psi1 lacks its last column and psi2 does not: both are read onto the
-    # grid of their union, and the column is masked
+    # grid of their union, and the column is masked with every node whose
+    # stencils read it
     from .oracles import paraboloid_spinors
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
     psi1, psi2 = paraboloid_spinors(grid)
@@ -436,7 +437,7 @@ def test_spinor_pair_of_different_extents_shares_one_grid(tmp_path):
     write_field_csv(tmp_path / "in_psi2.csv", psi2, grid)
     s = nildual.cli._read_spinors(str(tmp_path / "in"))
     assert s.grid == grid
-    assert np.array_equal(s.mask, keep)
+    assert np.array_equal(s.mask, stencil_valid(keep))
     assert np.array_equal(s.psi1[keep], psi1[keep])
     assert np.array_equal(s.psi2, psi2)
 
@@ -461,6 +462,25 @@ def test_spinor_pair_absent_outside_the_sub_grid_gives_the_full_outputs(
                     == (runs["full"] / f"lam{k}_{name}").read_bytes())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spinor_verify_reads_an_edge_holed_pair_as_the_full_one(tmp_path):
+    # verify reads the pair by generate's rule: psi1's last column, absent,
+    # is zero-filled and masked with every node whose stencils read it.  No
+    # row asserts at those nodes, and the guards keep their zeros from
+    # dividing, so each of the nine rows reads the full pair's max
+    rows = {}
+    for name, hole in (("full", None), ("holed", np.s_[:, -1])):
+        (tmp_path / name).mkdir()
+        _write_paraboloid_spinors(tmp_path / name, hole)
+        assert run(["verify", "--spinors", str(tmp_path / name / "in"),
+                    "--lambda", "1", "--out", str(tmp_path / name / "o")]) == 0
+        (report,) = (tmp_path / name / "o").glob("*/report.json")
+        rows[name] = [(row["name"], row["max"]) for row in
+                      json.loads(report.read_text())["checks"]]
+    assert len(rows["full"]) == 9
+    assert rows["holed"] == rows["full"]
+
+
 def test_spinor_pair_absent_inside_the_sub_grid_is_refused_by_name(
         tmp_path, capsys):
     # (6, 8) lies in the sub-grid 4 nodes in from each edge; the first
@@ -471,9 +491,9 @@ def test_spinor_pair_absent_inside_the_sub_grid_is_refused_by_name(
     assert run(["generate", *argv]) == 2
     assert "node (4, 8) of" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    # verify reads every node of the pair
+    # verify reads the pair by the same rule
     assert run(["verify", *argv]) == 2
-    assert "node (6, 8) of" in capsys.readouterr().err
+    assert "node (4, 8) of" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -482,7 +502,6 @@ def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
     # integrated, and the report is the shared row function's on the
     # input's analysis
     from nildual.io_formats import write_json
-    from nildual.spinors import uh_from_spinors
     from nildual.verify import (
         DEFAULT_TOLS,
         SheetAnalysis,
@@ -490,8 +509,7 @@ def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
         sheet_checks,
     )
     _write_paraboloid_spinors(tmp_path)
-    calls = _counting_integrate_frame(monkeypatch,
-                                      [nildual.cli, nildual.verify])
+    calls = _counting_integrate_frame(monkeypatch, [nildual.verify])
     rc = run(["verify", "--spinors", str(tmp_path / "in"),
               "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -501,8 +519,7 @@ def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
     _, p2, m2 = read_field_csv(tmp_path / "in_psi2.csv")
     s = SpinorField(p1, p2, g, mask=m1 & m2)
     rep = VerificationReport()
-    sheet_checks(rep, SheetAnalysis(s, dirac_data(s), *uh_from_spinors(s)),
-                 s.mask, DEFAULT_TOLS)
+    sheet_checks(rep, SheetAnalysis.of(s), s.mask, DEFAULT_TOLS)
     direct = tmp_path / "direct.json"
     write_json(direct, rep.to_json())
     assert (run_dir / "report.json").read_bytes() == direct.read_bytes()

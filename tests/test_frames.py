@@ -4,7 +4,6 @@ import pytest
 from nildual.errors import VerticalPointError
 from nildual.frames import (
     _connection,
-    connection_coeffs,
     flatness_residual,
     frame_compatibility_residual,
     frame_from_spinors,
@@ -37,16 +36,16 @@ def _analytic_pb_dirac(grid):
     )
 
 
-def test_connection_coeffs_paraboloid(grid41):
+def test_connection_paraboloid(grid41):
     d = _analytic_pb_dirac(grid41)
-    U, V = connection_coeffs(d, 1.0)
+    U, V = (L.eval(1.0) for L in _connection(d))
     # B e^{-w/2} = (1/16)(-4i) = -i/4
     expected_U = np.array([[0.0, -0.25j], [-0.25j, 0.0]])
     expected_V = np.array([[0.0, 0.25j], [0.25j, 0.0]])
     assert np.max(np.abs(U - expected_U)) < 1e-14
     assert np.max(np.abs(V - expected_V)) < 1e-14
     # lam -> -lam flips the off-diagonal signs only
-    U2, V2 = connection_coeffs(d, -1.0)
+    U2, V2 = (L.eval(-1.0) for L in _connection(d))
     assert np.max(np.abs(U2 + expected_U)) < 1e-14
     assert np.max(np.abs(np.diagonal(U2, axis1=-2, axis2=-1))) < 1e-14
 
@@ -54,7 +53,7 @@ def test_connection_coeffs_paraboloid(grid41):
 def test_connection_zero_B_node(grid41):
     d = _analytic_pb_dirac(grid41)
     d.B = np.zeros_like(d.B)
-    U, _ = connection_coeffs(d, 1.0)
+    U = _connection(d)[0].eval(1.0)
     assert np.max(np.abs(U[..., 1, 0])) == 0.0
 
 
