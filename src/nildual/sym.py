@@ -172,9 +172,10 @@ def mc_equivalent(f, g, allow_reflection=False):
     The rotation angle is fitted at one node from phi1 + i phi2 and then
     verified globally; no averaging, so failures are sharp.  Returns the
     first candidate, in the fixed order of the loops below, whose residual
-    is within MOTION_TOL, so round-off cannot pick among congruences that
-    all fit; when none is, the one of smallest residual.  theta is in
-    (-pi, pi]: within MOTION_TOL of -pi it reads pi, and -0.0 reads 0.0.
+    is within MOTION_TOL; else the best, which a later candidate replaces
+    only when lower by more than MOTION_TOL: round-off picks neither among
+    congruences that fit nor among near-ties.  theta is in (-pi, pi]:
+    within MOTION_TOL of -pi it reads pi, and -0.0 reads 0.0.
     """
     if f.grid != g.grid:
         raise ValueError("surfaces must share a grid")
@@ -211,7 +212,7 @@ def mc_equivalent(f, g, allow_reflection=False):
             res = np.maximum(np.abs(wg - phase * wf),
                              np.abs(pg[..., 2] - pr[..., 2]))
             r = float(np.max(res[live], initial=0.0)) / scale
-            if r < best.residual:
+            if r <= MOTION_TOL or r < best.residual - MOTION_TOL:
                 theta = float(np.angle(phase))
                 theta = np.pi if theta <= MOTION_TOL - np.pi else theta + 0.0
                 best = MotionFit(r <= MOTION_TOL, kind + vname, theta, r)

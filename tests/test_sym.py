@@ -4,6 +4,7 @@ import pytest
 from nildual.dualize import dual_spinors
 from nildual.frames import FrameField, integrate_frame
 from nildual.nil3 import SurfaceGrid
+from nildual.potentials import run_example
 from nildual.spinors import SpinorField, dirac_data, gauss_map
 from nildual.sym import (
     extract_dual_spinors,
@@ -186,6 +187,26 @@ def test_mc_equivalent_reports_a_fit_round_off_cannot_flip(grid41):
     fit = mc_equivalent(f, f)
     assert fit.kind == "rotation" and fit.theta == 0.0
     assert not np.signbit(fit.theta)
+
+
+def test_mc_equivalent_keeps_its_fit_of_a_non_congruent_pair():
+    # smyth-2's two sheets on its own 41x41 grid are not congruent: a
+    # reflection fits them about as well with z -> -z as without, the two
+    # residuals 3e-16 apart at lam = 1 and 2.7e-15 at e^{i pi/3}.  A later
+    # candidate must undercut by more than MOTION_TOL, so the first is
+    # reported, and seeded 1e-14 relative noise on one sheet changes
+    # neither kind nor theta
+    run = run_example("smyth-2", lam_samples=[1.0, np.exp(1j * np.pi / 3)])
+    rng = np.random.default_rng(11)
+    for sym, theta in zip(run.sym, (-np.pi / 2, 0.220392427)):
+        coords = sym.f_plus.coords
+        for scale in [0.0] + [1e-14] * 4:
+            noisy = SurfaceGrid(
+                coords * (1 + scale * rng.normal(size=coords.shape)),
+                sym.grid, lam=sym.lam, mask=sym.f_plus.mask)
+            fit = mc_equivalent(sym.f_minus, noisy, allow_reflection=True)
+            assert not fit.equivalent and fit.kind == "reflection"
+            assert abs(fit.theta - theta) < 1e-9
 
 
 def test_mc_equivalent_distinguishes_surfaces(grid41):
