@@ -29,22 +29,24 @@ for the B extraction) and, computing before they write, leave no file;
 and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
 `refused/spinors`, which must exit 2 (the frame marched from them leaves
 SU(1,1) at the under-resolved corners, and no node is repaired) and leave
-no file; and `generate --spinors` at the flags above from the paraboloid's
-spinors on a 21x21 grid, written with psi1's last column absent, whose
-masked band lies outside the sub-grid, and, under `refused/spinors_hole`,
-with psi1's node (6, 8) absent, which lies inside it: that one must exit 2
-and leave no file.  The CSVs are copied (or written) to the fixed
-relative prefixes `spinors/lam0`, `spinors_helicoid/lam0`,
+no file; and `generate --spinors` and `verify --spinors` at the flags
+above from the paraboloid's spinors on a 21x21 grid, written with psi1's
+last column absent, whose masked band lies outside the sub-grid (verify's
+rows then read the full pair's maxima), and, under `refused/spinors_hole`
+and `refused/verify_hole`, with psi1's node (6, 8) absent, which lies
+inside it: those two must exit 2, naming node (4, 8), the first whose
+stencils read it, and leave no file.  The CSVs are copied (or written)
+to the fixed relative prefixes `spinors/lam0`, `spinors_helicoid/lam0`,
 `spinors_off_centre/lam0`, `spinors_smyth-2/lam0`, `spinors_holed/lam0`
 and `spinors_hole_inside/lam0`, and the potential is written to
 `potentials/helicoid_untwisted.json`, because the input path enters the
-run hash and so the run directory's name. The set writes 343 files; with
-their 167 report rows and the 37 exit codes the digest holds 547 entries.
+run hash and so the run directory's name. The set writes 345 files; with
+their 176 report rows and the 39 exit codes the digest holds 560 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the four refused commands, 0 for the
+not the one expected of it: 2 for the five refused commands, 0 for the
 rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
@@ -60,14 +62,16 @@ prints as base -> head max, each with its headroom max/tolerance.
 `--numbers` reads two output directories the command set wrote and prints,
 for each CSV, OBJ or JSON file whose bytes differ, how far its values
 moved: the largest difference relative to the largest finite |value| of
-A's file, or "structure differs" when the files differ elsewhere.  A CSV's
-values are its `re` and `im` columns, scaled together (a field's
-imaginary part may be round-off alone), and an OBJ's are its vertex
-coordinates; a CSV's other columns (i, j, x, y) and an OBJ's faces are
-structure, so a changed index or coordinate or face token reads
-"structure differs".  Every number of a JSON file is a value (a frame
-cache's base64 payloads count as their complex128 values, and a JSON
-string that parses as a number as that number).  It gates nothing.
+its group in A's file, or "structure differs" when the files differ
+elsewhere.  A CSV's values are its `re` and `im` columns, one group (a
+field's imaginary part may be round-off alone), and an OBJ's are its
+vertex coordinates; a CSV's other columns (i, j, x, y) and an OBJ's faces
+are structure, so a changed index or coordinate or face token reads
+"structure differs".  A JSON file's floats (and strings that parse as
+floats) are grouped by key path, so a fit's theta is scaled by theta and
+a report's maxima by the largest maximum; a frame cache's base64 payload
+is a group of its own complex128 values; its integers and booleans (a
+schema, a count, a mask) are structure.  It gates nothing.
 """
 import base64
 import hashlib
@@ -98,6 +102,7 @@ EXPECTED = {
        for command in ("dual", "sweep")},
     f"exit: generate {' '.join(REFUSED_SPINORS)} --out refused/spinors": 2,
     f"exit: generate {' '.join(REFUSED_HOLE)} --out refused/spinors_hole": 2,
+    f"exit: verify {' '.join(REFUSED_HOLE)} --out refused/verify_hole": 2,
 }
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
@@ -187,6 +192,9 @@ def run_commands(out, env):
                    check=True)
     nildual("generate", "--spinors", "spinors_holed/lam0", *FLAGS)
     nildual("generate", *REFUSED_HOLE, "--out", "refused/spinors_hole")
+    # verify reads a --spinors pair by the same rule
+    nildual("verify", "--spinors", "spinors_holed/lam0", *FLAGS)
+    nildual("verify", *REFUSED_HOLE, "--out", "refused/verify_hole")
     return codes
 
 
@@ -259,24 +267,26 @@ def _obj_numbers(text):
     return numbers, rest
 
 
-def _json_numbers(value, numbers, rest):
-    """Append the numbers of a JSON value to `numbers` and everything else
-    to `rest`.  A string is a number when it parses as one, and the values
-    of a frame-cache payload when it is base64 of a whole number of
-    complex128 values."""
+def _json_numbers(value, groups, rest, path=""):
+    """Add the values of a JSON value to `groups`, which maps a group to
+    its values, and append everything else to `rest`.  A float, or a string
+    that parses as one, joins the group of its key path (list indices left
+    out); a string that is base64 of a whole number of complex128 values (a
+    frame-cache payload) is a group of its own.  Integers, booleans and
+    other strings are structure."""
     if isinstance(value, dict):
         rest.append(sorted(value))
         for k in sorted(value):
-            _json_numbers(value[k], numbers, rest)
+            _json_numbers(value[k], groups, rest, f"{path}/{k}")
     elif isinstance(value, list):
         rest.append(len(value))
         for v in value:
-            _json_numbers(v, numbers, rest)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        numbers.append(value)
+            _json_numbers(v, groups, rest, path + "[]")
+    elif isinstance(value, float):
+        groups.setdefault(path, []).append(value)
     elif isinstance(value, str):
         try:
-            numbers.append(float(value))
+            groups.setdefault(path, []).append(float(value))
             return
         except ValueError:
             pass
@@ -285,9 +295,9 @@ def _json_numbers(value, numbers, rest):
         except ValueError:
             raw = b""
         if raw and len(raw) % 16 == 0:
-            values = np.frombuffer(raw, dtype="<c16")
-            numbers.extend(values)
-            rest.append(len(values))
+            groups[f"{path} payload {len(rest)}"] = np.frombuffer(
+                raw, dtype="<c16")
+            rest.append(len(raw))
         else:
             rest.append(value)
     else:
@@ -295,21 +305,36 @@ def _json_numbers(value, numbers, rest):
 
 
 def _file_numbers(path):
-    """(values, everything else) of a CSV, OBJ or JSON file."""
+    """({group: values}, everything else) of a CSV, OBJ or JSON file; a
+    CSV's or OBJ's values are one group."""
     if path.suffix == ".json":
-        numbers, rest = [], []
-        _json_numbers(json.loads(path.read_text()), numbers, rest)
-        return numbers, rest
-    if path.suffix == ".csv":
-        return _csv_numbers(path.read_text())
-    return _obj_numbers(path.read_text())
+        groups, rest = {}, []
+        _json_numbers(json.loads(path.read_text()), groups, rest)
+        return groups, rest
+    parse = _csv_numbers if path.suffix == ".csv" else _obj_numbers
+    numbers, rest = parse(path.read_text())
+    return {"": numbers}, rest
+
+
+def _moved(a, b):
+    """The largest difference of `b` from `a`, relative to the largest
+    finite |value| of `a` (1 when that is 0 or there is none)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(same, 0.0, np.abs(a - b))
+    finite = np.abs(a[np.isfinite(a)])
+    scale = finite.max() if finite.size and finite.max() > 0 else 1.0
+    diff = np.where(np.isnan(diff), np.inf, diff)
+    return np.max(diff, initial=0.0) / scale
 
 
 def numbers(a_dir, b_dir):
     """For each CSV, OBJ or JSON file under both output directories whose
-    bytes differ: the largest difference of its values relative to the
-    largest finite |value| of A's file, or "structure differs" when the
-    files differ elsewhere than in their values (`_file_numbers`)."""
+    bytes differ: the largest difference of its values, each relative to
+    the largest finite |value| of its group in A's file, or "structure
+    differs" when the files differ elsewhere than in their values
+    (`_file_numbers`)."""
     a_dir, b_dir = Path(a_dir), Path(b_dir)
     paths = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*")
                    if p.suffix in (".csv", ".obj", ".json"))
@@ -320,18 +345,13 @@ def numbers(a_dir, b_dir):
             continue
         if a.read_bytes() == b.read_bytes():
             continue
-        (na, ra), (nb, rb) = _file_numbers(a), _file_numbers(b)
-        if ra != rb or len(na) != len(nb):
+        (ga, ra), (gb, rb) = _file_numbers(a), _file_numbers(b)
+        if ra != rb or ({k: len(v) for k, v in ga.items()}
+                        != {k: len(v) for k, v in gb.items()}):
             print(f"{rel.as_posix()}: structure differs")
             continue
-        na, nb = np.asarray(na, dtype=complex), np.asarray(nb, dtype=complex)
-        same = (na == nb) | (np.isnan(na) & np.isnan(nb))
-        with np.errstate(invalid="ignore"):
-            diff = np.where(same, 0.0, np.abs(na - nb))
-        finite = np.abs(na[np.isfinite(na)])
-        scale = finite.max() if finite.size and finite.max() > 0 else 1.0
-        diff = np.where(np.isnan(diff), np.inf, diff)
-        print(f"{rel.as_posix()}: {np.max(diff, initial=0.0) / scale:.3g}")
+        worst = max((_moved(ga[k], gb[k]) for k in ga), default=0.0)
+        print(f"{rel.as_posix()}: {worst:.3g}")
     for p in sorted(b_dir.rglob("*")):
         rel = p.relative_to(b_dir)
         if p.suffix in (".csv", ".obj", ".json") and not (a_dir / rel).exists():

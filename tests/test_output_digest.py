@@ -98,3 +98,25 @@ def test_numbers_scales_an_obj_by_its_vertices(tmp_path, capsys):
     moved = a.replace("f 1 2 1681", "f 1 2 1680")
     assert _numbers_of(tmp_path / "f", capsys, "s.obj", a, moved) == (
         "s.obj: structure differs")
+
+
+def test_numbers_scales_json_floats_by_their_key_path(tmp_path, capsys):
+    # theta's sign flip reads 2 beside "schema": 1, an integer, which is
+    # structure; each float group (the rows' maxima here) is scaled by its
+    # own largest |value|, not by the file's
+    fit = '{{"schema": 1, "kind": "rotation", "theta": {}, "residual": 1e-7}}'
+    assert _numbers_of(tmp_path / "fit", capsys, "fit.json",
+                       fit.format(4.64e-8), fit.format(-4.64e-8)) == (
+        "fit.json: 2")
+    report = ('{{"checks": [{{"max": {}, "tolerance": 1e-06}}, '
+              '{{"max": 2e-10, "tolerance": 1e-10}}]}}')
+    assert _numbers_of(tmp_path / "rows", capsys, "report.json",
+                       report.format(5e-7), report.format(6e-7)) == (
+        "report.json: 0.2")
+
+
+def test_numbers_reads_a_changed_count_as_structure(tmp_path, capsys):
+    log = '{{"schema": 2, "cut_edges": [], "masked": {}}}'
+    assert _numbers_of(tmp_path, capsys, "branch_log.json", log.format(44),
+                       log.format(45)) == (
+        "branch_log.json: structure differs")
