@@ -316,3 +316,58 @@ def test_battery_flags_rough_g_in_harmonic_g_alone(pb_run, monkeypatch):
     assert set(failed) == {f"harmonic_g[lam+{turn}pi]"
                            for turn in ("0.000", "0.333")}
     assert all(v > 5 for v in failed.values())
+
+
+def _failed_sheet_rows(run, change):
+    """{name: max / tolerance} of the rows `sheet_checks` fails on each
+    parameter's minus sheet, its spinors s changed to change(s) and read by
+    `SheetAnalysis.of`, as `verify --spinors` reads an input pair."""
+    rep = VerificationReport()
+    for sym in run.sym:
+        s = verify.analyze_sheet(sym.f_minus, sym.lam, run.ok_mask).spinors
+        verify.sheet_checks(rep, verify.SheetAnalysis.of(change(s)),
+                            sym.f_minus.mask, verify.DEFAULT_TOLS)
+    return {c.name: c.max / c.tolerance for c in rep.checks if not c.passed}
+
+
+def test_sheet_rows_flag_a_spinor_pair_off_the_dirac_system(pb_run):
+    # psi2 plus a seeded constant 2e-6 a0 (|a0| = 3.3): dz psi2, and with
+    # it the e^{w/2} read off the first equation, stay, and the second,
+    # dzbar psi1 = e^{w/2} psi2, misses by e^{w/2} 2e-6 a0.
+    # dirac_consistency, 0.03 of its tolerance clean, reads 2.1 and 1.9 of
+    # it.  w, read off the support, no longer matches e^{w/2}, so flatness
+    # moves too: sized at 1e-6, 2e-6 and 1e-5, dirac_consistency reads
+    # 1.05, 2.1 and 10.3 at lam = 1, flatness 0.39, 0.77 and 3.8, so the
+    # row trips alone only below 2.6e-6; harmonic_g stays under 0.2
+    a0 = complex(*np.random.default_rng(3).normal(size=2))
+    failed = _failed_sheet_rows(
+        pb_run, lambda s: dataclasses.replace(s, psi2=s.psi2 + 2e-6 * a0))
+    assert set(failed) == {f"dirac_consistency[lam+{turn}pi]"
+                           for turn in ("0.000", "0.333")}
+    assert all(v > 1.5 for v in failed.values())
+
+
+def test_sheet_rows_flag_a_turned_dual_spinor(pb_run, monkeypatch):
+    # the dual's psi1* times a seeded constant phase e^{i 1e-4 t}: the
+    # dual's e^{w*/2} = -dz psi2* / psi1* turns off the imaginary axis by
+    # the angle, and dual_minimality reads |e^{w*/2}| 1e-4 t = 5.1e-5, 5.1
+    # of its tolerance (sized at 1e-5, 3e-5 and 1e-4: 0.51, 1.5 and 5.1 at
+    # lam = 1).  involution_phi reads psi1* pointwise, at 1e-10, and trips
+    # 1e6 times over; dual_local does not see a constant unimodular factor.
+    # No defect of the dual spinors trips dual_minimality alone: the double
+    # dual is pointwise linear in them
+    t = np.random.default_rng(3).normal()
+    dual_spinors = verify.dual_spinors
+
+    def turned(s, d, conjugate_sign=+1):
+        pair = dual_spinors(s, d, conjugate_sign)
+        return dataclasses.replace(pair, dual=dataclasses.replace(
+            pair.dual, psi1=pair.dual.psi1 * np.exp(1e-4j * t)))
+
+    monkeypatch.setattr(verify, "dual_spinors", turned)
+    failed = _failed_sheet_rows(pb_run, lambda s: s)
+    assert set(failed) == {f"{row}[lam+{turn}pi]"
+                           for row in ("dual_minimality", "involution_phi")
+                           for turn in ("0.000", "0.333")}
+    assert all(failed[f"dual_minimality[lam+{turn}pi]"] > 4
+               for turn in ("0.000", "0.333"))
