@@ -40,8 +40,8 @@ to the fixed relative prefixes `spinors/lam0`, `spinors_helicoid/lam0`,
 `spinors_off_centre/lam0`, `spinors_smyth-2/lam0`, `spinors_holed/lam0`
 and `spinors_hole_inside/lam0`, and the potential is written to
 `potentials/helicoid_untwisted.json`, because the input path enters the
-run hash and so the run directory's name. The set writes 345 files; with
-their 176 report rows and the 39 exit codes the digest holds 560 entries.
+run hash and so the run directory's name. The set writes 355 files; with
+their 176 report rows and the 39 exit codes the digest holds 570 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
@@ -60,18 +60,21 @@ Usage:
 two digest files, or that only one of them has; a report row that changed
 prints as base -> head max, each with its headroom max/tolerance.
 `--numbers` reads two output directories the command set wrote and prints,
-for each CSV, OBJ or JSON file whose bytes differ, how far its values
-moved: the largest difference relative to the largest finite |value| of
-its group in A's file, or "structure differs" when the files differ
-elsewhere.  A CSV's values are its `re` and `im` columns, one group (a
+for each CSV, OBJ, JSON or frame-cache payload file whose bytes differ, how
+far its values moved: the largest difference relative to the largest
+finite |value| of its group in A's file, or "structure differs" when the
+files differ elsewhere.  A CSV's values are its `re` and `im` columns, one group (a
 field's imaginary part may be round-off alone), and an OBJ's are its
 vertex coordinates; a CSV's other columns (i, j, x, y) and an OBJ's faces
 are structure, so a changed index or coordinate or face token reads
 "structure differs".  A JSON file's floats (and strings that parse as
 floats) are grouped by key path, so a fit's theta is scaled by theta and
-a report's maxima by the largest maximum; a frame cache's base64 payload
-is a group of its own complex128 values; its integers and booleans (a
-schema, a count, a mask) are structure.  It gates nothing.
+a report's maxima by the largest maximum; its integers and booleans (a
+schema, a count, a mask) are structure.  A frame cache's payload
+(`frames.bin`) is read through its header (`frames.json`, beside it): its
+complex128 values are one group, and the mask bytes after them are
+structure.  (A base64 payload string, the frame cache before its schema 3,
+is a group of its own complex128 values.)  It gates nothing.
 """
 import base64
 import hashlib
@@ -211,6 +214,10 @@ def digest(out, env):
     return {**files, **rows, **codes}
 
 
+# the files `--numbers` reads
+SUFFIXES = (".csv", ".obj", ".json", ".bin")
+
+
 def _headroom(row):
     mx, tol = row
     return f"{mx:.8g} ({mx / tol if tol else float('inf'):.3g} of tol)"
@@ -304,9 +311,22 @@ def _json_numbers(value, groups, rest, path=""):
         rest.append(value)
 
 
+def _bin_numbers(path):
+    """The complex128 values of a frame-cache payload, as many as the
+    header beside it calls for, and the bytes after them (the masks)."""
+    header = json.loads(path.with_suffix(".json").read_text())
+    nodes = header["grid"]["nx"] * header["grid"]["ny"]
+    raw = path.read_bytes()
+    count = min(12 * len(header["lambdas"]) * nodes, len(raw) // 16)
+    return ({"payload": np.frombuffer(raw, dtype="<c16", count=count)},
+            [raw[16 * count:]])
+
+
 def _file_numbers(path):
-    """({group: values}, everything else) of a CSV, OBJ or JSON file; a
-    CSV's or OBJ's values are one group."""
+    """({group: values}, everything else) of a CSV, OBJ, JSON or frame-cache
+    payload file; a CSV's or OBJ's values are one group."""
+    if path.suffix == ".bin":
+        return _bin_numbers(path)
     if path.suffix == ".json":
         groups, rest = {}, []
         _json_numbers(json.loads(path.read_text()), groups, rest)
@@ -330,14 +350,14 @@ def _moved(a, b):
 
 
 def numbers(a_dir, b_dir):
-    """For each CSV, OBJ or JSON file under both output directories whose
-    bytes differ: the largest difference of its values, each relative to
-    the largest finite |value| of its group in A's file, or "structure
-    differs" when the files differ elsewhere than in their values
-    (`_file_numbers`)."""
+    """For each CSV, OBJ, JSON or frame-cache payload file under both
+    output directories whose bytes differ: the largest difference of its
+    values, each relative to the largest finite |value| of its group in A's
+    file, or "structure differs" when the files differ elsewhere than in
+    their values (`_file_numbers`)."""
     a_dir, b_dir = Path(a_dir), Path(b_dir)
     paths = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*")
-                   if p.suffix in (".csv", ".obj", ".json"))
+                   if p.suffix in SUFFIXES)
     for rel in paths:
         a, b = a_dir / rel, b_dir / rel
         if not b.is_file():
@@ -354,7 +374,7 @@ def numbers(a_dir, b_dir):
         print(f"{rel.as_posix()}: {worst:.3g}")
     for p in sorted(b_dir.rglob("*")):
         rel = p.relative_to(b_dir)
-        if p.suffix in (".csv", ".obj", ".json") and not (a_dir / rel).exists():
+        if p.suffix in SUFFIXES and not (a_dir / rel).exists():
             print(f"only in {b_dir}: {rel.as_posix()}")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import VerticalPointError
 from .loops import SQRT_I, MatrixLoop, inv2, mm2
-from .nil3 import _lagrange_weights, dz_field, dzbar_field
+from .nil3 import _lagrange_weights, dz_field, dz_pair, dzbar_field
 from .spinors import minimality_gate
 
 UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
@@ -168,6 +168,5 @@ def frame_compatibility_residual(frame, d):
     Finv = inv2(np.moveaxis(frame.F, (-2, -1), (0, 1)))
     res = [mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
            - np.moveaxis(W, (-2, -1), (0, 1))
-           for dF, W in ((dz_field(frame.F, frame.grid), U),
-                         (dzbar_field(frame.F, frame.grid), V))]
+           for dF, W in zip(dz_pair(frame.F, frame.grid), (U, V))]
     return np.maximum(*(np.max(np.abs(r), axis=(0, 1)) for r in res))

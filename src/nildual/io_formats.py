@@ -8,12 +8,13 @@ face list, are formatted once per grid and mask into an ASCII "%" template
 writer keeps one template, keyed on the exact bytes of the grid axes and
 the boolean mask, since every command writes all its CSVs on one grid and
 mask and all its OBJs on one mask.  The frame cache stores its matrix
-grids as exact binary instead: base64 of their little-endian complex128
-bytes.
+grids as exact binary instead: a small JSON header (`frames.json`) beside
+one raw payload (`frames.bin`) of little-endian complex128 bytes and mask
+bytes, written before the header and read back in one read as read-only
+views.
 """
 from __future__ import annotations
 
-import base64
 import functools
 import hashlib
 import json
@@ -27,7 +28,7 @@ from .nil3 import DomainGrid
 SCHEMA = 1
 # the frame cache's own layout version; SCHEMA enters the config hash and so
 # every run-directory name, this one only the cache file
-FRAME_CACHE_SCHEMA = 2
+FRAME_CACHE_SCHEMA = 3
 
 
 def fmt(x):
@@ -154,61 +155,40 @@ def _obj_template(mask, shape):
 
 
 def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
-    """JSON-wrapped matrix grids per sampled parameter value.
+    """A frame cache: the payload, `path` with the suffix ".bin", then the
+    JSON header `path` (schema, grid, lambdas, meta, the payload's size).
 
-    `mask` marks exportable nodes (exclusion disks included); `ok_mask`
-    marks nodes whose frames are trustworthy (factorization succeeded) and
-    bounds the extraction domain when the caches are reused.  Either is
-    stored as null when every node is True.  A matrix grid is stored as
-    one base64 string of its C-order little-endian complex128 bytes, shape
-    (ny, nx, 2, 2): every bit survives, signed zeros and NaNs included."""
-
-    def pack(M):
-        raw = np.ascontiguousarray(M, dtype="<c16").reshape(
-            grid.shape + (2, 2)).tobytes()
-        return base64.b64encode(raw).decode("ascii")
-
-    entries = []
-    for fr in frames:
-        entries.append({
-            "lambda": [float(fr.lam.real), float(fr.lam.imag)],
-            "F": pack(fr.F),
-            "F_lam": pack(fr.F_lam),
-            "F_lam2": pack(fr.F_lam2),
-        })
+    The payload holds, per sampled parameter value, F, F_lam and F_lam2 as
+    C-order little-endian complex128 of shape (ny, nx, 2, 2): every bit
+    survives, signed zeros and NaNs included.  Then come `mask`, the
+    exportable nodes (exclusion disks included), and `ok_mask`, the nodes
+    whose frames are trustworthy (factorization succeeded), which bounds
+    the extraction domain when the caches are reused: one byte per node."""
+    shape = grid.shape + (2, 2)
+    raw = b"".join(
+        [np.ascontiguousarray(M, dtype="<c16").reshape(shape).tobytes()
+         for fr in frames for M in (fr.F, fr.F_lam, fr.F_lam2)]
+        + [np.asarray(m, dtype=bool).tobytes() for m in (mask, ok_mask)])
+    Path(path).with_suffix(".bin").write_bytes(raw)
     data = {
         "schema": FRAME_CACHE_SCHEMA,
         "grid": grid.to_dict(),
-        "mask": _pack_mask(mask),
-        "ok_mask": _pack_mask(ok_mask),
-        "entries": entries,
+        "lambdas": [[float(fr.lam.real), float(fr.lam.imag)] for fr in frames],
+        "payload_bytes": len(raw),
     }
     if meta:
         data["meta"] = meta
     write_json(path, data)
 
 
-def _pack_mask(mask):
-    return None if np.all(mask) else mask.astype(int).tolist()
-
-
 def read_frame_cache(path):
-    """(frames, grid, mask, ok_mask, meta) of a frame cache; a null mask
-    reads back as every node True.  A file not in this format, a cache of
-    another schema included, raises ConfigError."""
+    """(frames, grid, mask, ok_mask, meta) of a frame cache, every array a
+    read-only view of the one read of its payload.  A cache not in this
+    format, of another schema or with a payload of another size than its
+    header and grid call for, raises ConfigError."""
     from .frames import FrameField
 
-    def unpack_mask(m):
-        if m is None:
-            return np.ones(grid.shape, dtype=bool)
-        return np.array(m, dtype=bool).reshape(grid.shape)
-
-    def unpack(text):
-        # b64decode raises TypeError on anything but a string (JSON holds no
-        # bytes), ValueError on text that is not base64
-        raw = base64.b64decode(text, validate=True)
-        return np.frombuffer(raw, dtype="<c16").reshape(grid.shape + (2, 2))
-
+    payload = Path(path).with_suffix(".bin")
     try:
         data = read_json(path)
         schema = data.get("schema")
@@ -217,14 +197,23 @@ def read_frame_cache(path):
                 f"frame cache {path} has schema {schema!r}, not "
                 f"{FRAME_CACHE_SCHEMA}: regenerate it with `nildual generate`")
         grid = DomainGrid.from_dict(data["grid"])
-        frames = []
-        for e in data["entries"]:
-            lam = complex(e["lambda"][0], e["lambda"][1])
-            frames.append(FrameField(
-                F=unpack(e["F"]), F_lam=unpack(e["F_lam"]),
-                F_lam2=unpack(e["F_lam2"]), lam=lam, grid=grid))
-        return (frames, grid, unpack_mask(data.get("mask")),
-                unpack_mask(data.get("ok_mask")), data.get("meta"))
+        lams = [complex(re, im) for re, im in data["lambdas"]]
+        want = data["payload_bytes"]
+        raw = payload.read_bytes()
+        # 3 grids of 2x2 complex128 per lambda, then 2 mask bytes a node
+        count = 12 * len(lams) * grid.nx * grid.ny
+        size = 16 * count + 2 * grid.nx * grid.ny
+        if not len(raw) == want == size:
+            raise ConfigError(
+                f"frame cache payload {payload} holds {len(raw)} bytes; its "
+                f"header says {want!r}, its grid and lambdas {size}")
+        mats = np.frombuffer(raw, dtype="<c16", count=count)
+        mask, ok_mask = np.frombuffer(raw, dtype=bool, offset=mats.nbytes
+                                      ).reshape((2,) + grid.shape)
+        frames = [FrameField(F=F, F_lam=F1, F_lam2=F2, lam=lam, grid=grid)
+                  for (F, F1, F2), lam in zip(
+                      mats.reshape((len(lams), 3) + grid.shape + (2, 2)), lams)]
+        return frames, grid, mask, ok_mask, data.get("meta")
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             AttributeError) as exc:
         raise ConfigError(f"bad frame cache {path}: "

@@ -138,6 +138,13 @@ def dzbar_field(f, grid):
     return 0.5 * (_deriv_axis(f, grid.hx, 1) + 1j * _deriv_axis(f, grid.hy, 0))
 
 
+def dz_pair(f, grid):
+    """(d/dz f, d/dzbar f) from one pass along each axis, bit-equal to
+    `dz_field` and `dzbar_field`."""
+    fx, ify = _deriv_axis(f, grid.hx, 1), 1j * _deriv_axis(f, grid.hy, 0)
+    return 0.5 * (fx - ify), 0.5 * (fx + ify)
+
+
 def dzdzbar_field(f, grid):
     """d^2/(dz dzbar) = Laplacian/4, by direct second-derivative stencils."""
     return 0.25 * (_deriv_axis(f, grid.hx, 1, order=2)
@@ -166,7 +173,8 @@ class PhiField:
 
 @dataclass
 class SurfaceGrid:
-    """Sampled immersion into the group."""
+    """Sampled immersion into the group.  `coords` is a read-only view of
+    the array given, so the Maurer-Cartan form, formed once, stays its own."""
 
     coords: np.ndarray  # (ny, nx, 3) real
     grid: DomainGrid
@@ -176,21 +184,27 @@ class SurfaceGrid:
     def __post_init__(self):
         if self.mask is None:
             self.mask = np.ones(self.grid.shape, dtype=bool)
+        self.coords = np.asarray(self.coords).view()
+        self.coords.flags.writeable = False
+
+    @cached_property
+    def maurer_cartan(self):
+        """phi_k with  f^{-1} f_z = sum_k phi_k e_k, formed once:
+
+        phi1 = dz x1, phi2 = dz x2,
+        phi3 = dz x3 + (x2 dz x1 - x1 dz x2)/2.
+        """
+        x = self.coords
+        d1, d2, d3 = (dz_field(x[..., k], self.grid) for k in range(3))
+        phi = np.stack([d1, d2, d3 + 0.5 * (x[..., 1] * d1 - x[..., 0] * d2)],
+                       axis=-1)
+        phi.flags.writeable = False
+        return PhiField(phi, self.grid)
 
 
 def left_maurer_cartan(surface):
-    """Extract phi_k with  f^{-1} f_z = sum_k phi_k e_k.
-
-    phi1 = dz x1, phi2 = dz x2,
-    phi3 = dz x3 + (x2 dz x1 - x1 dz x2)/2.
-    """
-    x = surface.coords
-    grid = surface.grid
-    d1 = dz_field(x[..., 0], grid)
-    d2 = dz_field(x[..., 1], grid)
-    d3 = dz_field(x[..., 2], grid)
-    phi3 = d3 + 0.5 * (x[..., 1] * d1 - x[..., 0] * d2)
-    return PhiField(np.stack([d1, d2, phi3], axis=-1), grid)
+    """The Maurer-Cartan form of `surface` (`SurfaceGrid.maurer_cartan`)."""
+    return surface.maurer_cartan
 
 
 def conformality_residual(phi):

@@ -29,6 +29,7 @@ from .nil3 import (
     DomainGrid,
     PhiField,
     dz_field,
+    dz_pair,
     dzbar_field,
     dzdzbar_field,
     interior_max,
@@ -138,10 +139,8 @@ def dirac_data(s, require_minimal=True):
     if not np.any(ok1 | ok2):
         raise NonImmersionError("spinor pair vanishes identically")
 
-    d_psi1_z = dz_field(s.psi1, grid)
-    d_psi1_zb = dzbar_field(s.psi1, grid)
-    d_psi2_z = dz_field(s.psi2, grid)
-    d_psi2_zb = dzbar_field(s.psi2, grid)
+    d_psi1_z, d_psi1_zb = dz_pair(s.psi1, grid)
+    d_psi2_z, d_psi2_zb = dz_pair(s.psi2, grid)
 
     U = np.where(ok1, -d_psi2_z / np.where(ok1, s.psi1, 1.0), np.nan)
     V = np.where(ok2, d_psi1_zb / np.where(ok2, s.psi2, 1.0), np.nan)
@@ -203,8 +202,7 @@ def harmonic_residual(g, grid):
     |g_zzbar + 2 conj(g) g_z g_zbar / (1 - |g|^2)| per node.
     """
     g = np.asarray(g, dtype=complex)
-    gz = dz_field(g, grid)
-    gzb = dzbar_field(g, grid)
+    gz, gzb = dz_pair(g, grid)
     gzzb = dzdzbar_field(g, grid)
     denom = 1.0 - np.abs(g) ** 2
     return np.abs(gzzb + 2.0 * np.conj(g) * gz * gzb / denom)

@@ -1,4 +1,3 @@
-import base64
 import json
 import math
 import re
@@ -220,8 +219,9 @@ def test_dual_without_cache_writes_what_cached_dual_writes(tmp_path, example,
     assert fresh_dir.name == cached_dir.name
     written = sorted(p.name for p in fresh_dir.iterdir())
     # config.json and the frame cache aside, dual's files are its own
-    assert len(written) == 20
-    assert set(written) & generated == {"config.json", "frames.json"}
+    assert len(written) == 21
+    assert set(written) & generated == {"config.json", "frames.json",
+                                        "frames.bin"}
     for name in written:
         assert ((fresh_dir / name).read_bytes()
                 == (cached_dir / name).read_bytes()), name
@@ -525,6 +525,34 @@ def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
     assert (run_dir / "report.json").read_bytes() == direct.read_bytes()
 
 
+def _count_maurer_cartan(monkeypatch):
+    """The sheets whose Maurer-Cartan form is formed from now on."""
+    form = SurfaceGrid.maurer_cartan.func
+    formed = []
+
+    def counted(surface):
+        formed.append(surface)
+        return form(surface)
+
+    monkeypatch.setattr(SurfaceGrid.maurer_cartan, "func", counted)
+    return formed
+
+
+def test_each_sheet_forms_its_maurer_cartan_form_once(tmp_path, monkeypatch):
+    # verify reads each of the paraboloid's four sheets (both sides at two
+    # lambdas) in the extraction, the conformality row, the dual's Sym
+    # extraction and the self-duality fit; dual reads both sides per lambda
+    args = ["--example", "paraboloid", "--lambda", "1,exp:pi/3",
+            "--allow-reflection", "--out", str(tmp_path)]
+    formed = _count_maurer_cartan(monkeypatch)
+    assert run(["verify", *args]) == 0
+    assert len(formed) == 4 and len({id(s) for s in formed}) == 4
+    assert run(["generate", *args]) == 0
+    formed.clear()
+    assert run(["dual", *args]) == 0
+    assert len(formed) == 2 * 2 and len({id(s) for s in formed}) == 4
+
+
 def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
     frame_field_from_loop = nildual.potentials.frame_field_from_loop
     calls = []
@@ -550,6 +578,8 @@ def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
                       meta={"pipeline": "example:paraboloid"})
     (run_dir,) = (tmp_path / "o").iterdir()
     assert (run_dir / "frames.json").read_bytes() == direct.read_bytes()
+    assert ((run_dir / "frames.bin").read_bytes()
+            == (tmp_path / "direct.bin").read_bytes())
 
 
 def test_verify_potential_file_named_like_example(tmp_path):
@@ -612,9 +642,10 @@ def _export_cache(tmp, text):
     return ["export", "--run", str(tmp / "run")]
 
 
-def _export_edited_cache(tmp, schema=2, **entry):
-    """export from a valid 5x5 frame cache with `schema` and the first
-    entry's keys replaced."""
+def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
+    """export from a valid 5x5 frame cache (a payload of 4850 bytes) with
+    its header's `schema` set and keys `drop` removed, and its payload
+    passed through `payload` (None: no payload file)."""
     from nildual.frames import FrameField
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
     eye = np.broadcast_to(np.eye(2, dtype=complex), grid.shape + (2, 2))
@@ -625,12 +656,13 @@ def _export_edited_cache(tmp, schema=2, **entry):
                       ok_mask=every)
     data = json.loads((tmp / "good.json").read_text())
     data["schema"] = schema
-    data["entries"][0].update(entry)
-    return _export_cache(tmp, json.dumps(data))
-
-
-def _b64(n_bytes):
-    return base64.b64encode(bytes(n_bytes)).decode("ascii")
+    for key in drop:
+        del data[key]
+    argv = _export_cache(tmp, json.dumps(data))
+    raw = payload((tmp / "good.bin").read_bytes())
+    if raw is not None:
+        (tmp / "run" / "frames.bin").write_bytes(raw)
+    return argv
 
 
 @pytest.mark.parametrize("make_argv, message", [
@@ -670,13 +702,22 @@ def _b64(n_bytes):
      "at two coordinates"),
     (lambda tmp: ["export", "--run", str(tmp)], "no frame cache"),
     (lambda tmp: _export_cache(tmp, "{"), ""),
-    (lambda tmp: _export_cache(tmp, '{"schema": 2}'), "KeyError"),
+    (lambda tmp: _export_cache(tmp, '{"schema": 3}'), "KeyError"),
     (lambda tmp: _export_cache(tmp, "[]"), "bad frame cache"),
     (lambda tmp: _export_edited_cache(tmp, schema=1), "regenerate"),
-    (lambda tmp: _export_edited_cache(tmp, F="not base64!"), "base64"),
-    # one 2x2 complex128 matrix short of the 5x5 grid
-    (lambda tmp: _export_edited_cache(tmp, F=_b64(16 * 4 * 24)), "reshape"),
-    (lambda tmp: _export_edited_cache(tmp, F_lam=[[1.0, 0.0]]), "TypeError"),
+    # the base64 cache before the payload moved beside the header
+    (lambda tmp: _export_edited_cache(tmp, schema=2),
+     "run/frames.json has schema 2, not 3: regenerate"),
+    # the FileNotFoundError names the absent payload
+    (lambda tmp: _export_edited_cache(tmp, payload=lambda raw: None),
+     "run/frames.bin'"),
+    # one complex128 entry short, and one long
+    (lambda tmp: _export_edited_cache(tmp, payload=lambda raw: raw[:-16]),
+     "run/frames.bin holds 4834 bytes; its header says 4850"),
+    (lambda tmp: _export_edited_cache(tmp, payload=lambda raw: raw + raw[:16]),
+     "run/frames.bin holds 4866 bytes; its header says 4850"),
+    (lambda tmp: _export_edited_cache(tmp, drop=("payload_bytes",)),
+     "run/frames.json: KeyError: 'payload_bytes'"),
     (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "0"),
      "order"),
     (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "-2"),
@@ -721,7 +762,8 @@ def _b64(n_bytes):
         "spinors-missing", "spinors-nan", "spinors-12x12", "spinors-spacing",
         "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
-        "cache-not-base64", "cache-short-payload", "cache-list-payload",
+        "cache-schema-2", "cache-no-payload", "cache-short-payload",
+        "cache-long-payload", "cache-no-payload-count",
         "order-0", "order-negative", "order-1", "order-2", "order-8",
         "exclude-disk-nan",
         "exclude-disk-everything", "export-format",
@@ -764,18 +806,24 @@ def test_frame_cache_roundtrip(tmp_path):
     path = tmp_path / "frames.json"
     write_frame_cache(path, frames, grid, mask=mask, ok_mask=ok_mask,
                       meta={"pipeline": "example:paraboloid"})
-    assert json.loads(path.read_text())["schema"] == 2
+    assert json.loads(path.read_text())["schema"] == 3
+    # two lambdas of three 7x5 matrix grids, then two masks of a byte a node
+    size = (tmp_path / "frames.bin").stat().st_size
+    assert size == (2 * 3 * 4 * 16 + 2) * 35
     back, grid2, mask2, ok2, meta = read_frame_cache(path)
     assert grid2 == grid
     assert np.array_equal(mask2, mask) and np.array_equal(ok2, ok_mask)
     assert meta == {"pipeline": "example:paraboloid"}
-    # an all-True mask is stored as null and reads back as all-True
+    # an all-True mask reads back as all-True
     write_frame_cache(path, frames, grid, mask=mask,
                       ok_mask=np.ones(grid.shape, dtype=bool))
-    assert json.loads(path.read_text())["ok_mask"] is None
     ok_all = read_frame_cache(path)[3]
     assert ok_all.shape == grid.shape and ok_all.dtype == bool and ok_all.all()
     assert [fr.lam for fr in back] == [fr.lam for fr in frames]
+    # every array read is a read-only view of the payload
+    for array in (mask2, ok2, *(getattr(fr, name) for fr in back
+                                for name in ("F", "F_lam", "F_lam2"))):
+        assert not array.flags.writeable
     for got, want in zip(back, frames):
         for name in ("F", "F_lam", "F_lam2"):
             a, b = getattr(got, name), getattr(want, name)

@@ -10,6 +10,7 @@ from nildual.nil3 import (
     SurfaceGrid,
     conformality_residual,
     dz_field,
+    dz_pair,
     dzbar_field,
     dzdzbar_field,
     left_maurer_cartan,
@@ -170,3 +171,32 @@ def test_stencil_valid_nodes_read_no_masked_node(axis, line):
     for deriv in (dz_field, dzbar_field, dzdzbar_field):
         got, want = deriv(holed, grid)[keep], deriv(f, grid)[keep]
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid, trailing", [
+    (DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), ()),
+    (DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), (2, 2)),
+    # off-centre, with an even side
+    (DomainGrid(-0.9, 1.1, -1.0, 0.9, 30, 41), ()),
+    (DomainGrid(-0.9, 1.1, -1.0, 0.9, 30, 41), (2, 2)),
+], ids=["scalar", "stack", "off-centre-scalar", "off-centre-stack"])
+def test_dz_pair_is_bit_equal_to_dz_and_dzbar(grid, trailing):
+    rng = np.random.default_rng(11)
+    shape = grid.shape + trailing
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    dz, dzb = dz_pair(f, grid)
+    assert dz.tobytes() == dz_field(f, grid).tobytes()
+    assert dzb.tobytes() == dzbar_field(f, grid).tobytes()
+
+
+def test_surface_coords_are_read_only(grid_small):
+    coords = paraboloid_surface(grid_small)
+    surf = SurfaceGrid(coords, grid_small)
+    phi = left_maurer_cartan(surf)
+    with pytest.raises(ValueError, match="read-only"):
+        surf.coords[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        surf.coords += 1.0
+    # the form is formed once, and the array given stays the caller's
+    assert left_maurer_cartan(surf) is phi
+    coords[0, 0, 0] += 0.0

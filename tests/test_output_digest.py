@@ -120,3 +120,30 @@ def test_numbers_reads_a_changed_count_as_structure(tmp_path, capsys):
     assert _numbers_of(tmp_path, capsys, "branch_log.json", log.format(44),
                        log.format(45)) == (
         "branch_log.json: structure differs")
+
+
+def test_numbers_reads_a_frame_cache_payload_through_its_header(tmp_path,
+                                                                capsys):
+    # the payload's complex128 values are scaled by their own largest
+    # |value|, 4 here; a changed mask byte after them is structure
+    from nildual.frames import FrameField
+    from nildual.io_formats import write_frame_cache
+    from nildual.nil3 import DomainGrid
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    mask = np.ones(grid.shape, dtype=bool)
+    for root, corner, hole in (("a", 4.0, False), ("b", 4.0 + 2e-12, False),
+                               ("c", 4.0, True)):
+        F = np.ones(grid.shape + (2, 2), dtype=complex)
+        F[0, 0, 0, 0] = corner
+        frame = FrameField(F=F, F_lam=0 * F, F_lam2=0 * F, lam=1 + 0j,
+                           grid=grid)
+        ok_mask = mask.copy()
+        ok_mask[2, 2] = not hole
+        (tmp_path / root).mkdir()
+        write_frame_cache(tmp_path / root / "frames.json", [frame], grid,
+                          mask=mask, ok_mask=ok_mask)
+    _digest().numbers(tmp_path / "a", tmp_path / "b")
+    assert capsys.readouterr().out.splitlines() == ["frames.bin: 5e-13"]
+    _digest().numbers(tmp_path / "a", tmp_path / "c")
+    assert capsys.readouterr().out.splitlines() == [
+        "frames.bin: structure differs"]
