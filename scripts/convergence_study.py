@@ -41,7 +41,7 @@ def measure(n, run=None):
     sel = (np.abs(grid.zz.real) <= 0.6) & (np.abs(grid.zz.imag) <= 0.6)
     res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
     a = analyze_sheet(sym.f_minus, LAM)
-    flat = flatness_residual(a.dirac, LAM)
+    flat = flatness_residual(a.connection_at(LAM), grid)
     return {
         "conformality": float(np.max((res / e_u)[sel])),
         "re_dirac": float(np.max(np.abs(a.dirac.ew2.real)[sel])),

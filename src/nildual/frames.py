@@ -7,13 +7,12 @@ For minimal data (w, B) the connection is  alpha = U dz + V dzbar  with
 
 flat for every unit-modulus lam.  U and V are twisted loops, U on the
 powers -1..0 and V on 0..1 (`_connection`), read at lam, and
-differentiated in lam, only by `MatrixLoop.eval`.  Frames solve
-F^{-1} dF = alpha and are integrated jointly with their first two
-parameter derivatives, whose sources are `eval(lam, 1 or 2)`, so the
-surface formulas downstream never differentiate numerically in lam.
-No frame node is ever repaired: `sym.sym_maps` refuses a frame whose surface
-matrices leave su(1,1) beyond REALITY_TOL, and names the worst node.
-`verify.SheetAnalysis.frame` marches a sheet's frames on its W4 sub-grid.
+differentiated in lam, only by `MatrixLoop.eval`.  `verify.SheetAnalysis`
+builds a sheet's loops once and forms each value once; the functions here
+take values, (U, V) at one lam, and a grid.  Frames solve F^{-1} dF = alpha
+jointly with their first two lam-derivatives, whose sources are
+`eval(lam, 1 or 2)`.  No frame node is ever repaired: `sym.sym_maps`
+refuses a frame whose surface matrices leave su(1,1) beyond REALITY_TOL.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import VerticalPointError
 from .loops import SQRT_I, MatrixLoop, inv2, mm2
 from .nil3 import _lagrange_weights, dz_field, dz_pair, dzbar_field
-from .spinors import minimality_gate
 
 UPWARD_TOL = 1e-12  # |psi1|^2 - |psi2|^2 at or below this: no upward frame
 
@@ -43,16 +41,16 @@ def _connection(d):
             loop(0, [[-0.25 * w_zb, 0.25 * w_zb], [ew2, -np.conj(d.B) / den]]))
 
 
-def flatness_residual(d, lam):
-    """|dz V - dzbar U + [U, V]| per node at lam.
+def flatness_residual(connection, grid):
+    """|dz V - dzbar U + [U, V]| per node, for the connection's values
+    (U, V) at one lam on `grid`.
 
     Minimal or not: the residual is how far the data are from flat."""
-    U, V = (L.eval(lam) for L in _connection(d))
-    dV = dz_field(V, d.grid)
-    dU = dzbar_field(U, d.grid)
+    U, V = connection
     u, v = (np.moveaxis(M, (-2, -1), (0, 1)) for M in (U, V))
     comm = np.moveaxis(mm2(u, v) - mm2(v, u), (0, 1), (-2, -1))
-    return np.max(np.abs(dV - dU + comm), axis=(-2, -1))
+    return np.max(np.abs(dz_field(V, grid) - dzbar_field(U, grid) + comm),
+                  axis=(-2, -1))
 
 
 @dataclass
@@ -67,14 +65,14 @@ class FrameField:
     reprojections: int = 0  # always 0: no node is repaired; benchmark field
 
 
-def integrate_frame(d, lam, base_value=None, column_first=True,
-                    derivatives=True):
-    """Integrate dF = F alpha jointly with dF_lam and dF_lam2.
+def integrate_frame(parts, lam, grid, base_value, column_first=True):
+    """Integrate dF = F alpha on `grid` jointly with dF_lam and dF_lam2.
 
-    The exact derivative sources  d(alpha)/dlam  and  d^2(alpha)/dlam^2,
-    the connection's loops evaluated with `eval(lam, 1 or 2)`, close the
-    coupled system at fixed lam.  F at the grid's centre node is
-    base_value (default I), its derivatives 0 there.  The centre's column
+    `parts` holds the connection's values on `grid`: (U, V) at lam, then
+    their first and second lam-derivatives, the exact sources
+    d(alpha)/dlam  and  d^2(alpha)/dlam^2  (`eval(lam, 1 or 2)`) that
+    close the coupled system at fixed lam.  F at the grid's centre node is
+    base_value, its derivatives 0 there.  The centre's column
     (row, when `column_first` is false) is marched as two half-lines, then
     every row (column) both ways from it, halves of equal length as one
     batch: one classical 4th-order step per node interval on 2x2 entry
@@ -82,16 +80,12 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
     cubic Lagrange value through 4 nodes of the line, summed node by node
     so that a line's bits do not depend on its batch.  alpha and its
     lam-derivatives are formed at the nodes once per direction, i(U - V)
-    along y and U + V along x.  With `derivatives` false F is marched
+    along y and U + V along x.  With (U, V) alone in `parts` F is marched
     alone, bit-equal to its slice of the joint march, and F_lam, F_lam2
     are None.
     """
-    minimality_gate(d, "frame integration needs minimal data")
     lam = complex(lam)
-    grid = d.grid
-    loops = _connection(d)
-    parts = [[L.eval(lam, k) for L in loops]
-             for k in range(3 if derivatives else 1)]
+    derivatives = len(parts) > 1
     # alpha along y, i(U - V), and along x, U + V: (3 or 1, 2, 2, ny, nx)
     alpha = [np.moveaxis(np.stack(a), (3, 4), (1, 2)) for a in
              ([1j * (U - V) for U, V in parts], [U + V for U, V in parts])]
@@ -103,10 +97,7 @@ def integrate_frame(d, lam, base_value=None, column_first=True,
                    mm2(Y[2], A[0]) + 2.0 * mm2(Y[1], A[1]) + mm2(Y[0], A[2])]
         return np.stack(dY)
 
-    if base_value is None:
-        base_value = np.eye(2, dtype=complex)
-    out = np.zeros((3 if derivatives else 1, 2, 2) + grid.shape,
-                   dtype=complex)
+    out = np.zeros((len(parts), 2, 2) + grid.shape, dtype=complex)
     centre = i, j = grid.centre
     out[0, :, :, i, j] = base_value
     first, second = (0, 1) if column_first else (1, 0)
@@ -161,12 +152,11 @@ def frame_from_spinors(s):
     return F
 
 
-def frame_compatibility_residual(frame, d):
-    """|F^{-1} dz F - U| and |F^{-1} dzbar F - V| per node, maxed."""
-    minimality_gate(d, "connection assembled for minimal data only")
-    U, V = (L.eval(frame.lam) for L in _connection(d))
+def frame_compatibility_residual(frame, connection):
+    """|F^{-1} dz F - U| and |F^{-1} dzbar F - V| per node, maxed, for the
+    connection's values (U, V) at frame.lam on frame.grid."""
     Finv = inv2(np.moveaxis(frame.F, (-2, -1), (0, 1)))
-    res = [mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
-           - np.moveaxis(W, (-2, -1), (0, 1))
-           for dF, W in zip(dz_pair(frame.F, frame.grid), (U, V))]
-    return np.maximum(*(np.max(np.abs(r), axis=(0, 1)) for r in res))
+    return np.maximum(*(np.max(np.abs(
+        mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
+        - np.moveaxis(W, (-2, -1), (0, 1))), axis=(0, 1))
+        for dF, W in zip(dz_pair(frame.F, frame.grid), connection)))

@@ -58,7 +58,7 @@ class DiracData:
     B: np.ndarray
     H: np.ndarray
     ew2: np.ndarray          # e^{w/2} itself, the primary field
-    consistency: np.ndarray  # |U - V| where both ratios are defined
+    consistency: np.ndarray  # both Dirac equations' residuals / sup|psi|
     grid: DomainGrid
     w_z: np.ndarray          # dw/dz; dw/dzbar is its conjugate
     mask: np.ndarray = None  # True = valid node; None means every node
@@ -68,8 +68,8 @@ class DiracData:
             self.mask = np.ones(self.grid.shape, dtype=bool)
 
 
-# interior max |H| above which data count as non-minimal: B extraction,
-# the flat connection, frame integration and the duality need H = 0
+# interior max |H| above which data count as non-minimal: B extraction
+# (and with it a sheet's connection and frames) and the duality need H = 0
 MINIMAL_TOL = 1e-4
 VERTICAL_REL = 1e-12    # |psi1| <= rel * scale: a vertical normal
 DEGENERATE_REL = 1e-10  # |psi| <= rel * sup|psi|: not a ratio denominator

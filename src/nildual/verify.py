@@ -16,6 +16,7 @@ import numpy as np
 from .dualize import double_dual, dual_local_check, dual_spinors
 from .errors import NilDualError
 from .frames import (
+    _connection,
     flatness_residual,
     frame_compatibility_residual,
     integrate_frame,
@@ -30,7 +31,6 @@ from .nil3 import (
 )
 from .potentials import PIVOT_MIN
 from .spinors import (
-    DiracData,
     dirac_data,
     gauss_map,
     harmonic_residual,
@@ -114,11 +114,7 @@ class VerificationReport:
         return self.checks[-1]
 
     def add_scalar(self, name, value, tolerance, note=""):
-        self.checks.append(CheckResult(
-            name=name, max=float(value), mean=float(value), node_count=1,
-            masked_count=0, tolerance=tolerance,
-            passed=float(value) <= tolerance, note=note))
-        return self.checks[-1]
+        return self.add(name, [value], tolerance, note=note)
 
     def table(self):
         lines = [c.line() for c in self.checks]
@@ -142,15 +138,6 @@ class VerificationReport:
 W4_CUT = np.s_[W4:-W4, W4:-W4]  # the sub-grid a sheet's frames are marched on
 
 
-def interior_dirac(d):
-    """Dirac data restricted to the W4 sub-grid (`W4_CUT`)."""
-    xs, ys = d.grid.xs[W4:-W4], d.grid.ys[W4:-W4]
-    sub = DomainGrid(xs[0], xs[-1], ys[0], ys[-1], xs.size, ys.size)
-    return DiracData(B=d.B[W4_CUT], H=d.H[W4_CUT], ew2=d.ew2[W4_CUT],
-                     consistency=d.consistency[W4_CUT], grid=sub,
-                     w_z=d.w_z[W4_CUT])
-
-
 @dataclass
 class SheetAnalysis:
     """Extracted spinor-level data of one surface sheet at one parameter,
@@ -160,6 +147,7 @@ class SheetAnalysis:
     dirac: object
     e_u: np.ndarray
     h: np.ndarray
+    _values: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, s):
@@ -171,11 +159,31 @@ class SheetAnalysis:
         """The Gauss map g of the spinors (`gauss_map`), formed once."""
         return gauss_map(self.spinors)[0]
 
+    @cached_property
+    def connection(self):
+        """The flat connection's (U, V) loops, built once from the gated
+        Dirac data."""
+        return _connection(self.dirac)
+
+    def connection_at(self, lam, k=0):
+        """(U, V) at `lam` on the sheet's grid, or their k-th
+        lam-derivatives; each is formed once, read-only."""
+        key = (complex(lam), k)
+        if key not in self._values:
+            U, V = (L.eval(lam, k) for L in self.connection)
+            U.flags.writeable = V.flags.writeable = False
+            self._values[key] = U, V
+        return self._values[key]
+
     def frame(self, lam, base_value, derivatives=True):
-        """`integrate_frame` at `lam` on the W4 sub-grid, from `base_value`
-        at its centre node, the grid's: (n - 2 W4) // 2 + W4 = n // 2."""
-        return integrate_frame(interior_dirac(self.dirac), lam,
-                               base_value=base_value, derivatives=derivatives)
+        """`integrate_frame` of the connection's values at `lam` cut to the
+        W4 sub-grid (`W4_CUT`), from `base_value` at its centre node, the
+        grid's: (n - 2 W4) // 2 + W4 = n // 2."""
+        xs, ys = self.dirac.grid.xs[W4:-W4], self.dirac.grid.ys[W4:-W4]
+        sub = DomainGrid(xs[0], xs[-1], ys[0], ys[-1], xs.size, ys.size)
+        parts = [tuple(v[W4_CUT] for v in self.connection_at(lam, k))
+                 for k in range(3 if derivatives else 1)]
+        return integrate_frame(parts, lam, sub, base_value)
 
 
 def analyze_sheet(surface, lam, extract_mask=None):
@@ -214,7 +222,8 @@ def sheet_checks(rep, a, valid, tols):
             live4)
     rep.add(f"holomorphy_B[{tag}]", holomorphy_residual(d.B, s.grid),
             tols["holomorphy_B"], live6)
-    rep.add(f"flatness[{tag}]", flatness_residual(d, s.lam),
+    rep.add(f"flatness[{tag}]",
+            flatness_residual(a.connection_at(s.lam), s.grid),
             tols["flatness"], live6)
     rep.add(f"harmonic_g[{tag}]", harmonic_residual(a.gauss, s.grid),
             tols["harmonic_g"], live4)
@@ -303,15 +312,14 @@ def verify_pipeline(result, tols=None):
         if pair is not None and not pair.has_branch_cut:
             _sym_duality_factor(rep, tols, sym, tag, pair)
 
-    base_entry = next((entry for entry in analyses
-                       if abs(entry[1] - 1.0) < 1e-12), None)
-    if base_entry is not None:
-        a1 = base_entry[2]
-        for sym, lam, a, fr in analyses:
+    a1 = next((a for _, lam, a, _ in analyses if abs(lam - 1.0) < 1e-12),
+              None)
+    if a1 is not None:
+        for sym, lam, _a, fr in analyses:
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
             rep.add(f"frame_compat[{_lam_tag(lam)}]",
-                    frame_compatibility_residual(fr, a1.dirac),
+                    frame_compatibility_residual(fr, a1.connection_at(lam)),
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
         lam0 = 1.0 + 0.0j

@@ -10,31 +10,34 @@ zero, and `reference_loop_eval` sums a loop's dense coefficients by
 Horner's rule, the reference `MatrixLoop.eval` reproduces bit for bit.
 
 The path integrators at the end march one grid line at a time, one node's
-matrices per step.  The frame's is the reference the batched frame march
-in nildual must reproduce bit for bit: same stage points, same products,
-same summation order.  The potential's is the classical RK4 march that
-nildual's Taylor series of Phi is held to at two step sizes, beside
-`exact_minus_loop_phi`, Phi in exact rational arithmetic, and the binomial
-shift of a potential that moves the series' centre.  `reference_horner`
-and `reference_levinson` are the full-degree Horner sum and the
-block-Levinson recursion over every block, whose bits the factorization's
-shortened loops keep.  The branch continuation chooses one square root at a
-time along the sweep, the reference of the vectorised one in nildual.
-`reference_gauges` applies the pipeline's Dirac gauge and spinor gauge to
-the factorization's F and B+ as products formed into new arrays, the bits
-the in-place gauges must keep.  The file writers write one row at a time,
-or the field CSV's rows all at once from one stacked table; the writers in
-nildual must reproduce their bytes.
+matrices per step.  The frame's is the reference the batched frame march in
+nildual must reproduce bit for bit: same stage points, same products, same
+summation order.  `march` feeds that batched march the connection of given
+Dirac data, which `connection_at` evaluates, and `cut_dirac` cuts Dirac
+data to a sub-grid, the data a sheet's W4 march reads cut.  The potential's
+is the classical RK4 march that nildual's Taylor series of Phi is held to
+at two step sizes, beside `exact_minus_loop_phi`, Phi in exact rational
+arithmetic, and the binomial shift of a potential that moves the series'
+centre.  `reference_horner` and `reference_levinson` are the full-degree
+Horner sum and the block-Levinson recursion over every block, whose bits
+the factorization's shortened loops keep.  The branch continuation chooses
+one square root at a time along the sweep, the reference of the vectorised
+one in nildual.  `reference_gauges` applies the pipeline's Dirac gauge and
+spinor gauge to the factorization's F and B+ as products formed into new
+arrays, the bits the in-place gauges must keep.  The file writers write one
+row at a time, or the field CSV's rows all at once from one stacked table;
+the writers in nildual must reproduce their bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from nildual.frames import _connection
+from nildual.frames import _connection, integrate_frame
 from nildual.loops import MatrixLoop, class_rows, inv2, mm2
 from nildual.nil3 import DomainGrid, _lagrange_weights
 from nildual.potentials import SPINOR_GAUGE, _rcond, integrate_potential
@@ -414,6 +417,35 @@ def reference_integrate_frame(d, lam, base_value=None, column_first=True):
         for j in range(grid.nx):
             out[:, j] = both_ways(row[j], alpha_y[:, j], i0, grid.hy)
     return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
+
+
+def connection_at(d, lam):
+    """(U, V) of the Dirac data `d` at lam."""
+    return tuple(L.eval(lam) for L in _connection(d))
+
+
+def march(d, lam, base_value=None, derivatives=True, **kw):
+    """`integrate_frame` on the grid of the Dirac data `d`, fed their
+    connection at lam and, with `derivatives`, its first two
+    lam-derivatives, from `base_value` (default I) at the centre node."""
+    loops = _connection(d)
+    parts = [tuple(L.eval(lam, k) for L in loops)
+             for k in range(3 if derivatives else 1)]
+    if base_value is None:
+        base_value = np.eye(2, dtype=complex)
+    return integrate_frame(parts, lam, d.grid, base_value, **kw)
+
+
+def cut_dirac(d, width=4):
+    """The Dirac data `d` cut to the nodes at least `width` from every
+    edge, on that sub-grid's own DomainGrid."""
+    cut = np.s_[width:-width, width:-width]
+    xs, ys = d.grid.xs[width:-width], d.grid.ys[width:-width]
+    sub = DomainGrid(xs[0], xs[-1], ys[0], ys[-1], xs.size, ys.size)
+    return dataclasses.replace(
+        d, B=d.B[cut], H=d.H[cut], ew2=d.ew2[cut],
+        consistency=d.consistency[cut], grid=sub, w_z=d.w_z[cut],
+        mask=d.mask[cut])
 
 
 def _rk4_linear(y0, coeff_fn, t_nodes, substeps, rhs):

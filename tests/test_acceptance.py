@@ -24,11 +24,7 @@ import pytest
 
 from nildual.dualize import double_dual, dual_spinors
 from nildual.errors import NonConformalError
-from nildual.frames import (
-    flatness_residual,
-    frame_compatibility_residual,
-    integrate_frame,
-)
+from nildual.frames import flatness_residual, frame_compatibility_residual
 from nildual.loops import SIGMA3, su11_residual
 from nildual.nil3 import (
     DomainGrid,
@@ -57,12 +53,15 @@ from nildual.sym import extract_dual_spinors, mc_equivalent
 from nildual.verify import analyze_sheet, verify_pipeline
 
 from .oracles import (
+    cut_dirac,
+    march,
     nil3_inv,
     nil3_mul,
     paraboloid_frame,
     paraboloid_spinors,
     paraboloid_surface,
     recentred_phi,
+    reference_integrate_frame,
 )
 
 LAM2 = np.exp(1j * np.pi / 3)
@@ -274,8 +273,8 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
             c6 = np.s_[6:-6, 6:-6]
             worst_re = max(worst_re,
                            float(np.max(np.abs(a.dirac.ew2.real)[c4])))
-            worst_flat = max(worst_flat,
-                             float(np.max(flatness_residual(a.dirac, lam)[c6])))
+            flat = flatness_residual(a.connection_at(lam), sym.f_minus.grid)
+            worst_flat = max(worst_flat, float(np.max(flat[c6])))
     ok_a = report(7, "Re(dirac potential), all surfaces/lambdas", worst_re,
                   1e-6)
     ok_b = report(7, "flatness residual, all surfaces/lambdas", worst_flat,
@@ -290,8 +289,10 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
                 / np.max(np.abs(a_f.dirac.ew2.real)[rf]))
     fc = np.s_[6:-6, 6:-6]
     ff = np.s_[12:-12, 12:-12]
-    fl_ratio = (np.max(flatness_residual(a_c.dirac, LAM2)[fc])
-                / np.max(flatness_residual(a_f.dirac, LAM2)[ff]))
+    fl_ratio = (np.max(flatness_residual(a_c.connection_at(LAM2),
+                                         a_c.spinors.grid)[fc])
+                / np.max(flatness_residual(a_f.connection_at(LAM2),
+                                           a_f.spinors.grid)[ff]))
     ok_c = report(7, "refinement gain Re(dirac) 41->81", float(re_ratio),
                   8.0, passed=re_ratio >= 8.0, note=">= 8 required")
     ok_d = report(7, "refinement gain flatness 41->81", float(fl_ratio),
@@ -346,11 +347,17 @@ def test_factorization_order_follows_the_tail(pb41, helicoid, smyth_runs,
 def test_criterion_9_path_independence(pb41):
     """Frame integration row-first vs column-first <= 1e-6; Phi expanded
     about 0 vs about z1 = 0.2 - 0.1i <= 1e-10."""
-    from nildual.verify import interior_dirac
     a = analyze_sheet(pb41.sym[0].f_minus, 1.0)
-    d_sub = interior_dirac(a.dirac)
-    fr_row = integrate_frame(d_sub, 1.0, column_first=False)
-    fr_col = integrate_frame(d_sub, 1.0, column_first=True)
+    d_sub = cut_dirac(a.dirac)
+    fr_row = march(d_sub, 1.0, column_first=False)
+    fr_col = march(d_sub, 1.0, column_first=True)
+    # the sheet's W4 march reads its connection cut to the sub-grid: bit
+    # for bit the line-by-line march of the cut data
+    fr = a.frame(1.0, np.eye(2, dtype=complex))
+    assert fr.grid == d_sub.grid
+    for got, want in zip((fr.F, fr.F_lam, fr.F_lam2),
+                         reference_integrate_frame(d_sub, 1.0)):
+        assert got.tobytes() == want.tobytes()
     frame_diff = float(np.max(np.abs(fr_row.F - fr_col.F)))
     ok_a = report(9, "frame integration path independence", frame_diff, 1e-6)
 
@@ -409,7 +416,8 @@ def test_criterion_10_negative_controls(pb41):
     fr = FrameField(F=noisy, F_lam=pb41.frame_loop.eval(1.0, 1),
                     F_lam2=pb41.frame_loop.eval(1.0, 2), lam=1.0 + 0.0j,
                     grid=g)
-    compat_bad = float(np.max(frame_compatibility_residual(fr, a.dirac)[core]))
+    compat_bad = float(np.max(
+        frame_compatibility_residual(fr, a.connection_at(1.0))[core]))
     surface_clean, e_u = conformality_residual(
         left_maurer_cartan(pb41.sym[0].f_minus))
     clean = float(np.max((surface_clean / e_u)[2:-2, 2:-2]))

@@ -7,13 +7,12 @@ from nildual.frames import (
     flatness_residual,
     frame_compatibility_residual,
     frame_from_spinors,
-    integrate_frame,
 )
 from nildual.loops import SIGMA3, SQRT_I, su11_residual
 from nildual.nil3 import DomainGrid, interior_max
 from nildual.spinors import DiracData, SpinorField, dirac_data, uh_from_spinors
 
-from .oracles import paraboloid_frame, paraboloid_spinors
+from .oracles import connection_at, march, paraboloid_frame, paraboloid_spinors
 
 
 @pytest.fixture
@@ -97,14 +96,16 @@ def test_connection_loops_match_closed_forms(pb, grid_small, lam):
 
 def test_flatness_paraboloid_constant(grid41):
     d = _analytic_pb_dirac(grid41)
-    res = np.maximum(flatness_residual(d, 1.0),
-                     flatness_residual(d, np.exp(1j * np.pi / 3)))
+    lam = np.exp(1j * np.pi / 3)
+    res = np.maximum(flatness_residual(connection_at(d, 1.0), grid41),
+                     flatness_residual(connection_at(d, lam), grid41))
     assert np.max(res) < 1e-13
 
 
 def test_flatness_extracted(pb):
     _, d = pb
-    res = np.maximum(flatness_residual(d, 1.0), flatness_residual(d, 1j))
+    res = np.maximum(flatness_residual(connection_at(d, 1.0), d.grid),
+                     flatness_residual(connection_at(d, 1j), d.grid))
     assert interior_max(res) < 1e-6
 
 
@@ -120,7 +121,7 @@ def test_flatness_detects_nonintegrable(grid41):
         grid=grid41,
         w_z=np.zeros(shape, dtype=complex),
     )
-    res = flatness_residual(d, 1.0)
+    res = flatness_residual(connection_at(d, 1.0), grid41)
     expected = np.abs(1.0 - np.abs(grid41.zz) ** 2)
     # dz of the polynomial entries is exact to stencil accuracy; the
     # commutator entry dominates
@@ -132,7 +133,7 @@ def test_integrate_frame_matches_closed_form(grid41):
     d = _analytic_pb_dirac(grid41)
     for lam in (1.0 + 0.0j, np.exp(1j * np.pi / 3)):
         base = paraboloid_frame(grid41.node_z(*grid41.centre), lam)
-        fr = integrate_frame(d, lam, base_value=base)
+        fr = march(d, lam, base_value=base)
         expected = paraboloid_frame(grid41.zz, lam)
         assert np.max(np.abs(fr.F - expected)) < 1e-8
         assert np.max(su11_residual(fr.F)) < 1e-8
@@ -146,9 +147,9 @@ def test_integrate_frame_lambda_derivatives(grid41):
     t = 0.3
     dt = 1e-3
     lam0 = np.exp(1j * t)
-    fr0 = integrate_frame(d, lam0)
-    frp = integrate_frame(d, np.exp(1j * (t + dt)))
-    frm = integrate_frame(d, np.exp(1j * (t - dt)))
+    fr0 = march(d, lam0)
+    frp = march(d, np.exp(1j * (t + dt)))
+    frm = march(d, np.exp(1j * (t - dt)))
     dlam = 1j * lam0 * dt
     fd = (frp.F - frm.F) / (2.0 * dlam)
     assert np.max(np.abs(fr0.F_lam - fd)) < 5e-5
@@ -159,15 +160,15 @@ def test_integrate_frame_lambda_derivatives(grid41):
 
 def test_integrate_frame_path_independence(pb):
     _, d = pb
-    a = integrate_frame(d, 1.0, column_first=True)
-    b = integrate_frame(d, 1.0, column_first=False)
+    a = march(d, 1.0, column_first=True)
+    b = march(d, 1.0, column_first=False)
     assert np.max(np.abs(a.F - b.F)) < 1e-6
 
 
 def test_frame_compatibility(pb):
     _, d = pb
-    fr = integrate_frame(d, np.exp(1j * np.pi / 3))
-    res = frame_compatibility_residual(fr, d)
+    fr = march(d, np.exp(1j * np.pi / 3))
+    res = frame_compatibility_residual(fr, connection_at(d, fr.lam))
     assert interior_max(res) < 1e-6
 
 
@@ -224,6 +225,6 @@ def test_twisted_parity_of_frames(grid41):
     lam = np.exp(0.7j)
     base_p = paraboloid_frame(grid41.node_z(*grid41.centre), lam)
     base_m = paraboloid_frame(grid41.node_z(*grid41.centre), -lam)
-    Fp = integrate_frame(d, lam, base_value=base_p).F
-    Fm = integrate_frame(d, -lam, base_value=base_m).F
+    Fp = march(d, lam, base_value=base_p).F
+    Fm = march(d, -lam, base_value=base_m).F
     assert np.max(np.abs(Fm - SIGMA3 @ Fp @ SIGMA3)) < 1e-8

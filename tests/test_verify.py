@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nildual.frames
 from nildual import potentials, verify
+from nildual.loops import MatrixLoop
 from nildual.nil3 import DomainGrid
 from nildual.potentials import run_example
 from nildual.verify import VerificationReport, verify_pipeline
@@ -31,6 +33,32 @@ def test_battery_passes_on_paraboloid(pb_run):
         "self_duality_mc", "self_duality_pointwise",
     }
     assert expected <= names
+
+
+def test_each_sheet_builds_its_connection_once(pb_run, monkeypatch):
+    # one build of the connection's loops per sheet, and one (U, V) per
+    # sheet and lam: the lam = 1 sheet's at 1 serves flatness, frame_compat
+    # and the cross-pipeline march, its value at e^{i pi/3} the other
+    # frame_compat, and the other sheet's at e^{i pi/3} its flatness.  The
+    # cross-pipeline row reads the frame loop twice more
+    connection, evaluate = nildual.frames._connection, MatrixLoop.eval
+    built, evals = [], []
+
+    def counted_connection(d):
+        built.append(d)
+        return connection(d)
+
+    def counted_eval(loop, lam, derivative=0):
+        evals.append((complex(lam), derivative))
+        return evaluate(loop, lam, derivative)
+
+    for module in (nildual.frames, verify):
+        monkeypatch.setattr(module, "_connection", counted_connection,
+                            raising=False)
+    monkeypatch.setattr(MatrixLoop, "eval", counted_eval)
+    assert verify_pipeline(pb_run).passed
+    assert len(built) == 2
+    assert len(evals) == 8
 
 
 def test_battery_flags_perturbed_frame(pb_run):
@@ -318,15 +346,16 @@ def test_battery_flags_rough_g_in_harmonic_g_alone(pb_run, monkeypatch):
     assert all(v > 5 for v in failed.values())
 
 
-def _failed_sheet_rows(run, change):
+def _failed_sheet_rows(run, change, change_analysis=lambda a: a):
     """{name: max / tolerance} of the rows `sheet_checks` fails on each
     parameter's minus sheet, its spinors s changed to change(s) and read by
-    `SheetAnalysis.of`, as `verify --spinors` reads an input pair."""
+    `SheetAnalysis.of`, as `verify --spinors` reads an input pair, and that
+    analysis a changed to change_analysis(a)."""
     rep = VerificationReport()
     for sym in run.sym:
         s = verify.analyze_sheet(sym.f_minus, sym.lam, run.ok_mask).spinors
-        verify.sheet_checks(rep, verify.SheetAnalysis.of(change(s)),
-                            sym.f_minus.mask, verify.DEFAULT_TOLS)
+        a = change_analysis(verify.SheetAnalysis.of(change(s)))
+        verify.sheet_checks(rep, a, sym.f_minus.mask, verify.DEFAULT_TOLS)
     return {c.name: c.max / c.tolerance for c in rep.checks if not c.passed}
 
 
@@ -370,4 +399,44 @@ def test_sheet_rows_flag_a_turned_dual_spinor(pb_run, monkeypatch):
                            for row in ("dual_minimality", "involution_phi")
                            for turn in ("0.000", "0.333")}
     assert all(failed[f"dual_minimality[lam+{turn}pi]"] > 4
+               for turn in ("0.000", "0.333"))
+
+
+def test_sheet_rows_flag_a_noisy_support(pb_run):
+    # the analysis's support h times 1 + 1e-9 seeded normal noise:
+    # involution_metric compares the double dual's h with it pointwise and
+    # reads 3.3e-9, 33 of its tolerance (4.9e-15 and 5.3e-15 clean; sized
+    # at 1e-11, 1e-10 and 1e-9: 0.33, 3.3 and 33).  The dual itself is
+    # built from the spinors, so no other sheet row reads this h
+    noise = np.random.default_rng(5).normal(size=pb_run.grid.shape)
+    failed = _failed_sheet_rows(
+        pb_run, lambda s: s,
+        lambda a: dataclasses.replace(a, h=a.h * (1 + 1e-9 * noise)))
+    assert set(failed) == {f"involution_metric[lam+{turn}pi]"
+                           for turn in ("0.000", "0.333")}
+    assert all(v > 10 for v in failed.values())
+
+
+def test_sheet_rows_flag_a_rough_dual_spinor_phase(pb_run, monkeypatch):
+    # the dual's psi1* times e^{i 1e-9 n}, n seeded normal noise per node:
+    # dual_local's Gauss-map ratio -psi1* / (conj(psi2*) g) is no longer
+    # constant, and the row reads 3.9e-9, 39 of its tolerance (3.1e-15 and
+    # 4.4e-15 clean; sized at 1e-11, 1e-10 and 1e-9: 0.39, 3.9 and 39).
+    # involution_phi reads psi1* pointwise and trips with it, at 17 and 20;
+    # dual_minimality, a first-order stencil at 1e-5, stays under its
+    # tolerance
+    noise = np.random.default_rng(5).normal(size=pb_run.grid.shape)
+    dual_spinors = verify.dual_spinors
+
+    def rough(s, d, conjugate_sign=+1):
+        pair = dual_spinors(s, d, conjugate_sign)
+        return dataclasses.replace(pair, dual=dataclasses.replace(
+            pair.dual, psi1=pair.dual.psi1 * np.exp(1e-9j * noise)))
+
+    monkeypatch.setattr(verify, "dual_spinors", rough)
+    failed = _failed_sheet_rows(pb_run, lambda s: s)
+    assert set(failed) == {f"{row}[lam+{turn}pi]"
+                           for row in ("dual_local", "involution_phi")
+                           for turn in ("0.000", "0.333")}
+    assert all(failed[f"dual_local[lam+{turn}pi]"] > 10
                for turn in ("0.000", "0.333"))
