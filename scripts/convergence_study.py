@@ -40,7 +40,7 @@ def measure(n, run=None):
     # fixed region |x|,|y| <= 0.6 so refinement never moves the window
     sel = (np.abs(grid.zz.real) <= 0.6) & (np.abs(grid.zz.imag) <= 0.6)
     res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
-    a = analyze_sheet(sym.f_minus, LAM)
+    a = analyze_sheet(sym)
     flat = flatness_residual(a.connection_at(LAM), grid)
     return {
         "conformality": float(np.max((res / e_u)[sel])),

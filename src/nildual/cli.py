@@ -182,28 +182,26 @@ def pipeline_result(config, grid):
 
 
 def run_pipeline(config):
-    """(sheets, frames, ok_mask) of the configured pipeline: a SymOutput and
-    a FrameField per lambda, and the nodes whose frames are trustworthy."""
+    """The sheets of the configured pipeline, a SymOutput per lambda."""
     kind, _, arg = config.pipeline.partition(":")
     if kind == "spinors":
         s = _read_spinors(arg)
         a = SheetAnalysis.of(s)
         base = frame_from_spinors(s)[s.grid.centre]
-        frames = [a.frame(lam, base) for lam in config.lams]
         mask = s.mask[W4_CUT]
-        return sym_sheets(frames, mask, mask), frames, mask
-    res = pipeline_result(config, config.resolved_grid())
-    return res.sym, res.frames, res.ok_mask
+        return sym_sheets([a.frame(lam, base) for lam in config.lams],
+                          mask, mask)
+    return pipeline_result(config, config.resolved_grid()).sym
 
 
 def cached_sheets(run_dir):
-    """(sheets, frames, ok_mask) as run_pipeline, read from the frame cache
-    that generate wrote under `run_dir`."""
+    """The sheets as run_pipeline, read from the frame cache that generate
+    wrote under `run_dir`."""
     cache = run_dir / "frames.json"
     if not cache.exists():
         raise ConfigError(f"no frame cache under {run_dir}")
     frames, _grid, mask, ok_mask, _meta = iof.read_frame_cache(cache)
-    return sym_sheets(frames, ok_mask, mask), frames, ok_mask
+    return sym_sheets(frames, ok_mask, mask)
 
 
 def _open_run(config):
@@ -225,20 +223,21 @@ def _write_sheets(run_dir, sheets, sides, cfg_hash, prefix=""):
                               {"sym_reality": sym.reality_residual})
 
 
-def _write_frame_cache(run_dir, config, sheets, frames, ok_mask):
+def _write_frame_cache(run_dir, config, sheets):
     """The frame cache that `cached_sheets` reads back."""
-    iof.write_frame_cache(run_dir / "frames.json", frames, sheets[0].grid,
-                          mask=sheets[0].f_minus.mask, ok_mask=ok_mask,
+    iof.write_frame_cache(run_dir / "frames.json", [s.frame for s in sheets],
+                          sheets[0].grid, mask=sheets[0].f_minus.mask,
+                          ok_mask=sheets[0].ok_mask,
                           meta={"pipeline": config.pipeline})
 
 
 def cmd_generate(config):
-    sheets, frames, ok_mask = run_pipeline(config)
+    sheets = run_pipeline(config)
     run_dir = _open_run(config)
     _write_sheets(run_dir, sheets, ("minus",), config.hash())
     for k, sym in enumerate(sheets):
         try:
-            a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
+            a = analyze_sheet(sym)
         except NilDualError as exc:
             print(f"field extraction skipped at lam{k}: {exc}",
                   file=sys.stderr)
@@ -248,7 +247,7 @@ def cmd_generate(config):
                              ("e_u", a.e_u), ("h", a.h)):
             iof.write_field_csv(run_dir / f"lam{k}_{name}.csv", values,
                                 sym.grid)
-    _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
+    _write_frame_cache(run_dir, config, sheets)
     print(f"wrote {run_dir}")
     return 0
 
@@ -261,11 +260,11 @@ def cmd_dual(config):
     Every lambda is computed before the first file is written.
     """
     cached = (config.run_dir() / "frames.json").exists()
-    sheets, frames, ok_mask = (cached_sheets(config.run_dir()) if cached
-                               else run_pipeline(config))
+    sheets = (cached_sheets(config.run_dir()) if cached
+              else run_pipeline(config))
     outputs = []
     for k, sym in enumerate(sheets):
-        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
+        a = analyze_sheet(sym)
         try:
             pair = dual_spinors(a.spinors, a.dirac,
                                 conjugate_sign=config.conjugate_sign)
@@ -288,7 +287,7 @@ def cmd_dual(config):
              "residual": fit.residual}))
     run_dir = _open_run(config)
     if not cached:
-        _write_frame_cache(run_dir, config, sheets, frames, ok_mask)
+        _write_frame_cache(run_dir, config, sheets)
     _write_sheets(run_dir, sheets, ("plus",), config.hash())
     for k, (fields, out_mask, branch_log, fit) in enumerate(outputs):
         for name, values in fields:
@@ -323,7 +322,7 @@ def cmd_verify(config):
 def cmd_sweep(config):
     if len(config.lams) < 2:
         raise ConfigError("sweep needs at least two lambda samples")
-    sheets, _frames, ok_mask = run_pipeline(config)
+    sheets = run_pipeline(config)
     # every node of the W4 sub-grid, the export mask aside
     g = sheets[0].grid
     if min(g.shape) <= 2 * W4:
@@ -332,7 +331,7 @@ def cmd_sweep(config):
     ew2_ref = None
     entries = []
     for sym in sheets:
-        a = analyze_sheet(sym.f_minus, sym.lam, extract_mask=ok_mask)
+        a = analyze_sheet(sym)
         if ew2_ref is None:
             ew2_ref = a.dirac.ew2
         drift = np.max(np.abs((a.dirac.ew2 - ew2_ref)[W4_CUT]))
@@ -355,7 +354,7 @@ def cmd_export(args_run, formats):
         raise ConfigError(f"unknown export format(s) {', '.join(unknown)}; "
                           f"choose from obj, csv")
     run_dir = Path(args_run)
-    sheets, _frames, _ok_mask = cached_sheets(run_dir)
+    sheets = cached_sheets(run_dir)
     cfg_path = run_dir / "config.json"
     cfg_hash = (iof.config_hash(iof.read_json(cfg_path))
                 if cfg_path.exists() else "unknown")

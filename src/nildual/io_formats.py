@@ -98,17 +98,24 @@ def read_field_csv(path):
 def read_field_csvs(paths):
     """(grid, fields, masks) of field CSVs on the one grid of the union of
     their (index, coordinate) pairs; a node absent from a file is masked in
-    its mask.  Files that put one index at two coordinates are refused."""
+    its mask.  Files that put one index at two coordinates, or a node at a
+    negative index or twice, are refused."""
     rows = []  # (file, i, j, x, y, re, im)
     for n, path in enumerate(paths):
-        count = len(rows)
+        nodes = set()
         for line in Path(path).read_text().splitlines():
             if not line or line.startswith("#") or line.startswith("i,"):
                 continue
             i, j, x, y, re, im = line.split(",")
-            rows.append((n, int(i), int(j), float(x), float(y),
-                         float(re), float(im)))
-        if len(rows) == count:
+            node = int(i), int(j)
+            if min(node) < 0:
+                raise ConfigError(f"{path} lists node {node}, at a negative "
+                                  f"index")
+            if node in nodes:
+                raise ConfigError(f"{path} lists node {node} twice")
+            nodes.add(node)
+            rows.append((n, *node, float(x), float(y), float(re), float(im)))
+        if not nodes:
             raise ConfigError(f"empty field file {path}")
     axes = []
     for k, name in ((1, "row"), (2, "column")):

@@ -94,8 +94,9 @@ class HoloPotential:
         if min(self.terms) != -1:
             raise ConfigError("lowest spectral power must be -1")
         for j, c in self.terms.items():
-            if c.ndim != 3 or c.shape[1:] != (2, 2):
-                raise ConfigError("term entries must be (deg+1, 2, 2)")
+            if c.ndim != 3 or not len(c) or c.shape[1:] != (2, 2):
+                raise ConfigError(f"the entries of the term of power {j} "
+                                  f"must be (deg+1, 2, 2), deg >= 0")
         if not all(np.isfinite(c).all() for c in self.terms.values()):
             raise ConfigError("potential has a non-finite coefficient")
         # the entries of each term's z^k coefficients the grading forbids
@@ -128,11 +129,19 @@ class HoloPotential:
     def from_json(cls, data):
         """The potential of a `to_json` dict.  Other keys are ignored, the
         `twisted` flag of older files too: terms with forbidden-parity mass
-        are refused (ConfigError) whatever the flag says."""
+        are refused (ConfigError) whatever the flag says, and so is a term
+        whose power is not an integer or repeats, or that has other than 4
+        entry lists."""
         terms = {}
-        for item in data["terms"]:
-            j = int(item["power"])
-            entries = item["entries"]
+        for n, item in enumerate(data["terms"]):
+            j, entries = item["power"], item["entries"]
+            if type(j) is not int:
+                raise ConfigError(f"term {n} has power {j!r}, not an integer")
+            if j in terms:
+                raise ConfigError(f"term {n} repeats power {j}")
+            if len(entries) != 4:
+                raise ConfigError(f"term {n} (power {j}) has {len(entries)} "
+                                  f"entry lists, not 4")
             deg = max(len(e) for e in entries)
             c = np.zeros((deg, 2, 2), dtype=complex)
             for idx, coeffs in enumerate(entries):
@@ -596,15 +605,12 @@ class PipelineResult:
     """Everything the potential pipeline produces."""
 
     grid: DomainGrid
-    lam_samples: list
     frame_loop: MatrixLoop     # gauged frame used for the surfaces
     report: BigCellReport
-    sym: list                  # SymOutput per lam sample
-    frames: list               # FrameField per lam sample, behind `sym`
+    sym: list                  # SymOutput per lam sample, with its frame
     recon_residual: float
     reality_residual: float
     mask: np.ndarray           # export mask: big-cell failures + exclusions
-    ok_mask: np.ndarray        # big-cell failures only (extraction domain)
     self_dual: bool            # run the self-duality checks in verify
     order: int                 # truncation order factorized, `trim_to_tail`
     order_cap: int             # the order Phi was computed at
@@ -688,12 +694,10 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
     del phi, F, Bp
 
     frames = [frame_field_from_loop(floop, lam, grid) for lam in lam_samples]
-    return PipelineResult(grid=grid, lam_samples=lam_samples,
-                          frame_loop=floop, report=report,
+    return PipelineResult(grid=grid, frame_loop=floop, report=report,
                           sym=sym_sheets(frames, ok_mask, mask),
-                          frames=frames,
                           recon_residual=recon, reality_residual=reality,
-                          mask=mask, ok_mask=ok_mask, self_dual=self_dual,
+                          mask=mask, self_dual=self_dual,
                           order=n, order_cap=order, tail=tail)
 
 

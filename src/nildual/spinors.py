@@ -28,6 +28,7 @@ from .errors import (
 from .nil3 import (
     DomainGrid,
     PhiField,
+    conformality_residual,
     dz_field,
     dz_pair,
     dzbar_field,
@@ -266,13 +267,12 @@ def spinors_from_phi(phi, lam=1.0 + 0.0j, conformal_tol=1e-5, mask=None,
     if not valid.any():
         raise NonImmersionError("the mask keeps no node")
 
-    quad = p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2
-    norm2 = (np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2
-             + np.abs(p[..., 2]) ** 2)
-    if np.any((norm2 <= 0) & valid):
-        i, j = np.argwhere((norm2 <= 0) & valid)[0]
+    res, e_u = conformality_residual(p)
+    if np.any((e_u <= 0) & valid):
+        i, j = np.argwhere((e_u <= 0) & valid)[0]
         raise NonImmersionError(f"zero frame vector at node ({i}, {j})")
-    rel = np.max(np.abs(quad[valid]) / norm2[valid])
+    # |q| / sum |phi_k|^2, bit for bit: the factors 2 are exact
+    rel = np.max(2.0 * res[valid] / e_u[valid])
     if rel > conformal_tol:
         raise NonConformalError(
             f"conformality residual {rel:.3e} exceeds {conformal_tol:.1e}"

@@ -30,23 +30,28 @@ MOTION_TOL = 1e-6   # relative residual of two congruent immersions
 
 @dataclass
 class SymOutput:
-    """Both surfaces of one frame at one parameter value."""
+    """Both surfaces of one frame at one parameter value, with that frame
+    and the nodes where it is trusted."""
 
     f_minus: SurfaceGrid
     f_plus: SurfaceGrid
     n_m: np.ndarray            # (ny, nx, 2, 2)
-    lam: complex
-    grid: object
+    frame: object              # the FrameField the surfaces are read off
+    ok_mask: np.ndarray        # nodes whose frame is used; I elsewhere
     reality_residual: float    # worst su(1,1)-reality defect of the output
+    # the parameter value and the grid, the frame's
+    lam = property(lambda self: complex(self.frame.lam))
+    grid = property(lambda self: self.frame.grid)
 
 
 def sym_maps(frame, mask=None):
     """Evaluate both surfaces from a FrameField carrying (F, F_lam, F_lam2).
 
     Nodes outside `mask` (default: every node counts) take the identity
-    frame and both surfaces carry `mask`.  Raises if the assembled
-    matrices leave the real span of the su(1,1) basis beyond REALITY_TOL
-    (a frame defect); the residual is reported on the output either way.
+    frame; both surfaces carry `mask`, and so does the output as `ok_mask`.
+    Raises if the assembled matrices leave the real span of the su(1,1)
+    basis beyond REALITY_TOL (a frame defect); the residual is reported on
+    the output either way.
     """
     lam = complex(frame.lam)
     grid = frame.grid
@@ -87,8 +92,8 @@ def sym_maps(frame, mask=None):
     f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
     f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask)
     return SymOutput(f_minus=f_minus, f_plus=f_plus,
-                     n_m=np.moveaxis(N, (0, 1), (-2, -1)), lam=lam,
-                     grid=grid, reality_residual=worst)
+                     n_m=np.moveaxis(N, (0, 1), (-2, -1)), frame=frame,
+                     ok_mask=mask, reality_residual=worst)
 
 
 def sym_sheets(frames, ok_mask, export_mask):

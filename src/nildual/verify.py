@@ -186,17 +186,15 @@ class SheetAnalysis:
         return integrate_frame(parts, lam, sub, base_value)
 
 
-def analyze_sheet(surface, lam, extract_mask=None):
-    """Spinor-level extraction; `extract_mask` (default: every node) should
-    exclude only nodes whose coordinates are garbage (factorization
-    failures), never cosmetic exclusions, so the branch continuation never
-    sees artificial holes."""
-    if extract_mask is None:
-        extract_mask = np.ones(surface.grid.shape, dtype=bool)
-    phi = left_maurer_cartan(surface)
+def analyze_sheet(sym):
+    """Spinor-level extraction of the sheet's minus surface at its parameter,
+    on the nodes whose stencils read trusted frames alone
+    (`stencil_valid(sym.ok_mask)`): the export mask's exclusions are not
+    holes, so the branch continuation never sees artificial ones."""
+    phi = left_maurer_cartan(sym.f_minus)
     return SheetAnalysis.of(spinors_from_phi(
-        phi, lam=lam, conformal_tol=SHEET_CONFORMAL_TOL,
-        mask=stencil_valid(extract_mask), on_branch_cut="record"))
+        phi, lam=sym.lam, conformal_tol=SHEET_CONFORMAL_TOL,
+        mask=stencil_valid(sym.ok_mask), on_branch_cut="record"))
 
 
 def sheet_checks(rep, a, valid, tols):
@@ -281,29 +279,29 @@ def verify_pipeline(result, tols=None):
     rep.add_scalar("iwasawa_reality", result.reality_residual,
                    tols["iwasawa_reality"])
 
-    analyses = []
-    ew2_ref = None
-    for sym, lam, fr in zip(result.sym, result.lam_samples, result.frames):
-        a_minus = analyze_sheet(sym.f_minus, lam, extract_mask=result.ok_mask)
-        analyses.append((sym, lam, a_minus, fr))
+    first = a1 = None   # the first sheet and its analysis; the lam = 1 one
+    for sym in result.sym:
+        a = analyze_sheet(sym)
+        if a1 is None and abs(sym.lam - 1.0) < 1e-12:
+            a1 = a
         valid = sym.f_minus.mask
-        pair = sheet_checks(rep, a_minus, valid, tols)
-        tag = _lam_tag(lam)
+        pair = sheet_checks(rep, a, valid, tols)
+        tag = _lam_tag(sym.lam)
         live1 = centred_interior(valid, W1)
 
         res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
         rep.add(f"conformality[{tag}]", res / e_u, tols["conformality"],
                 live1)
-        ew2 = a_minus.dirac.ew2
-        if ew2_ref is None:
-            ew2_ref = ew2
+        if first is None:
+            first = sym, a
         else:
-            rep.add(f"lambda_independence[{tag}]", np.abs(ew2 - ew2_ref),
+            rep.add(f"lambda_independence[{tag}]",
+                    np.abs(a.dirac.ew2 - first[1].dirac.ew2),
                     tols["lambda_independence"], centred_interior(valid, W4))
-        rep.add(f"frame_su11[{tag}]", su11_residual(fr.F),
+        rep.add(f"frame_su11[{tag}]", su11_residual(sym.frame.F),
                 tols["frame_su11"], valid)
         rep.add(f"normal_agreement[{tag}]",
-                np.abs(gauss_from_normal_field(sym.n_m) - a_minus.gauss),
+                np.abs(gauss_from_normal_field(sym.n_m) - a.gauss),
                 tols["normal_agreement"], live1)
         det = np.abs(det2(np.moveaxis(sym.n_m, (-2, -1), (0, 1))) - 0.25)
         tr = np.abs(np.trace(sym.n_m, axis1=-2, axis2=-1))
@@ -311,15 +309,16 @@ def verify_pipeline(result, tols=None):
                 tols["n_m_structure"], valid)
         if pair is not None and not pair.has_branch_cut:
             _sym_duality_factor(rep, tols, sym, tag, pair)
+        # only the first and the lam = 1 analyses outlive their sheet's rows
+        del a, pair
 
-    a1 = next((a for _, lam, a, _ in analyses if abs(lam - 1.0) < 1e-12),
-              None)
     if a1 is not None:
-        for sym, lam, _a, fr in analyses:
+        for sym in result.sym:
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
-            rep.add(f"frame_compat[{_lam_tag(lam)}]",
-                    frame_compatibility_residual(fr, a1.connection_at(lam)),
+            rep.add(f"frame_compat[{_lam_tag(sym.lam)}]",
+                    frame_compatibility_residual(
+                        sym.frame, a1.connection_at(sym.lam)),
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
         lam0 = 1.0 + 0.0j
@@ -331,11 +330,12 @@ def verify_pipeline(result, tols=None):
                 tols["cross_pipeline"])
 
     if result.self_dual:
-        for sym, lam, _a, _fr in analyses:
+        for sym in result.sym:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
-            rep.add_scalar(f"self_duality_mc[{_lam_tag(lam)}]", fit.residual,
-                           tols["self_duality_mc"], note=fit.kind)
-        sym, lam, a, _fr = analyses[0]
+            rep.add_scalar(f"self_duality_mc[{_lam_tag(sym.lam)}]",
+                           fit.residual, tols["self_duality_mc"],
+                           note=fit.kind)
+        sym, a = first
         lhs = 16.0 * np.abs(a.dirac.B)
         live = centred_interior(sym.f_minus.mask, W4)
         h_rev = a.h[::-1, ::-1]

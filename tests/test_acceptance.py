@@ -122,9 +122,9 @@ def test_criterion_1_paraboloid_closed_form(pb41):
     left translation; <= 1e-6 on 41x41 over [-1,1]^2 at two lambdas."""
     worst = 0.0
     g = pb41.grid
-    for sym, lam in zip(pb41.sym, pb41.lam_samples):
+    for sym in pb41.sym:
         got = _translated(sym.f_minus.coords, g)
-        want = _translated(paraboloid_surface(g, lam), g)
+        want = _translated(paraboloid_surface(g, sym.lam), g)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert report(1, "paraboloid closed form (both lambdas)", worst, 1e-6)
 
@@ -134,7 +134,7 @@ def test_criterion_2_paraboloid_invariants(pb41):
     g = pb41.grid
     y = g.ys[:, None] + 0.0 * g.xs[None, :]
     # stencil path: extraction from the generated surface
-    a = analyze_sheet(pb41.sym[0].f_minus, 1.0)
+    a = analyze_sheet(pb41.sym[0])
     core = np.s_[4:-4, 4:-4]
     stencil = max(
         float(np.max(np.abs(a.e_u - np.cosh(y) ** 2)[core])),
@@ -164,7 +164,7 @@ def test_criterion_3_duality_involution(pb41, helicoid, smyth_runs):
     worst = 0.0
     runs = {"paraboloid": pb41, "helicoid": helicoid, **smyth_runs}
     for name, run in runs.items():
-        a = analyze_sheet(run.sym[0].f_minus, 1.0, extract_mask=run.ok_mask)
+        a = analyze_sheet(run.sym[0])
         s, d = a.spinors, a.dirac
         again, mask = double_dual(dual_spinors(s, d))
         phi0 = phi_from_spinors(s).phi
@@ -189,8 +189,8 @@ def test_criterion_4_sym_duality(pb41, helicoid):
                         grid=DomainGrid(0.1, 0.5, -0.2, 0.2, 61, 61),
                         lam_samples=[1.0, LAM2])
     for run in (pb41, helicoid, patch):
-        for sym, lam in zip(run.sym, run.lam_samples):
-            a = analyze_sheet(sym.f_minus, lam, extract_mask=run.ok_mask)
+        for sym in run.sym:
+            a = analyze_sheet(sym)
             pair = dual_spinors(a.spinors, a.dirac)
             extracted = extract_dual_spinors(sym, on_branch_cut="record")
             for got, want in ((extracted.psi1, pair.dual.psi1),
@@ -217,13 +217,13 @@ def test_criterion_5_self_duality(pb41, helicoid):
             worst_mc = max(worst_mc, fit.residual)
     ok_mc = report(5, "self-duality rigid-motion fit", worst_mc, 1e-6)
 
-    a_pb = analyze_sheet(pb41.sym[0].f_minus, 1.0)
+    a_pb = analyze_sheet(pb41.sym[0])
     core = np.s_[4:-4, 4:-4]
     direct_pb = float(np.max(
         (np.abs(16.0 * np.abs(a_pb.dirac.B) - a_pb.h**2) / a_pb.h**2)[core]))
     ok_pb = report(5, "pointwise 16|B| = h^2 (paraboloid)", direct_pb, 1e-6)
 
-    a_h = analyze_sheet(helicoid.sym[0].f_minus, 1.0)
+    a_h = analyze_sheet(helicoid.sym[0])
     lhs = 16.0 * np.abs(a_h.dirac.B)
     direct_h = float(np.max((np.abs(lhs - a_h.h**2) / a_h.h**2)[core]))
     report(5, "pointwise 16|B| = h^2 (helicoid, literal)", direct_h, 1e-6,
@@ -243,7 +243,7 @@ def test_criterion_6_smyth_branch_point(smyth_annulus):
     for name, k in (("smyth-1", 1), ("smyth-2", 2)):
         run = smyth_annulus[name]
         g = run.grid
-        a = analyze_sheet(run.sym[0].f_minus, 1.0, extract_mask=run.ok_mask)
+        a = analyze_sheet(run.sym[0])
         rr = np.abs(g.zz)
         sel = (rr >= 0.05) & (rr <= 0.5)
         sel[:4, :] = sel[-4:, :] = sel[:, :4] = sel[:, -4:] = False
@@ -267,13 +267,14 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
     worst_flat = 0.0
     runs = {"paraboloid": pb41, "helicoid": helicoid, **smyth_runs}
     for name, run in runs.items():
-        for sym, lam in zip(run.sym, run.lam_samples):
-            a = analyze_sheet(sym.f_minus, lam, extract_mask=run.ok_mask)
+        for sym in run.sym:
+            a = analyze_sheet(sym)
             c4 = np.s_[4:-4, 4:-4]
             c6 = np.s_[6:-6, 6:-6]
             worst_re = max(worst_re,
                            float(np.max(np.abs(a.dirac.ew2.real)[c4])))
-            flat = flatness_residual(a.connection_at(lam), sym.f_minus.grid)
+            flat = flatness_residual(a.connection_at(sym.lam),
+                                     sym.f_minus.grid)
             worst_flat = max(worst_flat, float(np.max(flat[c6])))
     ok_a = report(7, "Re(dirac potential), all surfaces/lambdas", worst_re,
                   1e-6)
@@ -281,8 +282,8 @@ def test_criterion_7_minimality_flatness(pb41, pb81, helicoid, smyth_runs):
                   1e-6)
 
     # refinement: same geometric region, spacing halved (41 -> 81)
-    a_c = analyze_sheet(pb41.sym[1].f_minus, LAM2)
-    a_f = analyze_sheet(pb81.sym[0].f_minus, LAM2)
+    a_c = analyze_sheet(pb41.sym[1])
+    a_f = analyze_sheet(pb81.sym[0])
     rc = np.s_[4:-4, 4:-4]
     rf = np.s_[8:-8, 8:-8]
     re_ratio = (np.max(np.abs(a_c.dirac.ew2.real)[rc])
@@ -347,7 +348,7 @@ def test_factorization_order_follows_the_tail(pb41, helicoid, smyth_runs,
 def test_criterion_9_path_independence(pb41):
     """Frame integration row-first vs column-first <= 1e-6; Phi expanded
     about 0 vs about z1 = 0.2 - 0.1i <= 1e-10."""
-    a = analyze_sheet(pb41.sym[0].f_minus, 1.0)
+    a = analyze_sheet(pb41.sym[0])
     d_sub = cut_dirac(a.dirac)
     fr_row = march(d_sub, 1.0, column_first=False)
     fr_col = march(d_sub, 1.0, column_first=True)
@@ -391,7 +392,7 @@ def test_criterion_10_negative_controls(pb41):
                   1.0 + 1e-12, passed=abs(flagged - 1.0) < 1e-12)
 
     # (b) anti-holomorphic coefficient: only the holomorphy check trips
-    a = analyze_sheet(pb41.sym[0].f_minus, 1.0)
+    a = analyze_sheet(pb41.sym[0])
     core = np.s_[6:-6, 6:-6]
     anti = np.conj(g.zz)
     anti_res = float(np.max(holomorphy_residual(anti, g)[core]))

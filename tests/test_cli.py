@@ -361,8 +361,8 @@ def test_spinor_round_trip_on_the_w4_sub_grid(tmp_path):
         for name in ("psi1", "psi2", "B", "e_u", "h"):
             assert (run_dir / f"lam{k}_{name}.csv").exists()
     cut = np.s_[W4:-W4, W4:-W4]
-    given = nildual.cli.cached_sheets(given_dir)[0]
-    rebuilt = nildual.cli.cached_sheets(run_dir)[0]
+    given = nildual.cli.cached_sheets(given_dir)
+    rebuilt = nildual.cli.cached_sheets(run_dir)
     for a, b in zip(given, rebuilt):
         assert b.grid.shape == (41 - 2 * W4,) * 2
         for f, g in ((a.f_minus, b.f_minus), (a.f_plus, b.f_plus)):
@@ -395,8 +395,8 @@ def test_spinor_family_is_normalized_at_the_grid_centre(tmp_path):
     assert not np.any(frames[1].F_lam[i, j])
     assert not np.any(frames[1].F_lam2[i, j])
     cut = np.s_[W4:-W4, W4:-W4]
-    given = nildual.cli.cached_sheets(given_dir)[0]
-    rebuilt = nildual.cli.cached_sheets(run_dir)[0]
+    given = nildual.cli.cached_sheets(given_dir)
+    rebuilt = nildual.cli.cached_sheets(run_dir)
     fits = []
     for a, b in zip(given, rebuilt):
         f = a.f_minus
@@ -578,12 +578,35 @@ def test_generate_evaluates_each_pipeline_frame_once(tmp_path, monkeypatch):
                       [frame_field_from_loop(res.frame_loop, lam, res.grid)
                        for lam in config.lams],
                       res.grid, mask=res.sym[0].f_minus.mask,
-                      ok_mask=res.ok_mask,
+                      ok_mask=res.sym[0].ok_mask,
                       meta={"pipeline": "example:paraboloid"})
     (run_dir,) = (tmp_path / "o").iterdir()
     assert (run_dir / "frames.json").read_bytes() == direct.read_bytes()
     assert ((run_dir / "frames.bin").read_bytes()
             == (tmp_path / "direct.bin").read_bytes())
+
+
+def test_cached_sheets_are_the_pipelines_sheets(tmp_path):
+    # smyth-2 exports fewer nodes than it trusts (its exclusion disk): the
+    # sheets read back from generate's frame cache are those of the
+    # pipeline, their frames, trusted nodes, masks and coordinates bit for bit
+    argv = ["generate", "--example", "smyth-2", "--lambda", "1,exp:pi/3",
+            "--out", str(tmp_path)]
+    assert run(argv) == 0
+    parsed = nildual.cli.build_parser().parse_args(argv)
+    config = nildual.cli.config_from_args(parsed)
+    cached = nildual.cli.cached_sheets(config.run_dir())
+    direct = nildual.cli.run_pipeline(config)
+    assert len(cached) == len(direct) == 2
+    assert not np.array_equal(direct[0].ok_mask, direct[0].f_minus.mask)
+    for got, want in zip(cached, direct):
+        assert got.lam == want.lam
+        pairs = [(getattr(got.frame, name), getattr(want.frame, name))
+                 for name in ("F", "F_lam", "F_lam2")]
+        pairs.append((got.ok_mask, want.ok_mask))
+        for g, w in ((got.f_minus, want.f_minus), (got.f_plus, want.f_plus)):
+            pairs += [(g.mask, w.mask), (g.coords, w.coords)]
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def test_verify_potential_file_named_like_example(tmp_path):
@@ -619,6 +642,28 @@ def _paraboloid_potential(tmp, entries, **keys):
         data["terms"][0]["entries"][index] = [value]
     path = _write_text(tmp / "xi.json", json.dumps(data))
     return _generate(tmp, "--potential", str(path), "--grid=-1,1,-1,1,21,21")
+
+
+def _edited_potential(tmp, edit):
+    """generate --potential on a 21x21 grid from the paraboloid's potential
+    with its list of terms (one, of power -1) passed through `edit`."""
+    data = nildual.potentials.paraboloid_potential().to_json()
+    data["terms"] = edit(data["terms"])
+    path = _write_text(tmp / "xi.json", json.dumps(data))
+    return _generate(tmp, "--potential", str(path), "--grid=-1,1,-1,1,21,21")
+
+
+def _spinors_with_row(tmp, edit):
+    """generate --spinors from the paraboloid's pair with psi1's row of node
+    (10, 10) appended again as edit(i, j, x, y, re, im)."""
+    _write_paraboloid_spinors(tmp)
+    path = tmp / "in_psi1.csv"
+    row = next(line for line in path.read_text().splitlines()
+               if line.startswith("10,10,"))
+    with path.open("a") as f:
+        f.write(",".join(map(str, edit(*map(float, row.split(","))))) + "\n")
+    return ["generate", "--spinors", str(tmp / "in"), "--lambda", "1",
+            "--out", str(tmp / "o")]
 
 
 def _nan_spinors(tmp):
@@ -704,6 +749,14 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 21, 21),
                              DomainGrid(-1, 1.1, -1, 1, 21, 21)),
      "at two coordinates"),
+    # a node listed twice, the second time off by 1e-6 relative, and a
+    # node at row -1
+    (lambda tmp: _spinors_with_row(
+        tmp, lambda i, j, x, y, re, im: (10, 10, x, y, re * (1 + 1e-6), im)),
+     "in_psi1.csv lists node (10, 10) twice"),
+    (lambda tmp: _spinors_with_row(
+        tmp, lambda i, j, x, y, re, im: (-1, 10, x, y, re, im)),
+     "in_psi1.csv lists node (-1, 10), at a negative index"),
     (lambda tmp: ["export", "--run", str(tmp)], "no frame cache"),
     (lambda tmp: _export_cache(tmp, "{"), ""),
     (lambda tmp: _export_cache(tmp, '{"schema": 3}'), "KeyError"),
@@ -760,11 +813,27 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     # as a surface collapsed onto the origin
     (lambda tmp: _paraboloid_potential(tmp, {1: [0.0, 1e10], 2: [0.0, 1e10]}),
      "Phi's tail at the truncation cap 12 is 1.336e+113"),
+    # a term with an entry list too many or too few, a power that is no
+    # integer, a repeated power, and a term without a coefficient
+    (lambda tmp: _edited_potential(tmp, lambda terms: [
+        {**terms[0], "entries": terms[0]["entries"] + [[[1.0, 0.0]]]}]),
+     "term 0 (power -1) has 5 entry lists, not 4"),
+    (lambda tmp: _edited_potential(tmp, lambda terms: [
+        {**terms[0], "entries": terms[0]["entries"][:3]}]),
+     "term 0 (power -1) has 3 entry lists, not 4"),
+    (lambda tmp: _edited_potential(tmp, lambda terms: [
+        {**terms[0], "power": -1.5}]),
+     "term 0 has power -1.5, not an integer"),
+    (lambda tmp: _edited_potential(tmp, lambda terms: terms + terms),
+     "term 1 repeats power -1"),
+    (lambda tmp: _edited_potential(tmp, lambda terms: [
+        {**terms[0], "entries": [[], [], [], []]}]),
+     "the entries of the term of power -1 must be (deg+1, 2, 2)"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
         "spinors-missing", "spinors-nan", "spinors-12x12", "spinors-spacing",
-        "export-no-cache",
+        "spinors-repeated-node", "spinors-negative-row", "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-schema-2", "cache-no-payload", "cache-short-payload",
         "cache-long-payload", "cache-no-payload-count",
@@ -773,7 +842,9 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
         "exclude-disk-everything", "export-format",
         "potential-nan-forbidden", "potential-nan-allowed",
         "potential-forbidden-untwisted-flag", "potential-forbidden-no-flag",
-        "potential-overflow", "potential-1e10i"])
+        "potential-overflow", "potential-1e10i", "potential-5-entries",
+        "potential-3-entries", "potential-fractional-power",
+        "potential-repeated-power", "potential-no-coefficient"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

@@ -653,11 +653,11 @@ def test_pipeline_paraboloid_matches_closed_surfaces(grid21):
                       lam_samples=[1.0, np.exp(1j * np.pi / 3)])
     assert res.recon_residual < 1e-8
     assert res.reality_residual < 1e-8
-    for sym, lam in zip(res.sym, res.lam_samples):
+    for sym in res.sym:
         fm = sym.f_minus.coords
         fp = sym.f_plus.coords
-        assert np.max(np.abs(fm - paraboloid_surface(grid21, lam))) < 1e-7
-        assert np.max(np.abs(fp - paraboloid_dual_surface(grid21, lam))) < 1e-7
+        assert np.max(np.abs(fm - paraboloid_surface(grid21, sym.lam))) < 1e-7
+        assert np.max(np.abs(fp - paraboloid_dual_surface(grid21, sym.lam))) < 1e-7
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "helicoid"])
@@ -750,8 +750,8 @@ def test_lambda_rotation_is_exact(name):
     runs = [dpw_pipeline(p, grid, lam_samples=[lam],
                          exclude_disk=spec.exclude_disk)
             for p, lam in ((xi, lam0), (rotated, 1.0))]
-    assert np.array_equal(runs[0].ok_mask, runs[1].ok_mask)
-    ok = runs[0].ok_mask
+    assert np.array_equal(runs[0].sym[0].ok_mask, runs[1].sym[0].ok_mask)
+    ok = runs[0].sym[0].ok_mask
     a, b = (np.stack([r.sym[0].f_minus.coords[ok], r.sym[0].f_plus.coords[ok]])
             for r in runs)
     assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-12
@@ -771,10 +771,9 @@ def test_quarter_turn_is_exact(name):
                             for j, c in xi.terms.items()})
     runs = [dpw_pipeline(p, grid, lam_samples=lams,
                          exclude_disk=spec.exclude_disk) for p in (xi, turned)]
-    for m in ("ok_mask", "mask"):
-        assert np.array_equal(np.rot90(getattr(runs[0], m)),
-                              getattr(runs[1], m))
-    ok = runs[1].ok_mask
+    for m in (lambda r: r.sym[0].ok_mask, lambda r: r.mask):
+        assert np.array_equal(np.rot90(m(runs[0])), m(runs[1]))
+    ok = runs[1].sym[0].ok_mask
     for a, b in zip(runs[0].sym, runs[1].sym):
         x = np.stack([np.rot90(a.f_minus.coords)[ok],
                       np.rot90(a.f_plus.coords)[ok]])

@@ -6,7 +6,7 @@ import pytest
 import nildual.frames
 from nildual import potentials, verify
 from nildual.loops import MatrixLoop
-from nildual.nil3 import DomainGrid
+from nildual.nil3 import DomainGrid, stencil_valid
 from nildual.potentials import run_example
 from nildual.verify import VerificationReport, verify_pipeline
 
@@ -61,15 +61,27 @@ def test_each_sheet_builds_its_connection_once(pb_run, monkeypatch):
     assert len(evals) == 8
 
 
+def test_analyze_sheet_reads_the_sheets_own_trusted_nodes(pb_run):
+    # a sheet whose frame is untrusted at one interior node: its spinors
+    # leave out that node and every node whose stencils read it
+    sym = pb_run.sym[0]
+    ok = np.ones(sym.grid.shape, dtype=bool)
+    ok[20, 17] = False
+    a = verify.analyze_sheet(dataclasses.replace(sym, ok_mask=ok))
+    assert np.array_equal(a.spinors.mask, stencil_valid(ok))
+    assert not np.array_equal(a.spinors.mask, stencil_valid(sym.ok_mask))
+
+
 def test_battery_flags_perturbed_frame(pb_run):
     # the frame at both lam plus seeded 1e-3 normal noise: the SU(1,1) and
     # compatibility rows read it and trip at both; the sheets were built
     # from the unperturbed frame, and the cross-pipeline row reads the loop
     rng = np.random.default_rng(7)
-    frames = [dataclasses.replace(fr, F=fr.F + 1e-3 * (
-        rng.normal(size=fr.F.shape) + 1j * rng.normal(size=fr.F.shape)))
-        for fr in pb_run.frames]
-    rep = verify_pipeline(dataclasses.replace(pb_run, frames=frames))
+    sym = [dataclasses.replace(s, frame=dataclasses.replace(s.frame, F=(
+        s.frame.F + 1e-3 * (rng.normal(size=s.frame.F.shape)
+                            + 1j * rng.normal(size=s.frame.F.shape)))))
+        for s in pb_run.sym]
+    rep = verify_pipeline(dataclasses.replace(pb_run, sym=sym))
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {f"{row}[lam+{turn}pi]" for turn in ("0.000", "0.333")
                       for row in ("frame_su11", "frame_compat")}
@@ -242,9 +254,9 @@ def _failed_rows_with_dirac(monkeypatch, run, change):
     """_failed_rows with every sheet's Dirac data d at lam change(d, lam)."""
     analyze = verify.analyze_sheet
 
-    def changed(surface, lam, extract_mask=None):
-        a = analyze(surface, lam, extract_mask)
-        return dataclasses.replace(a, dirac=change(a.dirac, lam))
+    def changed(sym):
+        a = analyze(sym)
+        return dataclasses.replace(a, dirac=change(a.dirac, sym.lam))
 
     monkeypatch.setattr(verify, "analyze_sheet", changed)
     return _failed_rows(run)
@@ -306,8 +318,8 @@ def _failed_rows_with_gauss(monkeypatch, run, change):
     """_failed_rows with every sheet's Gauss map g changed to change(g)."""
     analyze = verify.analyze_sheet
 
-    def changed(surface, lam, extract_mask=None):
-        a = analyze(surface, lam, extract_mask)
+    def changed(sym):
+        a = analyze(sym)
         out = dataclasses.replace(a)
         out.gauss = change(a.gauss)   # over the cached property
         return out
@@ -353,7 +365,7 @@ def _failed_sheet_rows(run, change, change_analysis=lambda a: a):
     analysis a changed to change_analysis(a)."""
     rep = VerificationReport()
     for sym in run.sym:
-        s = verify.analyze_sheet(sym.f_minus, sym.lam, run.ok_mask).spinors
+        s = verify.analyze_sheet(sym).spinors
         a = change_analysis(verify.SheetAnalysis.of(change(s)))
         verify.sheet_checks(rep, a, sym.f_minus.mask, verify.DEFAULT_TOLS)
     return {c.name: c.max / c.tolerance for c in rep.checks if not c.passed}
