@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Generate all built-in example surfaces and their duals as OBJ meshes,
-then run the residual suite on each and print a summary table.
+then run the residual suite on each and print a summary table; last, run
+`verify --spinors` on the paraboloid's lam0 CSVs, the battery of a spinor
+pair and of the sheets marched from it.
 
 Usage: python scripts/make_gallery.py [out_dir]
 """
@@ -21,6 +23,10 @@ def run(out_dir):
         failures += main(["generate", *argv])
         failures += main(["dual", *argv])
         failures += main(["verify", *argv])
+    print("=== paraboloid lam0 spinors ===")
+    (given,) = Path(out_dir).glob("example_paraboloid_*/frames.json")
+    failures += main(["verify", "--spinors", str(given.parent / "lam0"),
+                      "--lambda", "1,exp:pi/3", "--out", out_dir])
     return failures
 
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Write the margin ledger: every `verify` row's max and tolerance for the
-four built-in examples at `--lambda 1,exp:pi/3`, the gallery's set.
+four built-in examples at `--lambda 1,exp:pi/3`, the gallery's set, and
+for `verify --spinors` of the paraboloid's `lam0` CSVs (41x41, written by
+`generate` at the same lambdas) at the same lambdas.
 
-Each example runs `nildual verify` in a temporary directory and its
-`report.json` rows are recorded as {row name: [max, tolerance]} under the
-example's name.  `tests/test_acceptance.py` compares the battery of the
-same runs against the ledger, so a change that moves a margin fails there
-until the ledger is rewritten by this script.
+Each run is made in a temporary directory and its `report.json` rows are
+recorded as {row name: [max, tolerance]} under the example's name, in
+`examples` or, for the spinor run, in `spinors`.  `tests/test_acceptance.py`
+compares the battery of the same runs against the ledger, so a change that
+moves a margin fails there until the ledger is rewritten by this script.
 
 Usage: python scripts/margin_ledger.py [PATH]   (default
 tests/data/verify_margins.json)
@@ -27,19 +29,32 @@ from nildual.potentials import BUILTIN_NAMES
 LAMBDAS = "1,exp:pi/3"
 
 
+def _run(argv, tmp):
+    """`nildual argv` with its output under `tmp`; exits unless it passed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--lambda", LAMBDAS, "--out", tmp])
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+def _rows(tmp):
+    """{row name: [max, tolerance]} of the one report under `tmp`."""
+    (path,) = Path(tmp).rglob("report.json")
+    return {c["name"]: [c["max"], c["tolerance"]]
+            for c in json.loads(path.read_text())["checks"]}
+
+
 def ledger():
-    out = {"lambda": LAMBDAS, "examples": {}}
+    out = {"lambda": LAMBDAS, "examples": {}, "spinors": {}}
     for name in BUILTIN_NAMES:
         with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["verify", "--example", name, "--lambda", LAMBDAS,
-                             "--out", tmp])
-            if code != 0:
-                raise SystemExit(f"verify of {name} exited {code}")
-            (path,) = Path(tmp).rglob("report.json")
-            checks = json.loads(path.read_text())["checks"]
-        out["examples"][name] = {c["name"]: [c["max"], c["tolerance"]]
-                                 for c in checks}
+            _run(["verify", "--example", name], tmp)
+            out["examples"][name] = _rows(tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(["generate", "--example", "paraboloid"], f"{tmp}/given")
+        (given,) = Path(tmp, "given").iterdir()
+        _run(["verify", "--spinors", str(given / "lam0")], f"{tmp}/verify")
+        out["spinors"]["paraboloid"] = _rows(f"{tmp}/verify")
     return out
 
 

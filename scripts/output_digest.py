@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Digest of every file a fixed set of nildual commands writes.
 
-The command set: `generate`, `dual`, `sweep` and `export --formats obj,csv`
+The command set: `generate`, `dual` and `export --formats obj,csv`
 for the paraboloid, smyth-2 and helicoid at
 `--lambda 1,exp:pi/3 --allow-reflection`; `dual` of the paraboloid at the
 same flags in a directory of its own, where no frame cache precedes it, so
 that `dual` runs the pipeline itself; `verify` for the paraboloid,
 the helicoid and smyth-1 (`1,exp:pi/3`) and smyth-2 (`1`), the helicoid's
 being the one verify of a Phi with positive powers; and `generate`,
-`dual`, `sweep` and `verify` driven by `--spinors` from the lam0 CSVs of
-the paraboloid and of the helicoid, whose sheet rows then run on an 81x81
+`dual` and `verify` driven by `--spinors` from the lam0 CSVs of
+the paraboloid and of the helicoid, whose rows then run on an 81x81
 grid and on spinors of a Phi with positive powers, and whose frames,
-sheets and fields lie on the sub-grid 4 nodes in from each edge; and
+sheets and fields lie on the sub-grid 4 nodes in from each edge (verify
+runs the input's sheet rows and its sheets' battery); and
 `generate --potential` of the helicoid's potential with a stale
 `"twisted": false` key, on a 41x41 grid, the one command that reads a
 potential file: the reader ignores the key and reads the potential as
@@ -19,35 +20,41 @@ every other; and `generate` (`1,exp:pi/3`) and
 `verify` (`1`) of the paraboloid on the grid -0.9,1.1,-1,0.9,30,41, whose
 axes have no node at z = 0, where Phi = I, and whose even side gives the
 cross-pipeline frame march of `verify` halves of unequal length; and the
-same four
+same three
 `--spinors` commands from that run's lam0 CSVs, whose 30x41 grid has an
 even side, so that the frame march from the grid's centre node has halves
-of unequal length; and `dual` and `sweep` of smyth-2 on the grid
--0.5,0.5,-0.5,0.5,15,15 at `1,exp:pi/3`, each in a directory of its own
+of unequal length; and `dual` of smyth-2 on the grid
+-0.5,0.5,-0.5,0.5,15,15 at `1,exp:pi/3`, in a directory of its own
 under `refused/`, which must exit 2 (the sheets are too far from minimal
-for the B extraction) and, computing before they write, leave no file;
+for the B extraction) and, computing before it writes, leave no file;
+and `verify` of the paraboloid on the grid -0.2,0.2,-0.2,0.2,9,9, under
+`refused/verify_grid`, which must exit 2 (its sheets have fewer than
+verify's 13 nodes a side) and leave no file;
 and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
 `refused/spinors`, which must exit 2 (the frame marched from them leaves
 SU(1,1) at the under-resolved corners, and no node is repaired) and leave
 no file; and `generate --spinors` and `verify --spinors` at the flags
 above from the paraboloid's spinors on a 21x21 grid, written with psi1's
 last column absent, whose masked band lies outside the sub-grid (verify's
-rows then read the full pair's maxima), and, under `refused/spinors_hole`
-and `refused/verify_hole`, with psi1's node (6, 8) absent, which lies
-inside it: those two must exit 2, naming node (4, 8), the first whose
-stencils read it, and leave no file.  The CSVs are copied (or written)
-to the fixed relative prefixes `spinors/lam0`, `spinors_helicoid/lam0`,
-`spinors_off_centre/lam0`, `spinors_smyth-2/lam0`, `spinors_holed/lam0`
-and `spinors_hole_inside/lam0`, and the potential is written to
-`potentials/helicoid_untwisted.json`, because the input path enters the
-run hash and so the run directory's name. The set writes 355 files; with
-their 176 report rows and the 39 exit codes the digest holds 570 entries.
+rows then read the full pair's maxima, and it exits 1: the 13x13 sheets
+at spacing 0.1 fail conformality at lam = 1 and the Sym extraction's
+gate, as the paraboloid's DPW sheets at that spacing do), and, under
+`refused/spinors_hole` and `refused/verify_hole`, with psi1's node (6, 8)
+absent, which lies inside it: those two must exit 2, naming node (4, 8),
+the first whose stencils read it, and leave no file.  The CSVs are copied
+(or written) to the fixed relative prefixes `spinors/lam0`,
+`spinors_helicoid/lam0`, `spinors_off_centre/lam0`, `spinors_smyth-2/lam0`,
+`spinors_holed/lam0` and `spinors_hole_inside/lam0`, and the potential is
+written to `potentials/helicoid_untwisted.json`, because the input path
+enters the run hash and so the run directory's name. The set writes 349
+files; with their 304 report rows and the 33 exit codes the digest holds
+686 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the five refused commands, 0 for the
-rest.
+not the one expected of it: 2 for the five refused commands, 1 for the
+edge-holed pair's `verify --spinors`, 0 for the rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
 
@@ -99,13 +106,18 @@ REFUSED_SPINORS = ("--spinors", "spinors_smyth-2/lam0", *LAMBDAS)
 # the paraboloid's 21x21 pair with psi1's node (6, 8) absent: it lies in
 # the sub-grid the frames are marched on
 REFUSED_HOLE = ("--spinors", "spinors_hole_inside/lam0", *LAMBDAS)
+# a 9x9 grid: its sheets are under verify's SHEET_MIN nodes a side
+REFUSED_GRID = ("--example", "paraboloid", "--grid=-0.2,0.2,-0.2,0.2,9,9")
 # exit codes other than 0 that the command set expects
 EXPECTED = {
-    **{f"exit: {command} {' '.join(REFUSED)} --out refused/{command}": 2
-       for command in ("dual", "sweep")},
+    f"exit: dual {' '.join(REFUSED)} --out refused/dual": 2,
+    f"exit: verify {' '.join(REFUSED_GRID)} --out refused/verify_grid": 2,
     f"exit: generate {' '.join(REFUSED_SPINORS)} --out refused/spinors": 2,
     f"exit: generate {' '.join(REFUSED_HOLE)} --out refused/spinors_hole": 2,
     f"exit: verify {' '.join(REFUSED_HOLE)} --out refused/verify_hole": 2,
+    # the 21x21 pair's sheets, 13x13 at spacing 0.1, fail conformality at
+    # lam = 1 and the Sym extraction's gate, as the DPW sheets there do
+    f"exit: verify --spinors spinors_holed/lam0 {' '.join(FLAGS)}": 1,
 }
 UNTWISTED_HELICOID = (
     "import json; from nildual.potentials import helicoid_potential; "
@@ -143,7 +155,7 @@ def run_commands(out, env):
         return cache.parent
 
     for ex in EXAMPLES:
-        for command in ("generate", "dual", "sweep"):
+        for command in ("generate", "dual"):
             nildual(command, "--example", ex, *FLAGS)
         nildual("export", "--run", cache_dir(ex).relative_to(out).as_posix(),
                 "--formats", "obj,csv")
@@ -162,7 +174,7 @@ def run_commands(out, env):
 
     def spinor_runs(run_dir, prefix):
         copy_spinors(run_dir, prefix)
-        for command in ("generate", "dual", "sweep", "verify"):
+        for command in ("generate", "dual", "verify"):
             nildual(command, "--spinors", f"{prefix}/lam0", *FLAGS)
 
     spinor_runs(cache_dir("paraboloid"), "spinors")
@@ -184,8 +196,8 @@ def run_commands(out, env):
     (cache,) = (out / "off_centre").glob("example_paraboloid_*/frames.json")
     spinor_runs(cache.parent, "spinors_off_centre")
 
-    for command in ("dual", "sweep"):
-        nildual(command, *REFUSED, "--out", f"refused/{command}")
+    nildual("dual", *REFUSED, "--out", "refused/dual")
+    nildual("verify", *REFUSED_GRID, "--out", "refused/verify_grid")
     copy_spinors(cache_dir("smyth-2"), "spinors_smyth-2")
     nildual("generate", *REFUSED_SPINORS, "--out", "refused/spinors")
 

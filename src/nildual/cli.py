@@ -1,4 +1,4 @@
-"""Command-line driver: generate | dual | verify | sweep | export.
+"""Command-line driver: generate | dual | verify | export.
 
 Pipelines are selected by --example (built-in potential), --potential
 (JSON file), or --spinors (CSV pair prefix).  Outputs are namespaced per
@@ -39,6 +39,7 @@ from .spinors import SpinorField
 from .sym import mc_equivalent, sym_sheets
 from .verify import (
     DEFAULT_TOLS,
+    SHEET_MIN,
     W4,
     W4_CUT,
     SheetAnalysis,
@@ -46,6 +47,7 @@ from .verify import (
     analyze_sheet,
     sheet_checks,
     verify_pipeline,
+    verify_sheets,
 )
 
 DEFAULT_OUT_ENV = "NILDUAL_OUT"
@@ -136,10 +138,11 @@ class RunConfig:
 
 def _read_spinors(prefix):
     """The SpinorField of <prefix>_psi1.csv, _psi2.csv on their union's grid,
-    by the one --spinors rule: a non-finite value or a grid under 2 W4 + 5
-    nodes a side is refused; an absent node is zero-filled and masked with
-    every node whose stencils read it (`stencil_valid`), and refused by name
-    if one of them lies W4 or more in."""
+    by the one --spinors rule: a non-finite value, or a grid whose sheets
+    (its W4 sub-grid) have under SHEET_MIN nodes a side, is refused; an
+    absent node is zero-filled and masked with every node whose stencils
+    read it (`stencil_valid`), and refused by name if one of them lies W4
+    or more in."""
     try:
         grid, (psi1, psi2), (m1, m2) = iof.read_field_csvs(
             [prefix + "_psi1.csv", prefix + "_psi2.csv"])
@@ -150,9 +153,9 @@ def _read_spinors(prefix):
         for i, j in np.argwhere(~np.isfinite(psi))[:1]:
             raise ConfigError(f"non-finite value in {prefix}_{part}.csv at "
                               f"node ({i}, {j})")
-    if min(grid.shape) < 2 * W4 + 5:
-        raise GridTooSmallError(f"--spinors needs {2 * W4 + 5} nodes a side; "
-                                f"the input grid of {prefix!r} is "
+    if min(grid.shape) < SHEET_MIN + 2 * W4:
+        raise GridTooSmallError(f"--spinors needs {SHEET_MIN + 2 * W4} nodes "
+                                f"a side; the input grid of {prefix!r} is "
                                 f"{grid.nx}x{grid.ny}")
     mask = stencil_valid(m1 & m2)
     for i, j in np.argwhere(centred_interior(~mask, W4))[:1]:
@@ -181,17 +184,35 @@ def pipeline_result(config, grid):
                         order=config.order, exclude_disk=config.exclude_disk)
 
 
-def run_pipeline(config):
-    """The sheets of the configured pipeline, a SymOutput per lambda."""
+def run_pipeline(config, for_verify=False):
+    """The sheets of the configured pipeline, a SymOutput per lambda, and
+    its residual battery, run when called: `verify_pipeline` of a DPW run;
+    for a --spinors pair, `sheet_checks` of the input, then `verify_sheets`
+    of the sheets against the input's frame.  `for_verify` runs an example
+    on its verify grid, and refuses a grid under SHEET_MIN nodes a side."""
     kind, _, arg = config.pipeline.partition(":")
+    tols = {**DEFAULT_TOLS, **config.tols}
     if kind == "spinors":
         s = _read_spinors(arg)
         a = SheetAnalysis.of(s)
-        base = frame_from_spinors(s)[s.grid.centre]
+        F = frame_from_spinors(s)
         mask = s.mask[W4_CUT]
-        return sym_sheets([a.frame(lam, base) for lam in config.lams],
-                          mask, mask)
-    return pipeline_result(config, config.resolved_grid()).sym
+        sheets = sym_sheets([a.frame(lam, F[s.grid.centre])
+                             for lam in config.lams], mask, mask)
+
+        def battery():
+            rep = VerificationReport()
+            sheet_checks(rep, a, s.mask, tols, tag="input")
+            return verify_sheets(rep, sheets, F[W4_CUT], False, tols)
+        return sheets, battery
+    grid = config.resolved_grid(for_verify)
+    if for_verify and min(grid.shape) < SHEET_MIN:
+        raise GridTooSmallError(
+            f"verify needs {SHEET_MIN} nodes a side; the grid "
+            f"{grid.x0:g},{grid.x1:g},{grid.y0:g},{grid.y1:g},{grid.nx},"
+            f"{grid.ny} has {grid.nx}x{grid.ny}")
+    result = pipeline_result(config, grid)
+    return result.sym, lambda: verify_pipeline(result, tols)
 
 
 def cached_sheets(run_dir):
@@ -232,7 +253,7 @@ def _write_frame_cache(run_dir, config, sheets):
 
 
 def cmd_generate(config):
-    sheets = run_pipeline(config)
+    sheets = run_pipeline(config)[0]
     run_dir = _open_run(config)
     _write_sheets(run_dir, sheets, ("minus",), config.hash())
     for k, sym in enumerate(sheets):
@@ -261,7 +282,7 @@ def cmd_dual(config):
     """
     cached = (config.run_dir() / "frames.json").exists()
     sheets = (cached_sheets(config.run_dir()) if cached
-              else run_pipeline(config))
+              else run_pipeline(config)[0])
     outputs = []
     for k, sym in enumerate(sheets):
         a = analyze_sheet(sym)
@@ -300,52 +321,13 @@ def cmd_dual(config):
 
 
 def cmd_verify(config):
-    kind, _, arg = config.pipeline.partition(":")
-    if kind == "spinors":
-        # the sheet rows of the input pair and its dual: no frame is
-        # integrated, and the rows are blind to --conjugate-sign
-        s = _read_spinors(arg)
-        rep = VerificationReport()
-        sheet_checks(rep, SheetAnalysis.of(s), s.mask,
-                     {**DEFAULT_TOLS, **config.tols})
-    else:
-        res = pipeline_result(config, config.resolved_grid(for_verify=True))
-        rep = verify_pipeline(res, tols=config.tols)
+    rep = run_pipeline(config, for_verify=True)[1]()
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     iof.write_json(run_dir / "report.json", rep.to_json())
     (run_dir / "report.txt").write_text(rep.table() + "\n")
     print(rep.table())
     return 0 if rep.passed else 1
-
-
-def cmd_sweep(config):
-    if len(config.lams) < 2:
-        raise ConfigError("sweep needs at least two lambda samples")
-    sheets = run_pipeline(config)
-    # every node of the W4 sub-grid, the export mask aside
-    g = sheets[0].grid
-    if min(g.shape) <= 2 * W4:
-        raise GridTooSmallError(f"sweep reads nodes {W4} in from each edge; "
-                                f"sheets of {g.nx}x{g.ny} nodes have none")
-    ew2_ref = None
-    entries = []
-    for sym in sheets:
-        a = analyze_sheet(sym)
-        if ew2_ref is None:
-            ew2_ref = a.dirac.ew2
-        drift = np.max(np.abs((a.dirac.ew2 - ew2_ref)[W4_CUT]))
-        entries.append({
-            "lambda": [complex(sym.lam).real, complex(sym.lam).imag],
-            "dirac_potential_drift": float(drift),
-            "re_dirac_max": float(np.max(np.abs(a.dirac.ew2.real[W4_CUT]))),
-        })
-    run_dir = _open_run(config)
-    _write_sheets(run_dir, sheets, ("minus", "plus"), config.hash())
-    iof.write_json(run_dir / "sweep_report.json",
-                   {"schema": 1, "entries": entries})
-    print(f"wrote sweep to {run_dir}")
-    return 0
 
 
 def cmd_export(args_run, formats):
@@ -401,7 +383,7 @@ def build_parser():
         sp.add_argument("--conjugate-sign", type=int, choices=(1, -1),
                         default=1, help="branch convention for the dual pair")
 
-    for name in ("generate", "dual", "verify", "sweep"):
+    for name in ("generate", "dual", "verify"):
         sp = sub.add_parser(name)
         add_common(sp)
 
@@ -454,7 +436,7 @@ def main(argv=None):
             return cmd_export(args.run, args.formats.split(","))
         # looked up per call, so that a rebinding of a command is honoured
         commands = {"generate": cmd_generate, "dual": cmd_dual,
-                    "verify": cmd_verify, "sweep": cmd_sweep}
+                    "verify": cmd_verify}
         return commands[args.command](config_from_args(args))
     except (ConfigError, NilDualError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""The residual battery: every identity of the construction, measured on a
-pipeline run (or, for its sheet rows, on a spinor pair) and reported with
-pass/fail against its tolerance.
+"""The residual battery: every identity of the construction, measured on
+the sheets of a pipeline run or of a spinor pair (and on the factorization
+of the one, the input spinors of the other) and reported with pass/fail
+against its tolerance.
 
 Stencil-based identities are asserted on centred-stencil interiors (the
 one-sided boundary bands carry larger constants and are reported via the
@@ -71,6 +72,8 @@ W4 = 4
 W6 = 6
 
 SHEET_CONFORMAL_TOL = 1e-2  # conformality defect analyze_sheet accepts
+# nodes a side a sheet needs for the battery: its W4 frame march has 5
+SHEET_MIN = 2 * W4 + 5
 
 
 @dataclass
@@ -101,6 +104,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name, values, tolerance, valid=None, note=""):
+        """A row of `values` at the `valid` nodes; a row with none fails."""
         values = np.asarray(values, dtype=float)
         if valid is None:
             valid = np.ones(values.shape, dtype=bool)
@@ -110,7 +114,8 @@ class VerificationReport:
         self.checks.append(CheckResult(
             name=name, max=mx, mean=mean, node_count=int(chosen.size),
             masked_count=int(valid.size - chosen.size),
-            tolerance=tolerance, passed=mx <= tolerance, note=note))
+            tolerance=tolerance, passed=bool(chosen.size) and mx <= tolerance,
+            note=note if chosen.size else "no node to assert on"))
         return self.checks[-1]
 
     def add_scalar(self, name, value, tolerance, note=""):
@@ -197,13 +202,14 @@ def analyze_sheet(sym):
         mask=stencil_valid(sym.ok_mask), on_branch_cut="record"))
 
 
-def sheet_checks(rep, a, valid, tols):
+def sheet_checks(rep, a, valid, tols, tag=None):
     """Add to `rep` the rows that read one sheet's spinor data and its dual;
     return the dual pair, or None when the sheet has no dual.
 
-    The one battery of a sheet given by its spinors: `verify_pipeline` runs
-    it on every parameter's sheet, `verify --spinors` on the input pair.
-    Rows are tagged with the spinors' parameter.  `valid` is the sheet's
+    The one battery of a sheet given by its spinors: `verify_sheets` runs
+    it on every parameter's sheet, `verify --spinors` also on the input
+    pair.  Rows are tagged with `tag`, by default the spinors' parameter
+    (the input pair's rows are tagged `input`).  `valid` is the sheet's
     node mask: the stencil rows are asserted on its centred interiors, the
     double dual on the nodes where it is defined, and the dual's minimality
     where its stencils read no masked node.  Every row is blind to
@@ -211,7 +217,7 @@ def sheet_checks(rep, a, valid, tols):
     cancels, or the involution, which applies the sign twice.
     """
     s, d = a.spinors, a.dirac
-    tag = _lam_tag(s.lam)
+    tag = tag or _lam_tag(s.lam)
     live4 = centred_interior(valid, W4)
     live6 = centred_interior(valid, W6)
     rep.add(f"dirac_consistency[{tag}]", d.consistency,
@@ -255,20 +261,13 @@ def sheet_checks(rep, a, valid, tols):
 
 
 def verify_pipeline(result, tols=None):
-    """Run the full residual battery on a pipeline result.
-
-    The factorization's rows come first.  Then, per parameter,
-    `sheet_checks` runs on the minus sheet's analysis, followed by the rows
-    only a pipeline has: the sheet's conformality, the lambda-independence
-    of e^{w/2}, the frame's su(1,1) defect, the normal and its structure,
-    and the Sym factor of the dual against the pair `sheet_checks`
-    returned.  Frame compatibility and the cross-pipeline frame follow.
-    The self-duality checks run when the result is flagged self-dual (the
-    built-in examples carry the flag of their spec).
+    """Run the full residual battery on a pipeline result: the
+    factorization's rows, then `verify_sheets` of its sheets against its
+    frame loop at lam = 1.  The self-duality rows run when the result is
+    flagged self-dual (the built-in examples carry the flag of their spec).
     """
     tols = {**DEFAULT_TOLS, **(tols or {})}
     rep = VerificationReport()
-
     pivot = result.report.pivot
     rep.add_scalar("iwasawa_recon", result.recon_residual,
                    tols["iwasawa_recon"],
@@ -278,9 +277,23 @@ def verify_pipeline(result, tols=None):
                         f"{result.order_cap}, tail {result.tail:.3e}")
     rep.add_scalar("iwasawa_reality", result.reality_residual,
                    tols["iwasawa_reality"])
+    return verify_sheets(rep, result.sym, result.frame_loop.eval(1.0),
+                         result.self_dual, tols)
 
+
+def verify_sheets(rep, sheets, reference, self_dual, tols):
+    """Add to `rep` the rows of a run's sheets by the tolerances `tols`,
+    and return it.  Per parameter, `sheet_checks` of the minus sheet's
+    analysis, then its conformality, the lambda-independence of e^{w/2},
+    the frame's su(1,1) defect, the normal and its structure, and the
+    dual's Sym factor.
+    When lam = 1 is sampled: frame compatibility at every lam, and
+    `cross_pipeline`, the lam = 1 sheet's `SheetAnalysis.frame` march from
+    `reference` (the lam = 1 frame on the sheets' grid) at the centre,
+    against it.  The self-duality rows run when `self_dual` is set.
+    """
     first = a1 = None   # the first sheet and its analysis; the lam = 1 one
-    for sym in result.sym:
+    for sym in sheets:
         a = analyze_sheet(sym)
         if a1 is None and abs(sym.lam - 1.0) < 1e-12:
             a1 = a
@@ -313,7 +326,7 @@ def verify_pipeline(result, tols=None):
         del a, pair
 
     if a1 is not None:
-        for sym in result.sym:
+        for sym in sheets:
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
             rep.add(f"frame_compat[{_lam_tag(sym.lam)}]",
@@ -321,16 +334,14 @@ def verify_pipeline(result, tols=None):
                         sym.frame, a1.connection_at(sym.lam)),
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
-        lam0 = 1.0 + 0.0j
-        base = result.frame_loop.at_node(result.grid.centre).eval(lam0)
-        integ = a1.frame(lam0, base, derivatives=False)
-        diff = np.max(np.abs(integ.F - result.frame_loop.eval(lam0)[W4_CUT]),
-                      axis=(-2, -1))
-        rep.add(f"cross_pipeline[{_lam_tag(lam0)}]", diff,
+        integ = a1.frame(1.0, reference[a1.dirac.grid.centre],
+                         derivatives=False)
+        diff = np.max(np.abs(integ.F - reference[W4_CUT]), axis=(-2, -1))
+        rep.add(f"cross_pipeline[{_lam_tag(1.0)}]", diff,
                 tols["cross_pipeline"])
 
-    if result.self_dual:
-        for sym in result.sym:
+    if self_dual:
+        for sym in sheets:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
             rep.add_scalar(f"self_duality_mc[{_lam_tag(sym.lam)}]",
                            fit.residual, tols["self_duality_mc"],
@@ -375,6 +386,10 @@ def _sym_duality_factor(rep, tols, sym, tag, pair):
     for got, want in ((extracted.psi1, pair.dual.psi1),
                       (extracted.psi2, pair.dual.psi2)):
         ok = live & (np.abs(want) > 1e-3 * np.max(np.abs(want)))
+        if not ok.any():   # no node to read the factor at: the row fails
+            rep.add(f"sym_duality_factor[{tag}]", [],
+                    tols["sym_duality_factor"])
+            return
         ratio = got[ok] / want[ok]
         worst = max(worst, float(np.std(ratio)),
                     abs(abs(np.mean(ratio)) - 1.0))

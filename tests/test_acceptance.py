@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nildual.cli import main
 from nildual.dualize import double_dual, dual_spinors
 from nildual.errors import NonConformalError
 from nildual.frames import flatness_residual, frame_compatibility_residual
@@ -429,24 +430,53 @@ def test_criterion_10_negative_controls(pb41):
     assert ok_a and ok_b and ok_c
 
 
+def _ledger():
+    return json.loads((Path(__file__).parent / "data"
+                       / "verify_margins.json").read_text())
+
+
+def _moved(name, rows, ledger_rows):
+    """The ledger rows whose max `rows` no longer hold: a row with headroom
+    (max / tolerance) of 0.01 or more holds its max to 1 % either way, and
+    every row's max stays under 10 times the ledger's."""
+    assert set(rows) == set(ledger_rows), name
+    moved = []
+    for row, (was, tol) in ledger_rows.items():
+        now = rows[row]
+        held = now <= 10.0 * was and (
+            was < 0.01 * tol or abs(now - was) <= 0.01 * was)
+        if not held:
+            moved.append(f"{name} {row}: {was:.4g} -> {now:.4g} "
+                         f"(tol {tol:.0e})")
+    return moved
+
+
 def test_verify_margins_hold_the_ledger(pb41, helicoid, smyth_runs):
     # tests/data/verify_margins.json, written by scripts/margin_ledger.py:
-    # each built-in's verify rows at lam = 1 and e^{i pi/3}.  A row with
-    # headroom (max / tolerance) of 0.01 or more holds its max to 1 %
-    # either way; every row's max stays under 10 times the ledger's.  A
-    # change that moves a margin rewrites the ledger with the script
-    ledger = json.loads((Path(__file__).parent / "data"
-                         / "verify_margins.json").read_text())["examples"]
+    # each built-in's verify rows at lam = 1 and e^{i pi/3}.  A change that
+    # moves a margin rewrites the ledger with the script
+    ledger = _ledger()["examples"]
     runs = {"paraboloid": pb41, "helicoid": helicoid, **smyth_runs}
     moved = []
     for name, run in runs.items():
         rows = {c.name: c.max for c in verify_pipeline(run).checks}
-        assert set(rows) == set(ledger[name]), name
-        for row, (was, tol) in ledger[name].items():
-            now = rows[row]
-            held = now <= 10.0 * was and (
-                was < 0.01 * tol or abs(now - was) <= 0.01 * was)
-            if not held:
-                moved.append(f"{name} {row}: {was:.4g} -> {now:.4g} "
-                             f"(tol {tol:.0e})")
+        moved += _moved(name, rows, ledger[name])
+    assert not moved, "\n".join(moved)
+
+
+def test_spinor_verify_margins_hold_the_ledger(tmp_path):
+    # the ledger's `spinors` entry: verify --spinors of the paraboloid's
+    # 41x41 lam0 CSVs at lam = 1 and e^{i pi/3}, the input's rows and its
+    # sheets', held as the examples' are
+    ledger = _ledger()
+    lams = ["--lambda", ledger["lambda"]]
+    assert main(["generate", "--example", "paraboloid", *lams,
+                 "--out", str(tmp_path / "given")]) == 0
+    (given,) = (tmp_path / "given").iterdir()
+    assert main(["verify", "--spinors", str(given / "lam0"), *lams,
+                 "--out", str(tmp_path / "verify")]) == 0
+    (path,) = (tmp_path / "verify").rglob("report.json")
+    rows = {c["name"]: c["max"]
+            for c in json.loads(path.read_text())["checks"]}
+    moved = _moved("spinors", rows, ledger["spinors"]["paraboloid"])
     assert not moved, "\n".join(moved)

@@ -149,15 +149,14 @@ def test_verify_exit_codes(tmp_path):
 
 
 # smyth-2 on a 15x15 grid: its sheets are too far from minimal for the B
-# extraction, which `dual` and `sweep` need and `generate` skips
+# extraction, which `dual` needs and `generate` skips
 REFUSED = ["--example", "smyth-2", "--grid=-0.5,0.5,-0.5,0.5,15,15",
            "--lambda", "1,exp:pi/3"]
 
 
-@pytest.mark.parametrize("command", ["dual", "sweep"])
-def test_refused_command_leaves_no_run_directory(tmp_path, capsys, command):
+def test_refused_dual_leaves_no_run_directory(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run([command, *REFUSED, "--out", str(out)]) == 2
+    assert run(["dual", *REFUSED, "--out", str(out)]) == 2
     assert "minimal case only" in capsys.readouterr().err
     assert not out.exists()
 
@@ -170,20 +169,6 @@ def test_refused_dual_leaves_generate_files_unchanged(tmp_path, capsys):
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     assert run(["dual", *REFUSED, "--out", str(out)]) == 2
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-
-
-def test_sweep_requires_two_lambdas(tmp_path):
-    rc = run(["sweep", "--example", "paraboloid", *SMALL,
-              "--lambda", "1", "--out", str(tmp_path)])
-    assert rc == 2
-    rc = run(["sweep", "--example", "paraboloid", *SMALL,
-              "--lambda", "1,exp:pi/3", "--out", str(tmp_path)])
-    assert rc == 0
-    (run_dir,) = tmp_path.iterdir()
-    rep = json.loads((run_dir / "sweep_report.json").read_text())
-    assert len(rep["entries"]) == 2
-    assert rep["entries"][1]["dirac_potential_drift"] < 1e-5
-    assert (run_dir / "lam1_f_plus.obj").exists()
 
 
 def test_export_from_cache(tmp_path):
@@ -285,6 +270,13 @@ def _counting_integrate_frame(monkeypatch, modules):
     return calls
 
 
+def _failed_rows(out):
+    """The names of the failed rows of the one report under `out`."""
+    (report,) = out.glob("*/report.json")
+    return {c["name"] for c in json.loads(report.read_text())["checks"]
+            if not c["passed"]}
+
+
 def test_spinor_csv_pipeline(tmp_path):
     _write_paraboloid_spinors(tmp_path)
     rc = run(["generate", "--spinors", str(tmp_path / "in"),
@@ -292,16 +284,27 @@ def test_spinor_csv_pipeline(tmp_path):
     assert rc == 0
     (run_dir,) = (tmp_path / "o").iterdir()
     assert (run_dir / "lam0_f_minus.obj").exists()
+    # the 21x21 pair's sheets are 13x13 at spacing 0.1: the input's rows
+    # pass, and the sheets fail the rows that the DPW sheets fail at that
+    # spacing, the self-duality rows aside (a pair has none)
     rc = run(["verify", "--spinors", str(tmp_path / "in"),
-              "--lambda", "1", "--out", str(tmp_path / "o")])
-    assert rc == 0
+              "--lambda", "1", "--out", str(tmp_path / "v")])
+    assert rc == 1
+    failed = _failed_rows(tmp_path / "v")
+    assert failed == {"conformality[lam+0.000pi]",
+                      "sym_duality_factor[lam+0.000pi]"}
+    assert run(["verify", "--example", "paraboloid",
+                "--grid=-0.6,0.6,-0.6,0.6,13,13", "--lambda", "1",
+                "--out", str(tmp_path / "p")]) == 1
+    assert failed == {name for name in _failed_rows(tmp_path / "p")
+                      if not name.startswith("self_duality")}
 
 
 def test_verify_spinors_from_generated_fields(tmp_path):
-    # the spinor input runs the pipeline's sheet rows, asserted on the
-    # centred interior as there (the one-sided boundary bands of the written
-    # fields fail dirac_consistency's tolerance), and each row reads what
-    # the pipeline's row at lam = 1 reads
+    # the spinor input runs the pipeline's sheet rows, tagged `input` and
+    # asserted on the centred interior as there (the one-sided boundary
+    # bands of the written fields fail dirac_consistency's tolerance), and
+    # each row reads what the pipeline's row at lam = 1 reads
     assert run(["generate", "--example", "paraboloid", "--lambda", "1",
                 "--out", str(tmp_path / "o")]) == 0
     (run_dir,) = (tmp_path / "o").iterdir()
@@ -311,12 +314,14 @@ def test_verify_spinors_from_generated_fields(tmp_path):
                 "--out", str(tmp_path / "p")]) == 0
     (spinor_report,) = (tmp_path / "v").glob("*/report.json")
     (pipeline_report,) = (tmp_path / "p").glob("*/report.json")
-    rows = json.loads(spinor_report.read_text())["checks"]
+    rows = [row for row in json.loads(spinor_report.read_text())["checks"]
+            if row["name"].endswith("[input]")]
     pipeline_rows = {row["name"]: row for row in
                      json.loads(pipeline_report.read_text())["checks"]}
     assert len(rows) == 9
     for row in rows:
-        assert row == pipeline_rows[row["name"]]
+        name = row["name"].replace("[input]", "[lam+0.000pi]")
+        assert {**row, "name": name} == pipeline_rows[name]
 
 
 def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
@@ -370,7 +375,6 @@ def test_spinor_round_trip_on_the_w4_sub_grid(tmp_path):
                                 mask=f.mask[cut])
             assert mc_equivalent(f_cut, g).equivalent
     assert run(["dual", *argv]) == 0
-    assert run(["sweep", *argv]) == 0
 
 
 def test_spinor_family_is_normalized_at_the_grid_centre(tmp_path):
@@ -471,17 +475,18 @@ def test_spinor_verify_reads_an_edge_holed_pair_as_the_full_one(tmp_path):
     # verify reads the pair by generate's rule: psi1's last column, absent,
     # is zero-filled and masked with every node whose stencils read it.  No
     # row asserts at those nodes, and the guards keep their zeros from
-    # dividing, so each of the nine rows reads the full pair's max
+    # dividing, so each row reads the full pair's max: the input's nine and
+    # its 13x13 sheets' (which fail as in test_spinor_csv_pipeline)
     rows = {}
     for name, hole in (("full", None), ("holed", np.s_[:, -1])):
         (tmp_path / name).mkdir()
         _write_paraboloid_spinors(tmp_path / name, hole)
         assert run(["verify", "--spinors", str(tmp_path / name / "in"),
-                    "--lambda", "1", "--out", str(tmp_path / name / "o")]) == 0
+                    "--lambda", "1", "--out", str(tmp_path / name / "o")]) == 1
         (report,) = (tmp_path / name / "o").glob("*/report.json")
         rows[name] = [(row["name"], row["max"]) for row in
                       json.loads(report.read_text())["checks"]]
-    assert len(rows["full"]) == 9
+    assert len(rows["full"]) == 9 + 16
     assert rows["holed"] == rows["full"]
 
 
@@ -501,32 +506,50 @@ def test_spinor_pair_absent_inside_the_sub_grid_is_refused_by_name(
     assert not (tmp_path / "o").exists()
 
 
-def test_spinor_verify_reads_only_the_input(tmp_path, monkeypatch):
-    # the sheet rows run on the input pair and its dual: no frame is
-    # integrated, and the report is the shared row function's on the
-    # input's analysis
+def test_spinor_verify_runs_the_input_rows_then_the_sheets_battery(
+        tmp_path, monkeypatch):
+    # verify --spinors: `sheet_checks` of the input pair, tagged `input`,
+    # then `verify_sheets` of the sheets `run_pipeline` marches from it,
+    # against the input's frame cut to the sheets' grid; each row once
     from nildual.io_formats import write_json
     from nildual.verify import (
         DEFAULT_TOLS,
+        W4_CUT,
         SheetAnalysis,
         VerificationReport,
         sheet_checks,
+        verify_sheets,
     )
-    _write_paraboloid_spinors(tmp_path)
+    assert run(["generate", "--example", "paraboloid", "--lambda",
+                "1,exp:pi/3", "--out", str(tmp_path / "o")]) == 0
+    (given_dir,) = (tmp_path / "o").iterdir()
+    prefix = str(given_dir / "lam0")
+    argv = ["verify", "--spinors", prefix, "--lambda", "1,exp:pi/3",
+            "--out", str(tmp_path / "v")]
     calls = _counting_integrate_frame(monkeypatch, [nildual.verify])
-    rc = run(["verify", "--spinors", str(tmp_path / "in"),
-              "--lambda", "1,exp:pi/3", "--out", str(tmp_path / "o")])
-    assert rc == 0
-    assert calls == []
-    (run_dir,) = (tmp_path / "o").iterdir()
-    g, p1, m1 = read_field_csv(tmp_path / "in_psi1.csv")
-    _, p2, m2 = read_field_csv(tmp_path / "in_psi2.csv")
-    s = SpinorField(p1, p2, g, mask=m1 & m2)
-    rep = VerificationReport()
-    sheet_checks(rep, SheetAnalysis.of(s), s.mask, DEFAULT_TOLS)
-    direct = tmp_path / "direct.json"
-    write_json(direct, rep.to_json())
-    assert (run_dir / "report.json").read_bytes() == direct.read_bytes()
+    assert run(argv) == 0
+    # a march per lambda for the sheets, and cross_pipeline's at lam = 1
+    assert calls == [1, parse_lambda("exp:pi/3"), 1]
+    (report,) = (tmp_path / "v").glob("*/report.json")
+    checks = json.loads(report.read_text())["checks"]
+
+    s = nildual.cli._read_spinors(prefix)
+    given = VerificationReport()
+    sheet_checks(given, SheetAnalysis.of(s), s.mask, DEFAULT_TOLS,
+                 tag="input")
+    config = nildual.cli.config_from_args(
+        nildual.cli.build_parser().parse_args(argv))
+    sheets = VerificationReport()
+    verify_sheets(sheets, nildual.cli.run_pipeline(config)[0],
+                  frame_from_spinors(s)[W4_CUT], False, DEFAULT_TOLS)
+    assert len(given.checks) == 9 and len(sheets.checks) == 32
+    assert checks == (given.to_json()["checks"]
+                      + sheets.to_json()["checks"])
+    given.checks += sheets.checks
+    write_json(tmp_path / "direct.json", given.to_json())
+    assert report.read_bytes() == (tmp_path / "direct.json").read_bytes()
+    names = [c["name"] for c in checks]
+    assert len(set(names)) == len(names)
 
 
 def _count_maurer_cartan(monkeypatch):
@@ -596,7 +619,7 @@ def test_cached_sheets_are_the_pipelines_sheets(tmp_path):
     parsed = nildual.cli.build_parser().parse_args(argv)
     config = nildual.cli.config_from_args(parsed)
     cached = nildual.cli.cached_sheets(config.run_dir())
-    direct = nildual.cli.run_pipeline(config)
+    direct = nildual.cli.run_pipeline(config)[0]
     assert len(cached) == len(direct) == 2
     assert not np.array_equal(direct[0].ok_mask, direct[0].f_minus.mask)
     for got, want in zip(cached, direct):
@@ -746,6 +769,15 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 12, 12),
                              DomainGrid(-1, 1, -1, 1, 12, 12)),
      "in' is 12x12"),
+    # a 13x13 pair: its W4 sub-grid, the sheets', would be 5x5, under the
+    # battery's SHEET_MIN, with empty W4 and W6 interiors; every --spinors
+    # command refuses it by the one rule
+    (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 13, 13),
+                             DomainGrid(-1, 1, -1, 1, 13, 13)),
+     "needs 21 nodes a side; the input grid of"),
+    (lambda tmp: ["verify", *_spinors_on(
+        tmp, DomainGrid(-1, 1, -1, 1, 13, 13),
+        DomainGrid(-1, 1, -1, 1, 13, 13))[1:]], "in' is 13x13"),
     (lambda tmp: _spinors_on(tmp, DomainGrid(-1, 1, -1, 1, 21, 21),
                              DomainGrid(-1, 1.1, -1, 1, 21, 21)),
      "at two coordinates"),
@@ -775,6 +807,12 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
      "run/frames.bin holds 4866 bytes; its header says 4850"),
     (lambda tmp: _export_edited_cache(tmp, drop=("payload_bytes",)),
      "run/frames.json: KeyError: 'payload_bytes'"),
+    # verify grids under SHEET_MIN nodes a side, named as given
+    *[(lambda tmp, n=n: ["verify", "--example", "paraboloid",
+                         f"--grid=-0.2,0.2,-0.2,0.2,{n},{n}",
+                         "--out", str(tmp / "o")],
+       f"verify needs 13 nodes a side; the grid -0.2,0.2,-0.2,0.2,{n},{n} "
+       f"has {n}x{n}") for n in (5, 9, 12)],
     (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "0"),
      "order"),
     (lambda tmp: _generate(tmp, "--example", "paraboloid", "--order", "-2"),
@@ -832,12 +870,13 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
-        "spinors-missing", "spinors-nan", "spinors-12x12", "spinors-spacing",
+        "spinors-missing", "spinors-nan", "spinors-12x12", "spinors-13x13",
+        "verify-spinors-13x13", "spinors-spacing",
         "spinors-repeated-node", "spinors-negative-row", "export-no-cache",
         "cache-not-json", "cache-no-grid", "cache-not-object", "cache-schema-1",
         "cache-schema-2", "cache-no-payload", "cache-short-payload",
         "cache-long-payload", "cache-no-payload-count",
-        "order-0", "order-negative", "order-1", "order-2", "order-8",
+        "verify-grid-5", "verify-grid-9", "verify-grid-12", "order-0", "order-negative", "order-1", "order-2", "order-8",
         "exclude-disk-nan",
         "exclude-disk-everything", "export-format",
         "potential-nan-forbidden", "potential-nan-allowed",
@@ -845,6 +884,7 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
         "potential-overflow", "potential-1e10i", "potential-5-entries",
         "potential-3-entries", "potential-fractional-power",
         "potential-repeated-power", "potential-no-coefficient"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
     argv = make_argv(tmp_path)

@@ -33,6 +33,21 @@ def test_battery_passes_on_paraboloid(pb_run):
         "self_duality_mc", "self_duality_pointwise",
     }
     assert expected <= names
+    assert len({c.name for c in rep.checks}) == len(rep.checks)
+
+
+def test_a_row_over_no_node_fails():
+    rep = VerificationReport()
+    row = rep.add("empty", [1.0, 2.0], 10.0, valid=np.zeros(2, dtype=bool))
+    assert (row.passed, row.node_count, row.note) == (
+        False, 0, "no node to assert on")
+    # the paraboloid's 41x41 grid less the disk |z| < 1.1 keeps its four
+    # corners, which hold no W6-interior node: the rows asserted there fail
+    run = run_example("paraboloid", grid=DomainGrid(-1, 1, -1, 1, 41, 41),
+                      exclude_disk=1.1)
+    failed = {c.name for c in verify_pipeline(run).checks if not c.passed}
+    assert failed == {"holomorphy_B[lam+0.000pi]", "flatness[lam+0.000pi]",
+                      "frame_compat[lam+0.000pi]"}
 
 
 def test_each_sheet_builds_its_connection_once(pb_run, monkeypatch):
@@ -40,7 +55,7 @@ def test_each_sheet_builds_its_connection_once(pb_run, monkeypatch):
     # sheet and lam: the lam = 1 sheet's at 1 serves flatness, frame_compat
     # and the cross-pipeline march, its value at e^{i pi/3} the other
     # frame_compat, and the other sheet's at e^{i pi/3} its flatness.  The
-    # cross-pipeline row reads the frame loop twice more
+    # cross-pipeline row reads the frame loop once more
     connection, evaluate = nildual.frames._connection, MatrixLoop.eval
     built, evals = [], []
 
@@ -58,7 +73,7 @@ def test_each_sheet_builds_its_connection_once(pb_run, monkeypatch):
     monkeypatch.setattr(MatrixLoop, "eval", counted_eval)
     assert verify_pipeline(pb_run).passed
     assert len(built) == 2
-    assert len(evals) == 8
+    assert len(evals) == 7
 
 
 def test_analyze_sheet_reads_the_sheets_own_trusted_nodes(pb_run):
