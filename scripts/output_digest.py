@@ -30,6 +30,17 @@ for the B extraction) and, computing before it writes, leave no file;
 and `verify` of the paraboloid on the grid -0.2,0.2,-0.2,0.2,9,9, under
 `refused/verify_grid`, which must exit 2 (its sheets have fewer than
 verify's 13 nodes a side) and leave no file;
+and `verify` and `dual` of the paraboloid on its 41x41 grid at
+`--exclude-disk 1.3`, under `refused/verify_fit` and `refused/dual_fit`,
+which must exit 2 (the disk keeps corner nodes alone, none of whose
+stencils reads kept nodes alone, so the congruence fits have no node to
+compare on) and leave no file; and `verify` of the paraboloid at
+`--lambda 1,exp:0.0001`, under `refused/verify_tags`, which must exit 2
+(both values are tagged lam+0.000pi, so their rows would share names) and
+leave no file; and `generate --spinors spinors/lam0` with
+`--grid=-1,1,-1,1,41,41` and with `--exclude-disk=0.5`, under
+`refused/spinors_grid` and `refused/spinors_exclude_disk`, which must exit
+2 (the spinor pipeline reads neither flag) and leave no file;
 and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
 `refused/spinors`, which must exit 2 (the frame marched from them leaves
 SU(1,1) at the under-resolved corners, and no node is repaired) and leave
@@ -47,13 +58,13 @@ the first whose stencils read it, and leave no file.  The CSVs are copied
 `spinors_holed/lam0` and `spinors_hole_inside/lam0`, and the potential is
 written to `potentials/helicoid_untwisted.json`, because the input path
 enters the run hash and so the run directory's name. The set writes 349
-files; with their 304 report rows and the 33 exit codes the digest holds
-686 entries.
+files; with their 304 report rows and the 38 exit codes the digest holds
+691 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the five refused commands, 1 for the
+not the one expected of it: 2 for the ten refused commands, 1 for the
 edge-holed pair's `verify --spinors`, 0 for the rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
@@ -108,6 +119,15 @@ REFUSED_SPINORS = ("--spinors", "spinors_smyth-2/lam0", *LAMBDAS)
 REFUSED_HOLE = ("--spinors", "spinors_hole_inside/lam0", *LAMBDAS)
 # a 9x9 grid: its sheets are under verify's SHEET_MIN nodes a side
 REFUSED_GRID = ("--example", "paraboloid", "--grid=-0.2,0.2,-0.2,0.2,9,9")
+# an exclusion disk that leaves the corners alone: no node's stencils read
+# kept nodes alone, so the congruence fits have no node to compare on
+REFUSED_FIT = ("--example", "paraboloid", "--grid=-1,1,-1,1,41,41",
+               "--exclude-disk", "1.3")
+# two lambdas of one report tag, lam+0.000pi
+REFUSED_TAGS = ("--example", "paraboloid", "--lambda", "1,exp:0.0001")
+# flags the spinor pipeline does not read
+REFUSED_SPINOR_FLAGS = (("--grid=-1,1,-1,1,41,41", "spinors_grid"),
+                        ("--exclude-disk=0.5", "spinors_exclude_disk"))
 # exit codes other than 0 that the command set expects
 EXPECTED = {
     f"exit: dual {' '.join(REFUSED)} --out refused/dual": 2,
@@ -115,6 +135,11 @@ EXPECTED = {
     f"exit: generate {' '.join(REFUSED_SPINORS)} --out refused/spinors": 2,
     f"exit: generate {' '.join(REFUSED_HOLE)} --out refused/spinors_hole": 2,
     f"exit: verify {' '.join(REFUSED_HOLE)} --out refused/verify_hole": 2,
+    f"exit: verify {' '.join(REFUSED_FIT)} --out refused/verify_fit": 2,
+    f"exit: dual {' '.join(REFUSED_FIT)} --out refused/dual_fit": 2,
+    f"exit: verify {' '.join(REFUSED_TAGS)} --out refused/verify_tags": 2,
+    **{f"exit: generate --spinors spinors/lam0 {flag} --out refused/{name}": 2
+       for flag, name in REFUSED_SPINOR_FLAGS},
     # the 21x21 pair's sheets, 13x13 at spacing 0.1, fail conformality at
     # lam = 1 and the Sym extraction's gate, as the DPW sheets there do
     f"exit: verify --spinors spinors_holed/lam0 {' '.join(FLAGS)}": 1,
@@ -198,6 +223,12 @@ def run_commands(out, env):
 
     nildual("dual", *REFUSED, "--out", "refused/dual")
     nildual("verify", *REFUSED_GRID, "--out", "refused/verify_grid")
+    nildual("verify", *REFUSED_FIT, "--out", "refused/verify_fit")
+    nildual("dual", *REFUSED_FIT, "--out", "refused/dual_fit")
+    nildual("verify", *REFUSED_TAGS, "--out", "refused/verify_tags")
+    for flag, name in REFUSED_SPINOR_FLAGS:
+        nildual("generate", "--spinors", "spinors/lam0", flag,
+                "--out", f"refused/{name}")
     copy_spinors(cache_dir("smyth-2"), "spinors_smyth-2")
     nildual("generate", *REFUSED_SPINORS, "--out", "refused/spinors")
 

@@ -45,6 +45,7 @@ from .verify import (
     SheetAnalysis,
     VerificationReport,
     analyze_sheet,
+    lam_tag,
     sheet_checks,
     verify_pipeline,
     verify_sheets,
@@ -88,9 +89,17 @@ def parse_lambda(token):
 
 
 def parse_lambda_list(text):
+    """The values of a comma list; two with one `lam_tag` are refused."""
     if not text.strip():
         raise ConfigError("empty lambda list")
-    return [parse_lambda(t) for t in text.split(",")]
+    tokens = [t.strip() for t in text.split(",")]
+    lams = [parse_lambda(t) for t in tokens]
+    tags = [lam_tag(lam) for lam in lams]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ConfigError(f"lambdas {tokens[tags.index(tag)]!r} and "
+                              f"{tokens[k]!r} share the report tag {tag}")
+    return lams
 
 
 @dataclass
@@ -197,7 +206,7 @@ def run_pipeline(config, for_verify=False):
         a = SheetAnalysis.of(s)
         F = frame_from_spinors(s)
         mask = s.mask[W4_CUT]
-        sheets = sym_sheets([a.frame(lam, F[s.grid.centre])
+        sheets = sym_sheets([a.frame(lam, F[(...,) + s.grid.centre])
                              for lam in config.lams], mask, mask)
 
         def battery():
@@ -400,6 +409,11 @@ def config_from_args(args):
         pipeline = f"potential:{args.potential}"
     elif args.spinors:
         pipeline = f"spinors:{args.spinors}"
+        for flag, value in (("--grid", args.grid),
+                            ("--exclude-disk", args.exclude_disk)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --spinors, "
+                                  f"whose CSVs fix the grid and its nodes")
     else:
         raise ConfigError("select --example, --potential, or --spinors")
     tols = {}

@@ -9,10 +9,11 @@ flat for every unit-modulus lam.  U and V are twisted loops, U on the
 powers -1..0 and V on 0..1 (`_connection`), read at lam, and
 differentiated in lam, only by `MatrixLoop.eval`.  `verify.SheetAnalysis`
 builds a sheet's loops once and forms each value once; the functions here
-take values, (U, V) at one lam, and a grid.  Frames solve F^{-1} dF = alpha
-jointly with their first two lam-derivatives, whose sources are
-`eval(lam, 1 or 2)`.  No frame node is ever repaired: `sym.sym_maps`
-refuses a frame whose surface matrices leave su(1,1) beyond REALITY_TOL.
+take values, (U, V) at one lam as entry planes (2, 2, ny, nx), and a grid.
+Frames solve F^{-1} dF = alpha jointly with their first two
+lam-derivatives, whose sources are `eval(lam, 1 or 2)`.  No frame node is
+ever repaired: `sym.sym_maps` refuses a frame whose surface matrices leave
+su(1,1) beyond REALITY_TOL.
 """
 from __future__ import annotations
 
@@ -34,11 +35,10 @@ def _connection(d):
     ew2, w_zb = d.ew2, np.conj(d.w_z)
     den = np.where(ew2 == 0, 1.0, ew2)  # 0 at a zero-filled, masked node
 
-    def loop(low, table):
-        return MatrixLoop(np.moveaxis(np.array(table), (0, 1), (-2, -1)), low)
-
-    return (loop(-1, [[d.B / den, -ew2], [0.25 * d.w_z, -0.25 * d.w_z]]),
-            loop(0, [[-0.25 * w_zb, 0.25 * w_zb], [ew2, -np.conj(d.B) / den]]))
+    return (MatrixLoop(np.array([[d.B / den, -ew2],
+                                 [0.25 * d.w_z, -0.25 * d.w_z]]), -1),
+            MatrixLoop(np.array([[-0.25 * w_zb, 0.25 * w_zb],
+                                 [ew2, -np.conj(d.B) / den]]), 0))
 
 
 def flatness_residual(connection, grid):
@@ -47,17 +47,16 @@ def flatness_residual(connection, grid):
 
     Minimal or not: the residual is how far the data are from flat."""
     U, V = connection
-    u, v = (np.moveaxis(M, (-2, -1), (0, 1)) for M in (U, V))
-    comm = np.moveaxis(mm2(u, v) - mm2(v, u), (0, 1), (-2, -1))
+    comm = mm2(U, V) - mm2(V, U)
     return np.max(np.abs(dz_field(V, grid) - dzbar_field(U, grid) + comm),
-                  axis=(-2, -1))
+                  axis=(0, 1))
 
 
 @dataclass
 class FrameField:
     """Frame and its first two parameter derivatives at one sampled lam."""
 
-    F: np.ndarray       # (ny, nx, 2, 2)
+    F: np.ndarray       # entry planes (2, 2, ny, nx)
     F_lam: np.ndarray
     F_lam2: np.ndarray
     lam: complex
@@ -87,7 +86,7 @@ def integrate_frame(parts, lam, grid, base_value, column_first=True):
     lam = complex(lam)
     derivatives = len(parts) > 1
     # alpha along y, i(U - V), and along x, U + V: (3 or 1, 2, 2, ny, nx)
-    alpha = [np.moveaxis(np.stack(a), (3, 4), (1, 2)) for a in
+    alpha = [np.stack(a) for a in
              ([1j * (U - V) for U, V in parts], [U + V for U, V in parts])]
 
     def rhs(Y, A):
@@ -128,35 +127,31 @@ def integrate_frame(parts, lam, grid, base_value, column_first=True):
                 k4 = rhs(y + h * k3, f[..., k + 1, :])
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 out[at(c + (k + 1 - k0) * dirs)] = y
-    out = np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (2, 3, 4)))
-    F_lam, F_lam2 = (out[:, :, k] if derivatives else None for k in (1, 2))
-    return FrameField(F=out[:, :, 0], F_lam=F_lam, F_lam2=F_lam2, lam=lam,
+    F_lam, F_lam2 = out[1:] if derivatives else (None, None)
+    return FrameField(F=out[0], F_lam=F_lam, F_lam2=F_lam2, lam=lam,
                       grid=grid)
 
 
 def frame_from_spinors(s):
     """Pointwise frame  (|psi1|^2-|psi2|^2)^{-1/2} [[psi1/sqrt(i), psi2/sqrt(i)],
-    [sqrt(i) conj(psi2), sqrt(i) conj(psi1)]];  exactly in SU(1,1).
-    Masked nodes are not checked, and their values are not to be read."""
+    [sqrt(i) conj(psi2), sqrt(i) conj(psi1)]], entry planes (2, 2, ny, nx);
+    exactly in SU(1,1).  Masked nodes are not checked, and their values are
+    not to be read."""
     norm2 = np.where(s.mask, np.abs(s.psi1) ** 2 - np.abs(s.psi2) ** 2, 1.0)
     if np.any(norm2 <= UPWARD_TOL):
         i, j = np.argwhere(norm2 <= UPWARD_TOL)[0]
         raise VerticalPointError(
             f"|psi1| <= |psi2| at node ({i}, {j}); no upward frame")
     nv = 1.0 / np.sqrt(norm2)
-    F = np.empty(s.grid.shape + (2, 2), dtype=complex)
-    F[..., 0, 0] = nv * s.psi1 / SQRT_I
-    F[..., 0, 1] = nv * s.psi2 / SQRT_I
-    F[..., 1, 0] = nv * np.conj(s.psi2) * SQRT_I
-    F[..., 1, 1] = nv * np.conj(s.psi1) * SQRT_I
-    return F
+    return np.array([[nv * s.psi1 / SQRT_I, nv * s.psi2 / SQRT_I],
+                     [nv * np.conj(s.psi2) * SQRT_I,
+                      nv * np.conj(s.psi1) * SQRT_I]])
 
 
 def frame_compatibility_residual(frame, connection):
     """|F^{-1} dz F - U| and |F^{-1} dzbar F - V| per node, maxed, for the
     connection's values (U, V) at frame.lam on frame.grid."""
-    Finv = inv2(np.moveaxis(frame.F, (-2, -1), (0, 1)))
-    return np.maximum(*(np.max(np.abs(
-        mm2(Finv, np.moveaxis(dF, (-2, -1), (0, 1)))
-        - np.moveaxis(W, (-2, -1), (0, 1))), axis=(0, 1))
-        for dF, W in zip(dz_pair(frame.F, frame.grid), connection)))
+    Finv = inv2(frame.F)
+    return np.maximum(*(np.max(np.abs(mm2(Finv, dF) - W), axis=(0, 1))
+                        for dF, W in zip(dz_pair(frame.F, frame.grid),
+                                         connection)))

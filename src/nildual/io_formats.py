@@ -165,15 +165,15 @@ def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
     """A frame cache: the payload, `path` with the suffix ".bin", then the
     JSON header `path` (schema, grid, lambdas, meta, the payload's size).
 
-    The payload holds, per sampled parameter value, F, F_lam and F_lam2 as
-    C-order little-endian complex128 of shape (ny, nx, 2, 2): every bit
-    survives, signed zeros and NaNs included.  Then come `mask`, the
-    exportable nodes (exclusion disks included), and `ok_mask`, the nodes
-    whose frames are trustworthy (factorization succeeded), which bounds
-    the extraction domain when the caches are reused: one byte per node."""
-    shape = grid.shape + (2, 2)
+    The payload holds, per sampled parameter value, F, F_lam and F_lam2,
+    entry planes (2, 2, ny, nx) in memory, as C-order little-endian
+    complex128 of the node-major shape (ny, nx, 2, 2): every bit survives,
+    signed zeros and NaNs included.  Then come `mask`, the exportable nodes
+    (exclusion disks included), and `ok_mask`, the nodes whose frames are
+    trustworthy (factorization succeeded), which bounds the extraction
+    domain when the caches are reused: one byte per node."""
     raw = b"".join(
-        [np.ascontiguousarray(M, dtype="<c16").reshape(shape).tobytes()
+        [np.moveaxis(np.asarray(M, "<c16"), (0, 1), (-2, -1)).tobytes()
          for fr in frames for M in (fr.F, fr.F_lam, fr.F_lam2)]
         + [np.asarray(m, dtype=bool).tobytes() for m in (mask, ok_mask)])
     Path(path).with_suffix(".bin").write_bytes(raw)
@@ -190,9 +190,10 @@ def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):
 
 def read_frame_cache(path):
     """(frames, grid, mask, ok_mask, meta) of a frame cache, every array a
-    read-only view of the one read of its payload.  A cache not in this
-    format, of another schema or with a payload of another size than its
-    header and grid call for, raises ConfigError."""
+    read-only view of the one read of its payload, the frames' as entry
+    planes (2, 2, ny, nx).  A cache not in this format, of another schema
+    or with a payload of another size than its header and grid call for,
+    raises ConfigError."""
     from .frames import FrameField
 
     payload = Path(path).with_suffix(".bin")
@@ -217,9 +218,10 @@ def read_frame_cache(path):
         mats = np.frombuffer(raw, dtype="<c16", count=count)
         mask, ok_mask = np.frombuffer(raw, dtype=bool, offset=mats.nbytes
                                       ).reshape((2,) + grid.shape)
+        planes = np.moveaxis(mats.reshape(
+            (len(lams), 3) + grid.shape + (2, 2)), (-2, -1), (2, 3))
         frames = [FrameField(F=F, F_lam=F1, F_lam2=F2, lam=lam, grid=grid)
-                  for (F, F1, F2), lam in zip(
-                      mats.reshape((len(lams), 3) + grid.shape + (2, 2)), lams)]
+                  for (F, F1, F2), lam in zip(planes, lams)]
         return frames, grid, mask, ok_mask, data.get("meta")
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             AttributeError) as exc:

@@ -1,15 +1,19 @@
 """2x2 complex matrices, the SU(1,1) structure check, and truncated
 matrix-valued Laurent polynomials in the spectral parameter.
 
+One layout holds every batch of 2x2 data: the matrix axes first, the batch
+axes last.  A stack of matrices is its entry planes (2, 2, ...), so a
+matrix field on a grid is (2, 2, ny, nx), and a loop stores (P, 2, ...).
 Every stacked 2x2 product, inverse and determinant goes through `mm2`,
-`inv2` and `det2`, closed forms on entry planes (2, 2, ...); a stack M of
-shape (..., 2, 2) passes as the view np.moveaxis(M, (-2, -1), (0, 1)).
+`inv2` and `det2`, closed forms on entry planes, and no caller moves an
+axis.  Only the read-only `MatrixLoop.coeffs` and the frame cache's bytes
+on disk keep the node-major order (..., 2, 2).
 
 Every loop is twisted.  The grading is stated here alone (`class_rows`):
 entry (r, c) of lam^j is allowed only when r + c + j is even, so each
 column holds one allowed entry per power, on the diagonal at even powers
 and off it at odd ones.  A loop stores those entries alone, an array
-(..., P, 2) for P consecutive powers whose leading axes are a batch; a
+(P, 2, ...) for P consecutive powers whose trailing axes are a batch; a
 forbidden entry has no slot, so there is nothing to check.  Dense 2x2
 values appear only where one is read: `MatrixLoop.eval`, `coeff` and the
 read-only `coeffs`.  A loop's lam derivatives have the other grading: they
@@ -55,12 +59,13 @@ def inv2(a):
 
 
 def su11_residual(M):
-    """Deviation of M from SU(1,1), max over three defining relations.
+    """Deviation of the entry planes M (2, 2, ...) from SU(1,1), max over
+    three defining relations.
 
     Checks M^dag sigma3 M = sigma3, det M = 1, and the reality form
     [[a, b], [conj(b), conj(a)]]; entrywise max-abs norms.
     """
-    m = np.moveaxis(np.asarray(M, dtype=complex), (-2, -1), (0, 1))
+    m = np.asarray(M, dtype=complex)
     # sigma3 M is M with its second row negated
     herm = (mm2(np.swapaxes(m, 0, 1).conj(), np.stack([m[0], -m[1]]))
             - SIGMA3.reshape((2, 2) + (1,) * (m.ndim - 2)))
@@ -83,7 +88,7 @@ def class_rows(classes, powers):
 class MatrixLoop:
     """Truncated twisted Laurent polynomial sum_j A_j lam^j, 2x2 coefficients.
 
-    entries[..., k, c] is column c's allowed entry of the coefficient of
+    entries[k, c, ...] is column c's allowed entry of the coefficient of
     lam^(low + k), in `class_rows`' row (c + low + k) % 2.
     """
 
@@ -95,7 +100,7 @@ class MatrixLoop:
 
     @property
     def high(self):
-        return self.low + self.entries.shape[-2] - 1
+        return self.low + len(self.entries) - 1
 
     @property
     def order(self):
@@ -103,40 +108,41 @@ class MatrixLoop:
 
     @property
     def batch_shape(self):
-        return self.entries.shape[:-2]
+        return self.entries.shape[2:]
 
     @property
     def rows(self):
         """Row of each entry, (P, 2)."""
-        return class_rows(1, self.low + np.arange(self.entries.shape[-2]))[0]
+        return class_rows(1, self.low + np.arange(len(self.entries)))[0]
 
     @property
     def coeffs(self):
-        """The coefficients (..., P, 2, 2), forbidden entries +0: a new
-        read-only array on each read."""
-        c = np.stack([self.coeff(j) for j in range(self.low, self.high + 1)],
-                     axis=-3)
+        """The coefficients (..., P, 2, 2), node-major, forbidden entries
+        +0: a read-only view of a new array on each read."""
+        c = np.moveaxis(np.stack([self.coeff(j) for j in
+                                  range(self.low, self.high + 1)]),
+                        (0, 1, 2), (-3, -2, -1))
         c.flags.writeable = False
         return c
 
     @classmethod
     def identity(cls, batch_shape=()):
-        return cls(np.ones(batch_shape + (1, 2), dtype=complex), 0)
+        return cls(np.ones((1, 2) + batch_shape, dtype=complex), 0)
 
     def coeff(self, j):
-        """Coefficient of lam^j, (..., 2, 2) (zeros outside the window)."""
-        out = np.zeros(self.batch_shape + (2, 2), dtype=complex)
+        """Coefficient of lam^j as entry planes (2, 2, ...) (zeros outside
+        the window)."""
+        out = np.zeros((2, 2) + self.batch_shape, dtype=complex)
         if self.low <= j <= self.high:
-            out[..., (j + np.arange(2)) % 2, [0, 1]] = (
-                self.entries[..., j - self.low, :])
+            out[(j + np.arange(2)) % 2, [0, 1]] = self.entries[j - self.low]
         return out
 
     def eval(self, lam, derivative=0):
         """Horner evaluation at lam on the unit circle, of the loop or of its
         first or second lam-derivative (from j A_j or j (j - 1) A_j, formed
-        one power at a time).
+        one power at a time), as entry planes (2, 2, ...).
 
-        The sum runs on entry planes (2, 2, ...), in place: power j's entries
+        The sum runs on those planes, in place: power j's entries
         go to the dense term of j's parity, whose forbidden entries are +0,
         and are scaled there.  A factor j - d below 1 signs those zeros, so
         they are reset after use: the bits are those of the sum of `coeff(j)`.
@@ -145,13 +151,11 @@ class MatrixLoop:
         if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"|lam| = {abs(lam):.6f} is off the unit circle")
         cols = np.arange(2)
-        # a view: each power's entries are copied into its term alone
-        e = np.moveaxis(self.entries, (-2, -1), (0, 1))
         out = np.zeros((2, 2) + self.batch_shape, dtype=complex)
         terms = np.zeros((2,) + out.shape, dtype=complex)
         for p in range(self.high, self.low - 1, -1):
             c = terms[p % 2]
-            c[(p + cols) % 2, cols] = e[p - self.low]
+            c[(p + cols) % 2, cols] = self.entries[p - self.low]
             for d in range(derivative):
                 c *= p - d
             out *= lam
@@ -160,7 +164,7 @@ class MatrixLoop:
                 c[(p + 1 + cols) % 2, cols] = 0.0
         if self.low != derivative:
             out *= lam ** (self.low - derivative)
-        return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+        return out
 
     def mul(self, other, lo=None, hi=None):
         """Cauchy product on the powers lo..hi (clipped to the product's,
@@ -176,7 +180,9 @@ class MatrixLoop:
         factor lacks adds no term.
         """
         batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        a, b = _planes(self.entries, batch), _planes(other.entries, batch)
+        # a factor of fewer batch axes gets unit ones, so that both broadcast
+        a, b = (np.expand_dims(L.entries, tuple(range(
+            2, 2 + len(batch) - len(L.batch_shape)))) for L in (self, other))
         Pa, Pb = len(a), len(b)
         low = self.low + other.low
         # kept output indices i0..i1; a[k] b[j] goes to output index k + j
@@ -192,25 +198,14 @@ class MatrixLoop:
                 # power j: a's columns in that order, or swapped
                 rows = a[k, ::1 - 2 * ((other.low + j) % 2)]
                 out[k + j - i0:k + stop - i0:2] += rows * b[j:stop:2]
-        return MatrixLoop(np.moveaxis(out, (0, 1), (-2, -1)), low + i0)
+        return MatrixLoop(out, low + i0)
 
     def adjoint_on_circle(self):
         """Loop whose circle values are the conjugate transposes of self's:
         column c of power -j is row c of power j."""
-        P = self.entries.shape[-2]
+        P = len(self.entries)
         return MatrixLoop(self.entries[
-            ..., np.arange(P)[::-1, None], self.rows[::-1]].conj(), -self.high)
-
-    def at_node(self, index):
-        """Single-node loop out of a batched one."""
-        return MatrixLoop(self.entries[index], self.low)
-
-
-def _planes(entries, batch):
-    """(..., P, 2) entries as contiguous planes (P, 2, *batch); powers before
-    nodes, so each multiply-add in `mul` is one block."""
-    e = np.broadcast_to(entries, batch + entries.shape[-2:])
-    return np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
+            np.arange(P)[::-1, None], self.rows[::-1]].conj(), -self.high)
 
 
 def plus_loop_inverse(L, order):
@@ -229,8 +224,8 @@ def plus_loop_inverse(L, order):
     if L.low != 0:
         raise ValueError("plus-loop inversion needs low == 0")
     batch = L.batch_shape
-    P = min(L.entries.shape[-2], order + 1)
-    b = _planes(L.entries[..., :P, :], batch)
+    P = min(len(L.entries), order + 1)
+    b = L.entries[:P]
     # `...` keeps an unbatched L's entries arrays: numpy's scalar complex
     # product rounds differently
     det = b[0, 0, ...] * b[0, 1, ...]
@@ -242,4 +237,4 @@ def plus_loop_inverse(L, order):
             acc += b[m, ::1 - 2 * ((k - m) % 2)] * out[k - m]
         # column c's entry is in row (c + k) % 2
         out[k] = -(out[0, ::1 - 2 * (k % 2)] * acc)
-    return MatrixLoop(np.moveaxis(out, (0, 1), (-2, -1)), 0)
+    return MatrixLoop(out, 0)

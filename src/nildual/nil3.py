@@ -3,9 +3,11 @@
 Points live in global coordinates (x1, x2, x3) which double as exponential
 coordinates of the left-invariant frame {e1, e2, e3}.  Complex grids use
 z = x + i*y; arrays are stored row-major over y then x, so node (i, j)
-sits at z = x0 + j*hx + 1j*(y0 + i*hy).  Grid derivatives of both orders
-come from one 4th-order stencil applier; the node masks the stencils leave
-and the interpolation weights of the frame march live here too.
+sits at z = x0 + j*hx + 1j*(y0 + i*hy).  A field's last two axes are the
+grid's, so a matrix field, entry planes (2, 2, ny, nx), is differentiated
+as a scalar one.  Grid derivatives of both orders come from one 4th-order
+stencil applier; the node masks the stencils leave and the interpolation
+weights of the frame march live here too.
 """
 from __future__ import annotations
 
@@ -111,9 +113,10 @@ _STENCILS = {
 
 
 def _deriv_axis(f, h, axis, order=1):
-    """The order-th derivative along `axis` at spacing h, 4th-order."""
+    """The order-th derivative along grid axis `axis` (0: y, 1: x, of a
+    field's last two) at spacing h, 4th-order."""
     centred, edges, far_sign = _STENCILS[order]
-    g = np.moveaxis(np.asarray(f), axis, 0)
+    g = np.moveaxis(np.asarray(f), axis - 2, 0)
     m = len(edges[0])
     if g.shape[0] < m:
         raise GridTooSmallError(f"axis too short for the 4th-order "
@@ -125,7 +128,7 @@ def _deriv_axis(f, h, axis, order=1):
         far = np.tensordot(row, g[-m:][::-1], axes=(0, 0))
         out[-1 - k] = -far if far_sign < 0 else far
     out /= h if order == 1 else h * h
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, 0, axis - 2)
 
 
 def dz_field(f, grid):
@@ -217,8 +220,9 @@ def conformality_residual(phi):
 
 
 def xi_nil_with_residual(v):
-    """Coordinates of v in the basis {E1, E2, E3} of su(1,1), as a point,
-    and the per-entry residual of v off their real span.
+    """Coordinates of the entry planes v (2, 2, ...) in the basis
+    {E1, E2, E3} of su(1,1), as points (..., 3), and the per-entry residual
+    of v off their real span.
 
     v = x1 E1 + x2 E2 + x3 E3 has entries v11 = -i x3/2,
     v12 = (i x1 - x2)/2, v21 = (-i x1 - x2)/2.  Exponential coordinates
@@ -226,16 +230,17 @@ def xi_nil_with_residual(v):
     exp(x1 e1 + x2 e2 + x3 e3).
     """
     v = np.asarray(v, dtype=complex)
-    x1 = -1j * (v[..., 0, 1] - v[..., 1, 0])
-    x2 = -(v[..., 0, 1] + v[..., 1, 0])
-    x3 = 2j * v[..., 0, 0]
+    # `...` keeps one matrix's entries arrays, as in `loops.det2`
+    x1 = -1j * (v[0, 1, ...] - v[1, 0, ...])
+    x2 = -(v[0, 1, ...] + v[1, 0, ...])
+    x3 = 2j * v[0, 0, ...]
     coords = np.stack([x1.real, x2.real, x3.real], axis=-1)
     back = np.zeros_like(v)
-    back[..., 0, 0] = -0.5j * coords[..., 2]
-    back[..., 1, 1] = 0.5j * coords[..., 2]
-    back[..., 0, 1] = 0.5 * (1j * coords[..., 0] - coords[..., 1])
-    back[..., 1, 0] = 0.5 * (-1j * coords[..., 0] - coords[..., 1])
-    residual = np.max(np.abs(v - back), axis=(-2, -1))
+    back[0, 0] = -0.5j * coords[..., 2]
+    back[1, 1] = 0.5j * coords[..., 2]
+    back[0, 1] = 0.5 * (1j * coords[..., 0] - coords[..., 1])
+    back[1, 0] = 0.5 * (-1j * coords[..., 0] - coords[..., 1])
+    residual = np.max(np.abs(v - back), axis=(0, 1))
     return coords, residual
 
 

@@ -323,9 +323,8 @@ def integrate_potential(xi, grid, order=DEFAULT_ORDER):
         acc /= n + 1
     # the allowed entries, one per power and column, summed at the nodes
     rows = class_rows(1, powers)[0]
-    return MatrixLoop(np.moveaxis(
-        _horner(A[:, rows, [0, 1], np.arange(P)[:, None]], grid.zz),
-        (0, 1), (-2, -1)), -N)
+    return MatrixLoop(
+        _horner(A[:, rows, [0, 1], np.arange(P)[:, None]], grid.zz), -N)
 
 
 def trim_to_tail(phi):
@@ -342,10 +341,10 @@ def trim_to_tail(phi):
     trimmed loop is bit-equal to Phi computed at order n.
     """
     N = phi.order
-    finite = np.isfinite(phi.entries).all(axis=(-2, -1))
+    finite = np.isfinite(phi.entries).all(axis=(0, 1))
     if not finite.any():
         return phi, N, np.nan
-    size = np.max(np.abs(phi.entries), axis=-1)[finite].max(axis=0)
+    size = np.max(np.abs(phi.entries), axis=1)[:, finite].max(axis=1)
     k = np.arange(N + 1)
     side = size[N - k]
     if phi.high > 0:
@@ -360,7 +359,7 @@ def trim_to_tail(phi):
     above = np.flatnonzero(~(tail[1:] <= TAIL_MAX))
     n = 1 if above.size == 0 else int(above[-1]) + 2
     keep = slice(N - n, N + (n if phi.high > 0 else 0) + 1)
-    trimmed = MatrixLoop(phi.entries[..., keep, :].copy(), -n)
+    trimmed = MatrixLoop(phi.entries[keep].copy(), -n)
     return trimmed, n, float(tail[n])
 
 
@@ -392,28 +391,28 @@ def iwasawa(phi):
     per node, so the blocks bound the working set without changing a bit.
     """
     batch = phi.batch_shape
-    flat = phi.entries.reshape((-1,) + phi.entries.shape[-2:])
-    n = flat.shape[0]
+    flat = phi.entries.reshape(phi.entries.shape[:2] + (-1,))
+    n = flat.shape[-1]
     # a Phi whose positive powers are all zero, a zero-padded one too, is a
     # minus-loop: decided once, so that every block sums B+^{-1} alike
-    minus = phi.high <= 0 or not flat[:, -phi.high:].any()
+    minus = phi.high <= 0 or not flat[-phi.high:].any()
     outs = None
     for start in range(0, n, BLOCK):
         F, Bp, pivot, failed = _factorize(
-            MatrixLoop(flat[start:start + BLOCK], phi.low), minus)
+            MatrixLoop(flat[..., start:start + BLOCK], phi.low), minus)
         if outs is None:
-            outs = [np.empty((n,) + a.shape[1:], a.dtype)
+            outs = [np.empty(a.shape[:-1] + (n,), a.dtype)
                     for a in (F.entries, Bp.entries, pivot, failed)]
         for o, a in zip(outs, (F.entries, Bp.entries, pivot, failed)):
-            o[start:start + BLOCK] = a
-    f, bp, pivot, failed = (o.reshape(batch + o.shape[1:]) for o in outs)
+            o[..., start:start + BLOCK] = a
+    f, bp, pivot, failed = (o.reshape(o.shape[:-1] + batch) for o in outs)
     return (MatrixLoop(f, F.low), MatrixLoop(bp, 0),
             BigCellReport(pivot=pivot, failed=failed))
 
 
 def _factorize(phi, minus):
-    """iwasawa on one block of nodes: (F, B+, pivot, failed); `minus` is
-    True when Phi has no nonzero positive power."""
+    """iwasawa on one block of nodes, Phi's one batch axis: (F, B+, pivot,
+    failed); `minus` is True when Phi has no nonzero positive power."""
     N = phi.order
     batch = phi.batch_shape
 
@@ -421,8 +420,8 @@ def _factorize(phi, minus):
     # odd powers', negated.  Z on its powers 0..Z.high alone: on the circle
     # sigma3 Z is Hermitian, so its power -k is the adjoint of its power k
     left = phi.adjoint_on_circle()
-    odd = (left.low + np.arange(left.entries.shape[-2])) % 2
-    Z = MatrixLoop(left.entries * (1.0 - 2.0 * odd)[:, None],
+    odd = (left.low + np.arange(len(left.entries))) % 2
+    Z = MatrixLoop(left.entries * (1.0 - 2.0 * odd)[:, None, None],
                    left.low).mul(phi, 0)
     # the system size M: Z's top power, rounded up to even for the class
     # pairing; N (or N + 1) for a minus-loop Phi, 2N with positive powers.
@@ -432,21 +431,22 @@ def _factorize(phi, minus):
     # power below -N
     top = Z.high
     M = top + top % 2
-    half = MatrixLoop(Z.entries * (1.0 - 2.0 * Z.rows), 0)   # sigma3 Z
+    # sigma3 Z
+    half = MatrixLoop(Z.entries * (1.0 - 2.0 * Z.rows)[..., None], 0)
 
     # block-Toeplitz system sum_m W_{-m} Z_{m-e} = -Z_{-e}, e = 1..M, rows
     # weighted by sigma3: H[(m,r),(e,c)] = (sigma3 Z_{m-e})[r, c] is
     # Hermitian because sigma3 Z is on the circle; R[(m,r), c] = -Z_{-m}[c, r].
     # It is solved as H^T (sigma3 W^T) = R, so row block m of the solution
-    # is sigma3 W_{-m}^T.  The table of sigma3 Z's entries, node axis last,
-    # at index (power + M) * 2 + column: powers -top..-1 from the half's
-    # adjoint, 0..top from the half, written last, zero beyond them
+    # is sigma3 W_{-m}^T.  The table of sigma3 Z's entries at index
+    # (power + M) * 2 + column: powers -top..-1 from the half's adjoint,
+    # 0..top from the half, written last, zero beyond them
     planes = np.zeros((2 * (2 * M + 1),) + batch, dtype=complex)
     for loop in (half.adjoint_on_circle(), half):
-        e = np.moveaxis(loop.entries, (-2, -1), (0, 1))
+        e = loop.entries.reshape((-1,) + batch)
         lo = (loop.low + M) * 2
-        planes[lo:lo + e.shape[0] * 2] = e.reshape((-1,) + batch)
-    nonfinite = ~np.isfinite(Z.entries).all(axis=(-2, -1))
+        planes[lo:lo + len(e)] = e
+    nonfinite = ~np.isfinite(Z.entries).all(axis=(0, 1))
     # unknown (m,r) of a twisted W_{-m} is nonzero in the one row the grading
     # allows, which is its right-hand column: two half-size systems, one
     # column each, and every entry they read is one Z allows
@@ -473,9 +473,9 @@ def _factorize(phi, minus):
     sol[:, failed] = 0.0
     # column r of W_{-m} is row r of sigma3 W_{-m}^T, negated for r = 1;
     # W_0 = I
-    w = np.moveaxis(sol.reshape((M, 2) + batch), (0, 1), (-2, -1))
-    W = MatrixLoop(np.concatenate([w[..., ::-1, :] * [1.0, -1.0],
-                                   np.ones(batch + (1, 2))], axis=-2), -M)
+    w = sol.reshape((M, 2) + batch)
+    W = MatrixLoop(np.concatenate([w[::-1] * np.array([1.0, -1.0])[:, None],
+                                   np.ones((1, 2) + batch)]), -M)
 
     # the solve leaves the negative powers free, and W Z on 0..2N reads no
     # negative power of Z
@@ -483,19 +483,19 @@ def _factorize(phi, minus):
 
     # Zp_0 is diagonal; failed nodes get B+ = I below, so keep them out of
     # the positivity test
-    z0 = np.where(failed[..., None], 1.0, Zp.entries[..., 0, :])
-    bad_r1 = (z0[..., 0].real <= 0) | (
-        np.abs(z0[..., 0].imag) > 1e-6 * np.abs(z0[..., 0].real) + 1e-12)
-    r1 = np.sqrt(np.where(bad_r1, 1.0, z0[..., 0].real))
-    bad_r2 = z0[..., 1].real <= 0
-    r2 = np.sqrt(np.where(bad_r2, 1.0, z0[..., 1].real))
+    z0 = np.where(failed, 1.0, Zp.entries[0])
+    bad_r1 = (z0[0].real <= 0) | (
+        np.abs(z0[0].imag) > 1e-6 * np.abs(z0[0].real) + 1e-12)
+    r1 = np.sqrt(np.where(bad_r1, 1.0, z0[0].real))
+    bad_r2 = z0[1].real <= 0
+    r2 = np.sqrt(np.where(bad_r2, 1.0, z0[1].real))
     failed = failed | bad_r1 | bad_r2
 
     # B+ = C^{-1} Zp with C^{-1} = diag(1 / r1, 1 / r2): each entry scaled at
     # its row
-    bp = Zp.entries * np.stack([1.0 / r1, 1.0 / r2], axis=-1)[..., Zp.rows]
-    bp[failed] = 0.0
-    bp[failed, 0] = 1.0
+    bp = Zp.entries * np.stack([1.0 / r1, 1.0 / r2])[Zp.rows]
+    bp[..., failed] = 0.0
+    bp[0, :, failed] = 1.0
     Bp = MatrixLoop(bp, 0)
 
     # B+^{-1} by its power series: to N for a minus-loop, where it has no
@@ -582,16 +582,17 @@ def iwasawa_residuals(phi, F, Bp, mask=None):
     lam = _circle_samples(8)[:, None]
     loops = []
     for L in (phi, F, Bp):
-        p = L.low + np.arange(L.entries.shape[-2])
+        p = L.low + np.arange(len(L.entries))
         table = np.where(p % 2 == np.arange(2)[:, None, None], lam ** p, 0.0)
-        loops.append((table[:, None], L.entries.reshape(-1, len(p), 2)))
+        loops.append((table[:, None], L.entries.reshape(len(p), 2, -1)))
     parity = np.array([[0, 1], [1, 0]])   # r + c, the table of entry (r, c)
     rows = np.array([1.0, -1.0])[:, None, None, None]   # sigma3 from the left
     recon = reality = 0.0
     for start in range(0, keep.size, BLOCK):
         part = np.flatnonzero(keep[start:start + BLOCK]) + start
-        pv, fv, bv = (np.matmul(table, e[part].T)[parity, [0, 1]]
-                      for table, e in loops)
+        # one (8, P) by (P, nodes) product per column
+        pv, fv, bv = (np.matmul(table, e[..., part].swapaxes(0, 1))[
+            parity, [0, 1]] for table, e in loops)
         herm = mm2(np.swapaxes(fv, 0, 1).conj(), rows * fv)
         recon = max(recon, float(np.max(np.abs(pv - mm2(fv, bv)),
                                         initial=0.0)))
@@ -633,7 +634,7 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     chosen so its (1,2) entry lands on the negative imaginary axis (the
     Dirac-potential slot -e^{w/2} with e^{w/2} in i R_+).
     """
-    b0 = np.moveaxis(Bp.coeff(0), (-2, -1), (0, 1))
+    b0 = Bp.coeff(0)
     xi_m1 = xi.eval_grid(grid.zz, -1)
     slot = mm2(mm2(b0, xi_m1), inv2(b0))[0, 1]
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
@@ -642,11 +643,11 @@ def _dirac_gauge(xi, grid, F, Bp, mask):
     # the diagonal of k: F k scales each entry at its column, conj(k) B+ at
     # its row, one power parity at a time.  Each product keeps its operand
     # order: numpy's complex multiply is not bitwise commutative
-    k = np.stack([phase, np.conj(phase)], axis=-1)
-    np.multiply(F.entries, k[..., None, :], out=F.entries)
+    k = np.stack([phase, np.conj(phase)])
+    np.multiply(F.entries, k, out=F.entries)
     for p, rows in enumerate(Bp.rows[:2]):
-        e = Bp.entries[..., p::2, :]
-        np.multiply(np.conj(k)[..., None, rows], e, out=e)
+        e = Bp.entries[p::2]
+        np.multiply(np.conj(k)[rows], e, out=e)
     return mask & ~degenerate
 
 
@@ -687,8 +688,8 @@ def dpw_pipeline(xi, grid, lam_samples=(1.0 + 0.0j,), order=DEFAULT_ORDER,
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
 
     # SPINOR_GAUGE F, in place: each entry scaled at its row
-    floop = MatrixLoop(np.multiply(np.diag(SPINOR_GAUGE)[F.rows], F.entries,
-                                   out=F.entries), F.low)
+    gauge = np.diag(SPINOR_GAUGE)[F.rows][..., None, None]
+    floop = MatrixLoop(np.multiply(gauge, F.entries, out=F.entries), F.low)
     # the frame evaluation below sets the pipeline's peak memory: keep only
     # the loop it reads
     del phi, F, Bp

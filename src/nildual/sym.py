@@ -35,7 +35,7 @@ class SymOutput:
 
     f_minus: SurfaceGrid
     f_plus: SurfaceGrid
-    n_m: np.ndarray            # (ny, nx, 2, 2)
+    n_m: np.ndarray            # entry planes (2, 2, ny, nx)
     frame: object              # the FrameField the surfaces are read off
     ok_mask: np.ndarray        # nodes whose frame is used; I elsewhere
     reality_residual: float    # worst su(1,1)-reality defect of the output
@@ -57,11 +57,10 @@ def sym_maps(frame, mask=None):
     grid = frame.grid
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
-    live = mask[..., None, None]
-    # entry planes (2, 2, ny, nx) of F, F_lam and F_lam2
-    F, F1, F2 = (np.moveaxis(np.where(live, M, fill), (-2, -1), (0, 1))
-                 for M, fill in ((frame.F, np.eye(2, dtype=complex)),
-                                 (frame.F_lam, 0.0), (frame.F_lam2, 0.0)))
+    eye = np.eye(2, dtype=complex)[:, :, None, None]
+    F, F1, F2 = (np.where(mask, M, fill)
+                 for M, fill in ((frame.F, eye), (frame.F_lam, 0.0),
+                                 (frame.F_lam2, 0.0)))
     Finv = inv2(F)
     s3 = np.array([1.0, -1.0])[:, None, None]   # M sigma3 = M * s3
     A = mm2(F1, Finv)                  # (d_lam F) F^{-1}
@@ -79,7 +78,7 @@ def sym_maps(frame, mask=None):
         dm = dbase + sgn * dN
         hat = m.copy()                 # m^o - (i/2) lam (d_lam m)^d
         hat[0, 0], hat[1, 1] = -0.5j * lam * dm[0, 0], -0.5j * lam * dm[1, 1]
-        out[sgn] = xi_nil_with_residual(np.moveaxis(hat, (0, 1), (-2, -1)))
+        out[sgn] = xi_nil_with_residual(hat)
 
     defect = np.where(mask, np.maximum(out[+1][1], out[-1][1]), 0.0)
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
@@ -91,8 +90,7 @@ def sym_maps(frame, mask=None):
 
     f_minus = SurfaceGrid(out[-1][0], grid, lam=lam, mask=mask)
     f_plus = SurfaceGrid(out[+1][0], grid, lam=lam, mask=mask)
-    return SymOutput(f_minus=f_minus, f_plus=f_plus,
-                     n_m=np.moveaxis(N, (0, 1), (-2, -1)), frame=frame,
+    return SymOutput(f_minus=f_minus, f_plus=f_plus, n_m=N, frame=frame,
                      ok_mask=mask, reality_residual=worst)
 
 
@@ -186,6 +184,10 @@ def mc_equivalent(f, g, allow_reflection=False):
         raise ValueError("surfaces must share a grid")
     grid = f.grid
     sv = stencil_valid(f.mask & g.mask)
+    if not sv.any():
+        raise NilDualError("no node whose stencils read kept nodes alone: "
+                           "the masks leave the rigid-motion fit nothing "
+                           "to compare")
     pf = left_maurer_cartan(f).phi
     pg = left_maurer_cartan(g).phi
     kinds = ["rotation"]

@@ -140,7 +140,8 @@ class VerificationReport:
         }
 
 
-W4_CUT = np.s_[W4:-W4, W4:-W4]  # the sub-grid a sheet's frames are marched on
+# the sub-grid a sheet's frames are marched on, of a field or entry planes
+W4_CUT = np.s_[..., W4:-W4, W4:-W4]
 
 
 @dataclass
@@ -217,7 +218,7 @@ def sheet_checks(rep, a, valid, tols, tag=None):
     cancels, or the involution, which applies the sign twice.
     """
     s, d = a.spinors, a.dirac
-    tag = tag or _lam_tag(s.lam)
+    tag = tag or lam_tag(s.lam)
     live4 = centred_interior(valid, W4)
     live6 = centred_interior(valid, W6)
     rep.add(f"dirac_consistency[{tag}]", d.consistency,
@@ -299,7 +300,7 @@ def verify_sheets(rep, sheets, reference, self_dual, tols):
             a1 = a
         valid = sym.f_minus.mask
         pair = sheet_checks(rep, a, valid, tols)
-        tag = _lam_tag(sym.lam)
+        tag = lam_tag(sym.lam)
         live1 = centred_interior(valid, W1)
 
         res, e_u = conformality_residual(left_maurer_cartan(sym.f_minus))
@@ -316,8 +317,8 @@ def verify_sheets(rep, sheets, reference, self_dual, tols):
         rep.add(f"normal_agreement[{tag}]",
                 np.abs(gauss_from_normal_field(sym.n_m) - a.gauss),
                 tols["normal_agreement"], live1)
-        det = np.abs(det2(np.moveaxis(sym.n_m, (-2, -1), (0, 1))) - 0.25)
-        tr = np.abs(np.trace(sym.n_m, axis1=-2, axis2=-1))
+        det = np.abs(det2(sym.n_m) - 0.25)
+        tr = np.abs(np.trace(sym.n_m))
         rep.add(f"n_m_structure[{tag}]", np.maximum(det, tr),
                 tols["n_m_structure"], valid)
         if pair is not None and not pair.has_branch_cut:
@@ -329,21 +330,21 @@ def verify_sheets(rep, sheets, reference, self_dual, tols):
         for sym in sheets:
             # the frame at every lam satisfies the connection built from the
             # lam-independent data (w, B) read off at lam = 1
-            rep.add(f"frame_compat[{_lam_tag(sym.lam)}]",
+            rep.add(f"frame_compat[{lam_tag(sym.lam)}]",
                     frame_compatibility_residual(
                         sym.frame, a1.connection_at(sym.lam)),
                     tols["frame_compat"],
                     centred_interior(sym.f_minus.mask, W6))
-        integ = a1.frame(1.0, reference[a1.dirac.grid.centre],
+        integ = a1.frame(1.0, reference[(...,) + a1.dirac.grid.centre],
                          derivatives=False)
-        diff = np.max(np.abs(integ.F - reference[W4_CUT]), axis=(-2, -1))
-        rep.add(f"cross_pipeline[{_lam_tag(1.0)}]", diff,
+        diff = np.max(np.abs(integ.F - reference[W4_CUT]), axis=(0, 1))
+        rep.add(f"cross_pipeline[{lam_tag(1.0)}]", diff,
                 tols["cross_pipeline"])
 
     if self_dual:
         for sym in sheets:
             fit = mc_equivalent(sym.f_minus, sym.f_plus, allow_reflection=True)
-            rep.add_scalar(f"self_duality_mc[{_lam_tag(sym.lam)}]",
+            rep.add_scalar(f"self_duality_mc[{lam_tag(sym.lam)}]",
                            fit.residual, tols["self_duality_mc"],
                            note=fit.kind)
         sym, a = first
@@ -367,7 +368,9 @@ def verify_sheets(rep, sheets, reference, self_dual, tols):
     return rep
 
 
-def _lam_tag(lam):
+def lam_tag(lam):
+    """The tag of lam in the names of its sheet's rows: two values with one
+    tag would repeat row names, so a lambda list may not hold them."""
     ang = np.angle(complex(lam))
     return f"lam{ang / np.pi:+.3f}pi"
 

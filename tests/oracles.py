@@ -4,7 +4,9 @@ The hyperbolic-paraboloid family admits explicit formulas for the surface,
 its frame, spinors, and invariants; everything here was derived by hand
 from those formulas and is frozen for comparison against the numerics.
 `nil3_mul` and `nil3_inv` are the reference group law of Nil3, which the
-tests use to move surfaces by left translations.  `loop_from_dense` builds
+tests use to move surfaces by left translations.  `stack` and `planes` turn
+nildual's entry planes (2, 2, ...) into the node-major stacks (..., 2, 2)
+that numpy's matrix functions read, and back.  `loop_from_dense` builds
 a loop from dense coefficients, whose forbidden entries must be exactly
 zero, and `reference_loop_eval` sums a loop's dense coefficients by
 Horner's rule, the reference `MatrixLoop.eval` reproduces bit for bit.
@@ -45,6 +47,17 @@ from nildual.potentials import SPINOR_GAUGE, _rcond, integrate_potential
 SQRT_I = np.exp(1j * np.pi / 4)
 
 
+def stack(planes):
+    """Entry planes (2, 2, ...) as the node-major stack (..., 2, 2) that
+    numpy's matrix functions read: a view."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+def planes(stack):
+    """A node-major stack (..., 2, 2) as entry planes (2, 2, ...): a view."""
+    return np.moveaxis(stack, (-2, -1), (0, 1))
+
+
 def loop_from_dense(coeffs, low):
     """The loop of dense coefficients (..., P, 2, 2) of the powers low,
     low + 1, ...: asserts that every entry the twisted grading forbids is
@@ -53,7 +66,7 @@ def loop_from_dense(coeffs, low):
     k = np.arange(c.shape[-3])[:, None]
     rows = class_rows(2, low + k[:, 0])
     assert not c[..., k, rows[1], [0, 1]].any(), "a forbidden entry is not 0"
-    return MatrixLoop(c[..., k, rows[0], [0, 1]], low)
+    return MatrixLoop(planes(c[..., k, rows[0], [0, 1]]), low)
 
 
 def reference_loop_eval(L, lam, derivative=0):
@@ -61,7 +74,7 @@ def reference_loop_eval(L, lam, derivative=0):
     (`coeff(j)`, forbidden entries +0) is a new array, scaled by j - d one
     factor at a time, and the sum a new array at every step."""
     lam = complex(lam)
-    out = np.zeros(L.batch_shape + (2, 2), dtype=complex)
+    out = np.zeros((2, 2) + L.batch_shape, dtype=complex)
     for p in range(L.high, L.low - 1, -1):
         c = L.coeff(p)
         for d in range(derivative):
@@ -107,17 +120,17 @@ def paraboloid_surface(grid, lam=1.0 + 0.0j):
 
 
 def paraboloid_frame(z, lam=1.0 + 0.0j):
-    """Closed-form extended frame at the point z, entries (..., 2, 2)."""
+    """Closed-form extended frame at the point z, entry planes (2, 2, ...)."""
     z = np.asarray(z, dtype=complex)
     p = -0.25j * z / lam
     ps = 0.25j * lam * np.conj(z)
     c = np.cosh(p + ps)
     s = np.sinh(p + ps)
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c / SQRT_I
-    out[..., 0, 1] = s / SQRT_I
-    out[..., 1, 0] = s * SQRT_I
-    out[..., 1, 1] = c * SQRT_I
+    out = np.empty((2, 2) + z.shape, dtype=complex)
+    out[0, 0] = c / SQRT_I
+    out[0, 1] = s / SQRT_I
+    out[1, 0] = s * SQRT_I
+    out[1, 1] = c * SQRT_I
     return out
 
 
@@ -278,10 +291,11 @@ def recentred_phi(xi, grid, z1, order=12):
     function of lam: Phi(z1) Phi~(z - z1), where Phi~ is the series of
     xi(. + z1) and Phi(z1) is read off a 5x5 grid whose first node is z1."""
     near = DomainGrid(z1.real, z1.real + 0.04, z1.imag, z1.imag + 0.04, 5, 5)
-    at_z1 = integrate_potential(xi, near, order=order).at_node((0, 0))
+    phi = integrate_potential(xi, near, order=order)
+    at_z1 = MatrixLoop(phi.entries[..., 0, 0], phi.low)
     tilde = integrate_potential(shifted_potential(xi, z1),
                                 shifted_grid(grid, z1), order=order)
-    return lambda lam: at_z1.eval(lam) @ tilde.eval(lam)
+    return lambda lam: planes(at_z1.eval(lam) @ stack(tilde.eval(lam)))
 
 
 def _cmul(a, b):
@@ -364,7 +378,8 @@ def reference_integrate_frame(d, lam, base_value=None, column_first=True):
     """
     lam = complex(lam)
     grid = d.grid
-    (U, V), (U1, V1), (U2, V2) = ([L.eval(lam, k) for L in _connection(d)]
+    (U, V), (U1, V1), (U2, V2) = ([stack(L.eval(lam, k))
+                                   for L in _connection(d)]
                                   for k in range(3))
     # alpha and its lam-derivatives at the nodes, (ny, nx, 3, 2, 2)
     alpha_y = np.stack([1j * (U - V), 1j * (U1 - V1), 1j * (U2 - V2)], axis=2)
@@ -416,7 +431,7 @@ def reference_integrate_frame(d, lam, base_value=None, column_first=True):
         row = both_ways(Y0, alpha_x[i0], j0, grid.hx)
         for j in range(grid.nx):
             out[:, j] = both_ways(row[j], alpha_y[:, j], i0, grid.hy)
-    return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
+    return tuple(planes(out[..., k, :, :]) for k in range(3))
 
 
 def connection_at(d, lam):
@@ -572,7 +587,8 @@ def factorization_classes(phi):
     H = np.zeros(phi.batch_shape + (2 * M, 2 * M), dtype=complex)
     for m in range(1, M + 1):
         for e in range(1, M + 1):
-            H[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = Y.coeff(m - e)
+            H[..., 2 * (m - 1):2 * m, 2 * (e - 1):2 * e] = stack(
+                Y.coeff(m - e))
     m = np.arange(1, M + 1)
     return [H[..., rows[:, None], rows]
             for rows in (2 * (m - 1) + (p + m) % 2 for p in (0, 1))]
@@ -596,8 +612,9 @@ def factorization_solution(phi):
     for e in range(1, M + 1):
         for m in range(1, M + 1):
             A[..., 2 * (e - 1):2 * e, 2 * (m - 1):2 * m] = np.swapaxes(
-                Z.coeff(m - e), -1, -2)
-        rhs[..., 2 * (e - 1):2 * e, :] = -np.swapaxes(Z.coeff(-e), -1, -2)
+                stack(Z.coeff(m - e)), -1, -2)
+        rhs[..., 2 * (e - 1):2 * e, :] = -np.swapaxes(
+            stack(Z.coeff(-e)), -1, -2)
     u = np.linalg.solve(A, rhs).reshape(phi.batch_shape + (M, 2, 2))
     W = np.empty(phi.batch_shape + (M + 1, 2, 2), dtype=complex)
     W[..., :M, :, :] = np.swapaxes(u, -1, -2)[..., ::-1, :, :]
@@ -749,13 +766,14 @@ def reference_write_obj(path, surface):
 def reference_gauges(xi, grid, F, Bp):
     """The Dirac gauge of F and B+ and the spinor gauge of the gauged F, each
     product formed into a new array: (frame loop, gauged B+)."""
-    b0 = np.moveaxis(Bp.coeff(0), (-2, -1), (0, 1))
+    b0 = Bp.coeff(0)
     slot = mm2(mm2(b0, xi.eval_grid(grid.zz, -1)), inv2(b0))[0, 1]
     degenerate = np.abs(slot) < 1e-12 * np.max(np.abs(slot))
     theta = 0.5 * (np.angle(np.where(degenerate, 1.0, slot)) + 0.5 * np.pi)
     phase = np.exp(1j * theta)
-    k = np.stack([phase, np.conj(phase)], axis=-1)
-    F2 = MatrixLoop(F.entries * k[..., None, :], F.low)
-    Bp2 = MatrixLoop(np.conj(k)[..., Bp.rows] * Bp.entries, Bp.low)
-    floop = MatrixLoop(np.diag(SPINOR_GAUGE)[F2.rows] * F2.entries, F2.low)
+    k = np.stack([phase, np.conj(phase)])
+    F2 = MatrixLoop(F.entries * k, F.low)
+    Bp2 = MatrixLoop(np.conj(k)[Bp.rows] * Bp.entries, Bp.low)
+    floop = MatrixLoop(np.diag(SPINOR_GAUGE)[F2.rows][..., None, None]
+                       * F2.entries, F2.low)
     return floop, Bp2

@@ -61,8 +61,10 @@ from .oracles import (
     paraboloid_frame,
     paraboloid_spinors,
     paraboloid_surface,
+    planes,
     recentred_phi,
     reference_integrate_frame,
+    stack,
 )
 
 LAM2 = np.exp(1j * np.pi / 3)
@@ -320,7 +322,7 @@ def test_criterion_8_iwasawa(pb41, helicoid, smyth_runs):
     F, Bp, rep_bc = iwasawa(phi)
     gauge_err = 0.0
     for lam in (1.0, LAM2):
-        got = SPINOR_GAUGE @ F.eval(lam)
+        got = planes(SPINOR_GAUGE @ stack(F.eval(lam)))
         gauge_err = max(gauge_err, float(np.max(np.abs(
             got - paraboloid_frame(g.zz, lam)))))
     ok_b = report(8, "paraboloid frame matches closed form (mod gauge)",

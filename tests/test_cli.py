@@ -340,7 +340,7 @@ def test_spinor_generate_integrates_each_frame_once(tmp_path, monkeypatch):
     # the march of the connection cut there is bit for bit the line-by-line
     # march of the cut Dirac data
     d = oracles.cut_dirac(dirac_data(s), W4)
-    base = frame_from_spinors(s)[g.centre]
+    base = frame_from_spinors(s)[(...,) + g.centre]
     for fr, lam in zip(frames, parse_lambda_list("1,exp:pi/3")):
         assert fr.grid == d.grid
         assert fr.lam == lam
@@ -391,13 +391,13 @@ def test_spinor_family_is_normalized_at_the_grid_centre(tmp_path):
                 "--out", str(tmp_path / "s")]) == 0
     (run_dir,) = (tmp_path / "s").iterdir()
     s = nildual.cli._read_spinors(prefix)
-    base = frame_from_spinors(s)[s.grid.centre]
+    base = frame_from_spinors(s)[(...,) + s.grid.centre]
     frames = read_frame_cache(run_dir / "frames.json")[0]
     i, j = frames[1].grid.centre
     assert frames[1].lam == parse_lambda("exp:pi/3")
-    assert np.array_equal(frames[1].F[i, j], base)
-    assert not np.any(frames[1].F_lam[i, j])
-    assert not np.any(frames[1].F_lam2[i, j])
+    assert np.array_equal(frames[1].F[..., i, j], base)
+    assert not np.any(frames[1].F_lam[..., i, j])
+    assert not np.any(frames[1].F_lam2[..., i, j])
     cut = np.s_[W4:-W4, W4:-W4]
     given = nildual.cli.cached_sheets(given_dir)
     rebuilt = nildual.cli.cached_sheets(run_dir)
@@ -720,7 +720,8 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     passed through `payload` (None: no payload file)."""
     from nildual.frames import FrameField
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), grid.shape + (2, 2))
+    eye = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None],
+                          (2, 2) + grid.shape)
     frame = FrameField(F=eye, F_lam=0 * eye, F_lam2=0 * eye, lam=1 + 0j,
                        grid=grid)
     every = np.ones(grid.shape, dtype=bool)
@@ -867,6 +868,27 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     (lambda tmp: _edited_potential(tmp, lambda terms: [
         {**terms[0], "entries": [[], [], [], []]}]),
      "the entries of the term of power -1 must be (deg+1, 2, 2)"),
+    # an exclusion disk that leaves only corner nodes, none of whose
+    # stencils reads kept nodes alone: no self-duality fit (verify) and no
+    # dual fit (dual) has a node to compare on
+    *[(lambda tmp, command=command: [
+        command, "--example", "paraboloid", "--grid=-1,1,-1,1,41,41",
+        "--exclude-disk", "1.3", "--out", str(tmp / "o")],
+       "no node whose stencils read kept nodes alone")
+      for command in ("verify", "dual")],
+    # two lambdas of one report tag would repeat the rows' names
+    (lambda tmp: ["verify", "--example", "paraboloid", "--lambda",
+                  "1,exp:0.0001", "--out", str(tmp / "o")],
+     "lambdas '1' and 'exp:0.0001' share the report tag lam+0.000pi"),
+    (lambda tmp: ["generate", "--example", "paraboloid", *SMALL, "--lambda",
+                  "exp:pi/3,1,1", "--out", str(tmp / "o")],
+     "lambdas '1' and '1' share the report tag lam+0.000pi"),
+    # flags the spinor pipeline would ignore, though the run hash reads them
+    (lambda tmp: _generate(tmp, "--spinors", str(tmp / "in"), *SMALL),
+     "--grid does not apply to --spinors"),
+    (lambda tmp: ["verify", "--spinors", str(tmp / "in"), "--exclude-disk",
+                  "0.5", "--out", str(tmp / "o")],
+     "--exclude-disk does not apply to --spinors"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
@@ -883,7 +905,9 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
         "potential-forbidden-untwisted-flag", "potential-forbidden-no-flag",
         "potential-overflow", "potential-1e10i", "potential-5-entries",
         "potential-3-entries", "potential-fractional-power",
-        "potential-repeated-power", "potential-no-coefficient"])
+        "potential-repeated-power", "potential-no-coefficient",
+        "verify-empty-fit", "dual-empty-fit", "lambda-same-tag",
+        "lambda-repeated", "spinors-grid", "spinors-exclude-disk"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
@@ -895,11 +919,62 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
     assert not (tmp_path / "o").exists()
 
 
+def test_frame_cache_payload_is_node_major(tmp_path):
+    # frames are entry planes (2, 2, ny, nx) in memory and node-major
+    # (ny, nx, 2, 2) C-order complex128 on disk: an entry of its own per
+    # (r, c, node) pins the order, and the planes read back are the input
+    from nildual.frames import FrameField
+    grid = DomainGrid(-1.0, 1.0, -0.5, 0.5, 7, 5)
+    r, c, i, j = np.indices((2, 2) + grid.shape)
+    F = 1000.0 * i + 10.0 * j + 2.0 * r + c + 1j * (r - c)
+    frame = FrameField(F=F, F_lam=2.0 * F, F_lam2=3.0 * F, lam=1j,
+                       grid=grid)
+    every = np.ones(grid.shape, dtype=bool)
+    path = tmp_path / "frames.json"
+    write_frame_cache(path, [frame], grid, mask=every, ok_mask=every)
+    payload = np.frombuffer((tmp_path / "frames.bin").read_bytes(),
+                            dtype="<c16", count=3 * F.size)
+    node_major = payload.reshape((3,) + grid.shape + (2, 2))
+    (back,) = read_frame_cache(path)[0]
+    for k, name in enumerate(("F", "F_lam", "F_lam2")):
+        want = getattr(frame, name)
+        assert np.array_equal(node_major[k][i, j, r, c], want)
+        got = getattr(back, name)
+        assert got.shape == (2, 2) + grid.shape
+        assert np.array_equal(got, want)
+
+
+def test_matrix_fields_are_entry_planes(tmp_path):
+    # one layout for batched 2x2 data: the pipeline's frames, a march's,
+    # the cached ones, the spinor frame, the connection values and n_m are
+    # all entry planes (2, 2, ny, nx)
+    argv = ["generate", "--example", "paraboloid", "--lambda", "1,exp:pi/3",
+            "--out", str(tmp_path)]
+    assert run(argv) == 0
+    config = nildual.cli.config_from_args(
+        nildual.cli.build_parser().parse_args(argv))
+    sheets = nildual.cli.run_pipeline(config)[0]
+    sheets += nildual.cli.cached_sheets(config.run_dir())
+    grid = sheets[0].grid
+    a = nildual.verify.analyze_sheet(sheets[0])
+    march = a.frame(1.0, sheets[0].frame.F[(...,) + grid.centre])
+    fields = [getattr(s.frame, name) for s in sheets
+              for name in ("F", "F_lam", "F_lam2")]
+    fields += [s.n_m for s in sheets]
+    fields += [*a.connection_at(1.0), *a.connection_at(1.0, 2),
+               frame_from_spinors(a.spinors)]
+    assert len(fields) == 21
+    assert all(f.shape == (2, 2) + grid.shape for f in fields)
+    assert march.grid.shape == (grid.ny - 2 * W4, grid.nx - 2 * W4)
+    assert all(f.shape == (2, 2) + march.grid.shape
+               for f in (march.F, march.F_lam, march.F_lam2))
+
+
 def test_frame_cache_roundtrip(tmp_path):
     from nildual.frames import FrameField
     grid = DomainGrid(-1.0, 1.0, -0.5, 0.5, 7, 5)
     rng = np.random.default_rng(5)
-    shape = grid.shape + (2, 2)
+    shape = (2, 2) + grid.shape
 
     def field():
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -908,12 +983,12 @@ def test_frame_cache_roundtrip(tmp_path):
                          grid=grid) for lam in (1.0 + 0.0j, 1j)]
     F = frames[0].F
     F[0, 0, 0, 0] = complex(-0.0, 1.5)
-    F[0, 1, 1, 0] = complex(2.0, -0.0)
-    F[1, 1, 0, 1] = complex(-0.0, -0.0)
+    F[1, 0, 0, 1] = complex(2.0, -0.0)
+    F[0, 1, 1, 1] = complex(-0.0, -0.0)
     # a NaN with a payload in its mantissa, and a negative one
     nan_bits = np.array([0x7FF8_0000_0000_1234, 0xFFF0_0000_0000_0001],
                         dtype=np.uint64).view(float)
-    F[3, 2, 1, 1] = complex(nan_bits[0], nan_bits[1])
+    F[1, 1, 3, 2] = complex(nan_bits[0], nan_bits[1])
     mask = np.ones(grid.shape, dtype=bool)
     mask[2, 3] = False
     ok_mask = np.ones(grid.shape, dtype=bool)
@@ -943,7 +1018,9 @@ def test_frame_cache_roundtrip(tmp_path):
         for name in ("F", "F_lam", "F_lam2"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b, equal_nan=True)
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            # every bit, NaN payloads included: the read-back planes are a
+            # view across the node-major payload, so compare their bytes
+            assert a.tobytes() == b.tobytes()
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
 

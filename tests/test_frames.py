@@ -12,7 +12,13 @@ from nildual.loops import SIGMA3, SQRT_I, su11_residual
 from nildual.nil3 import DomainGrid, interior_max
 from nildual.spinors import DiracData, SpinorField, dirac_data, uh_from_spinors
 
-from .oracles import connection_at, march, paraboloid_frame, paraboloid_spinors
+from .oracles import (
+    connection_at,
+    march,
+    paraboloid_frame,
+    paraboloid_spinors,
+    stack,
+)
 
 
 @pytest.fixture
@@ -39,33 +45,33 @@ def test_connection_paraboloid(grid41):
     d = _analytic_pb_dirac(grid41)
     U, V = (L.eval(1.0) for L in _connection(d))
     # B e^{-w/2} = (1/16)(-4i) = -i/4
-    expected_U = np.array([[0.0, -0.25j], [-0.25j, 0.0]])
-    expected_V = np.array([[0.0, 0.25j], [0.25j, 0.0]])
+    expected_U = np.array([[0.0, -0.25j], [-0.25j, 0.0]])[:, :, None, None]
+    expected_V = np.array([[0.0, 0.25j], [0.25j, 0.0]])[:, :, None, None]
     assert np.max(np.abs(U - expected_U)) < 1e-14
     assert np.max(np.abs(V - expected_V)) < 1e-14
     # lam -> -lam flips the off-diagonal signs only
     U2, V2 = (L.eval(-1.0) for L in _connection(d))
     assert np.max(np.abs(U2 + expected_U)) < 1e-14
-    assert np.max(np.abs(np.diagonal(U2, axis1=-2, axis2=-1))) < 1e-14
+    assert np.max(np.abs(np.diagonal(U2))) < 1e-14
 
 
 def test_connection_zero_B_node(grid41):
     d = _analytic_pb_dirac(grid41)
     d.B = np.zeros_like(d.B)
     U = _connection(d)[0].eval(1.0)
-    assert np.max(np.abs(U[..., 1, 0])) == 0.0
+    assert np.max(np.abs(U[1, 0])) == 0.0
 
 
 def _connection_closed_forms(d, lam):
     """U, V and their first two lam-derivatives written out by hand:
     U0 + Um/lam, -Um/lam^2, 2 Um/lam^3 and V0 + lam Vp, Vp, 0."""
-    U0, Um, V0, Vp = (np.zeros(d.grid.shape + (2, 2), dtype=complex)
+    U0, Um, V0, Vp = (np.zeros((2, 2) + d.grid.shape, dtype=complex)
                       for _ in range(4))
-    U0[..., 0, 0], U0[..., 1, 1] = 0.25 * d.w_z, -0.25 * d.w_z
-    Um[..., 0, 1], Um[..., 1, 0] = -d.ew2, d.B / d.ew2
-    V0[..., 0, 0] = -0.25 * np.conj(d.w_z)
-    V0[..., 1, 1] = 0.25 * np.conj(d.w_z)
-    Vp[..., 0, 1], Vp[..., 1, 0] = -np.conj(d.B) / d.ew2, d.ew2
+    U0[0, 0], U0[1, 1] = 0.25 * d.w_z, -0.25 * d.w_z
+    Um[0, 1], Um[1, 0] = -d.ew2, d.B / d.ew2
+    V0[0, 0] = -0.25 * np.conj(d.w_z)
+    V0[1, 1] = 0.25 * np.conj(d.w_z)
+    Vp[0, 1], Vp[1, 0] = -np.conj(d.B) / d.ew2, d.ew2
     return ([U0 + Um / lam, -Um / lam**2, 2.0 * Um / lam**3],
             [V0 + lam * Vp, Vp, np.zeros_like(Vp)])
 
@@ -184,8 +190,8 @@ def test_frame_from_spinors_simple(grid_small):
     ones = np.ones(grid_small.shape, dtype=complex)
     zeros = np.zeros(grid_small.shape, dtype=complex)
     F = frame_from_spinors(SpinorField(ones, zeros, grid_small))
-    assert np.allclose(F[..., 0, 0], 1.0 / SQRT_I)
-    assert np.allclose(F[..., 1, 1], SQRT_I)
+    assert np.allclose(F[0, 0], 1.0 / SQRT_I)
+    assert np.allclose(F[1, 1], SQRT_I)
     with pytest.raises(VerticalPointError):
         frame_from_spinors(SpinorField(zeros, ones, grid_small))
 
@@ -206,8 +212,8 @@ def test_spinors_from_frame_roundtrip(pb):
     F = frame_from_spinors(s)
     _, h = uh_from_spinors(s)
     scale = np.sqrt(h / 2.0) * SQRT_I
-    assert np.max(np.abs(scale * F[..., 0, 0] - s.psi1)) < 1e-12
-    assert np.max(np.abs(scale * F[..., 0, 1] - s.psi2)) < 1e-12
+    assert np.max(np.abs(scale * F[0, 0] - s.psi1)) < 1e-12
+    assert np.max(np.abs(scale * F[0, 1] - s.psi2)) < 1e-12
 
 
 def test_spinor_scale_detects_wrong_support(pb):
@@ -216,8 +222,8 @@ def test_spinor_scale_detects_wrong_support(pb):
     F = frame_from_spinors(s)
     _, h = uh_from_spinors(s)
     scale = np.sqrt(4.0 * h / 2.0) * SQRT_I
-    assert np.max(np.abs(scale * F[..., 0, 0] - 2.0 * s.psi1)) < 1e-12
-    assert np.max(np.abs(scale * F[..., 0, 1] - 2.0 * s.psi2)) < 1e-12
+    assert np.max(np.abs(scale * F[0, 0] - 2.0 * s.psi1)) < 1e-12
+    assert np.max(np.abs(scale * F[0, 1] - 2.0 * s.psi2)) < 1e-12
 
 
 def test_twisted_parity_of_frames(grid41):
@@ -227,4 +233,4 @@ def test_twisted_parity_of_frames(grid41):
     base_m = paraboloid_frame(grid41.node_z(*grid41.centre), -lam)
     Fp = march(d, lam, base_value=base_p).F
     Fm = march(d, -lam, base_value=base_m).F
-    assert np.max(np.abs(Fm - SIGMA3 @ Fp @ SIGMA3)) < 1e-8
+    assert np.max(np.abs(stack(Fm) - SIGMA3 @ stack(Fp) @ SIGMA3)) < 1e-8

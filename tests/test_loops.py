@@ -22,6 +22,7 @@ from nildual.loops import (
 )
 
 from . import oracles
+from .oracles import planes, stack
 
 
 def test_sqrt_i_branch():
@@ -158,7 +159,7 @@ def tagged_loops(draw, batch, elements=entries):
     """Twisted loops of any low and up to six powers on `batch`."""
     low = draw(st.integers(-3, 3))
     P = draw(st.integers(1, 6))
-    e = draw(hnp.arrays(complex, batch + (P, 2), elements=elements))
+    e = draw(hnp.arrays(complex, (P, 2) + batch, elements=elements))
     return MatrixLoop(e, low)
 
 
@@ -182,18 +183,18 @@ def _same_bits(x, y):
 def test_coeffs_view_puts_each_entry_in_its_class_row(low, P, data):
     # entry (k, c) is coefficient k's entry (class_rows' row, c); the
     # forbidden entries read +0, with no sign bit, and the view is read-only
-    e = data.draw(hnp.arrays(complex, (2, P, 2), elements=entries))
+    e = data.draw(hnp.arrays(complex, (P, 2, 2), elements=entries))
     L = MatrixLoop(e, low)
     c = L.coeffs
     assert c.shape == (2, P, 2, 2) and not c.flags.writeable
     k = np.arange(P)[:, None]
     rows = class_rows(2, low + np.arange(P))
-    assert _same_bits(c[:, k, rows[0], [0, 1]], e)
+    assert _same_bits(c[:, k, rows[0], [0, 1]], np.moveaxis(e, -1, 0))
     zero = c[:, k, rows[1], [0, 1]]
     assert np.all(zero == 0.0)
     assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
     for j in range(low, low + P):
-        assert _same_bits(L.coeff(j), c[:, j - low])
+        assert _same_bits(L.coeff(j), planes(c[:, j - low]))
 
 
 @given(L=st.one_of(twisted_loops(), twisted_loops(order=0),
@@ -241,7 +242,7 @@ def test_windowed_mul_is_the_slice_of_the_full_product(data):
         start, stop = max(lo, full.low), min(hi, full.high)
         assert (got.low, got.high) == (start, stop)
         assert _same_bits(got.entries, full.entries[
-            ..., start - full.low:stop - full.low + 1, :])
+            start - full.low:stop - full.low + 1])
 
 
 def test_empty_window_raises():
@@ -259,9 +260,9 @@ def test_tagged_plus_loop_inverse_is_within_the_cauchy_bound(data):
     # product's bound
     batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
     P = data.draw(st.integers(1, 6))
-    e = data.draw(hnp.arrays(complex, batch + (P, 2), elements=no_underflow))
+    e = data.draw(hnp.arrays(complex, (P, 2) + batch, elements=no_underflow))
     # B_0 = I + (diagonal of modulus at most 1/2): well conditioned
-    e[..., 0, :] = 0.25 * e[..., 0, :] + 1.0
+    e[0] = 0.25 * e[0] + 1.0
     order = data.draw(st.integers(0, 8))
     L = MatrixLoop(e, 0)
     got = plus_loop_inverse(L, order)
@@ -348,22 +349,14 @@ def test_plus_loop_inverse_batched(rng):
     c[..., 0, :, :] += np.eye(2)
     L = oracles.loop_from_dense(c, 0)
     inv = plus_loop_inverse(L, 10)
-    assert inv.entries.shape == (3, 2, 11, 2)
+    assert inv.entries.shape == (11, 2, 3, 2)
     for idx in np.ndindex(3, 2):
-        one = plus_loop_inverse(L.at_node(idx), 10)
-        assert np.array_equal(inv.entries[idx], one.entries)
-        prod = L.at_node(idx).mul(one)
+        node = MatrixLoop(L.entries[(...,) + idx], L.low)
+        one = plus_loop_inverse(node, 10)
+        assert np.array_equal(inv.entries[(...,) + idx], one.entries)
+        prod = node.mul(one)
         assert np.max(np.abs(prod.coeffs[0] - np.eye(2))) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:11])) < 1e-10
-
-
-
-def _planes(M):
-    return np.moveaxis(M, (-2, -1), (0, 1))
-
-
-def _stack(M):
-    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def _rel(got, want):
@@ -377,17 +370,17 @@ def test_kernels_match_numpy(rng):
     a, b = (rng.normal(size=(16, 16, 2, 2))
             + 1j * rng.normal(size=(16, 16, 2, 2)) for _ in range(2))
     # contiguous entry planes, and (..., 2, 2) stacks through moveaxis views
-    for x, y in ((np.ascontiguousarray(_planes(a)),
-                  np.ascontiguousarray(_planes(b))), (_planes(a), _planes(b))):
-        assert _rel(_stack(mm2(x, y)), np.matmul(a, b)) < 1e-14
-        assert _rel(_stack(inv2(x)), np.linalg.inv(a)) < 1e-14
+    for x, y in ((np.ascontiguousarray(planes(a)),
+                  np.ascontiguousarray(planes(b))), (planes(a), planes(b))):
+        assert _rel(stack(mm2(x, y)), np.matmul(a, b)) < 1e-14
+        assert _rel(stack(inv2(x)), np.linalg.inv(a)) < 1e-14
         det = np.linalg.det(a)
         assert np.max(np.abs(det2(x) - det) / np.abs(det)) < 1e-14
     # a constant 2x2 matrix broadcast against the stack, on either side
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     c_planes = c[:, :, None, None]
-    assert _rel(_stack(mm2(c_planes, _planes(b))), np.matmul(c, b)) < 1e-14
-    assert _rel(_stack(mm2(_planes(b), c_planes)), np.matmul(b, c)) < 1e-14
+    assert _rel(stack(mm2(c_planes, planes(b))), np.matmul(c, b)) < 1e-14
+    assert _rel(stack(mm2(planes(b), c_planes)), np.matmul(b, c)) < 1e-14
     assert _rel(inv2(c), np.linalg.inv(c)) < 1e-14
 
 
@@ -395,14 +388,14 @@ def test_kernels_never_raise_on_singular_or_nan_stacks():
     singular = np.ones((3, 4, 2, 2), dtype=complex)    # [[1, 1], [1, 1]]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(singular)
-    assert np.array_equal(det2(_planes(singular)), np.zeros((3, 4)))
+    assert np.array_equal(det2(planes(singular)), np.zeros((3, 4)))
     nan = np.full((3, 4, 2, 2), complex(np.nan, 0.0))
     # the IEEE flags of a division by zero are the caller's to silence
     with np.errstate(divide="ignore", invalid="ignore"):
         for M in (singular, nan):
-            assert not np.isfinite(inv2(_planes(M))).any()
-    assert np.isnan(det2(_planes(nan))).all()
-    assert np.isnan(mm2(_planes(nan), _planes(singular))).all()
+            assert not np.isfinite(inv2(planes(M))).any()
+    assert np.isnan(det2(planes(nan))).all()
+    assert np.isnan(mm2(planes(nan), planes(singular))).all()
 
 
 def test_stacked_matrix_algebra_goes_through_the_kernels():

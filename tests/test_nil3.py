@@ -173,16 +173,16 @@ def test_stencil_valid_nodes_read_no_masked_node(axis, line):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("grid, trailing", [
+@pytest.mark.parametrize("grid, leading", [
     (DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), ()),
     (DomainGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), (2, 2)),
     # off-centre, with an even side
     (DomainGrid(-0.9, 1.1, -1.0, 0.9, 30, 41), ()),
     (DomainGrid(-0.9, 1.1, -1.0, 0.9, 30, 41), (2, 2)),
 ], ids=["scalar", "stack", "off-centre-scalar", "off-centre-stack"])
-def test_dz_pair_is_bit_equal_to_dz_and_dzbar(grid, trailing):
+def test_dz_pair_is_bit_equal_to_dz_and_dzbar(grid, leading):
     rng = np.random.default_rng(11)
-    shape = grid.shape + trailing
+    shape = leading + grid.shape
     f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     dz, dzb = dz_pair(f, grid)
     assert dz.tobytes() == dz_field(f, grid).tobytes()

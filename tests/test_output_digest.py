@@ -133,7 +133,7 @@ def test_numbers_reads_a_frame_cache_payload_through_its_header(tmp_path,
     mask = np.ones(grid.shape, dtype=bool)
     for root, corner, hole in (("a", 4.0, False), ("b", 4.0 + 2e-12, False),
                                ("c", 4.0, True)):
-        F = np.ones(grid.shape + (2, 2), dtype=complex)
+        F = np.ones((2, 2) + grid.shape, dtype=complex)
         F[0, 0, 0, 0] = corner
         frame = FrameField(F=F, F_lam=0 * F, F_lam2=0 * F, lam=1 + 0j,
                            grid=grid)

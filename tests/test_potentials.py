@@ -44,6 +44,9 @@ from nildual.sym import mc_equivalent
 from . import oracles
 from .oracles import paraboloid_dual_surface, paraboloid_frame, paraboloid_surface
 
+# the identity as entry planes, against a grid's (2, 2, ny, nx)
+EYE = np.eye(2)[:, :, None, None]
+
 
 @pytest.fixture(scope="module")
 def grid21():
@@ -116,18 +119,19 @@ def test_integrate_potential_closed_form(grid21, pb_phi):
     for lam in (1.0, np.exp(0.9j)):
         vals = pb_phi.eval(lam)
         p = -0.25j * grid21.zz / lam
-        expected = np.empty(grid21.shape + (2, 2), dtype=complex)
-        expected[..., 0, 0] = np.cosh(p)
-        expected[..., 0, 1] = np.sinh(p)
-        expected[..., 1, 0] = np.sinh(p)
-        expected[..., 1, 1] = np.cosh(p)
+        expected = np.empty((2, 2) + grid21.shape, dtype=complex)
+        expected[0, 0] = np.cosh(p)
+        expected[0, 1] = np.sinh(p)
+        expected[1, 0] = np.sinh(p)
+        expected[1, 1] = np.cosh(p)
         assert np.max(np.abs(vals - expected)) < 1e-11
 
 
 def test_integrate_potential_init_node(grid21, pb_phi):
     # z = 0 is the centre node: the series there sums to
     # exactly the identity
-    node = pb_phi.at_node((grid21.ny // 2, grid21.nx // 2))
+    node = MatrixLoop(pb_phi.entries[..., grid21.ny // 2, grid21.nx // 2],
+                      pb_phi.low)
     assert np.array_equal(node.coeff(0), np.eye(2))
     assert not node.coeffs[:-1].any()   # powers -N..-1
     assert np.array_equal(node.eval(1.0), np.eye(2))
@@ -152,7 +156,7 @@ def test_integrate_helicoid_against_expm(grid21):
         for idx in ((0, 0), (10, 7), (20, 20), (5, 18)):
             z = grid21.node_z(*idx)
             expected = scipy.linalg.expm(D * z)
-            assert np.max(np.abs(got[idx] - expected)) < 1e-10
+            assert np.max(np.abs(got[(...,) + idx] - expected)) < 1e-10
 
 
 def test_iwasawa_paraboloid_closed_form(grid21, pb_phi):
@@ -163,7 +167,7 @@ def test_iwasawa_paraboloid_closed_form(grid21, pb_phi):
     assert reality < 1e-8
     # the factorized frame matches the closed form up to the fixed gauge
     for lam in (1.0, np.exp(1j * np.pi / 3)):
-        got = SPINOR_GAUGE @ F.eval(lam)
+        got = oracles.planes(SPINOR_GAUGE @ oracles.stack(F.eval(lam)))
         expected = paraboloid_frame(grid21.zz, lam)
         assert np.max(np.abs(got - expected)) < 1e-8
 
@@ -175,7 +179,7 @@ def test_iwasawa_of_real_loop_is_trivial(grid21, pb_phi):
     assert not np.any(rep2.failed)
     lam = np.exp(0.3j)
     assert np.max(np.abs(F2.eval(lam) - F.eval(lam))) < 1e-7
-    assert np.max(np.abs(Bp2.eval(lam) - np.eye(2))) < 1e-7
+    assert np.max(np.abs(Bp2.eval(lam) - EYE)) < 1e-7
 
 
 def _plus_loop(rng):
@@ -199,7 +203,7 @@ def test_iwasawa_of_plus_loop_is_identity(rng):
     F, Bp, report = iwasawa(phi)
     assert not np.any(report.failed)
     lam = np.exp(1.1j)
-    assert np.max(np.abs(F.eval(lam) - np.eye(2))) < 1e-8
+    assert np.max(np.abs(F.eval(lam) - EYE)) < 1e-8
     assert np.max(np.abs(Bp.eval(lam) - Bp_true.eval(lam))) < 1e-8
 
 
@@ -298,7 +302,7 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     phi = integrate_potential(xi, grid, order=6)
     F0, Bp0, _ = iwasawa(phi)
     e = phi.entries.copy()
-    e[1, 3] = bad
+    e[..., 1, 3] = bad
     F, Bp, report = iwasawa(MatrixLoop(e, phi.low))
     expected = np.zeros(grid.shape, dtype=bool)
     expected[1, 3] = True
@@ -310,7 +314,7 @@ def test_iwasawa_masks_degenerate_nodes(bad):
     if bad == 0.0:
         # B+^{-1} = I there too: F is the node's Phi, zero and finite
         assert np.isfinite(F.entries).all()
-        assert not F.entries[1, 3].any()
+        assert not F.entries[..., 1, 3].any()
     assert np.array_equal(F.coeffs[~expected], F0.coeffs[~expected])
     assert np.array_equal(Bp.coeffs[~expected], Bp0.coeffs[~expected])
     _dirac_gauge(xi, grid, F, Bp, report.ok())
@@ -367,7 +371,7 @@ def _inverses(phi, monkeypatch):
     out = iwasawa(phi)
     monkeypatch.undo()
     return out, [(order, MatrixLoop(binv.entries.reshape(
-        phi.batch_shape + binv.entries.shape[-2:]), binv.low))
+        binv.entries.shape[:2] + phi.batch_shape), binv.low))
         for order, binv in calls]
 
 
@@ -382,9 +386,8 @@ def test_iwasawa_sums_b_plus_inverse_to_n_for_a_minus_loop(name, rng,
         phi = _plus_loop(rng)[1]
     elif name == "padded":
         phi = _small("paraboloid")
-        pad = np.zeros(phi.batch_shape + (phi.order, 2), dtype=complex)
-        phi = MatrixLoop(np.concatenate([phi.entries, pad], axis=-2),
-                         phi.low)
+        pad = np.zeros((phi.order, 2) + phi.batch_shape, dtype=complex)
+        phi = MatrixLoop(np.concatenate([phi.entries, pad]), phi.low)
     else:
         phi = _small(name)
     N = phi.order
@@ -405,7 +408,7 @@ def test_frame_is_phi_times_the_power_series_inverse_to_2n(name, rng):
     assert not report.failed.any()
     ref = phi.mul(plus_loop_inverse(Bp, 2 * N), -N, N)
     assert (F.low, F.high) == (ref.low, ref.high)
-    scale = np.max(np.abs(F.entries), axis=(-2, -1), keepdims=True)
+    scale = np.max(np.abs(F.entries), axis=(0, 1), keepdims=True)
     assert np.all(np.abs(F.entries - ref.entries) <= 4 * 2.0 ** -52 * scale)
 
 
@@ -423,14 +426,15 @@ def test_b_plus_inverse_of_a_minus_loop_inverts_b_plus_on_the_circle(
     assert (binv.low, binv.high) == (0, N)
 
     def size(L):
-        return np.sum(np.max(np.abs(L.entries), axis=-1), axis=-1)
+        return np.sum(np.max(np.abs(L.entries), axis=1), axis=0)
 
     bound = 4 * 2.0 ** -52 * size(binv) * size(Bp)
     for lam in np.exp(2j * np.pi * np.arange(8) / 8):
-        err = np.abs(binv.eval(lam) @ Bp.eval(lam) - np.eye(2))
+        err = np.abs(oracles.stack(binv.eval(lam))
+                     @ oracles.stack(Bp.eval(lam)) - np.eye(2))
         assert np.all(np.max(err, axis=(-2, -1)) <= bound)
-    tail = plus_loop_inverse(Bp, 2 * N).entries[..., N + 1:, :]
-    assert np.all(np.max(np.abs(tail), axis=-1) <= bound[..., None])
+    tail = plus_loop_inverse(Bp, 2 * N).entries[N + 1:]
+    assert np.all(np.max(np.abs(tail), axis=1) <= bound)
 
 
 def test_levinson_keeps_the_bits_of_the_recursion_over_every_block(rng):
@@ -499,10 +503,11 @@ def test_iwasawa_blocks_match_single_nodes(three_blocks):
     assert n > 3 * BLOCK
     for k in (BLOCK - 1, BLOCK, n - 1):
         idx = np.unravel_index(k, phi.batch_shape)
-        F1, Bp1, rep1 = iwasawa(phi.at_node(idx))
+        F1, Bp1, rep1 = iwasawa(MatrixLoop(phi.entries[(...,) + idx],
+                                           phi.low))
         assert F1.low == F.low
-        assert _same_bits(F.entries[idx], F1.entries)
-        assert _same_bits(Bp.entries[idx], Bp1.entries)
+        assert _same_bits(F.entries[(...,) + idx], F1.entries)
+        assert _same_bits(Bp.entries[(...,) + idx], Bp1.entries)
         assert _same_bits(report.pivot[idx], rep1.pivot)
         assert _same_bits(report.failed[idx], rep1.failed)
 
@@ -513,13 +518,13 @@ def test_iwasawa_nan_node_in_second_block_masks_only_itself(three_blocks):
     node = np.unravel_index(BLOCK + 5, phi.batch_shape)
     bad[node] = True
     e = phi.entries.copy()
-    e[node] = np.nan
+    e[(...,) + node] = np.nan
     F2, Bp2, rep2 = iwasawa(MatrixLoop(e, phi.low))
     assert not report.failed[bad].any()
     assert np.array_equal(rep2.failed, report.failed | bad)
     assert _same_bits(rep2.pivot[~bad], report.pivot[~bad])
-    assert _same_bits(F2.entries[~bad], F.entries[~bad])
-    assert _same_bits(Bp2.entries[~bad], Bp.entries[~bad])
+    assert _same_bits(F2.entries[..., ~bad], F.entries[..., ~bad])
+    assert _same_bits(Bp2.entries[..., ~bad], Bp.entries[..., ~bad])
 
 
 def test_iwasawa_residuals_match_dense_products(three_blocks, rng):
@@ -534,7 +539,7 @@ def test_iwasawa_residuals_match_dense_products(three_blocks, rng):
     recon, reality = iwasawa_residuals(phi, F, Bp, mask=mask)
     ref_recon = ref_reality = 0.0
     for lam in np.exp(2j * np.pi * np.arange(8) / 8):
-        p, f, b = (L.eval(lam)[mask] for L in (phi, F, Bp))
+        p, f, b = (oracles.stack(L.eval(lam))[mask] for L in (phi, F, Bp))
         herm = np.swapaxes(f.conj(), -1, -2) @ SIGMA3 @ f
         ref_recon = max(ref_recon, np.max(np.abs(p - f @ b)))
         ref_reality = max(ref_reality, np.max(np.abs(herm - SIGMA3)))
@@ -556,11 +561,11 @@ def test_iwasawa_memory_is_bounded_by_the_block():
     side = math.isqrt(BLOCK)
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, side, side)
     one = integrate_potential(paraboloid_potential(), grid)
-    nodes = one.entries.reshape((-1,) + one.entries.shape[-2:])
-    assert len(nodes) == BLOCK
+    nodes = one.entries.reshape(one.entries.shape[:2] + (-1,))
+    assert nodes.shape[-1] == BLOCK
 
     def peak(blocks):
-        phi = MatrixLoop(np.concatenate([nodes] * blocks), one.low)
+        phi = MatrixLoop(np.concatenate([nodes] * blocks, axis=-1), one.low)
         tracemalloc.start()
         try:
             F, Bp, report = iwasawa(phi)
@@ -608,9 +613,10 @@ def test_phi_on_its_own_powers_factorizes_as_the_padded_loop(powers, data):
     assert (phi.low, phi.high) == (-N, 0 if minus else N)
     if minus:
         assert _same_bits(phi.coeff(0), np.broadcast_to(
-            np.eye(2, dtype=complex), phi.batch_shape + (2, 2)))
-    pad = np.zeros(phi.batch_shape + (N - phi.high, 2), dtype=complex)
-    padded = MatrixLoop(np.concatenate([phi.entries, pad], axis=-2), -N)
+            np.eye(2, dtype=complex)[:, :, None, None],
+            (2, 2) + phi.batch_shape))
+    pad = np.zeros((N - phi.high, 2) + phi.batch_shape, dtype=complex)
+    padded = MatrixLoop(np.concatenate([phi.entries, pad]), -N)
     (F, Bp, rep), (Fd, Bpd, repd) = iwasawa(phi), iwasawa(padded)
     assert (F.low, F.high) == (Fd.low, Fd.high)
     assert _same_bits(rep.failed, repd.failed)

@@ -208,7 +208,8 @@ def test_battery_flags_boosted_normal(pb_run):
     t = 1e-5
     boost = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
     failed = _failed_rows_with_normal(
-        pb_run, lambda n: boost @ n @ np.linalg.inv(boost))
+        pb_run, lambda n: oracles.planes(
+            boost @ oracles.stack(n) @ np.linalg.inv(boost)))
     assert set(failed) == {"normal_agreement[lam+0.000pi]",
                            "normal_agreement[lam+0.333pi]"}
     assert all(v > 1e-5 for v in failed.values())
