@@ -38,9 +38,10 @@ compare on) and leave no file; and `verify` of the paraboloid at
 `--lambda 1,exp:0.0001`, under `refused/verify_tags`, which must exit 2
 (both values are tagged lam+0.000pi, so their rows would share names) and
 leave no file; and `generate --spinors spinors/lam0` with
-`--grid=-1,1,-1,1,41,41` and with `--exclude-disk=0.5`, under
-`refused/spinors_grid` and `refused/spinors_exclude_disk`, which must exit
-2 (the spinor pipeline reads neither flag) and leave no file;
+`--grid=-1,1,-1,1,41,41`, with `--exclude-disk=0.5` and with `--order=8`,
+under `refused/spinors_grid`, `refused/spinors_exclude_disk` and
+`refused/spinors_order`, which must exit 2 (the spinor pipeline reads none
+of these flags) and leave no file;
 and `generate --spinors` from smyth-2's lam0 CSVs at the flags above, under
 `refused/spinors`, which must exit 2 (the frame marched from them leaves
 SU(1,1) at the under-resolved corners, and no node is repaired) and leave
@@ -58,13 +59,13 @@ the first whose stencils read it, and leave no file.  The CSVs are copied
 `spinors_holed/lam0` and `spinors_hole_inside/lam0`, and the potential is
 written to `potentials/helicoid_untwisted.json`, because the input path
 enters the run hash and so the run directory's name. The set writes 349
-files; with their 304 report rows and the 38 exit codes the digest holds
-691 entries.
+files; with their 304 report rows and the 39 exit codes the digest holds
+692 entries.
 
 Prints `{path under OUT: sha256}` as JSON, together with each command's exit
 code under `exit: <command>` and each `report.json` row's `[max, tolerance]`
 under `row: <path> <row name>`, and exits 1 if any command's exit code is
-not the one expected of it: 2 for the ten refused commands, 1 for the
+not the one expected of it: 2 for the eleven refused commands, 1 for the
 edge-holed pair's `verify --spinors`, 0 for the rest.
 The program is imported from `./src` of the working directory, so another
 checkout is digested by running this file from inside it.
@@ -127,7 +128,8 @@ REFUSED_FIT = ("--example", "paraboloid", "--grid=-1,1,-1,1,41,41",
 REFUSED_TAGS = ("--example", "paraboloid", "--lambda", "1,exp:0.0001")
 # flags the spinor pipeline does not read
 REFUSED_SPINOR_FLAGS = (("--grid=-1,1,-1,1,41,41", "spinors_grid"),
-                        ("--exclude-disk=0.5", "spinors_exclude_disk"))
+                        ("--exclude-disk=0.5", "spinors_exclude_disk"),
+                        ("--order=8", "spinors_order"))
 # exit codes other than 0 that the command set expects
 EXPECTED = {
     f"exit: dual {' '.join(REFUSED)} --out refused/dual": 2,

@@ -379,8 +379,9 @@ def build_parser():
         sp.add_argument("--grid", help="x0,x1,y0,y1,nx,ny")
         sp.add_argument("--lambda", dest="lams", default="1",
                         help="comma list: complex literals or exp:<angle>")
-        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="cap of the spectral truncation order; the "
+        sp.add_argument("--order", type=int, default=None,
+                        help="cap of the spectral truncation order "
+                             f"(default {DEFAULT_ORDER}); the "
                              "factorization trims Phi to the order its "
                              "tail needs")
         sp.add_argument("--tol", action="append", default=[],
@@ -410,10 +411,12 @@ def config_from_args(args):
     elif args.spinors:
         pipeline = f"spinors:{args.spinors}"
         for flag, value in (("--grid", args.grid),
-                            ("--exclude-disk", args.exclude_disk)):
+                            ("--exclude-disk", args.exclude_disk),
+                            ("--order", args.order)):
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to --spinors, "
-                                  f"whose CSVs fix the grid and its nodes")
+                                  f"whose CSVs fix the grid, its nodes and "
+                                  f"the frames")
     else:
         raise ConfigError("select --example, --potential, or --spinors")
     tols = {}
@@ -434,7 +437,7 @@ def config_from_args(args):
         pipeline=pipeline,
         grid=DomainGrid.from_string(args.grid) if args.grid else None,
         lams=parse_lambda_list(args.lams),
-        order=args.order,
+        order=DEFAULT_ORDER if args.order is None else args.order,
         tols=tols,
         out_dir=Path(out),
         allow_reflection=args.allow_reflection,

@@ -2,16 +2,23 @@
 
 Text output (field CSVs, OBJ vertices, sidecar residuals) prints every
 float with 17 significant digits, so identical configurations produce
-bit-identical files.  A CSV's header and rows' "i,j,x,y,", and an OBJ's
-face list, are formatted once per grid and mask into an ASCII "%" template
-(bytes, written as they are) that each file fills with its numbers.  Each
-writer keeps one template, keyed on the exact bytes of the grid axes and
-the boolean mask, since every command writes all its CSVs on one grid and
-mask and all its OBJs on one mask.  The frame cache stores its matrix
-grids as exact binary instead: a small JSON header (`frames.json`) beside
-one raw payload (`frames.bin`) of little-endian complex128 bytes and mask
-bytes, written before the header and read back in one read as read-only
-views.
+bit-identical files.  The CSV and OBJ writers print their floats with one
+array kernel, `_g17`, whose text is exactly `format(v, ".17g")`.  It rounds
+|v| 10^(16-k) to a 17-digit integer in int64, from a double-double product
+(Dekker's exact TwoProduct against 10^p held as hi + lo), and hands to
+`format` only the values that product cannot decide: non-finite ones, those
+outside 1e-280 <= |v| <= 1e280, and those whose rounding lies within 2^-44
+of a tie (the product errs by under 2^-47).  Each number fills a fixed cell
+of NUL-padded columns, so a file is one uint8 table (a per-node prefix, the
+numbers and their separators) written with its NUL bytes deleted; the text
+holds no NUL byte.  A CSV's "i,j,x,y," rows are built once per grid and
+mask, and an OBJ's face list once per mask: each writer keeps one such
+template, keyed on the exact bytes of the grid axes and the boolean mask,
+since every command writes all its CSVs on one grid and mask and all its
+OBJs on one mask.  The frame cache stores its matrix grids as exact binary
+instead: a small JSON header (`frames.json`) beside one raw payload
+(`frames.bin`) of little-endian complex128 bytes and mask bytes, written
+before the header and read back in one read as read-only views.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ SCHEMA = 1
 # the frame cache's own layout version; SCHEMA enters the config hash and so
 # every run-directory name, this one only the cache file
 FRAME_CACHE_SCHEMA = 3
+CSV_HEADER = b"# schema=1\ni,j,x,y,re,im\n"
 
 
 def fmt(x):
@@ -51,32 +59,199 @@ def config_hash(config_dict):
 
 def write_field_csv(path, field, grid, mask=None):
     """One row per node of `mask` (default: every node): i, j, x, y, Re, Im
-    (row-major over y then x).  The file is `_csv_template` of the grid and
-    mask with each node's two values formatted in."""
+    (row-major over y then x).  Each row is its node's row of
+    `_csv_template` of the grid and mask followed by the node's values."""
     field = np.asarray(field)
     mask = (np.ones(grid.shape, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool))
     v = field[mask]
-    template = _csv_template(grid.xs.tobytes(), grid.ys.tobytes(),
-                             mask.tobytes(), mask.shape)
-    Path(path).write_bytes(template % tuple(
-        np.stack([v.real, v.imag], axis=-1).ravel().tolist()))
+    prefix = _csv_template(grid.xs.tobytes(), grid.ys.tobytes(),
+                           mask.tobytes(), mask.shape)
+    Path(path).write_bytes(CSV_HEADER + _rows(
+        prefix, np.stack([v.real, v.imag], axis=-1), b",\n"))
 
 
 @functools.lru_cache(maxsize=1)
 def _csv_template(xs, ys, mask, shape):
-    """The field CSV of a grid and mask, given as bytes (not floats: a
-    -0.0 bound prints as -0), with a "%.17g,%.17g" slot per kept node; the
-    coordinates are formatted once per grid row and column."""
+    """The "i,j,x,y," of each kept node of a grid and mask, given as bytes
+    (not floats: a -0.0 bound prints as -0), as read-only NUL-padded rows;
+    the coordinates are formatted once per grid row and column."""
     i, j = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
+    x_text, y_text = ([cell.tobytes().translate(None, b"\0") for cell in
+                       _g17(np.frombuffer(a, dtype=np.float64))]
+                      for a in (xs, ys))
     # the "i," and "y," of each grid row, the "j,x," of each column
-    heads = [f"{k}," for k in range(shape[0])]
-    tails = [f"{fmt(y)}," for y in np.frombuffer(ys)]
-    cols = [f"{k},{fmt(x)}," for k, x in enumerate(np.frombuffer(xs))]
-    # "%.17g" equals format(x, ".17g")
-    return ("# schema=1\ni,j,x,y,re,im\n" + "".join(
-        heads[a] + cols[b] + tails[a] + "%.17g,%.17g\n"
-        for a, b in zip(i.tolist(), j.tolist()))).encode()
+    heads = _padded([b"%d," % k for k in range(shape[0])])
+    tails = _padded([y + b"," for y in y_text])
+    cols = _padded([b"%d,%s," % (k, x) for k, x in enumerate(x_text)])
+    prefix = np.concatenate([heads[i], cols[j], tails[i]], axis=1)
+    prefix.flags.writeable = False
+    return prefix
+
+
+def _padded(texts):
+    """uint8 rows of ASCII byte strings, NUL-padded to the longest."""
+    return np.array(texts, dtype=bytes).reshape(len(texts), 1).view(np.uint8)
+
+
+def _rows(prefix, values, seps):
+    """The text of rows prefix[r] values[r, 0] seps[0] values[r, 1] seps[1]
+    ..., of uint8 rows `prefix` (m, w) and float64 `values` (m, c): one
+    table of NUL-padded cells, written with its NUL bytes deleted."""
+    m, c = values.shape
+    w = prefix.shape[1]
+    table = np.empty((m, w + c * _CELL), dtype=np.uint8)
+    table[:, :w] = prefix
+    cells = table[:, w:].reshape(m, c, _CELL)
+    cells[...] = _g17(values.ravel()).reshape(m, c, _CELL)
+    cells[:, :, -1] = np.frombuffer(seps, dtype=np.uint8)
+    return table.tobytes().translate(None, b"\0")
+
+
+# A number's text fills a cell of _CELL bytes: 0 sign, 1-5 the "0.000" of
+# a fixed form under 1, 6 the first digit, 7 the point, 8-23 the other 16
+# digits, 24-28 the exponent, 29-31 NUL (`_rows` puts the separator in
+# 31).  A value `format` prints fills bytes 0-30 instead (it needs at most
+# 24).  The cells are assembled from the look-up tables' bytes viewed as
+# uint32, which no arithmetic touches, so byte order does not matter.
+_CELL = 32
+# vector range of |v|: 10^(16-k) and the splits of |v| and of it stay finite
+# and normal for k within two of +-280
+_KMAX = 280
+_SPLIT = np.float64(2.0 ** 27 + 1.0)  # Veltkamp's splitter for float64
+_E4, _E8, _E16, _E17 = (np.int64(10 ** p) for p in (4, 8, 16, 17))
+
+
+@functools.cache
+def _tables():
+    """Look-up tables of the kernel, built at its first call: 10^(i-266) as
+    hi + lo doubles, hi split in halves of 26 bits, for the i-th k = 282 - i;
+    then, as rows of uint32, the cells' first 8 bytes (sign, lead, first
+    digit, point), their exponents, and the 4-digit groups, with trailing
+    zeros as NULs, then in full."""
+    hi, lo = [], []
+    for p in range(16 - _KMAX - 2, 17 + _KMAX + 2):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        h = num / den  # correctly rounded, as is lo
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi, dtype=np.float64)
+    powers = (*_split(hi), hi, np.array(lo, dtype=np.float64))
+    # by ((negative * 5 + lead) * 10 + first digit) * 2 + point
+    leads = [b"", b"0.", b"0.0", b"0.00", b"0.000"]
+    heads = np.array([b"-"[:neg].ljust(1, b"\0") + lead.ljust(5, b"\0")
+                      + bytes([48 + d]) + b"."[:dot]
+                      for neg in (0, 1) for lead in leads for d in range(10)
+                      for dot in (0, 1)], dtype="S8")
+    # by exponent + 330, and a blank one last
+    exps = np.array([b"e%+03d" % e for e in range(-330, 331)] + [b""],
+                    dtype="S8")
+    g = np.arange(10000, dtype=np.int64)[:, None] // np.array(
+        [1000, 100, 10, 1], dtype=np.int64) % np.int64(10)
+    full = (g + np.int64(48)).astype(np.uint8)
+    trailing = np.logical_and.accumulate(g[:, ::-1] == 0, axis=1)[:, ::-1]
+    quads = np.concatenate([np.where(trailing, np.uint8(0), full), full])
+    return powers, *(t.view(np.uint32).reshape(len(t), -1)
+                     for t in (heads, exps, quads))
+
+
+def _split(a):
+    """Veltkamp's split a = high + low, each of 26 significant bits."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(x, k):
+    """x 10^(16-k) as h + r: h = fl(x hi), and r = (x hi - h) + fl(x lo),
+    where Dekker's TwoProduct forms x hi - h exactly."""
+    bh, bl, hi, lo = (t.take(_KMAX + 2 - k.astype(np.intp))
+                      for t in _tables()[0])
+    h = x * hi
+    ah, al = _split(x)
+    e = ((ah * bh - h) + ah * bl + al * bh) + al * bl
+    return h, e + x * lo
+
+
+def _digits(v):
+    """(n, k, undecided) of float64 values: |v| is n 10^(k-16) rounded half
+    to even, with 10^16 <= n < 10^17 (n = k = 0 for a zero); `undecided`
+    marks the values whose n and k are not decided, which `format` prints.
+
+    The log10 estimate of k is moved by one where x 10^(16-k) leaves
+    [10^16, 10^17); in the rounding, x 10^(16-k) = h + r + err with h an
+    integer (h >= 2^53), |err| <= x |10^p - hi - lo| + |fl(x lo) - x lo|
+    + |fl(e + x lo) - (e + x lo)| <= 2^-106 10^17 + 2^-50 + 2^-48 < 2^-47,
+    so r's fraction decides the rounding unless within 2^-44 of 1/2."""
+    x = np.abs(v)
+    vec = (x >= 1e-280) & (x <= 1e280)
+    x = np.where(vec, x, np.float64(1.0))
+    k = np.floor(np.log10(x))
+    h, r = _scaled(x, k)
+    step = (((h - 1e17) + r >= 0).astype(np.float64)
+            - ((h - 1e16) + r < 0).astype(np.float64))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        h[moved], r[moved] = _scaled(x[moved], k[moved])
+    whole = np.floor(r)
+    frac = r - whole
+    n = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    zero = v == 0
+    undecided = ((~vec & ~zero) | (np.abs(frac - 0.5) <= 2.0 ** -44)
+                 | (n < _E16) | (n > _E17))
+    top = n == _E17  # rounded up to the next power of ten
+    n[top] = _E16
+    k = k.astype(np.int64) + top
+    n[zero] = k[zero] = 0
+    return n, k, undecided
+
+
+def _g17(values):
+    """uint8 cells (n, _CELL) of float64 values (n,): a cell with its NUL
+    bytes deleted is format(v, ".17g"); its last byte is NUL."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    n, k, undecided = _digits(v)
+    _, heads, exps, quads = _tables()
+    first = n // _E16
+    rest = n - first * _E16
+    high = rest // _E8
+    low = rest - high * _E8
+    g1, g3 = high // _E4, low // _E4
+    g2, g4 = high - g1 * _E4, low - g3 * _E4
+    # a group keeps its trailing zeros when a later group is not zero
+    c1 = quads.take(g1 + 10000 * ((g2 | g3 | g4) != 0), axis=0)
+    c2 = quads.take(g2 + 10000 * ((g3 | g4) != 0), axis=0)
+    c3 = quads.take(g3 + 10000 * (g4 != 0), axis=0)
+    c4 = quads.take(g4, axis=0)
+    fixed = (k >= -4) & (k < 17)
+    lead = np.where(fixed & (k < 0), -k, 0)
+    head = ((np.signbit(v) * 5 + lead) * 10 + first) * 2 + (
+        (rest != 0) & (lead == 0))
+    cells = np.concatenate(
+        [heads.take(head, axis=0), c1, c2, c3, c4,
+         exps.take(np.where(fixed, len(exps) - 1, k + 330), axis=0)],
+        axis=1).view(np.uint8)
+    # from 10 up the point follows digit k: digits 1 to k, their zeros kept,
+    # move over it to bytes 7 to 6 + k, and it to byte 7 + k
+    big = np.flatnonzero(fixed & (k > 0))
+    if big.size:
+        kb, rows = k[big], np.arange(big.size)
+        body = cells[big, 6:24]  # first digit, point, the other digits
+        point = (kb < 16) & (body[rows, np.minimum(kb + 2, 17)] != 0)
+        full = quads[10000 + np.stack([g1, g2, g3, g4], axis=1)[big]]
+        body[:, 1:17] = np.where(np.arange(1, 17) <= kb[:, None],
+                                 full.reshape(big.size, 4).view(np.uint8),
+                                 body[:, 1:17])
+        body[rows, kb + 1] = np.where(point, np.uint8(46), np.uint8(0))
+        cells[big, 6:24] = body
+    left = np.flatnonzero(undecided)
+    if left.size:
+        text = np.array([format(x, ".17g").encode() for x in v[left].tolist()],
+                        dtype=f"S{_CELL - 1}")
+        cells[left, :-1] = text.view(np.uint8).reshape(left.size, -1)
+    return cells
 
 
 def _axis_bounds(pairs):
@@ -137,18 +312,19 @@ def read_field_csvs(paths):
 def write_obj(path, surface):
     """Wavefront mesh: Nil coordinates are global, so vertices export as
     plain R^3 triples; grid quads split into two triangles; quads touching
-    masked nodes are dropped.  The file is `_obj_template` of the mask with
-    the valid nodes' coordinates formatted in."""
+    masked nodes are dropped.  The valid nodes' vertices are followed by
+    `_obj_template` of the mask, the faces."""
     valid = np.asarray(surface.mask, dtype=bool)
-    template = _obj_template(valid.tobytes(), valid.shape)
-    Path(path).write_bytes(template % tuple(
-        surface.coords[valid].ravel().tolist()))
+    coords = surface.coords[valid]
+    prefix = np.broadcast_to(np.frombuffer(b"v ", dtype=np.uint8),
+                             (len(coords), 2))
+    Path(path).write_bytes(b"# schema=1\n" + _rows(prefix, coords, b"  \n")
+                           + _obj_template(valid.tobytes(), valid.shape))
 
 
 @functools.lru_cache(maxsize=1)
 def _obj_template(mask, shape):
-    """The OBJ of a mask, given as bytes: a "v %.17g %.17g %.17g" slot per
-    valid node, then the faces, formatted here."""
+    """The faces of the OBJ of a mask, given as bytes."""
     valid = np.frombuffer(mask, dtype=bool).reshape(shape)
     # 1-based vertex number of every valid node, in row-major order
     index = np.cumsum(valid.ravel()).reshape(shape)
@@ -156,9 +332,8 @@ def _obj_template(mask, shape):
     a, b = index[:-1, :-1][quad], index[:-1, 1:][quad]
     c, d = index[1:, 1:][quad], index[1:, :-1][quad]
     faces = np.stack([a, b, c, a, c, d], axis=-1)
-    return ("# schema=1\n" + "v %.17g %.17g %.17g\n" * int(valid.sum())
-            + "f %d %d %d\nf %d %d %d\n" * len(faces) % tuple(
-                faces.ravel().tolist())).encode()
+    return ("f %d %d %d\nf %d %d %d\n" * len(faces) % tuple(
+        faces.ravel().tolist())).encode()
 
 
 def write_frame_cache(path, frames, grid, mask, ok_mask, meta=None):

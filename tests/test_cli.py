@@ -889,6 +889,9 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
     (lambda tmp: ["verify", "--spinors", str(tmp / "in"), "--exclude-disk",
                   "0.5", "--out", str(tmp / "o")],
      "--exclude-disk does not apply to --spinors"),
+    # given at its default value too: only a flag left out is not read
+    (lambda tmp: _generate(tmp, "--spinors", str(tmp / "in"), "--order", "12"),
+     "--order does not apply to --spinors"),
 ], ids=["grid-fields", "grid-int", "tol-value", "tol-name", "tol-nan",
         "tol-inf", "tol-negative", "lambda-nan", "lambda-nanj", "grid-inf",
         "potential-missing", "potential-not-json", "potential-no-terms",
@@ -907,7 +910,8 @@ def _export_edited_cache(tmp, schema=3, drop=(), payload=lambda raw: raw):
         "potential-3-entries", "potential-fractional-power",
         "potential-repeated-power", "potential-no-coefficient",
         "verify-empty-fit", "dual-empty-fit", "lambda-same-tag",
-        "lambda-repeated", "spinors-grid", "spinors-exclude-disk"])
+        "lambda-repeated", "spinors-grid", "spinors-exclude-disk",
+        "spinors-order"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
                                            message):
@@ -917,6 +921,20 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, make_argv,
     assert err.startswith("error: ")
     assert message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_order_left_out_is_the_default_order():
+    # --order's parser default is None, so that --spinors can refuse it by
+    # name; left out it is the default cap, and the run directory is the
+    # one an explicit default names
+    def config(*flags):
+        return nildual.cli.config_from_args(nildual.cli.build_parser(
+        ).parse_args(["generate", "--example", "paraboloid", *flags]))
+
+    left_out = config()
+    given = config("--order", str(nildual.potentials.DEFAULT_ORDER))
+    assert left_out.order == nildual.potentials.DEFAULT_ORDER
+    assert left_out.run_dir() == given.run_dir()
 
 
 def test_frame_cache_payload_is_node_major(tmp_path):

@@ -1,7 +1,9 @@
 """The field-CSV and OBJ writers print the bytes of the row-at-a-time
 reference writers, special floats included, and the field-CSV writer those
 of the stacked-table one; so do files written in turn on the grids and
-masks that the writers' one-entry template memos must tell apart."""
+masks that the writers' one-entry template memos must tell apart.  The
+writers' number kernel prints format(v, ".17g") of over a million doubles
+of every kind, and hands the exact ties to `format`."""
 import functools
 
 import numpy as np
@@ -21,7 +23,15 @@ from .oracles import (
 )
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-           2.2250738585072009e-308, 1e308, -1e-308, 1.0, -1.0]
+           2.2250738585072009e-308, 1e308, -1e-308, 1.0, -1.0,
+           # an exact 17-digit tie, rounded half to even by `format`
+           4000000000000001 / 4,
+           # outside the kernel's vector range 1e-280 <= |v| <= 1e280
+           -3e-290, 2.5e285,
+           # the bounds of the fixed form (1e-4, 1e17) and of the 17-digit
+           # integer's range (1e16), and the doubles just below them
+           1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+           1e17, np.nextafter(1e17, 0.0)]
 
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL))
 
@@ -29,6 +39,62 @@ shapes = st.tuples(st.integers(5, 8), st.integers(5, 8))
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _kernel_text(values, rows=20_000):
+    """The kernel's text of float64 values, one per line, `rows` values a
+    table."""
+    return b"".join(io_formats._rows(np.empty((len(part), 0), dtype=np.uint8),
+                                     part[:, None], b"\n")
+                    for part in np.split(values, range(rows, len(values),
+                                                        rows)))
+
+
+def _format_text(values):
+    return "".join(map("{:.17g}\n".format, values.tolist())).encode()
+
+
+def _assert_kernel_is_format(values):
+    got, want = _kernel_text(values), _format_text(values)
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(),
+                                           want.split()) if g != w]
+        raise AssertionError(f"{len(bad)} values misprinted, e.g. {bad[:5]}")
+
+
+def test_kernel_prints_format_17g_exactly():
+    """Over a million doubles: random bit patterns (NaN payloads and
+    subnormals among them); every power of ten from 1e-300 to 1e300 (the
+    fixed form's bounds 1e-4 and 1e17 among them) and zero and infinity,
+    each with its two neighbours and both signs; log-uniform values of
+    every fixed-form exponent; short decimals and dyadic fractions, whose
+    trailing zeros the kernel drops; and odd N/4 for N in [4e15, 2^53],
+    exact ties between two 17-digit decimals, which the product cannot
+    decide, so that `format` rounds them half to even."""
+    rng = np.random.default_rng(38)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=250_000, dtype=np.int64, endpoint=True)
+    edges = np.array([float(f"1e{e}") for e in range(-300, 301)]
+                     + [0.0, np.inf])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)])
+    fixed = 10.0 ** rng.uniform(-6.0, 18.0, size=240_000)
+    short = np.concatenate([
+        rng.integers(-10**6, 10**6, size=130_000) / 10.0 ** rng.integers(
+            0, 8, size=130_000),
+        rng.integers(-10**9, 10**9, size=130_000) / 2.0 ** rng.integers(
+            0, 40, size=130_000)])
+    odd = np.concatenate([[4 * 10**15 + 1, 2**53 - 1], rng.integers(
+        2 * 10**15, 2**52, size=30_000, dtype=np.int64) * 2 + 1])
+    ties = odd / 4.0
+    assert np.array_equal(ties * 4.0, odd.astype(np.float64))
+    *_, undecided = io_formats._digits(ties)
+    assert undecided.all()
+    cases = [bits.view(np.float64), np.concatenate([edges, -edges]), fixed,
+             -fixed, short, ties]
+    assert sum(c.size for c in cases) > 1_000_000
+    for values in cases:
+        _assert_kernel_is_format(values)
 
 
 def _grid(shape, x0=-1.0, y0=-0.5):
